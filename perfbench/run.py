@@ -2,22 +2,32 @@
 
 Run from the repository root:
 
-    python3 perfbench/run.py --workload fixtures --seed 1 --seconds 24 --trace 0
-    python3 perfbench/run.py --workload all --seed 1 --seconds 24 --trace 0
+    python3 perfbench/run.py --workload fixtures --seed 1 --seconds 12 --trace 0
+    python3 perfbench/run.py --workload all --seed 1 --seconds 12 --trace 0
 
 One client sends one analysis at a time.  An analysis is ``cli.run`` on a
-prepared ``RunConfig`` followed by ``cli.report_to_json``.  A run makes the
-whole number of passes over the workload's instances that comes nearest to
-``--seconds`` (at least one), so every run times the same mix of instances.
-The seed feeds ``RunConfig.seed`` (modulo ``CONFIG_SEEDS``, so that every
-report digest can be pinned).
+prepared ``RunConfig`` followed by ``cli.report_to_json``.  A run makes
+whole passes over the workload's instances, at least ``MIN_PASSES`` and
+then until ``--seconds`` have passed, so every instance's median comes
+from at least two samples and every run times the same mix.  The seed
+feeds ``RunConfig.seed`` (modulo ``CONFIG_SEEDS``, so that every report
+digest can be pinned).
+
+Timings are normalised to a nominal host speed.  After every analysis
+the fixed computation in ``reference.py`` runs for a tenth of the
+analysis's time; its rate against ``reference.NOMINAL_RATE`` is the
+host's current speed, and analysis times are multiplied by it.  The host
+this was tuned on drifts by tens of percent over minutes while the
+analyses' work stays the same, and the reference slows with it.  Raw
+times are printed alongside.
 
 ``--trace 0`` reports the end-to-end metrics.  ``--trace 1`` analyses each
 instance untraced and then traced, and reports per-layer span metrics
 (per analysis), ratios read from the reports, and the tracing overhead.
 An analysis fails when it raises, when its report does not re-serialise
 to the same bytes or differs from an earlier report of the same instance
-in the run, or when a verdict is outside the instance's accepted set.
+in the run, or when a verdict or pinned arc outcome is outside the
+instance's accepted set.
 
 The last line of standard output is one JSON object with the keys
 ``correct``, ``attempted``, ``failed`` and ``metrics``; the line before
@@ -45,6 +55,7 @@ import sys
 import time
 from collections import Counter
 
+from reference import NOMINAL_RATE, Gauge
 from tracing import Tracer
 from workloads import WORKLOADS, accepted_failures, instances
 
@@ -55,6 +66,8 @@ WORK = os.path.relpath(HERE, ROOT) + "/.work"  # generated problem files
 DIGESTS = os.path.join(HERE, "digests.json")
 CONFIG_SEEDS = 8
 SETUP_REPEATS = 3
+MIN_PASSES = 2
+REF_SHARE = 0.1  # reference time after each step, as a share of the step
 CHILD_TIMEOUT_S = 120
 
 # a fresh interpreter importing the CLI and loading the workload's problems
@@ -248,25 +261,39 @@ def pinned_changes(digests: dict[str, str]) -> tuple[int, int]:
     return sum(compared), len(compared)
 
 
-def run_passes(jobs, seconds: float, step) -> int:
-    """The whole number of passes over ``jobs`` nearest to ``seconds`` (at least 1)."""
+def run_passes(jobs, seconds: float, step) -> tuple[int, float]:
+    """Whole passes over ``jobs``: at least ``MIN_PASSES``, then until ``seconds``.
+
+    Returns the pass count and the host speed against the nominal one,
+    gauged after every step for ``REF_SHARE`` of the step's time, so the
+    gauge samples the host evenly over the run.
+    """
     gc.collect()
+    gauge = Gauge()
     start = time.perf_counter()
     passes = 0
-    while True:
+    while passes < MIN_PASSES or time.perf_counter() - start < seconds:
         for inst, config in jobs:
+            step_start = time.perf_counter()
             step(inst, config)
+            gauge.run_for(REF_SHARE * (time.perf_counter() - step_start))
         passes += 1
-        elapsed = time.perf_counter() - start
-        if elapsed * (passes + 0.5) / passes > seconds:
-            return passes
+    return passes, gauge.rate / NOMINAL_RATE
 
 
-def measure_end_to_end(client: Client, jobs, seconds: float) -> tuple[int, dict, list[str]]:
-    """Untraced passes.  ``analysis_p50_ms`` is each instance's median time,
-    geometric mean over the instances: a pooled median of instances with
-    very different sizes sits in a gap between size clusters and jumps
-    from run to run, while this moves smoothly with every instance."""
+def measure_end_to_end(
+    client: Client, jobs, seconds: float
+) -> tuple[int, float, dict, list[str]]:
+    """Untraced passes, summarised by each instance's median time.
+
+    ``norm_analysis_p50_ms`` is the geometric mean of the instance medians:
+    a pooled median of instances with very different sizes sits in a gap
+    between size clusters and jumps from run to run, while this moves
+    smoothly with every instance.  ``norm_analyses_per_s`` is the rate of
+    one pass over the instances at their median times, so a stall of the
+    host during a few analyses does not set it.  Both are at nominal host
+    speed; the raw figures are printed.
+    """
     times: dict[str, list[float]] = {}
 
     def step(inst, config):
@@ -274,26 +301,30 @@ def measure_end_to_end(client: Client, jobs, seconds: float) -> tuple[int, dict,
         if result is not None:
             times.setdefault(inst.name, []).append(result[0])
 
-    passes = run_passes(jobs, seconds, step)
+    passes, speed = run_passes(jobs, seconds, step)
     medians = [statistics.median(v) for v in times.values()]
     pooled = [t for v in times.values() for t in v]
     n = len(pooled)
+    rate = _ratio(len(medians), sum(medians))
+    p50_ms = statistics.geometric_mean(medians) * 1e3 if medians else 0.0
     metrics = {
-        "analyses_per_s": (_ratio(n, sum(pooled)), "1/s"),
-        "analysis_p50_ms": (statistics.geometric_mean(medians) * 1e3 if medians else 0.0, "ms"),
+        "norm_analyses_per_s": (_ratio(rate, speed), "1/s"),
+        "norm_analysis_p50_ms": (p50_ms * speed, "ms"),
     }
     lines = [
         f"{passes} pass(es), {n} analyses timed over {len(medians)} instances, "
-        f"{n // max(len(medians), 1)} samples per instance median; "
-        f"pooled median {statistics.median(pooled) * 1e3 if pooled else 0.0:.4f} ms"
+        f"{n // max(len(medians), 1)} samples per instance median; host speed "
+        f"{speed:.4f} of nominal",
+        f"raw: analyses_per_s {rate:.6g} 1/s, analysis_p50_ms {p50_ms:.4f} ms, "
+        f"pooled median {statistics.median(pooled) * 1e3 if pooled else 0.0:.4f} ms",
     ]
     if n >= 100:  # at least ten samples lie beyond the 90th percentile
         p90 = statistics.quantiles(pooled, n=10)[-1] * 1e3
-        lines.append(f"analysis_p90_ms {p90:.4f} ms over {n} samples")
-    return passes, metrics, lines
+        lines.append(f"raw analysis_p90_ms {p90:.4f} ms over {n} samples")
+    return passes, speed, metrics, lines
 
 
-def measure_layers(client: Client, jobs, seconds: float) -> tuple[int, dict, list[str]]:
+def measure_layers(client: Client, jobs, seconds: float) -> tuple[int, float, dict, list[str]]:
     tracer = Tracer()
     plain: list[float] = []
     traced: list[float] = []
@@ -308,7 +339,7 @@ def measure_layers(client: Client, jobs, seconds: float) -> tuple[int, dict, lis
             traced.append(second[0])
             counts.update(report_counts(second[1]))
 
-    passes = run_passes(jobs, seconds, step)
+    passes, speed = run_passes(jobs, seconds, step)
     n = counts["analyses"]
     metrics = {}
     for span, st in tracer.stats.items():
@@ -325,7 +356,7 @@ def measure_layers(client: Client, jobs, seconds: float) -> tuple[int, dict, lis
         "kkt.rays": ("rays", "analyses", "1/analysis"),
         "cq.subsets_scanned": ("subsets", "analyses", "1/analysis"),
     }
-    lines = [f"{passes} pass(es), {n} traced analyses"]
+    lines = [f"{passes} pass(es), {n} traced analyses; host speed {speed:.4f} of nominal"]
     for name, (num, den, unit) in ratios.items():
         metrics[name] = (_ratio(counts[num], counts[den]), unit)
         lines.append(f"{name}: {counts[num]} {num} / {counts[den]} {den}")
@@ -340,7 +371,7 @@ def measure_layers(client: Client, jobs, seconds: float) -> tuple[int, dict, lis
         f"tracing overhead {overhead:+.4f}: {sum(traced):.3f} s traced against "
         f"{sum(plain):.3f} s untraced over the same {n} analyses"
     )
-    return passes, metrics, lines
+    return passes, speed, metrics, lines
 
 
 def run_workload(workload: str, seed: int, seconds: float, trace: bool) -> dict:
@@ -352,7 +383,7 @@ def run_workload(workload: str, seed: int, seconds: float, trace: bool) -> dict:
     # warm-up outside the timing: first calls into numpy/scipy set things up
     client.cli.run(client.cli.RunConfig(problem="builtin:paper-example-1"))
     measure = measure_layers if trace else measure_end_to_end
-    passes, metrics, lines = measure(client, jobs, seconds)
+    passes, speed, metrics, lines = measure(client, jobs, seconds)
     if not trace:
         metrics["setup_s"] = (setup_s, "s")
         peak_kib = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
@@ -365,6 +396,7 @@ def run_workload(workload: str, seed: int, seconds: float, trace: bool) -> dict:
         "seed": seed,
         "config_seed": config_seed,
         "passes": passes,
+        "host_speed": speed,
         "failed_fraction": _ratio(failed, client.attempted),
         "failures": client.failures[:10],
         "report_digest_changes": changes,

@@ -2,15 +2,15 @@
 
 Run from the repository root:
 
-    python3 perfbench/stability.py --seeds 1-10
-    python3 perfbench/stability.py --seeds 0-9 --trace-seed 0 \\
-        --pin-digests --out perfbench/baseline.json
+    python3 perfbench/stability.py --trace-seed 0 --pin-digests \\
+        --out perfbench/baseline.json
+    python3 perfbench/stability.py --compare perfbench/baseline.json
 
-For each workload, ``run.py`` runs once per seed with tracing off, one run
-at a time.  Each end-to-end metric is summarised by its median and its
-quartiles as ``statistics.quantiles(values, n=4)`` gives them; the spread
-is (Q3 - Q1) / median, printed against the metric's bound from
-BENCHMARK.json.  ``--trace-seed`` adds one traced run per workload for the
+For each workload in BENCHMARK.json, ``run.py`` runs once per seed with
+tracing off, one run at a time.  Each end-to-end metric is summarised by
+its median and its quartiles as ``statistics.quantiles(values, n=4)``
+gives them; the spread is (Q3 - Q1) / median, printed against the
+metric's bound from BENCHMARK.json.  ``--trace-seed`` adds one traced run per workload for the
 per-layer numbers.  ``--pin-digests`` writes every report digest seen to
 ``digests.json``, refusing digests that disagree between runs.
 ``--compare`` prints how far each median moved from an earlier summary.
@@ -64,8 +64,7 @@ def summarise(values: list[float]) -> dict:
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("--seeds", default="1-10", help="inclusive range, e.g. 1-10")
-    parser.add_argument("--workloads", default=None, help="comma-separated (default: all)")
+    parser.add_argument("--seeds", default="0-9", help="inclusive range (default: 0-9)")
     parser.add_argument("--trace-seed", type=int, default=None)
     parser.add_argument("--pin-digests", action="store_true")
     parser.add_argument("--out", default=None, help="write the summary as JSON here")
@@ -80,9 +79,7 @@ def main(argv=None) -> int:
         bench = json.load(fh)
     seconds = bench["run_seconds"]
     bounds = {m["name"]: m["bound"] for m in bench["end_to_end"]}
-    workloads = (
-        args.workloads.split(",") if args.workloads else [w["name"] for w in bench["workloads"]]
-    )
+    workloads = [w["name"] for w in bench["workloads"]]
     summary: dict = {"seconds": seconds, "seeds": _seeds(args.seeds), "workloads": {}}
     digests: dict[str, str] = {}
     conflicts = []

@@ -105,15 +105,32 @@ def test_rejected_verdict_counts_as_failure():
     assert len(client.failures) == 1
 
 
+@pytest.mark.parametrize(
+    "label, prop", [("circle --arc-dir 0,1", "arc5"), ("paper-example-2 --arc-dir 1,0", "arc2")]
+)
+def test_wrong_arc_outcome_counts_as_failure(label, prop):
+    inst = next(i for i in workloads.instances("fixtures") if i.name == label)
+    (_, config), = run.prepare([inst], seed=0)
+    report = cli.run(config)
+    assert workloads.accepted_failures(inst, report) == []
+    check = report["arcs"]["entries"][0]["properties"][prop]
+    check["passed"] = not check["passed"]
+    failures = workloads.accepted_failures(inst, report)
+    assert len(failures) == 1 and f"{prop}=" in failures[0]
+    report["arcs"]["entries"] = []  # no arc built at all
+    assert len(workloads.accepted_failures(inst, report)) == len(workloads.ARC_PROPERTIES)
+
+
 def test_metric_names_and_units_match_benchmark_json():
     with open(os.path.join(run.ROOT, "BENCHMARK.json"), encoding="utf-8") as fh:
         bench = json.load(fh)
     jobs = run.prepare(workloads.instances("fixtures")[:1], seed=0)
-    _, layers, _ = run.measure_layers(run.Client(), jobs, seconds=1e-3)
+    _, _, layers, _ = run.measure_layers(run.Client(), jobs, seconds=1e-3)
     assert {m["name"]: m["unit"] for m in bench["per_layer"]} == {
         k: unit for k, (_, unit) in layers.items()
     }
-    _, e2e, _ = run.measure_end_to_end(run.Client(), jobs, seconds=1e-3)
+    _, speed, e2e, _ = run.measure_end_to_end(run.Client(), jobs, seconds=1e-3)
+    assert speed > 0
     expected = {m["name"]: m["unit"] for m in bench["end_to_end"]}
     assert expected == {**{k: unit for k, (_, unit) in e2e.items()},
                         "setup_s": "s", "peak_rss_mb": "MiB"}

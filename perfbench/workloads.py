@@ -11,13 +11,18 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-# The verdict paths checked for every instance: report section -> key.
+ARC_PROPERTIES = ("arc1", "arc2", "arc3", "arc4", "arc5", "forward_feasible")
+
+# The outcomes an instance may pin: name -> path of keys and list indices
+# into the report.  The arc properties are those of the first arc entry,
+# which is the first explicit direction when ``arc_dirs`` is given.
 VERDICT_PATHS = {
     "licq": ("constraint_qualifications", "licq", "status"),
     "mfcq": ("constraint_qualifications", "mfcq", "status"),
     "crcq": ("constraint_qualifications", "crcq", "status"),
     "rcrcq": ("constraint_qualifications", "rcrcq", "status"),
     "ssonc": ("ssonc", "status"),
+    **{p: ("arcs", "entries", 0, "properties", p, "passed") for p in ARC_PROPERTIES},
 }
 
 
@@ -27,7 +32,7 @@ class Instance:
 
     ``problem`` is ``builtin:NAME`` or the stem of a generated problem file
     holding ``text``.  ``accepted`` maps a name from ``VERDICT_PATHS`` to
-    the statuses the analysis may report; verdicts not named are not
+    the values the analysis may report there; outcomes not named are not
     checked.  ``arc_dirs`` and ``delta`` mirror the CLI's ``--arc-dir`` and
     ``--delta``.
     """
@@ -161,14 +166,19 @@ BATTERY = [
 ]
 
 
-def _builtin(name: str, label: str = "", **kwargs) -> Instance:
+def _arc_outcomes(failing: tuple = ()) -> dict:
+    """Accepted arc property outcomes: those in ``failing`` fail, the rest pass."""
+    return {p: {p not in failing} for p in ARC_PROPERTIES}
+
+
+def _builtin(name: str, label: str = "", arcs: dict | None = None, **kwargs) -> Instance:
     from nlpcheck.problems import builtin_source
 
     return Instance(
         name=name + label,
         problem=f"builtin:{name}",
         text=builtin_source(name),
-        accepted=_BUILTIN_ACCEPTED[name],
+        accepted={**_BUILTIN_ACCEPTED[name], **(arcs or {})},
         **kwargs,
     )
 
@@ -179,11 +189,23 @@ def fixtures() -> list[Instance]:
         Instance(name, f"battery-{name}", text, {"rcrcq": {"undetermined"}})
         for name, text in BATTERY
     ]
-    # explicit --arc-dir runs: the README's circle example, and the
-    # drifting parabola arc of acceptance criterion 4
-    out.append(_builtin("circle", " --arc-dir 0,1", arc_dirs=((0.0, 1.0),), delta=0.25))
+    # explicit --arc-dir runs with the arc outcomes tests/test_acceptance.py
+    # pins: the README's circle arc passes every property (criterion 3);
+    # the parabola arc drifts off its pinned constraint, so only arc2
+    # fails (criterion 4)
     out.append(
-        _builtin("paper-example-2", " --arc-dir 1,0", arc_dirs=((1.0, 0.0),), delta=0.2)
+        _builtin(
+            "circle", " --arc-dir 0,1", _arc_outcomes(), arc_dirs=((0.0, 1.0),), delta=0.25
+        )
+    )
+    out.append(
+        _builtin(
+            "paper-example-2",
+            " --arc-dir 1,0",
+            _arc_outcomes(failing=("arc2",)),
+            arc_dirs=((1.0, 0.0),),
+            delta=0.2,
+        )
     )
     return out
 
@@ -198,9 +220,11 @@ _CHAIN_ACCEPTED = {
 
 
 def rank_scan() -> list[Instance]:
+    # chain-10 is left out: it alone took half of a pass, so a run held
+    # only two samples of each instance
     return [
         Instance(f"chain-{n}", f"chain-{n}", chain_text(n), _CHAIN_ACCEPTED)
-        for n in (7, 8, 9, 10)
+        for n in (7, 8, 9)
     ]
 
 
@@ -253,7 +277,11 @@ def accepted_failures(instance: Instance, report: dict) -> list[str]:
     for name, allowed in sorted(instance.accepted.items()):
         node = report
         for key in VERDICT_PATHS[name]:
-            node = node.get(key) if isinstance(node, dict) else None
+            try:
+                node = node[key]
+            except (KeyError, IndexError, TypeError):
+                node = None
+                break
         if node not in allowed:
             bad.append(f"{instance.name}: {name}={node!r}, expected one of {sorted(allowed)}")
     return bad
