@@ -130,6 +130,26 @@ def _arc_entry(rep: arc_mod.DirectionArcReport) -> dict:
     return entry
 
 
+def _validate(config: RunConfig, n: int, x: np.ndarray) -> None:
+    """Reject a configuration the analysis cannot run on."""
+    if x.shape != (n,):
+        raise InputError(f"point must have {n} coordinates, got {x.size}")
+    if not np.isfinite(x).all():
+        raise InputError("point has non-finite coordinates")
+    for d in config.arc_dirs:
+        d = np.asarray(d, dtype=float)
+        if d.shape != (n,) or not np.isfinite(d).all():
+            raise InputError(f"arc direction must have {n} finite coordinates, got {d.tolist()}")
+    if config.arc_points < 5 or config.arc_points % 2 == 0:
+        raise InputError(f"arc points must be odd and >= 5, got {config.arc_points}")
+    if not 0.0 < config.delta < math.inf:
+        raise InputError(f"delta must be positive and finite, got {config.delta}")
+    if config.samples < 0:
+        raise InputError(f"samples per radius must be >= 0, got {config.samples}")
+    if not config.radii or not all(0.0 < r < math.inf for r in config.radii):
+        raise InputError(f"radii must be positive and finite, got {list(config.radii)}")
+
+
 def run(config: RunConfig) -> dict:
     """Run the full analysis and return the report as an ordered dict."""
     ref, problem = _load(config)
@@ -141,8 +161,7 @@ def run(config: RunConfig) -> dict:
         raise InputError(
             "no candidate point: give one with --point or a 'point' line"
         )
-    if x.shape != (problem.n,):
-        raise InputError(f"point must have {problem.n} coordinates, got {x.size}")
+    _validate(config, problem.n, x)
 
     report: dict = {
         "tool": "nlpcheck",
@@ -199,12 +218,8 @@ def run(config: RunConfig) -> dict:
     cqs: dict = {}
     cqs["licq"] = _verdict_dict(cq.check_licq(pd, config.tol_rank))
     cqs["mfcq"] = _verdict_dict(cq.check_mfcq(pd, config.tol_rank))
-    cqs["crcq"] = _verdict_dict(
-        cq.check_crcq(problem, x, sampler, config.tol_active, config.tol_rank)
-    )
-    cqs["rcrcq"] = _verdict_dict(
-        cq.check_rcrcq(problem, x, sampler, config.tol_active, config.tol_rank)
-    )
+    for name, verdict in cq.check_rank_constancy(problem, pd, sampler, config.tol_rank).items():
+        cqs[name] = _verdict_dict(verdict)
     report["constraint_qualifications"] = cqs
 
     ms = kkt.solve_multipliers(pd, tol=config.tol_rank)
@@ -274,16 +289,10 @@ def run(config: RunConfig) -> dict:
     # the Abadie probe always uses sampled directions so its statistics are
     # comparable across runs; without explicit --arc-dir they are the same arcs
     acq_reports = arc_reports_for(sampled_directions()) if explicit else arc_reports
-    acq_evidence = cq.summarize_acq(acq_reports, requested=config.arc_sample, seed=config.seed)
-    if not acq_reports:
-        acq_evidence["note"] = (
-            "no nonzero linearized-cone directions at the sampling tolerance; "
-            "vacuously realized"
-        )
     report["constraint_qualifications"]["acq"] = {
         "status": "undetermined",
         "certificate": None,
-        "evidence": acq_evidence,
+        "evidence": cq.summarize_acq(acq_reports, requested=config.arc_sample, seed=config.seed),
     }
     return report
 
@@ -515,18 +524,11 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     try:
-        radii = tuple(
-            float(tok) for tok in str(args.radii).split(",") if tok.strip()
-        )
-    except ValueError:
-        print(f"error: --radii expects comma-separated numbers, got {args.radii!r}", file=sys.stderr)
-        return 2
-    try:
         config = RunConfig(
             problem=args.problem,
             point=_parse_vector(args.point, "--point") if args.point else None,
             seed=args.seed,
-            radii=radii,
+            radii=tuple(float(r) for r in _parse_vector(args.radii, "--radii")),
             samples=args.samples,
             tol_rank=args.tol_rank,
             tol_active=args.tol_active,

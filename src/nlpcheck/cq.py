@@ -11,6 +11,14 @@ Four classical qualifications are covered, in decreasing strength:
   locally constant rank.  Sampled over shrinking neighborhoods.
 * RCRCQ: same, but only subsets that contain every equality gradient.
 
+Both rank scans come from one sampled pass (:func:`check_rank_constancy`).
+The gradient tables at the center and at every sample are built once, and
+one stacked SVD per subset pair ranks them all.  The RCRCQ pairs are the
+CRCQ pairs that contain every equality, so a pair both scans reach is
+ranked once.  When a scan's pair count times the number of points exceeds
+``2^20``, that scan is cut to the pairs of total size <= 2 plus the full
+pair, and its evidence reads ``partial: true``.
+
 Rank constancy over a neighborhood cannot be certified by finitely many
 samples, so the sampled scans return "fails" with a re-checkable witness
 when a mismatch is found and "undetermined" otherwise -- never "holds".
@@ -22,7 +30,7 @@ is always "undetermined" with evidence attached.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import chain, combinations
+from itertools import combinations
 from typing import Iterator
 
 import numpy as np
@@ -31,7 +39,7 @@ from scipy.stats import qmc
 from nlpcheck import arc as arc_mod
 from nlpcheck.cones import linearized_cone, sample_directions
 from nlpcheck.expr import DomainError, grad_hess
-from nlpcheck.linalg import numerical_rank, simplex_lp
+from nlpcheck.linalg import numerical_rank, simplex_lp, stacked_rank
 from nlpcheck.model import PointData, Problem, evaluate_point
 
 __all__ = [
@@ -41,6 +49,7 @@ __all__ = [
     "check_mfcq",
     "check_crcq",
     "check_rcrcq",
+    "check_rank_constancy",
     "check_acq_empirical",
     "recheck_rank_certificate",
 ]
@@ -179,116 +188,117 @@ def check_mfcq(pd: PointData, tol_rank: float = 1e-8) -> Verdict:
     return Verdict("fails", certificate, evidence)
 
 
-def _subsets(labels: tuple[int, ...], include_empty: bool) -> list[tuple[int, ...]]:
-    start = 0 if include_empty else 1
-    return list(
-        chain.from_iterable(combinations(labels, k) for k in range(start, len(labels) + 1))
-    )
+_PAIR_BUDGET = 1 << 20
 
 
-def _gradient_table(
-    problem: Problem, x: np.ndarray, labels_g: tuple[int, ...]
-) -> np.ndarray | None:
-    """Gradients of the listed inequalities then all equalities at ``x``.
+def _scan_pairs(
+    active: tuple[int, ...], eq_labels: tuple[int, ...], every_eq: bool, n_points: int
+) -> tuple[list[tuple[tuple[int, ...], tuple[int, ...]]], bool]:
+    """Ordered (I, J) pairs of one rank scan, and whether the budget cut it.
 
-    Returns None when any needed function leaves its domain at ``x``.
+    CRCQ pairs every subset I of the active inequalities with every subset J
+    of the equalities, skipping only the doubly-empty pair; RCRCQ
+    (``every_eq``) keeps the pairs whose J holds every equality.  Pairs run
+    by total size, then (I, J) lexicographically.  The pair count is known
+    in closed form, so when it times ``n_points`` exceeds ``_PAIR_BUDGET``
+    only the pairs of total size <= 2 and the full pair are ever built.
     """
-    rows = []
-    try:
-        for i in labels_g:
-            rows.append(grad_hess(problem.ineq[i - 1], x).grad)
-        for e in problem.eq:
-            rows.append(grad_hess(e, x).grad)
-    except DomainError:
-        return None
-    if not rows:
-        return np.zeros((0, problem.n))
-    return np.vstack(rows)
+    fixed = eq_labels if every_eq else ()
+    free = () if every_eq else eq_labels
+    top = len(active) + len(free)
+    count = 2**top - (0 if fixed else 1)
+    partial = count * max(n_points, 1) > _PAIR_BUDGET
+    last = min(top, 2 - len(fixed)) if partial else top
+    pairs = [
+        pair
+        for k in range(0 if fixed else 1, last + 1)
+        for pair in sorted(
+            (I, J + fixed)
+            for i in range(max(0, k - len(free)), min(k, len(active)) + 1)
+            for I in combinations(active, i)
+            for J in combinations(free, k - i)
+        )
+    ]
+    if last < top:
+        pairs.append((active, eq_labels))
+    return pairs, partial
 
 
-def _scan_rank_constancy(
+def check_rank_constancy(
     problem: Problem,
-    x,
+    pd: PointData,
     sampler: NeighborhoodSampler,
-    pairs: list[tuple[tuple[int, ...], tuple[int, ...]]],
-    active: tuple[int, ...],
-    tol_rank: float,
-    partial: bool,
-    scan_name: str,
-) -> Verdict:
-    """Shared engine for the CRCQ/RCRCQ scans.
+    tol_rank: float = 1e-8,
+) -> dict[str, Verdict]:
+    """Sampled CRCQ and RCRCQ scans from one pass over the neighborhood.
 
-    ``pairs`` lists (inequality subset, equality subset) in the order to be
-    scanned; the first rank mismatch (by subset, then radius, then sample
-    index) becomes the certificate.
+    Gradient tables at the center and at every sample are built once, into
+    one stack; samples where a gradient leaves its domain are skipped.  A
+    subset pair's ranks at all points come from one stacked SVD and are
+    shared by both scans.  Each scan's first mismatch (by pair, then radius,
+    then sample index) becomes its certificate.
     """
-    x = np.asarray(x, dtype=float)
-    pos = {label: k for k, label in enumerate(active)}
-    center_table = _gradient_table(problem, x, active)
-    if center_table is None:
-        raise DomainError(f"{scan_name}: gradients undefined at the center point")
-    samples = []
+    active = pd.active
+    funcs = [problem.ineq[i - 1] for i in active] + list(problem.eq)
+    tables = [np.vstack([pd.active_g_grads(), pd.h_grads])]
+    used = []
     skipped = 0
-    for radius, idx, pt in sampler.points(x):
-        table = _gradient_table(problem, x=pt, labels_g=active)
-        if table is None:
+    for radius, idx, pt in sampler.points(pd.x):
+        try:
+            grads = [grad_hess(e, pt).grad for e in funcs]
+        except DomainError:
             skipped += 1
             continue
-        samples.append((radius, idx, pt, table))
-    evidence = {
-        "radii": [float(r) for r in sampler.radii],
-        "samples_per_radius": sampler.samples_per_radius,
-        "seed": sampler.seed,
-        "subsets_scanned": len(pairs),
-        "samples_used": len(samples),
-        "samples_skipped_domain": skipped,
-        "tol_rank": tol_rank,
-        "partial": partial,
-    }
+        tables.append(np.array(grads).reshape(len(funcs), pd.n))
+        used.append((radius, idx, pt))
+    stack = np.stack(tables)  # (1 + samples, rows, n)
+    pos = {label: k for k, label in enumerate(active)}
+    mismatch: dict = {}  # (I, J) -> (ranks at all points, first sample that differs) or None
 
-    def rows_for(table: np.ndarray, I: tuple[int, ...], J: tuple[int, ...]) -> np.ndarray:
-        sel = [pos[i] for i in I] + [len(active) + (j - 1) for j in J]
-        return table[sel]
-
-    for I, J in pairs:
-        center_rank = numerical_rank(rows_for(center_table, I, J), tol_rank).rank
-        for radius, idx, pt, table in samples:
-            rank = numerical_rank(rows_for(table, I, J), tol_rank).rank
-            if rank != center_rank:
+    verdicts = {}
+    n_points = len(sampler.radii) * sampler.samples_per_radius + 1
+    for name, every_eq in (("crcq", False), ("rcrcq", True)):
+        pairs, partial = _scan_pairs(active, tuple(range(1, pd.p + 1)), every_eq, n_points)
+        evidence = {
+            "radii": [float(r) for r in sampler.radii],
+            "samples_per_radius": sampler.samples_per_radius,
+            "seed": sampler.seed,
+            "subsets_scanned": len(pairs),
+            "samples_used": len(used),
+            "samples_skipped_domain": skipped,
+            "tol_rank": tol_rank,
+            "partial": partial,
+        }
+        verdicts[name] = Verdict("undetermined", None, evidence)
+        for I, J in pairs:
+            if (I, J) not in mismatch:
+                sel = [pos[i] for i in I] + [len(active) + (j - 1) for j in J]
+                ranks = stacked_rank(stack[:, sel], tol_rank)
+                differ = np.flatnonzero(ranks[1:] != ranks[0])
+                mismatch[I, J] = (ranks, int(differ[0])) if differ.size else None
+            if mismatch[I, J] is not None:
+                ranks, k = mismatch[I, J]
+                radius, idx, pt = used[k]
                 certificate = {
                     "ineq_subset": list(I),
                     "eq_subset": list(J),
-                    "center": [float(v) for v in x],
-                    "center_rank": center_rank,
+                    "center": [float(v) for v in pd.x],
+                    "center_rank": int(ranks[0]),
                     "witness": [float(v) for v in pt],
-                    "witness_rank": rank,
+                    "witness_rank": int(ranks[k + 1]),
                     "radius": radius,
                     "sample_index": idx,
                     "tol_rank": tol_rank,
                 }
-                return Verdict("fails", certificate, evidence)
-    evidence["note"] = (
-        "no rank mismatch at the sampled radii; constancy cannot be certified "
-        "from finitely many samples"
-    )
-    return Verdict("undetermined", None, evidence)
-
-
-_PAIR_BUDGET = 1 << 20
-
-
-def _capped_pairs(
-    pairs: list[tuple[tuple[int, ...], tuple[int, ...]]],
-    full_pair: tuple[tuple[int, ...], tuple[int, ...]],
-    points_per_pair: int,
-) -> tuple[list[tuple[tuple[int, ...], tuple[int, ...]]], bool]:
-    """Cut the scan to small subsets plus the full set when over budget."""
-    if len(pairs) * max(points_per_pair, 1) <= _PAIR_BUDGET:
-        return pairs, False
-    kept = [pq for pq in pairs if len(pq[0]) + len(pq[1]) <= 2]
-    if full_pair not in kept:
-        kept.append(full_pair)
-    return kept, True
+                verdicts[name] = Verdict("fails", certificate, evidence)
+                break
+        else:
+            evidence["note"] = (
+                "no rank mismatch at the sampled radii; constancy cannot be "
+                "certified from finitely many samples"
+            )
+        evidence["active"] = list(active)
+    return verdicts
 
 
 def check_crcq(
@@ -298,30 +308,10 @@ def check_crcq(
     tol_active: float = 1e-8,
     tol_rank: float = 1e-8,
 ) -> Verdict:
-    """Sampled rank-constancy over every subset pair (I, J).
-
-    I ranges over subsets of the active inequalities and J over subsets of
-    the equalities, skipping only the doubly-empty pair.  Scan order is by
-    total subset size, then lexicographic.
-    """
+    """Sampled rank-constancy over every subset pair (I, J): the CRCQ entry
+    of :func:`check_rank_constancy` at ``x``."""
     pd = evaluate_point(problem, x, tol_active)
-    active = pd.active
-    eq_labels = tuple(range(1, problem.p + 1))
-    pairs = [
-        (I, J)
-        for I in _subsets(active, include_empty=True)
-        for J in _subsets(eq_labels, include_empty=True)
-        if I or J
-    ]
-    pairs.sort(key=lambda IJ: (len(IJ[0]) + len(IJ[1]), IJ[0], IJ[1]))
-    n_points = len(sampler.radii) * sampler.samples_per_radius + 1
-    full_pair = (active, eq_labels)
-    pairs, partial = _capped_pairs(pairs, full_pair, n_points)
-    verdict = _scan_rank_constancy(
-        problem, x, sampler, pairs, active, tol_rank, partial, "crcq"
-    )
-    verdict.evidence["active"] = list(active)
-    return verdict
+    return check_rank_constancy(problem, pd, sampler, tol_rank)["crcq"]
 
 
 def check_rcrcq(
@@ -331,26 +321,10 @@ def check_rcrcq(
     tol_active: float = 1e-8,
     tol_rank: float = 1e-8,
 ) -> Verdict:
-    """Sampled rank-constancy restricted to subsets containing every equality.
-
-    With no equalities the scan runs over the nonempty subsets of the active
-    inequalities; otherwise I may also be empty because the equality block
-    alone must keep constant rank.
-    """
+    """Sampled rank-constancy over the pairs that hold every equality: the
+    RCRCQ entry of :func:`check_rank_constancy` at ``x``."""
     pd = evaluate_point(problem, x, tol_active)
-    active = pd.active
-    eq_labels = tuple(range(1, problem.p + 1))
-    include_empty = problem.p > 0
-    pairs = [(I, eq_labels) for I in _subsets(active, include_empty=include_empty)]
-    pairs.sort(key=lambda IJ: (len(IJ[0]), IJ[0]))
-    n_points = len(sampler.radii) * sampler.samples_per_radius + 1
-    full_pair = (active, eq_labels)
-    pairs, partial = _capped_pairs(pairs, full_pair, n_points)
-    verdict = _scan_rank_constancy(
-        problem, x, sampler, pairs, active, tol_rank, partial, "rcrcq"
-    )
-    verdict.evidence["active"] = list(active)
-    return verdict
+    return check_rank_constancy(problem, pd, sampler, tol_rank)["rcrcq"]
 
 
 def recheck_rank_certificate(problem: Problem, certificate: dict) -> tuple[int, int]:
@@ -411,13 +385,7 @@ def check_acq_empirical(
         )
         for d in dirs
     ]
-    evidence = summarize_acq(reports, requested=count, seed=seed)
-    if not dirs:
-        evidence["note"] = (
-            "no nonzero linearized-cone directions at the sampling tolerance; "
-            "vacuously realized"
-        )
-    return Verdict("undetermined", None, evidence)
+    return Verdict("undetermined", None, summarize_acq(reports, requested=count, seed=seed))
 
 
 def summarize_acq(reports: list, requested: int, seed: int) -> dict:
@@ -430,7 +398,7 @@ def summarize_acq(reports: list, requested: int, seed: int) -> dict:
         realized += int(ok)
         failures += int(rep.error is not None)
         per_direction.append(rep.acq_summary())
-    return {
+    summary = {
         "directions_requested": requested,
         "directions_sampled": len(reports),
         "seed": seed,
@@ -438,3 +406,9 @@ def summarize_acq(reports: list, requested: int, seed: int) -> dict:
         "construction_failures": failures,
         "per_direction": per_direction,
     }
+    if not reports:
+        summary["note"] = (
+            "no nonzero linearized-cone directions at the sampling tolerance; "
+            "vacuously realized"
+        )
+    return summary

@@ -1,11 +1,11 @@
 """Dense numerical kernels shared by the analysis passes.
 
 Everything here operates on small dense matrices (tens of rows and columns,
-not thousands).  Rank decisions, nullspaces, and eigenvalues are backed by
-LAPACK through numpy; the simplex solver, the sign-constrained least-squares
-solver, the greedy column pivoting, and the damped Newton iteration are
-implemented directly because their tie-breaking and failure behaviour must
-be deterministic and inspectable.
+not thousands), or on stacks of them.  Rank decisions, nullspaces, and
+eigenvalues are backed by LAPACK through numpy; the simplex solver, the
+sign-constrained least-squares solver, the greedy column pivoting, and the
+damped Newton iteration are implemented directly because their tie-breaking
+and failure behaviour must be deterministic and inspectable.
 """
 
 from __future__ import annotations
@@ -18,6 +18,7 @@ import numpy as np
 __all__ = [
     "RankInfo",
     "numerical_rank",
+    "stacked_rank",
     "nullspace_basis",
     "pivot_select",
     "NewtonError",
@@ -53,6 +54,15 @@ class RankInfo:
     tolerance_used: float
 
 
+def _rank_cut(s: np.ndarray, tol_rel: float) -> tuple[np.ndarray, np.ndarray]:
+    """Ranks and thresholds for singular values ``s`` (non-increasing along
+    the last axis): values above ``tol_rel * sigma_max`` count, and for an
+    exactly zero matrix the threshold degenerates to ``tol_rel`` itself."""
+    s_max = s[..., 0]
+    threshold = np.where(s_max > 0.0, tol_rel * s_max, tol_rel)
+    return np.count_nonzero(s > threshold[..., None], axis=-1), threshold
+
+
 def numerical_rank(M, tol_rel: float = 1e-8) -> RankInfo:
     """Rank of ``M`` counted as singular values above ``tol_rel * sigma_max``.
 
@@ -63,9 +73,22 @@ def numerical_rank(M, tol_rel: float = 1e-8) -> RankInfo:
     if min(M.shape) == 0:
         return RankInfo(0, np.zeros(0), tol_rel)
     s = np.linalg.svd(M, compute_uv=False)
-    threshold = tol_rel * s[0] if s[0] > 0.0 else tol_rel
-    rank = int(np.count_nonzero(s > threshold))
-    return RankInfo(rank, s, threshold)
+    rank, threshold = _rank_cut(s, tol_rel)
+    return RankInfo(int(rank), s, float(threshold))
+
+
+def stacked_rank(M, tol_rel: float = 1e-8) -> np.ndarray:
+    """Numerical ranks of a stack of matrices, shape ``(k, rows, cols)``.
+
+    One batched SVD decides all ``k`` ranks by the rule of
+    :func:`numerical_rank`; the result is an integer array of length ``k``.
+    """
+    M = np.asarray(M, dtype=float)
+    if M.size and not np.isfinite(M).all():
+        raise ValueError("matrix has non-finite entries")
+    if min(M.shape[1:]) == 0:
+        return np.zeros(M.shape[0], dtype=int)
+    return _rank_cut(np.linalg.svd(M, compute_uv=False), tol_rel)[0]
 
 
 def nullspace_basis(M, tol_rel: float = 1e-8) -> np.ndarray:
@@ -79,8 +102,7 @@ def nullspace_basis(M, tol_rel: float = 1e-8) -> np.ndarray:
     if rows == 0 or cols == 0:
         return np.eye(cols)
     _, s, Vh = np.linalg.svd(M)
-    threshold = tol_rel * s[0] if s[0] > 0.0 else tol_rel
-    rank = int(np.count_nonzero(s > threshold))
+    rank = int(_rank_cut(s, tol_rel)[0])
     return Vh[rank:].T.copy()
 
 

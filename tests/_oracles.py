@@ -175,3 +175,103 @@ def quad_cone_min_oracle(H, a_eq, a_in):
         vals = np.einsum("ij,jk,ik->i", dirs[ok], hk, dirs[ok])
         consider(float(vals.min()))
     return best
+
+
+def _svd_rank(M, tol_rel):
+    if min(M.shape) == 0:
+        return 0
+    s = np.linalg.svd(M, compute_uv=False)
+    return int(np.count_nonzero(s > (tol_rel * s[0] if s[0] > 0.0 else tol_rel)))
+
+
+def rank_scan_oracle(problem, x, sampler, tol_active=1e-8, tol_rank=1e-8, budget=1 << 20):
+    """CRCQ and RCRCQ verdicts by the original per-matrix scan loop.
+
+    Every subset pair is enumerated and sorted before the budget cut; each
+    matrix at the center and at every sample gets its own SVD, and each
+    scan stops at its first mismatch.  Returns ``{"crcq": (status,
+    certificate, evidence), "rcrcq": ...}`` in the library's layout.
+    """
+    from nlpcheck.expr import DomainError, grad_hess
+    from nlpcheck.model import evaluate_point
+
+    x = np.asarray(x, dtype=float)
+    active = evaluate_point(problem, x, tol_active).active
+    eq = tuple(range(1, problem.p + 1))
+
+    def subsets(labels, include_empty):
+        start = 0 if include_empty else 1
+        return [
+            c for k in range(start, len(labels) + 1) for c in itertools.combinations(labels, k)
+        ]
+
+    def table(pt):
+        try:
+            rows = [grad_hess(problem.ineq[i - 1], pt).grad for i in active]
+            rows += [grad_hess(e, pt).grad for e in problem.eq]
+        except DomainError:
+            return None
+        return np.array(rows, dtype=float).reshape(len(rows), problem.n)
+
+    center = table(x)
+    points = list(sampler.points(x))
+    samples = [(r, idx, pt, table(pt)) for r, idx, pt in points]
+    samples = [s for s in samples if s[3] is not None]
+
+    def order(pair):
+        return (len(pair[0]) + len(pair[1]), pair[0], pair[1])
+
+    scans = {
+        "crcq": sorted(
+            ((I, J) for I in subsets(active, True) for J in subsets(eq, True) if I or J),
+            key=order,
+        ),
+        "rcrcq": sorted(((I, eq) for I in subsets(active, bool(eq))), key=order),
+    }
+    n_points = len(sampler.radii) * sampler.samples_per_radius + 1
+    out = {}
+    for name, pairs in scans.items():
+        partial = len(pairs) * max(n_points, 1) > budget
+        if partial:
+            pairs = [pq for pq in pairs if len(pq[0]) + len(pq[1]) <= 2]
+            if (active, eq) not in pairs:
+                pairs.append((active, eq))
+        evidence = {
+            "radii": [float(r) for r in sampler.radii],
+            "samples_per_radius": sampler.samples_per_radius,
+            "seed": sampler.seed,
+            "subsets_scanned": len(pairs),
+            "samples_used": len(samples),
+            "samples_skipped_domain": len(points) - len(samples),
+            "tol_rank": tol_rank,
+            "partial": partial,
+        }
+        certificate = None
+        for I, J in pairs:
+            sel = [active.index(i) for i in I] + [len(active) + j - 1 for j in J]
+            center_rank = _svd_rank(center[sel], tol_rank)
+            for radius, idx, pt, tab in samples:
+                rank = _svd_rank(tab[sel], tol_rank)
+                if rank != center_rank:
+                    certificate = {
+                        "ineq_subset": list(I),
+                        "eq_subset": list(J),
+                        "center": [float(v) for v in x],
+                        "center_rank": center_rank,
+                        "witness": [float(v) for v in pt],
+                        "witness_rank": rank,
+                        "radius": radius,
+                        "sample_index": idx,
+                        "tol_rank": tol_rank,
+                    }
+                    break
+            if certificate is not None:
+                break
+        if certificate is None:
+            evidence["note"] = (
+                "no rank mismatch at the sampled radii; constancy cannot be "
+                "certified from finitely many samples"
+            )
+        evidence["active"] = list(active)
+        out[name] = ("fails" if certificate else "undetermined", certificate, evidence)
+    return out

@@ -113,6 +113,10 @@ class TestRun:
         with pytest.raises(InputError, match="domain"):
             run(RunConfig(problem=str(path)))
 
+    def test_empty_radii_rejected(self):
+        with pytest.raises(InputError, match="radii"):
+            run(RunConfig(problem="builtin:circle", radii=()))
+
     def test_unknown_builtin_rejected(self):
         with pytest.raises(InputError, match="builtin"):
             run(RunConfig(problem="builtin:banana"))
@@ -229,6 +233,27 @@ class TestMain:
     def test_bad_radii_exit_two(self, capsys):
         code = main(["analyze", "builtin:circle", "--radii", "x"])
         assert code == 2
+
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["--point", "nan,1"], "point has non-finite"),
+            (["--arc-dir", "1,0,0"], "arc direction must have 2"),
+            (["--arc-dir", "nan,0"], "arc direction must have 2 finite"),
+            (["--arc-points", "4"], "arc points must be odd"),
+            (["--arc-points", "3"], "arc points must be odd and >= 5"),
+            (["--delta", "-1"], "delta must be positive"),
+            (["--delta", "nan"], "delta must be positive and finite"),
+            (["--samples", "-3"], "samples per radius"),
+            (["--radii", ","], "--radii expects comma-separated numbers"),
+            (["--radii", "1e-2,inf"], "radii must be positive and finite"),
+            (["--radii", "1e-2,0"], "radii must be positive"),
+        ],
+    )
+    def test_invalid_config_exit_two(self, flags, message, capsys):
+        code = main(["analyze", "builtin:circle", *flags])
+        assert code == 2
+        assert message in capsys.readouterr().err
 
     def test_internal_failure_exit_three(self, monkeypatch, capsys):
         import nlpcheck.cli as cli_mod

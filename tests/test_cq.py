@@ -5,22 +5,29 @@ rank certificates by evaluating gradients at the recorded points, MFCQ
 directions by substituting into the active gradients.
 """
 
+import time
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from nlpcheck import cq
 from nlpcheck.cq import (
     NeighborhoodSampler,
     check_acq_empirical,
     check_crcq,
     check_licq,
     check_mfcq,
+    check_rank_constancy,
     check_rcrcq,
     recheck_rank_certificate,
 )
 from nlpcheck.expr import grad_hess
 from nlpcheck.model import evaluate_point, load_problem
-from nlpcheck.problems import builtin_problem
+from nlpcheck.problems import builtin_names, builtin_problem
+
+from _oracles import rank_scan_oracle
+from test_acceptance import BATTERY
 
 
 def tangent_disks_pd():
@@ -33,6 +40,60 @@ def parabola_pd():
 
 def circle_pd():
     return evaluate_point(builtin_problem("circle"), np.array([1.0, 0.0]))
+
+
+PROPER_EQ_SUBSET = "vars 1\nobjective x1\neq x1^2 / 2\neq x1\npoint 0\n"
+
+CHAIN_5 = (
+    "vars 5\nobjective x1^2 + x2^2 + x3^2 + x4^2 + x5^2 + x1 + x5\n"
+    "eq x2 - x1^2 + sin(x3)^2\neq x3 - x2^2 + sin(x4)^2\neq x4 - x3^2 + sin(x5)^2\n"
+    "ineq -x1 + x5^2\nineq -x5 + x1^2\npoint 0 0 0 0 0\n"
+)
+
+# CRCQ stops on its first pair, the degenerate equality alone; RCRCQ keeps
+# the equality block whole and must reach the tangent-disk pair
+# ({1, 2}, {1, 2}), which CRCQ never scanned
+EARLY_CRCQ_LATE_RCRCQ = (
+    "vars 3\nobjective x2\nineq x1^2 + (x2 - 1)^2 - 1\nineq 1 - x1^2 - (x2 + 1)^2\n"
+    "eq x3^2 / 2\neq x3\npoint 0 0 0\n"
+)
+
+# no pair of total size <= 2 changes rank near 0; the three inequalities
+# together gain rank off the plane x3 = 0, so a capped CRCQ scan finds the
+# mismatch only through the full pair it keeps
+FULL_SET_ONLY = (
+    "vars 4\nobjective x4\nineq x1\nineq x2\nineq x1 + x2 + x3^2 / 2\neq x4\n"
+    "point 0 0 0 0\n"
+)
+
+# pairs ({1, 2}, ()) and ((2,), (1,)) both mismatch at total size 2; the
+# scan order puts the first one first
+SAME_SIZE_MISMATCHES = (
+    "vars 2\nobjective x2\nineq x1^2 + (x2 - 1)^2 - 1\nineq 1 - x1^2 - (x2 + 1)^2\n"
+    "eq x1^2 + (x2 - 1)^2 - 1\npoint 0 0\n"
+)
+
+# the pair gains rank only where |x2| is large enough, so the first
+# mismatch is sample 21 of the 1e-2 shell, not sample 0
+LATE_WITNESS = "vars 2\nobjective x1\nineq x1\nineq x1 + 0.006*x2^4\npoint 0 0\n"
+
+# the log leaves its domain for x1 <= -0.005, inside the 1e-2 shell
+DOMAIN_GAPS = (
+    "vars 2\nobjective x1\nineq x2 + log(x1 + 0.005) - log(0.005)\nineq -x2\npoint 0 0\n"
+)
+
+ORACLE_CASES = (
+    [(name, builtin_problem(name)) for name in builtin_names()]
+    + [(name, load_problem(text)) for name, text in BATTERY]
+    + [
+        ("proper equality subset", load_problem(PROPER_EQ_SUBSET)),
+        ("chain-5", load_problem(CHAIN_5)),
+        ("early crcq, late rcrcq", load_problem(EARLY_CRCQ_LATE_RCRCQ)),
+        ("same-size mismatches", load_problem(SAME_SIZE_MISMATCHES)),
+        ("late witness", load_problem(LATE_WITNESS)),
+        ("domain gaps", load_problem(DOMAIN_GAPS)),
+    ]
+)
 
 
 class TestSampler:
@@ -147,9 +208,7 @@ class TestCrcqRcrcq:
     def test_crcq_catches_proper_equality_subset(self):
         # grad of the first equality vanishes at 0 but the pair keeps
         # rank 1 nearby, so only the proper subset {1} mismatches
-        prob = load_problem(
-            "vars 1\nobjective x1\neq x1^2 / 2\neq x1\npoint 0\n"
-        )
+        prob = load_problem(PROPER_EQ_SUBSET)
         crcq = check_crcq(prob, np.zeros(1), NeighborhoodSampler(seed=0))
         assert crcq.status == "fails"
         assert tuple(crcq.certificate["eq_subset"]) == (1,)
@@ -206,6 +265,105 @@ class TestCrcqRcrcq:
         assert verdict.status in ("fails", "undetermined")
 
 
+def _scans(prob, sampler=None):
+    sampler = sampler or NeighborhoodSampler(seed=0)
+    return check_rank_constancy(prob, evaluate_point(prob, prob.point), sampler)
+
+
+def _as_tuple(verdict):
+    return (verdict.status, verdict.certificate, verdict.evidence)
+
+
+class TestRankConstancyEngine:
+    @pytest.mark.parametrize(
+        "prob", [p for _, p in ORACLE_CASES], ids=[n for n, _ in ORACLE_CASES]
+    )
+    def test_matches_per_matrix_oracle(self, prob):
+        scans = _scans(prob)
+        expected = rank_scan_oracle(prob, prob.point, NeighborhoodSampler(seed=0))
+        assert list(scans) == ["crcq", "rcrcq"]
+        for key in ("crcq", "rcrcq"):
+            assert _as_tuple(scans[key]) == expected[key], key
+
+    def test_rcrcq_scans_past_the_crcq_stop(self):
+        prob = load_problem(EARLY_CRCQ_LATE_RCRCQ)
+        scans = _scans(prob)
+        crcq, rcrcq = scans["crcq"].certificate, scans["rcrcq"].certificate
+        assert (crcq["ineq_subset"], crcq["eq_subset"]) == ([], [1])
+        assert (rcrcq["ineq_subset"], rcrcq["eq_subset"]) == ([1, 2], [1, 2])
+        assert recheck_rank_certificate(prob, rcrcq) == (2, 3)
+
+    def test_wrappers_return_one_entry_each(self):
+        prob = load_problem(EARLY_CRCQ_LATE_RCRCQ)
+        scans = _scans(prob)
+        for key, checker in (("crcq", check_crcq), ("rcrcq", check_rcrcq)):
+            verdict = checker(prob, prob.point, NeighborhoodSampler(seed=0))
+            assert _as_tuple(verdict) == _as_tuple(scans[key])
+
+    def test_capped_crcq_keeps_full_pair(self, monkeypatch):
+        # 9 points per pair: CRCQ's 15 pairs exceed a budget of 72, RCRCQ's 8 fit exactly
+        monkeypatch.setattr(cq, "_PAIR_BUDGET", 72)
+        prob = load_problem(FULL_SET_ONLY)
+        sampler = NeighborhoodSampler(radii=(1e-2,), samples_per_radius=8, seed=0)
+        scans = _scans(prob, sampler)
+        crcq, rcrcq = scans["crcq"], scans["rcrcq"]
+        assert (crcq.evidence["partial"], crcq.evidence["subsets_scanned"]) == (True, 11)
+        assert (rcrcq.evidence["partial"], rcrcq.evidence["subsets_scanned"]) == (False, 8)
+        # only the full pair mismatches among those the capped scan keeps
+        for verdict in (crcq, rcrcq):
+            assert verdict.status == "fails"
+            cert = verdict.certificate
+            assert (cert["ineq_subset"], cert["eq_subset"]) == ([1, 2, 3], [1])
+        expected = rank_scan_oracle(prob, prob.point, sampler, budget=72)
+        for key in ("crcq", "rcrcq"):
+            assert _as_tuple(scans[key]) == expected[key], key
+
+    @pytest.mark.parametrize(
+        "budget, crcq, rcrcq",
+        [(135, (False, 15), (False, 8)), (71, (True, 11), (True, 5))],
+    )
+    def test_budget_boundaries_match_oracle(self, monkeypatch, budget, crcq, rcrcq):
+        # 15 CRCQ pairs at 9 points each fit 135 exactly; 71 caps both scans
+        monkeypatch.setattr(cq, "_PAIR_BUDGET", budget)
+        prob = load_problem(FULL_SET_ONLY)
+        sampler = NeighborhoodSampler(radii=(1e-2,), samples_per_radius=8, seed=0)
+        scans = _scans(prob, sampler)
+        for key, want in (("crcq", crcq), ("rcrcq", rcrcq)):
+            evidence = scans[key].evidence
+            assert (evidence["partial"], evidence["subsets_scanned"]) == want, key
+        expected = rank_scan_oracle(prob, prob.point, sampler, budget=budget)
+        for key in ("crcq", "rcrcq"):
+            assert _as_tuple(scans[key]) == expected[key], key
+
+    @pytest.mark.parametrize(
+        "eq_labels, every_eq, count",
+        [
+            ((), False, 40 + 780 + 1),
+            ((), True, 40 + 780 + 1),
+            ((1,), False, 41 + 820 + 1),
+            ((1,), True, 1 + 40 + 1),
+            ((1, 2, 3), True, 1),
+        ],
+    )
+    def test_pair_list_capped_before_it_is_built(self, eq_labels, every_eq, count):
+        active = tuple(range(1, 41))
+        start = time.perf_counter()
+        pairs, partial = cq._scan_pairs(active, eq_labels, every_eq, n_points=193)
+        assert time.perf_counter() - start < 1.0
+        assert partial
+        assert len(pairs) == count
+        assert pairs[-1] == (active, eq_labels)
+
+    def test_forty_linear_actives_scan_capped(self):
+        rows = "".join(f"ineq {k}*x1 - x2 + {41 - k}*x3\n" for k in range(1, 41))
+        prob = load_problem("vars 3\nobjective x2\n" + rows + "point 0 0 0\n")
+        sampler = NeighborhoodSampler(radii=(1e-2,), samples_per_radius=4, seed=0)
+        for verdict in _scans(prob, sampler).values():
+            assert verdict.status == "undetermined"
+            assert verdict.evidence["partial"] is True
+            assert verdict.evidence["subsets_scanned"] == 821
+
+
 class TestAcqEmpirical:
     def test_always_undetermined(self):
         prob = builtin_problem("circle")
@@ -227,6 +385,7 @@ class TestAcqEmpirical:
         verdict = check_acq_empirical(prob, np.zeros(2), count=4, seed=0)
         assert verdict.status == "undetermined"
         assert verdict.evidence["directions_sampled"] == 0
+        assert "vacuously realized" in verdict.evidence["note"]
 
 
 class TestRecheck:
