@@ -148,6 +148,14 @@ def _validate(config: RunConfig, n: int, x: np.ndarray) -> None:
         raise InputError(f"samples per radius must be >= 0, got {config.samples}")
     if not config.radii or not all(0.0 < r < math.inf for r in config.radii):
         raise InputError(f"radii must be positive and finite, got {list(config.radii)}")
+    for name in ("tol_rank", "tol_dir", "newton_tol", "verify_tol"):
+        value = getattr(config, name)
+        if not 0.0 < value < math.inf:
+            raise InputError(f"{name} must be positive and finite, got {value}")
+    if not 0.0 <= config.tol_active < math.inf:
+        raise InputError(f"tol_active must be >= 0 and finite, got {config.tol_active}")
+    if config.arc_sample < 0:
+        raise InputError(f"arc sample count must be >= 0, got {config.arc_sample}")
 
 
 def run(config: RunConfig) -> dict:

@@ -12,7 +12,16 @@ of the minimum is decided on unit vectors.  A constrained minimizer on the
 cone is an eigenvector of the Hessian restricted to the span of the face it
 lies on, so enumerating faces (subsets of inequality rows turned into
 equalities) and solving a small symmetric eigenproblem per face certifies
-the global minimum whenever the face count is tractable.
+the global minimum whenever the face count is tractable.  The faces depend
+only on the cone, so several forms over one cone (one per multiplier in
+the second-order check) share a single enumeration: each face's nullspace
+basis is computed once and all forms restricted to it are solved in one
+batched eigenproblem.
+
+When no face yields a feasible eigenvector, or the inequality rows are too
+many to enumerate, one box-bounded LP per coordinate decides whether the
+cone is {0}; a {0} cone gives the certified minimum 0 (``"zero-cone"``).
+Only a nonzero cone falls through to the uncertified sampled search.
 """
 
 from __future__ import annotations
@@ -33,6 +42,7 @@ __all__ = [
     "sample_directions",
     "QuadOnConeResult",
     "min_quadratic_on_cone",
+    "min_quadratics_on_cone",
 ]
 
 
@@ -183,21 +193,48 @@ def sample_directions(
 class QuadOnConeResult:
     """Minimum of d^T H d over unit cone members, with the method used.
 
-    ``certified`` is True only for the exact paths (subspace eigenproblem or
-    full facial enumeration); the sampled fallback reports the best value
-    found without any optimality guarantee.
+    ``certified`` is True only for the exact paths: the subspace
+    eigenproblem, full facial enumeration, or a cone certified to be {0}
+    (``"zero-cone"``, where the form vanishes identically).  The sampled
+    fallback reports the best value found without any optimality guarantee.
     """
 
     min_value: float
     witness: np.ndarray
-    method: str  # "exact-subspace" | "facial-enumeration" | "sampled"
+    method: str  # "exact-subspace" | "facial-enumeration" | "zero-cone" | "sampled"
     certified: bool
 
 
+def _is_zero_cone(cone: ConeRep) -> bool:
+    """True when the cone is certified to be {0}.
+
+    One box-bounded LP per coordinate and sign maximizes that coordinate
+    over the cone intersected with [-1, 1]^n.  A nonzero member scaled to
+    unit infinity norm reaches 1 in some coordinate, so the cone is {0}
+    exactly when every optimum is 0; any LP that does not solve leaves the
+    cone uncertified.
+    """
+    n = cone.n
+    for j in range(n):
+        for sign in (1.0, -1.0):
+            c = np.zeros(n)
+            c[j] = -sign
+            res = simplex_lp(
+                c,
+                A_ub=cone.a_in,
+                b_ub=np.zeros(cone.a_in.shape[0]),
+                A_eq=cone.a_eq,
+                b_eq=np.zeros(cone.a_eq.shape[0]),
+                bounds=[(-1.0, 1.0)] * n,
+            )
+            if res.status != "optimal" or -res.value > 1e-6:
+                return False
+    return True
+
+
 def _sampled_minimum(
-    H: np.ndarray, cone: ConeRep, tol: float, seed: int
+    H: np.ndarray, cone: ConeRep, tol: float, dirs: list[np.ndarray]
 ) -> QuadOnConeResult:
-    dirs = sample_directions(cone, 512, seed, tol)
     if not dirs:
         return QuadOnConeResult(0.0, np.zeros(cone.n), "sampled", False)
     best_d = dirs[0]
@@ -229,6 +266,27 @@ def _sampled_minimum(
     return QuadOnConeResult(best_v, best_d, "sampled", False)
 
 
+def _uncertified_minima(
+    Hs: list[np.ndarray], cone: ConeRep, tol: float, seed: int
+) -> list[QuadOnConeResult]:
+    """Fallback for forms no exact path settled: certify a {0} cone, else
+    sample (one draw set shared by every form)."""
+    if _is_zero_cone(cone):
+        return [QuadOnConeResult(0.0, np.zeros(cone.n), "zero-cone", True) for _ in Hs]
+    dirs = sample_directions(cone, 512, seed, tol)
+    return [_sampled_minimum(H, cone, tol, dirs) for H in Hs]
+
+
+def _checked_form(H, n: int) -> np.ndarray:
+    H = np.asarray(H, dtype=float)
+    if H.shape != (n, n):
+        raise ValueError(f"H must have shape ({n}, {n})")
+    scale = max(1.0, float(np.abs(H).max(initial=0.0)))
+    if float(np.abs(H - H.T).max(initial=0.0)) > 1e-12 * scale:
+        raise ValueError("H is not symmetric within 1e-12 relative")
+    return H
+
+
 def min_quadratic_on_cone(
     H,
     cone: ConeRep,
@@ -238,32 +296,53 @@ def min_quadratic_on_cone(
 ) -> QuadOnConeResult:
     """Minimize ``d^T H d`` over unit-norm members of the cone.
 
-    With no inequality rows the cone is a subspace and one restricted
-    eigenproblem is exact.  With at most ``facial_limit`` inequality rows
-    every face is enumerated: rows in the chosen subset become equalities,
-    the quadratic restricted to the resulting subspace is minimized by its
-    smallest eigenpair, and the eigenvector (either sign) is kept if it
-    satisfies the remaining inequalities at ``tol``.  Beyond the limit a
-    sampled search runs instead and the result is flagged uncertified.
+    The single-form case of :func:`min_quadratics_on_cone`.
     """
-    H = np.asarray(H, dtype=float)
-    if H.shape != (cone.n, cone.n):
-        raise ValueError(f"H must have shape ({cone.n}, {cone.n})")
-    scale = max(1.0, float(np.abs(H).max(initial=0.0)))
-    if float(np.abs(H - H.T).max(initial=0.0)) > 1e-12 * scale:
-        raise ValueError("H is not symmetric within 1e-12 relative")
+    return min_quadratics_on_cone([H], cone, tol, facial_limit, seed)[0]
+
+
+def min_quadratics_on_cone(
+    Hs,
+    cone: ConeRep,
+    tol: float = 1e-8,
+    facial_limit: int = 16,
+    seed: int = 0,
+) -> list[QuadOnConeResult]:
+    """Minimize each ``d^T H d`` over unit-norm members of the cone.
+
+    With no inequality rows the cone is a subspace and one restricted
+    eigenproblem per form is exact.  With at most ``facial_limit``
+    inequality rows every face is enumerated once for all forms: rows in
+    the chosen subset become equalities, every form restricted to the
+    resulting subspace is minimized by its smallest eigenpair (one batched
+    eigenproblem per face), and the eigenvector (either sign) is kept if it
+    satisfies the remaining inequalities at ``tol``.  A form for which no
+    face yields a feasible eigenvector, and every form beyond the limit,
+    goes to the fallback: a cone certified to be {0} gives a certified
+    zero minimum; otherwise a sampled search runs and the result is
+    flagged uncertified.  Results are returned in the order of ``Hs``.
+    """
+    Hs = [_checked_form(H, cone.n) for H in Hs]
+    if not Hs:
+        return []
     k_in = cone.a_in.shape[0]
     if k_in == 0:
         B = nullspace_basis(cone.a_eq if cone.a_eq.shape[0] else np.zeros((0, cone.n)))
         if B.shape[1] == 0:
             # the cone is {0}; the quadratic is identically zero on it
-            return QuadOnConeResult(0.0, np.zeros(cone.n), "exact-subspace", True)
-        theta, v = min_eig_sym(B.T @ H @ B)
-        return QuadOnConeResult(theta, B @ v, "exact-subspace", True)
+            return [
+                QuadOnConeResult(0.0, np.zeros(cone.n), "exact-subspace", True) for _ in Hs
+            ]
+        out = []
+        for H in Hs:
+            theta, v = min_eig_sym(B.T @ H @ B)
+            out.append(QuadOnConeResult(theta, B @ v, "exact-subspace", True))
+        return out
     if k_in > facial_limit:
-        return _sampled_minimum(H, cone, tol, seed)
+        return _uncertified_minima(Hs, cone, tol, seed)
 
-    best: QuadOnConeResult | None = None
+    H_stack = np.stack(Hs)
+    best: list[QuadOnConeResult | None] = [None] * len(Hs)
     for mask in range(1 << k_in):
         rows = [cone.a_eq] if cone.a_eq.shape[0] else []
         pinned = [i for i in range(k_in) if mask >> i & 1]
@@ -273,25 +352,27 @@ def min_quadratic_on_cone(
         B = nullspace_basis(stacked)
         if B.shape[1] == 0:
             continue
-        Hr = B.T @ H @ B
-        w, V = np.linalg.eigh(0.5 * (Hr + Hr.T))
-        theta = float(w[0])
-        if best is not None and theta >= best.min_value:
-            continue
+        Hr = B.T @ H_stack @ B
+        w, V = np.linalg.eigh(0.5 * (Hr + Hr.transpose(0, 2, 1)))
         rest = np.array([i for i in range(k_in) if not (mask >> i & 1)], dtype=int)
         A_rest = cone.a_in[rest] if rest.size else np.zeros((0, cone.n))
-        d = _feasible_in_eigenspace(H, B, w, V, A_rest, tol)
-        if d is None:
-            continue
-        best = QuadOnConeResult(float(d @ H @ d), d, "facial-enumeration", True)
-    if best is None:
-        # no face produced a feasible eigenvector; fall back to sampling
-        return _sampled_minimum(H, cone, tol, seed)
+        for q, H in enumerate(Hs):
+            if best[q] is not None and float(w[q, 0]) >= best[q].min_value:
+                continue
+            d = _feasible_in_eigenspace(B, w[q], V[q], A_rest, tol)
+            if d is None:
+                continue
+            best[q] = QuadOnConeResult(float(d @ H @ d), d, "facial-enumeration", True)
+    missing = [q for q, res in enumerate(best) if res is None]
+    if missing:
+        # no face produced a feasible eigenvector for these forms
+        fallback = _uncertified_minima([Hs[q] for q in missing], cone, tol, seed)
+        for q, res in zip(missing, fallback):
+            best[q] = res
     return best
 
 
 def _feasible_in_eigenspace(
-    H: np.ndarray,
     B: np.ndarray,
     w: np.ndarray,
     V: np.ndarray,

@@ -6,6 +6,10 @@ from closed-form trigonometry: a bare grid misses boundary minima by
 O(step.||H||), which is far above the comparison tolerances used here,
 while the augmented candidate set is exact up to rounding.  None of this
 shares code with the library's facial enumeration.
+
+The reference loops (``rank_scan_oracle``, ``facial_minimum_oracle``) are
+the plain one-matrix-at-a-time versions of batched library code; they
+must agree with it exactly.
 """
 
 import itertools
@@ -275,3 +279,35 @@ def rank_scan_oracle(problem, x, sampler, tol_active=1e-8, tol_rank=1e-8, budget
         evidence["active"] = list(active)
         out[name] = ("fails" if certificate else "undetermined", certificate, evidence)
     return out
+
+
+def facial_minimum_oracle(H, cone, tol=1e-8):
+    """One form's cone minimum by the single-form face loop.
+
+    This is the enumeration ``cones.min_quadratic_on_cone`` ran before faces
+    were shared across forms: for each face, in mask order, its own
+    nullspace basis and its own eigenproblem.  Returns ``(min_value,
+    witness)``, or None when no face yields a feasible eigenvector.  It
+    reuses the library's nullspace and eigenspace-feasibility helpers, so a
+    correct batched enumeration must reproduce it bit for bit.
+    """
+    from nlpcheck.cones import _feasible_in_eigenspace
+    from nlpcheck.linalg import nullspace_basis
+
+    H = np.asarray(H, dtype=float)
+    k_in = cone.a_in.shape[0]
+    best = None
+    for mask in range(1 << k_in):
+        pinned = [i for i in range(k_in) if mask >> i & 1]
+        rest = [i for i in range(k_in) if not mask >> i & 1]
+        B = nullspace_basis(np.vstack([cone.a_eq, cone.a_in[pinned]]))
+        if B.shape[1] == 0:
+            continue
+        Hr = B.T @ H @ B
+        w, V = np.linalg.eigh(0.5 * (Hr + Hr.T))
+        if best is not None and float(w[0]) >= best[0]:
+            continue
+        d = _feasible_in_eigenspace(B, w, V, cone.a_in[rest], tol)
+        if d is not None:
+            best = (float(d @ H @ d), d)
+    return best

@@ -248,6 +248,14 @@ class TestMain:
             (["--radii", ","], "--radii expects comma-separated numbers"),
             (["--radii", "1e-2,inf"], "radii must be positive and finite"),
             (["--radii", "1e-2,0"], "radii must be positive"),
+            (["--tol-rank", "nan"], "tol_rank must be positive and finite"),
+            (["--tol-dir", "0"], "tol_dir must be positive"),
+            (["--newton-tol", "-1"], "newton_tol must be positive"),
+            (["--verify-tol", "0"], "verify_tol must be positive"),
+            (["--verify-tol", "inf"], "verify_tol must be positive and finite"),
+            (["--tol-active", "-1"], "tol_active must be >= 0"),
+            (["--tol-active", "nan"], "tol_active must be >= 0 and finite"),
+            (["--arc-sample", "-2"], "arc sample count must be >= 0"),
         ],
     )
     def test_invalid_config_exit_two(self, flags, message, capsys):

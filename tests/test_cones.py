@@ -11,17 +11,20 @@ import pytest
 from numpy.testing import assert_allclose
 
 from nlpcheck.cones import (
+    ConeRep,
+    _is_zero_cone,
     critical_cone_multiplier_form,
     linearized_cone,
     membership,
     min_quadratic_on_cone,
+    min_quadratics_on_cone,
     sample_directions,
     strong_critical_cone,
 )
 from nlpcheck.model import evaluate_point, load_problem
 from nlpcheck.problems import builtin_problem
 
-from _oracles import quad_cone_min_oracle
+from _oracles import facial_minimum_oracle, quad_cone_min_oracle
 
 
 def tangent_disks_pd():
@@ -322,3 +325,105 @@ class TestMinQuadraticOnCone:
             assert abs(res.min_value - oracle) <= 1e-5
             assert membership(cone, res.witness, 1e-8)
             done += 1
+
+
+def inequality_cone(a_in):
+    a_in = np.asarray(a_in, dtype=float)
+    n = a_in.shape[1]
+    return ConeRep(
+        n=n,
+        a_eq=np.zeros((0, n)),
+        a_in=a_in,
+        provenance_eq=(),
+        provenance_in=tuple(f"g{i + 1}" for i in range(a_in.shape[0])),
+    )
+
+
+class TestMinQuadraticsOnCone:
+    """Several forms minimized over one shared face enumeration."""
+
+    def wedge(self):
+        # the degenerate-eigenspace wedge of TestMinQuadraticOnCone
+        return inequality_cone([[0.0, 1.0, -2.0], [0.0, -2.0, 1.0]])
+
+    def test_matches_single_form_enumeration(self):
+        rng = np.random.default_rng(7)
+        forms = [np.diag([2.0, 1.0, 1.0]), np.diag([1.0, -1.0, 3.0])]
+        for _ in range(4):
+            a = rng.standard_normal((3, 3))
+            forms.append(a + a.T)
+        cone = self.wedge()
+        results = min_quadratics_on_cone(forms, cone)
+        assert len(results) == len(forms)
+        for H, res in zip(forms, results):
+            value, witness = facial_minimum_oracle(H, cone)
+            assert res.method == "facial-enumeration"
+            assert res.certified
+            assert res.min_value == value
+            assert np.array_equal(res.witness, witness)
+        # the degenerate eigenspace is still settled by its LP
+        assert_allclose(results[0].min_value, 1.0, atol=1e-9)
+
+    def test_single_form_is_first_of_batch(self):
+        cone = self.wedge()
+        h = np.array([[1.0, 0.5, 0.0], [0.5, -2.0, 0.3], [0.0, 0.3, 0.7]])
+        single = min_quadratic_on_cone(h, cone)
+        batch = min_quadratics_on_cone([h, np.eye(3)], cone)
+        assert single.min_value == batch[0].min_value
+        assert np.array_equal(single.witness, batch[0].witness)
+
+    def test_empty_list(self):
+        assert min_quadratics_on_cone([], self.wedge()) == []
+
+    def test_every_form_validated(self):
+        with pytest.raises(ValueError):
+            min_quadratics_on_cone(
+                [np.eye(3), np.array([[0.0, 1.0, 0.0], [0.0, 0.0, 0.0], [0.0, 0.0, 0.0]])],
+                self.wedge(),
+            )
+
+
+class TestZeroCone:
+    def test_zero_cone_beyond_facial_limit_is_certified(self):
+        # 17 half-planes whose normals surround the origin cut R^2 to {0}
+        angles = 2.0 * np.pi * np.arange(17) / 17
+        cone = inequality_cone(np.column_stack([np.cos(angles), np.sin(angles)]))
+        res = min_quadratic_on_cone(np.diag([-1.0, -2.0]), cone)
+        assert res.method == "zero-cone"
+        assert res.certified
+        assert res.min_value == 0.0
+        assert np.array_equal(res.witness, np.zeros(2))
+
+    def test_zero_cone_after_facial_enumeration(self):
+        # three tilted planes and x3 <= 0: no face has a feasible eigenvector
+        angles = 2.0 * np.pi * np.arange(1, 4) / 3
+        rows = np.column_stack([np.cos(angles), np.sin(angles), -np.ones(3)])
+        cone = inequality_cone(np.vstack([rows, [[0.0, 0.0, 1.0]]]))
+        results = min_quadratics_on_cone([np.eye(3), -np.eye(3)], cone)
+        assert [r.method for r in results] == ["zero-cone", "zero-cone"]
+        assert all(r.certified and r.min_value == 0.0 for r in results)
+
+    @pytest.mark.parametrize(
+        "rows",
+        [
+            # 0 <= d2 <= 1e-3 d1 in R^2
+            [[-1e-3, 1.0], [0.0, -1.0]],
+            # a thin wedge around the x3 axis in R^3
+            [[1.0, 0.0, -1e-4], [-1.0, 0.0, -1e-4], [0.0, 1.0, -1e-4], [0.0, -1.0, -1e-4]],
+            # one ray, (1, 2)
+            [[2.0, -1.0], [-2.0, 1.0], [-1.0, 0.0]],
+        ],
+    )
+    def test_thin_nonzero_cone_is_not_zero(self, rows):
+        assert not _is_zero_cone(inequality_cone(rows))
+
+    def test_zero_cone_with_equalities(self):
+        cone = ConeRep(
+            n=3,
+            a_eq=np.array([[1.0, 0.0, 0.0]]),
+            a_in=np.array([[0.0, 1.0, 0.0], [0.0, -1.0, 0.0], [0.0, 0.0, 1.0], [0.0, 0.0, -1.0]]),
+            provenance_eq=("h1",),
+            provenance_in=("g1", "g2", "g3", "g4"),
+        )
+        assert _is_zero_cone(cone)
+        assert not _is_zero_cone(linearized_cone(circle_pd()))

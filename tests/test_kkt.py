@@ -5,18 +5,24 @@ systems; the second-order verdicts against the closed-form cone minima
 of the two tangent fixtures.
 """
 
+import math
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from nlpcheck import cones, kkt
+from nlpcheck.cones import strong_critical_cone
 from nlpcheck.kkt import (
     check_kkt,
     check_ssonc,
     recheck_ssonc_witness,
     solve_multipliers,
 )
-from nlpcheck.model import evaluate_point, load_problem
+from nlpcheck.model import evaluate_point, lagrangian_hessian, load_problem
 from nlpcheck.problems import builtin_problem
+
+from _oracles import facial_minimum_oracle
 
 
 def tangent_disks_pd():
@@ -29,6 +35,44 @@ def parabola_pd():
 
 def circle_pd():
     return evaluate_point(builtin_problem("circle"), np.array([1.0, 0.0]))
+
+
+# both vertices are fine; the recession direction weights the concave
+# constraint Hessians and dips negative
+RAY_PROBLEM = (
+    "vars 2\n"
+    "objective x2 + 2*x1^2 + 2*x2^2\n"
+    "ineq x2 - x1^2\n"
+    "ineq -x2 - x1^2\n"
+    "point 0 0\n"
+)
+
+
+def fan_problem(K, curvature=False):
+    """K tilted planes ``cos(tk) x1 + sin(tk) x2 - x3 + x1^4 + x2^4 <= 0``
+    through the origin, tk = 2 pi k / K, with objective x3.
+
+    Without curvature the strong critical cone is {0}.  With it, each
+    plane gains ``-c_k (x4^2 + x5^2)`` (c_k = (k mod 3) + 1) in R^5 and the
+    objective ``x4^2 + x5^2``, so the cone is the (x4, x5) plane and every
+    multiplier vertex has negative curvature there.
+    """
+    n = 5 if curvature else 3
+    objective = "x3 + x4^2 + x5^2" if curvature else "x3"
+    lines = [f"vars {n}", f"objective {objective}"]
+    for k in range(1, K + 1):
+        t = 2.0 * math.pi * k / K
+        row = f"{math.cos(t)!r}*x1 + ({math.sin(t)!r})*x2 - x3 + x1^4 + x2^4"
+        if curvature:
+            row += f" - {(k % 3) + 1}*(x4^2 + x5^2)"
+        lines.append(f"ineq {row}")
+    lines.append("point " + " ".join(["0"] * n))
+    return "\n".join(lines) + "\n"
+
+
+def problem_pd(text):
+    prob = load_problem(text)
+    return evaluate_point(prob, prob.point)
 
 
 def sorted_mu_vertices(ms):
@@ -175,16 +219,7 @@ class TestSsonc:
         assert_allclose(report.results[0]["min_value"], 1.0, atol=1e-9)
 
     def test_ray_carries_negative_curvature(self):
-        # both vertices are fine; the recession direction weights the
-        # concave constraint Hessians and dips negative
-        prob = load_problem(
-            "vars 2\n"
-            "objective x2 + 2*x1^2 + 2*x2^2\n"
-            "ineq x2 - x1^2\n"
-            "ineq -x2 - x1^2\n"
-            "point 0 0\n"
-        )
-        pd = evaluate_point(prob, np.zeros(2))
+        pd = problem_pd(RAY_PROBLEM)
         ms = solve_multipliers(pd)
         assert not ms.bounded
         report = check_ssonc(pd, ms)
@@ -216,3 +251,82 @@ class TestSsonc:
         pd = tangent_disks_pd()
         report = check_ssonc(pd, solve_multipliers(pd))
         assert "negative" in report.rationale or "fails" in report.rationale
+
+
+class TestSharedFaces:
+    """check_ssonc enumerates the faces of the strong critical cone once
+    and minimizes every vertex and ray form on each of them."""
+
+    @pytest.mark.parametrize(
+        "pd_factory",
+        [
+            tangent_disks_pd,
+            parabola_pd,
+            lambda: problem_pd(fan_problem(5, curvature=True)),
+            lambda: problem_pd(RAY_PROBLEM),
+        ],
+        ids=["paper-example-1", "paper-example-2", "fanfree-5", "ray"],
+    )
+    def test_matches_single_form_enumeration(self, pd_factory):
+        pd = pd_factory()
+        ms = solve_multipliers(pd)
+        report = check_ssonc(pd, ms)
+        assert len(report.results) == len(ms.vertices) + len(ms.rays)
+        assert [r["kind"] for r in report.results] == (
+            ["vertex"] * len(ms.vertices) + ["ray"] * len(ms.rays)
+        )
+        cone = strong_critical_cone(pd)
+        for entry in report.results:
+            H = lagrangian_hessian(pd, np.array(entry["mu"]), np.array(entry["lam"]))
+            if entry["kind"] == "ray":
+                H = H - pd.f_hess
+            value, witness = facial_minimum_oracle(H, cone)
+            assert entry["method"] == "facial-enumeration"
+            assert entry["min_value"] == value
+            assert entry["witness_direction"] == [float(v) for v in witness]
+
+    def test_one_face_enumeration_per_check(self, monkeypatch):
+        calls = []
+        real = cones.nullspace_basis
+
+        def counting(M, *args, **kwargs):
+            calls.append(1)
+            return real(M, *args, **kwargs)
+
+        monkeypatch.setattr(cones, "nullspace_basis", counting)
+        for pd in (parabola_pd(), problem_pd(fan_problem(5, curvature=True))):
+            ms = solve_multipliers(pd)
+            k_in = strong_critical_cone(pd).a_in.shape[0]
+            calls.clear()
+            report = check_ssonc(pd, ms)
+            assert len(report.results) > 1
+            assert len(calls) == 1 << k_in
+
+    def test_one_svd_per_multiplier_subset(self, monkeypatch):
+        calls = []
+        real = kkt.nullspace_basis
+
+        def counting(M, *args, **kwargs):
+            calls.append(1)
+            return real(M, *args, **kwargs)
+
+        monkeypatch.setattr(kkt, "nullspace_basis", counting)
+        pd = problem_pd(fan_problem(5, curvature=True))
+        solve_multipliers(pd)
+        # every nonempty column subset; the empty one needs no SVD
+        assert len(calls) == (1 << len(pd.active)) - 1
+
+
+class TestZeroCone:
+    @pytest.mark.parametrize("K", [3, 4])
+    def test_fan_holds_certified(self, K):
+        # the tilted planes and f . d <= 0 leave only d = 0 in the cone
+        pd = problem_pd(fan_problem(K))
+        report = check_ssonc(pd, solve_multipliers(pd))
+        assert report.status == "holds-certified"
+        assert report.results
+        for entry in report.results:
+            assert entry["method"] == "zero-cone"
+            assert entry["certified"]
+            assert entry["min_value"] == 0.0
+            assert entry["witness_direction"] == [0.0] * 3
