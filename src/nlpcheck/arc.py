@@ -32,7 +32,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from nlpcheck.cones import linearized_cone, membership
-from nlpcheck.expr import DomainError, Expression, evaluate, grad_hess
+from nlpcheck.expr import DomainError, Tape
 from nlpcheck.linalg import (
     NewtonError,
     newton_solve,
@@ -121,11 +121,11 @@ class LocalChart:
         return self.center.size
 
 
-def _component_expr(problem: Problem, comp: tuple[str, int]) -> Expression:
+def _component_tape(problem: Problem, comp: tuple[str, int]) -> Tape:
     kind, label = comp
     if kind == "ineq":
-        return problem.ineq[label - 1]
-    return problem.eq[label - 1]
+        return problem.ineq_tapes[label - 1]
+    return problem.eq_tapes[label - 1]
 
 
 def identity_chart(x) -> LocalChart:
@@ -163,9 +163,8 @@ def build_chart(
     n = x.size
     if not pinned.components:
         return identity_chart(x)
-    rows = np.vstack(
-        [grad_hess(_component_expr(problem, comp), x).grad for comp in pinned.components]
-    )
+    jets = [_component_tape(problem, comp).gradient(x) for comp in pinned.components]
+    rows = np.vstack([g for _, g in jets])
     info = numerical_rank(rows, tol_rank)
     r = info.rank
     if r == 0:
@@ -182,9 +181,7 @@ def build_chart(
     jac[:r] = xi_rows
     for row, k in enumerate(keep_vars):
         jac[r + row, k] = 1.0
-    values = np.array(
-        [evaluate(_component_expr(problem, pinned.components[i]), x) for i in xi]
-    )
+    values = np.array([jets[i][0] for i in xi])
     z_center = np.concatenate([values, x[list(keep_vars)]])
     return LocalChart(
         components=pinned.components,
@@ -201,18 +198,16 @@ def build_chart(
 
 def _chart_fun_jac(problem: Problem, chart: LocalChart):
     """Newton callback computing c(x) and c'(x)."""
-    exprs = [_component_expr(problem, chart.components[i]) for i in chart.xi]
+    tapes = [_component_tape(problem, chart.components[i]) for i in chart.xi]
     keep = list(chart.keep_vars)
     n = chart.n
-    r = len(exprs)
+    r = len(tapes)
 
     def fun_jac(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         F = np.zeros(n)
         J = np.zeros((n, n))
-        for row, e in enumerate(exprs):
-            t = grad_hess(e, x)
-            F[row] = t.value
-            J[row] = t.grad
+        for row, tape in enumerate(tapes):
+            F[row], J[row] = tape.gradient(x)
         for row, k in enumerate(keep):
             F[r + row] = x[k]
             J[r + row, k] = 1.0
@@ -277,8 +272,8 @@ def trace_arc(
     m, p = problem.m, problem.p
 
     def constraint_values(pt: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        g = np.array([evaluate(e, pt) for e in problem.ineq]) if m else np.zeros(0)
-        h = np.array([evaluate(e, pt) for e in problem.eq]) if p else np.zeros(0)
+        g = np.array([tape.value(pt) for tape in problem.ineq_tapes]) if m else np.zeros(0)
+        h = np.array([tape.value(pt) for tape in problem.eq_tapes]) if p else np.zeros(0)
         return g, h
 
     center_g, center_h = constraint_values(x)

@@ -38,7 +38,6 @@ from scipy.stats import qmc
 
 from nlpcheck import arc as arc_mod
 from nlpcheck.cones import linearized_cone, sample_directions
-from nlpcheck.expr import DomainError, grad_hess
 from nlpcheck.linalg import numerical_rank, simplex_lp, stacked_rank
 from nlpcheck.model import PointData, Problem, evaluate_point
 
@@ -233,25 +232,25 @@ def check_rank_constancy(
     """Sampled CRCQ and RCRCQ scans from one pass over the neighborhood.
 
     Gradient tables at the center and at every sample are built once, into
-    one stack; samples where a gradient leaves its domain are skipped.  A
+    one stack: each function's tape runs once over all samples (batched
+    mode), and samples where any gradient leaves its domain are skipped.  A
     subset pair's ranks at all points come from one stacked SVD and are
     shared by both scans.  Each scan's first mismatch (by pair, then radius,
     then sample index) becomes its certificate.
     """
     active = pd.active
-    funcs = [problem.ineq[i - 1] for i in active] + list(problem.eq)
-    tables = [np.vstack([pd.active_g_grads(), pd.h_grads])]
-    used = []
-    skipped = 0
-    for radius, idx, pt in sampler.points(pd.x):
-        try:
-            grads = [grad_hess(e, pt).grad for e in funcs]
-        except DomainError:
-            skipped += 1
-            continue
-        tables.append(np.array(grads).reshape(len(funcs), pd.n))
-        used.append((radius, idx, pt))
-    stack = np.stack(tables)  # (1 + samples, rows, n)
+    tapes = [problem.ineq_tapes[i - 1] for i in active] + list(problem.eq_tapes)
+    points = list(sampler.points(pd.x))
+    X = np.array([pt for _, _, pt in points]).reshape(len(points), pd.n)
+    grads = np.empty((len(points), len(tapes), pd.n))
+    ok = np.ones(len(points), dtype=bool)
+    for k, tape in enumerate(tapes):
+        _, grads[:, k], fine = tape.gradients(X)
+        ok &= fine
+    used = [point for point, fine in zip(points, ok) if fine]
+    skipped = len(points) - len(used)
+    center = np.vstack([pd.active_g_grads(), pd.h_grads])
+    stack = np.concatenate([center[None], grads[ok]])  # (1 + samples, rows, n)
     pos = {label: k for k, label in enumerate(active)}
     mismatch: dict = {}  # (I, J) -> (ranks at all points, first sample that differs) or None
 
@@ -339,8 +338,8 @@ def recheck_rank_certificate(problem: Problem, certificate: dict) -> tuple[int, 
 
     def rank_at(point) -> int:
         x = np.asarray(point, dtype=float)
-        rows = [grad_hess(problem.ineq[i - 1], x).grad for i in I]
-        rows += [grad_hess(problem.eq[j - 1], x).grad for j in J]
+        rows = [problem.ineq_tapes[i - 1].gradient(x)[1] for i in I]
+        rows += [problem.eq_tapes[j - 1].gradient(x)[1] for j in J]
         table = np.vstack(rows) if rows else np.zeros((0, problem.n))
         return numerical_rank(table, tol_rank).rank
 

@@ -2,10 +2,43 @@
 
 Objectives and constraints are written as small arithmetic formulas over
 variables ``x1 .. xn``, for example ``x1^2 + (x2 - 1)^2 - 1``.  This module
-parses such formulas into an immutable tree, evaluates them, and
-differentiates them by forward propagation of (value, gradient, Hessian)
-triples.  A central finite-difference routine is provided as an independent
-cross-check for the propagated derivatives.
+parses such formulas into an immutable tree and compiles the tree, by an
+iterative walk (so trees of any depth work), into a :class:`Tape`: a flat
+post-order list of instructions.  One loop runs a tape forward in four
+modes (forward-mode differentiation, Griewank & Walther, *Evaluating
+Derivatives*, 2008):
+
+* ``value`` -- the value alone;
+* ``gradient`` -- value and gradient, with no Hessian work (Newton
+  Jacobians, rank scans, charts);
+* ``jet`` -- value, gradient and Hessian (candidate-point evaluation);
+* ``gradients`` -- value and gradient at every row of a (P, n) point
+  matrix, with a per-row ``ok`` flag that is False exactly where the
+  one-point call raises :class:`DomainError`.
+
+Every mode performs the same floating-point operations as the others, in
+the same order, so a value is the same in every mode, and a batched row
+equals the one-point call to the last bit:
+
+* product: ``grad = u*w' + w*u'``, ``hess = (u*w'' + w*u'') + (C + C^T)``
+  with ``C = outer(u', w')``;
+* quotient: ``q = u/w``, ``grad = (u' - q*w')/w``,
+  ``hess = ((u'' - q*w'') - (C + C^T))/w`` with ``C = outer(grad, w')``;
+* ``u^k``: k products starting from the constant 1 with a zero gradient
+  (the zero terms fix the signs of zero gradient entries, so they stay);
+* ``f(u)`` for sin, cos, exp, log, sqrt: ``f(u), f'(u) u',
+  f'(u) u'' + f''(u) outer(u', u')``, with f, f', f'' from ``math`` (libm)
+  also in the batched mode, element by element, since numpy's ufuncs may
+  differ from libm in the last bit.
+
+Hessians are exactly symmetric because every update is built from
+explicitly symmetric pieces.  Leaving a function's domain -- log of a
+non-positive value, sqrt of a negative value (or at 0 when derivatives
+are asked for), division by zero, ``exp`` overflow, sin or cos of an
+infinite value, a log or sqrt second derivative that overflows -- raises
+:class:`DomainError`.  A central
+finite-difference routine is provided as an independent cross-check for
+the propagated derivatives.
 
 Grammar (whitespace-insensitive)::
 
@@ -41,6 +74,8 @@ __all__ = [
     "Power",
     "Expression",
     "Taylor2Scalar",
+    "Tape",
+    "compile_tape",
     "parse",
     "to_source",
     "evaluate",
@@ -302,185 +337,314 @@ def to_source(e: Expression) -> str:
     raise TypeError(f"not an expression node: {e!r}")
 
 
-def _ipow(v: float, k: int) -> float:
-    # repeated multiplication, so evaluate() agrees bit for bit with the
-    # derivative propagation below
-    out = 1.0
-    for _ in range(k):
-        out *= v
-    return out
-
-
-def evaluate(e: Expression, x: np.ndarray) -> float:
-    """Evaluate ``e`` at the point ``x`` (0-based array, x[i-1] backs xi)."""
-    x = np.asarray(x, dtype=float)
-    return _eval(e, x)
-
-
-def _eval(e: Expression, x: np.ndarray) -> float:
-    if isinstance(e, Const):
-        return e.value
-    if isinstance(e, Var):
-        if e.index > x.size:
-            raise ExprError(
-                f"point has {x.size} coordinates but expression uses x{e.index}"
-            )
-        return float(x[e.index - 1])
-    if isinstance(e, Unary):
-        v = _eval(e.arg, x)
-        if e.op == "neg":
-            return -v
-        if e.op == "sin":
-            return math.sin(v)
-        if e.op == "cos":
-            return math.cos(v)
-        if e.op == "exp":
-            return math.exp(v)
-        if e.op == "log":
-            if v <= 0.0:
-                raise DomainError(f"log of non-positive value {v!r}", e)
-            return math.log(v)
-        if e.op == "sqrt":
-            if v < 0.0:
-                raise DomainError(f"sqrt of negative value {v!r}", e)
-            return math.sqrt(v)
-        raise TypeError(f"unknown unary op {e.op!r}")
-    if isinstance(e, Binary):
-        u = _eval(e.left, x)
-        w = _eval(e.right, x)
-        if e.op == "add":
-            return u + w
-        if e.op == "sub":
-            return u - w
-        if e.op == "mul":
-            return u * w
-        if e.op == "div":
-            if w == 0.0:
-                raise DomainError("division by zero", e)
-            return u / w
-        raise TypeError(f"unknown binary op {e.op!r}")
-    if isinstance(e, Power):
-        return _ipow(_eval(e.base, x), e.exponent)
-    raise TypeError(f"not an expression node: {e!r}")
-
-
 @dataclass
 class Taylor2Scalar:
-    """Scalar quantity carrying its gradient and Hessian at a fixed point.
-
-    Arithmetic follows the second-order Taylor propagation rules; the stored
-    Hessian stays symmetric to the last bit because every update is built
-    from explicitly symmetric pieces.
-    """
+    """Value, gradient and Hessian of a function at one point."""
 
     value: float
     grad: np.ndarray  # shape (n,)
     hess: np.ndarray  # shape (n, n)
 
-    @staticmethod
-    def constant(value: float, n: int) -> "Taylor2Scalar":
-        return Taylor2Scalar(float(value), np.zeros(n), np.zeros((n, n)))
 
-    @staticmethod
-    def variable(i0: int, value: float, n: int) -> "Taylor2Scalar":
-        grad = np.zeros(n)
-        grad[i0] = 1.0
-        return Taylor2Scalar(float(value), grad, np.zeros((n, n)))
+# Tape opcodes.  An instruction is (op, a, b, c); its result goes to the
+# slot with its own position in the tape.
+#   CONST: c is the value;  VAR: a is the 0-based variable index;
+#   unary ops: a is the argument slot;  binary ops: a, b are operand slots;
+#   POW: a is the base slot and b the exponent.
+# c is the source node for every op but CONST, so errors can name it.
+(_CONST, _VAR, _NEG, _ADD, _SUB, _MUL, _DIV, _POW,
+ _SIN, _COS, _EXP, _LOG, _SQRT) = range(13)
+_UNARY_CODE = {"neg": _NEG, "sin": _SIN, "cos": _COS, "exp": _EXP, "log": _LOG, "sqrt": _SQRT}
+_BINARY_CODE = {"add": _ADD, "sub": _SUB, "mul": _MUL, "div": _DIV}
 
-    def __add__(self, other: "Taylor2Scalar") -> "Taylor2Scalar":
-        return Taylor2Scalar(
-            self.value + other.value, self.grad + other.grad, self.hess + other.hess
-        )
-
-    def __sub__(self, other: "Taylor2Scalar") -> "Taylor2Scalar":
-        return Taylor2Scalar(
-            self.value - other.value, self.grad - other.grad, self.hess - other.hess
-        )
-
-    def __neg__(self) -> "Taylor2Scalar":
-        return Taylor2Scalar(-self.value, -self.grad, -self.hess)
-
-    def __mul__(self, other: "Taylor2Scalar") -> "Taylor2Scalar":
-        cross = np.outer(self.grad, other.grad)
-        cross = cross + cross.T
-        return Taylor2Scalar(
-            self.value * other.value,
-            self.value * other.grad + other.value * self.grad,
-            (self.value * other.hess + other.value * self.hess) + cross,
-        )
-
-    def __truediv__(self, other: "Taylor2Scalar") -> "Taylor2Scalar":
-        w = other.value
-        if w == 0.0:
-            raise DomainError("division by zero")
-        value = self.value / w
-        grad = (self.grad - value * other.grad) / w
-        cross = np.outer(grad, other.grad)
-        cross = cross + cross.T
-        hess = ((self.hess - value * other.hess) - cross) / w
-        return Taylor2Scalar(value, grad, hess)
-
-    def lift(self, f0: float, f1: float, f2: float) -> "Taylor2Scalar":
-        """Apply an elementary function with values f(v), f'(v), f''(v)."""
-        return Taylor2Scalar(
-            f0, f1 * self.grad, f1 * self.hess + f2 * np.outer(self.grad, self.grad)
-        )
+# modes of the sweep: how many derivative orders it carries
+_VALUE, _GRADIENT, _JET = 0, 1, 2
 
 
-def _ad(e: Expression, x: np.ndarray, n: int) -> Taylor2Scalar:
-    if isinstance(e, Const):
-        return Taylor2Scalar.constant(e.value, n)
-    if isinstance(e, Var):
-        if e.index > n:
-            raise ExprError(
-                f"point has {n} coordinates but expression uses x{e.index}"
-            )
-        return Taylor2Scalar.variable(e.index - 1, x[e.index - 1], n)
-    if isinstance(e, Unary):
-        u = _ad(e.arg, x, n)
-        v = u.value
-        if e.op == "neg":
-            return -u
-        if e.op == "sin":
-            return u.lift(math.sin(v), math.cos(v), -math.sin(v))
-        if e.op == "cos":
-            return u.lift(math.cos(v), -math.sin(v), -math.cos(v))
-        if e.op == "exp":
+def _elementary(op: int, v: float, order: int, node) -> tuple[float, float, float]:
+    """f(v), f'(v), f''(v) of a unary function; derivatives only up to ``order``.
+
+    Every way of leaving the domain raises :class:`DomainError`, including
+    ``exp`` overflow, ``sin``/``cos`` of an infinite value, and a log or
+    sqrt second derivative whose denominator underflows to zero.
+    """
+    f1 = f2 = 0.0
+    if op == _SIN or op == _COS:
+        try:
+            s, c = math.sin(v), math.cos(v)
+        except ValueError:
+            name = "sin" if op == _SIN else "cos"
+            raise DomainError(f"{name} of non-finite value {v!r}", node) from None
+        if op == _SIN:
+            return s, c, -s
+        return c, -s, -c
+    if op == _EXP:
+        try:
             ev = math.exp(v)
-            return u.lift(ev, ev, ev)
-        if e.op == "log":
-            if v <= 0.0:
-                raise DomainError(f"log of non-positive value {v!r}", e)
-            return u.lift(math.log(v), 1.0 / v, -1.0 / (v * v))
-        if e.op == "sqrt":
-            if v < 0.0:
-                raise DomainError(f"sqrt of negative value {v!r}", e)
-            if v == 0.0:
-                raise DomainError("sqrt derivative undefined at zero", e)
-            s = math.sqrt(v)
-            return u.lift(s, 0.5 / s, -0.25 / (s * v))
-        raise TypeError(f"unknown unary op {e.op!r}")
-    if isinstance(e, Binary):
-        u = _ad(e.left, x, n)
-        w = _ad(e.right, x, n)
-        if e.op == "add":
-            return u + w
-        if e.op == "sub":
-            return u - w
-        if e.op == "mul":
-            return u * w
-        if e.op == "div":
-            if w.value == 0.0:
-                raise DomainError("division by zero", e)
-            return u / w
-        raise TypeError(f"unknown binary op {e.op!r}")
-    if isinstance(e, Power):
-        u = _ad(e.base, x, n)
-        out = Taylor2Scalar.constant(1.0, n)
-        for _ in range(e.exponent):
-            out = out * u
-        return out
-    raise TypeError(f"not an expression node: {e!r}")
+        except OverflowError:
+            raise DomainError(f"exp overflows at {v!r}", node) from None
+        return ev, ev, ev
+    if op == _LOG:
+        if v <= 0.0:
+            raise DomainError(f"log of non-positive value {v!r}", node)
+        f0 = math.log(v)
+        if order:
+            f1 = 1.0 / v
+            if order == _JET:
+                if v * v == 0.0:
+                    raise DomainError(f"log second derivative overflows at {v!r}", node)
+                f2 = -1.0 / (v * v)
+        return f0, f1, f2
+    # _SQRT
+    if v < 0.0:
+        raise DomainError(f"sqrt of negative value {v!r}", node)
+    if order and v == 0.0:
+        raise DomainError("sqrt derivative undefined at zero", node)
+    s = math.sqrt(v)
+    if order:
+        f1 = 0.5 / s
+        if order == _JET:
+            if s * v == 0.0:
+                raise DomainError(f"sqrt second derivative overflows at {v!r}", node)
+            f2 = -0.25 / (s * v)
+    return s, f1, f2
+
+
+def _elementary_rows(op: int, v, node, ok: np.ndarray):
+    """Batched ``_elementary`` at order 1: libm, one row at a time.
+
+    Rows leaving the domain are cleared in ``ok`` and carry NaN onwards.
+    """
+    if not isinstance(v, np.ndarray):  # a constant subtree: the same in every row
+        try:
+            return _elementary(op, v, _GRADIENT, node)[:2]
+        except DomainError:
+            ok[:] = False
+            return math.nan, math.nan
+    f = np.empty((v.shape[0], 2))
+    for r, vr in enumerate(v[:, 0].tolist()):
+        try:
+            f[r] = _elementary(op, vr, _GRADIENT, node)[:2]
+        except DomainError:
+            ok[r] = False
+            f[r] = math.nan
+    return f[:, :1], f[:, 1:]
+
+
+def _sweep(code: tuple, x: np.ndarray, order: int, ok: np.ndarray | None):
+    """Run a tape forward once; return the root's (value, gradient, Hessian).
+
+    ``x`` is one point, or with ``ok`` given a (P, n) matrix of points.  In
+    that batched mode values are (P, 1) columns, so every update below is
+    the same expression for one point and for P; a constant subtree keeps
+    a scalar value and an (n,) gradient, broadcast against the rows.  A
+    domain failure raises for one point and clears the row's ``ok`` in a
+    batch.  Entries past ``order`` are None.
+    """
+    n = x.shape[-1]
+    xs = x if ok is not None else x.tolist()
+    if order:
+        zero_g = np.zeros(n)
+        unit = np.eye(n)
+    if order == _JET:
+        zero_h = np.zeros((n, n))
+    val: list = []
+    grad: list = []
+    hess: list = []
+    g = h = None
+    for op, a, b, c in code:
+        if op == _VAR:
+            v = xs[:, a : a + 1] if ok is not None else xs[a]
+            if order:
+                g = unit[a]
+                if order == _JET:
+                    h = zero_h
+        elif op == _CONST:
+            v = c
+            if order:
+                g = zero_g
+                if order == _JET:
+                    h = zero_h
+        elif op == _MUL:
+            u, w = val[a], val[b]
+            v = u * w
+            if order:
+                ug, wg = grad[a], grad[b]
+                g = u * wg + w * ug
+                if order == _JET:
+                    cross = np.outer(ug, wg)
+                    h = (u * hess[b] + w * hess[a]) + (cross + cross.T)
+        elif op == _ADD:
+            v = val[a] + val[b]
+            if order:
+                g = grad[a] + grad[b]
+                if order == _JET:
+                    h = hess[a] + hess[b]
+        elif op == _SUB:
+            v = val[a] - val[b]
+            if order:
+                g = grad[a] - grad[b]
+                if order == _JET:
+                    h = hess[a] - hess[b]
+        elif op == _POW:
+            # b repeated multiplications of the constant 1 by the base; the
+            # zero-gradient terms of the first product set signs of zeros
+            u = val[a]
+            v = 1.0
+            if order:
+                ug = grad[a]
+                g = zero_g
+                if order == _JET:
+                    uh = hess[a]
+                    h = zero_h
+            for _ in range(b):
+                if order == _JET:
+                    cross = np.outer(g, ug)
+                    h = (v * uh + u * h) + (cross + cross.T)
+                if order:
+                    g = v * ug + u * g
+                v = v * u
+        elif op == _DIV:
+            u, w = val[a], val[b]
+            if isinstance(w, np.ndarray):
+                ok &= w != 0.0
+                w = np.where(w == 0.0, math.nan, w)
+            elif w == 0.0:
+                if ok is None:
+                    raise DomainError("division by zero", c)
+                ok[:] = False
+                w = math.nan
+            v = u / w
+            if order:
+                wg = grad[b]
+                g = (grad[a] - v * wg) / w
+                if order == _JET:
+                    cross = np.outer(g, wg)
+                    h = ((hess[a] - v * hess[b]) - (cross + cross.T)) / w
+        elif op == _NEG:
+            v = -val[a]
+            if order:
+                g = -grad[a]
+                if order == _JET:
+                    h = -hess[a]
+        else:
+            if ok is None:
+                v, f1, f2 = _elementary(op, val[a], order, c)
+            else:
+                v, f1 = _elementary_rows(op, val[a], c, ok)
+            if order:
+                ug = grad[a]
+                g = f1 * ug
+                if order == _JET:
+                    h = f1 * hess[a] + f2 * np.outer(ug, ug)
+        val.append(v)
+        grad.append(g)
+        hess.append(h)
+    return val[-1], grad[-1], hess[-1]
+
+
+@dataclass(frozen=True, eq=False)
+class Tape:
+    """An expression compiled to a flat post-order instruction list.
+
+    One loop (``_sweep``) runs it in four modes: :meth:`value`,
+    :meth:`gradient`, :meth:`jet` (value, gradient and Hessian) and
+    :meth:`gradients` (value and gradient at every row of a point matrix).
+    """
+
+    code: tuple[tuple[int, int, int, object], ...]
+    max_index: int  # largest 1-based variable index used, 0 for none
+
+    def _check(self, n: int) -> None:
+        if n < self.max_index:
+            first = next(c.index for op, _, _, c in self.code if op == _VAR and c.index > n)
+            raise ExprError(f"point has {n} coordinates but expression uses x{first}")
+
+    def value(self, x) -> float:
+        """Value at the point ``x``; agrees bit for bit with the other modes."""
+        x = np.asarray(x, dtype=float)
+        self._check(x.size)
+        return _sweep(self.code, x, _VALUE, None)[0]
+
+    def gradient(self, x) -> tuple[float, np.ndarray]:
+        """Value and gradient at ``x``, with no Hessian work."""
+        x = np.asarray(x, dtype=float)
+        self._check(x.size)
+        v, g, _ = _sweep(self.code, x, _GRADIENT, None)
+        return v, g
+
+    def jet(self, x) -> Taylor2Scalar:
+        """Value, gradient and exactly symmetric Hessian at ``x``."""
+        x = np.asarray(x, dtype=float)
+        self._check(x.size)
+        return Taylor2Scalar(*_sweep(self.code, x, _JET, None))
+
+    def gradients(self, X) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Values (P,), gradients (P, n) and ``ok`` (P,) at the rows of ``X``.
+
+        Row r equals :meth:`gradient` at ``X[r]`` bit for bit; ``ok[r]`` is
+        False exactly where that call would raise :class:`DomainError`, and
+        the row's value and gradient are then meaningless.
+        """
+        X = np.asarray(X, dtype=float)
+        P, n = X.shape
+        self._check(n)
+        ok = np.ones((P, 1), dtype=bool)
+        with np.errstate(all="ignore"):  # failed rows carry NaN and inf
+            v, g, _ = _sweep(self.code, X, _GRADIENT, ok)
+        values = np.broadcast_to(v, (P, 1))[:, 0].copy()
+        return values, np.broadcast_to(g, (P, n)).copy(), ok[:, 0]
+
+
+def compile_tape(e: Expression) -> Tape:
+    """Compile an expression tree to a :class:`Tape` by an iterative walk.
+
+    Instructions come out in the post-order the recursive interpreters
+    used (left operand, right operand, node), so a point that leaves the
+    domain in several places fails at the same node.  Trees of any depth
+    compile.
+    """
+    code: list[tuple[int, int, int, object]] = []
+    done: list[int] = []  # result slots of finished subtrees
+    max_index = 0
+    stack: list[tuple[Expression, bool]] = [(e, False)]
+    while stack:
+        node, expanded = stack.pop()
+        if isinstance(node, Const):
+            code.append((_CONST, 0, 0, float(node.value)))
+        elif isinstance(node, Var):
+            code.append((_VAR, node.index - 1, 0, node))
+            max_index = max(max_index, node.index)
+        elif not expanded:
+            if isinstance(node, Binary):
+                children = (node.left, node.right)
+            elif isinstance(node, Unary):
+                children = (node.arg,)
+            elif isinstance(node, Power):
+                children = (node.base,)
+            else:
+                raise TypeError(f"not an expression node: {node!r}")
+            stack.append((node, True))
+            stack.extend((child, False) for child in reversed(children))
+            continue
+        elif isinstance(node, Binary):
+            if node.op not in _BINARY_CODE:
+                raise TypeError(f"unknown binary op {node.op!r}")
+            right = done.pop()
+            code.append((_BINARY_CODE[node.op], done.pop(), right, node))
+        elif isinstance(node, Unary):
+            if node.op not in _UNARY_CODE:
+                raise TypeError(f"unknown unary op {node.op!r}")
+            code.append((_UNARY_CODE[node.op], done.pop(), 0, node))
+        else:
+            code.append((_POW, done.pop(), node.exponent, node))
+        done.append(len(code) - 1)
+    return Tape(tuple(code), max_index)
+
+
+def evaluate(e: Expression, x: np.ndarray) -> float:
+    """Evaluate ``e`` at the point ``x`` (0-based array, x[i-1] backs xi)."""
+    return compile_tape(e).value(x)
 
 
 def grad_hess(e: Expression, x: np.ndarray) -> Taylor2Scalar:
@@ -489,8 +653,7 @@ def grad_hess(e: Expression, x: np.ndarray) -> Taylor2Scalar:
     The returned value agrees bit for bit with :func:`evaluate` and the
     Hessian is exactly symmetric.
     """
-    x = np.asarray(x, dtype=float)
-    return _ad(e, x, x.size)
+    return compile_tape(e).jet(x)
 
 
 def fd_grad_hess(e: Expression, x: np.ndarray, step: float = 1e-4) -> Taylor2Scalar:
@@ -504,7 +667,8 @@ def fd_grad_hess(e: Expression, x: np.ndarray, step: float = 1e-4) -> Taylor2Sca
         raise ValueError("step must be positive")
     x = np.asarray(x, dtype=float)
     n = x.size
-    f0 = evaluate(e, x)
+    value_at = compile_tape(e).value
+    f0 = value_at(x)
     grad = np.zeros(n)
     hess = np.zeros((n, n))
     plus = np.zeros(n)
@@ -514,8 +678,8 @@ def fd_grad_hess(e: Expression, x: np.ndarray, step: float = 1e-4) -> Taylor2Sca
         xp[i] += step
         xm = x.copy()
         xm[i] -= step
-        plus[i] = evaluate(e, xp)
-        minus[i] = evaluate(e, xm)
+        plus[i] = value_at(xp)
+        minus[i] = value_at(xm)
         grad[i] = (plus[i] - minus[i]) / (2.0 * step)
         hess[i, i] = (plus[i] - 2.0 * f0 + minus[i]) / (step * step)
     for i in range(n):
@@ -533,7 +697,7 @@ def fd_grad_hess(e: Expression, x: np.ndarray, step: float = 1e-4) -> Taylor2Sca
             xmm[i] -= step
             xmm[j] -= step
             val = (
-                evaluate(e, xpp) - evaluate(e, xpm) - evaluate(e, xmp) + evaluate(e, xmm)
+                value_at(xpp) - value_at(xpm) - value_at(xmp) + value_at(xmm)
             ) / (4.0 * step * step)
             hess[i, j] = val
             hess[j, i] = val

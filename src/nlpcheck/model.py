@@ -22,11 +22,11 @@ validated while parsing.  Constraint indices reported by this package are
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from nlpcheck.expr import DomainError, Expression, evaluate, grad_hess, parse
+from nlpcheck.expr import DomainError, Expression, Tape, compile_tape, parse
 
 __all__ = [
     "ProblemError",
@@ -52,7 +52,11 @@ class ProblemError(Exception):
 
 @dataclass(frozen=True, eq=False)
 class Problem:
-    """Immutable smooth nonlinear program."""
+    """Immutable smooth nonlinear program.
+
+    Every function is compiled to a :class:`~nlpcheck.expr.Tape` once, at
+    construction; the analyses evaluate the tapes, not the trees.
+    """
 
     n: int
     objective: Expression
@@ -60,6 +64,14 @@ class Problem:
     eq: tuple[Expression, ...]
     point: np.ndarray | None
     source: str = ""
+    objective_tape: Tape = field(init=False, repr=False)
+    ineq_tapes: tuple[Tape, ...] = field(init=False, repr=False)
+    eq_tapes: tuple[Tape, ...] = field(init=False, repr=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "objective_tape", compile_tape(self.objective))
+        object.__setattr__(self, "ineq_tapes", tuple(map(compile_tape, self.ineq)))
+        object.__setattr__(self, "eq_tapes", tuple(map(compile_tape, self.eq)))
 
     @property
     def m(self) -> int:
@@ -191,25 +203,25 @@ def evaluate_point(problem: Problem, x, tol_active: float = 1e-8) -> PointData:
         raise ValueError("point has non-finite coordinates")
     n = problem.n
 
-    def jet(e: Expression, label: str):
+    def jet(tape: Tape, label: str):
         try:
-            return grad_hess(e, x)
+            return tape.jet(x)
         except DomainError as exc:
             raise DomainError(f"{label}: {exc.message}", exc.node) from exc
 
-    f = jet(problem.objective, "objective")
+    f = jet(problem.objective_tape, "objective")
     m, p = problem.m, problem.p
     g_vals = np.zeros(m)
     g_grads = np.zeros((m, n))
     g_hesses = np.zeros((m, n, n))
-    for i, e in enumerate(problem.ineq):
-        t = jet(e, f"ineq {i + 1}")
+    for i, tape in enumerate(problem.ineq_tapes):
+        t = jet(tape, f"ineq {i + 1}")
         g_vals[i], g_grads[i], g_hesses[i] = t.value, t.grad, t.hess
     h_vals = np.zeros(p)
     h_grads = np.zeros((p, n))
     h_hesses = np.zeros((p, n, n))
-    for j, e in enumerate(problem.eq):
-        t = jet(e, f"eq {j + 1}")
+    for j, tape in enumerate(problem.eq_tapes):
+        t = jet(tape, f"eq {j + 1}")
         h_vals[j], h_grads[j], h_hesses[j] = t.value, t.grad, t.hess
     active = tuple(
         i + 1 for i in range(m) if abs(g_vals[i]) <= tol_active
@@ -272,15 +284,15 @@ def feasibility(problem: Problem, x, tol: float = 1e-8) -> FeasibilityReport:
     if x.shape != (problem.n,):
         raise ValueError(f"point must have shape ({problem.n},), got {x.shape}")
     worst_g = 0.0
-    for i, e in enumerate(problem.ineq):
+    for i, tape in enumerate(problem.ineq_tapes):
         try:
-            worst_g = max(worst_g, evaluate(e, x))
+            worst_g = max(worst_g, tape.value(x))
         except DomainError as exc:
             raise DomainError(f"ineq {i + 1}: {exc.message}", exc.node) from exc
     worst_h = 0.0
-    for j, e in enumerate(problem.eq):
+    for j, tape in enumerate(problem.eq_tapes):
         try:
-            worst_h = max(worst_h, abs(evaluate(e, x)))
+            worst_h = max(worst_h, abs(tape.value(x)))
         except DomainError as exc:
             raise DomainError(f"eq {j + 1}: {exc.message}", exc.node) from exc
     return FeasibilityReport(

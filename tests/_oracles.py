@@ -9,10 +9,15 @@ shares code with the library's facial enumeration.
 
 The reference loops (``rank_scan_oracle``, ``facial_minimum_oracle``) are
 the plain one-matrix-at-a-time versions of batched library code; they
-must agree with it exactly.
+must agree with it exactly.  ``reference_evaluate`` and
+``reference_grad_hess`` are the recursive tree interpreters the expression
+tape replaced: every tape mode must reproduce their bits, signed zeros
+included.
 """
 
 import itertools
+import math
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -311,3 +316,154 @@ def facial_minimum_oracle(H, cone, tol=1e-8):
         if d is not None:
             best = (float(d @ H @ d), d)
     return best
+
+
+@dataclass
+class RefJet:
+    """(value, gradient, Hessian) with the second-order propagation rules of
+    the recursive interpreter: each update is built from explicitly
+    symmetric pieces, so Hessians stay symmetric to the last bit."""
+
+    value: float
+    grad: np.ndarray
+    hess: np.ndarray
+
+    @staticmethod
+    def constant(value, n):
+        return RefJet(float(value), np.zeros(n), np.zeros((n, n)))
+
+    @staticmethod
+    def variable(i0, value, n):
+        grad = np.zeros(n)
+        grad[i0] = 1.0
+        return RefJet(float(value), grad, np.zeros((n, n)))
+
+    def __add__(self, other):
+        return RefJet(self.value + other.value, self.grad + other.grad, self.hess + other.hess)
+
+    def __sub__(self, other):
+        return RefJet(self.value - other.value, self.grad - other.grad, self.hess - other.hess)
+
+    def __neg__(self):
+        return RefJet(-self.value, -self.grad, -self.hess)
+
+    def __mul__(self, other):
+        cross = np.outer(self.grad, other.grad)
+        cross = cross + cross.T
+        return RefJet(
+            self.value * other.value,
+            self.value * other.grad + other.value * self.grad,
+            (self.value * other.hess + other.value * self.hess) + cross,
+        )
+
+    def __truediv__(self, other):
+        w = other.value
+        value = self.value / w
+        grad = (self.grad - value * other.grad) / w
+        cross = np.outer(grad, other.grad)
+        cross = cross + cross.T
+        hess = ((self.hess - value * other.hess) - cross) / w
+        return RefJet(value, grad, hess)
+
+    def lift(self, f0, f1, f2):
+        return RefJet(f0, f1 * self.grad, f1 * self.hess + f2 * np.outer(self.grad, self.grad))
+
+
+class RefDomainError(Exception):
+    """The reference interpreter left a function's domain (exp overflow included)."""
+
+
+def _ref_exp(v):
+    try:
+        return math.exp(v)
+    except OverflowError:
+        raise RefDomainError(f"exp overflows at {v!r}") from None
+
+
+def reference_evaluate(e, x):
+    """Value of an expression tree by recursion, the pre-tape ``_eval``."""
+    from nlpcheck.expr import Binary, Const, Power, Unary, Var
+
+    if isinstance(e, Const):
+        return e.value
+    if isinstance(e, Var):
+        return float(x[e.index - 1])
+    if isinstance(e, Unary):
+        v = reference_evaluate(e.arg, x)
+        if e.op == "neg":
+            return -v
+        if e.op == "exp":
+            return _ref_exp(v)
+        if e.op == "log":
+            if v <= 0.0:
+                raise RefDomainError("log")
+            return math.log(v)
+        if e.op == "sqrt":
+            if v < 0.0:
+                raise RefDomainError("sqrt")
+            return math.sqrt(v)
+        return {"sin": math.sin, "cos": math.cos}[e.op](v)
+    if isinstance(e, Binary):
+        u = reference_evaluate(e.left, x)
+        w = reference_evaluate(e.right, x)
+        if e.op == "div":
+            if w == 0.0:
+                raise RefDomainError("division by zero")
+            return u / w
+        return {"add": u + w, "sub": u - w, "mul": u * w}[e.op]
+    if isinstance(e, Power):
+        v = reference_evaluate(e.base, x)
+        out = 1.0
+        for _ in range(e.exponent):
+            out *= v
+        return out
+    raise TypeError(f"not an expression node: {e!r}")
+
+
+def reference_grad_hess(e, x):
+    """RefJet of an expression tree by recursion, the pre-tape ``_ad``."""
+    from nlpcheck.expr import Binary, Const, Power, Unary, Var
+
+    x = np.asarray(x, dtype=float)
+    n = x.size
+    if isinstance(e, Const):
+        return RefJet.constant(e.value, n)
+    if isinstance(e, Var):
+        return RefJet.variable(e.index - 1, x[e.index - 1], n)
+    if isinstance(e, Unary):
+        u = reference_grad_hess(e.arg, x)
+        v = u.value
+        if e.op == "neg":
+            return -u
+        if e.op == "sin":
+            return u.lift(math.sin(v), math.cos(v), -math.sin(v))
+        if e.op == "cos":
+            return u.lift(math.cos(v), -math.sin(v), -math.cos(v))
+        if e.op == "exp":
+            ev = _ref_exp(v)
+            return u.lift(ev, ev, ev)
+        if e.op == "log":
+            if v <= 0.0:
+                raise RefDomainError("log")
+            return u.lift(math.log(v), 1.0 / v, -1.0 / (v * v))
+        if e.op == "sqrt":
+            if v <= 0.0:
+                raise RefDomainError("sqrt")
+            s = math.sqrt(v)
+            return u.lift(s, 0.5 / s, -0.25 / (s * v))
+        raise TypeError(f"unknown unary op {e.op!r}")
+    if isinstance(e, Binary):
+        u = reference_grad_hess(e.left, x)
+        w = reference_grad_hess(e.right, x)
+        if e.op == "div":
+            if w.value == 0.0:
+                raise RefDomainError("division by zero")
+            return u / w
+        return {"add": RefJet.__add__, "sub": RefJet.__sub__, "mul": RefJet.__mul__}[e.op](u, w)
+    if isinstance(e, Power):
+        u = reference_grad_hess(e.base, x)
+        out = RefJet.constant(1.0, n)
+        for _ in range(e.exponent):
+            out = out * u
+        return out
+    raise TypeError(f"not an expression node: {e!r}")

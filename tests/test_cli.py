@@ -263,6 +263,49 @@ class TestMain:
         assert code == 2
         assert message in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("vars 1\nobjective x1\nineq exp(1000*x1) - 1\npoint 1\n", "ineq 1: exp overflows"),
+            ("vars 2\nobjective exp(x1 * x2)\npoint 100 100\n", "objective: exp overflows"),
+            ("vars 1\nobjective x1\neq x1 - exp(exp(x1))\npoint 7\n", "eq 1: exp overflows"),
+            (
+                "vars 1\nobjective log(x1)\nineq -x1\npoint 1e-170\n",
+                "objective: log second derivative overflows",
+            ),
+            (
+                "vars 1\nobjective x1\nineq sqrt(x1) - 1\npoint 1e-320\n",
+                "ineq 1: sqrt second derivative overflows",
+            ),
+        ],
+    )
+    def test_overflow_at_point_exit_two(self, text, message, tmp_path, capsys):
+        path = tmp_path / "overflow.prob"
+        path.write_text(text)
+        code = main(["analyze", str(path)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert f"point outside the problem domain: {message}" in err
+
+    def test_exp_overflow_at_samples_skips_them(self, tmp_path):
+        # the point is fine, but exp(1e6 * x1) overflows on part of every
+        # shell with x1 > 7.1e-4 and along arcs that move x1 that far
+        path = tmp_path / "wall.prob"
+        path.write_text("vars 2\nobjective x2\nineq exp(1000000*x1) - 1 - x2\npoint 0 0\n")
+        report = run(RunConfig(problem=str(path)))
+        crcq = report["constraint_qualifications"]["crcq"]["evidence"]
+        assert 0 < crcq["samples_skipped_domain"] < 3 * 64
+        notes = [e.get("note", "") for e in report["arcs"]["entries"]]
+        assert any("exp overflows" in note for note in notes)
+
+    def test_deep_sum_exit_zero(self, tmp_path, capsys):
+        path = tmp_path / "deep.prob"
+        terms = " + ".join(["x1"] * 5000)
+        path.write_text(f"vars 1\nobjective {terms}\nineq x1 - 1\npoint 0\n")
+        out = tmp_path / "deep.json"
+        assert main(["analyze", str(path), "--json", str(out)]) == 0
+        assert json.loads(out.read_text())["objective_value"] == 0.0
+
     def test_internal_failure_exit_three(self, monkeypatch, capsys):
         import nlpcheck.cli as cli_mod
 
