@@ -45,7 +45,8 @@ def circle_stop():
           f"carrying x{report.chart_summary['keep_vars'][0]} as the parameter")
     print(f"max deviation from (sqrt(1-t^2), t): {err:.3e}")
     print(f"max |h| along the arc:               {np.abs(arc.h_values).max():.3e}")
-    print(f"velocity estimate at t=0:            {np.round(arc.deriv_estimate, 9)}")
+    velocity = report.properties.checks["arc1"].detail["derivative_estimate"]
+    print(f"velocity estimate at t=0:            {np.round(velocity, 9)}")
     show_properties(report)
     print()
 

@@ -222,17 +222,15 @@ class ArcResult:
 
     ``t`` is the kept portion of the symmetric grid ``delta * k / K``;
     ``points`` holds zeta(t) row-wise, ``g_values``/``h_values`` the
-    constraint values along the arc.  ``deriv_estimate`` is the central
-    difference for zeta'(0) at the finest spacing.  When Newton fails or a
-    function leaves its domain partway out, the grid is truncated on that
-    side and flagged.
+    constraint values along the arc.  When Newton fails or a function
+    leaves its domain partway out, the grid is truncated on that side and
+    flagged.
     """
 
     t: np.ndarray
     points: np.ndarray  # (len(t), n)
     g_values: np.ndarray  # (len(t), m)
     h_values: np.ndarray  # (len(t), p)
-    deriv_estimate: np.ndarray
     delta: float
     direction: np.ndarray
     center: np.ndarray
@@ -316,19 +314,12 @@ def trace_arc(
     h_values = (
         np.vstack([e[3] for e in entries]) if p else np.zeros((len(entries), 0))
     )
-    iz = int(np.argmin(np.abs(t)))
-    if iz + 1 < len(entries) and iz - 1 >= 0:
-        dt = t[iz + 1] - t[iz]
-        deriv = (points[iz + 1] - points[iz - 1]) / (2.0 * dt)
-    else:
-        deriv = np.full(x.size, np.nan)
     truncated = len(entries) < samples
     return ArcResult(
         t=t,
         points=points,
         g_values=g_values,
         h_values=h_values,
-        deriv_estimate=deriv,
         delta=delta,
         direction=d.copy(),
         center=x.copy(),
@@ -358,13 +349,29 @@ class ArcProperties:
         return all(c.passed for c in self.checks.values())
 
 
+def _worst_per_ineq(labels, residuals, tol: float) -> PropertyCheck:
+    """Largest entry (at least 0) of ``residuals(i)`` for each inequality
+    label i; the property holds when the worst of them is at most ``tol``.
+
+    When a column mixes 0.0 and -0.0, which zero numpy's max returns
+    depends on the memory layout (strided or contiguous), and the sign
+    reaches the report; each caller therefore reduces exactly the array it
+    always has (the column, its absolute value, or its t >= 0 rows).
+    """
+    per = {f"g{i}": float(residuals(i).max(initial=0.0)) for i in labels}
+    worst = max([0.0, *per.values()])
+    return PropertyCheck(worst <= tol, worst, {"per_constraint": per})
+
+
 def verify_arc(
     arc: ArcResult, pd: PointData, pinned: PinnedSet, tol: float = 1e-7
 ) -> ArcProperties:
     """Validate the five arc properties on the stored samples.
 
     (arc1) checks the start point at ``tol`` and the Richardson-extrapolated
-    velocity at ``sqrt(tol)``; (arc2)/(arc5) check the pinned inequalities
+    velocity at ``sqrt(tol)`` (a plain central difference on grids too short
+    for it); its detail carries the velocity estimate as
+    ``derivative_estimate``.  (arc2)/(arc5) check the pinned inequalities
     and the equalities over the whole grid; (arc3) checks inactive
     inequalities everywhere; (arc4) checks active-but-unpinned inequalities
     for t >= 0.  Forward feasibility summarizes g <= tol and |h| <= tol over
@@ -378,21 +385,19 @@ def verify_arc(
     pos_err = float(np.abs(arc.points[iz] - pd.x).max(initial=0.0))
     deriv_err = np.inf
     detail: dict = {"position_error": pos_err}
-    if iz - 2 >= 0 and iz + 2 < len(t):
-        h1 = t[iz + 1] - t[iz]
-        d1 = (arc.points[iz + 1] - arc.points[iz - 1]) / (2.0 * h1)
-        d2 = (arc.points[iz + 2] - arc.points[iz - 2]) / (4.0 * h1)
-        deriv = (4.0 * d1 - d2) / 3.0
-        deriv_err = float(np.abs(deriv - arc.direction).max(initial=0.0))
-        detail["derivative_error"] = deriv_err
-        detail["derivative_estimate"] = [float(v) for v in deriv]
-    elif iz - 1 >= 0 and iz + 1 < len(t):
+    if iz - 1 >= 0 and iz + 1 < len(t):
+        # central difference, Richardson-extrapolated when two pairs exist
         h1 = t[iz + 1] - t[iz]
         deriv = (arc.points[iz + 1] - arc.points[iz - 1]) / (2.0 * h1)
+        richardson = iz - 2 >= 0 and iz + 2 < len(t)
+        if richardson:
+            d2 = (arc.points[iz + 2] - arc.points[iz - 2]) / (4.0 * h1)
+            deriv = (4.0 * deriv - d2) / 3.0
         deriv_err = float(np.abs(deriv - arc.direction).max(initial=0.0))
         detail["derivative_error"] = deriv_err
         detail["derivative_estimate"] = [float(v) for v in deriv]
-        detail["note"] = "grid too short for Richardson extrapolation"
+        if not richardson:
+            detail["note"] = "grid too short for Richardson extrapolation"
     else:
         detail["note"] = "grid too short to estimate the velocity"
     deriv_tol = float(np.sqrt(tol))
@@ -402,43 +407,20 @@ def verify_arc(
         detail=detail,
     )
 
-    pinned_set = set(pinned.ineq)
     active_set = set(pd.active)
     forward = t >= 0.0  # the center sample is t = 0.0 exactly
-
-    def worst_over(values: np.ndarray, rows: np.ndarray) -> float:
-        if values.size == 0 or not rows.any():
-            return 0.0
-        return float(values[rows].max(initial=0.0))
+    g = arc.g_values
 
     # (arc2): pinned inequalities stay at zero on the whole grid
-    worst = 0.0
-    per = {}
-    for i in pinned.ineq:
-        w = float(np.abs(arc.g_values[:, i - 1]).max(initial=0.0))
-        per[f"g{i}"] = w
-        worst = max(worst, w)
-    checks["arc2"] = PropertyCheck(worst <= tol, worst, {"per_constraint": per})
+    checks["arc2"] = _worst_per_ineq(pinned.ineq, lambda i: np.abs(g[:, i - 1]), tol)
 
     # (arc3): inactive inequalities stay feasible on the whole grid
-    worst = 0.0
-    per = {}
-    for i in range(1, pd.m + 1):
-        if i in active_set:
-            continue
-        w = float(arc.g_values[:, i - 1].max(initial=0.0))
-        per[f"g{i}"] = w
-        worst = max(worst, w)
-    checks["arc3"] = PropertyCheck(worst <= tol, worst, {"per_constraint": per})
+    inactive = [i for i in range(1, pd.m + 1) if i not in active_set]
+    checks["arc3"] = _worst_per_ineq(inactive, lambda i: g[:, i - 1], tol)
 
     # (arc4): active but unpinned inequalities stay feasible for t >= 0
-    worst = 0.0
-    per = {}
-    for i in sorted(active_set - pinned_set):
-        w = worst_over(arc.g_values[:, i - 1], forward)
-        per[f"g{i}"] = w
-        worst = max(worst, w)
-    checks["arc4"] = PropertyCheck(worst <= tol, worst, {"per_constraint": per})
+    unpinned = sorted(active_set - set(pinned.ineq))
+    checks["arc4"] = _worst_per_ineq(unpinned, lambda i: g[:, i - 1][forward], tol)
 
     # (arc5): equalities stay at zero on the whole grid
     worst = float(np.abs(arc.h_values).max(initial=0.0)) if pd.p else 0.0
@@ -471,20 +453,6 @@ class DirectionArcReport:
             return False
         checks = self.properties.checks
         return checks["arc1"].passed and checks["forward_feasible"].passed
-
-    def acq_summary(self) -> dict:
-        out = {
-            "direction": [float(v) for v in self.direction],
-            "realized": self.realized(),
-        }
-        if self.error is not None:
-            out["error"] = self.error
-        if self.properties is not None:
-            out["arc1_worst"] = self.properties.checks["arc1"].worst
-            out["forward_worst"] = self.properties.checks["forward_feasible"].worst
-        if self.arc is not None and self.arc.truncated:
-            out["truncated"] = True
-        return out
 
 
 def arc_for_direction(

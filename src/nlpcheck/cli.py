@@ -296,12 +296,12 @@ def run(config: RunConfig) -> dict:
 
     # the Abadie probe always uses sampled directions so its statistics are
     # comparable across runs; without explicit --arc-dir they are the same arcs
+    # (finitely many arcs refute nothing, so the verdict stays undetermined)
     acq_reports = arc_reports_for(sampled_directions()) if explicit else arc_reports
-    report["constraint_qualifications"]["acq"] = {
-        "status": "undetermined",
-        "certificate": None,
-        "evidence": cq.summarize_acq(acq_reports, requested=config.arc_sample, seed=config.seed),
-    }
+    evidence = cq.summarize_acq(acq_reports, requested=config.arc_sample, seed=config.seed)
+    report["constraint_qualifications"]["acq"] = _verdict_dict(
+        cq.Verdict("undetermined", None, evidence)
+    )
     return report
 
 
@@ -493,20 +493,25 @@ def main(argv=None) -> int:
     )
     pa.add_argument("problem", help="problem file path, or builtin:NAME")
     pa.add_argument("--point", help="candidate point v1,...,vn (overrides the file)")
-    pa.add_argument("--seed", type=int, default=0, help="sampling seed (default 0)")
+    for flag, kind, what in (
+        ("--seed", int, "sampling seed"),
+        ("--samples", int, "samples per radius in the rank scans"),
+        ("--tol-rank", float, "singular-value cutoff for rank decisions"),
+        ("--tol-active", float, "activity threshold for inequalities"),
+        ("--tol-dir", float, "pinning threshold for arc directions"),
+        ("--newton-tol", float, "Newton residual target along arcs"),
+        ("--verify-tol", float, "pass/fail threshold for arc properties"),
+        ("--arc-sample", int, "number of sampled arc directions"),
+        ("--arc-points", int, "samples per arc, odd and >= 5"),
+        ("--delta", float, "arc half-width"),
+    ):
+        default = getattr(RunConfig, flag[2:].replace("-", "_"))
+        pa.add_argument(flag, type=kind, default=default, help=f"{what} (default %(default)s)")
     pa.add_argument(
         "--radii",
-        default="1e-2,1e-3,1e-4",
-        help="neighborhood radii for the rank scans (default 1e-2,1e-3,1e-4)",
+        default=",".join(str(r) for r in RunConfig.radii),
+        help="neighborhood radii for the rank scans (default %(default)s)",
     )
-    pa.add_argument(
-        "--samples", type=int, default=64, help="samples per radius (default 64)"
-    )
-    pa.add_argument("--tol-rank", type=float, default=1e-8)
-    pa.add_argument("--tol-active", type=float, default=1e-8)
-    pa.add_argument("--tol-dir", type=float, default=1e-8)
-    pa.add_argument("--newton-tol", type=float, default=1e-12)
-    pa.add_argument("--verify-tol", type=float, default=1e-7)
     pa.add_argument(
         "--arc-dir",
         action="append",
@@ -514,19 +519,6 @@ def main(argv=None) -> int:
         metavar="D1,...,DN",
         help="explicit arc direction (repeatable)",
     )
-    pa.add_argument(
-        "--arc-sample",
-        type=int,
-        default=8,
-        help="number of sampled arc directions (default 8)",
-    )
-    pa.add_argument(
-        "--arc-points",
-        type=int,
-        default=41,
-        help="samples per arc, odd and >= 5 (default 41)",
-    )
-    pa.add_argument("--delta", type=float, default=0.1, help="arc half-width (default 0.1)")
     pa.add_argument("--json", dest="json_path", help="write the JSON report here")
     pa.add_argument("--csv-dir", help="write one CSV of samples per arc here")
     args = parser.parse_args(argv)

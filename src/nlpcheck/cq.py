@@ -22,9 +22,11 @@ pair, and its evidence reads ``partial: true``.
 Rank constancy over a neighborhood cannot be certified by finitely many
 samples, so the sampled scans return "fails" with a re-checkable witness
 when a mismatch is found and "undetermined" otherwise -- never "holds".
-The Abadie qualification is probed purely empirically, by attempting to
-realize sampled linearized-cone directions with feasible arcs; its verdict
-is always "undetermined" with evidence attached.
+The Abadie qualification is probed purely empirically: ``cli.run`` traces
+feasible arcs (``arc.arc_for_direction``) for sampled linearized-cone
+directions, and :func:`summarize_acq` turns those arc reports into the
+evidence of a verdict that is always "undetermined", since finitely many
+arcs can refute nothing about the tangent cone.
 """
 
 from __future__ import annotations
@@ -36,8 +38,6 @@ from typing import Iterator
 import numpy as np
 from scipy.stats import qmc
 
-from nlpcheck import arc as arc_mod
-from nlpcheck.cones import linearized_cone, sample_directions
 from nlpcheck.linalg import numerical_rank, simplex_lp, stacked_rank
 from nlpcheck.model import PointData, Problem, evaluate_point
 
@@ -49,7 +49,7 @@ __all__ = [
     "check_crcq",
     "check_rcrcq",
     "check_rank_constancy",
-    "check_acq_empirical",
+    "summarize_acq",
     "recheck_rank_certificate",
 ]
 
@@ -346,63 +346,33 @@ def recheck_rank_certificate(problem: Problem, certificate: dict) -> tuple[int, 
     return rank_at(certificate["center"]), rank_at(certificate["witness"])
 
 
-def check_acq_empirical(
-    problem: Problem,
-    x,
-    count: int = 8,
-    seed: int = 0,
-    tol_active: float = 1e-8,
-    delta: float = 0.1,
-    samples: int = 41,
-    tol_dir: float = 1e-8,
-    newton_tol: float = 1e-12,
-    verify_tol: float = 1e-7,
-    tol_rank: float = 1e-8,
-) -> Verdict:
-    """Probe the Abadie qualification by realizing sampled directions.
-
-    For each sampled linearized-cone direction an arc is constructed; the
-    direction counts as realized when the arc starts at the point with the
-    right velocity and stays feasible forward in time.  Finitely many arcs
-    can refute nothing about the tangent cone, so the verdict is always
-    "undetermined"; the realization statistics are the evidence.
-    """
-    pd = evaluate_point(problem, x, tol_active)
-    cone = linearized_cone(pd)
-    dirs = sample_directions(cone, count, seed, tol_dir)
-    reports = [
-        arc_mod.arc_for_direction(
-            problem,
-            pd,
-            d,
-            delta=delta,
-            samples=samples,
-            tol_dir=tol_dir,
-            tol_rank=tol_rank,
-            newton_tol=newton_tol,
-            verify_tol=verify_tol,
-        )
-        for d in dirs
-    ]
-    return Verdict("undetermined", None, summarize_acq(reports, requested=count, seed=seed))
-
-
 def summarize_acq(reports: list, requested: int, seed: int) -> dict:
-    """Realization statistics for a batch of direction arc reports."""
-    realized = 0
-    failures = 0
+    """ACQ evidence from traced arcs (``arc.DirectionArcReport``).
+
+    One summary per direction; a direction counts as realized when its arc
+    starts at the point with the right velocity and stays feasible forward
+    in time (``DirectionArcReport.realized``).
+    """
     per_direction = []
     for rep in reports:
-        ok = rep.realized()
-        realized += int(ok)
-        failures += int(rep.error is not None)
-        per_direction.append(rep.acq_summary())
+        entry = {
+            "direction": [float(v) for v in rep.direction],
+            "realized": rep.realized(),
+        }
+        if rep.error is not None:
+            entry["error"] = rep.error
+        if rep.properties is not None:
+            entry["arc1_worst"] = rep.properties.checks["arc1"].worst
+            entry["forward_worst"] = rep.properties.checks["forward_feasible"].worst
+        if rep.arc is not None and rep.arc.truncated:
+            entry["truncated"] = True
+        per_direction.append(entry)
     summary = {
         "directions_requested": requested,
         "directions_sampled": len(reports),
         "seed": seed,
-        "realized": realized,
-        "construction_failures": failures,
+        "realized": sum(entry["realized"] for entry in per_direction),
+        "construction_failures": sum(rep.error is not None for rep in reports),
         "per_direction": per_direction,
     }
     if not reports:

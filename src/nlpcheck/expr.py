@@ -293,7 +293,11 @@ def parse(source: str, n: int) -> Expression:
     if n < 0:
         raise ValueError("dimension n must be non-negative")
     parser = _Parser(_tokenize(source), n)
-    node = parser.parse_expr()
+    try:
+        node = parser.parse_expr()
+    except RecursionError:
+        # recursive descent spends a few frames per nesting level
+        raise ParseError("expression nested too deeply", parser.peek()[2]) from None
     kind, _, off = parser.peek()
     if kind != "end":
         raise ParseError("unexpected trailing input", off)

@@ -221,7 +221,11 @@ def test_criterion_3_circle_arc_construction():
         )
         c.check(
             "initial velocity within 1e-6 of the direction",
-            np.linalg.norm(arc.deriv_estimate - d) <= 1e-6,
+            report.properties is not None
+            and np.linalg.norm(
+                np.array(report.properties.checks["arc1"].detail["derivative_estimate"]) - d
+            )
+            <= 1e-6,
         )
         c.check(
             "all five arc properties pass",

@@ -121,7 +121,8 @@ class TestTraceArc:
         )
         assert np.abs(arc.points - expected).max() <= 1e-9
         assert np.abs(arc.h_values).max() <= 1e-10
-        assert_allclose(arc.deriv_estimate, [0.0, 1.0], atol=1e-6)
+        arc1 = verify_arc(arc, pd, pinned).checks["arc1"]
+        assert_allclose(arc1.detail["derivative_estimate"], [0.0, 1.0], atol=1e-6)
 
     def test_center_sample_is_exact(self):
         prob, pd = circle_setup()
@@ -270,14 +271,6 @@ class TestArcForDirection:
         assert not report.arc.truncated
         assert report.arc.delta <= 1.0
         assert report.properties.passed_all()
-
-    def test_acq_summary_fields(self):
-        prob, pd = circle_setup()
-        report = arc_for_direction(prob, pd, np.array([0.0, 1.0]), delta=0.25)
-        summary = report.acq_summary()
-        assert summary["realized"] is True
-        assert summary["arc1_worst"] <= 1e-7
-        assert summary["forward_worst"] <= 1e-7
 
     def test_tangent_disks_sampled_directions_realized(self):
         # rank collapses on the pinned directions, so the pinned-residual

@@ -306,6 +306,27 @@ class TestMain:
         assert main(["analyze", str(path), "--json", str(out)]) == 0
         assert json.loads(out.read_text())["objective_value"] == 0.0
 
+    def test_deep_nesting_exit_two(self, tmp_path, capsys):
+        path = tmp_path / "nested.prob"
+        path.write_text("vars 1\nobjective " + "(" * 400 + "x1" + ")" * 400 + "\npoint 0\n")
+        assert main(["analyze", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert "line 2: expression nested too deeply (byte offset " in err
+
+    def test_moderate_nesting_exit_zero(self, tmp_path, capsys):
+        path = tmp_path / "nested.prob"
+        path.write_text(
+            "vars 1\nobjective " + "(" * 100 + "x1" + ")" * 100 + "\nineq x1 - 1\npoint 0\n"
+        )
+        out = tmp_path / "nested.json"
+        assert main(["analyze", str(path), "--json", str(out)]) == 0
+        assert json.loads(out.read_text())["objective_value"] == 0.0
+
+    def test_cli_defaults_are_run_config_defaults(self, tmp_path, capsys):
+        out = tmp_path / "circle.json"
+        assert main(["analyze", "builtin:circle", "--json", str(out)]) == 0
+        assert out.read_text() == report_to_json(run(RunConfig("builtin:circle")))
+
     def test_internal_failure_exit_three(self, monkeypatch, capsys):
         import nlpcheck.cli as cli_mod
 

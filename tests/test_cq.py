@@ -12,9 +12,10 @@ import pytest
 from numpy.testing import assert_allclose
 
 from nlpcheck import cq
+from nlpcheck.arc import arc_for_direction
+from nlpcheck.cli import RunConfig, report_to_json, run
 from nlpcheck.cq import (
     NeighborhoodSampler,
-    check_acq_empirical,
     check_crcq,
     check_licq,
     check_mfcq,
@@ -364,28 +365,56 @@ class TestRankConstancyEngine:
             assert verdict.evidence["subsets_scanned"] == 821
 
 
+def _acq(problem: str, point, **kwargs) -> dict:
+    """The ACQ entry of a full run probing ``arc_sample=4`` directions."""
+    config = RunConfig(problem, point=np.asarray(point, dtype=float), arc_sample=4, **kwargs)
+    return run(config)["constraint_qualifications"]["acq"]
+
+
 class TestAcqEmpirical:
     def test_always_undetermined(self):
-        prob = builtin_problem("circle")
-        verdict = check_acq_empirical(prob, np.array([1.0, 0.0]), count=4, seed=0)
-        assert verdict.status == "undetermined"
+        verdict = _acq("builtin:circle", [1.0, 0.0])
+        assert verdict["status"] == "undetermined"
+        assert verdict["certificate"] is None
 
     def test_realized_directions_counted(self):
-        prob = builtin_problem("circle")
-        verdict = check_acq_empirical(prob, np.array([1.0, 0.0]), count=4, seed=0)
-        summary = verdict.evidence
+        summary = _acq("builtin:circle", [1.0, 0.0])["evidence"]
         assert summary["directions_sampled"] == 4
         assert summary["realized"] == 4
         assert len(summary["per_direction"]) == 4
 
-    def test_zero_cone_vacuous(self):
-        prob = load_problem(
-            "vars 2\nobjective x1\neq x1\neq x2\npoint 0 0\n"
-        )
-        verdict = check_acq_empirical(prob, np.zeros(2), count=4, seed=0)
-        assert verdict.status == "undetermined"
-        assert verdict.evidence["directions_sampled"] == 0
-        assert "vacuously realized" in verdict.evidence["note"]
+    def test_zero_cone_vacuous(self, tmp_path):
+        path = tmp_path / "zero_cone.prob"
+        path.write_text("vars 2\nobjective x1\neq x1\neq x2\npoint 0 0\n")
+        verdict = _acq(str(path), [0.0, 0.0])
+        assert verdict["status"] == "undetermined"
+        assert verdict["evidence"]["directions_sampled"] == 0
+        assert "vacuously realized" in verdict["evidence"]["note"]
+
+    def test_summarize_acq_fields(self):
+        prob = builtin_problem("circle")
+        pd = evaluate_point(prob, np.array([1.0, 0.0]))
+        report = arc_for_direction(prob, pd, np.array([0.0, 1.0]), delta=0.25)
+        summary = cq.summarize_acq([report], requested=1, seed=0)["per_direction"][0]
+        assert summary["realized"] is True
+        assert summary["arc1_worst"] <= 1e-7
+        assert summary["forward_worst"] <= 1e-7
+
+    @pytest.mark.parametrize(
+        "problem, point, arc_dirs",
+        [
+            ("builtin:circle", [1.0, 0.0], ([0.0, 1.0],)),
+            ("builtin:paper-example-1", [0.0, 0.0], ([1.0, 0.0], [0.0, 1.0])),
+            ("builtin:paper-example-2", [0.0, 0.0], ([1.0, 0.0],)),
+        ],
+    )
+    def test_explicit_arc_dirs_leave_the_probe_alone(self, problem, point, arc_dirs):
+        # the probe always traces sampled directions, whatever --arc-dir asks
+        dirs = tuple(np.array(d) for d in arc_dirs)
+        for seed in (0, 3):
+            plain = _acq(problem, point, seed=seed)
+            explicit = _acq(problem, point, seed=seed, arc_dirs=dirs)
+            assert report_to_json(explicit) == report_to_json(plain)
 
 
 class TestRecheck:
