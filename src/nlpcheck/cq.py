@@ -8,7 +8,10 @@ Four classical qualifications are covered, in decreasing strength:
   ``grad h . d = 0`` with ``grad g_i . d < 0`` on the active set.  Decided by
   a small LP maximizing the strict-descent margin.
 * CRCQ: every subset of active-inequality plus equality gradients keeps a
-  locally constant rank.  Sampled over shrinking neighborhoods.
+  locally constant rank.  Sampled over shrinking neighborhoods, on
+  scrambled Sobol points (:class:`NeighborhoodSampler`; Joe & Kuo direction
+  numbers with Matousek's LMS+shift scramble, computed in-house with numpy
+  and bit-identical to ``scipy.stats.qmc.Sobol``).
 * RCRCQ: same, but only subsets that contain every equality gradient.
 
 Both rank scans come from one sampled pass (:func:`check_rank_constancy`).
@@ -36,8 +39,8 @@ from itertools import combinations
 from typing import Iterator
 
 import numpy as np
-from scipy.stats import qmc
 
+from nlpcheck._sobol import scrambled_sobol
 from nlpcheck.linalg import numerical_rank, simplex_lp, stacked_rank
 from nlpcheck.model import PointData, Problem, evaluate_point
 
@@ -74,7 +77,10 @@ class NeighborhoodSampler:
 
     For each radius a scrambled Sobol sequence (seeded from ``seed`` and the
     shell index) fills the cube ``center + radius * [-1, 1]^n``.  The same
-    parameters always reproduce the same points.
+    parameters always reproduce the same points.  The sequence is the
+    in-house LMS+shift scrambled Sobol of :mod:`nlpcheck._sobol`, whose
+    points are bit-identical to ``scipy.stats.qmc.Sobol(n, scramble=True,
+    seed=np.random.default_rng([seed, shell]))``; SciPy is not imported.
     """
 
     radii: tuple[float, ...] = (1e-2, 1e-3, 1e-4)
@@ -87,16 +93,8 @@ class NeighborhoodSampler:
         count = int(self.samples_per_radius)
         if count <= 0:
             return
-        pow2 = 1
-        while pow2 < count:
-            pow2 *= 2
         for shell, radius in enumerate(self.radii):
-            eng = qmc.Sobol(
-                d=center.size,
-                scramble=True,
-                seed=np.random.default_rng([self.seed, shell]),
-            )
-            u = eng.random(pow2)[:count]
+            u = scrambled_sobol(center.size, count, [self.seed, shell])
             pts = center + radius * (2.0 * u - 1.0)
             for idx in range(count):
                 yield float(radius), idx, pts[idx]

@@ -50,8 +50,8 @@ Grammar (whitespace-insensitive)::
     VAR     := "x" INTEGER          # 1-based variable index
     FUNC    := sin | cos | exp | log | sqrt
 
-Exponents are non-negative integer literals; unary minus binds looser than
-``^``, so ``-x1^2`` means ``-(x1^2)``.
+Exponents are integer literals from 0 to 1024 (``_MAX_EXPONENT``); unary
+minus binds looser than ``^``, so ``-x1^2`` means ``-(x1^2)``.
 """
 
 from __future__ import annotations
@@ -196,6 +196,11 @@ def _tokenize(source: str) -> list[tuple[str, object, int]]:
     return tokens
 
 
+# ``x^k`` costs k products per sweep (kept for bit identity), so the
+# exponent is bounded at parse time
+_MAX_EXPONENT = 1024
+
+
 class _Parser:
     def __init__(self, tokens: list[tuple[str, object, int]], n: int):
         self.tokens = tokens
@@ -258,8 +263,13 @@ class _Parser:
             value, text = payload
             if any(c in text for c in ".eE"):
                 raise ParseError("exponent must be an integer literal", off)
+            exponent = int(text)
+            if exponent > _MAX_EXPONENT:
+                raise ParseError(
+                    f"integer exponent {exponent} exceeds the limit {_MAX_EXPONENT}", off
+                )
             self.advance()
-            return Power(base, int(text))
+            return Power(base, exponent)
         return base
 
     def parse_atom(self) -> Expression:

@@ -155,7 +155,7 @@ def solve_multipliers(
                     if not (cand[:a] < -1e-12).any():
                         norm = float(np.linalg.norm(cand))
                         if norm > 1e-12:
-                            ray_raw.append(cand / norm)
+                            ray_raw.append(expand(cand / norm))
         else:
             if float(np.abs(rhs).max(initial=0.0)) <= 1e-8:
                 vertex_raw.append(expand(np.zeros(a + p)))

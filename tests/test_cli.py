@@ -4,10 +4,12 @@ serialization, argument handling, and exit codes."""
 import csv
 import json
 import os
+import time
 
 import numpy as np
 import pytest
 
+from nlpcheck import expr
 from nlpcheck.cli import (
     InputError,
     RunConfig,
@@ -312,6 +314,21 @@ class TestMain:
         assert main(["analyze", str(path)]) == 2
         err = capsys.readouterr().err
         assert "line 2: expression nested too deeply (byte offset " in err
+
+    def test_exponent_above_limit_exit_two(self, tmp_path, capsys):
+        path = tmp_path / "power.prob"
+        path.write_text(f"vars 1\nobjective x1^{expr._MAX_EXPONENT + 1}\npoint 1\n")
+        assert main(["analyze", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert f"line 2: integer exponent {expr._MAX_EXPONENT + 1} exceeds the limit" in err
+
+    def test_huge_exponent_rejected_quickly(self, tmp_path, capsys):
+        path = tmp_path / "power.prob"
+        path.write_text("vars 1\nobjective x1^2000000\npoint 1\n")
+        start = time.perf_counter()
+        assert main(["analyze", str(path)]) == 2
+        assert time.perf_counter() - start < 0.5
+        assert "exceeds the limit" in capsys.readouterr().err
 
     def test_moderate_nesting_exit_zero(self, tmp_path, capsys):
         path = tmp_path / "nested.prob"

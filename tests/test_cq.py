@@ -5,13 +5,17 @@ rank certificates by evaluating gradients at the recorded points, MFCQ
 directions by substituting into the active gradients.
 """
 
+import os
+import subprocess
+import sys
 import time
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from nlpcheck import cq
+import nlpcheck
+from nlpcheck import _sobol, cq
 from nlpcheck.arc import arc_for_direction
 from nlpcheck.cli import RunConfig, report_to_json, run
 from nlpcheck.cq import (
@@ -120,6 +124,51 @@ class TestSampler:
         xs0 = [x for _, _, x in NeighborhoodSampler(seed=0).points(center)]
         xs1 = [x for _, _, x in NeighborhoodSampler(seed=1).points(center)]
         assert not np.array_equal(np.array(xs0), np.array(xs1))
+
+
+class TestSobol:
+    """The in-house scrambled Sobol against ``scipy.stats.qmc.Sobol``."""
+
+    @pytest.mark.parametrize("d", [*range(1, 13), 30, 64])
+    def test_bit_identical_to_scipy(self, d):
+        from scipy.stats import qmc  # test-only dependency
+        for seed in range(8):
+            for shell in range(3):
+                for n in (1, 2, 64, 256):
+                    rng = np.random.default_rng([seed, shell])
+                    expected = qmc.Sobol(d, scramble=True, seed=rng).random(n)
+                    got = _sobol.scrambled_sobol(d, n, [seed, shell])
+                    assert got.dtype == expected.dtype
+                    assert np.array_equal(got, expected), (d, seed, shell, n)
+
+    def test_sampler_points_match_scipy_draws(self):
+        # 5 samples per shell: the old code drew 8 and kept the first 5
+        from scipy.stats import qmc  # test-only dependency
+        sampler = NeighborhoodSampler(radii=(1e-2, 1e-3), samples_per_radius=5, seed=3)
+        center = np.array([1.0, -2.0, 0.5])
+        got = [x for _, _, x in sampler.points(center)]
+        expected = []
+        for shell, radius in enumerate(sampler.radii):
+            rng = np.random.default_rng([sampler.seed, shell])
+            u = qmc.Sobol(center.size, scramble=True, seed=rng).random(8)[:5]
+            expected.extend(center + radius * (2.0 * u - 1.0))
+        assert np.array_equal(np.array(got), np.array(expected))
+
+    def test_dimension_limit(self):
+        with pytest.raises(ValueError, match="Maximum supported dimensionality is 21201"):
+            _sobol.scrambled_sobol(_sobol.MAXDIM + 1, 2, [0, 0])
+
+    def test_cli_import_loads_no_scipy(self):
+        src = os.path.dirname(os.path.dirname(nlpcheck.__file__))
+        code = (
+            "import sys, nlpcheck.cli\n"
+            "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))"
+        )
+        env = {**os.environ, "PYTHONPATH": src}
+        out = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+        )
+        assert out.stdout.strip() == "[]"
 
 
 class TestLicq:

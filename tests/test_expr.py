@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from nlpcheck import expr
 from nlpcheck.expr import (
     Binary,
     Const,
@@ -81,6 +82,14 @@ class TestParse:
     def test_fractional_exponent_rejected(self):
         with pytest.raises(ParseError, match="integer"):
             parse("x1^2.5", 1)
+
+    def test_exponent_at_limit_parses(self):
+        assert parse(f"x1^{expr._MAX_EXPONENT}", 1) == Power(Var(1), expr._MAX_EXPONENT)
+
+    def test_exponent_above_limit_rejected(self):
+        with pytest.raises(ParseError, match="exceeds the limit") as err:
+            parse(f"x1 + x1^{expr._MAX_EXPONENT + 1}", 1)
+        assert err.value.offset == 8
 
     def test_syntax_error_carries_byte_offset(self):
         with pytest.raises(ParseError) as err:

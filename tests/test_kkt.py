@@ -12,6 +12,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from nlpcheck import cones, kkt
+from nlpcheck.cli import main
 from nlpcheck.cones import strong_critical_cone
 from nlpcheck.kkt import (
     check_kkt,
@@ -125,6 +126,36 @@ class TestSolveMultipliers:
         mu_dot, lam_dot = ms.rays[0]
         assert_allclose(mu_dot / mu_dot.max(), [1.0, 1.0], atol=1e-9)
         assert mu_dot.min() >= -1e-12
+
+    def test_ray_labels_with_equality(self, tmp_path):
+        # active set {1, 2, 4}; the only recession direction pairs g1 with h
+        text = (
+            "vars 3\nobjective x3\nineq x1^2 + x2^2 - x3\nineq -x1\n"
+            "ineq x2 - 1\nineq x1 + x2 - x3\neq x3 - x1^2\npoint 0 0 0\n"
+        )
+        pd = problem_pd(text)
+        ms = solve_multipliers(pd)
+        assert len(ms.rays) == 1
+        mu, lam = ms.rays[0]
+        assert_allclose(mu, [math.sqrt(0.5), 0.0, 0.0, 0.0], atol=1e-12)
+        assert_allclose(lam, [math.sqrt(0.5)], atol=1e-12)
+        # a ray is a null combination of the constraint gradients
+        assert_allclose(pd.g_grads.T @ mu + pd.h_grads.T @ lam, 0.0, atol=1e-12)
+        path = tmp_path / "ray.prob"
+        path.write_text(text)
+        assert main(["analyze", str(path)]) == 0
+
+    def test_ray_labels_skip_leading_inactive(self):
+        # g1 is inactive at the origin; the ray lives on g2 and g3
+        pd = problem_pd(
+            "vars 2\nobjective x2\nineq x1 - 1\nineq x2\nineq -x2\npoint 0 0\n"
+        )
+        ms = solve_multipliers(pd)
+        assert len(ms.rays) == 1
+        mu, lam = ms.rays[0]
+        assert_allclose(mu, [0.0, math.sqrt(0.5), math.sqrt(0.5)], atol=1e-12)
+        assert lam.size == 0
+        assert_allclose(sorted_mu_vertices(ms), [(0.0, 0.0, 1.0)])
 
     def test_unconstrained_stationary_point(self):
         prob = load_problem("vars 2\nobjective x1^2 + x2^2\npoint 0 0\n")
