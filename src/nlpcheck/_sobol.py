@@ -16,9 +16,10 @@ from pathlib import Path
 
 import numpy as np
 
-__all__ = ["MAXDIM", "scrambled_sobol"]
+__all__ = ["MAXDIM", "MAXPOINTS", "scrambled_sobol"]
 
 _BITS = 30
+MAXPOINTS = 1 << _BITS  # distinct points a 30-bit sequence holds
 with np.load(Path(__file__).with_name("_sobol_direction_numbers.npz")) as _table:
     _POLY = _table["poly"]
     _VINIT = _table["vinit"]
@@ -65,7 +66,7 @@ def scrambled_sobol(d: int, n: int, entropy) -> np.ndarray:
     """
     if d > MAXDIM:
         raise ValueError(f"Maximum supported dimensionality is {MAXDIM}.")
-    if n > 1 << _BITS:
+    if n > MAXPOINTS:
         raise ValueError(f"At most 2**{_BITS} distinct points can be generated.")
     # n points in Gray-code order use only the first m direction numbers
     m = max(n - 1, 0).bit_length()

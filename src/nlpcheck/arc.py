@@ -57,6 +57,8 @@ __all__ = [
     "arc_for_direction",
 ]
 
+_MAX_SHRINK = 5  # delta halvings after a truncated trace
+
 
 class DegenerateRankError(Exception):
     """The pinned-constraint gradients were numerically zero."""
@@ -465,11 +467,10 @@ def arc_for_direction(
     tol_rank: float = 1e-8,
     newton_tol: float = 1e-12,
     verify_tol: float = 1e-7,
-    max_shrink: int = 5,
 ) -> DirectionArcReport:
     """Pin, chart, trace, and verify the arc for one direction.
 
-    If a trace comes back truncated, delta is halved (up to ``max_shrink``
+    If a trace comes back truncated, delta is halved (up to ``_MAX_SHRINK``
     times) and the trace retried, since Proposition-style arcs are only
     guaranteed on a small enough interval; the final attempt is reported
     even if still truncated.
@@ -496,7 +497,7 @@ def arc_for_direction(
     }
     cur_delta = float(delta)
     arc = None
-    for _ in range(max_shrink + 1):
+    for _ in range(_MAX_SHRINK + 1):
         arc = trace_arc(problem, chart, pd.x, d, cur_delta, samples, newton_tol)
         if not arc.truncated:
             break

@@ -26,6 +26,7 @@ import numpy as np
 
 from nlpcheck import arc as arc_mod
 from nlpcheck import cones, cq, kkt
+from nlpcheck._sobol import MAXPOINTS
 from nlpcheck._version import __version__
 from nlpcheck.expr import DomainError
 from nlpcheck.model import Problem, ProblemError, evaluate_point, feasibility, load_problem
@@ -144,8 +145,10 @@ def _validate(config: RunConfig, n: int, x: np.ndarray) -> None:
         raise InputError(f"arc points must be odd and >= 5, got {config.arc_points}")
     if not 0.0 < config.delta < math.inf:
         raise InputError(f"delta must be positive and finite, got {config.delta}")
-    if config.samples < 0:
-        raise InputError(f"samples per radius must be >= 0, got {config.samples}")
+    if not 0 <= config.samples <= MAXPOINTS:
+        raise InputError(
+            f"samples per radius must be between 0 and 2**30, got {config.samples}"
+        )
     if not config.radii or not all(0.0 < r < math.inf for r in config.radii):
         raise InputError(f"radii must be positive and finite, got {list(config.radii)}")
     for name in ("tol_rank", "tol_dir", "newton_tol", "verify_tol"):

@@ -12,16 +12,19 @@ of the minimum is decided on unit vectors.  A constrained minimizer on the
 cone is an eigenvector of the Hessian restricted to the span of the face it
 lies on, so enumerating faces (subsets of inequality rows turned into
 equalities) and solving a small symmetric eigenproblem per face certifies
-the global minimum whenever the face count is tractable.  The faces depend
-only on the cone, so several forms over one cone (one per multiplier in
-the second-order check) share a single enumeration: each face's nullspace
-basis is computed once and all forms restricted to it are solved in one
-batched eigenproblem.
+the global minimum whenever the face count is tractable.  A cone without
+inequality rows is a subspace with a single face.  The faces depend only on
+the cone, so several forms over one cone (one per multiplier in the
+second-order check) share a single enumeration: each face's nullspace basis
+is computed once and all forms restricted to it are solved in one batched
+eigenproblem.
 
 When no face yields a feasible eigenvector, or the inequality rows are too
-many to enumerate, one box-bounded LP per coordinate decides whether the
-cone is {0}; a {0} cone gives the certified minimum 0 (``"zero-cone"``).
-Only a nonzero cone falls through to the uncertified sampled search.
+many to enumerate, one box-bounded LP per coordinate and sign decides
+whether the cone is {0}; a {0} cone gives the certified minimum 0
+(``"zero-cone"``).  A nonzero cone is then reported ``"uncertified"``:
+nothing short of the face enumeration certifies its minimum, and an
+uncertified value could change no second-order verdict.
 """
 
 from __future__ import annotations
@@ -30,7 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from nlpcheck.linalg import min_eig_sym, nullspace_basis, simplex_lp
+from nlpcheck.linalg import nullspace_basis, simplex_lp
 from nlpcheck.model import PointData
 
 __all__ = [
@@ -44,6 +47,9 @@ __all__ = [
     "min_quadratic_on_cone",
     "min_quadratics_on_cone",
 ]
+
+_FACIAL_LIMIT = 16  # most inequality rows whose 2^k_in faces are enumerated
+_TOL = 1e-8  # how far an eigenvector may violate the remaining rows
 
 
 @dataclass
@@ -134,11 +140,12 @@ def membership(cone: ConeRep, d, tol: float = 1e-8) -> bool:
     return True
 
 
-def _project_into_rows(z: np.ndarray, R: np.ndarray, max_iter: int = 80) -> np.ndarray:
-    """Cyclic projection of ``z`` onto {z : R z <= 0} (most-violated first)."""
+def _project_into_rows(z: np.ndarray, R: np.ndarray) -> np.ndarray:
+    """Cyclic projection of ``z`` onto {z : R z <= 0} (most-violated row
+    first, at most 80 steps)."""
     if R.shape[0] == 0:
         return z
-    for _ in range(max_iter):
+    for _ in range(80):
         v = R @ z
         worst = int(np.argmax(v))
         if v[worst] <= 1e-15:
@@ -193,88 +200,53 @@ def sample_directions(
 class QuadOnConeResult:
     """Minimum of d^T H d over unit cone members, with the method used.
 
-    ``certified`` is True only for the exact paths: the subspace
-    eigenproblem, full facial enumeration, or a cone certified to be {0}
-    (``"zero-cone"``, where the form vanishes identically).  The sampled
-    fallback reports the best value found without any optimality guarantee.
+    ``"facial-enumeration"`` and ``"zero-cone"`` (a cone certified to be
+    {0}, where the form vanishes identically) are certified.  A nonzero cone
+    with more than ``_FACIAL_LIMIT`` inequality rows, or one where no face
+    yields a feasible eigenvector, gives ``"uncertified"``: ``min_value`` 0
+    at the zero witness, which carries no information about the minimum.
     """
 
     min_value: float
     witness: np.ndarray
-    method: str  # "exact-subspace" | "facial-enumeration" | "zero-cone" | "sampled"
+    method: str  # "facial-enumeration" | "zero-cone" | "uncertified"
     certified: bool
 
 
-def _is_zero_cone(cone: ConeRep) -> bool:
-    """True when the cone is certified to be {0}.
+def _box_maxima(A_ub: np.ndarray, A_eq: np.ndarray):
+    """Maximize each coordinate, with either sign, over
+    {z : A_ub z <= 0, A_eq z = 0} intersected with [-1, 1]^q.
 
-    One box-bounded LP per coordinate and sign maximizes that coordinate
-    over the cone intersected with [-1, 1]^n.  A nonzero member scaled to
-    unit infinity norm reaches 1 in some coordinate, so the cone is {0}
-    exactly when every optimum is 0; any LP that does not solve leaves the
-    cone uncertified.
+    Yields one ``simplex_lp`` result per coordinate and sign, in that
+    order, and solves each LP only when it is asked for.  The value of
+    each result is minus the maximum.  A nonzero member of the cone scaled
+    to unit infinity norm reaches 1 in some coordinate, so the cone is {0}
+    exactly when every maximum is 0.
     """
-    n = cone.n
-    for j in range(n):
+    q = A_ub.shape[1]
+    for j in range(q):
         for sign in (1.0, -1.0):
-            c = np.zeros(n)
+            c = np.zeros(q)
             c[j] = -sign
-            res = simplex_lp(
+            yield simplex_lp(
                 c,
-                A_ub=cone.a_in,
-                b_ub=np.zeros(cone.a_in.shape[0]),
-                A_eq=cone.a_eq,
-                b_eq=np.zeros(cone.a_eq.shape[0]),
-                bounds=[(-1.0, 1.0)] * n,
+                A_ub=A_ub,
+                b_ub=np.zeros(A_ub.shape[0]),
+                A_eq=A_eq,
+                b_eq=np.zeros(A_eq.shape[0]),
+                bounds=[(-1.0, 1.0)] * q,
             )
-            if res.status != "optimal" or -res.value > 1e-6:
-                return False
-    return True
 
 
-def _sampled_minimum(
-    H: np.ndarray, cone: ConeRep, tol: float, dirs: list[np.ndarray]
-) -> QuadOnConeResult:
-    if not dirs:
-        return QuadOnConeResult(0.0, np.zeros(cone.n), "sampled", False)
-    best_d = dirs[0]
-    best_v = float(best_d @ H @ best_d)
-    for d in dirs[1:]:
-        v = float(d @ H @ d)
-        if v < best_v:
-            best_v, best_d = v, d
-    B = nullspace_basis(cone.a_eq if cone.a_eq.shape[0] else np.zeros((0, cone.n)))
-    R = cone.a_in @ B if cone.a_in.shape[0] else np.zeros((0, B.shape[1]))
-    z = B.T @ best_d
-    eta = 0.5
-    for _ in range(100):
-        g = 2.0 * (B.T @ (H @ (B @ z)))
-        z_new = _project_into_rows(z - eta * g, R)
-        nz = float(np.linalg.norm(z_new))
-        if nz < 1e-12:
-            eta *= 0.5
-            continue
-        z_new = z_new / nz
-        d_new = B @ z_new
-        v_new = float(d_new @ H @ d_new)
-        if v_new < best_v - 1e-15 and membership(cone, d_new, tol):
-            best_v, best_d, z = v_new, d_new, z_new
-        else:
-            eta *= 0.5
-            if eta < 1e-8:
-                break
-    return QuadOnConeResult(best_v, best_d, "sampled", False)
+def _is_zero_cone(cone: ConeRep) -> bool:
+    """True when the cone is certified to be {0}: every box maximum is 0.
 
-
-def _uncertified_minima(
-    Hs: list[np.ndarray], cone: ConeRep, tol: float, seed: int
-) -> list[QuadOnConeResult]:
-    """Fallback for forms no exact path settled: certify a {0} cone, else
-    sample (one draw set shared by every form)."""
-    if _is_zero_cone(cone):
-        return [QuadOnConeResult(0.0, np.zeros(cone.n), "zero-cone", True) for _ in Hs]
-    dirs = sample_directions(cone, 512, seed, tol)
-    return [_sampled_minimum(H, cone, tol, dirs) for H in Hs]
+    Any LP that does not solve leaves the cone uncertified.
+    """
+    return all(
+        res.status == "optimal" and -res.value <= 1e-6
+        for res in _box_maxima(cone.a_in, cone.a_eq)
+    )
 
 
 def _checked_form(H, n: int) -> np.ndarray:
@@ -287,63 +259,36 @@ def _checked_form(H, n: int) -> np.ndarray:
     return H
 
 
-def min_quadratic_on_cone(
-    H,
-    cone: ConeRep,
-    tol: float = 1e-8,
-    facial_limit: int = 16,
-    seed: int = 0,
-) -> QuadOnConeResult:
+def min_quadratic_on_cone(H, cone: ConeRep) -> QuadOnConeResult:
     """Minimize ``d^T H d`` over unit-norm members of the cone.
 
     The single-form case of :func:`min_quadratics_on_cone`.
     """
-    return min_quadratics_on_cone([H], cone, tol, facial_limit, seed)[0]
+    return min_quadratics_on_cone([H], cone)[0]
 
 
-def min_quadratics_on_cone(
-    Hs,
-    cone: ConeRep,
-    tol: float = 1e-8,
-    facial_limit: int = 16,
-    seed: int = 0,
-) -> list[QuadOnConeResult]:
+def min_quadratics_on_cone(Hs, cone: ConeRep) -> list[QuadOnConeResult]:
     """Minimize each ``d^T H d`` over unit-norm members of the cone.
 
-    With no inequality rows the cone is a subspace and one restricted
-    eigenproblem per form is exact.  With at most ``facial_limit``
-    inequality rows every face is enumerated once for all forms: rows in
-    the chosen subset become equalities, every form restricted to the
-    resulting subspace is minimized by its smallest eigenpair (one batched
-    eigenproblem per face), and the eigenvector (either sign) is kept if it
-    satisfies the remaining inequalities at ``tol``.  A form for which no
-    face yields a feasible eigenvector, and every form beyond the limit,
-    goes to the fallback: a cone certified to be {0} gives a certified
-    zero minimum; otherwise a sampled search runs and the result is
-    flagged uncertified.  Results are returned in the order of ``Hs``.
+    With at most ``_FACIAL_LIMIT`` inequality rows every face is enumerated
+    once for all forms: rows in the chosen subset become equalities, every
+    form restricted to the resulting subspace is minimized by its smallest
+    eigenpair (one batched eigenproblem per face), and the eigenvector
+    (either sign) is kept if it satisfies the remaining inequalities at
+    ``_TOL``.  A cone without inequality rows is a subspace, so its one
+    face gives the exact minimum.  A form for which no face yields a
+    feasible eigenvector, and every form beyond the limit, gets the
+    certified zero minimum when the cone is {0} and an uncertified result
+    otherwise.  Results are returned in the order of ``Hs``.
     """
     Hs = [_checked_form(H, cone.n) for H in Hs]
     if not Hs:
         return []
     k_in = cone.a_in.shape[0]
-    if k_in == 0:
-        B = nullspace_basis(cone.a_eq if cone.a_eq.shape[0] else np.zeros((0, cone.n)))
-        if B.shape[1] == 0:
-            # the cone is {0}; the quadratic is identically zero on it
-            return [
-                QuadOnConeResult(0.0, np.zeros(cone.n), "exact-subspace", True) for _ in Hs
-            ]
-        out = []
-        for H in Hs:
-            theta, v = min_eig_sym(B.T @ H @ B)
-            out.append(QuadOnConeResult(theta, B @ v, "exact-subspace", True))
-        return out
-    if k_in > facial_limit:
-        return _uncertified_minima(Hs, cone, tol, seed)
-
-    H_stack = np.stack(Hs)
     best: list[QuadOnConeResult | None] = [None] * len(Hs)
-    for mask in range(1 << k_in):
+    faces = 1 << k_in if k_in <= _FACIAL_LIMIT else 0
+    H_stack = np.stack(Hs)
+    for mask in range(faces):
         rows = [cone.a_eq] if cone.a_eq.shape[0] else []
         pinned = [i for i in range(k_in) if mask >> i & 1]
         if pinned:
@@ -359,16 +304,17 @@ def min_quadratics_on_cone(
         for q, H in enumerate(Hs):
             if best[q] is not None and float(w[q, 0]) >= best[q].min_value:
                 continue
-            d = _feasible_in_eigenspace(B, w[q], V[q], A_rest, tol)
+            d = _feasible_in_eigenspace(B, w[q], V[q], A_rest, _TOL)
             if d is None:
                 continue
             best[q] = QuadOnConeResult(float(d @ H @ d), d, "facial-enumeration", True)
     missing = [q for q, res in enumerate(best) if res is None]
     if missing:
-        # no face produced a feasible eigenvector for these forms
-        fallback = _uncertified_minima([Hs[q] for q in missing], cone, tol, seed)
-        for q, res in zip(missing, fallback):
-            best[q] = res
+        zero = _is_zero_cone(cone)
+        for q in missing:
+            best[q] = QuadOnConeResult(
+                0.0, np.zeros(cone.n), "zero-cone" if zero else "uncertified", zero
+            )
     return best
 
 
@@ -386,8 +332,8 @@ def _feasible_in_eigenspace(
     columns of ``B``.  When the smallest eigenvalue is simple, only its
     eigenvector (either sign) can work.  Under multiplicity the minimizer
     may be any unit vector of the eigenspace, so after trying the computed
-    basis vectors a box-bounded LP per coordinate decides exactly whether
-    the eigenspace meets the remaining inequalities away from zero.
+    basis vectors the box maxima over the eigenspace decide exactly whether
+    it meets the remaining inequalities away from zero.
     """
     spread = 1e-10 * max(1.0, float(np.abs(w).max()))
     cluster = int(np.count_nonzero(w <= w[0] + spread))
@@ -399,20 +345,13 @@ def _feasible_in_eigenspace(
             return d
     if cluster == 1 or A_rest.shape[0] == 0:
         return None
-    E = B @ V[:, :cluster]  # (n, q) orthonormal
-    R = A_rest @ E
-    q = cluster
-    for j in range(q):
-        for sign in (1.0, -1.0):
-            c = np.zeros(q)
-            c[j] = -sign
-            res = simplex_lp(c, A_ub=R, b_ub=np.zeros(R.shape[0]), bounds=[(-1.0, 1.0)] * q)
-            if res.status != "optimal" or res.x is None:
-                continue
-            z = res.x
-            nz = float(np.linalg.norm(z))
-            if -res.value > 1e-6 and nz > 1e-9:
-                d = E @ (z / nz)
-                if not A_rest.shape[0] or float((A_rest @ d).max()) <= tol:
-                    return d
+    E = B @ V[:, :cluster]  # (n, cluster) orthonormal
+    for res in _box_maxima(A_rest @ E, np.zeros((0, cluster))):
+        if res.status != "optimal" or res.x is None:
+            continue
+        nz = float(np.linalg.norm(res.x))
+        if -res.value > 1e-6 and nz > 1e-9:
+            d = E @ (res.x / nz)
+            if float((A_rest @ d).max()) <= tol:
+                return d
     return None

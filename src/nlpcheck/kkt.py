@@ -205,8 +205,10 @@ def check_kkt(pd: PointData, mu, lam, tol: float = 1e-8) -> tuple[float, bool]:
 class SsoncReport:
     """SSONC outcome over the whole multiplier description.
 
-    ``results`` holds one entry per vertex and per ray with the certified
-    (or sampled) cone minimum of the relevant quadratic form; ``worst``
+    ``results`` holds one entry per vertex and per ray with the cone
+    minimum of the relevant quadratic form and the ``method`` that produced
+    it (``"facial-enumeration"``, ``"zero-cone"`` or ``"uncertified"``,
+    see :class:`nlpcheck.cones.QuadOnConeResult`); ``worst``
     names the entry with the smallest value.  ``status`` is "fails" when a
     certified minimum is below -1e-8, "holds-certified" when every entry is
     certified nonnegative at that tolerance and the multiplier description
@@ -219,7 +221,7 @@ class SsoncReport:
     rationale: str = ""
 
 
-def check_ssonc(pd: PointData, ms: MultiplierSet, facial_limit: int = 16) -> SsoncReport:
+def check_ssonc(pd: PointData, ms: MultiplierSet) -> SsoncReport:
     """Check the Lagrangian Hessian on the strong critical cone for every
     multiplier.
 
@@ -237,7 +239,7 @@ def check_ssonc(pd: PointData, ms: MultiplierSet, facial_limit: int = 16) -> Sso
     for kind, _, mu, lam in entries:
         H = lagrangian_hessian(pd, mu, lam)
         forms.append(H - pd.f_hess if kind == "ray" else H)
-    minima = min_quadratics_on_cone(forms, cone, facial_limit=facial_limit)
+    minima = min_quadratics_on_cone(forms, cone)
     results = [
         {
             "kind": kind,

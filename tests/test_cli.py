@@ -4,11 +4,14 @@ serialization, argument handling, and exit codes."""
 import csv
 import json
 import os
+import subprocess
+import sys
 import time
 
 import numpy as np
 import pytest
 
+import nlpcheck
 from nlpcheck import expr
 from nlpcheck.cli import (
     InputError,
@@ -258,6 +261,7 @@ class TestMain:
             (["--tol-active", "-1"], "tol_active must be >= 0"),
             (["--tol-active", "nan"], "tol_active must be >= 0 and finite"),
             (["--arc-sample", "-2"], "arc sample count must be >= 0"),
+            (["--samples", "2000000000"], "samples per radius must be between 0 and 2**30"),
         ],
     )
     def test_invalid_config_exit_two(self, flags, message, capsys):
@@ -342,6 +346,22 @@ class TestMain:
     def test_cli_defaults_are_run_config_defaults(self, tmp_path, capsys):
         out = tmp_path / "circle.json"
         assert main(["analyze", "builtin:circle", "--json", str(out)]) == 0
+        assert out.read_text() == report_to_json(run(RunConfig("builtin:circle")))
+
+    def test_module_entry_point(self, tmp_path):
+        # the package imports cli, so only ``python -m nlpcheck`` (not
+        # ``-m nlpcheck.cli``) runs main without runpy's RuntimeWarning
+        src = os.path.dirname(os.path.dirname(nlpcheck.__file__))
+        out = tmp_path / "circle.json"
+        proc = subprocess.run(
+            [sys.executable, "-W", "error::RuntimeWarning", "-m", "nlpcheck"]
+            + ["analyze", "builtin:circle", "--json", str(out)],
+            env={**os.environ, "PYTHONPATH": src},
+            capture_output=True,
+            text=True,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stderr == ""
         assert out.read_text() == report_to_json(run(RunConfig("builtin:circle")))
 
     def test_internal_failure_exit_three(self, monkeypatch, capsys):

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from nlpcheck import cones
 from nlpcheck.cones import (
     ConeRep,
     _is_zero_cone,
@@ -232,11 +233,16 @@ class TestMinQuadraticOnCone:
         scaled = min_quadratic_on_cone(3.0 * h, cone)
         assert_allclose(scaled.min_value, 3.0 * base.min_value, atol=1e-9)
 
-    def test_exact_subspace_path(self):
+    def test_subspace_is_one_face(self):
+        # no inequality rows: the face loop runs its single face
         cone = linearized_cone(circle_pd())
-        res = min_quadratic_on_cone(np.diag([-3.0, 5.0]), cone)
-        assert res.method == "exact-subspace"
+        h = np.diag([-3.0, 5.0])
+        res = min_quadratic_on_cone(h, cone)
+        value, witness = facial_minimum_oracle(h, cone)
+        assert res.method == "facial-enumeration"
         assert res.certified
+        assert res.min_value == value
+        assert np.array_equal(res.witness, witness)
         assert_allclose(res.min_value, 5.0, atol=1e-12)
 
     def test_halfspace_picks_feasible_sign(self):
@@ -263,21 +269,14 @@ class TestMinQuadraticOnCone:
         assert_allclose(res.min_value, 1.0, atol=1e-9)
         assert abs(res.witness[0]) <= 1e-6
 
-    def test_sampled_fallback_beyond_facial_limit(self):
-        from nlpcheck.cones import ConeRep
-
-        rows = np.tile([[0.0, -1.0]], (17, 1))
-        cone = ConeRep(
-            n=2,
-            a_eq=np.zeros((0, 2)),
-            a_in=rows,
-            provenance_eq=(),
-            provenance_in=tuple(f"g{i}" for i in range(1, 18)),
-        )
+    def test_nonzero_cone_beyond_facial_limit_is_uncertified(self):
+        # 17 copies of d2 >= 0: a half-plane, but too many rows to enumerate
+        cone = inequality_cone(np.tile([[0.0, -1.0]], (17, 1)))
         res = min_quadratic_on_cone(np.diag([1.0, -1.0]), cone)
         assert not res.certified
-        assert res.method == "sampled"
-        assert -1.0 - 1e-9 <= res.min_value <= -0.99
+        assert res.method == "uncertified"
+        assert res.min_value == 0.0
+        assert np.array_equal(res.witness, np.zeros(2))
 
     def test_asymmetric_rejected(self):
         with pytest.raises(ValueError):
@@ -381,6 +380,22 @@ class TestMinQuadraticsOnCone:
                 [np.eye(3), np.array([[0.0, 1.0, 0.0], [0.0, 0.0, 0.0], [0.0, 0.0, 0.0]])],
                 self.wedge(),
             )
+
+
+class TestFacialLimit:
+    def test_limit_is_inclusive(self, monkeypatch):
+        # the degenerate-eigenspace wedge has two inequality rows
+        cone = inequality_cone([[0.0, 1.0, -2.0], [0.0, -2.0, 1.0]])
+        h = np.diag([2.0, 1.0, 1.0])
+        monkeypatch.setattr(cones, "_FACIAL_LIMIT", 2)
+        at = min_quadratic_on_cone(h, cone)
+        assert at.method == "facial-enumeration"
+        assert at.certified
+        assert at.min_value == facial_minimum_oracle(h, cone)[0]
+        monkeypatch.setattr(cones, "_FACIAL_LIMIT", 1)
+        over = min_quadratic_on_cone(h, cone)
+        assert over.method == "uncertified"
+        assert not over.certified
 
 
 class TestZeroCone:

@@ -5,6 +5,7 @@ systems; the second-order verdicts against the closed-form cone minima
 of the two tangent fixtures.
 """
 
+import json
 import math
 
 import numpy as np
@@ -68,6 +69,22 @@ def fan_problem(K, curvature=False):
             row += f" - {(k % 3) + 1}*(x4^2 + x5^2)"
         lines.append(f"ineq {row}")
     lines.append("point " + " ".join(["0"] * n))
+    return "\n".join(lines) + "\n"
+
+
+def planes_problem(K):
+    """K planes ``cos(tk) x1 + sin(tk) x2 - x3 + x1^2 <= 0``, tk = 2 pi k / K,
+    with objective ``-x1^2 - x2^2 - x3^2``.
+
+    The objective gradient vanishes, so the only multiplier is 0 and the
+    strong critical cone is the nonzero cone ``cos(tk) d1 + sin(tk) d2 <=
+    d3``, cut out by K + 1 inequality rows.
+    """
+    lines = ["vars 3", "objective -x1^2 - x2^2 - x3^2"]
+    for k in range(K):
+        t = 2.0 * math.pi * k / K
+        lines.append(f"ineq {math.cos(t)!r}*x1 + ({math.sin(t)!r})*x2 - x3 + x1^2")
+    lines.append("point 0 0 0")
     return "\n".join(lines) + "\n"
 
 
@@ -361,3 +378,29 @@ class TestZeroCone:
             assert entry["certified"]
             assert entry["min_value"] == 0.0
             assert entry["witness_direction"] == [0.0] * 3
+
+
+class TestBeyondFacialLimit:
+    """A nonzero strong critical cone with more rows than the face loop
+    enumerates has no certified minimum, so SSONC stays undetermined."""
+
+    def test_uncertified_entries(self):
+        pd = problem_pd(planes_problem(18))
+        assert strong_critical_cone(pd).a_in.shape[0] > cones._FACIAL_LIMIT
+        report = check_ssonc(pd, solve_multipliers(pd))
+        assert report.status == "undetermined"
+        assert report.results
+        for entry in report.results:
+            assert entry["method"] == "uncertified"
+            assert not entry["certified"]
+            assert entry["min_value"] == 0.0
+            assert recheck_ssonc_witness(pd, entry) == entry["min_value"]
+
+    def test_cli_exit_zero(self, tmp_path, capsys):
+        path = tmp_path / "planes.prob"
+        path.write_text(planes_problem(18))
+        out = tmp_path / "report.json"
+        assert main(["analyze", str(path), "--json", str(out)]) == 0
+        ssonc = json.loads(out.read_text())["ssonc"]
+        assert ssonc["status"] == "undetermined"
+        assert [r["method"] for r in ssonc["results"]] == ["uncertified"]
