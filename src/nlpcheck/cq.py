@@ -15,8 +15,12 @@ Four classical qualifications are covered, in decreasing strength:
 * RCRCQ: same, but only subsets that contain every equality gradient.
 
 Both rank scans come from one sampled pass (:func:`check_rank_constancy`).
-The gradient tables at the center and at every sample are built once, and
-one stacked SVD per subset pair ranks them all.  The RCRCQ pairs are the
+The gradient tables at the center and at every sample are built once.
+Where a table has no more rows than columns, one batched SVD of all of
+them finds the points whose smallest singular value clears twice the rank
+tolerance; by interlacing, every subset of rows has full rank there.  Each
+subset pair is then ranked by one stacked SVD over the remaining points
+only, and needs none when every point is settled.  The RCRCQ pairs are the
 CRCQ pairs that contain every equality, so a pair both scans reach is
 ranked once.  When a scan's pair count times the number of points exceeds
 ``2^20``, that scan is cut to the pairs of total size <= 2 plus the full
@@ -87,17 +91,21 @@ class NeighborhoodSampler:
     samples_per_radius: int = 64
     seed: int = 0
 
-    def points(self, center) -> Iterator[tuple[float, int, np.ndarray]]:
-        """Yield (radius, sample_index, point) in deterministic order."""
+    def shells(self, center) -> Iterator[tuple[float, np.ndarray]]:
+        """Yield (radius, points) per shell; ``points`` has one row per sample."""
         center = np.asarray(center, dtype=float)
         count = int(self.samples_per_radius)
         if count <= 0:
             return
         for shell, radius in enumerate(self.radii):
             u = scrambled_sobol(center.size, count, [self.seed, shell])
-            pts = center + radius * (2.0 * u - 1.0)
-            for idx in range(count):
-                yield float(radius), idx, pts[idx]
+            yield float(radius), center + radius * (2.0 * u - 1.0)
+
+    def points(self, center) -> Iterator[tuple[float, int, np.ndarray]]:
+        """Yield (radius, sample_index, point) in deterministic order."""
+        for radius, pts in self.shells(center):
+            for idx in range(len(pts)):
+                yield radius, idx, pts[idx]
 
 
 def check_licq(pd: PointData, tol_rank: float = 1e-8) -> Verdict:
@@ -221,6 +229,24 @@ def _scan_pairs(
     return pairs, partial
 
 
+def _settled(stack: np.ndarray, tol_rank: float) -> np.ndarray:
+    """Points of a ``(points, rows, n)`` stack where every row subset has full rank.
+
+    With ``rows <= n``, a point is settled when ``sigma_min > (2 tol_rank +
+    1e-12) sigma_max``.  Deleting rows only raises the smallest singular
+    value and lowers the largest (interlacing), so every nonempty subset S
+    there has numerical rank |S| by the rule of :func:`numerical_rank`.  The
+    factor 2 and the 1e-12 leave room for LAPACK's rounding error and for
+    tiny ``tol_rank``.  Nothing is settled when ``rows > n``, when there are
+    no rows, or when an entry is not finite.
+    """
+    rows, n = stack.shape[1:]
+    if not 0 < rows <= n or not np.isfinite(stack).all():
+        return np.zeros(len(stack), dtype=bool)
+    s = np.linalg.svd(stack, compute_uv=False)
+    return s[:, -1] > (2.0 * tol_rank + 1e-12) * s[:, 0]
+
+
 def check_rank_constancy(
     problem: Problem,
     pd: PointData,
@@ -231,24 +257,38 @@ def check_rank_constancy(
 
     Gradient tables at the center and at every sample are built once, into
     one stack: each function's tape runs once over all samples (batched
-    mode), and samples where any gradient leaves its domain are skipped.  A
-    subset pair's ranks at all points come from one stacked SVD and are
-    shared by both scans.  Each scan's first mismatch (by pair, then radius,
-    then sample index) becomes its certificate.
+    mode), and samples where any gradient leaves its domain or overflows are
+    skipped.  One batched SVD of the whole stack finds the settled
+    points (:func:`_settled`), where every subset pair has full rank.  A
+    pair's ranks at the other points come from one stacked SVD and are
+    shared by both scans; when every point is settled, no pair needs an SVD.
+    Each scan's first mismatch (by pair, then radius, then sample index)
+    becomes its certificate.
     """
     active = pd.active
     tapes = [problem.ineq_tapes[i - 1] for i in active] + list(problem.eq_tapes)
-    points = list(sampler.points(pd.x))
-    X = np.array([pt for _, _, pt in points]).reshape(len(points), pd.n)
-    grads = np.empty((len(points), len(tapes), pd.n))
-    ok = np.ones(len(points), dtype=bool)
+    count = max(int(sampler.samples_per_radius), 0)
+    X = np.empty((len(sampler.radii) * count, pd.n))
+    for shell, (_, pts) in enumerate(sampler.shells(pd.x)):
+        X[shell * count : (shell + 1) * count] = pts
+    stack = np.empty((1 + len(X), len(tapes), pd.n))  # (1 + samples, rows, n)
+    stack[0] = np.vstack([pd.active_g_grads(), pd.h_grads])
+    keep = np.ones(len(stack), dtype=bool)
     for k, tape in enumerate(tapes):
-        _, grads[:, k], fine = tape.gradients(X)
-        ok &= fine
-    used = [point for point, fine in zip(points, ok) if fine]
-    skipped = len(points) - len(used)
-    center = np.vstack([pd.active_g_grads(), pd.h_grads])
-    stack = np.concatenate([center[None], grads[ok]])  # (1 + samples, rows, n)
+        _, grads, fine = tape.gradients(X)
+        stack[1:, k] = grads
+        keep[1:] &= fine
+    # a table entry above this bound, or not finite, could overflow the largest
+    # singular value (at most sqrt(rows * n) times that entry), which would
+    # zero the sample's rank; such a sample is skipped like a domain failure
+    limit = np.finfo(float).max / np.sqrt(max(stack[0].size, 1))
+    keep[1:] &= (np.abs(stack[1:]) <= limit).all(axis=(1, 2))
+    kept = np.flatnonzero(keep[1:])  # sample of each stacked point after the center
+    if kept.size < len(X):
+        stack = stack[keep]
+    settled = _settled(stack, tol_rank)
+    loose_at = np.flatnonzero(~settled) if settled.any() else None
+    loose = stack[loose_at] if loose_at is not None else None
     pos = {label: k for k, label in enumerate(active)}
     mismatch: dict = {}  # (I, J) -> (ranks at all points, first sample that differs) or None
 
@@ -261,8 +301,8 @@ def check_rank_constancy(
             "samples_per_radius": sampler.samples_per_radius,
             "seed": sampler.seed,
             "subsets_scanned": len(pairs),
-            "samples_used": len(used),
-            "samples_skipped_domain": skipped,
+            "samples_used": int(kept.size),
+            "samples_skipped_domain": len(X) - int(kept.size),
             "tol_rank": tol_rank,
             "partial": partial,
         }
@@ -270,20 +310,25 @@ def check_rank_constancy(
         for I, J in pairs:
             if (I, J) not in mismatch:
                 sel = [pos[i] for i in I] + [len(active) + (j - 1) for j in J]
-                ranks = stacked_rank(stack[:, sel], tol_rank)
+                if loose_at is None:
+                    ranks = stacked_rank(stack[:, sel], tol_rank)
+                else:
+                    ranks = np.full(len(stack), len(sel))
+                    if loose_at.size:
+                        ranks[loose_at] = stacked_rank(loose[:, sel], tol_rank)
                 differ = np.flatnonzero(ranks[1:] != ranks[0])
                 mismatch[I, J] = (ranks, int(differ[0])) if differ.size else None
             if mismatch[I, J] is not None:
                 ranks, k = mismatch[I, J]
-                radius, idx, pt = used[k]
+                shell, idx = divmod(int(kept[k]), count)
                 certificate = {
                     "ineq_subset": list(I),
                     "eq_subset": list(J),
                     "center": [float(v) for v in pd.x],
                     "center_rank": int(ranks[0]),
-                    "witness": [float(v) for v in pt],
+                    "witness": [float(v) for v in X[kept[k]]],
                     "witness_rank": int(ranks[k + 1]),
-                    "radius": radius,
+                    "radius": float(sampler.radii[shell]),
                     "sample_index": idx,
                     "tol_rank": tol_rank,
                 }

@@ -198,7 +198,8 @@ def rank_scan_oracle(problem, x, sampler, tol_active=1e-8, tol_rank=1e-8, budget
 
     Every subset pair is enumerated and sorted before the budget cut; each
     matrix at the center and at every sample gets its own SVD, and each
-    scan stops at its first mismatch.  Returns ``{"crcq": (status,
+    scan stops at its first mismatch.  Samples whose gradients leave the
+    domain or are too large for an SVD are skipped.  Returns ``{"crcq": (status,
     certificate, evidence), "rcrcq": ...}`` in the library's layout.
     """
     from nlpcheck.expr import DomainError, grad_hess
@@ -220,7 +221,11 @@ def rank_scan_oracle(problem, x, sampler, tol_active=1e-8, tol_rank=1e-8, budget
             rows += [grad_hess(e, pt).grad for e in problem.eq]
         except DomainError:
             return None
-        return np.array(rows, dtype=float).reshape(len(rows), problem.n)
+        tab = np.array(rows, dtype=float).reshape(len(rows), problem.n)
+        # an entry this large could overflow the largest singular value
+        if not (np.abs(tab) <= np.finfo(float).max / math.sqrt(max(tab.size, 1))).all():
+            return None
+        return tab
 
     center = table(x)
     points = list(sampler.points(x))

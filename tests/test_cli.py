@@ -304,6 +304,16 @@ class TestMain:
         notes = [e.get("note", "") for e in report["arcs"]["entries"]]
         assert any("exp overflows" in note for note in notes)
 
+    @pytest.mark.parametrize(
+        "name, radii", [("circle", "1e308"), ("paper-example-1", "1e-2,1e308")]
+    )
+    def test_gradient_overflow_at_samples_exit_zero(self, name, radii, tmp_path, capsys):
+        # gradients 2 x overflow on the 1e308 shell; those samples are skipped
+        out = tmp_path / "huge.json"
+        assert main(["analyze", f"builtin:{name}", "--radii", radii, "--json", str(out)]) == 0
+        evidence = json.loads(out.read_text())["constraint_qualifications"]["crcq"]["evidence"]
+        assert 0 < evidence["samples_skipped_domain"] <= 64
+
     def test_deep_sum_exit_zero(self, tmp_path, capsys):
         path = tmp_path / "deep.prob"
         terms = " + ".join(["x1"] * 5000)

@@ -9,6 +9,7 @@ import os
 import subprocess
 import sys
 import time
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -28,11 +29,16 @@ from nlpcheck.cq import (
     recheck_rank_certificate,
 )
 from nlpcheck.expr import grad_hess
+from nlpcheck.linalg import numerical_rank, stacked_rank
 from nlpcheck.model import evaluate_point, load_problem
 from nlpcheck.problems import builtin_names, builtin_problem
 
 from _oracles import rank_scan_oracle
 from test_acceptance import BATTERY
+
+BENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "perfbench")
+sys.path.append(BENCH)
+import workloads  # noqa: E402
 
 
 def tangent_disks_pd():
@@ -314,6 +320,28 @@ class TestCrcqRcrcq:
         verdict = check_crcq(prob, np.zeros(1), NeighborhoodSampler(seed=0))
         assert verdict.status in ("fails", "undetermined")
 
+    @pytest.mark.parametrize(
+        "name, radii, used, skipped",
+        [("circle", (1e308,), 26, 38), ("paper-example-1", (1e-2, 1e308), 77, 51)],
+    )
+    def test_overflowing_gradients_skipped(self, name, radii, used, skipped):
+        # at radius 1e308 the gradient 2 x overflows to inf at some samples,
+        # and at others is finite but too large for its norm to be a double
+        prob = builtin_problem(name)
+        sampler = NeighborhoodSampler(radii=radii, seed=0)
+        tapes = list(prob.ineq_tapes) + list(prob.eq_tapes)
+        with np.errstate(over="ignore"):
+            infinite = sum(
+                not all(np.isfinite(t.gradient(x)[1]).all() for t in tapes)
+                for _, _, x in sampler.points(prob.point)
+            )
+            expected = rank_scan_oracle(prob, prob.point, sampler)
+        assert 0 < infinite < skipped
+        for key, verdict in _scans(prob, sampler).items():
+            evidence = verdict.evidence
+            assert (evidence["samples_used"], evidence["samples_skipped_domain"]) == (used, skipped)
+            assert _as_tuple(verdict) == expected[key], key
+
 
 def _scans(prob, sampler=None):
     sampler = sampler or NeighborhoodSampler(seed=0)
@@ -412,6 +440,101 @@ class TestRankConstancyEngine:
             assert verdict.status == "undetermined"
             assert verdict.evidence["partial"] is True
             assert verdict.evidence["subsets_scanned"] == 821
+
+
+def _near_tolerance(tol):
+    """Gradients (1, 0) and (1, 4 tol + x2) at the origin.
+
+    The stack ratio sigma_min / sigma_max is close to |4 tol + x2| / 2: 2 tol
+    at the center, between tol and 3 tol on a shell of radius 1.5 tol, and
+    below tol at part of a shell of radius 5 tol.
+    """
+    return load_problem(
+        f"vars 2\nobjective x1\nineq x1\nineq x1 + {4 * tol!r}*x2 + x2^2 / 2\npoint 0 0\n"
+    )
+
+
+class TestSettledPoints:
+    """Points whose full gradient table is well conditioned skip the pair SVDs."""
+
+    def test_settled_stacks_have_full_rank_subsets(self):
+        rng = np.random.default_rng(0)
+        seen = {"settled": 0, "settled near 2 tol": 0, "unsettled": 0}
+        for tol in (1e-8, 1e-4, 0.1):
+            for _ in range(12):
+                n = int(rng.integers(1, 6))
+                k = int(rng.integers(1, n + 1))
+                U = np.linalg.qr(rng.standard_normal((16, k, k)))[0]
+                V = np.linalg.qr(rng.standard_normal((16, n, k)))[0]
+                # half the stacks sit within 1e-6 (relative) of the 2 tol edge
+                ratio = np.where(
+                    np.arange(16) < 8,
+                    2 * tol * (1 + rng.uniform(-1e-6, 1e-6, 16)),
+                    tol ** rng.uniform(0, 1.2, 16),
+                )
+                s = np.sort(rng.uniform(ratio[:, None], 1.0, (16, k)), axis=1)[:, ::-1]
+                s[:, 0], s[:, -1] = 1.0, ratio if k > 1 else 1.0
+                scale = 10.0 ** rng.uniform(-3, 3, 16)
+                stack = scale[:, None, None] * (U * s[:, None, :]) @ V.transpose(0, 2, 1)
+                settled = cq._settled(stack, tol)
+                for A, done, r in zip(stack, settled, ratio):
+                    if not done:
+                        seen["unsettled"] += 1
+                        continue
+                    seen["settled"] += 1
+                    seen["settled near 2 tol"] += k > 1 and r < 2 * tol * (1 + 1e-5)
+                    for size in range(1, k + 1):
+                        for S in combinations(range(k), size):
+                            assert numerical_rank(A[list(S)], tol).rank == size
+        assert min(seen.values()) > 0, seen
+
+    def test_wide_empty_or_non_finite_stacks_never_settle(self):
+        assert cq._settled(np.eye(3)[None], 1e-8).all()
+        assert not cq._settled(np.eye(3)[None, :, :2], 1e-8).any()
+        assert not cq._settled(np.zeros((4, 0, 3)), 1e-8).any()
+        assert not cq._settled(np.full((1, 2, 3), np.inf), 1e-8).any()
+
+    @pytest.mark.parametrize("tol", [1e-8, 1e-3])
+    @pytest.mark.parametrize("radius, status", [(1.5, "undetermined"), (5.0, "fails")])
+    def test_partly_settled_scan_matches_oracle(self, tol, radius, status):
+        prob = _near_tolerance(tol)
+        sampler = NeighborhoodSampler(radii=(radius * tol,), seed=0)
+        tables = [
+            np.vstack([t.gradient(x)[1] for t in prob.ineq_tapes])
+            for x in [prob.point] + [x for _, _, x in sampler.points(prob.point)]
+        ]
+        s = np.linalg.svd(np.array(tables), compute_uv=False)
+        ratio = s[:, -1] / s[:, 0]
+        # the unsettled path runs at full-rank points, the settled one elsewhere
+        assert ((ratio > tol) & (ratio <= 2 * tol + 1e-12)).any()
+        assert (ratio > 2 * tol + 1e-12).any()
+        scans = check_rank_constancy(prob, evaluate_point(prob, prob.point), sampler, tol)
+        expected = rank_scan_oracle(prob, prob.point, sampler, tol_rank=tol)
+        for key in ("crcq", "rcrcq"):
+            assert scans[key].status == status
+            assert _as_tuple(scans[key]) == expected[key], key
+
+    @pytest.mark.parametrize(
+        "text, matrices",
+        [
+            (workloads.chain_text(7), 0),
+            # 130 pairs up to the first mismatch, each ranked at all 193 points,
+            # as the per-pair scan ranked them before points could settle
+            (workloads.fanfree_text(9), 130 * 193),
+        ],
+        ids=["chain-7", "fanfree-9"],
+    )
+    def test_pair_svds_only_at_unsettled_points(self, monkeypatch, text, matrices):
+        ranked = []
+
+        def counting(M, tol_rel):
+            ranked.append(len(M))
+            return stacked_rank(M, tol_rel)
+
+        monkeypatch.setattr(cq, "stacked_rank", counting)
+        prob = load_problem(text)
+        _scans(prob)
+        assert sum(ranked) == matrices
 
 
 def _acq(problem: str, point, **kwargs) -> dict:

@@ -2,9 +2,10 @@
 
 ``perfbench/digests.json`` pins the SHA-256 of the JSON report of every
 benchmark instance at every configuration seed.  This test rebuilds the
-17 ``fixtures`` instances and ``chain-7`` from ``perfbench/workloads.py``
-the way ``perfbench/run.py`` does, at seed 0, and compares their digests
-with the pinned ones.  Both files are only read.  Generated problems are
+17 ``fixtures`` instances and the three ``rank-scan`` instances (chain-7,
+chain-8 and chain-9) from ``perfbench/workloads.py`` the way
+``perfbench/run.py`` does, at seed 0, and compares their digests with the
+pinned ones.  Both files are only read.  Generated problems are
 written under a temporary working directory at the relative path the
 benchmark uses, because that path is the report's ``problem.reference``.
 """
@@ -27,12 +28,12 @@ with open(os.path.join(BENCH, "digests.json"), encoding="utf-8") as fh:
     PINNED = json.load(fh)
 
 CASES = [("fixtures", inst) for inst in workloads.instances("fixtures")] + [
-    ("rank-scan", inst) for inst in workloads.instances("rank-scan") if inst.name == "chain-7"
+    ("rank-scan", inst) for inst in workloads.instances("rank-scan")
 ]
 
 
 def test_case_list():
-    assert len(CASES) == 18
+    assert len(CASES) == 20
     assert all(f"{w}/{inst.name}/seed=0" in PINNED for w, inst in CASES)
 
 
