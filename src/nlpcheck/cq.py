@@ -91,21 +91,15 @@ class NeighborhoodSampler:
     samples_per_radius: int = 64
     seed: int = 0
 
-    def shells(self, center) -> Iterator[tuple[float, np.ndarray]]:
-        """Yield (radius, points) per shell; ``points`` has one row per sample."""
+    def shells(self, center) -> Iterator[np.ndarray]:
+        """Yield one ``(samples_per_radius, n)`` array of points per radius, in order."""
         center = np.asarray(center, dtype=float)
         count = int(self.samples_per_radius)
         if count <= 0:
             return
         for shell, radius in enumerate(self.radii):
             u = scrambled_sobol(center.size, count, [self.seed, shell])
-            yield float(radius), center + radius * (2.0 * u - 1.0)
-
-    def points(self, center) -> Iterator[tuple[float, int, np.ndarray]]:
-        """Yield (radius, sample_index, point) in deterministic order."""
-        for radius, pts in self.shells(center):
-            for idx in range(len(pts)):
-                yield radius, idx, pts[idx]
+            yield center + radius * (2.0 * u - 1.0)
 
 
 def check_licq(pd: PointData, tol_rank: float = 1e-8) -> Verdict:
@@ -269,7 +263,7 @@ def check_rank_constancy(
     tapes = [problem.ineq_tapes[i - 1] for i in active] + list(problem.eq_tapes)
     count = max(int(sampler.samples_per_radius), 0)
     X = np.empty((len(sampler.radii) * count, pd.n))
-    for shell, (_, pts) in enumerate(sampler.shells(pd.x)):
+    for shell, pts in enumerate(sampler.shells(pd.x)):
         X[shell * count : (shell + 1) * count] = pts
     stack = np.empty((1 + len(X), len(tapes), pd.n))  # (1 + samples, rows, n)
     stack[0] = np.vstack([pd.active_g_grads(), pd.h_grads])
@@ -286,14 +280,13 @@ def check_rank_constancy(
     kept = np.flatnonzero(keep[1:])  # sample of each stacked point after the center
     if kept.size < len(X):
         stack = stack[keep]
-    settled = _settled(stack, tol_rank)
-    loose_at = np.flatnonzero(~settled) if settled.any() else None
-    loose = stack[loose_at] if loose_at is not None else None
+    loose_at = np.flatnonzero(~_settled(stack, tol_rank))
+    loose = stack[loose_at]
     pos = {label: k for k, label in enumerate(active)}
     mismatch: dict = {}  # (I, J) -> (ranks at all points, first sample that differs) or None
 
     verdicts = {}
-    n_points = len(sampler.radii) * sampler.samples_per_radius + 1
+    n_points = 1 + len(X)
     for name, every_eq in (("crcq", False), ("rcrcq", True)):
         pairs, partial = _scan_pairs(active, tuple(range(1, pd.p + 1)), every_eq, n_points)
         evidence = {
@@ -310,12 +303,9 @@ def check_rank_constancy(
         for I, J in pairs:
             if (I, J) not in mismatch:
                 sel = [pos[i] for i in I] + [len(active) + (j - 1) for j in J]
-                if loose_at is None:
-                    ranks = stacked_rank(stack[:, sel], tol_rank)
-                else:
-                    ranks = np.full(len(stack), len(sel))
-                    if loose_at.size:
-                        ranks[loose_at] = stacked_rank(loose[:, sel], tol_rank)
+                ranks = np.full(len(stack), len(sel))
+                if loose_at.size:
+                    ranks[loose_at] = stacked_rank(loose[:, sel], tol_rank)
                 differ = np.flatnonzero(ranks[1:] != ranks[0])
                 mismatch[I, J] = (ranks, int(differ[0])) if differ.size else None
             if mismatch[I, J] is not None:

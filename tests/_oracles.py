@@ -193,6 +193,13 @@ def _svd_rank(M, tol_rel):
     return int(np.count_nonzero(s > (tol_rel * s[0] if s[0] > 0.0 else tol_rel)))
 
 
+def sample_points(sampler, center):
+    """Yield (radius, sample_index, point) over ``sampler.shells(center)``."""
+    for radius, pts in zip(sampler.radii, sampler.shells(center)):
+        for idx, pt in enumerate(pts):
+            yield float(radius), idx, pt
+
+
 def rank_scan_oracle(problem, x, sampler, tol_active=1e-8, tol_rank=1e-8, budget=1 << 20):
     """CRCQ and RCRCQ verdicts by the original per-matrix scan loop.
 
@@ -228,7 +235,7 @@ def rank_scan_oracle(problem, x, sampler, tol_active=1e-8, tol_rank=1e-8, budget
         return tab
 
     center = table(x)
-    points = list(sampler.points(x))
+    points = list(sample_points(sampler, x))
     samples = [(r, idx, pt, table(pt)) for r, idx, pt in points]
     samples = [s for s in samples if s[3] is not None]
 

@@ -33,7 +33,7 @@ from nlpcheck.linalg import numerical_rank, stacked_rank
 from nlpcheck.model import evaluate_point, load_problem
 from nlpcheck.problems import builtin_names, builtin_problem
 
-from _oracles import rank_scan_oracle
+from _oracles import rank_scan_oracle, sample_points
 from test_acceptance import BATTERY
 
 BENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "perfbench")
@@ -112,7 +112,7 @@ class TestSampler:
         sampler = NeighborhoodSampler(radii=(1e-2, 1e-3), samples_per_radius=16, seed=0)
         center = np.array([1.0, -2.0])
         seen = {1e-2: 0, 1e-3: 0}
-        for radius, idx, x in sampler.points(center):
+        for radius, idx, x in sample_points(sampler, center):
             seen[radius] += 1
             assert np.abs(x - center).max() <= radius + 1e-15
         assert seen == {1e-2: 16, 1e-3: 16}
@@ -121,14 +121,14 @@ class TestSampler:
         a = NeighborhoodSampler(seed=7)
         b = NeighborhoodSampler(seed=7)
         center = np.zeros(3)
-        for (r1, i1, x1), (r2, i2, x2) in zip(a.points(center), b.points(center)):
+        for (r1, i1, x1), (r2, i2, x2) in zip(sample_points(a, center), sample_points(b, center)):
             assert (r1, i1) == (r2, i2)
             assert np.array_equal(x1, x2)
 
     def test_seed_changes_stream(self):
         center = np.zeros(2)
-        xs0 = [x for _, _, x in NeighborhoodSampler(seed=0).points(center)]
-        xs1 = [x for _, _, x in NeighborhoodSampler(seed=1).points(center)]
+        xs0 = [x for _, _, x in sample_points(NeighborhoodSampler(seed=0), center)]
+        xs1 = [x for _, _, x in sample_points(NeighborhoodSampler(seed=1), center)]
         assert not np.array_equal(np.array(xs0), np.array(xs1))
 
 
@@ -152,7 +152,7 @@ class TestSobol:
         from scipy.stats import qmc  # test-only dependency
         sampler = NeighborhoodSampler(radii=(1e-2, 1e-3), samples_per_radius=5, seed=3)
         center = np.array([1.0, -2.0, 0.5])
-        got = [x for _, _, x in sampler.points(center)]
+        got = [x for _, _, x in sample_points(sampler, center)]
         expected = []
         for shell, radius in enumerate(sampler.radii):
             rng = np.random.default_rng([sampler.seed, shell])
@@ -333,7 +333,7 @@ class TestCrcqRcrcq:
         with np.errstate(over="ignore"):
             infinite = sum(
                 not all(np.isfinite(t.gradient(x)[1]).all() for t in tapes)
-                for _, _, x in sampler.points(prob.point)
+                for _, _, x in sample_points(sampler, prob.point)
             )
             expected = rank_scan_oracle(prob, prob.point, sampler)
         assert 0 < infinite < skipped
@@ -501,7 +501,7 @@ class TestSettledPoints:
         sampler = NeighborhoodSampler(radii=(radius * tol,), seed=0)
         tables = [
             np.vstack([t.gradient(x)[1] for t in prob.ineq_tapes])
-            for x in [prob.point] + [x for _, _, x in sampler.points(prob.point)]
+            for x in [prob.point] + [x for _, _, x in sample_points(sampler, prob.point)]
         ]
         s = np.linalg.svd(np.array(tables), compute_uv=False)
         ratio = s[:, -1] / s[:, 0]
