@@ -33,12 +33,7 @@ import numpy as np
 
 from nlpcheck.cones import linearized_cone, membership
 from nlpcheck.expr import DomainError, Tape
-from nlpcheck.linalg import (
-    NewtonError,
-    newton_solve,
-    numerical_rank,
-    pivot_select,
-)
+from nlpcheck.linalg import NewtonError, newton_solve, numerical_rank, pivot_select
 from nlpcheck.model import PointData, Problem
 
 __all__ = [
@@ -130,6 +125,13 @@ def _component_tape(problem: Problem, comp: tuple[str, int]) -> Tape:
     return problem.eq_tapes[label - 1]
 
 
+def _center_jet(pd: PointData, comp: tuple[str, int]) -> tuple[float, np.ndarray]:
+    kind, label = comp
+    if kind == "ineq":
+        return pd.g_vals[label - 1], pd.g_grads[label - 1]
+    return pd.h_vals[label - 1], pd.h_grads[label - 1]
+
+
 def identity_chart(x) -> LocalChart:
     """Chart with no pinned constraints: the identity map.
 
@@ -151,21 +153,20 @@ def identity_chart(x) -> LocalChart:
     )
 
 
-def build_chart(
-    problem: Problem, x, pinned: PinnedSet, tol_rank: float = 1e-8
-) -> LocalChart:
-    """Select chart rows and variables at ``x`` by greedy pivoting.
+def build_chart(pd: PointData, pinned: PinnedSet, tol_rank: float = 1e-8) -> LocalChart:
+    """Select chart rows and variables at ``pd.x`` by greedy pivoting.
 
-    Rows of the pinned-constraint Jacobian are reduced to a spanning subset
-    xi of size equal to the numerical rank; then the variable block J is
-    chosen the same way from the xi rows.  Ties prefer earlier components
-    and earlier variables, so the selection is deterministic.
+    Rows of the pinned-constraint Jacobian (read from ``pd``) are reduced to
+    a spanning subset xi of size equal to the numerical rank; then the
+    variable block J is chosen the same way from the xi rows.  Ties prefer
+    earlier components and earlier variables, so the selection is
+    deterministic.
     """
-    x = np.asarray(x, dtype=float)
+    x = pd.x
     n = x.size
     if not pinned.components:
         return identity_chart(x)
-    jets = [_component_tape(problem, comp).gradient(x) for comp in pinned.components]
+    jets = [_center_jet(pd, comp) for comp in pinned.components]
     rows = np.vstack([g for _, g in jets])
     info = numerical_rank(rows, tol_rank)
     r = info.rank
@@ -247,20 +248,22 @@ class ArcResult:
 def trace_arc(
     problem: Problem,
     chart: LocalChart,
-    x,
     d,
     delta: float,
     samples: int = 41,
     newton_tol: float = 1e-12,
 ) -> ArcResult:
-    """March the arc zeta(t) over a symmetric grid by warm-started Newton.
+    """March the arc zeta(t) through the chart center over a symmetric grid
+    by warm-started Newton.
 
     ``samples`` must be odd and at least 5 so the grid contains t = 0 and
     enough symmetric pairs for derivative estimates.  Marching proceeds
-    outward from the center, each solve starting from its inner neighbour;
-    a failure truncates that side at the last good sample.
+    outward from the center, each solve starting from its inner neighbour's
+    evaluated state (the chart's own ``z_center`` and ``jac_center`` for the
+    first), so no point is evaluated twice; a failure truncates that side
+    at the last good sample.
     """
-    x = np.asarray(x, dtype=float)
+    x = chart.center
     d = np.asarray(d, dtype=float).ravel()
     if delta <= 0.0:
         raise ValueError("delta must be positive")
@@ -281,26 +284,19 @@ def trace_arc(
 
     def march(side: int) -> list[tuple[int, np.ndarray, np.ndarray, np.ndarray]]:
         out = []
-        prev = x
+        state = (x, chart.z_center, chart.jac_center)
         for k in range(1, half + 1):
             tk = side * delta * k / half
             target = chart.z_center + tk * step_z
             try:
-                pt = newton_solve(
-                    fun_jac,
-                    prev,
-                    target,
-                    tol=newton_tol,
-                    retry_exceptions=(DomainError,),
-                )
-                g, h = constraint_values(pt)
+                state = newton_solve(fun_jac, state, target, newton_tol)
+                g, h = constraint_values(state[0])
             except (NewtonError, DomainError) as exc:
                 notes.append(
                     f"side {side:+d} truncated at sample {k} (t = {tk:.6g}): {exc}"
                 )
                 break
-            out.append((side * k, pt, g, h))
-            prev = pt
+            out.append((side * k, state[0], g, h))
         return out
 
     neg = march(-1)
@@ -481,7 +477,7 @@ def arc_for_direction(
     except ValueError as exc:
         return DirectionArcReport(d, None, {}, None, None, error=str(exc))
     try:
-        chart = build_chart(problem, pd.x, pinned, tol_rank)
+        chart = build_chart(pd, pinned, tol_rank)
     except DegenerateRankError as exc:
         return DirectionArcReport(d, pinned, {}, None, None, error=str(exc))
     summary = {
@@ -498,7 +494,7 @@ def arc_for_direction(
     cur_delta = float(delta)
     arc = None
     for _ in range(_MAX_SHRINK + 1):
-        arc = trace_arc(problem, chart, pd.x, d, cur_delta, samples, newton_tol)
+        arc = trace_arc(problem, chart, d, cur_delta, samples, newton_tol)
         if not arc.truncated:
             break
         cur_delta *= 0.5

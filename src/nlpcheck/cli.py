@@ -29,6 +29,7 @@ from nlpcheck import cones, cq, kkt
 from nlpcheck._sobol import MAXPOINTS
 from nlpcheck._version import __version__
 from nlpcheck.expr import DomainError
+from nlpcheck.linalg import entry_bound
 from nlpcheck.model import Problem, ProblemError, evaluate_point, feasibility, load_problem
 from nlpcheck.problems import builtin_names, builtin_source
 
@@ -218,6 +219,12 @@ def run(config: RunConfig) -> dict:
         pd = evaluate_point(problem, x, config.tol_active)
     except DomainError as exc:
         raise InputError(f"point outside the problem domain: {exc}") from exc
+    # an overflowing sigma_max would give every rank decision rank 0
+    table = np.vstack([pd.active_g_grads(), pd.h_grads])
+    labels = [f"ineq {i}" for i in pd.active] + [f"eq {j}" for j in range(1, pd.p + 1)]
+    for label, ok in zip(labels, (np.abs(table) <= entry_bound(*table.shape)).all(axis=1)):
+        if not ok:
+            raise InputError(f"{label}: gradient at the point too large to rank")
     report["active_set"] = list(pd.active)
     report["objective_value"] = pd.f_val
 

@@ -45,7 +45,7 @@ from typing import Iterator
 import numpy as np
 
 from nlpcheck._sobol import scrambled_sobol
-from nlpcheck.linalg import numerical_rank, simplex_lp, stacked_rank
+from nlpcheck.linalg import entry_bound, numerical_rank, simplex_lp, stacked_rank
 from nlpcheck.model import PointData, Problem, evaluate_point
 
 __all__ = [
@@ -272,11 +272,9 @@ def check_rank_constancy(
         _, grads, fine = tape.gradients(X)
         stack[1:, k] = grads
         keep[1:] &= fine
-    # a table entry above this bound, or not finite, could overflow the largest
-    # singular value (at most sqrt(rows * n) times that entry), which would
-    # zero the sample's rank; such a sample is skipped like a domain failure
-    limit = np.finfo(float).max / np.sqrt(max(stack[0].size, 1))
-    keep[1:] &= (np.abs(stack[1:]) <= limit).all(axis=(1, 2))
+    # a sample whose table could overflow sigma_max (or is not finite) is
+    # skipped like a domain failure
+    keep[1:] &= (np.abs(stack[1:]) <= entry_bound(*stack.shape[1:])).all(axis=(1, 2))
     kept = np.flatnonzero(keep[1:])  # sample of each stacked point after the center
     if kept.size < len(X):
         stack = stack[keep]

@@ -47,6 +47,7 @@ __all__ = [
 ]
 
 _SSONC_NEG = -1e-8  # certified minima below this refute the condition
+_ENUM_LIMIT = 12  # most multipliers (active inequalities plus equalities) enumerated
 
 
 @dataclass
@@ -83,16 +84,14 @@ def _dedup_sorted(
     return kept
 
 
-def solve_multipliers(
-    pd: PointData, tol: float = 1e-8, enum_limit: int = 12
-) -> MultiplierSet:
+def solve_multipliers(pd: PointData, tol: float = 1e-8) -> MultiplierSet:
     """Describe the multiplier polyhedron by vertices and extreme rays.
 
     Enumeration runs over all subsets of active-inequality multipliers
     forced to zero; subsets whose remaining columns are independent and
     solve stationarity within 1e-8 give vertices, and subsets whose columns
     have a one-dimensional nullspace give ray candidates.  When the active
-    count plus equality count exceeds ``enum_limit`` (or the polyhedron has
+    count plus equality count exceeds ``_ENUM_LIMIT`` (or the polyhedron has
     no vertex at all) only the least-squares representative is reported and
     the result is flagged partial.
     """
@@ -122,13 +121,13 @@ def solve_multipliers(
     if residual > tol:
         ms.note = "stationarity unsolvable at tolerance; not a KKT point"
         return ms
-    if a + p > enum_limit:
+    if a + p > _ENUM_LIMIT:
         ms.vertices = [split(expand(y_probe))]
         ms.partial = True
         ms.bounded = False
         ms.note = (
             f"enumeration skipped ({a}+{p} multipliers exceeds the limit "
-            f"{enum_limit}); least-squares representative only"
+            f"{_ENUM_LIMIT}); least-squares representative only"
         )
         return ms
 

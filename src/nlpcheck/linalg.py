@@ -15,10 +15,13 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+from nlpcheck.expr import DomainError
+
 __all__ = [
     "RankInfo",
     "numerical_rank",
     "stacked_rank",
+    "entry_bound",
     "nullspace_basis",
     "pivot_select",
     "NewtonError",
@@ -32,6 +35,7 @@ __all__ = [
 ]
 
 _LP_TOL = 1e-9
+_NEWTON_MAX_ITER = 50
 
 
 def _as_matrix(M) -> np.ndarray:
@@ -47,20 +51,27 @@ def _as_matrix(M) -> np.ndarray:
 
 @dataclass
 class RankInfo:
-    """Numerical rank decision: rank, singular values, threshold used."""
+    """Numerical rank decision: rank and singular values."""
 
     rank: int
     magnitudes: np.ndarray  # singular values, non-increasing
-    tolerance_used: float
 
 
-def _rank_cut(s: np.ndarray, tol_rel: float) -> tuple[np.ndarray, np.ndarray]:
-    """Ranks and thresholds for singular values ``s`` (non-increasing along
-    the last axis): values above ``tol_rel * sigma_max`` count, and for an
-    exactly zero matrix the threshold degenerates to ``tol_rel`` itself."""
+def entry_bound(rows: int, cols: int) -> float:
+    """Largest entry magnitude a ``rows x cols`` matrix may have for its
+    rank to be decided: sigma_max is at most ``sqrt(rows * cols)`` times the
+    largest entry, and an overflowing sigma_max would turn every threshold
+    into inf and the rank into 0."""
+    return float(np.finfo(float).max / np.sqrt(max(rows * cols, 1)))
+
+
+def _rank_cut(s: np.ndarray, tol_rel: float) -> np.ndarray:
+    """Ranks for singular values ``s`` (non-increasing along the last axis):
+    values above ``tol_rel * sigma_max`` count, and for an exactly zero
+    matrix the threshold degenerates to ``tol_rel`` itself."""
     s_max = s[..., 0]
     threshold = np.where(s_max > 0.0, tol_rel * s_max, tol_rel)
-    return np.count_nonzero(s > threshold[..., None], axis=-1), threshold
+    return np.count_nonzero(s > threshold[..., None], axis=-1)
 
 
 def numerical_rank(M, tol_rel: float = 1e-8) -> RankInfo:
@@ -71,10 +82,9 @@ def numerical_rank(M, tol_rel: float = 1e-8) -> RankInfo:
     """
     M = _as_matrix(M)
     if min(M.shape) == 0:
-        return RankInfo(0, np.zeros(0), tol_rel)
+        return RankInfo(0, np.zeros(0))
     s = np.linalg.svd(M, compute_uv=False)
-    rank, threshold = _rank_cut(s, tol_rel)
-    return RankInfo(int(rank), s, float(threshold))
+    return RankInfo(int(_rank_cut(s, tol_rel)), s)
 
 
 def stacked_rank(M, tol_rel: float = 1e-8) -> np.ndarray:
@@ -88,7 +98,7 @@ def stacked_rank(M, tol_rel: float = 1e-8) -> np.ndarray:
         raise ValueError("matrix has non-finite entries")
     if min(M.shape[1:]) == 0:
         return np.zeros(M.shape[0], dtype=int)
-    return _rank_cut(np.linalg.svd(M, compute_uv=False), tol_rel)[0]
+    return _rank_cut(np.linalg.svd(M, compute_uv=False), tol_rel)
 
 
 def nullspace_basis(M, tol_rel: float = 1e-8) -> np.ndarray:
@@ -102,7 +112,7 @@ def nullspace_basis(M, tol_rel: float = 1e-8) -> np.ndarray:
     if rows == 0 or cols == 0:
         return np.eye(cols)
     _, s, Vh = np.linalg.svd(M)
-    rank = int(_rank_cut(s, tol_rel)[0])
+    rank = int(_rank_cut(s, tol_rel))
     return Vh[rank:].T.copy()
 
 
@@ -155,27 +165,26 @@ class NewtonConvergenceError(NewtonError):
 
 def newton_solve(
     fun_jac: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]],
-    x0,
+    start: tuple[np.ndarray, np.ndarray, np.ndarray],
     target,
     tol: float = 1e-12,
-    max_iter: int = 50,
-    retry_exceptions: tuple[type, ...] = (),
-) -> np.ndarray:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Solve ``F(x) = target`` by damped Newton steps.
 
-    ``fun_jac(x)`` returns ``(F(x), J(x))``.  Full steps are halved (up to 30
-    times) until the max-norm residual decreases; exceptions listed in
-    ``retry_exceptions`` raised at a trial point are treated like a residual
+    ``fun_jac(x)`` returns ``(F(x), J(x))``, and ``start`` is an evaluated
+    point ``(x, F(x), J(x))``; the same triple is returned at the solution,
+    so a warm-started caller never evaluates a point twice.  Full steps are
+    halved (up to 30 times) until the max-norm residual decreases; a
+    :class:`DomainError` raised at a trial point is treated like a residual
     increase, which lets callers step around domain boundaries.  For an
     affine ``F`` the first full step lands on the solution exactly.
     """
-    x = np.array(x0, dtype=float)
+    x, F, J = start
     target = np.asarray(target, dtype=float)
-    F, J = fun_jac(x)
     res = float(np.abs(F - target).max(initial=0.0))
-    for _ in range(max_iter):
+    for _ in range(_NEWTON_MAX_ITER):
         if res <= tol:
-            return x
+            return x, F, J
         try:
             step = np.linalg.solve(J, target - F)
         except np.linalg.LinAlgError as exc:
@@ -183,28 +192,26 @@ def newton_solve(
         if not np.isfinite(step).all():
             raise SingularJacobianError("non-finite Newton step")
         alpha = 1.0
-        accepted = False
         for _halving in range(30):
             x_new = x + alpha * step
             try:
                 F_new, J_new = fun_jac(x_new)
-            except retry_exceptions:
+            except DomainError:
                 alpha *= 0.5
                 continue
             res_new = float(np.abs(F_new - target).max(initial=0.0))
             if res_new < res or res_new <= tol:
                 x, F, J, res = x_new, F_new, J_new, res_new
-                accepted = True
                 break
             alpha *= 0.5
-        if not accepted:
+        else:
             raise NewtonConvergenceError(
                 f"no descent after 30 halvings (residual {res:.3e})", x, res
             )
     if res <= tol:
-        return x
+        return x, F, J
     raise NewtonConvergenceError(
-        f"no convergence in {max_iter} iterations (residual {res:.3e})", x, res
+        f"no convergence in {_NEWTON_MAX_ITER} iterations (residual {res:.3e})", x, res
     )
 
 
@@ -416,21 +423,17 @@ def simplex_lp(
     return LpResult("optimal", x, float(c @ x))
 
 
-def nnls(
-    A,
-    b,
-    nonneg_mask,
-    tol: float | None = None,
-    max_iter: int | None = None,
-) -> tuple[np.ndarray, float]:
+def nnls(A, b, nonneg_mask) -> tuple[np.ndarray, float]:
     """Minimize ``||A y + b||_2`` with ``y[i] >= 0`` wherever ``nonneg_mask``.
 
     Unmasked entries are unconstrained.  Active-set iteration in the
     Lawson-Hanson pattern: masked coordinates enter the passive set one at a
     time by most-negative gradient, with backtracking steps that keep the
     passive iterate feasible.  Ties in the entering choice go to the
-    smallest index.  Returns ``(y, residual_norm)``; if the iteration cap is
-    reached the best iterate found so far is returned.
+    smallest index.  Gradient entries count as negative below
+    ``-1e-10 * max(1, |A^T b|_inf)``.  Returns ``(y, residual_norm)``; after
+    ``3 * columns + 10`` entering steps the best iterate found so far is
+    returned.
     """
     A = _as_matrix(A)
     b = np.asarray(b, dtype=float).ravel()
@@ -440,11 +443,8 @@ def nnls(
         raise ValueError("nonneg_mask must have one entry per column")
     if b.size != mrows:
         raise ValueError("b must have one entry per row")
-    if max_iter is None:
-        max_iter = 3 * ncols + 10
     scale = float(np.abs(A.T @ b).max(initial=0.0)) if ncols else 0.0
-    if tol is None:
-        tol = 1e-10 * max(1.0, scale)
+    tol = 1e-10 * max(1.0, scale)
 
     passive = ~mask.copy()
     y = np.zeros(ncols)
@@ -474,7 +474,7 @@ def nnls(
         y = resolve(y)
     best_y = y.copy()
     best_res = float(np.linalg.norm(A @ y + b))
-    for _ in range(max_iter):
+    for _ in range(3 * ncols + 10):
         w = -(A.T @ (A @ y + b))
         candidates = mask & ~passive & (w > tol)
         if not candidates.any():

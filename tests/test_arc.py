@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from nlpcheck import arc as arc_mod
 from nlpcheck.arc import (
     DegenerateRankError,
     arc_for_direction,
@@ -72,9 +73,9 @@ class TestPinnedConstraints:
 
 class TestBuildChart:
     def test_circle_chart(self):
-        prob, pd = circle_setup()
+        _, pd = circle_setup()
         pinned = pinned_constraints(pd, np.array([0.0, 1.0]))
-        chart = build_chart(prob, pd.x, pinned)
+        chart = build_chart(pd, pinned)
         assert chart.rank == 1
         assert chart.solve_vars == (0,)  # gradient (2, 0) pivots on x1
         assert chart.keep_vars == (1,)
@@ -83,9 +84,9 @@ class TestBuildChart:
         assert chart.cond_estimate == 1.0
 
     def test_parabola_chart_drops_duplicate_row(self):
-        prob, pd = parabola_setup()
+        _, pd = parabola_setup()
         pinned = pinned_constraints(pd, np.array([1.0, 0.0]))
-        chart = build_chart(prob, pd.x, pinned)
+        chart = build_chart(pd, pinned)
         assert chart.rank == 1
         assert chart.xi == (0,)  # tie between equal rows goes to the first
         assert chart.solve_vars == (1,)
@@ -105,15 +106,15 @@ class TestBuildChart:
         pinned = pinned_constraints(pd, np.array([1.0]))
         assert pinned.ineq == (1,)
         with pytest.raises(DegenerateRankError):
-            build_chart(prob, pd.x, pinned)
+            build_chart(pd, pinned)
 
 
 class TestTraceArc:
     def test_circle_matches_closed_form(self):
         prob, pd = circle_setup()
         pinned = pinned_constraints(pd, np.array([0.0, 1.0]))
-        chart = build_chart(prob, pd.x, pinned)
-        arc = trace_arc(prob, chart, pd.x, np.array([0.0, 1.0]), 0.25, 41)
+        chart = build_chart(pd, pinned)
+        arc = trace_arc(prob, chart, np.array([0.0, 1.0]), 0.25, 41)
         assert not arc.truncated
         assert arc.t.size == 41
         expected = np.stack(
@@ -127,8 +128,8 @@ class TestTraceArc:
     def test_center_sample_is_exact(self):
         prob, pd = circle_setup()
         pinned = pinned_constraints(pd, np.array([0.0, 1.0]))
-        chart = build_chart(prob, pd.x, pinned)
-        arc = trace_arc(prob, chart, pd.x, np.array([0.0, 1.0]), 0.25, 41)
+        chart = build_chart(pd, pinned)
+        arc = trace_arc(prob, chart, np.array([0.0, 1.0]), 0.25, 41)
         k = arc.zero_index
         assert arc.t[k] == 0.0
         assert np.array_equal(arc.points[k], pd.x)
@@ -136,8 +137,8 @@ class TestTraceArc:
     def test_parabola_matches_closed_form(self):
         prob, pd = parabola_setup()
         pinned = pinned_constraints(pd, np.array([1.0, 0.0]))
-        chart = build_chart(prob, pd.x, pinned)
-        arc = trace_arc(prob, chart, pd.x, np.array([1.0, 0.0]), 0.2, 41)
+        chart = build_chart(pd, pinned)
+        arc = trace_arc(prob, chart, np.array([1.0, 0.0]), 0.2, 41)
         expected = np.stack([arc.t, arc.t**2], axis=1)
         assert np.abs(arc.points - expected).max() <= 1e-8
 
@@ -145,16 +146,40 @@ class TestTraceArc:
         prob, pd = tangent_disks_setup()
         d = np.array([0.0, 1.0])
         chart = identity_chart(pd.x)
-        arc = trace_arc(prob, chart, pd.x, d, 0.1, 41)
+        arc = trace_arc(prob, chart, d, 0.1, 41)
         expected = np.outer(arc.t, d)
         assert np.abs(arc.points - expected).max() <= 1e-14
+
+    def test_no_point_evaluated_twice(self, monkeypatch):
+        # each solve starts from the state its predecessor returned, and the
+        # first from the chart's own center values
+        seen = []
+        make = arc_mod._chart_fun_jac
+
+        def recording(problem, chart):
+            fun_jac = make(problem, chart)
+            points = []
+            seen.append(points)
+
+            def wrapped(x):
+                points.append(x.tobytes())
+                return fun_jac(x)
+
+            return wrapped
+
+        monkeypatch.setattr(arc_mod, "_chart_fun_jac", recording)
+        prob, pd = circle_setup()
+        rep = arc_for_direction(prob, pd, np.array([0.0, 1.0]))
+        assert rep.realized()
+        assert seen and all(points for points in seen)
+        assert all(len(set(points)) == len(points) for points in seen)
 
     def test_truncation_beyond_chart_range(self):
         # the circle chart cannot reach |t| > 1; the grid must stop early
         prob, pd = circle_setup()
         pinned = pinned_constraints(pd, np.array([0.0, 1.0]))
-        chart = build_chart(prob, pd.x, pinned)
-        arc = trace_arc(prob, chart, pd.x, np.array([0.0, 1.0]), 1.5, 41)
+        chart = build_chart(pd, pinned)
+        arc = trace_arc(prob, chart, np.array([0.0, 1.0]), 1.5, 41)
         assert arc.truncated
         assert arc.note
         assert arc.t.size < 41
@@ -165,19 +190,19 @@ class TestTraceArc:
         prob, pd = circle_setup()
         chart = identity_chart(pd.x)
         with pytest.raises(ValueError, match="delta"):
-            trace_arc(prob, chart, pd.x, np.array([0.0, 1.0]), -0.1, 41)
+            trace_arc(prob, chart, np.array([0.0, 1.0]), -0.1, 41)
         with pytest.raises(ValueError, match="odd"):
-            trace_arc(prob, chart, pd.x, np.array([0.0, 1.0]), 0.1, 40)
+            trace_arc(prob, chart, np.array([0.0, 1.0]), 0.1, 40)
         with pytest.raises(ValueError, match="odd"):
-            trace_arc(prob, chart, pd.x, np.array([0.0, 1.0]), 0.1, 3)
+            trace_arc(prob, chart, np.array([0.0, 1.0]), 0.1, 3)
 
 
 class TestVerifyArc:
     def test_circle_all_properties_pass(self):
         prob, pd = circle_setup()
         pinned = pinned_constraints(pd, np.array([0.0, 1.0]))
-        chart = build_chart(prob, pd.x, pinned)
-        arc = trace_arc(prob, chart, pd.x, np.array([0.0, 1.0]), 0.25, 41)
+        chart = build_chart(pd, pinned)
+        arc = trace_arc(prob, chart, np.array([0.0, 1.0]), 0.25, 41)
         props = verify_arc(arc, pd, pinned)
         assert props.passed_all()
         assert set(props.checks) == {
@@ -196,8 +221,8 @@ class TestVerifyArc:
         prob, pd = parabola_setup()
         d = np.array([1.0, 0.0])
         pinned = pinned_constraints(pd, d)
-        chart = build_chart(prob, pd.x, pinned)
-        arc = trace_arc(prob, chart, pd.x, d, 0.2, 41)
+        chart = build_chart(pd, pinned)
+        arc = trace_arc(prob, chart, d, 0.2, 41)
         props = verify_arc(arc, pd, pinned)
         assert not props.checks["arc2"].passed
         assert_allclose(props.checks["arc2"].worst, 0.2**2, atol=1e-8)
@@ -211,13 +236,13 @@ class TestVerifyArc:
         pd = evaluate_point(prob, np.zeros(2))
         d = np.array([1.0, 0.0])
         pinned = pinned_constraints(pd, d)
-        chart = build_chart(prob, pd.x, pinned)
-        ok = trace_arc(prob, chart, pd.x, d, 0.1, 41)
+        chart = build_chart(pd, pinned)
+        ok = trace_arc(prob, chart, d, 0.1, 41)
         props = verify_arc(ok, pd, pinned)
         assert props.checks["arc3"].passed
         # on a long interval the inactive constraint crosses zero and the
         # check must catch it
-        far = trace_arc(prob, chart, pd.x, d, 1.0, 41)
+        far = trace_arc(prob, chart, d, 1.0, 41)
         props_far = verify_arc(far, pd, pinned)
         assert not props_far.checks["arc3"].passed
         assert props_far.checks["arc3"].worst >= 0.4
@@ -230,7 +255,7 @@ class TestVerifyArc:
         pinned = pinned_constraints(pd, d)
         assert pinned.ineq == ()
         chart = identity_chart(pd.x)
-        arc = trace_arc(prob, chart, pd.x, d, 0.1, 41)
+        arc = trace_arc(prob, chart, d, 0.1, 41)
         props = verify_arc(arc, pd, pinned)
         assert props.checks["arc4"].passed
         assert props.checks["forward_feasible"].passed

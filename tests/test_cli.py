@@ -293,6 +293,14 @@ class TestMain:
         err = capsys.readouterr().err
         assert f"point outside the problem domain: {message}" in err
 
+    def test_gradient_too_large_to_rank_exit_two(self, tmp_path, capsys):
+        # sigma_max of (1.5e308, 1.5e308) overflows, which would make every
+        # rank 0 and read LICQ and MFCQ as failing
+        path = tmp_path / "huge.prob"
+        path.write_text("vars 2\nobjective x1\neq 1.5e308*x1 + 1.5e308*x2\npoint 0 0\n")
+        assert main(["analyze", str(path)]) == 2
+        assert "eq 1: gradient at the point too large to rank" in capsys.readouterr().err
+
     def test_exp_overflow_at_samples_skips_them(self, tmp_path):
         # the point is fine, but exp(1e6 * x1) overflows on part of every
         # shell with x1 > 7.1e-4 and along arcs that move x1 that far

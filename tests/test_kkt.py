@@ -191,8 +191,9 @@ class TestSolveMultipliers:
         mu, _ = ms.vertices[0]
         assert_allclose(mu, [1.0, 0.0], atol=1e-12)
 
-    def test_enumeration_cap_flags_partial(self):
-        ms = solve_multipliers(tangent_disks_pd(), enum_limit=1)
+    def test_enumeration_cap_flags_partial(self, monkeypatch):
+        monkeypatch.setattr(kkt, "_ENUM_LIMIT", 1)
+        ms = solve_multipliers(tangent_disks_pd())
         assert ms.partial
         assert len(ms.vertices) == 1
         assert not ms.bounded  # boundedness is not certified when partial
@@ -281,9 +282,10 @@ class TestSsonc:
         with pytest.raises(ValueError, match="no KKT"):
             check_ssonc(pd, solve_multipliers(pd))
 
-    def test_partial_enumeration_cannot_certify_holds(self):
+    def test_partial_enumeration_cannot_certify_holds(self, monkeypatch):
+        monkeypatch.setattr(kkt, "_ENUM_LIMIT", 1)
         pd = tangent_disks_pd()
-        ms = solve_multipliers(pd, enum_limit=1)
+        ms = solve_multipliers(pd)
         report = check_ssonc(pd, ms)
         # with one representative multiplier the check either records the
         # failure or must stay undetermined; it may not certify success

@@ -13,6 +13,7 @@ import pytest
 import scipy.optimize
 from numpy.testing import assert_allclose
 
+from nlpcheck.expr import DomainError
 from nlpcheck.linalg import (
     NewtonConvergenceError,
     SingularJacobianError,
@@ -106,6 +107,12 @@ class TestPivotSelect:
             pivot_select(np.eye(2), 3)
 
 
+def solve(fun_jac, x0, target):
+    """Newton from an unevaluated start; returns the solution point."""
+    x0 = np.asarray(x0, dtype=float)
+    return newton_solve(fun_jac, (x0, *fun_jac(x0)), np.asarray(target, dtype=float))[0]
+
+
 class TestNewton:
     def test_linear_system_single_step(self):
         a = np.array([[2.0, 1.0], [0.0, 3.0]])
@@ -114,22 +121,39 @@ class TestNewton:
             return a @ x, a
 
         target = np.array([1.0, 6.0])
-        x = newton_solve(fun_jac, np.zeros(2), target)
+        x = solve(fun_jac, np.zeros(2), target)
         assert_allclose(x, np.linalg.solve(a, target), atol=1e-12)
 
     def test_scalar_square_root(self):
         def fun_jac(x):
             return np.array([x[0] ** 2]), np.array([[2.0 * x[0]]])
 
-        x = newton_solve(fun_jac, np.array([1.0]), np.array([2.0]))
+        x = solve(fun_jac, [1.0], [2.0])
         assert_allclose(x[0], np.sqrt(2.0), atol=1e-12)
+
+    def test_returns_the_evaluated_solution(self):
+        calls = []
+
+        def fun_jac(x):
+            calls.append(x.copy())
+            return np.array([x[0] ** 2]), np.array([[2.0 * x[0]]])
+
+        x0 = np.array([1.0])
+        x, F, J = newton_solve(fun_jac, (x0, *fun_jac(x0)), np.array([2.0]))
+        assert_allclose(x[0], np.sqrt(2.0), atol=1e-12)
+        F_again, J_again = fun_jac(x)
+        assert np.array_equal(F, F_again) and np.array_equal(J, J_again)
+        # a start that already solves the system costs no evaluation
+        n_calls = len(calls)
+        assert newton_solve(fun_jac, (x, F, J), np.array([2.0]))[0] is x
+        assert len(calls) == n_calls
 
     def test_singular_jacobian_raises(self):
         def fun_jac(x):
             return np.array([x[0] ** 2]), np.array([[0.0]])
 
         with pytest.raises(SingularJacobianError):
-            newton_solve(fun_jac, np.zeros(1), np.array([1.0]))
+            solve(fun_jac, [0.0], [1.0])
 
     def test_convergence_error_carries_best_iterate(self):
         # the residual |x^2 + 1| cannot reach zero on the reals
@@ -137,7 +161,7 @@ class TestNewton:
             return np.array([x[0] ** 2 + 1.0]), np.array([[2.0 * x[0]]])
 
         with pytest.raises(NewtonConvergenceError) as err:
-            newton_solve(fun_jac, np.array([2.0]), np.array([0.0]), max_iter=8)
+            solve(fun_jac, [2.0], [0.0])
         assert err.value.best_residual > 0.0
         assert err.value.best_x.shape == (1,)
 
@@ -148,23 +172,18 @@ class TestNewton:
                 [[1.0 / (1.0 + x[0] ** 2)]]
             )
 
-        x = newton_solve(fun_jac, np.array([3.0]), np.array([0.0]))
+        x = solve(fun_jac, [3.0], [0.0])
         assert abs(x[0]) <= 1e-10
 
     def test_retry_exceptions_treated_as_bad_step(self):
         def fun_jac(x):
             if x[0] < 0:
-                raise ZeroDivisionError("left half plane")
+                raise DomainError("left half plane")
             return np.array([np.sqrt(x[0]) - 1.0]), np.array(
                 [[0.5 / max(np.sqrt(x[0]), 1e-6)]]
             )
 
-        x = newton_solve(
-            fun_jac,
-            np.array([0.25]),
-            np.array([0.0]),
-            retry_exceptions=(ZeroDivisionError,),
-        )
+        x = solve(fun_jac, [0.25], [0.0])
         assert_allclose(x[0], 1.0, atol=1e-10)
 
 
