@@ -19,6 +19,12 @@ gives a curve that keeps xi (hence, where ranks are locally constant, all
 of sigma) exactly at its center value while moving with velocity d.  Each
 zeta(t) is computed by a warm-started Newton solve of c(x) = target.
 
+All the arcs of an analysis are traced together: both sides of every arc
+march in lockstep, and each Newton round evaluates every pending trial
+point with one batched tape sweep per chart row.  The constraint values
+along the arcs come from the chart rows' Newton values, from ``PointData``
+at the center, and from one more batched sweep per other constraint.
+
 The traced arc is validated against five properties: (arc1) it starts at
 the point with velocity d; (arc2) pinned inequalities stay at zero; (arc3)
 inactive inequalities stay negative; (arc4) active-but-unpinned
@@ -32,8 +38,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from nlpcheck.cones import linearized_cone, membership
-from nlpcheck.expr import DomainError, Tape
-from nlpcheck.linalg import NewtonError, newton_solve, numerical_rank, pivot_select
+from nlpcheck.expr import DomainError
+from nlpcheck.linalg import NewtonError, newton_steps, numerical_rank, pivot_select
 from nlpcheck.model import PointData, Problem
 
 __all__ = [
@@ -44,11 +50,13 @@ __all__ = [
     "identity_chart",
     "DegenerateRankError",
     "ArcResult",
+    "trace_arcs",
     "trace_arc",
     "PropertyCheck",
     "ArcProperties",
     "verify_arc",
     "DirectionArcReport",
+    "arcs_for_directions",
     "arc_for_direction",
 ]
 
@@ -98,8 +106,9 @@ class LocalChart:
 
     ``xi`` indexes the selected rows of the pinned components (0-based
     positions into ``components``); ``solve_vars``/``keep_vars`` are 0-based
-    variable positions (J and K).  ``jac_center`` is c'(center) and
-    ``cond_estimate`` the 2-norm condition number of the selected square
+    variable positions (J and K).  ``jac_center`` is c'(center),
+    ``g_center``/``h_center`` hold every constraint value at the center, and
+    ``cond_estimate`` is the 2-norm condition number of the selected square
     block, a warning signal for poorly scaled charts.
     """
 
@@ -110,6 +119,8 @@ class LocalChart:
     center: np.ndarray
     z_center: np.ndarray
     jac_center: np.ndarray
+    g_center: np.ndarray
+    h_center: np.ndarray
     cond_estimate: float
     rank: int
 
@@ -118,11 +129,10 @@ class LocalChart:
         return self.center.size
 
 
-def _component_tape(problem: Problem, comp: tuple[str, int]) -> Tape:
+def _component_index(problem: Problem, comp: tuple[str, int]) -> int:
+    """Position of a constraint's tape in ``ineq_tapes + eq_tapes``."""
     kind, label = comp
-    if kind == "ineq":
-        return problem.ineq_tapes[label - 1]
-    return problem.eq_tapes[label - 1]
+    return label - 1 if kind == "ineq" else problem.m + label - 1
 
 
 def _center_jet(pd: PointData, comp: tuple[str, int]) -> tuple[float, np.ndarray]:
@@ -132,13 +142,13 @@ def _center_jet(pd: PointData, comp: tuple[str, int]) -> tuple[float, np.ndarray
     return pd.h_vals[label - 1], pd.h_grads[label - 1]
 
 
-def identity_chart(x) -> LocalChart:
-    """Chart with no pinned constraints: the identity map.
+def identity_chart(pd: PointData) -> LocalChart:
+    """Chart at ``pd.x`` with no pinned constraints: the identity map.
 
     Arcs through it are straight lines, and its Newton solves converge in a
     single step.
     """
-    x = np.asarray(x, dtype=float)
+    x = pd.x
     n = x.size
     return LocalChart(
         components=(),
@@ -148,6 +158,8 @@ def identity_chart(x) -> LocalChart:
         center=x.copy(),
         z_center=x.copy(),
         jac_center=np.eye(n),
+        g_center=pd.g_vals,
+        h_center=pd.h_vals,
         cond_estimate=1.0,
         rank=0,
     )
@@ -165,7 +177,7 @@ def build_chart(pd: PointData, pinned: PinnedSet, tol_rank: float = 1e-8) -> Loc
     x = pd.x
     n = x.size
     if not pinned.components:
-        return identity_chart(x)
+        return identity_chart(pd)
     jets = [_center_jet(pd, comp) for comp in pinned.components]
     rows = np.vstack([g for _, g in jets])
     info = numerical_rank(rows, tol_rank)
@@ -194,29 +206,11 @@ def build_chart(pd: PointData, pinned: PinnedSet, tol_rank: float = 1e-8) -> Loc
         center=x.copy(),
         z_center=z_center,
         jac_center=jac,
+        g_center=pd.g_vals,
+        h_center=pd.h_vals,
         cond_estimate=cond,
         rank=r,
     )
-
-
-def _chart_fun_jac(problem: Problem, chart: LocalChart):
-    """Newton callback computing c(x) and c'(x)."""
-    tapes = [_component_tape(problem, chart.components[i]) for i in chart.xi]
-    keep = list(chart.keep_vars)
-    n = chart.n
-    r = len(tapes)
-
-    def fun_jac(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        F = np.zeros(n)
-        J = np.zeros((n, n))
-        for row, tape in enumerate(tapes):
-            F[row], J[row] = tape.gradient(x)
-        for row, k in enumerate(keep):
-            F[r + row] = x[k]
-            J[r + row, k] = 1.0
-        return F, J
-
-    return fun_jac
 
 
 @dataclass
@@ -245,6 +239,183 @@ class ArcResult:
         return int(np.argmin(np.abs(self.t)))
 
 
+def _truncation_note(side: int, k: int, tk: float, exc: Exception) -> str:
+    return f"side {side:+d} truncated at sample {k} (t = {tk:.6g}): {exc}"
+
+
+def _march(chart: LocalChart, step_z: np.ndarray, delta: float, half: int, side: int, tol: float):
+    """One side of an arc: a generator of Newton trial points.
+
+    It yields each trial point and is sent ``(F, J)`` there, or None, as
+    :func:`newton_steps` expects.  Each solve starts from its inner
+    neighbour's evaluated state (the chart's own center values for the
+    first), so no point is evaluated twice.  It returns the converged
+    points, the chart-row values ``F[:r]`` at each, and the note of the
+    Newton failure that ended the side early, if one did.
+    """
+    state = (chart.center, chart.z_center, chart.jac_center)
+    points, values = [], []
+    for k in range(1, half + 1):
+        tk = side * delta * k / half
+        target = chart.z_center + tk * step_z
+        try:
+            state = yield from newton_steps(state, target, tol)
+        except NewtonError as exc:
+            return points, values, _truncation_note(side, k, tk, exc)
+        points.append(state[0])
+        values.append(state[1][: chart.rank])
+    return points, values, ""
+
+
+def _chart_values(tapes, slot: np.ndarray, source: np.ndarray, X: np.ndarray):
+    """c(x) and c'(x) at every row of ``X``, one batched sweep per tape.
+
+    Row i of ``X`` is on a chart whose row ``slot[i, k]`` evaluates
+    ``tapes[k]`` (-1 where no row does) and whose row j copies variable
+    ``source[i, j]`` (-1 for the tape rows).  ``ok[i]`` is False where a
+    chart row left its domain.
+    """
+    P, n = X.shape
+    F = np.zeros((P, n))
+    J = np.zeros((P, n, n))
+    ok = np.ones(P, dtype=bool)
+    used = slot >= 0
+    for k in np.flatnonzero(used.any(axis=0)):
+        rows = np.flatnonzero(used[:, k])
+        pos = slot[rows, k]
+        F[rows, pos], J[rows, pos], fine = tapes[k].gradients(X[rows])
+        ok[rows] &= fine
+    kr, kj = np.nonzero(source >= 0)
+    kc = source[kr, kj]
+    F[kr, kj] = X[kr, kc]
+    J[kr, kj, kc] = 1.0
+    return F, J, ok
+
+
+def trace_arcs(
+    problem: Problem,
+    charts,
+    directions,
+    deltas,
+    samples: int = 41,
+    newton_tol: float = 1e-12,
+) -> list[ArcResult]:
+    """March the arcs zeta(t) through their chart centers over symmetric
+    grids by warm-started Newton, all of them in lockstep.
+
+    Arc a runs along ``directions[a]`` through ``charts[a]`` with half-width
+    ``deltas[a]``.  ``samples`` must be odd and at least 5 so each grid
+    contains t = 0 and enough symmetric pairs for derivative estimates.
+    Marching proceeds outward from the center on both sides of every arc
+    at once: each round evaluates every pending trial point with one
+    :meth:`Tape.gradients` call per chart-row tape.  A Newton failure
+    truncates that side at the last good sample, and so does a constraint
+    that leaves its domain at a sample.  Each arc equals the one traced
+    alone.
+    """
+    directions = [np.asarray(d, dtype=float).ravel() for d in directions]
+    if any(delta <= 0.0 for delta in deltas):
+        raise ValueError("delta must be positive")
+    if samples < 5 or samples % 2 == 0:
+        raise ValueError("samples must be odd and at least 5")
+    half = (samples - 1) // 2
+    tapes = problem.ineq_tapes + problem.eq_tapes
+    n, m = problem.n, problem.m
+
+    # marches 2a and 2a + 1 are the negative and positive sides of arc a;
+    # slot and source describe their charts row by row (see _chart_values)
+    marches = []
+    slot = np.full((2 * len(charts), len(tapes)), -1)
+    source = np.full((2 * len(charts), n), -1)
+    for a, (chart, d, delta) in enumerate(zip(charts, directions, deltas)):
+        for row, i in enumerate(chart.xi):
+            slot[2 * a : 2 * a + 2, _component_index(problem, chart.components[i])] = row
+        source[2 * a : 2 * a + 2, chart.rank :] = chart.keep_vars
+        step_z = chart.jac_center @ d
+        for side in (-1, +1):
+            marches.append(_march(chart, step_z, delta, half, side, newton_tol))
+
+    outcome: list = [None] * len(marches)
+    trial: list = [None] * len(marches)
+    live = []
+    for s, march in enumerate(marches):
+        try:
+            trial[s] = next(march)
+            live.append(s)
+        except StopIteration as done:
+            outcome[s] = done.value
+    while live:
+        F, J, ok = _chart_values(tapes, slot[live], source[live], np.array([trial[s] for s in live]))
+        still = []
+        for i, s in enumerate(live):
+            try:
+                trial[s] = marches[s].send((F[i], J[i]) if ok[i] else None)
+                still.append(s)
+            except StopIteration as done:
+                outcome[s] = done.value
+        live = still
+
+    # every constraint at every marched point: the chart rows from their
+    # Newton values, the others in one batched sweep per tape.  A side is
+    # cut at the first sample where a constraint leaves its domain; its
+    # march ran on past that sample, and the points beyond are dropped.
+    sizes = [len(points) for points, _, _ in outcome]
+    owner = np.repeat(np.arange(len(marches)), sizes)
+    values = np.empty((owner.size, len(tapes)))
+    fine = np.ones((owner.size, len(tapes)), dtype=bool)
+    starts = np.concatenate([[0], np.cumsum(sizes)])
+    for s, (_, chart_values, _) in enumerate(outcome):
+        if sizes[s]:
+            rows = slice(starts[s], starts[s + 1])
+            cols = np.flatnonzero(slot[s] >= 0)
+            values[rows, cols] = np.array(chart_values)[:, slot[s, cols]]
+    if owner.size:
+        X = np.array([pt for points, _, _ in outcome for pt in points])
+        other = slot[owner] < 0
+        for k in np.flatnonzero(other.any(axis=0)):
+            rows = np.flatnonzero(other[:, k])
+            values[rows, k], _, fine[rows, k] = tapes[k].gradients(X[rows])
+
+    arcs = []
+    for a, (chart, d, delta) in enumerate(zip(charts, directions, deltas)):
+        notes = []
+        kept = []
+        for s, side in ((2 * a, -1), (2 * a + 1, +1)):
+            points, _, note = outcome[s]
+            vals = values[starts[s] : starts[s + 1]]
+            ok = fine[starts[s] : starts[s + 1]]
+            # a failed batched row is settled by the one-point call, which
+            # raises the message a sequential evaluation would have raised
+            for j in np.flatnonzero(~ok.all(axis=1)).tolist():
+                try:
+                    for k in np.flatnonzero(~ok[j]).tolist():
+                        vals[j, k] = tapes[k].value(points[j])
+                except DomainError as exc:
+                    note = _truncation_note(side, j + 1, side * delta * (j + 1) / half, exc)
+                    points, vals = points[:j], vals[:j]
+                    break
+            if note:
+                notes.append(note)
+            kept.append((points, vals))
+        (neg, neg_vals), (pos, pos_vals) = kept
+        x = chart.center
+        t = np.array([delta * k / half for k in range(-len(neg), len(pos) + 1)])
+        arcs.append(
+            ArcResult(
+                t=t,
+                points=np.vstack(neg[::-1] + [x] + pos),
+                g_values=np.vstack([neg_vals[::-1, :m], chart.g_center, pos_vals[:, :m]]),
+                h_values=np.vstack([neg_vals[::-1, m:], chart.h_center, pos_vals[:, m:]]),
+                delta=delta,
+                direction=d.copy(),
+                center=x.copy(),
+                truncated=t.size < samples,
+                note="; ".join(notes),
+            )
+        )
+    return arcs
+
+
 def trace_arc(
     problem: Problem,
     chart: LocalChart,
@@ -253,77 +424,8 @@ def trace_arc(
     samples: int = 41,
     newton_tol: float = 1e-12,
 ) -> ArcResult:
-    """March the arc zeta(t) through the chart center over a symmetric grid
-    by warm-started Newton.
-
-    ``samples`` must be odd and at least 5 so the grid contains t = 0 and
-    enough symmetric pairs for derivative estimates.  Marching proceeds
-    outward from the center, each solve starting from its inner neighbour's
-    evaluated state (the chart's own ``z_center`` and ``jac_center`` for the
-    first), so no point is evaluated twice; a failure truncates that side
-    at the last good sample.
-    """
-    x = chart.center
-    d = np.asarray(d, dtype=float).ravel()
-    if delta <= 0.0:
-        raise ValueError("delta must be positive")
-    if samples < 5 or samples % 2 == 0:
-        raise ValueError("samples must be odd and at least 5")
-    half = (samples - 1) // 2
-    fun_jac = _chart_fun_jac(problem, chart)
-    step_z = chart.jac_center @ d
-    m, p = problem.m, problem.p
-
-    def constraint_values(pt: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        g = np.array([tape.value(pt) for tape in problem.ineq_tapes]) if m else np.zeros(0)
-        h = np.array([tape.value(pt) for tape in problem.eq_tapes]) if p else np.zeros(0)
-        return g, h
-
-    center_g, center_h = constraint_values(x)
-    notes = []
-
-    def march(side: int) -> list[tuple[int, np.ndarray, np.ndarray, np.ndarray]]:
-        out = []
-        state = (x, chart.z_center, chart.jac_center)
-        for k in range(1, half + 1):
-            tk = side * delta * k / half
-            target = chart.z_center + tk * step_z
-            try:
-                state = newton_solve(fun_jac, state, target, newton_tol)
-                g, h = constraint_values(state[0])
-            except (NewtonError, DomainError) as exc:
-                notes.append(
-                    f"side {side:+d} truncated at sample {k} (t = {tk:.6g}): {exc}"
-                )
-                break
-            out.append((side * k, state[0], g, h))
-        return out
-
-    neg = march(-1)
-    pos = march(+1)
-    entries = sorted(
-        neg + [(0, x.copy(), center_g, center_h)] + pos, key=lambda e: e[0]
-    )
-    t = np.array([delta * k / half for k, *_ in entries])
-    points = np.vstack([e[1] for e in entries])
-    g_values = (
-        np.vstack([e[2] for e in entries]) if m else np.zeros((len(entries), 0))
-    )
-    h_values = (
-        np.vstack([e[3] for e in entries]) if p else np.zeros((len(entries), 0))
-    )
-    truncated = len(entries) < samples
-    return ArcResult(
-        t=t,
-        points=points,
-        g_values=g_values,
-        h_values=h_values,
-        delta=delta,
-        direction=d.copy(),
-        center=x.copy(),
-        truncated=truncated,
-        note="; ".join(notes),
-    )
+    """The one arc of :func:`trace_arcs` for a single chart and direction."""
+    return trace_arcs(problem, [chart], [d], [delta], samples, newton_tol)[0]
 
 
 @dataclass
@@ -453,6 +555,78 @@ class DirectionArcReport:
         return checks["arc1"].passed and checks["forward_feasible"].passed
 
 
+def arcs_for_directions(
+    problem: Problem,
+    pd: PointData,
+    directions,
+    delta: float = 0.1,
+    samples: int = 41,
+    tol_dir: float = 1e-8,
+    tol_rank: float = 1e-8,
+    newton_tol: float = 1e-12,
+    verify_tol: float = 1e-7,
+) -> list[DirectionArcReport]:
+    """Pin, chart, trace, and verify the arc for each direction.
+
+    Every charted direction is traced in one :func:`trace_arcs` batch.  The
+    arcs that come back truncated have their delta halved (up to
+    ``_MAX_SHRINK`` times) and are retraced together, since
+    Proposition-style arcs are only guaranteed on a small enough interval;
+    the final attempt is reported even if still truncated.
+    """
+    reports = []
+    charts = []
+    charted = []  # positions in reports of the charted directions
+    for d in directions:
+        d = np.asarray(d, dtype=float).ravel()
+        try:
+            pinned = pinned_constraints(pd, d, tol_dir)
+        except ValueError as exc:
+            reports.append(DirectionArcReport(d, None, {}, None, None, error=str(exc)))
+            continue
+        try:
+            chart = build_chart(pd, pinned, tol_rank)
+        except DegenerateRankError as exc:
+            reports.append(DirectionArcReport(d, pinned, {}, None, None, error=str(exc)))
+            continue
+        summary = {
+            "pinned_ineq": list(pinned.ineq),
+            "rank": chart.rank,
+            "chart_rows": [
+                f"{kind}{label}" for kind, label in
+                (chart.components[i] for i in chart.xi)
+            ],
+            "solve_vars": [k + 1 for k in chart.solve_vars],
+            "keep_vars": [k + 1 for k in chart.keep_vars],
+            "condition": chart.cond_estimate,
+        }
+        charted.append(len(reports))
+        charts.append(chart)
+        reports.append(DirectionArcReport(d, pinned, summary, None, None))
+    cur_delta = [float(delta)] * len(charts)
+    pending = list(range(len(charts)))
+    for _ in range(_MAX_SHRINK + 1):
+        if not pending:
+            break
+        traced = trace_arcs(
+            problem,
+            [charts[i] for i in pending],
+            [reports[charted[i]].direction for i in pending],
+            [cur_delta[i] for i in pending],
+            samples,
+            newton_tol,
+        )
+        for i, arc in zip(pending, traced):
+            reports[charted[i]].arc = arc
+        pending = [i for i, arc in zip(pending, traced) if arc.truncated]
+        for i in pending:
+            cur_delta[i] *= 0.5
+    for r in charted:
+        rep = reports[r]
+        rep.properties = verify_arc(rep.arc, pd, rep.pinned, verify_tol)
+    return reports
+
+
 def arc_for_direction(
     problem: Problem,
     pd: PointData,
@@ -464,40 +638,7 @@ def arc_for_direction(
     newton_tol: float = 1e-12,
     verify_tol: float = 1e-7,
 ) -> DirectionArcReport:
-    """Pin, chart, trace, and verify the arc for one direction.
-
-    If a trace comes back truncated, delta is halved (up to ``_MAX_SHRINK``
-    times) and the trace retried, since Proposition-style arcs are only
-    guaranteed on a small enough interval; the final attempt is reported
-    even if still truncated.
-    """
-    d = np.asarray(d, dtype=float).ravel()
-    try:
-        pinned = pinned_constraints(pd, d, tol_dir)
-    except ValueError as exc:
-        return DirectionArcReport(d, None, {}, None, None, error=str(exc))
-    try:
-        chart = build_chart(pd, pinned, tol_rank)
-    except DegenerateRankError as exc:
-        return DirectionArcReport(d, pinned, {}, None, None, error=str(exc))
-    summary = {
-        "pinned_ineq": list(pinned.ineq),
-        "rank": chart.rank,
-        "chart_rows": [
-            f"{kind}{label}" for kind, label in
-            (chart.components[i] for i in chart.xi)
-        ],
-        "solve_vars": [k + 1 for k in chart.solve_vars],
-        "keep_vars": [k + 1 for k in chart.keep_vars],
-        "condition": chart.cond_estimate,
-    }
-    cur_delta = float(delta)
-    arc = None
-    for _ in range(_MAX_SHRINK + 1):
-        arc = trace_arc(problem, chart, d, cur_delta, samples, newton_tol)
-        if not arc.truncated:
-            break
-        cur_delta *= 0.5
-    assert arc is not None
-    props = verify_arc(arc, pd, pinned, verify_tol)
-    return DirectionArcReport(d, pinned, summary, arc, props, error=None)
+    """The report of :func:`arcs_for_directions` for a single direction."""
+    return arcs_for_directions(
+        problem, pd, [d], delta, samples, tol_dir, tol_rank, newton_tol, verify_tol
+    )[0]

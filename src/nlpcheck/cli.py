@@ -29,7 +29,7 @@ from nlpcheck import cones, cq, kkt
 from nlpcheck._sobol import MAXPOINTS
 from nlpcheck._version import __version__
 from nlpcheck.expr import DomainError
-from nlpcheck.linalg import entry_bound
+from nlpcheck.linalg import entry_bound, nnls_bound
 from nlpcheck.model import Problem, ProblemError, evaluate_point, feasibility, load_problem
 from nlpcheck.problems import builtin_names, builtin_source
 
@@ -225,6 +225,9 @@ def run(config: RunConfig) -> dict:
     for label, ok in zip(labels, (np.abs(table) <= entry_bound(*table.shape)).all(axis=1)):
         if not ok:
             raise InputError(f"{label}: gradient at the point too large to rank")
+    # the multiplier probe solves nnls(table.T, f_grad), which would overflow
+    if (np.abs(pd.f_grad) > nnls_bound(table.T)).any():
+        raise InputError("objective: gradient at the point too large for the multiplier solve")
     report["active_set"] = list(pd.active)
     report["objective_value"] = pd.f_val
 
@@ -270,20 +273,17 @@ def run(config: RunConfig) -> dict:
         }
 
     def arc_reports_for(directions) -> list[arc_mod.DirectionArcReport]:
-        return [
-            arc_mod.arc_for_direction(
-                problem,
-                pd,
-                d,
-                delta=config.delta,
-                samples=config.arc_points,
-                tol_dir=config.tol_dir,
-                tol_rank=config.tol_rank,
-                newton_tol=config.newton_tol,
-                verify_tol=config.verify_tol,
-            )
-            for d in directions
-        ]
+        return arc_mod.arcs_for_directions(
+            problem,
+            pd,
+            directions,
+            delta=config.delta,
+            samples=config.arc_points,
+            tol_dir=config.tol_dir,
+            tol_rank=config.tol_rank,
+            newton_tol=config.newton_tol,
+            verify_tol=config.verify_tol,
+        )
 
     def sampled_directions() -> list[np.ndarray]:
         cone = cones.linearized_cone(pd)

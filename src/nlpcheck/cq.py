@@ -30,7 +30,7 @@ Rank constancy over a neighborhood cannot be certified by finitely many
 samples, so the sampled scans return "fails" with a re-checkable witness
 when a mismatch is found and "undetermined" otherwise -- never "holds".
 The Abadie qualification is probed purely empirically: ``cli.run`` traces
-feasible arcs (``arc.arc_for_direction``) for sampled linearized-cone
+feasible arcs (``arc.arcs_for_directions``) for sampled linearized-cone
 directions, and :func:`summarize_acq` turns those arc reports into the
 evidence of a verdict that is always "undetermined", since finitely many
 arcs can refute nothing about the tangent cone.

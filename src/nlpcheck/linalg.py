@@ -10,8 +10,9 @@ and failure behaviour must be deterministic and inspectable.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, Generator, Sequence
 
 import numpy as np
 
@@ -22,11 +23,13 @@ __all__ = [
     "numerical_rank",
     "stacked_rank",
     "entry_bound",
+    "nnls_bound",
     "nullspace_basis",
     "pivot_select",
     "NewtonError",
     "SingularJacobianError",
     "NewtonConvergenceError",
+    "newton_steps",
     "newton_solve",
     "min_eig_sym",
     "LpResult",
@@ -63,6 +66,26 @@ def entry_bound(rows: int, cols: int) -> float:
     largest entry, and an overflowing sigma_max would turn every threshold
     into inf and the rank into 0."""
     return float(np.finfo(float).max / np.sqrt(max(rows * cols, 1)))
+
+
+def nnls_bound(A) -> float:
+    """Largest entry magnitude of ``b`` for which :func:`nnls` on ``A``
+    computes with finite numbers.
+
+    Every residual ``A y + b`` it forms is at most ``||b||`` long, and it
+    squares those norms, so ``rows * max|b|^2`` must stay finite; the
+    entries of ``A.T @ b`` and of the gradients ``A.T @ (A y + b)`` are at
+    most ``rows * max|A| * max|b|``.  Half of the resulting bound is
+    returned, to spare the rounding of the residuals.
+    """
+    A = _as_matrix(A)
+    rows = max(A.shape[0], 1)
+    big = float(np.finfo(float).max)
+    bound = math.sqrt(big / rows)
+    a = float(np.abs(A).max(initial=0.0))
+    if a > 0.0:
+        bound = min(bound, big / rows / a)
+    return 0.5 * bound
 
 
 def _rank_cut(s: np.ndarray, tol_rel: float) -> np.ndarray:
@@ -163,21 +186,23 @@ class NewtonConvergenceError(NewtonError):
         self.best_residual = best_residual
 
 
-def newton_solve(
-    fun_jac: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]],
+def newton_steps(
     start: tuple[np.ndarray, np.ndarray, np.ndarray],
     target,
     tol: float = 1e-12,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Solve ``F(x) = target`` by damped Newton steps.
+) -> Generator[np.ndarray, tuple[np.ndarray, np.ndarray] | None, tuple]:
+    """Solve ``F(x) = target`` by damped Newton steps, as a generator.
 
-    ``fun_jac(x)`` returns ``(F(x), J(x))``, and ``start`` is an evaluated
-    point ``(x, F(x), J(x))``; the same triple is returned at the solution,
-    so a warm-started caller never evaluates a point twice.  Full steps are
-    halved (up to 30 times) until the max-norm residual decreases; a
-    :class:`DomainError` raised at a trial point is treated like a residual
-    increase, which lets callers step around domain boundaries.  For an
-    affine ``F`` the first full step lands on the solution exactly.
+    ``start`` is an evaluated point ``(x, F(x), J(x))``.  The generator
+    yields each trial point and is sent back ``(F, J)`` there, or None
+    where the point left the domain; it returns the evaluated triple at
+    the solution, so a warm-started caller never evaluates a point twice.
+    Full steps are halved (up to 30 times) until the max-norm residual
+    decreases, and a trial point outside the domain counts like a
+    residual increase, which lets callers step around domain boundaries.
+    For an affine ``F`` the first full step lands on the solution
+    exactly.  The caller owns the evaluation, so many systems can be
+    stepped together with one batched evaluation per round.
     """
     x, F, J = start
     target = np.asarray(target, dtype=float)
@@ -194,11 +219,11 @@ def newton_solve(
         alpha = 1.0
         for _halving in range(30):
             x_new = x + alpha * step
-            try:
-                F_new, J_new = fun_jac(x_new)
-            except DomainError:
+            evaluated = yield x_new
+            if evaluated is None:
                 alpha *= 0.5
                 continue
+            F_new, J_new = evaluated
             res_new = float(np.abs(F_new - target).max(initial=0.0))
             if res_new < res or res_new <= tol:
                 x, F, J, res = x_new, F_new, J_new, res_new
@@ -213,6 +238,28 @@ def newton_solve(
     raise NewtonConvergenceError(
         f"no convergence in {_NEWTON_MAX_ITER} iterations (residual {res:.3e})", x, res
     )
+
+
+def newton_solve(
+    fun_jac: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]],
+    start: tuple[np.ndarray, np.ndarray, np.ndarray],
+    target,
+    tol: float = 1e-12,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """:func:`newton_steps` for one system: ``fun_jac(x)`` returns
+    ``(F(x), J(x))`` at each trial point, and a :class:`DomainError` it
+    raises marks the point as outside the domain."""
+    steps = newton_steps(start, target, tol)
+    try:
+        x = next(steps)
+        while True:
+            try:
+                evaluated = fun_jac(x)
+            except DomainError:
+                evaluated = None
+            x = steps.send(evaluated)
+    except StopIteration as done:
+        return done.value
 
 
 def min_eig_sym(H) -> tuple[float, np.ndarray]:

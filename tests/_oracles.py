@@ -12,7 +12,9 @@ the plain one-matrix-at-a-time versions of batched library code; they
 must agree with it exactly.  ``reference_evaluate`` and
 ``reference_grad_hess`` are the recursive tree interpreters the expression
 tape replaced: every tape mode must reproduce their bits, signed zeros
-included.
+included.  ``sequential_trace_arc`` and ``sequential_arc`` are the
+one-arc, one-point-at-a-time march the lockstep arc tracer replaced: it
+must reproduce their arcs bit for bit.
 """
 
 import itertools
@@ -479,3 +481,99 @@ def reference_grad_hess(e, x):
             out = out * u
         return out
     raise TypeError(f"not an expression node: {e!r}")
+
+
+def _chart_fun_jac(problem, chart):
+    """c(x) and c'(x) of a chart by one-point tape sweeps, row by row."""
+    tapes = []
+    for i in chart.xi:
+        kind, label = chart.components[i]
+        tapes.append((problem.ineq_tapes if kind == "ineq" else problem.eq_tapes)[label - 1])
+    keep = list(chart.keep_vars)
+    n = chart.n
+    r = len(tapes)
+
+    def fun_jac(x):
+        F = np.zeros(n)
+        J = np.zeros((n, n))
+        for row, tape in enumerate(tapes):
+            F[row], J[row] = tape.gradient(x)
+        for row, k in enumerate(keep):
+            F[r + row] = x[k]
+            J[r + row, k] = 1.0
+        return F, J
+
+    return fun_jac
+
+
+def sequential_trace_arc(problem, chart, d, delta, samples=41, newton_tol=1e-12):
+    """One arc marched side by side with one Newton solve at a time, every
+    constraint value taken by a one-point ``Tape.value`` call."""
+    from nlpcheck.arc import ArcResult
+    from nlpcheck.expr import DomainError
+    from nlpcheck.linalg import NewtonError, newton_solve
+
+    x = chart.center
+    d = np.asarray(d, dtype=float).ravel()
+    half = (samples - 1) // 2
+    fun_jac = _chart_fun_jac(problem, chart)
+    step_z = chart.jac_center @ d
+    m, p = problem.m, problem.p
+
+    def constraint_values(pt):
+        g = np.array([tape.value(pt) for tape in problem.ineq_tapes]) if m else np.zeros(0)
+        h = np.array([tape.value(pt) for tape in problem.eq_tapes]) if p else np.zeros(0)
+        return g, h
+
+    center_g, center_h = constraint_values(x)
+    notes = []
+
+    def march(side):
+        out = []
+        state = (x, chart.z_center, chart.jac_center)
+        for k in range(1, half + 1):
+            tk = side * delta * k / half
+            target = chart.z_center + tk * step_z
+            try:
+                state = newton_solve(fun_jac, state, target, newton_tol)
+                g, h = constraint_values(state[0])
+            except (NewtonError, DomainError) as exc:
+                notes.append(f"side {side:+d} truncated at sample {k} (t = {tk:.6g}): {exc}")
+                break
+            out.append((side * k, state[0], g, h))
+        return out
+
+    neg = march(-1)
+    pos = march(+1)
+    entries = sorted(neg + [(0, x.copy(), center_g, center_h)] + pos, key=lambda e: e[0])
+    return ArcResult(
+        t=np.array([delta * k / half for k, *_ in entries]),
+        points=np.vstack([e[1] for e in entries]),
+        g_values=np.vstack([e[2] for e in entries]) if m else np.zeros((len(entries), 0)),
+        h_values=np.vstack([e[3] for e in entries]) if p else np.zeros((len(entries), 0)),
+        delta=delta,
+        direction=d.copy(),
+        center=x.copy(),
+        truncated=len(entries) < samples,
+        note="; ".join(notes),
+    )
+
+
+def sequential_arc(problem, pd, d, delta=0.1, samples=41, tol_dir=1e-8, tol_rank=1e-8,
+                   newton_tol=1e-12):
+    """The arc one direction gets, traced alone and retraced at half delta
+    (up to five times) while truncated; None where pinning or charting
+    fails."""
+    from nlpcheck.arc import DegenerateRankError, build_chart, pinned_constraints
+
+    try:
+        chart = build_chart(pd, pinned_constraints(pd, d, tol_dir), tol_rank)
+    except (ValueError, DegenerateRankError):
+        return None
+    cur_delta = float(delta)
+    for _ in range(6):
+        arc = sequential_trace_arc(problem, chart, d, cur_delta, samples, newton_tol)
+        if not arc.truncated:
+            break
+        cur_delta *= 0.5
+    return arc

@@ -5,22 +5,36 @@ zeta(t) = (sqrt(1 - t^2), t), the parabola fixture gives (t, t^2), and
 straight-line cases are exact.
 """
 
+import os
+import sys
+
 import numpy as np
 import pytest
-from numpy.testing import assert_allclose
+from numpy.testing import assert_allclose, assert_array_equal
 
 from nlpcheck import arc as arc_mod
 from nlpcheck.arc import (
     DegenerateRankError,
     arc_for_direction,
+    arcs_for_directions,
     build_chart,
     identity_chart,
     pinned_constraints,
     trace_arc,
+    trace_arcs,
     verify_arc,
 )
+from nlpcheck.cones import linearized_cone, sample_directions
+from nlpcheck.expr import Tape
 from nlpcheck.model import evaluate_point, load_problem
-from nlpcheck.problems import builtin_problem
+from nlpcheck.problems import builtin_names, builtin_problem, builtin_source
+
+from _oracles import sequential_arc, sequential_trace_arc
+from test_acceptance import BATTERY
+
+BENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "perfbench")
+sys.path.append(BENCH)
+import workloads  # noqa: E402
 
 
 def circle_setup():
@@ -94,11 +108,14 @@ class TestBuildChart:
 
     def test_identity_chart_for_empty_pin(self):
         x = np.array([2.0, -1.0])
-        chart = identity_chart(x)
+        prob = load_problem("vars 2\nobjective x1\nineq x1 - 3\neq x2 + 1\npoint 2 -1\n")
+        chart = identity_chart(evaluate_point(prob, x))
         assert chart.components == ()
         assert chart.rank == 0
         assert_allclose(chart.jac_center, np.eye(2))
         assert_allclose(chart.z_center, x)
+        assert_array_equal(chart.g_center, [-1.0])
+        assert_array_equal(chart.h_center, [0.0])
 
     def test_zero_gradient_degenerate(self):
         prob = load_problem("vars 1\nobjective x1\nineq x1^2\npoint 0\n")
@@ -145,34 +162,61 @@ class TestTraceArc:
     def test_identity_chart_straight_line(self):
         prob, pd = tangent_disks_setup()
         d = np.array([0.0, 1.0])
-        chart = identity_chart(pd.x)
+        chart = identity_chart(pd)
         arc = trace_arc(prob, chart, d, 0.1, 41)
         expected = np.outer(arc.t, d)
         assert np.abs(arc.points - expected).max() <= 1e-14
 
     def test_no_point_evaluated_twice(self, monkeypatch):
-        # each solve starts from the state its predecessor returned, and the
-        # first from the chart's own center values
-        seen = []
-        make = arc_mod._chart_fun_jac
+        # each solve starts from the state its predecessor returned (the
+        # first from the chart's own center values), so no trajectory
+        # evaluates a point twice; and each lockstep round sweeps every
+        # chart tape at most once, for all the pending trial points
+        trials = []
+        steps = arc_mod.newton_steps
 
-        def recording(problem, chart):
-            fun_jac = make(problem, chart)
-            points = []
-            seen.append(points)
+        def recording_steps(start, target, tol):
+            inner = steps(start, target, tol)
+            try:
+                x = next(inner)
+                while True:
+                    trials.append(x.tobytes())
+                    x = inner.send((yield x))
+            except StopIteration as done:
+                return done.value
 
-            def wrapped(x):
-                points.append(x.tobytes())
-                return fun_jac(x)
+        calls = []
+        gradients = Tape.gradients
 
-            return wrapped
+        def counting(self, X):
+            calls.append(self)
+            return gradients(self, X)
 
-        monkeypatch.setattr(arc_mod, "_chart_fun_jac", recording)
-        prob, pd = circle_setup()
-        rep = arc_for_direction(prob, pd, np.array([0.0, 1.0]))
-        assert rep.realized()
-        assert seen and all(points for points in seen)
-        assert all(len(set(points)) == len(points) for points in seen)
+        rounds = []  # (tapes swept, rows evaluated) per round
+        chart_values = arc_mod._chart_values
+
+        def one_round(tapes, slot, source, X):
+            before = len(calls)
+            out = chart_values(tapes, slot, source, X)
+            rounds.append((calls[before:], [row.tobytes() for row in X]))
+            return out
+
+        monkeypatch.setattr(arc_mod, "newton_steps", recording_steps)
+        monkeypatch.setattr(Tape, "gradients", counting)
+        monkeypatch.setattr(arc_mod, "_chart_values", one_round)
+        # the cylinder's tangent directions pin x3 >= 0 too: the charts mix
+        # one and two tape rows, and an upward direction has none pinned
+        prob = load_problem(dict(BATTERY)["cylinder"])
+        pd = evaluate_point(prob, prob.point)
+        dirs = [(0.0, 1.0, 0.0), (0.0, -0.6, 0.8), (0.0, 0.0, 1.0), (0.0, 1.0, 1.0)]
+        reports = arcs_for_directions(prob, pd, [np.array(d) for d in dirs])
+        assert all(rep.realized() and not rep.arc.truncated for rep in reports)
+        assert {rep.chart_summary["rank"] for rep in reports} == {1, 2}
+        assert trials and len(set(trials)) == len(trials)
+        assert pd.x.tobytes() not in trials
+        assert sorted(row for _, rows in rounds for row in rows) == sorted(trials)
+        assert all(len(set(map(id, tapes))) == len(tapes) for tapes, _ in rounds)
+        assert max(len(tapes) for tapes, _ in rounds) == 2
 
     def test_truncation_beyond_chart_range(self):
         # the circle chart cannot reach |t| > 1; the grid must stop early
@@ -188,7 +232,7 @@ class TestTraceArc:
 
     def test_parameter_validation(self):
         prob, pd = circle_setup()
-        chart = identity_chart(pd.x)
+        chart = identity_chart(pd)
         with pytest.raises(ValueError, match="delta"):
             trace_arc(prob, chart, np.array([0.0, 1.0]), -0.1, 41)
         with pytest.raises(ValueError, match="odd"):
@@ -254,7 +298,7 @@ class TestVerifyArc:
         d = np.array([0.6, 0.8])
         pinned = pinned_constraints(pd, d)
         assert pinned.ineq == ()
-        chart = identity_chart(pd.x)
+        chart = identity_chart(pd)
         arc = trace_arc(prob, chart, d, 0.1, 41)
         props = verify_arc(arc, pd, pinned)
         assert props.checks["arc4"].passed
@@ -309,3 +353,93 @@ class TestArcForDirection:
             report = arc_for_direction(prob, pd, d)
             assert report.error is None
             assert report.realized()
+
+
+ORACLE_PROBLEMS = (
+    [(name, builtin_source(name)) for name in builtin_names()]
+    + BATTERY
+    + [("chain-7", workloads.chain_text(7)), ("fan-3", workloads.fan_text(3))]
+)
+
+
+def assert_same_arc(arc, ref):
+    for name in ("t", "points", "g_values", "h_values"):
+        got, want = getattr(arc, name), getattr(ref, name)
+        assert got.shape == want.shape, name
+        assert got.tobytes() == want.tobytes(), name  # signed zeros included
+    assert (arc.delta, arc.truncated, arc.note) == (ref.delta, ref.truncated, ref.note)
+
+
+# a circle inequality, active at (1, 0), and a log that leaves its domain
+# below x2 = -1.2: at delta 1.5 the pinned circle chart fails past |t| = 1,
+# and a straight arc reaching down to x2 = -1.2 truncates at the log
+MIXED = "vars 2\nobjective x2\nineq x1^2 + x2^2 - 1\nineq -log(x2 + 1.2)\npoint 1 0\n"
+
+
+class TestLockstepMarch:
+    """The lockstep march against the sequential one-arc march it replaced."""
+
+    @pytest.mark.parametrize("source", [text for _, text in ORACLE_PROBLEMS],
+                             ids=[name for name, _ in ORACLE_PROBLEMS])
+    def test_sampled_directions_match_sequential_march(self, source):
+        prob = load_problem(source)
+        pd = evaluate_point(prob, prob.point)
+        dirs = sample_directions(linearized_cone(pd), 8, seed=0)
+        reports = arcs_for_directions(prob, pd, dirs)
+        assert len(reports) == len(dirs)
+        for d, rep in zip(dirs, reports):
+            ref = sequential_arc(prob, pd, d)
+            assert (rep.arc is None) == (ref is None)
+            if ref is not None:
+                assert_same_arc(rep.arc, ref)
+
+    def test_mixed_batch_matches_sequential_march(self):
+        prob = load_problem(MIXED)
+        pd = evaluate_point(prob, prob.point)
+        dirs = [np.array(d) for d in ((0.0, 1.0), (-1.0, 0.0), (-1.0, -1.0), (1.0, 0.0))]
+        reports = arcs_for_directions(prob, pd, dirs, delta=1.5)
+        assert reports[3].error == "direction is not in the linearized cone"
+        assert [rep.chart_summary["rank"] for rep in reports[:3]] == [1, 0, 0]
+        assert [rep.arc.delta for rep in reports[:3]] == [0.75, 1.5, 0.75]
+        for d, rep in zip(dirs, reports):
+            ref = sequential_arc(prob, pd, d, delta=1.5)
+            assert (rep.arc is None) == (ref is None)
+            if ref is not None:
+                assert_same_arc(rep.arc, ref)
+        # the first attempts, failing rows and all, traced in one batch
+        charts = [build_chart(pd, pinned_constraints(pd, d)) for d in dirs[:3]]
+        arcs = trace_arcs(prob, charts, dirs[:3], [1.5, 0.1, 1.5])
+        assert "no descent" in arcs[0].note
+        assert not arcs[1].truncated
+        assert arcs[2].note.startswith("side +1 truncated at sample 16 (t = 1.2): log of")
+        for chart, d, delta, arc in zip(charts, dirs, [1.5, 0.1, 1.5], arcs):
+            assert_same_arc(arc, sequential_trace_arc(prob, chart, d, delta))
+            assert_same_arc(arc, trace_arc(prob, chart, d, delta))
+
+    @pytest.mark.parametrize("delta, samples", [(6.0, 11), (30.0, 5)])
+    def test_chart_row_leaving_domain_matches_sequential_march(self, delta, samples, monkeypatch):
+        # Newton trial points with x1 <= -1 leave the chart row's domain:
+        # they are sent back as None and halved, as a raising one-point
+        # evaluation was
+        outside = []
+        steps = arc_mod.newton_steps
+
+        def recording_steps(start, target, tol):
+            inner = steps(start, target, tol)
+            try:
+                x = next(inner)
+                while True:
+                    evaluated = yield x
+                    outside.append(evaluated is None)
+                    x = inner.send(evaluated)
+            except StopIteration as done:
+                return done.value
+
+        monkeypatch.setattr(arc_mod, "newton_steps", recording_steps)
+        prob = load_problem(dict(BATTERY)["log sheet"])
+        pd = evaluate_point(prob, prob.point)
+        d = np.array([1.0, 1.0])
+        chart = build_chart(pd, pinned_constraints(pd, d))
+        arc = trace_arcs(prob, [chart, chart], [d, -d], [delta, delta], samples)[0]
+        assert any(outside)
+        assert_same_arc(arc, sequential_trace_arc(prob, chart, d, delta, samples))

@@ -301,6 +301,32 @@ class TestMain:
         assert main(["analyze", str(path)]) == 2
         assert "eq 1: gradient at the point too large to rank" in capsys.readouterr().err
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize(
+        "coef, code",
+        [("1e150", 0), ("4e153", 0), ("5e153", 2), ("1e160", 2), ("1e200", 2), ("1.5e308", 2)],
+    )
+    def test_objective_gradient_bound(self, coef, code, tmp_path, capsys):
+        # the multiplier probe squares residuals as long as the objective
+        # gradient: with n = 2 the bound is sqrt(finfo.max / 2) / 2 = 4.7e153
+        path = tmp_path / "steep.prob"
+        path.write_text(f"vars 2\nobjective {coef}*x1 + {coef}*x2\nineq -x1\npoint 0 0\n")
+        assert main(["analyze", str(path)]) == code
+        err = capsys.readouterr().err
+        if code == 2:
+            assert "objective: gradient at the point too large for the multiplier solve" in err
+        else:
+            assert err == ""
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_objective_gradient_bound_scales_with_constraints(self, tmp_path, capsys):
+        # A.T @ f_grad grows with the constraint gradients: 1e300 * 1e10
+        # would overflow, so the bound is finfo.max / (2 * 1e300) / 2 = 9e7
+        path = tmp_path / "steep.prob"
+        path.write_text("vars 2\nobjective 1e10*x1\nineq -1e300*x1\npoint 0 0\n")
+        assert main(["analyze", str(path)]) == 2
+        assert "objective: gradient" in capsys.readouterr().err
+
     def test_exp_overflow_at_samples_skips_them(self, tmp_path):
         # the point is fine, but exp(1e6 * x1) overflows on part of every
         # shell with x1 > 7.1e-4 and along arcs that move x1 that far

@@ -19,7 +19,9 @@ from nlpcheck.linalg import (
     SingularJacobianError,
     min_eig_sym,
     newton_solve,
+    newton_steps,
     nnls,
+    nnls_bound,
     nullspace_basis,
     numerical_rank,
     pivot_select,
@@ -185,6 +187,33 @@ class TestNewton:
 
         x = solve(fun_jac, [0.25], [0.0])
         assert_allclose(x[0], 1.0, atol=1e-10)
+
+    def test_steps_generator_is_the_solve(self):
+        # newton_solve drives newton_steps: the caller evaluates each yielded
+        # trial point and sends None where it left the domain
+        def fun_jac(x):
+            if x[0] <= 0:
+                raise DomainError("closed left half line")
+            return np.array([np.sqrt(x[0]) - 1.0]), np.array([[0.5 / np.sqrt(x[0])]])
+
+        x0 = np.array([9.0])  # the full first step lands on -3
+        start = (x0, *fun_jac(x0))
+        steps = newton_steps(start, np.array([0.0]))
+        outside = 0
+        try:
+            x = next(steps)
+            while True:
+                if x[0] <= 0:
+                    outside += 1
+                    x = steps.send(None)
+                else:
+                    x = steps.send(fun_jac(x))
+        except StopIteration as done:
+            x, F, J = done.value
+        assert outside > 0
+        x_ref, F_ref, J_ref = newton_solve(fun_jac, start, np.array([0.0]))
+        assert x.tobytes() == x_ref.tobytes()
+        assert F.tobytes() == F_ref.tobytes() and J.tobytes() == J_ref.tobytes()
 
 
 def brute_force_lp(c, a_ub, b_ub, a_eq=None, b_eq=None):
@@ -367,6 +396,17 @@ class TestMaskedNnls:
         y, res = nnls(a, -(a @ y_true), np.ones(2, dtype=bool))
         assert_allclose(y, y_true, atol=1e-12)
         assert res <= 1e-12
+
+    def test_right_hand_side_bound_keeps_the_solve_finite(self):
+        # any b within nnls_bound runs without an overflow warning, which
+        # the test configuration turns into an error
+        rng = np.random.default_rng(24)
+        for scale in (1.0, 1e150, 1e300):
+            a = scale * rng.standard_normal((4, 3))
+            b = nnls_bound(a) * np.sign(rng.standard_normal(4))
+            y, res = nnls(a, b, np.array([True, True, False]))
+            assert np.isfinite(y).all() and np.isfinite(res)
+        assert nnls_bound(np.zeros((2, 0))) == 0.5 * np.sqrt(np.finfo(float).max / 2)
 
     def test_stationarity_gradient_probe(self):
         # columns = constraint gradients, b = objective gradient: the
