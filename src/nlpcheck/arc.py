@@ -20,10 +20,11 @@ of sigma) exactly at its center value while moving with velocity d.  Each
 zeta(t) is computed by a warm-started Newton solve of c(x) = target.
 
 All the arcs of an analysis are traced together: both sides of every arc
-march in lockstep, and each Newton round evaluates every pending trial
-point with one batched tape sweep per chart row.  The constraint values
-along the arcs come from the chart rows' Newton values, from ``PointData``
-at the center, and from one more batched sweep per other constraint.
+march outward one sample at a time, each sample one ``newton_batch`` over
+every side, whose rounds evaluate the trial points with one batched tape
+sweep per chart row.  The constraint values along the arcs come from the
+chart rows' Newton values, from ``PointData`` at the center, and from one
+more batched sweep per other constraint.
 
 The traced arc is validated against five properties: (arc1) it starts at
 the point with velocity d; (arc2) pinned inequalities stay at zero; (arc3)
@@ -39,7 +40,7 @@ import numpy as np
 
 from nlpcheck.cones import linearized_cone, membership
 from nlpcheck.expr import DomainError
-from nlpcheck.linalg import NewtonError, newton_steps, numerical_rank, pivot_select
+from nlpcheck.linalg import newton_batch, numerical_rank, pivot_select
 from nlpcheck.model import PointData, Problem
 
 __all__ = [
@@ -127,12 +128,6 @@ class LocalChart:
     @property
     def n(self) -> int:
         return self.center.size
-
-
-def _component_index(problem: Problem, comp: tuple[str, int]) -> int:
-    """Position of a constraint's tape in ``ineq_tapes + eq_tapes``."""
-    kind, label = comp
-    return label - 1 if kind == "ineq" else problem.m + label - 1
 
 
 def _center_jet(pd: PointData, comp: tuple[str, int]) -> tuple[float, np.ndarray]:
@@ -243,30 +238,6 @@ def _truncation_note(side: int, k: int, tk: float, exc: Exception) -> str:
     return f"side {side:+d} truncated at sample {k} (t = {tk:.6g}): {exc}"
 
 
-def _march(chart: LocalChart, step_z: np.ndarray, delta: float, half: int, side: int, tol: float):
-    """One side of an arc: a generator of Newton trial points.
-
-    It yields each trial point and is sent ``(F, J)`` there, or None, as
-    :func:`newton_steps` expects.  Each solve starts from its inner
-    neighbour's evaluated state (the chart's own center values for the
-    first), so no point is evaluated twice.  It returns the converged
-    points, the chart-row values ``F[:r]`` at each, and the note of the
-    Newton failure that ended the side early, if one did.
-    """
-    state = (chart.center, chart.z_center, chart.jac_center)
-    points, values = [], []
-    for k in range(1, half + 1):
-        tk = side * delta * k / half
-        target = chart.z_center + tk * step_z
-        try:
-            state = yield from newton_steps(state, target, tol)
-        except NewtonError as exc:
-            return points, values, _truncation_note(side, k, tk, exc)
-        points.append(state[0])
-        values.append(state[1][: chart.rank])
-    return points, values, ""
-
-
 def _chart_values(tapes, slot: np.ndarray, source: np.ndarray, X: np.ndarray):
     """c(x) and c'(x) at every row of ``X``, one batched sweep per tape.
 
@@ -301,17 +272,16 @@ def trace_arcs(
     newton_tol: float = 1e-12,
 ) -> list[ArcResult]:
     """March the arcs zeta(t) through their chart centers over symmetric
-    grids by warm-started Newton, all of them in lockstep.
+    grids by warm-started Newton, all of them together.
 
     Arc a runs along ``directions[a]`` through ``charts[a]`` with half-width
     ``deltas[a]``.  ``samples`` must be odd and at least 5 so each grid
     contains t = 0 and enough symmetric pairs for derivative estimates.
-    Marching proceeds outward from the center on both sides of every arc
-    at once: each round evaluates every pending trial point with one
-    :meth:`Tape.gradients` call per chart-row tape.  A Newton failure
-    truncates that side at the last good sample, and so does a constraint
-    that leaves its domain at a sample.  Each arc equals the one traced
-    alone.
+    Sample k of both sides of every arc is one :func:`newton_batch`, each
+    side starting from its sample k - 1 (the chart center for the first).
+    A Newton failure truncates that side at the last good sample, and so
+    does a constraint that leaves its domain at a sample.  Each arc equals
+    the one traced alone.
     """
     directions = [np.asarray(d, dtype=float).ravel() for d in directions]
     if any(delta <= 0.0 for delta in deltas):
@@ -322,95 +292,91 @@ def trace_arcs(
     tapes = problem.ineq_tapes + problem.eq_tapes
     n, m = problem.n, problem.m
 
-    # marches 2a and 2a + 1 are the negative and positive sides of arc a;
+    # sides 2a and 2a + 1 are the negative and positive sides of arc a;
     # slot and source describe their charts row by row (see _chart_values)
-    marches = []
-    slot = np.full((2 * len(charts), len(tapes)), -1)
-    source = np.full((2 * len(charts), n), -1)
-    for a, (chart, d, delta) in enumerate(zip(charts, directions, deltas)):
-        for row, i in enumerate(chart.xi):
-            slot[2 * a : 2 * a + 2, _component_index(problem, chart.components[i])] = row
+    S = 2 * len(charts)
+    slot = np.full((S, len(tapes)), -1)
+    source = np.full((S, n), -1)
+    for a, chart in enumerate(charts):
+        for row, (kind, label) in enumerate(chart.components[i] for i in chart.xi):
+            slot[2 * a : 2 * a + 2, label - 1 + (m if kind == "eq" else 0)] = row
         source[2 * a : 2 * a + 2, chart.rank :] = chart.keep_vars
-        step_z = chart.jac_center @ d
-        for side in (-1, +1):
-            marches.append(_march(chart, step_z, delta, half, side, newton_tol))
+    sign = np.tile([-1, 1], len(charts))
+    scale = sign * np.repeat(np.asarray(deltas, dtype=float), 2)
+    z_center = np.repeat([chart.z_center for chart in charts], 2, axis=0)
+    step_z = np.repeat([chart.jac_center @ d for chart, d in zip(charts, directions)], 2, axis=0)
+    state = (np.repeat([chart.center for chart in charts], 2, axis=0), z_center,
+             np.repeat([chart.jac_center for chart in charts], 2, axis=0))
 
-    outcome: list = [None] * len(marches)
-    trial: list = [None] * len(marches)
-    live = []
-    for s, march in enumerate(marches):
-        try:
-            trial[s] = next(march)
-            live.append(s)
-        except StopIteration as done:
-            outcome[s] = done.value
-    while live:
-        F, J, ok = _chart_values(tapes, slot[live], source[live], np.array([trial[s] for s in live]))
-        still = []
-        for i, s in enumerate(live):
+    # sample k of every live side in one batch; each constraint value at a
+    # marched point is its chart row's Newton value, or comes from the
+    # batched sweeps below
+    points = np.empty((S, half, n))
+    values = np.empty((S, half, len(tapes)))
+    cut = np.zeros(S, dtype=int)  # samples kept per side
+    notes = [""] * S
+    live = np.arange(S)
+    for k in range(1, half + 1):
+        if not live.size:
+            break
+        tk = scale[live] * k / half
+        slots, sources = slot[live], source[live]
+        X, F, J, errors = newton_batch(
+            lambda rows, T: _chart_values(tapes, slots[rows], sources[rows], T),
+            state,
+            z_center[live] + tk[:, None] * step_z[live],
+            newton_tol,
+        )
+        for i, error in enumerate(errors):
+            if error is not None:
+                notes[live[i]] = _truncation_note(int(sign[live[i]]), k, float(tk[i]), error)
+        good = np.array([error is None for error in errors])
+        live, state = live[good], (X[good], F[good], J[good])
+        points[live, k - 1] = state[0]
+        # the columns of the other tapes are filled in below
+        values[live, k - 1] = np.take_along_axis(state[1], np.maximum(slots[good], 0), axis=1)
+        cut[live] = k
+
+    # a side is cut at the first sample where a constraint leaves its
+    # domain; its march ran on past that sample, and the points beyond
+    # are dropped.  A failed batched row is settled by the one-point call,
+    # which raises the message a sequential evaluation would have raised.
+    side_of, sample_of = np.nonzero(np.arange(half) < cut[:, None])
+    X, V = points[side_of, sample_of], values[side_of, sample_of]
+    fine = np.ones(V.shape, dtype=bool)
+    other = slot[side_of] < 0
+    for t in np.flatnonzero(other.any(axis=0)):
+        rows = np.flatnonzero(other[:, t])
+        V[rows, t], _, fine[rows, t] = tapes[t].gradients(X[rows])
+    for r in np.flatnonzero(~fine.all(axis=1)).tolist():
+        s, j = int(side_of[r]), int(sample_of[r])
+        if j < cut[s]:
             try:
-                trial[s] = marches[s].send((F[i], J[i]) if ok[i] else None)
-                still.append(s)
-            except StopIteration as done:
-                outcome[s] = done.value
-        live = still
-
-    # every constraint at every marched point: the chart rows from their
-    # Newton values, the others in one batched sweep per tape.  A side is
-    # cut at the first sample where a constraint leaves its domain; its
-    # march ran on past that sample, and the points beyond are dropped.
-    sizes = [len(points) for points, _, _ in outcome]
-    owner = np.repeat(np.arange(len(marches)), sizes)
-    values = np.empty((owner.size, len(tapes)))
-    fine = np.ones((owner.size, len(tapes)), dtype=bool)
-    starts = np.concatenate([[0], np.cumsum(sizes)])
-    for s, (_, chart_values, _) in enumerate(outcome):
-        if sizes[s]:
-            rows = slice(starts[s], starts[s + 1])
-            cols = np.flatnonzero(slot[s] >= 0)
-            values[rows, cols] = np.array(chart_values)[:, slot[s, cols]]
-    if owner.size:
-        X = np.array([pt for points, _, _ in outcome for pt in points])
-        other = slot[owner] < 0
-        for k in np.flatnonzero(other.any(axis=0)):
-            rows = np.flatnonzero(other[:, k])
-            values[rows, k], _, fine[rows, k] = tapes[k].gradients(X[rows])
+                for t in np.flatnonzero(~fine[r]).tolist():
+                    V[r, t] = tapes[t].value(X[r])
+            except DomainError as exc:
+                side = int(sign[s])
+                tj = side * deltas[s // 2] * (j + 1) / half
+                notes[s] = _truncation_note(side, j + 1, tj, exc)
+                cut[s] = j
+    values[side_of, sample_of] = V
 
     arcs = []
     for a, (chart, d, delta) in enumerate(zip(charts, directions, deltas)):
-        notes = []
-        kept = []
-        for s, side in ((2 * a, -1), (2 * a + 1, +1)):
-            points, _, note = outcome[s]
-            vals = values[starts[s] : starts[s + 1]]
-            ok = fine[starts[s] : starts[s + 1]]
-            # a failed batched row is settled by the one-point call, which
-            # raises the message a sequential evaluation would have raised
-            for j in np.flatnonzero(~ok.all(axis=1)).tolist():
-                try:
-                    for k in np.flatnonzero(~ok[j]).tolist():
-                        vals[j, k] = tapes[k].value(points[j])
-                except DomainError as exc:
-                    note = _truncation_note(side, j + 1, side * delta * (j + 1) / half, exc)
-                    points, vals = points[:j], vals[:j]
-                    break
-            if note:
-                notes.append(note)
-            kept.append((points, vals))
-        (neg, neg_vals), (pos, pos_vals) = kept
-        x = chart.center
-        t = np.array([delta * k / half for k in range(-len(neg), len(pos) + 1)])
+        lo, hi = cut[2 * a], cut[2 * a + 1]
+        neg, pos = values[2 * a, :lo][::-1], values[2 * a + 1, :hi]
+        t = np.array([delta * k / half for k in range(-lo, hi + 1)])
         arcs.append(
             ArcResult(
                 t=t,
-                points=np.vstack(neg[::-1] + [x] + pos),
-                g_values=np.vstack([neg_vals[::-1, :m], chart.g_center, pos_vals[:, :m]]),
-                h_values=np.vstack([neg_vals[::-1, m:], chart.h_center, pos_vals[:, m:]]),
+                points=np.vstack([points[2 * a, :lo][::-1], chart.center, points[2 * a + 1, :hi]]),
+                g_values=np.vstack([neg[:, :m], chart.g_center, pos[:, :m]]),
+                h_values=np.vstack([neg[:, m:], chart.h_center, pos[:, m:]]),
                 delta=delta,
                 direction=d.copy(),
-                center=x.copy(),
+                center=chart.center.copy(),
                 truncated=t.size < samples,
-                note="; ".join(notes),
+                note="; ".join(note for note in notes[2 * a : 2 * a + 2] if note),
             )
         )
     return arcs
@@ -592,10 +558,7 @@ def arcs_for_directions(
         summary = {
             "pinned_ineq": list(pinned.ineq),
             "rank": chart.rank,
-            "chart_rows": [
-                f"{kind}{label}" for kind, label in
-                (chart.components[i] for i in chart.xi)
-            ],
+            "chart_rows": ["%s%d" % chart.components[i] for i in chart.xi],
             "solve_vars": [k + 1 for k in chart.solve_vars],
             "keep_vars": [k + 1 for k in chart.keep_vars],
             "condition": chart.cond_estimate,
@@ -621,8 +584,7 @@ def arcs_for_directions(
         pending = [i for i, arc in zip(pending, traced) if arc.truncated]
         for i in pending:
             cur_delta[i] *= 0.5
-    for r in charted:
-        rep = reports[r]
+    for rep in (reports[r] for r in charted):
         rep.properties = verify_arc(rep.arc, pd, rep.pinned, verify_tol)
     return reports
 

@@ -29,7 +29,7 @@ from nlpcheck import cones, cq, kkt
 from nlpcheck._sobol import MAXPOINTS
 from nlpcheck._version import __version__
 from nlpcheck.expr import DomainError
-from nlpcheck.linalg import entry_bound, nnls_bound
+from nlpcheck.linalg import entry_bound, nnls_bound, norm_bound
 from nlpcheck.model import Problem, ProblemError, evaluate_point, feasibility, load_problem
 from nlpcheck.problems import builtin_names, builtin_source
 
@@ -228,6 +228,10 @@ def run(config: RunConfig) -> dict:
     # the multiplier probe solves nnls(table.T, f_grad), which would overflow
     if (np.abs(pd.f_grad) > nnls_bound(table.T)).any():
         raise InputError("objective: gradient at the point too large for the multiplier solve")
+    # cone sampling and chart pivoting square the norms of these rows
+    for label, ok in zip(labels, (np.abs(table) <= norm_bound(problem.n)).all(axis=1)):
+        if not ok:
+            raise InputError(f"{label}: gradient at the point too large to square its norm")
     report["active_set"] = list(pd.active)
     report["objective_value"] = pd.f_val
 
@@ -272,42 +276,34 @@ def run(config: RunConfig) -> dict:
             "skipped": "not a KKT point at tolerance; SSONC does not apply"
         }
 
-    def arc_reports_for(directions) -> list[arc_mod.DirectionArcReport]:
-        return arc_mod.arcs_for_directions(
-            problem,
-            pd,
-            directions,
-            delta=config.delta,
-            samples=config.arc_points,
-            tol_dir=config.tol_dir,
-            tol_rank=config.tol_rank,
-            newton_tol=config.newton_tol,
-            verify_tol=config.verify_tol,
-        )
-
-    def sampled_directions() -> list[np.ndarray]:
-        cone = cones.linearized_cone(pd)
-        return cones.sample_directions(
-            cone, config.arc_sample, config.seed, config.tol_dir
-        )
-
-    explicit = len(config.arc_dirs) > 0
-    if explicit:
-        directions = [np.asarray(d, dtype=float) for d in config.arc_dirs]
-    else:
-        directions = sampled_directions()
-    arc_reports = arc_reports_for(directions)
+    # the Abadie probe always uses sampled directions so its statistics are
+    # comparable across runs; without explicit --arc-dir they are the same
+    # arcs, and explicit ones are traced in the same batch (arcs are
+    # independent).  Finitely many arcs refute nothing, so the verdict
+    # stays undetermined.
+    sampled = cones.sample_directions(
+        cones.linearized_cone(pd), config.arc_sample, config.seed, config.tol_dir
+    )
+    explicit = [np.asarray(d, dtype=float) for d in config.arc_dirs]
+    traced = arc_mod.arcs_for_directions(
+        problem,
+        pd,
+        explicit + sampled,
+        delta=config.delta,
+        samples=config.arc_points,
+        tol_dir=config.tol_dir,
+        tol_rank=config.tol_rank,
+        newton_tol=config.newton_tol,
+        verify_tol=config.verify_tol,
+    )
+    arc_reports = traced[: len(explicit)] if explicit else traced
     report["arcs"] = {
         "delta": config.delta,
         "samples_per_arc": config.arc_points,
-        "directions_explicit": explicit,
+        "directions_explicit": bool(explicit),
         "entries": [_arc_entry(rep) for rep in arc_reports],
     }
-
-    # the Abadie probe always uses sampled directions so its statistics are
-    # comparable across runs; without explicit --arc-dir they are the same arcs
-    # (finitely many arcs refute nothing, so the verdict stays undetermined)
-    acq_reports = arc_reports_for(sampled_directions()) if explicit else arc_reports
+    acq_reports = traced[len(explicit) :]
     evidence = cq.summarize_acq(acq_reports, requested=config.arc_sample, seed=config.seed)
     report["constraint_qualifications"]["acq"] = _verdict_dict(
         cq.Verdict("undetermined", None, evidence)
@@ -360,8 +356,9 @@ def _write_json(obj, indent: int, out: list[str]) -> None:
         if not seq:
             out.append("[]")
             return
-        if all(_json_scalar(v) is not None for v in seq):
-            out.append("[" + ", ".join(_json_scalar(v) for v in seq) + "]")
+        scalars = [_json_scalar(v) for v in seq]
+        if None not in scalars:
+            out.append("[" + ", ".join(scalars) + "]")
             return
         out.append("[\n")
         for k, value in enumerate(seq):

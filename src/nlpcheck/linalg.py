@@ -1,18 +1,20 @@
 """Dense numerical kernels shared by the analysis passes.
 
 Everything here operates on small dense matrices (tens of rows and columns,
-not thousands), or on stacks of them.  Rank decisions, nullspaces, and
-eigenvalues are backed by LAPACK through numpy; the simplex solver, the
-sign-constrained least-squares solver, the greedy column pivoting, and the
-damped Newton iteration are implemented directly because their tie-breaking
-and failure behaviour must be deterministic and inspectable.
+not thousands), or on stacks of them.  Rank decisions, nullspaces,
+eigenvalues and Newton directions are backed by LAPACK through numpy; the
+simplex solver, the sign-constrained least-squares solver, the greedy column
+pivoting, and the damped Newton iteration (a batch of systems stepped
+together, one stacked solve per round) are implemented directly because
+their tie-breaking and failure behaviour must be deterministic and
+inspectable.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Generator, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -23,13 +25,14 @@ __all__ = [
     "numerical_rank",
     "stacked_rank",
     "entry_bound",
+    "norm_bound",
     "nnls_bound",
     "nullspace_basis",
     "pivot_select",
     "NewtonError",
     "SingularJacobianError",
     "NewtonConvergenceError",
-    "newton_steps",
+    "newton_batch",
     "newton_solve",
     "min_eig_sym",
     "LpResult",
@@ -66,6 +69,13 @@ def entry_bound(rows: int, cols: int) -> float:
     largest entry, and an overflowing sigma_max would turn every threshold
     into inf and the rank into 0."""
     return float(np.finfo(float).max / np.sqrt(max(rows * cols, 1)))
+
+
+def norm_bound(cols: int) -> float:
+    """Largest entry magnitude a vector of ``cols`` entries may have for its
+    squared 2-norm to stay finite; half of the bound is returned, to spare
+    the rounding of the sum of squares."""
+    return 0.5 * math.sqrt(float(np.finfo(float).max) / max(cols, 1))
 
 
 def nnls_bound(A) -> float:
@@ -186,58 +196,81 @@ class NewtonConvergenceError(NewtonError):
         self.best_residual = best_residual
 
 
-def newton_steps(
+def newton_batch(
+    evaluate: Callable[[np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray, np.ndarray]],
     start: tuple[np.ndarray, np.ndarray, np.ndarray],
-    target,
+    targets,
     tol: float = 1e-12,
-) -> Generator[np.ndarray, tuple[np.ndarray, np.ndarray] | None, tuple]:
-    """Solve ``F(x) = target`` by damped Newton steps, as a generator.
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, list[NewtonError | None]]:
+    """Solve ``F_i(x) = targets[i]`` for k systems of size n by damped Newton.
 
-    ``start`` is an evaluated point ``(x, F(x), J(x))``.  The generator
-    yields each trial point and is sent back ``(F, J)`` there, or None
-    where the point left the domain; it returns the evaluated triple at
-    the solution, so a warm-started caller never evaluates a point twice.
-    Full steps are halved (up to 30 times) until the max-norm residual
-    decreases, and a trial point outside the domain counts like a
-    residual increase, which lets callers step around domain boundaries.
-    For an affine ``F`` the first full step lands on the solution
-    exactly.  The caller owns the evaluation, so many systems can be
-    stepped together with one batched evaluation per round.
+    ``start`` holds evaluated points ``(X, F, J)`` of shapes ``(k, n)``,
+    ``(k, n)`` and ``(k, n, n)``; ``evaluate(rows, X)`` returns ``(F, J,
+    ok)`` at trial points ``X`` of the systems ``rows``, ``ok[i]`` False
+    where a point left the domain.  Each round makes one stacked solve for
+    the systems that need a step and one ``evaluate`` call.  Full steps are
+    halved (up to 30 times) until the max-norm residual decreases, and a
+    point outside the domain counts as an increase, so a solve can step
+    around domain boundaries.  For an affine ``F`` the first full step lands
+    on the solution exactly.  Each system keeps its own step, step size and
+    counts, so its row equals a solve of that system alone.  Returns the
+    evaluated triples at the solutions (at the last accepted iterate where
+    a system failed) and each system's :class:`NewtonError` or None.
     """
-    x, F, J = start
-    target = np.asarray(target, dtype=float)
-    res = float(np.abs(F - target).max(initial=0.0))
-    for _ in range(_NEWTON_MAX_ITER):
-        if res <= tol:
-            return x, F, J
-        try:
-            step = np.linalg.solve(J, target - F)
-        except np.linalg.LinAlgError as exc:
-            raise SingularJacobianError(f"singular Jacobian at iterate (residual {res:.3e})") from exc
-        if not np.isfinite(step).all():
-            raise SingularJacobianError("non-finite Newton step")
-        alpha = 1.0
-        for _halving in range(30):
-            x_new = x + alpha * step
-            evaluated = yield x_new
-            if evaluated is None:
-                alpha *= 0.5
-                continue
-            F_new, J_new = evaluated
-            res_new = float(np.abs(F_new - target).max(initial=0.0))
-            if res_new < res or res_new <= tol:
-                x, F, J, res = x_new, F_new, J_new, res_new
-                break
-            alpha *= 0.5
-        else:
-            raise NewtonConvergenceError(
-                f"no descent after 30 halvings (residual {res:.3e})", x, res
-            )
-    if res <= tol:
-        return x, F, J
-    raise NewtonConvergenceError(
-        f"no convergence in {_NEWTON_MAX_ITER} iterations (residual {res:.3e})", x, res
-    )
+    X, F, J = (np.array(a, dtype=float) for a in start)
+    targets = np.asarray(targets, dtype=float)
+    k = X.shape[0]
+    res = np.abs(F - targets).max(axis=1, initial=0.0)
+    errors: list[NewtonError | None] = [None] * k
+    step, alpha = np.zeros_like(X), np.ones(k)
+    halvings, iterations = np.zeros(k, dtype=int), np.zeros(k, dtype=int)
+    stepping = np.zeros(k, dtype=bool)  # a step is being halved
+    pending = ~(res <= tol)  # neither solved nor failed
+
+    def fail(i: int, error: NewtonError) -> None:
+        errors[i] = error
+        pending[i] = stepping[i] = False
+
+    while True:
+        for i in np.flatnonzero(pending & ~stepping & (iterations == _NEWTON_MAX_ITER)):
+            message = f"no convergence in {_NEWTON_MAX_ITER} iterations (residual {res[i]:.3e})"
+            fail(i, NewtonConvergenceError(message, X[i].copy(), float(res[i])))
+        fresh = np.flatnonzero(pending & ~stepping)
+        if fresh.size:
+            # explicit columns, so the call means the same on numpy 1 and 2
+            R = (targets[fresh] - F[fresh])[..., None]
+            try:
+                step[fresh] = np.linalg.solve(J[fresh], R)[..., 0]
+            except np.linalg.LinAlgError:  # one at a time, to find the singular systems
+                for i, Ji, Ri in zip(fresh, J[fresh], R):
+                    try:
+                        step[i] = np.linalg.solve(Ji, Ri)[:, 0]
+                    except np.linalg.LinAlgError:
+                        message = f"singular Jacobian at iterate (residual {res[i]:.3e})"
+                        fail(i, SingularJacobianError(message))
+            for i in fresh[pending[fresh] & ~np.isfinite(step[fresh]).all(axis=1)]:
+                fail(i, SingularJacobianError("non-finite Newton step"))
+            alpha[fresh], halvings[fresh] = 1.0, 0
+            iterations[fresh] += 1
+            stepping[fresh] = pending[fresh]
+        rows = np.flatnonzero(stepping)
+        if not rows.size:
+            return X, F, J, errors
+        trial = X[rows] + alpha[rows, None] * step[rows]
+        F_new, J_new, ok = evaluate(rows, trial)
+        res_new = np.full(rows.size, np.inf)
+        res_new[ok] = np.abs(F_new[ok] - targets[rows[ok]]).max(axis=1, initial=0.0)
+        better = ok & ((res_new < res[rows]) | (res_new <= tol))
+        took = rows[better]
+        X[took], F[took], J[took] = trial[better], F_new[better], J_new[better]
+        res[took] = res_new[better]
+        stepping[took], pending[took] = False, ~(res[took] <= tol)
+        worse = rows[~better]
+        alpha[worse] *= 0.5
+        halvings[worse] += 1
+        for i in worse[halvings[worse] == 30]:
+            message = f"no descent after 30 halvings (residual {res[i]:.3e})"
+            fail(i, NewtonConvergenceError(message, X[i].copy(), float(res[i])))
 
 
 def newton_solve(
@@ -246,20 +279,24 @@ def newton_solve(
     target,
     tol: float = 1e-12,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """:func:`newton_steps` for one system: ``fun_jac(x)`` returns
-    ``(F(x), J(x))`` at each trial point, and a :class:`DomainError` it
-    raises marks the point as outside the domain."""
-    steps = newton_steps(start, target, tol)
-    try:
-        x = next(steps)
-        while True:
-            try:
-                evaluated = fun_jac(x)
-            except DomainError:
-                evaluated = None
-            x = steps.send(evaluated)
-    except StopIteration as done:
-        return done.value
+    """:func:`newton_batch` for one system: ``fun_jac(x)`` returns
+    ``(F(x), J(x))``, and a :class:`DomainError` it raises marks ``x`` as
+    outside the domain.  Raises the system's :class:`NewtonError`, and
+    returns ``start`` itself when it already solves the system."""
+    evaluated = []
+
+    def evaluate(rows, X):
+        evaluated.append(X)
+        try:
+            F, J = fun_jac(X[0])
+        except DomainError:
+            return np.zeros_like(X), np.zeros(X.shape + X.shape[1:]), np.zeros(1, dtype=bool)
+        return F[None], J[None], np.ones(1, dtype=bool)
+
+    X, F, J, errors = newton_batch(evaluate, [a[None] for a in start], [target], tol)
+    if errors[0] is not None:
+        raise errors[0]
+    return (X[0], F[0], J[0]) if evaluated else start
 
 
 def min_eig_sym(H) -> tuple[float, np.ndarray]:

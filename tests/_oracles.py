@@ -12,9 +12,12 @@ the plain one-matrix-at-a-time versions of batched library code; they
 must agree with it exactly.  ``reference_evaluate`` and
 ``reference_grad_hess`` are the recursive tree interpreters the expression
 tape replaced: every tape mode must reproduce their bits, signed zeros
-included.  ``sequential_trace_arc`` and ``sequential_arc`` are the
-one-arc, one-point-at-a-time march the lockstep arc tracer replaced: it
-must reproduce their arcs bit for bit.
+included.  ``reference_newton`` is the one-system damped Newton loop the
+batched ``linalg.newton_batch`` replaced: every row of a batch must
+reproduce it bit for bit, failures included.  ``sequential_trace_arc``
+and ``sequential_arc`` are the one-arc, one-point-at-a-time march (on
+``reference_newton``) the batched arc tracer replaced: it must reproduce
+their arcs bit for bit.
 """
 
 import itertools
@@ -506,12 +509,57 @@ def _chart_fun_jac(problem, chart):
     return fun_jac
 
 
+def reference_newton(fun_jac, start, target, tol=1e-12):
+    """Solve ``F(x) = target`` for one system by damped Newton steps.
+
+    ``start`` is an evaluated point ``(x, F(x), J(x))`` and ``fun_jac(x)``
+    returns ``(F, J)``, raising ``DomainError`` outside the domain.  Full
+    steps are halved (up to 30 times) until the max-norm residual
+    decreases; a point outside the domain counts as an increase.  Returns
+    the evaluated triple at the solution, or raises the ``NewtonError``
+    that ``linalg.newton_batch`` records for the system.
+    """
+    from nlpcheck.expr import DomainError
+    from nlpcheck.linalg import NewtonConvergenceError, SingularJacobianError
+
+    x, F, J = start
+    target = np.asarray(target, dtype=float)
+    res = float(np.abs(F - target).max(initial=0.0))
+    for _ in range(50):
+        if res <= tol:
+            return x, F, J
+        try:
+            step = np.linalg.solve(J, target - F)
+        except np.linalg.LinAlgError as exc:
+            raise SingularJacobianError(f"singular Jacobian at iterate (residual {res:.3e})") from exc
+        if not np.isfinite(step).all():
+            raise SingularJacobianError("non-finite Newton step")
+        alpha = 1.0
+        for _halving in range(30):
+            x_new = x + alpha * step
+            try:
+                F_new, J_new = fun_jac(x_new)
+            except DomainError:
+                alpha *= 0.5
+                continue
+            res_new = float(np.abs(F_new - target).max(initial=0.0))
+            if res_new < res or res_new <= tol:
+                x, F, J, res = x_new, F_new, J_new, res_new
+                break
+            alpha *= 0.5
+        else:
+            raise NewtonConvergenceError(f"no descent after 30 halvings (residual {res:.3e})", x, res)
+    if res <= tol:
+        return x, F, J
+    raise NewtonConvergenceError(f"no convergence in 50 iterations (residual {res:.3e})", x, res)
+
+
 def sequential_trace_arc(problem, chart, d, delta, samples=41, newton_tol=1e-12):
     """One arc marched side by side with one Newton solve at a time, every
     constraint value taken by a one-point ``Tape.value`` call."""
     from nlpcheck.arc import ArcResult
     from nlpcheck.expr import DomainError
-    from nlpcheck.linalg import NewtonError, newton_solve
+    from nlpcheck.linalg import NewtonError
 
     x = chart.center
     d = np.asarray(d, dtype=float).ravel()
@@ -535,7 +583,7 @@ def sequential_trace_arc(problem, chart, d, delta, samples=41, newton_tol=1e-12)
             tk = side * delta * k / half
             target = chart.z_center + tk * step_z
             try:
-                state = newton_solve(fun_jac, state, target, newton_tol)
+                state = reference_newton(fun_jac, state, target, newton_tol)
                 g, h = constraint_values(state[0])
             except (NewtonError, DomainError) as exc:
                 notes.append(f"side {side:+d} truncated at sample {k} (t = {tk:.6g}): {exc}")

@@ -170,20 +170,17 @@ class TestTraceArc:
     def test_no_point_evaluated_twice(self, monkeypatch):
         # each solve starts from the state its predecessor returned (the
         # first from the chart's own center values), so no trajectory
-        # evaluates a point twice; and each lockstep round sweeps every
+        # evaluates a point twice; and each Newton round sweeps every
         # chart tape at most once, for all the pending trial points
         trials = []
-        steps = arc_mod.newton_steps
+        batch = arc_mod.newton_batch
 
-        def recording_steps(start, target, tol):
-            inner = steps(start, target, tol)
-            try:
-                x = next(inner)
-                while True:
-                    trials.append(x.tobytes())
-                    x = inner.send((yield x))
-            except StopIteration as done:
-                return done.value
+        def recording_batch(evaluate, start, targets, tol):
+            def recording(rows, X):
+                trials.extend(x.tobytes() for x in X)
+                return evaluate(rows, X)
+
+            return batch(recording, start, targets, tol)
 
         calls = []
         gradients = Tape.gradients
@@ -201,7 +198,7 @@ class TestTraceArc:
             rounds.append((calls[before:], [row.tobytes() for row in X]))
             return out
 
-        monkeypatch.setattr(arc_mod, "newton_steps", recording_steps)
+        monkeypatch.setattr(arc_mod, "newton_batch", recording_batch)
         monkeypatch.setattr(Tape, "gradients", counting)
         monkeypatch.setattr(arc_mod, "_chart_values", one_round)
         # the cylinder's tangent directions pin x3 >= 0 too: the charts mix
@@ -377,7 +374,7 @@ MIXED = "vars 2\nobjective x2\nineq x1^2 + x2^2 - 1\nineq -log(x2 + 1.2)\npoint 
 
 
 class TestLockstepMarch:
-    """The lockstep march against the sequential one-arc march it replaced."""
+    """The batched march against the sequential one-arc march it replaced."""
 
     @pytest.mark.parametrize("source", [text for _, text in ORACLE_PROBLEMS],
                              ids=[name for name, _ in ORACLE_PROBLEMS])
@@ -419,23 +416,20 @@ class TestLockstepMarch:
     @pytest.mark.parametrize("delta, samples", [(6.0, 11), (30.0, 5)])
     def test_chart_row_leaving_domain_matches_sequential_march(self, delta, samples, monkeypatch):
         # Newton trial points with x1 <= -1 leave the chart row's domain:
-        # they are sent back as None and halved, as a raising one-point
-        # evaluation was
+        # the evaluation marks them not ok and they are halved, as a
+        # raising one-point evaluation was
         outside = []
-        steps = arc_mod.newton_steps
+        batch = arc_mod.newton_batch
 
-        def recording_steps(start, target, tol):
-            inner = steps(start, target, tol)
-            try:
-                x = next(inner)
-                while True:
-                    evaluated = yield x
-                    outside.append(evaluated is None)
-                    x = inner.send(evaluated)
-            except StopIteration as done:
-                return done.value
+        def recording_batch(evaluate, start, targets, tol):
+            def recording(rows, X):
+                F, J, ok = evaluate(rows, X)
+                outside.extend(~ok)
+                return F, J, ok
 
-        monkeypatch.setattr(arc_mod, "newton_steps", recording_steps)
+            return batch(recording, start, targets, tol)
+
+        monkeypatch.setattr(arc_mod, "newton_batch", recording_batch)
         prob = load_problem(dict(BATTERY)["log sheet"])
         pd = evaluate_point(prob, prob.point)
         d = np.array([1.0, 1.0])

@@ -303,6 +303,30 @@ class TestMain:
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize(
+        "rows, message",
+        [
+            ("ineq -1e150*x1", None),
+            ("ineq -2e154*x1", "ineq 1"),
+            ("ineq -1e300*x1", "ineq 1"),
+            ("ineq -x1\neq x2 - 2e154*x1", "eq 1"),
+        ],
+    )
+    def test_gradient_too_large_to_square_exit_two(self, rows, message, tmp_path, capsys):
+        # cone sampling squares active rows (row @ row) and chart pivoting
+        # takes their norms: with n = 2 the bound is sqrt(finfo.max / 2) / 2
+        # = 4.7e153, far below the rank bound
+        path = tmp_path / "steep.prob"
+        path.write_text(f"vars 2\nobjective x1\n{rows}\npoint 0 0\n")
+        code = main(["analyze", str(path)])
+        err = capsys.readouterr().err
+        if message is None:
+            assert code == 0 and err == ""
+        else:
+            assert code == 2
+            assert f"{message}: gradient at the point too large to square its norm" in err
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize(
         "coef, code",
         [("1e150", 0), ("4e153", 0), ("5e153", 2), ("1e160", 2), ("1e200", 2), ("1.5e308", 2)],
     )

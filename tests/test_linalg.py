@@ -16,10 +16,11 @@ from numpy.testing import assert_allclose
 from nlpcheck.expr import DomainError
 from nlpcheck.linalg import (
     NewtonConvergenceError,
+    NewtonError,
     SingularJacobianError,
     min_eig_sym,
+    newton_batch,
     newton_solve,
-    newton_steps,
     nnls,
     nnls_bound,
     nullspace_basis,
@@ -27,6 +28,8 @@ from nlpcheck.linalg import (
     pivot_select,
     simplex_lp,
 )
+
+from _oracles import reference_newton
 
 
 class TestRank:
@@ -188,32 +191,73 @@ class TestNewton:
         x = solve(fun_jac, [0.25], [0.0])
         assert_allclose(x[0], 1.0, atol=1e-10)
 
-    def test_steps_generator_is_the_solve(self):
-        # newton_solve drives newton_steps: the caller evaluates each yielded
-        # trial point and sends None where it left the domain
-        def fun_jac(x):
-            if x[0] <= 0:
-                raise DomainError("closed left half line")
-            return np.array([np.sqrt(x[0]) - 1.0]), np.array([[0.5 / np.sqrt(x[0])]])
+    def test_batch_rows_match_the_reference_solve(self):
+        # six systems of size 2 in one batch, one per outcome; each row
+        # must be the reference Newton on its system alone, bit for bit
+        def sphere(x):
+            return np.array([x[0] ** 2 + x[1] ** 2, x[0] - x[1]]), np.array(
+                [[2.0 * x[0], 2.0 * x[1]], [1.0, -1.0]]
+            )
 
-        x0 = np.array([9.0])  # the full first step lands on -3
-        start = (x0, *fun_jac(x0))
-        steps = newton_steps(start, np.array([0.0]))
-        outside = 0
-        try:
-            x = next(steps)
-            while True:
-                if x[0] <= 0:
-                    outside += 1
-                    x = steps.send(None)
-                else:
-                    x = steps.send(fun_jac(x))
-        except StopIteration as done:
-            x, F, J = done.value
-        assert outside > 0
-        x_ref, F_ref, J_ref = newton_solve(fun_jac, start, np.array([0.0]))
-        assert x.tobytes() == x_ref.tobytes()
-        assert F.tobytes() == F_ref.tobytes() and J.tobytes() == J_ref.tobytes()
+        def flat(x):  # J = 0 at the start: LAPACK rejects the stack
+            return np.array([x[0] ** 2, x[1] ** 2]), np.diag([2.0 * x[0], 2.0 * x[1]])
+
+        def tiny(x):  # a step of 1e10 / 1e-300 overflows
+            return np.array([1e-300 * x[0], x[1]]), np.diag([1e-300, 1.0])
+
+        def root(x):  # the full first step lands on x1 = -3
+            if x[0] <= 0:
+                raise DomainError("closed left half plane")
+            return np.array([np.sqrt(x[0]) - 1.0, x[1]]), np.diag([0.5 / np.sqrt(x[0]), 1.0])
+
+        def uphill(x):  # the Jacobian's sign is wrong: no step descends
+            return x.copy(), -np.eye(2)
+
+        def creep(x):  # the Jacobian is 1000 times too steep
+            return x.copy(), 1000.0 * np.eye(2)
+
+        systems = [
+            (sphere, [2.0, 0.5], [2.0, 0.0]),
+            (flat, [0.0, 0.0], [1.0, 1.0]),
+            (tiny, [0.0, 0.0], [1e10, 0.0]),
+            (root, [9.0, 0.0], [0.0, 0.0]),
+            (uphill, [1.0, 1.0], [0.0, 0.0]),
+            (creep, [1.0, 1.0], [0.0, 0.0]),
+        ]
+        starts = [(np.array(x0), *fun_jac(np.array(x0))) for fun_jac, x0, _ in systems]
+        outside = []
+
+        def evaluate(rows, X):
+            F, J, ok = np.zeros_like(X), np.zeros(X.shape + X.shape[1:]), np.ones(len(rows), dtype=bool)
+            for i, (s, x) in enumerate(zip(rows, X)):
+                try:
+                    F[i], J[i] = systems[s][0](x)
+                except DomainError:
+                    ok[i] = False
+                    outside.append(s)
+            return F, J, ok
+
+        start = tuple(np.array(part) for part in zip(*starts))
+        targets = np.array([target for _, _, target in systems])
+        X, F, J, errors = newton_batch(evaluate, start, targets)
+        assert 3 in outside
+        kinds = [type(err).__name__ if err else None for err in errors]
+        assert kinds == [None, "SingularJacobianError", "SingularJacobianError", None,
+                         "NewtonConvergenceError", "NewtonConvergenceError"]
+        assert "30 halvings" in str(errors[4]) and "50 iterations" in str(errors[5])
+        for i, ((fun_jac, _, target), begin) in enumerate(zip(systems, starts)):
+            try:
+                ref = reference_newton(fun_jac, begin, np.array(target))
+            except NewtonError as exc:
+                assert type(errors[i]) is type(exc) and str(errors[i]) == str(exc)
+                if isinstance(exc, NewtonConvergenceError):
+                    assert errors[i].best_x.tobytes() == exc.best_x.tobytes()
+                    assert errors[i].best_residual == exc.best_residual
+                    assert X[i].tobytes() == exc.best_x.tobytes()
+                continue
+            assert errors[i] is None
+            for got, want in zip((X[i], F[i], J[i]), ref):
+                assert got.tobytes() == want.tobytes()
 
 
 def brute_force_lp(c, a_ub, b_ub, a_eq=None, b_eq=None):
