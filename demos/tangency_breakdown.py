@@ -32,7 +32,7 @@ def main():
     print("first-order picture at (0, 0)")
     print("-----------------------------")
     print(f"active inequalities: {list(pd.active)}")
-    print(f"grad g1 = {pd.g_grads[0]},  grad g2 = {pd.g_grads[1]}")
+    print(f"grad g1 = {pd.c_grads[0]},  grad g2 = {pd.c_grads[1]}")
     print("the two disks share the tangent line x2 = 0, so the active")
     print("gradients are parallel and the linearization cannot see that")
     print("the feasible set is a single point.")

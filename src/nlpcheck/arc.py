@@ -41,7 +41,7 @@ import numpy as np
 from nlpcheck.cones import linearized_cone, membership
 from nlpcheck.expr import DomainError
 from nlpcheck.linalg import newton_batch, numerical_rank, pivot_select
-from nlpcheck.model import PointData, Problem
+from nlpcheck.model import PointData, Problem, row_label
 
 __all__ = [
     "PinnedSet",
@@ -73,12 +73,13 @@ class PinnedSet:
     """Constraints pinned along a direction.
 
     ``ineq`` lists 1-based labels of active inequalities with
-    ``grad g_i . d ~ 0``; ``components`` lists the rows of sigma in order:
-    the pinned inequalities first, then every equality.
+    ``grad g_i . d ~ 0``; ``components`` lists the components of sigma as
+    constraint rows of :class:`~nlpcheck.model.PointData`, in the order of
+    ``pd.rows``: the pinned inequalities first, then every equality.
     """
 
     ineq: tuple[int, ...]
-    components: tuple[tuple[str, int], ...]  # ("ineq"|"eq", 1-based label)
+    components: tuple[int, ...]
 
 
 def pinned_constraints(pd: PointData, d, tol_dir: float = 1e-8) -> PinnedSet:
@@ -92,49 +93,42 @@ def pinned_constraints(pd: PointData, d, tol_dir: float = 1e-8) -> PinnedSet:
     if not membership(cone, d, tol_dir):
         raise ValueError("direction is not in the linearized cone")
     scale = tol_dir * (1.0 + float(np.linalg.norm(d)))
-    pinned = tuple(
-        i for i in pd.active if abs(float(pd.g_grads[i - 1] @ d)) <= scale
+    a = len(pd.active)
+    rows = pd.rows
+    keep = [abs(float(pd.c_grads[k] @ d)) <= scale for k in rows[:a]] + [True] * pd.p
+    return PinnedSet(
+        tuple(i for i, pin in zip(pd.active, keep) if pin),
+        tuple(k for k, pin in zip(rows, keep) if pin),
     )
-    components = tuple(("ineq", i) for i in pinned) + tuple(
-        ("eq", j + 1) for j in range(pd.p)
-    )
-    return PinnedSet(pinned, components)
 
 
 @dataclass
 class LocalChart:
     """Chart c(x) = (xi(x), x_K) built at a center point.
 
-    ``xi`` indexes the selected rows of the pinned components (0-based
-    positions into ``components``); ``solve_vars``/``keep_vars`` are 0-based
-    variable positions (J and K).  ``jac_center`` is c'(center),
-    ``g_center``/``h_center`` hold every constraint value at the center, and
+    ``components`` are the pinned constraint rows (``PinnedSet.components``)
+    and ``xi`` indexes the selected ones (0-based positions into
+    ``components``); ``solve_vars``/``keep_vars`` are 0-based variable
+    positions (J and K).  ``jac_center`` is c'(center), ``c_center`` holds
+    every constraint value at the center (``pd.c_vals``), and
     ``cond_estimate`` is the 2-norm condition number of the selected square
     block, a warning signal for poorly scaled charts.
     """
 
-    components: tuple[tuple[str, int], ...]
+    components: tuple[int, ...]
     xi: tuple[int, ...]
     solve_vars: tuple[int, ...]
     keep_vars: tuple[int, ...]
     center: np.ndarray
     z_center: np.ndarray
     jac_center: np.ndarray
-    g_center: np.ndarray
-    h_center: np.ndarray
+    c_center: np.ndarray
     cond_estimate: float
     rank: int
 
     @property
     def n(self) -> int:
         return self.center.size
-
-
-def _center_jet(pd: PointData, comp: tuple[str, int]) -> tuple[float, np.ndarray]:
-    kind, label = comp
-    if kind == "ineq":
-        return pd.g_vals[label - 1], pd.g_grads[label - 1]
-    return pd.h_vals[label - 1], pd.h_grads[label - 1]
 
 
 def identity_chart(pd: PointData) -> LocalChart:
@@ -153,8 +147,7 @@ def identity_chart(pd: PointData) -> LocalChart:
         center=x.copy(),
         z_center=x.copy(),
         jac_center=np.eye(n),
-        g_center=pd.g_vals,
-        h_center=pd.h_vals,
+        c_center=pd.c_vals,
         cond_estimate=1.0,
         rank=0,
     )
@@ -173,8 +166,8 @@ def build_chart(pd: PointData, pinned: PinnedSet, tol_rank: float = 1e-8) -> Loc
     n = x.size
     if not pinned.components:
         return identity_chart(pd)
-    jets = [_center_jet(pd, comp) for comp in pinned.components]
-    rows = np.vstack([g for _, g in jets])
+    comps = list(pinned.components)
+    rows = pd.c_grads[comps]
     info = numerical_rank(rows, tol_rank)
     r = info.rank
     if r == 0:
@@ -191,8 +184,7 @@ def build_chart(pd: PointData, pinned: PinnedSet, tol_rank: float = 1e-8) -> Loc
     jac[:r] = xi_rows
     for row, k in enumerate(keep_vars):
         jac[r + row, k] = 1.0
-    values = np.array([jets[i][0] for i in xi])
-    z_center = np.concatenate([values, x[list(keep_vars)]])
+    z_center = np.concatenate([pd.c_vals[comps][list(xi)], x[list(keep_vars)]])
     return LocalChart(
         components=pinned.components,
         xi=xi,
@@ -201,8 +193,7 @@ def build_chart(pd: PointData, pinned: PinnedSet, tol_rank: float = 1e-8) -> Loc
         center=x.copy(),
         z_center=z_center,
         jac_center=jac,
-        g_center=pd.g_vals,
-        h_center=pd.h_vals,
+        c_center=pd.c_vals,
         cond_estimate=cond,
         rank=r,
     )
@@ -289,7 +280,7 @@ def trace_arcs(
     if samples < 5 or samples % 2 == 0:
         raise ValueError("samples must be odd and at least 5")
     half = (samples - 1) // 2
-    tapes = problem.ineq_tapes + problem.eq_tapes
+    tapes = problem.tapes
     n, m = problem.n, problem.m
 
     # sides 2a and 2a + 1 are the negative and positive sides of arc a;
@@ -298,8 +289,8 @@ def trace_arcs(
     slot = np.full((S, len(tapes)), -1)
     source = np.full((S, n), -1)
     for a, chart in enumerate(charts):
-        for row, (kind, label) in enumerate(chart.components[i] for i in chart.xi):
-            slot[2 * a : 2 * a + 2, label - 1 + (m if kind == "eq" else 0)] = row
+        for row, i in enumerate(chart.xi):
+            slot[2 * a : 2 * a + 2, chart.components[i]] = row
         source[2 * a : 2 * a + 2, chart.rank :] = chart.keep_vars
     sign = np.tile([-1, 1], len(charts))
     scale = sign * np.repeat(np.asarray(deltas, dtype=float), 2)
@@ -370,8 +361,8 @@ def trace_arcs(
             ArcResult(
                 t=t,
                 points=np.vstack([points[2 * a, :lo][::-1], chart.center, points[2 * a + 1, :hi]]),
-                g_values=np.vstack([neg[:, :m], chart.g_center, pos[:, :m]]),
-                h_values=np.vstack([neg[:, m:], chart.h_center, pos[:, m:]]),
+                g_values=np.vstack([neg[:, :m], chart.c_center[:m], pos[:, :m]]),
+                h_values=np.vstack([neg[:, m:], chart.c_center[m:], pos[:, m:]]),
                 delta=delta,
                 direction=d.copy(),
                 center=chart.center.copy(),
@@ -558,7 +549,7 @@ def arcs_for_directions(
         summary = {
             "pinned_ineq": list(pinned.ineq),
             "rank": chart.rank,
-            "chart_rows": ["%s%d" % chart.components[i] for i in chart.xi],
+            "chart_rows": ["%s%d" % row_label(pd.m, chart.components[i]) for i in chart.xi],
             "solve_vars": [k + 1 for k in chart.solve_vars],
             "keep_vars": [k + 1 for k in chart.keep_vars],
             "condition": chart.cond_estimate,

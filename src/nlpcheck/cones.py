@@ -4,7 +4,7 @@ The linearized cone at a feasible point collects the first-order feasible
 directions: active inequality gradients impose ``a . d <= 0`` and equality
 gradients impose ``a . d = 0``.  The strong critical cone additionally
 requires the objective not to increase to first order.  Both are stored as
-row systems; each row remembers which constraint produced it.
+row systems over the constraint rows of :class:`~nlpcheck.model.PointData`.
 
 The central computation here is minimizing a quadratic form over such a
 cone.  Scaling ``d`` by ``t > 0`` scales ``d^T H d`` by ``t^2``, so the sign
@@ -34,7 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from nlpcheck.linalg import nullspace_basis, simplex_lp
-from nlpcheck.model import PointData
+from nlpcheck.model import PointData, check_multiplier
 
 __all__ = [
     "ConeRep",
@@ -54,35 +54,28 @@ _TOL = 1e-8  # how far an eigenvector may violate the remaining rows
 
 @dataclass
 class ConeRep:
-    """Cone {d : a_eq @ d = 0, a_in @ d <= 0} with row provenance labels.
+    """Cone {d : a_eq @ d = 0, a_in @ d <= 0}.
 
-    Labels are ``"g3"``/``"h1"`` for constraint gradients (1-based) and
-    ``"f"`` for the objective-gradient row of the strong critical cone.
+    The rows are constraint gradients taken in the order of ``pd.rows``; the
+    strong critical cone appends the objective gradient as its last
+    ``a_in`` row.
     """
 
     n: int
     a_eq: np.ndarray  # (k_eq, n)
     a_in: np.ndarray  # (k_in, n)
-    provenance_eq: tuple[str, ...]
-    provenance_in: tuple[str, ...]
 
 
 def linearized_cone(pd: PointData) -> ConeRep:
     """First-order feasible directions at the evaluated point."""
-    a_in = pd.active_g_grads()
-    prov_in = tuple(f"g{i}" for i in pd.active)
-    a_eq = pd.h_grads.copy() if pd.p else np.zeros((0, pd.n))
-    prov_eq = tuple(f"h{j + 1}" for j in range(pd.p))
-    return ConeRep(pd.n, a_eq, a_in, prov_eq, prov_in)
+    a = len(pd.active)
+    return ConeRep(pd.n, pd.c_grads[pd.rows[a:]], pd.c_grads[pd.rows[:a]])
 
 
 def strong_critical_cone(pd: PointData) -> ConeRep:
     """Linearized cone intersected with {d : f_grad . d <= 0}."""
     base = linearized_cone(pd)
-    a_in = np.vstack([base.a_in, pd.f_grad.reshape(1, -1)])
-    return ConeRep(
-        pd.n, base.a_eq, a_in, base.provenance_eq, base.provenance_in + ("f",)
-    )
+    return ConeRep(pd.n, base.a_eq, np.vstack([base.a_in, pd.f_grad.reshape(1, -1)]))
 
 
 def critical_cone_multiplier_form(pd: PointData, mu, tol: float = 1e-8) -> ConeRep:
@@ -90,22 +83,17 @@ def critical_cone_multiplier_form(pd: PointData, mu, tol: float = 1e-8) -> ConeR
     multipliers pin their constraints to equalities.
 
     ``mu`` must be the inequality part of a KKT multiplier at the point: it
-    is validated for sign, complementarity, and stationarity (minimizing
-    over the equality multiplier), and rejected above ``tol``.
+    is validated for sign and complementarity at ``tol``
+    (:func:`~nlpcheck.model.check_multiplier`) and for stationarity
+    (minimizing over the equality multiplier), and rejected above ``tol``.
     """
-    mu = np.asarray(mu, dtype=float).ravel()
-    if mu.size != pd.m:
-        raise ValueError(f"mu must have length {pd.m}")
-    if (mu < -tol).any():
-        raise ValueError("negative inequality multiplier")
-    active = set(pd.active)
-    for i in range(pd.m):
-        if (i + 1) not in active and abs(mu[i]) > tol:
-            raise ValueError(f"nonzero multiplier on inactive constraint {i + 1}")
-    base = pd.f_grad + (mu @ pd.g_grads if pd.m else 0.0)
+    mu, _ = check_multiplier(pd, mu, np.zeros(pd.p), tol)  # lam is solved for below
+    a = len(pd.active)
+    rows = pd.c_grads[pd.rows]
+    base = pd.f_grad + (mu @ pd.c_grads[: pd.m] if pd.m else 0.0)
     if pd.p:
-        lam, *_ = np.linalg.lstsq(pd.h_grads.T, -base, rcond=None)
-        residual = float(np.abs(base + pd.h_grads.T @ lam).max(initial=0.0))
+        lam, *_ = np.linalg.lstsq(rows[a:].T, -base, rcond=None)
+        residual = float(np.abs(base + rows[a:].T @ lam).max(initial=0.0))
     else:
         residual = float(np.abs(base).max(initial=0.0))
     if residual > tol:
@@ -113,18 +101,9 @@ def critical_cone_multiplier_form(pd: PointData, mu, tol: float = 1e-8) -> ConeR
             f"mu is not part of a KKT multiplier (stationarity residual {residual:.3e})"
         )
     # strict-multiplier threshold: anything above 1e-10 counts as positive
-    positive = [i for i in pd.active if mu[i - 1] > 1e-10]
-    weak = [i for i in pd.active if mu[i - 1] <= 1e-10]
-    eq_rows = [pd.h_grads[j] for j in range(pd.p)]
-    eq_prov = [f"h{j + 1}" for j in range(pd.p)]
-    for i in positive:
-        eq_rows.append(pd.g_grads[i - 1])
-        eq_prov.append(f"g{i}")
-    in_rows = [pd.g_grads[i - 1] for i in weak]
-    in_prov = [f"g{i}" for i in weak]
-    a_eq = np.array(eq_rows) if eq_rows else np.zeros((0, pd.n))
-    a_in = np.array(in_rows) if in_rows else np.zeros((0, pd.n))
-    return ConeRep(pd.n, a_eq, a_in, tuple(eq_prov), tuple(in_prov))
+    positive = mu[pd.rows[:a]] > 1e-10
+    a_eq = np.vstack([rows[a:], rows[:a][positive]])
+    return ConeRep(pd.n, a_eq, rows[:a][~positive])
 
 
 def membership(cone: ConeRep, d, tol: float = 1e-8) -> bool:

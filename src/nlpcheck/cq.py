@@ -103,9 +103,9 @@ class NeighborhoodSampler:
 
 
 def check_licq(pd: PointData, tol_rank: float = 1e-8) -> Verdict:
-    """Rank test on the stacked active-inequality and equality gradients."""
-    rows = np.vstack([pd.active_g_grads(), pd.h_grads]) if (pd.active or pd.p) else np.zeros((0, pd.n))
-    needed = len(pd.active) + pd.p
+    """Rank test on the gradients of ``pd.rows``."""
+    rows = pd.c_grads[pd.rows]
+    needed = len(rows)
     evidence = {
         "active": list(pd.active),
         "num_equalities": pd.p,
@@ -139,9 +139,11 @@ def check_mfcq(pd: PointData, tol_rank: float = 1e-8) -> Verdict:
     holds exactly when the optimum is positive (classified at 1e-9).
     """
     n = pd.n
+    a = len(pd.active)
+    rows = pd.c_grads[pd.rows]  # the active inequalities, then the equalities
     evidence = {"active": list(pd.active), "num_equalities": pd.p, "tol_rank": tol_rank}
     if pd.p:
-        info = numerical_rank(pd.h_grads, tol_rank)
+        info = numerical_rank(rows[a:], tol_rank)
         evidence["equality_rank"] = info.rank
         if info.rank < pd.p:
             certificate = {
@@ -155,18 +157,17 @@ def check_mfcq(pd: PointData, tol_rank: float = 1e-8) -> Verdict:
     if not pd.active and not pd.p:
         evidence["note"] = "no active constraints; any direction works"
         return Verdict("holds", {"direction": [0.0] * n, "lp_optimum": 1.0}, evidence)
-    a = len(pd.active)
     c = np.zeros(n + 1)
     c[n] = -1.0  # maximize s
     A_ub = None
     b_ub = None
     if a:
-        A_ub = np.hstack([pd.active_g_grads(), np.ones((a, 1))])
+        A_ub = np.hstack([rows[:a], np.ones((a, 1))])
         b_ub = np.zeros(a)
     A_eq = None
     b_eq = None
     if pd.p:
-        A_eq = np.hstack([pd.h_grads, np.zeros((pd.p, 1))])
+        A_eq = np.hstack([rows[a:], np.zeros((pd.p, 1))])
         b_eq = np.zeros(pd.p)
     bounds = [(-1.0, 1.0)] * n + [(None, 1.0)]
     res = simplex_lp(c, A_ub=A_ub, b_ub=b_ub, A_eq=A_eq, b_eq=b_eq, bounds=bounds)
@@ -260,13 +261,13 @@ def check_rank_constancy(
     becomes its certificate.
     """
     active = pd.active
-    tapes = [problem.ineq_tapes[i - 1] for i in active] + list(problem.eq_tapes)
+    tapes = [problem.tapes[k] for k in pd.rows]
     count = max(int(sampler.samples_per_radius), 0)
     X = np.empty((len(sampler.radii) * count, pd.n))
     for shell, pts in enumerate(sampler.shells(pd.x)):
         X[shell * count : (shell + 1) * count] = pts
     stack = np.empty((1 + len(X), len(tapes), pd.n))  # (1 + samples, rows, n)
-    stack[0] = np.vstack([pd.active_g_grads(), pd.h_grads])
+    stack[0] = pd.c_grads[pd.rows]
     keep = np.ones(len(stack), dtype=bool)
     for k, tape in enumerate(tapes):
         _, grads, fine = tape.gradients(X)
@@ -367,11 +368,14 @@ def recheck_rank_certificate(problem: Problem, certificate: dict) -> tuple[int, 
     J = tuple(int(j) for j in certificate["eq_subset"])
     tol_rank = float(certificate["tol_rank"])
 
+    ineq, eq = problem.tapes[: problem.m], problem.tapes[problem.m :]
+    tapes = [ineq[i - 1] for i in I] + [eq[j - 1] for j in J]
+
     def rank_at(point) -> int:
         x = np.asarray(point, dtype=float)
-        rows = [problem.ineq_tapes[i - 1].gradient(x)[1] for i in I]
-        rows += [problem.eq_tapes[j - 1].gradient(x)[1] for j in J]
-        table = np.vstack(rows) if rows else np.zeros((0, problem.n))
+        table = np.zeros((len(tapes), problem.n))
+        for k, tape in enumerate(tapes):
+            table[k] = tape.gradient(x)[1]
         return numerical_rank(table, tol_rank).rank
 
     return rank_at(certificate["center"]), rank_at(certificate["witness"])

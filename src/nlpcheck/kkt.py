@@ -35,7 +35,7 @@ from nlpcheck.linalg import nnls, nullspace_basis
 # no longer called here; the name stays bound because the benchmark's
 # tracer self-test (perfbench/tests) looks it up on this module
 from nlpcheck.linalg import numerical_rank  # noqa: F401
-from nlpcheck.model import PointData, lagrangian_hessian
+from nlpcheck.model import PointData, check_multiplier, lagrangian_hessian
 
 __all__ = [
     "MultiplierSet",
@@ -95,23 +95,17 @@ def solve_multipliers(pd: PointData, tol: float = 1e-8) -> MultiplierSet:
     no vertex at all) only the least-squares representative is reported and
     the result is flagged partial.
     """
-    act = pd.active
+    act, rows = pd.active, pd.rows
     a, p = len(act), pd.p
-    n = pd.n
-    cols = np.zeros((n, a + p))
-    for k, label in enumerate(act):
-        cols[:, k] = pd.g_grads[label - 1]
-    for j in range(p):
-        cols[:, a + j] = pd.h_grads[j]
+    # a C-ordered copy: BLAS may round products with a transposed view differently
+    cols = pd.c_grads[rows].T.copy()
     mask = np.array([True] * a + [False] * p, dtype=bool)
     y_probe, _ = nnls(cols, pd.f_grad, mask)
     residual = float(np.abs(cols @ y_probe + pd.f_grad).max(initial=0.0))
 
     def expand(y: np.ndarray) -> np.ndarray:
         full = np.zeros(pd.m + p)
-        for k, label in enumerate(act):
-            full[label - 1] = y[k]
-        full[pd.m :] = y[a:]
+        full[rows] = y
         return full
 
     def split(full: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -182,21 +176,16 @@ def check_kkt(pd: PointData, mu, lam, tol: float = 1e-8) -> tuple[float, bool]:
     negative-mu violation, and the worst complementarity product
     ``|mu_i g_i(x)|``.
     """
-    mu = np.asarray(mu, dtype=float).ravel()
-    lam = np.asarray(lam, dtype=float).ravel()
-    if mu.size != pd.m:
-        raise ValueError(f"mu must have length {pd.m}")
-    if lam.size != pd.p:
-        raise ValueError(f"lam must have length {pd.p}")
+    mu, lam = check_multiplier(pd, mu, lam)
     stat = pd.f_grad.copy()
     if pd.m:
-        stat = stat + mu @ pd.g_grads
+        stat = stat + mu @ pd.c_grads[: pd.m]
     if pd.p:
-        stat = stat + lam @ pd.h_grads
+        stat = stat + lam @ pd.c_grads[pd.m :]
     residual = float(np.abs(stat).max(initial=0.0))
     if pd.m:
         residual = max(residual, float((-mu).max(initial=0.0)))
-        residual = max(residual, float(np.abs(mu * pd.g_vals).max(initial=0.0)))
+        residual = max(residual, float(np.abs(mu * pd.c_vals[: pd.m]).max(initial=0.0)))
     return residual, residual <= tol
 
 

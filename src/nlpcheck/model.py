@@ -18,6 +18,11 @@ Problems load from a small line-oriented text format::
 ``vars`` must precede any expression line so variable indices can be
 validated while parsing.  Constraint indices reported by this package are
 1-based and follow file order.
+
+Internally every constraint is one 0-based row of a single table: row k is
+inequality k + 1 for k < m and equality k - m + 1 after that.  ``Problem.tapes``
+and the ``c_*`` arrays of :class:`PointData` share this layout, and
+:func:`row_label` names a row.
 """
 
 from __future__ import annotations
@@ -32,9 +37,11 @@ __all__ = [
     "ProblemError",
     "Problem",
     "PointData",
+    "row_label",
     "FeasibilityReport",
     "load_problem",
     "evaluate_point",
+    "check_multiplier",
     "lagrangian_hessian",
     "feasibility",
 ]
@@ -55,7 +62,9 @@ class Problem:
     """Immutable smooth nonlinear program.
 
     Every function is compiled to a :class:`~nlpcheck.expr.Tape` once, at
-    construction; the analyses evaluate the tapes, not the trees.
+    construction; the analyses evaluate the tapes, not the trees.  ``tapes``
+    holds one tape per constraint row: the m inequalities, then the p
+    equalities, each in file order.
     """
 
     n: int
@@ -65,13 +74,11 @@ class Problem:
     point: np.ndarray | None
     source: str = ""
     objective_tape: Tape = field(init=False, repr=False)
-    ineq_tapes: tuple[Tape, ...] = field(init=False, repr=False)
-    eq_tapes: tuple[Tape, ...] = field(init=False, repr=False)
+    tapes: tuple[Tape, ...] = field(init=False, repr=False)
 
     def __post_init__(self):
         object.__setattr__(self, "objective_tape", compile_tape(self.objective))
-        object.__setattr__(self, "ineq_tapes", tuple(map(compile_tape, self.ineq)))
-        object.__setattr__(self, "eq_tapes", tuple(map(compile_tape, self.eq)))
+        object.__setattr__(self, "tapes", tuple(map(compile_tape, self.ineq + self.eq)))
 
     @property
     def m(self) -> int:
@@ -154,20 +161,21 @@ def load_problem(text: str) -> Problem:
 class PointData:
     """Values, gradients, and Hessians of all problem functions at a point.
 
-    ``active`` holds the 1-based labels of inequality constraints with
-    ``|g_i(x)| <= tol_active``; feasibility is not assumed here.
+    ``c_vals``/``c_grads``/``c_hesses`` hold one entry per constraint row, in
+    the layout of ``Problem.tapes``: the ``m`` inequalities, then the
+    equalities.  ``active`` holds the 1-based labels of inequality
+    constraints with ``|g_i(x)| <= tol_active``; feasibility is not assumed
+    here.  ``rows`` is the index set every first-order condition works on.
     """
 
     x: np.ndarray
     f_val: float
     f_grad: np.ndarray
     f_hess: np.ndarray
-    g_vals: np.ndarray  # (m,)
-    g_grads: np.ndarray  # (m, n)
-    g_hesses: np.ndarray  # (m, n, n)
-    h_vals: np.ndarray  # (p,)
-    h_grads: np.ndarray  # (p, n)
-    h_hesses: np.ndarray  # (p, n, n)
+    m: int
+    c_vals: np.ndarray  # (m + p,)
+    c_grads: np.ndarray  # (m + p, n)
+    c_hesses: np.ndarray  # (m + p, n, n)
     active: tuple[int, ...]
     tol_active: float
 
@@ -176,77 +184,74 @@ class PointData:
         return self.x.size
 
     @property
-    def m(self) -> int:
-        return self.g_vals.size
+    def p(self) -> int:
+        return self.c_vals.size - self.m
 
     @property
-    def p(self) -> int:
-        return self.h_vals.size
+    def rows(self) -> list[int]:
+        """Rows of the active inequalities in label order, then every
+        equality row (a list, so that it indexes the ``c_*`` arrays)."""
+        return [i - 1 for i in self.active] + list(range(self.m, self.c_vals.size))
 
-    def active_g_grads(self) -> np.ndarray:
-        """Gradients of the active inequality constraints, label order."""
-        if not self.active:
-            return np.zeros((0, self.n))
-        return self.g_grads[[i - 1 for i in self.active]]
+
+def row_label(m: int, k: int) -> tuple[str, int]:
+    """``("ineq", i)`` or ``("eq", j)``: the kind and 1-based label of row
+    ``k`` of a problem with ``m`` inequalities."""
+    return ("ineq", k + 1) if k < m else ("eq", k - m + 1)
+
+
+def _labelled(exc: DomainError, m: int, k: int) -> DomainError:
+    return DomainError("%s %d: %s" % (*row_label(m, k), exc.message), exc.node)
 
 
 def evaluate_point(problem: Problem, x, tol_active: float = 1e-8) -> PointData:
     """Evaluate every problem function with derivatives at ``x``.
 
     Domain violations are re-raised with the offending function named
-    (objective, or a 1-based constraint label).
+    (objective, or the first constraint row that fails).
     """
     x = np.asarray(x, dtype=float)
     if x.shape != (problem.n,):
         raise ValueError(f"point must have shape ({problem.n},), got {x.shape}")
     if not np.isfinite(x).all():
         raise ValueError("point has non-finite coordinates")
-    n = problem.n
-
-    def jet(tape: Tape, label: str):
+    n, m, count = problem.n, problem.m, len(problem.tapes)
+    try:
+        f = problem.objective_tape.jet(x)
+    except DomainError as exc:
+        raise DomainError(f"objective: {exc.message}", exc.node) from exc
+    c_vals = np.zeros(count)
+    c_grads = np.zeros((count, n))
+    c_hesses = np.zeros((count, n, n))
+    for k, tape in enumerate(problem.tapes):
         try:
-            return tape.jet(x)
+            t = tape.jet(x)
         except DomainError as exc:
-            raise DomainError(f"{label}: {exc.message}", exc.node) from exc
-
-    f = jet(problem.objective_tape, "objective")
-    m, p = problem.m, problem.p
-    g_vals = np.zeros(m)
-    g_grads = np.zeros((m, n))
-    g_hesses = np.zeros((m, n, n))
-    for i, tape in enumerate(problem.ineq_tapes):
-        t = jet(tape, f"ineq {i + 1}")
-        g_vals[i], g_grads[i], g_hesses[i] = t.value, t.grad, t.hess
-    h_vals = np.zeros(p)
-    h_grads = np.zeros((p, n))
-    h_hesses = np.zeros((p, n, n))
-    for j, tape in enumerate(problem.eq_tapes):
-        t = jet(tape, f"eq {j + 1}")
-        h_vals[j], h_grads[j], h_hesses[j] = t.value, t.grad, t.hess
-    active = tuple(
-        i + 1 for i in range(m) if abs(g_vals[i]) <= tol_active
-    )
+            raise _labelled(exc, m, k) from exc
+        c_vals[k], c_grads[k], c_hesses[k] = t.value, t.grad, t.hess
     return PointData(
         x=x.copy(),
         f_val=f.value,
         f_grad=f.grad,
         f_hess=f.hess,
-        g_vals=g_vals,
-        g_grads=g_grads,
-        g_hesses=g_hesses,
-        h_vals=h_vals,
-        h_grads=h_grads,
-        h_hesses=h_hesses,
-        active=active,
+        m=m,
+        c_vals=c_vals,
+        c_grads=c_grads,
+        c_hesses=c_hesses,
+        active=tuple(k + 1 for k in range(m) if abs(c_vals[k]) <= tol_active),
         tol_active=tol_active,
     )
 
 
-def lagrangian_hessian(pd: PointData, mu, lam) -> np.ndarray:
-    """Hessian of f + mu @ g + lam @ h at the evaluated point.
+def check_multiplier(
+    pd: PointData, mu, lam, tol: float | None = None
+) -> tuple[np.ndarray, np.ndarray]:
+    """``(mu, lam)`` as float vectors, checked against the point.
 
-    Requires ``mu >= 0`` and zero multipliers on inactive constraints, which
-    is what complementarity demands of a KKT multiplier.
+    ``mu`` must have length m and ``lam`` length p.  With ``tol``, ``mu``
+    must also be at least ``-tol``, and at most ``tol`` in magnitude on
+    inactive constraints, which is what complementarity demands of a KKT
+    multiplier.  Violations raise ``ValueError``.
     """
     mu = np.asarray(mu, dtype=float).ravel()
     lam = np.asarray(lam, dtype=float).ravel()
@@ -254,17 +259,28 @@ def lagrangian_hessian(pd: PointData, mu, lam) -> np.ndarray:
         raise ValueError(f"mu must have length {pd.m}")
     if lam.size != pd.p:
         raise ValueError(f"lam must have length {pd.p}")
-    if (mu < -1e-12).any():
-        raise ValueError("negative inequality multiplier")
-    active = set(pd.active)
-    for i in range(pd.m):
-        if (i + 1) not in active and abs(mu[i]) > 1e-12:
-            raise ValueError(f"nonzero multiplier on inactive constraint {i + 1}")
+    if tol is not None:
+        if (mu < -tol).any():
+            raise ValueError("negative inequality multiplier")
+        active = set(pd.active)
+        for i in range(pd.m):
+            if (i + 1) not in active and abs(mu[i]) > tol:
+                raise ValueError(f"nonzero multiplier on inactive constraint {i + 1}")
+    return mu, lam
+
+
+def lagrangian_hessian(pd: PointData, mu, lam) -> np.ndarray:
+    """Hessian of f + mu @ g + lam @ h at the evaluated point.
+
+    Requires ``mu >= 0`` and zero multipliers on inactive constraints, both
+    at 1e-12 (:func:`check_multiplier`).
+    """
+    mu, lam = check_multiplier(pd, mu, lam, 1e-12)
     H = pd.f_hess.copy()
     if pd.m:
-        H = H + np.einsum("i,ijk->jk", mu, pd.g_hesses)
+        H = H + np.einsum("i,ijk->jk", mu, pd.c_hesses[: pd.m])
     if pd.p:
-        H = H + np.einsum("j,jkl->kl", lam, pd.h_hesses)
+        H = H + np.einsum("j,jkl->kl", lam, pd.c_hesses[pd.m :])
     return H
 
 
@@ -279,22 +295,25 @@ class FeasibilityReport:
 
 
 def feasibility(problem: Problem, x, tol: float = 1e-8) -> FeasibilityReport:
-    """Check ``g(x) <= tol`` and ``|h(x)| <= tol`` componentwise."""
+    """Check ``g(x) <= tol`` and ``|h(x)| <= tol`` componentwise.
+
+    Only values are computed; a domain violation names the first constraint
+    row that fails.
+    """
     x = np.asarray(x, dtype=float)
     if x.shape != (problem.n,):
         raise ValueError(f"point must have shape ({problem.n},), got {x.shape}")
-    worst_g = 0.0
-    for i, tape in enumerate(problem.ineq_tapes):
+    m = problem.m
+    worst_g = worst_h = 0.0
+    for k, tape in enumerate(problem.tapes):
         try:
-            worst_g = max(worst_g, tape.value(x))
+            value = tape.value(x)
         except DomainError as exc:
-            raise DomainError(f"ineq {i + 1}: {exc.message}", exc.node) from exc
-    worst_h = 0.0
-    for j, tape in enumerate(problem.eq_tapes):
-        try:
-            worst_h = max(worst_h, abs(tape.value(x)))
-        except DomainError as exc:
-            raise DomainError(f"eq {j + 1}: {exc.message}", exc.node) from exc
+            raise _labelled(exc, m, k) from exc
+        if k < m:
+            worst_g = max(worst_g, value)
+        else:
+            worst_h = max(worst_h, abs(value))
     return FeasibilityReport(
         max_ineq_violation=worst_g,
         max_eq_violation=worst_h,

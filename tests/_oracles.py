@@ -488,10 +488,7 @@ def reference_grad_hess(e, x):
 
 def _chart_fun_jac(problem, chart):
     """c(x) and c'(x) of a chart by one-point tape sweeps, row by row."""
-    tapes = []
-    for i in chart.xi:
-        kind, label = chart.components[i]
-        tapes.append((problem.ineq_tapes if kind == "ineq" else problem.eq_tapes)[label - 1])
+    tapes = [problem.tapes[chart.components[i]] for i in chart.xi]
     keep = list(chart.keep_vars)
     n = chart.n
     r = len(tapes)
@@ -569,8 +566,8 @@ def sequential_trace_arc(problem, chart, d, delta, samples=41, newton_tol=1e-12)
     m, p = problem.m, problem.p
 
     def constraint_values(pt):
-        g = np.array([tape.value(pt) for tape in problem.ineq_tapes]) if m else np.zeros(0)
-        h = np.array([tape.value(pt) for tape in problem.eq_tapes]) if p else np.zeros(0)
+        g = np.array([tape.value(pt) for tape in problem.tapes[:m]]) if m else np.zeros(0)
+        h = np.array([tape.value(pt) for tape in problem.tapes[m:]]) if p else np.zeros(0)
         return g, h
 
     center_g, center_h = constraint_values(x)

@@ -74,14 +74,14 @@ def test_criterion_1_tangent_disks_reproduction():
         c.check("active set {1,2}", report["active_set"] == [1, 2])
         c.check(
             "gradients exactly (0,-2)",
-            np.array_equal(pd.g_grads, [[0.0, -2.0], [0.0, -2.0]]),
+            np.array_equal(pd.c_grads, [[0.0, -2.0], [0.0, -2.0]]),
         )
         cq = report["constraint_qualifications"]
         c.check("mfcq holds", cq["mfcq"]["status"] == "holds")
         mfcq_dir = np.array(cq["mfcq"]["certificate"]["direction"])
         c.check(
             "mfcq certificate strictly decreases the actives",
-            (pd.active_g_grads() @ mfcq_dir).max() < -1e-9,
+            (pd.c_grads[pd.rows] @ mfcq_dir).max() < -1e-9,
         )
         c.check("licq fails", cq["licq"]["status"] == "fails")
         c.check("licq rank 1", cq["licq"]["certificate"]["rank"] == 1)
@@ -413,13 +413,7 @@ def test_criterion_8_quadratic_cone_oracle_equivalence():
                     a_eq = rng.standard_normal((1, n))
                 else:
                     a_eq = np.zeros((0, n))
-                cone = ConeRep(
-                    n=n,
-                    a_eq=a_eq,
-                    a_in=a_in,
-                    provenance_eq=tuple(f"h{j+1}" for j in range(a_eq.shape[0])),
-                    provenance_in=tuple(f"g{i+1}" for i in range(k_in)),
-                )
+                cone = ConeRep(n=n, a_eq=a_eq, a_in=a_in)
                 oracle = quad_cone_min_oracle(h, cone.a_eq, cone.a_in)
                 if oracle is None:
                     continue

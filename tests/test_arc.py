@@ -60,12 +60,13 @@ class TestPinnedConstraints:
         _, pd = circle_setup()
         pinned = pinned_constraints(pd, np.array([0.0, 1.0]))
         assert pinned.ineq == ()
-        assert pinned.components == (("eq", 1),)
+        assert pinned.components == (0,)  # circle has no inequality: eq 1 is row 0
 
     def test_parabola_tangential_direction_pins_both(self):
         _, pd = parabola_setup()
         pinned = pinned_constraints(pd, np.array([1.0, 0.0]))
         assert pinned.ineq == (1, 2)
+        assert pinned.components == (0, 1)
 
     def test_strict_descent_pins_nothing(self):
         _, pd = tangent_disks_setup()
@@ -114,8 +115,7 @@ class TestBuildChart:
         assert chart.rank == 0
         assert_allclose(chart.jac_center, np.eye(2))
         assert_allclose(chart.z_center, x)
-        assert_array_equal(chart.g_center, [-1.0])
-        assert_array_equal(chart.h_center, [0.0])
+        assert_array_equal(chart.c_center, [-1.0, 0.0])
 
     def test_zero_gradient_degenerate(self):
         prob = load_problem("vars 1\nobjective x1\nineq x1^2\npoint 0\n")

@@ -293,6 +293,22 @@ class TestMain:
         err = capsys.readouterr().err
         assert f"point outside the problem domain: {message}" in err
 
+    def test_feasibility_evaluates_values_only(self, tmp_path, capsys):
+        # sqrt(x1) has a value at x1 = 0 but no derivative: an infeasible
+        # point is reported without one, and a feasible one needs it
+        path = tmp_path / "sqrt.prob"
+        path.write_text("vars 2\nobjective x1\nineq sqrt(x1) + 1\npoint 0 0\n")
+        assert main(["analyze", str(path)]) == 0
+        out = capsys.readouterr().out
+        assert "point (0, 0): INFEASIBLE (worst violation 1.000e+00)" in out
+        assert "point is infeasible at tolerance; first-order analysis skipped" in out
+        path.write_text("vars 2\nobjective x1\nineq sqrt(x1) - 1\npoint 0 0\n")
+        assert main(["analyze", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err == (
+            "error: point outside the problem domain: ineq 1: sqrt derivative undefined at zero\n"
+        )
+
     def test_gradient_too_large_to_rank_exit_two(self, tmp_path, capsys):
         # sigma_max of (1.5e308, 1.5e308) overflows, which would make every
         # rank 0 and read LICQ and MFCQ as failing

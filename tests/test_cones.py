@@ -8,7 +8,7 @@ and parabola fixtures.
 
 import numpy as np
 import pytest
-from numpy.testing import assert_allclose
+from numpy.testing import assert_allclose, assert_array_equal
 
 from nlpcheck import cones
 from nlpcheck.cones import (
@@ -62,17 +62,12 @@ class TestLinearizedCone:
         assert membership(cone, np.array([0.0, 1.0]), 1e-8)
         assert not membership(cone, np.array([1.0, 0.0]), 1e-8)
 
-    def test_provenance_labels(self):
-        cone = linearized_cone(tangent_disks_pd())
-        assert cone.provenance_in == ("g1", "g2")
-        cone2 = linearized_cone(circle_pd())
-        assert cone2.provenance_eq == ("h1",)
-
 
 class TestStrongCriticalCone:
     def test_tangent_disks_pins_d2(self):
-        cone = strong_critical_cone(tangent_disks_pd())
-        assert cone.provenance_in[-1] == "f"
+        pd = tangent_disks_pd()
+        cone = strong_critical_cone(pd)
+        assert_array_equal(cone.a_in[-1], pd.f_grad)
         assert membership(cone, np.array([1.0, 0.0]), 1e-8)
         assert membership(cone, np.array([-1.0, 0.0]), 1e-8)
         assert not membership(cone, np.array([0.0, 1.0]), 1e-8)
@@ -171,13 +166,7 @@ class TestSampleDirections:
     def test_zero_cone_returns_empty(self):
         from nlpcheck.cones import ConeRep
 
-        cone = ConeRep(
-            n=2,
-            a_eq=np.eye(2),
-            a_in=np.zeros((0, 2)),
-            provenance_eq=("h1", "h2"),
-            provenance_in=(),
-        )
+        cone = ConeRep(n=2, a_eq=np.eye(2), a_in=np.zeros((0, 2)))
         assert sample_directions(cone, 5, seed=0) == []
 
     def test_deterministic_for_fixed_seed(self):
@@ -261,8 +250,6 @@ class TestMinQuadraticOnCone:
             n=3,
             a_eq=np.zeros((0, 3)),
             a_in=np.array([[0.0, 1.0, -2.0], [0.0, -2.0, 1.0]]),
-            provenance_eq=(),
-            provenance_in=("g1", "g2"),
         )
         res = min_quadratic_on_cone(np.diag([2.0, 1.0, 1.0]), cone)
         assert res.certified
@@ -287,13 +274,7 @@ class TestMinQuadraticOnCone:
     def test_zero_cone_returns_zero(self):
         from nlpcheck.cones import ConeRep
 
-        cone = ConeRep(
-            n=2,
-            a_eq=np.eye(2),
-            a_in=np.zeros((0, 2)),
-            provenance_eq=("h1", "h2"),
-            provenance_in=(),
-        )
+        cone = ConeRep(n=2, a_eq=np.eye(2), a_in=np.zeros((0, 2)))
         res = min_quadratic_on_cone(np.diag([-4.0, -4.0]), cone)
         assert res.certified
         assert res.min_value == 0.0
@@ -309,13 +290,7 @@ class TestMinQuadraticOnCone:
             h = a + a.T
             k_in = int(rng.integers(0, 4))
             a_in = rng.standard_normal((k_in, n))
-            cone = ConeRep(
-                n=n,
-                a_eq=np.zeros((0, n)),
-                a_in=a_in,
-                provenance_eq=(),
-                provenance_in=tuple(f"g{i+1}" for i in range(k_in)),
-            )
+            cone = ConeRep(n=n, a_eq=np.zeros((0, n)), a_in=a_in)
             oracle = quad_cone_min_oracle(h, cone.a_eq, cone.a_in)
             if oracle is None:
                 continue
@@ -329,13 +304,7 @@ class TestMinQuadraticOnCone:
 def inequality_cone(a_in):
     a_in = np.asarray(a_in, dtype=float)
     n = a_in.shape[1]
-    return ConeRep(
-        n=n,
-        a_eq=np.zeros((0, n)),
-        a_in=a_in,
-        provenance_eq=(),
-        provenance_in=tuple(f"g{i + 1}" for i in range(a_in.shape[0])),
-    )
+    return ConeRep(n=n, a_eq=np.zeros((0, n)), a_in=a_in)
 
 
 class TestMinQuadraticsOnCone:
@@ -437,8 +406,6 @@ class TestZeroCone:
             n=3,
             a_eq=np.array([[1.0, 0.0, 0.0]]),
             a_in=np.array([[0.0, 1.0, 0.0], [0.0, -1.0, 0.0], [0.0, 0.0, 1.0], [0.0, 0.0, -1.0]]),
-            provenance_eq=("h1",),
-            provenance_in=("g1", "g2", "g3", "g4"),
         )
         assert _is_zero_cone(cone)
         assert not _is_zero_cone(linearized_cone(circle_pd()))

@@ -204,7 +204,7 @@ class TestMfcq:
         assert verdict.status == "holds"
         d = np.array(verdict.certificate["direction"])
         # certificate is independently checkable: strict descent on actives
-        assert (pd.active_g_grads() @ d).max() < -1e-9
+        assert (pd.c_grads[pd.rows] @ d).max() < -1e-9
         assert verdict.certificate["lp_optimum"] > 1e-9
 
     def test_parabola_holds(self):
@@ -214,7 +214,7 @@ class TestMfcq:
         verdict = check_mfcq(circle_pd())
         assert verdict.status == "holds"
         d = np.array(verdict.certificate["direction"])
-        assert abs(circle_pd().h_grads @ d) <= 1e-9
+        assert abs(circle_pd().c_grads @ d) <= 1e-9
 
     def test_opposing_gradients_fail(self):
         prob = load_problem(
@@ -329,7 +329,7 @@ class TestCrcqRcrcq:
         # and at others is finite but too large for its norm to be a double
         prob = builtin_problem(name)
         sampler = NeighborhoodSampler(radii=radii, seed=0)
-        tapes = list(prob.ineq_tapes) + list(prob.eq_tapes)
+        tapes = prob.tapes
         with np.errstate(over="ignore"):
             infinite = sum(
                 not all(np.isfinite(t.gradient(x)[1]).all() for t in tapes)
@@ -500,7 +500,7 @@ class TestSettledPoints:
         prob = _near_tolerance(tol)
         sampler = NeighborhoodSampler(radii=(radius * tol,), seed=0)
         tables = [
-            np.vstack([t.gradient(x)[1] for t in prob.ineq_tapes])
+            np.vstack([t.gradient(x)[1] for t in prob.tapes])
             for x in [prob.point] + [x for _, _, x in sample_points(sampler, prob.point)]
         ]
         s = np.linalg.svd(np.array(tables), compute_uv=False)

@@ -157,7 +157,7 @@ class TestSolveMultipliers:
         assert_allclose(mu, [math.sqrt(0.5), 0.0, 0.0, 0.0], atol=1e-12)
         assert_allclose(lam, [math.sqrt(0.5)], atol=1e-12)
         # a ray is a null combination of the constraint gradients
-        assert_allclose(pd.g_grads.T @ mu + pd.h_grads.T @ lam, 0.0, atol=1e-12)
+        assert_allclose(pd.c_grads.T @ np.concatenate([mu, lam]), 0.0, atol=1e-12)
         path = tmp_path / "ray.prob"
         path.write_text(text)
         assert main(["analyze", str(path)]) == 0

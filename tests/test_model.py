@@ -2,15 +2,18 @@
 
 import numpy as np
 import pytest
-from numpy.testing import assert_allclose
+from numpy.testing import assert_allclose, assert_array_equal
 
+from nlpcheck.cones import critical_cone_multiplier_form
 from nlpcheck.expr import DomainError
+from nlpcheck.kkt import check_kkt
 from nlpcheck.model import (
     ProblemError,
     evaluate_point,
     feasibility,
     lagrangian_hessian,
     load_problem,
+    row_label,
 )
 from nlpcheck.problems import builtin_names, builtin_problem, builtin_source
 
@@ -105,10 +108,11 @@ class TestEvaluatePoint:
         pd = evaluate_point(prob, np.zeros(2))
         assert pd.f_val == 0.0
         assert_allclose(pd.f_grad, [0.0, 1.0])
-        assert_allclose(pd.g_vals, [0.0, 0.0], atol=1e-15)
-        assert_allclose(pd.g_grads, [[0.0, -2.0], [0.0, -2.0]], atol=1e-15)
-        assert_allclose(pd.g_hesses[0], 2.0 * np.eye(2), atol=1e-15)
-        assert_allclose(pd.g_hesses[1], -2.0 * np.eye(2), atol=1e-15)
+        assert pd.m == 2 and pd.p == 0
+        assert_allclose(pd.c_vals, [0.0, 0.0], atol=1e-15)
+        assert_allclose(pd.c_grads, [[0.0, -2.0], [0.0, -2.0]], atol=1e-15)
+        assert_allclose(pd.c_hesses[0], 2.0 * np.eye(2), atol=1e-15)
+        assert_allclose(pd.c_hesses[1], -2.0 * np.eye(2), atol=1e-15)
         assert pd.active == (1, 2)
 
     def test_active_set_uses_tolerance(self):
@@ -128,19 +132,43 @@ class TestEvaluatePoint:
     def test_equality_derivatives(self):
         prob = builtin_problem("circle")
         pd = evaluate_point(prob, np.array([1.0, 0.0]))
-        assert_allclose(pd.h_vals, [0.0], atol=1e-15)
-        assert_allclose(pd.h_grads, [[2.0, 0.0]])
-        assert_allclose(pd.h_hesses[0], 2.0 * np.eye(2))
+        assert pd.m == 0 and pd.p == 1
+        assert_allclose(pd.c_vals, [0.0], atol=1e-15)
+        assert_allclose(pd.c_grads, [[2.0, 0.0]])
+        assert_allclose(pd.c_hesses[0], 2.0 * np.eye(2))
 
     def test_domain_error_labels_constraint(self):
         prob = load_problem("vars 1\nobjective x1\nineq log(x1)\npoint 1\n")
         with pytest.raises(DomainError, match="ineq 1"):
             evaluate_point(prob, np.array([-1.0]))
 
-    def test_active_g_grads_shape(self):
-        prob = load_problem(TANGENT_DISKS)
+    def test_rows_are_active_inequalities_then_equalities(self):
+        prob = load_problem(
+            "vars 2\nobjective x1\nineq x1 - 1\neq x2\nineq -x1\neq x1 + x2\npoint 0 0\n"
+        )
         pd = evaluate_point(prob, np.zeros(2))
-        assert pd.active_g_grads().shape == (2, 2)
+        assert pd.active == (2,)
+        assert pd.rows == [1, 2, 3]
+        assert_array_equal(pd.c_vals, [-1.0, 0.0, 0.0, 0.0])
+        assert_array_equal(pd.c_grads[pd.rows], [[-1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
+        assert [row_label(pd.m, k) for k in range(4)] == [
+            ("ineq", 1), ("ineq", 2), ("eq", 1), ("eq", 2)
+        ]
+
+
+@pytest.mark.parametrize("evaluate", [evaluate_point, feasibility], ids=["jet", "value"])
+@pytest.mark.parametrize(
+    "text, point, message",
+    [
+        ("vars 2\nobjective x1\nineq x1 - 1\nineq log(x1)\nineq log(x2)\n", [-1, -1], "ineq 2"),
+        ("vars 1\nobjective x1\neq x1\neq log(x1)\n", [-1], "eq 2"),
+        ("vars 2\nobjective x1\neq log(x1)\nineq log(x2)\n", [-1, -1], "ineq 1"),
+    ],
+    ids=["first of several rows", "equality label", "inequalities before equalities"],
+)
+def test_domain_error_names_the_first_failing_row(evaluate, text, point, message):
+    with pytest.raises(DomainError, match=f"^{message}: log of non-positive value -1.0$"):
+        evaluate(load_problem(text), np.array(point, dtype=float))
 
 
 class TestLagrangianHessian:
@@ -170,6 +198,53 @@ class TestLagrangianHessian:
         pd = evaluate_point(prob, np.zeros(1))
         with pytest.raises(ValueError, match="inactive"):
             lagrangian_hessian(pd, np.array([0.3]), np.zeros(0))
+
+
+# ineq 1 is active and ineq 2 inactive at the origin; mu = (1, 0), lam = -1
+# is the KKT multiplier
+MULTIPLIER_PROBLEM = "vars 2\nobjective x1 + x2\nineq -x1\nineq x1 - 1\neq x2\npoint 0 0\n"
+
+
+@pytest.mark.parametrize(
+    "caller, rejected, accepted",
+    [
+        (
+            lagrangian_hessian,
+            [
+                ([1.0], [-1.0], "mu must have length 2"),
+                ([1.0, 0.0], [], "lam must have length 1"),
+                ([-2e-12, 0.0], [-1.0], "negative inequality multiplier"),
+                ([1.0, 2e-12], [-1.0], "nonzero multiplier on inactive constraint 2"),
+            ],
+            [([-5e-13, 5e-13], [-1.0])],
+        ),
+        (
+            lambda pd, mu, lam: critical_cone_multiplier_form(pd, mu),
+            [
+                ([1.0], None, "mu must have length 2"),
+                ([-2e-8, 0.0], None, "negative inequality multiplier"),
+                ([1.0, 2e-8], None, "nonzero multiplier on inactive constraint 2"),
+            ],
+            [([1.0, 2e-12], None), ([1.0, 5e-9], None)],
+        ),
+        (
+            check_kkt,
+            [
+                ([1.0], [-1.0], "mu must have length 2"),
+                ([1.0, 0.0], [], "lam must have length 1"),
+            ],
+            [([-1.0, 0.0], [-1.0]), ([1.0, 5.0], [-1.0])],
+        ),
+    ],
+    ids=["lagrangian_hessian", "critical_cone_multiplier_form", "check_kkt"],
+)
+def test_multiplier_checks_keep_each_callers_threshold(caller, rejected, accepted):
+    pd = evaluate_point(load_problem(MULTIPLIER_PROBLEM), np.zeros(2))
+    for mu, lam, message in rejected:
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            caller(pd, np.array(mu), lam)
+    for mu, lam in accepted:
+        caller(pd, np.array(mu), lam)
 
 
 class TestFeasibility:
