@@ -134,8 +134,9 @@ def _arc_entry(rep: arc_mod.DirectionArcReport) -> dict:
     return entry
 
 
-def _validate(config: RunConfig, n: int, x: np.ndarray) -> None:
+def _validate(config: RunConfig, problem: Problem, x: np.ndarray) -> None:
     """Reject a configuration the analysis cannot run on."""
+    n = problem.n
     if x.shape != (n,):
         raise InputError(f"point must have {n} coordinates, got {x.size}")
     if not np.isfinite(x).all():
@@ -151,6 +152,14 @@ def _validate(config: RunConfig, n: int, x: np.ndarray) -> None:
     if not 0 <= config.samples <= MAXPOINTS:
         raise InputError(
             f"samples per radius must be between 0 and 2**30, got {config.samples}"
+        )
+    # every constraint row may be active, so the scan's rows are at most m + p
+    points = 1 + len(config.radii) * config.samples
+    if points * (problem.m + problem.p + 1) * n > cq.SCAN_BUDGET:
+        raise InputError(
+            f"--samples {config.samples} is too large for this problem: the rank scan "
+            f"would hold {points} points of up to {problem.m + problem.p} gradients in "
+            f"R^{n}, above its budget of {cq.SCAN_BUDGET} floats"
         )
     if not config.radii or not all(0.0 < r < math.inf for r in config.radii):
         raise InputError(f"radii must be positive and finite, got {list(config.radii)}")
@@ -175,7 +184,7 @@ def run(config: RunConfig) -> dict:
         raise InputError(
             "no candidate point: give one with --point or a 'point' line"
         )
-    _validate(config, problem.n, x)
+    _validate(config, problem, x)
 
     report: dict = {
         "tool": "nlpcheck",

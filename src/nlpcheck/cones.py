@@ -15,9 +15,13 @@ equalities) and solving a small symmetric eigenproblem per face certifies
 the global minimum whenever the face count is tractable.  A cone without
 inequality rows is a subspace with a single face.  The faces depend only on
 the cone, so several forms over one cone (one per multiplier in the
-second-order check) share a single enumeration: each face's nullspace basis
-is computed once and all forms restricted to it are solved in one batched
-eigenproblem.
+second-order check) share a single enumeration, and the faces share their
+LAPACK calls: faces with the same number of pinned rows get their nullspace
+bases from one stacked SVD, and faces of the same dimension have every form
+restricted to them solved in one stacked eigenproblem.  The faces are walked
+in mask order, in chunks of bounded memory, and each form's minimum is
+selected exactly as a loop over one face at a time selects it, so the
+results are that loop's to the bit.
 
 When no face yields a feasible eigenvector, or the inequality rows are too
 many to enumerate, one box-bounded LP per coordinate and sign decides
@@ -33,7 +37,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from nlpcheck.linalg import nullspace_basis, simplex_lp
+from nlpcheck.linalg import nullspace_basis, nullspace_bases, simplex_lp, stack_chunk
 from nlpcheck.model import PointData, check_multiplier
 
 __all__ = [
@@ -252,13 +256,16 @@ def min_quadratics_on_cone(Hs, cone: ConeRep) -> list[QuadOnConeResult]:
     With at most ``_FACIAL_LIMIT`` inequality rows every face is enumerated
     once for all forms: rows in the chosen subset become equalities, every
     form restricted to the resulting subspace is minimized by its smallest
-    eigenpair (one batched eigenproblem per face), and the eigenvector
-    (either sign) is kept if it satisfies the remaining inequalities at
-    ``_TOL``.  A cone without inequality rows is a subspace, so its one
-    face gives the exact minimum.  A form for which no face yields a
-    feasible eigenvector, and every form beyond the limit, gets the
-    certified zero minimum when the cone is {0} and an uncertified result
-    otherwise.  Results are returned in the order of ``Hs``.
+    eigenpair, and the eigenvector (either sign) is kept if it satisfies the
+    remaining inequalities at ``_TOL``.  A cone without inequality rows is a
+    subspace, so its one face gives the exact minimum.  The faces are walked
+    in mask order, in chunks (:func:`~nlpcheck.linalg.stack_chunk`); within
+    a chunk, faces with the same number of pinned rows share one stacked
+    SVD, and faces of the same dimension share one stacked eigenproblem for
+    all forms.  A form for which no face yields a feasible eigenvector, and
+    every form beyond the limit, gets the certified zero minimum when the
+    cone is {0} and an uncertified result otherwise.  Results are returned
+    in the order of ``Hs``.
     """
     Hs = [_checked_form(H, cone.n) for H in Hs]
     if not Hs:
@@ -266,27 +273,12 @@ def min_quadratics_on_cone(Hs, cone: ConeRep) -> list[QuadOnConeResult]:
     k_in = cone.a_in.shape[0]
     best: list[QuadOnConeResult | None] = [None] * len(Hs)
     faces = 1 << k_in if k_in <= _FACIAL_LIMIT else 0
-    H_stack = np.stack(Hs)
-    for mask in range(faces):
-        rows = [cone.a_eq] if cone.a_eq.shape[0] else []
-        pinned = [i for i in range(k_in) if mask >> i & 1]
-        if pinned:
-            rows.append(cone.a_in[pinned])
-        stacked = np.vstack(rows) if rows else np.zeros((0, cone.n))
-        B = nullspace_basis(stacked)
-        if B.shape[1] == 0:
-            continue
-        Hr = B.T @ H_stack @ B
-        w, V = np.linalg.eigh(0.5 * (Hr + Hr.transpose(0, 2, 1)))
-        rest = np.array([i for i in range(k_in) if not (mask >> i & 1)], dtype=int)
-        A_rest = cone.a_in[rest] if rest.size else np.zeros((0, cone.n))
-        for q, H in enumerate(Hs):
-            if best[q] is not None and float(w[q, 0]) >= best[q].min_value:
-                continue
-            d = _feasible_in_eigenspace(B, w[q], V[q], A_rest, _TOL)
-            if d is None:
-                continue
-            best[q] = QuadOnConeResult(float(d @ H @ d), d, "facial-enumeration", True)
+    # per face: the SVD's input and factors, and every form's restricted
+    # products and eigenvectors, counted at the largest face dimension n
+    rows = cone.a_eq.shape[0] + k_in
+    chunk = stack_chunk((rows + cone.n) ** 2 + 4 * len(Hs) * cone.n**2)
+    for start in range(0, faces, chunk):
+        _scan_faces(np.arange(start, min(faces, start + chunk)), cone, Hs, best)
     missing = [q for q, res in enumerate(best) if res is None]
     if missing:
         zero = _is_zero_cone(cone)
@@ -295,6 +287,60 @@ def min_quadratics_on_cone(Hs, cone: ConeRep) -> list[QuadOnConeResult]:
                 0.0, np.zeros(cone.n), "zero-cone" if zero else "uncertified", zero
             )
     return best
+
+
+def _scan_faces(masks: np.ndarray, cone: ConeRep, Hs: list, best: list) -> None:
+    """Update each form's running minimum ``best`` over the faces ``masks``
+    (bit i pins inequality row i), in mask order.
+
+    A face replaces a form's minimum only when its smallest restricted
+    eigenvalue is strictly below it and an eigenvector meets the remaining
+    rows, exactly as a loop over one face at a time would; no form's
+    minimum depends on another's, so the forms are updated one at a time.
+    """
+    k_in = cone.a_in.shape[0]
+    H_stack = np.stack(Hs)
+    pinned = (masks[:, None] >> np.arange(k_in) & 1).astype(bool)  # (faces, k_in)
+    count = pinned.sum(axis=1)
+    bases: list = [None] * len(masks)
+    for c in sorted(set(count.tolist())):
+        at = np.flatnonzero(count == c)
+        cols = np.nonzero(pinned[at])[1].reshape(len(at), c)  # pinned rows, ascending
+        eq = np.broadcast_to(cone.a_eq, (len(at),) + cone.a_eq.shape)
+        stack = np.concatenate([eq, cone.a_in[cols]], axis=1)  # equalities, then pinned rows
+        for j, B in zip(at.tolist(), nullspace_bases(stack)):
+            bases[j] = B
+    dims = np.array([B.shape[1] for B in bases])
+    # faces with a nonzero subspace, in mask order, and each one's
+    # eigenpairs (smallest eigenvalue first) for every form
+    open_at = np.flatnonzero(dims)
+    lowest = np.empty((open_at.size, len(Hs)))
+    eig: list = [None] * open_at.size
+    for d in sorted(set(dims[open_at].tolist())):
+        at = np.flatnonzero(dims[open_at] == d)
+        Bs = np.stack([bases[j] for j in open_at[at].tolist()])  # (group, n, d)
+        Hr = Bs.transpose(0, 2, 1)[:, None] @ H_stack[None] @ Bs[:, None]
+        w, V = np.linalg.eigh(0.5 * (Hr + Hr.transpose(0, 1, 3, 2)))
+        lowest[at] = w[:, :, 0]
+        for g, i in enumerate(at.tolist()):
+            eig[i] = (w[g], V[g])
+    for q, H in enumerate(Hs):
+        # only a face whose lowest eigenvalue is below the running minimum
+        # may replace it; after a replacement the scan resumes with the new
+        # minimum at the next face
+        start = 0
+        while start < open_at.size:
+            bound = best[q].min_value if best[q] is not None else np.nan
+            for i in (start + np.flatnonzero(~(lowest[start:, q] >= bound))).tolist():
+                w, V = eig[i]
+                j = int(open_at[i])
+                d = _feasible_in_eigenspace(bases[j], w[q], V[q], cone.a_in[~pinned[j]], _TOL)
+                if d is not None:
+                    best[q] = QuadOnConeResult(float(d @ H @ d), d, "facial-enumeration", True)
+                    start = i + 1
+                    break
+            else:
+                break
 
 
 def _feasible_in_eigenspace(

@@ -24,7 +24,9 @@ only, and needs none when every point is settled.  The RCRCQ pairs are the
 CRCQ pairs that contain every equality, so a pair both scans reach is
 ranked once.  When a scan's pair count times the number of points exceeds
 ``2^20``, that scan is cut to the pairs of total size <= 2 plus the full
-pair, and its evidence reads ``partial: true``.
+pair, and its evidence reads ``partial: true``.  The points and their
+tables are held at once, so ``cli.run`` rejects a sample count whose scan
+would hold more than ``SCAN_BUDGET`` floats.
 
 Rank constancy over a neighborhood cannot be certified by finitely many
 samples, so the sampled scans return "fails" with a re-checkable witness
@@ -58,6 +60,7 @@ __all__ = [
     "check_rank_constancy",
     "summarize_acq",
     "recheck_rank_certificate",
+    "SCAN_BUDGET",
 ]
 
 
@@ -189,6 +192,9 @@ def check_mfcq(pd: PointData, tol_rank: float = 1e-8) -> Verdict:
 
 
 _PAIR_BUDGET = 1 << 20
+# most floats a rank scan may hold: its sample points and the gradient
+# table at each point and at the center, (1 + radii * samples) * (rows + 1) * n
+SCAN_BUDGET = 1 << 20
 
 
 def _scan_pairs(

@@ -31,7 +31,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from nlpcheck.cones import min_quadratics_on_cone, strong_critical_cone
-from nlpcheck.linalg import nnls, nullspace_basis
+from nlpcheck.linalg import nnls, nullspace_bases, stack_chunk
 # no longer called here; the name stays bound because the benchmark's
 # tracer self-test (perfbench/tests) looks it up on this module
 from nlpcheck.linalg import numerical_rank  # noqa: F401
@@ -90,7 +90,11 @@ def solve_multipliers(pd: PointData, tol: float = 1e-8) -> MultiplierSet:
     Enumeration runs over all subsets of active-inequality multipliers
     forced to zero; subsets whose remaining columns are independent and
     solve stationarity within 1e-8 give vertices, and subsets whose columns
-    have a one-dimensional nullspace give ray candidates.  When the active
+    have a one-dimensional nullspace give ray candidates.  The subsets are
+    walked in mask order, in chunks (:func:`~nlpcheck.linalg.stack_chunk`);
+    within a chunk, subsets with the same number of columns share one
+    stacked SVD (:func:`~nlpcheck.linalg.nullspace_bases`), and only those
+    with independent columns make a least-squares solve.  When the active
     count plus equality count exceeds ``_ENUM_LIMIT`` (or the polyhedron has
     no vertex at all) only the least-squares representative is reported and
     the result is flagged partial.
@@ -128,12 +132,26 @@ def solve_multipliers(pd: PointData, tol: float = 1e-8) -> MultiplierSet:
     rhs = -pd.f_grad
     vertex_raw: list[np.ndarray] = []
     ray_raw: list[np.ndarray] = []
-    for zero_mask in range(1 << a):
-        keep = [k for k in range(a) if not (zero_mask >> k & 1)] + list(range(a, a + p))
-        sub = cols[:, keep]
-        if keep:
-            null = nullspace_basis(sub)
+    # per subset: the column stack and the SVD's factors
+    chunk = stack_chunk((pd.n + a + p) ** 2)
+    for start in range(0, 1 << a, chunk):
+        masks = np.arange(start, min(1 << a, start + chunk))
+        zeroed = (masks[:, None] >> np.arange(a) & 1).astype(bool)
+        kept = np.hstack([~zeroed, np.ones((len(masks), p), dtype=bool)])  # (masks, a + p)
+        size = kept.sum(axis=1)
+        nulls: list = [None] * len(masks)
+        for c in sorted(set(size[size > 0].tolist())):
+            at = np.flatnonzero(size == c)
+            keep = np.nonzero(kept[at])[1].reshape(len(at), c)  # kept columns, ascending
+            for j, null in zip(at.tolist(), nullspace_bases(cols[:, keep].transpose(1, 0, 2))):
+                nulls[j] = null
+        for keep, null in zip(kept, nulls):
+            if null is None:  # every column zeroed
+                if float(np.abs(rhs).max(initial=0.0)) <= 1e-8:
+                    vertex_raw.append(expand(np.zeros(a + p)))
+                continue
             if null.shape[1] == 0:
+                sub = cols[:, keep]
                 y_sub, *_ = np.linalg.lstsq(sub, rhs, rcond=None)
                 if float(np.abs(sub @ y_sub - rhs).max(initial=0.0)) <= 1e-8:
                     y = np.zeros(a + p)
@@ -149,9 +167,6 @@ def solve_multipliers(pd: PointData, tol: float = 1e-8) -> MultiplierSet:
                         norm = float(np.linalg.norm(cand))
                         if norm > 1e-12:
                             ray_raw.append(expand(cand / norm))
-        else:
-            if float(np.abs(rhs).max(initial=0.0)) <= 1e-8:
-                vertex_raw.append(expand(np.zeros(a + p)))
     vertices = _dedup_sorted(vertex_raw)
     rays = _dedup_sorted(ray_raw)
     ms.vertices = [split(v) for v in vertices]

@@ -28,6 +28,8 @@ __all__ = [
     "norm_bound",
     "nnls_bound",
     "nullspace_basis",
+    "nullspace_bases",
+    "stack_chunk",
     "pivot_select",
     "NewtonError",
     "SingularJacobianError",
@@ -42,6 +44,7 @@ __all__ = [
 
 _LP_TOL = 1e-9
 _NEWTON_MAX_ITER = 50
+_STACK_BYTES = 1 << 21  # memory one chunk of a stacked loop may take (stack_chunk)
 
 
 def _as_matrix(M) -> np.ndarray:
@@ -134,19 +137,43 @@ def stacked_rank(M, tol_rel: float = 1e-8) -> np.ndarray:
     return _rank_cut(np.linalg.svd(M, compute_uv=False), tol_rel)
 
 
+def stack_chunk(floats: int) -> int:
+    """How many items of ``floats`` float64 values each one stacked call
+    may take at once: the loops that stack their matrices (a face loop, a
+    subset loop) walk them in chunks of this size, so that their memory
+    stays within ``_STACK_BYTES`` however large the loop."""
+    return max(1, _STACK_BYTES // (8 * max(floats, 1)))
+
+
+def nullspace_bases(stack, tol_rel: float = 1e-8) -> list[np.ndarray]:
+    """Nullspace bases of a stack of matrices, shape ``(k, rows, n)``.
+
+    One batched SVD covers all ``k`` matrices, and each basis follows the
+    rule of :func:`nullspace_basis`, of which this is the stacked form: the
+    stacked call runs the same LAPACK routine on each matrix, so every
+    basis is bit-identical to the one-matrix call.  Returns a list of ``k``
+    arrays of shape ``(n, n - rank_i)``.
+    """
+    stack = np.asarray(stack, dtype=float)
+    if stack.ndim != 3:
+        raise ValueError(f"expected a stack of matrices, got ndim={stack.ndim}")
+    if stack.size and not np.isfinite(stack).all():
+        raise ValueError("matrix has non-finite entries")
+    k, rows, cols = stack.shape
+    if rows == 0 or cols == 0:
+        return [np.eye(cols) for _ in range(k)]
+    _, s, Vh = np.linalg.svd(stack)
+    return [Vh[i, rank:].T.copy() for i, rank in enumerate(_rank_cut(s, tol_rel).tolist())]
+
+
 def nullspace_basis(M, tol_rel: float = 1e-8) -> np.ndarray:
     """Orthonormal basis (columns) of the numerical nullspace of ``M``.
 
     A matrix with no rows is treated as the zero map, so the basis is the
-    identity.  The returned array has shape ``(n, n - rank)``.
+    identity.  The returned array has shape ``(n, n - rank)``.  The
+    one-matrix case of :func:`nullspace_bases`.
     """
-    M = _as_matrix(M)
-    rows, cols = M.shape
-    if rows == 0 or cols == 0:
-        return np.eye(cols)
-    _, s, Vh = np.linalg.svd(M)
-    rank = int(_rank_cut(s, tol_rel))
-    return Vh[rank:].T.copy()
+    return nullspace_bases(_as_matrix(M)[None], tol_rel)[0]
 
 
 def pivot_select(M, r: int, tol_rel: float = 1e-8) -> list[int]:

@@ -7,9 +7,9 @@ O(step.||H||), which is far above the comparison tolerances used here,
 while the augmented candidate set is exact up to rounding.  None of this
 shares code with the library's facial enumeration.
 
-The reference loops (``rank_scan_oracle``, ``facial_minimum_oracle``) are
-the plain one-matrix-at-a-time versions of batched library code; they
-must agree with it exactly.  ``reference_evaluate`` and
+The reference loops (``rank_scan_oracle``, ``facial_minima_oracle``,
+``multiplier_enumeration_oracle``) are the plain one-matrix-at-a-time
+versions of batched library code; they must agree with it exactly.  ``reference_evaluate`` and
 ``reference_grad_hess`` are the recursive tree interpreters the expression
 tape replaced: every tape mode must reproduce their bits, signed zeros
 included.  ``reference_newton`` is the one-system damped Newton loop the
@@ -29,6 +29,17 @@ import numpy as np
 TWO_PI = 2.0 * np.pi
 GRID_STEP = 1e-3
 EDGE_TOL = 1e-9
+
+
+def same_bits(a, b):
+    """Equal shapes, equal values (NaN matching NaN) and equal sign bits,
+    so that 0.0 and -0.0 differ."""
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    return (
+        a.shape == b.shape
+        and np.array_equal(a, b, equal_nan=True)
+        and np.array_equal(np.signbit(a), np.signbit(b))
+    )
 
 
 def _null_basis(rows, n):
@@ -304,35 +315,121 @@ def rank_scan_oracle(problem, x, sampler, tol_active=1e-8, tol_rank=1e-8, budget
 
 
 def facial_minimum_oracle(H, cone, tol=1e-8):
-    """One form's cone minimum by the single-form face loop.
+    """One form's cone minimum by the one-face-at-a-time loop:
+    ``facial_minima_oracle`` for the single form ``H``."""
+    return facial_minima_oracle([H], cone, tol)[0]
 
-    This is the enumeration ``cones.min_quadratic_on_cone`` ran before faces
-    were shared across forms: for each face, in mask order, its own
-    nullspace basis and its own eigenproblem.  Returns ``(min_value,
-    witness)``, or None when no face yields a feasible eigenvector.  It
-    reuses the library's nullspace and eigenspace-feasibility helpers, so a
-    correct batched enumeration must reproduce it bit for bit.
+
+def facial_minima_oracle(Hs, cone, tol=1e-8):
+    """Each form's cone minimum by the one-face-at-a-time loop.
+
+    This is the enumeration ``cones.min_quadratics_on_cone`` ran before
+    faces shared stacked calls: for each face, in mask order, its own
+    nullspace basis, and for each form its own eigenproblem on that face.
+    Returns one ``(min_value, witness)`` per form, or None for a form no
+    face yields a feasible eigenvector for.  It reuses the library's
+    nullspace and eigenspace-feasibility helpers, so a correct stacked
+    enumeration must reproduce it bit for bit.
     """
     from nlpcheck.cones import _feasible_in_eigenspace
     from nlpcheck.linalg import nullspace_basis
 
-    H = np.asarray(H, dtype=float)
+    Hs = [np.asarray(H, dtype=float) for H in Hs]
     k_in = cone.a_in.shape[0]
-    best = None
+    best = [None] * len(Hs)
     for mask in range(1 << k_in):
         pinned = [i for i in range(k_in) if mask >> i & 1]
         rest = [i for i in range(k_in) if not mask >> i & 1]
         B = nullspace_basis(np.vstack([cone.a_eq, cone.a_in[pinned]]))
         if B.shape[1] == 0:
             continue
-        Hr = B.T @ H @ B
-        w, V = np.linalg.eigh(0.5 * (Hr + Hr.T))
-        if best is not None and float(w[0]) >= best[0]:
-            continue
-        d = _feasible_in_eigenspace(B, w, V, cone.a_in[rest], tol)
-        if d is not None:
-            best = (float(d @ H @ d), d)
+        for q, H in enumerate(Hs):
+            Hr = B.T @ H @ B
+            w, V = np.linalg.eigh(0.5 * (Hr + Hr.T))
+            if best[q] is not None and float(w[0]) >= best[q][0]:
+                continue
+            d = _feasible_in_eigenspace(B, w, V, cone.a_in[rest], tol)
+            if d is not None:
+                best[q] = (float(d @ H @ d), d)
     return best
+
+
+def multiplier_enumeration_oracle(pd, tol=1e-8):
+    """The multiplier polyhedron by the one-subset-at-a-time loop.
+
+    This is ``kkt.solve_multipliers`` as it ran before the subsets shared
+    stacked SVDs: for each zero-mask, in mask order, its own nullspace basis
+    and, with a trivial nullspace, its own least-squares solve.  It reuses
+    the library's probe, deduplication and result type, so a correct
+    stacked enumeration must reproduce it bit for bit.
+    """
+    from nlpcheck.kkt import _ENUM_LIMIT, MultiplierSet, _dedup_sorted
+    from nlpcheck.linalg import nnls, nullspace_basis
+
+    act, rows = pd.active, pd.rows
+    a, p = len(act), pd.p
+    cols = pd.c_grads[rows].T.copy()
+    y_probe, _ = nnls(cols, pd.f_grad, np.array([True] * a + [False] * p, dtype=bool))
+    residual = float(np.abs(cols @ y_probe + pd.f_grad).max(initial=0.0))
+
+    def expand(y):
+        full = np.zeros(pd.m + p)
+        full[rows] = y
+        return full
+
+    def split(full):
+        return full[: pd.m].copy(), full[pd.m :].copy()
+
+    ms = MultiplierSet(residual, [], [], True, active=act)
+    if residual > tol:
+        ms.note = "stationarity unsolvable at tolerance; not a KKT point"
+        return ms
+    if a + p > _ENUM_LIMIT:
+        ms.vertices = [split(expand(y_probe))]
+        ms.partial = True
+        ms.bounded = False
+        ms.note = (
+            f"enumeration skipped ({a}+{p} multipliers exceeds the limit "
+            f"{_ENUM_LIMIT}); least-squares representative only"
+        )
+        return ms
+    rhs = -pd.f_grad
+    vertex_raw, ray_raw = [], []
+    for zero_mask in range(1 << a):
+        keep = [k for k in range(a) if not (zero_mask >> k & 1)] + list(range(a, a + p))
+        sub = cols[:, keep]
+        if not keep:
+            if float(np.abs(rhs).max(initial=0.0)) <= 1e-8:
+                vertex_raw.append(expand(np.zeros(a + p)))
+            continue
+        null = nullspace_basis(sub)
+        if null.shape[1] == 0:
+            y_sub, *_ = np.linalg.lstsq(sub, rhs, rcond=None)
+            if float(np.abs(sub @ y_sub - rhs).max(initial=0.0)) <= 1e-8:
+                y = np.zeros(a + p)
+                y[keep] = y_sub
+                if not (y[:a] < -1e-12).any():
+                    vertex_raw.append(expand(y))
+        if null.shape[1] == 1:
+            w = np.zeros(a + p)
+            w[keep] = null[:, 0]
+            for sign in (1.0, -1.0):
+                cand = sign * w
+                if not (cand[:a] < -1e-12).any():
+                    norm = float(np.linalg.norm(cand))
+                    if norm > 1e-12:
+                        ray_raw.append(expand(cand / norm))
+    ms.vertices = [split(v) for v in _dedup_sorted(vertex_raw)]
+    ms.rays = [split(r) for r in _dedup_sorted(ray_raw)]
+    ms.bounded = not ms.rays
+    if not ms.vertices:
+        ms.vertices = [split(expand(y_probe))]
+        ms.partial = True
+        ms.note = (
+            "no vertex found (multiplier set has a lineality space); "
+            "least-squares representative reported"
+        )
+    return ms
 
 
 @dataclass

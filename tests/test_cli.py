@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import nlpcheck
-from nlpcheck import expr
+from nlpcheck import cli, cq, expr
 from nlpcheck.cli import (
     InputError,
     RunConfig,
@@ -20,7 +20,12 @@ from nlpcheck.cli import (
     report_to_json,
     run,
 )
-from nlpcheck.problems import builtin_source
+from nlpcheck.model import load_problem
+from nlpcheck.problems import builtin_names, builtin_problem, builtin_source
+
+BENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "perfbench")
+sys.path.append(BENCH)
+import workloads  # noqa: E402
 
 TOP_KEYS = [
     "tool",
@@ -268,6 +273,38 @@ class TestMain:
         code = main(["analyze", "builtin:circle", *flags])
         assert code == 2
         assert message in capsys.readouterr().err
+
+    def test_rank_scan_budget_exit_two_before_any_tape_sweep(self, monkeypatch, capsys):
+        # each scan point holds (m + p + 1) * n floats; find the first
+        # --samples over the budget
+        problem = builtin_problem("paper-example-1")
+        floats = (problem.m + problem.p + 1) * problem.n
+        radii = len(RunConfig.radii)
+        over = (cq.SCAN_BUDGET // floats - 1) // radii
+        while (1 + radii * over) * floats <= cq.SCAN_BUDGET:
+            over += 1
+        # the largest accepted value passes validation (it is not run)
+        cli._validate(RunConfig("builtin:paper-example-1", samples=over - 1), problem, problem.point)
+
+        def no_sweep(*args, **kwargs):
+            raise AssertionError("a tape was swept before the budget check")
+
+        for mode in ("value", "gradient", "jet", "gradients"):
+            monkeypatch.setattr(expr.Tape, mode, no_sweep)
+        code = main(["analyze", "builtin:paper-example-1", "--samples", str(over)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert f"--samples {over} is too large" in err
+        assert f"budget of {cq.SCAN_BUDGET} floats" in err
+
+    def test_default_samples_well_inside_the_scan_budget(self):
+        # every builtin and the largest benchmark problems use under 5% of it
+        points = 1 + len(RunConfig.radii) * RunConfig.samples
+        texts = [builtin_source(name) for name in builtin_names()]
+        texts += [workloads.chain_text(9), workloads.fanfree_text(10), workloads.fan_text(3)]
+        for text in texts:
+            problem = load_problem(text)
+            assert points * (problem.m + problem.p + 1) * problem.n < 0.05 * cq.SCAN_BUDGET
 
     @pytest.mark.parametrize(
         "text, message",

@@ -6,11 +6,15 @@ tests/_oracles.py and against hand-derived values for the tangent-disk
 and parabola fixtures.
 """
 
+import os
+import sys
+import tracemalloc
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
-from nlpcheck import cones
+from nlpcheck import cones, linalg
 from nlpcheck.cones import (
     ConeRep,
     _is_zero_cone,
@@ -22,10 +26,20 @@ from nlpcheck.cones import (
     sample_directions,
     strong_critical_cone,
 )
-from nlpcheck.model import evaluate_point, load_problem
+from nlpcheck.kkt import solve_multipliers
+from nlpcheck.model import evaluate_point, lagrangian_hessian, load_problem
 from nlpcheck.problems import builtin_problem
 
-from _oracles import facial_minimum_oracle, quad_cone_min_oracle
+from _oracles import (
+    facial_minima_oracle,
+    facial_minimum_oracle,
+    quad_cone_min_oracle,
+    same_bits,
+)
+
+BENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "perfbench")
+sys.path.append(BENCH)
+import workloads  # noqa: E402
 
 
 def tangent_disks_pd():
@@ -349,6 +363,91 @@ class TestMinQuadraticsOnCone:
                 [np.eye(3), np.array([[0.0, 1.0, 0.0], [0.0, 0.0, 0.0], [0.0, 0.0, 0.0]])],
                 self.wedge(),
             )
+
+
+class TestStackedFaces:
+    """The stacked face loop reproduces the one-face-at-a-time enumeration
+    (``facial_minima_oracle``) bit for bit, form by form."""
+
+    @staticmethod
+    def assert_matches_oracle(forms, cone):
+        results = min_quadratics_on_cone(forms, cone)
+        for res, (value, witness) in zip(results, facial_minima_oracle(forms, cone)):
+            assert res.method == "facial-enumeration"
+            assert same_bits(res.min_value, value)
+            assert same_bits(res.witness, witness)
+
+    @pytest.mark.parametrize("K", [9, 10])
+    def test_fanfree_vertex_forms(self, K):
+        prob = load_problem(workloads.fanfree_text(K))
+        pd = evaluate_point(prob, prob.point)
+        ms = solve_multipliers(pd)
+        forms = [lagrangian_hessian(pd, mu, lam) for mu, lam in ms.vertices]
+        assert len(forms) >= 25
+        self.assert_matches_oracle(forms, strong_critical_cone(pd))
+
+    @pytest.mark.parametrize("chunk", [None, 5], ids=["one-chunk", "chunks-of-5"])
+    def test_cone_with_equality_rows(self, chunk, monkeypatch):
+        rng = np.random.default_rng(41)
+        cone = ConeRep(n=5, a_eq=rng.standard_normal((1, 5)), a_in=rng.standard_normal((5, 5)))
+        forms = [np.diag([1.0, -1.0, 2.0, -3.0, 0.5])]
+        for _ in range(5):
+            a = rng.standard_normal((5, 5))
+            forms.append(a + a.T)
+        if chunk is not None:
+            monkeypatch.setattr(cones, "stack_chunk", lambda floats: chunk)
+        self.assert_matches_oracle(forms, cone)
+
+    @pytest.mark.parametrize("chunk", [None, 1, 3], ids=["one-chunk", "chunks-of-1", "chunks-of-3"])
+    def test_eigenvalue_cluster_reaches_the_box_maxima(self, chunk, monkeypatch):
+        # each diagonal form has a repeated lowest eigenvalue on span{e2, e3},
+        # where the wedge excludes every signed eigenvector eigh returns, so
+        # only the box maxima over the eigenspace find the minimizer
+        cone = inequality_cone([[0.0, 1.0, -2.0], [0.0, -2.0, 1.0]])
+        forms = [np.diag([2.0, 1.0, 1.0]), np.diag([3.0, -1.0, -1.0]), np.diag([0.0, -2.0, -2.0])]
+        calls = []
+        real = cones._box_maxima
+
+        def counting(*args):
+            calls.append(1)
+            return real(*args)
+
+        monkeypatch.setattr(cones, "_box_maxima", counting)
+        if chunk is not None:
+            monkeypatch.setattr(cones, "stack_chunk", lambda floats: chunk)
+        results = min_quadratics_on_cone(forms, cone)
+        assert len(calls) >= len(forms)
+        monkeypatch.setattr(cones, "_box_maxima", real)
+        self.assert_matches_oracle(forms, cone)
+        assert_allclose([r.min_value for r in results], [1.0, -1.0, -2.0], atol=1e-9)
+
+    def test_nonfinite_row_raises(self):
+        cone = inequality_cone([[1.0, 0.0], [np.nan, 1.0]])
+        with pytest.raises(ValueError, match="non-finite"):
+            min_quadratics_on_cone([np.eye(2)], cone)
+
+    def test_face_loop_memory_is_bounded(self):
+        # 2^14 faces in R^20: the SVD's right factors alone would take
+        # 2^14 * 20 * 20 * 8 bytes, about 50 MiB, if every face were stacked
+        # at once; the chunks keep the peak near the stacking budget
+        limit = 2 * linalg._STACK_BYTES
+        assert (1 << 14) * 20 * 20 * 8 > limit
+        rng = np.random.default_rng(5)
+        a_in = rng.standard_normal((14, 20))
+        a_in[:, 0] = -np.abs(a_in[:, 0])  # e1 lies in the cone
+        cone = inequality_cone(a_in)
+        # the first face (the whole space) gives the global minimum at e1,
+        # so every later face is rejected by its eigenvalue alone
+        H = np.diag(np.linspace(-1.0, 1.0, 20))
+        tracemalloc.start()
+        try:
+            result = min_quadratics_on_cone([H], cone)[0]
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert result.method == "facial-enumeration"
+        assert result.min_value == -1.0
+        assert peak < limit
 
 
 class TestFacialLimit:

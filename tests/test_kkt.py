@@ -7,6 +7,8 @@ of the two tangent fixtures.
 
 import json
 import math
+import os
+import sys
 
 import numpy as np
 import pytest
@@ -21,10 +23,15 @@ from nlpcheck.kkt import (
     recheck_ssonc_witness,
     solve_multipliers,
 )
-from nlpcheck.model import evaluate_point, lagrangian_hessian, load_problem
-from nlpcheck.problems import builtin_problem
+from nlpcheck.model import PointData, evaluate_point, lagrangian_hessian, load_problem
+from nlpcheck.problems import builtin_names, builtin_problem, builtin_source
 
-from _oracles import facial_minimum_oracle
+from _oracles import facial_minimum_oracle, multiplier_enumeration_oracle, same_bits
+from test_acceptance import BATTERY
+
+BENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "perfbench")
+sys.path.append(BENCH)
+import workloads  # noqa: E402
 
 
 def tangent_disks_pd():
@@ -335,36 +342,154 @@ class TestSharedFaces:
             assert entry["min_value"] == value
             assert entry["witness_direction"] == [float(v) for v in witness]
 
-    def test_one_face_enumeration_per_check(self, monkeypatch):
+    @staticmethod
+    def count_stacks(monkeypatch, module):
+        """Record the stack size of every ``nullspace_bases`` call made
+        through ``module``."""
         calls = []
-        real = cones.nullspace_basis
+        real = module.nullspace_bases
 
-        def counting(M, *args, **kwargs):
-            calls.append(1)
-            return real(M, *args, **kwargs)
+        def counting(stack, *args, **kwargs):
+            calls.append(len(stack))
+            return real(stack, *args, **kwargs)
 
-        monkeypatch.setattr(cones, "nullspace_basis", counting)
+        monkeypatch.setattr(module, "nullspace_bases", counting)
+        return calls
+
+    def check_faces(self, calls, chunks):
+        # every face passes through the stacked SVD once, and a chunk makes
+        # at most one stacked call per pinned-row count
         for pd in (parabola_pd(), problem_pd(fan_problem(5, curvature=True))):
             ms = solve_multipliers(pd)
             k_in = strong_critical_cone(pd).a_in.shape[0]
             calls.clear()
             report = check_ssonc(pd, ms)
             assert len(report.results) > 1
-            assert len(calls) == 1 << k_in
+            assert sum(calls) == 1 << k_in
+            assert len(calls) <= (k_in + 1) * chunks(1 << k_in)
+
+    def test_one_face_enumeration_per_check(self, monkeypatch):
+        self.check_faces(self.count_stacks(monkeypatch, cones), lambda faces: 1)
+
+    def test_face_enumeration_in_chunks(self, monkeypatch):
+        calls = self.count_stacks(monkeypatch, cones)
+        monkeypatch.setattr(cones, "stack_chunk", lambda floats: 8)
+        self.check_faces(calls, lambda faces: -(-faces // 8))
+
+    def check_subsets(self, calls, chunks):
+        # every nonempty column subset passes through the stacked SVD once
+        # (the empty one needs none), and a chunk makes at most one stacked
+        # call per subset size
+        pd = problem_pd(fan_problem(5, curvature=True))
+        a = len(pd.active)
+        solve_multipliers(pd)
+        assert sum(calls) == (1 << a) - 1
+        assert len(calls) <= (a + 1) * chunks(1 << a)
 
     def test_one_svd_per_multiplier_subset(self, monkeypatch):
-        calls = []
-        real = kkt.nullspace_basis
+        self.check_subsets(self.count_stacks(monkeypatch, kkt), lambda subsets: 1)
 
-        def counting(M, *args, **kwargs):
-            calls.append(1)
-            return real(M, *args, **kwargs)
+    def test_multiplier_subsets_in_chunks(self, monkeypatch):
+        calls = self.count_stacks(monkeypatch, kkt)
+        monkeypatch.setattr(kkt, "stack_chunk", lambda floats: 8)
+        self.check_subsets(calls, lambda subsets: -(-subsets // 8))
 
-        monkeypatch.setattr(kkt, "nullspace_basis", counting)
-        pd = problem_pd(fan_problem(5, curvature=True))
-        solve_multipliers(pd)
-        # every nonempty column subset; the empty one needs no SVD
-        assert len(calls) == (1 << len(pd.active)) - 1
+
+def random_multiplier_pd(seed):
+    """A point whose multiplier polyhedron has small integer data.
+
+    Gradients are integers in [-2, 2], so column subsets are often
+    dependent, and stationarity is met by an integer multiplier with some
+    zero entries.  Seeds 0-3 have a + p = ``_ENUM_LIMIT``; seeds 4-7 have
+    an equality gradient that is the sum of two others (a lineality space);
+    seed 19 is not a KKT point.  Inactive inequalities are interleaved with
+    the active ones.
+    """
+    rng = np.random.default_rng([13, seed])
+    if seed < 4:
+        p = seed
+        a = kkt._ENUM_LIMIT - p
+    else:
+        a, p = int(rng.integers(0, 8)), int(rng.integers(2 if seed < 8 else 0, 4))
+    n = int(rng.integers(2, 6))
+    inactive = int(rng.integers(0, 3))
+    m = a + inactive
+    labels = sorted(rng.choice(m, size=a, replace=False).tolist()) if a else []
+    grads = rng.integers(-2, 3, size=(m + p, n)).astype(float)
+    if 4 <= seed < 8:
+        grads[m + p - 1] = grads[m] + grads[m + 1] if p > 2 else 2.0 * grads[m]
+    y = np.zeros(m + p)
+    y[labels] = rng.integers(0, 3, size=a)
+    y[m:] = rng.integers(-2, 3, size=p)
+    f_grad = -(y @ grads)
+    if seed == 19:
+        f_grad = f_grad + rng.standard_normal(n)
+    c_vals = np.zeros(m + p)
+    c_vals[[i for i in range(m) if i not in labels]] = -1.0
+    return PointData(
+        x=np.zeros(n),
+        f_val=0.0,
+        f_grad=f_grad,
+        f_hess=np.zeros((n, n)),
+        m=m,
+        c_vals=c_vals,
+        c_grads=grads,
+        c_hesses=np.zeros((m + p, n, n)),
+        active=tuple(i + 1 for i in labels),
+        tol_active=1e-8,
+    )
+
+
+NAMED = (
+    [(name, problem_pd(builtin_source(name))) for name in builtin_names()]
+    + [(name, problem_pd(text)) for name, text in BATTERY]
+    + [
+        ("chain-7", problem_pd(workloads.chain_text(7))),
+        ("fanfree-9", problem_pd(workloads.fanfree_text(9))),
+        ("fan-5-curved", problem_pd(fan_problem(5, curvature=True))),
+    ]
+)
+
+
+class TestStackedSubsets:
+    """The stacked subset loop reproduces the one-subset-at-a-time
+    enumeration (``multiplier_enumeration_oracle``) bit for bit."""
+
+    @staticmethod
+    def assert_same(ms, ref):
+        assert same_bits(ms.residual, ref.residual)
+        for name in ("vertices", "rays"):
+            got, want = getattr(ms, name), getattr(ref, name)
+            assert len(got) == len(want), name
+            for (mu, lam), (mu_ref, lam_ref) in zip(got, want):
+                assert same_bits(mu, mu_ref) and same_bits(lam, lam_ref), name
+        assert (ms.bounded, ms.partial, ms.note) == (ref.bounded, ref.partial, ref.note)
+        assert ms.active == ref.active
+
+    @pytest.mark.parametrize("pd", [pd for _, pd in NAMED], ids=[name for name, _ in NAMED])
+    def test_named_problems(self, pd):
+        self.assert_same(solve_multipliers(pd), multiplier_enumeration_oracle(pd))
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_random_problems(self, seed):
+        pd = random_multiplier_pd(seed)
+        self.assert_same(solve_multipliers(pd), multiplier_enumeration_oracle(pd))
+
+    @pytest.mark.parametrize("seed, chunk", [(0, 100), (4, 3), (9, 3)])
+    def test_small_chunks(self, seed, chunk, monkeypatch):
+        pd = random_multiplier_pd(seed)
+        ref = multiplier_enumeration_oracle(pd)
+        monkeypatch.setattr(kkt, "stack_chunk", lambda floats: chunk)
+        self.assert_same(solve_multipliers(pd), ref)
+
+    def test_random_problems_reach_every_branch(self):
+        pds = [random_multiplier_pd(seed) for seed in range(20)]
+        results = [solve_multipliers(pd) for pd in pds]
+        assert sum(len(pd.rows) == kkt._ENUM_LIMIT for pd in pds) >= 4
+        assert any("lineality" in ms.note for ms in results)
+        assert any("not a KKT point" in ms.note for ms in results)
+        assert any(ms.rays for ms in results)
+        assert sum(len(ms.vertices) > 1 for ms in results) >= 3
 
 
 class TestZeroCone:

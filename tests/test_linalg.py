@@ -23,13 +23,14 @@ from nlpcheck.linalg import (
     newton_solve,
     nnls,
     nnls_bound,
+    nullspace_bases,
     nullspace_basis,
     numerical_rank,
     pivot_select,
     simplex_lp,
 )
 
-from _oracles import reference_newton
+from _oracles import reference_newton, same_bits
 
 
 class TestRank:
@@ -78,6 +79,70 @@ class TestNullspace:
         a = np.array([[1.0, 0.0, 1.0], [1.0, 0.0, 1.0]])
         basis = nullspace_basis(a)
         assert basis.shape == (3, 2)
+
+
+def one_matrix_nullspace(M, tol_rel=1e-8):
+    """The one-matrix SVD that ``nullspace_bases`` stacks."""
+    if 0 in M.shape:
+        return np.eye(M.shape[1])
+    _, s, Vh = np.linalg.svd(M)
+    threshold = tol_rel * s[0] if s[0] > 0.0 else tol_rel
+    return Vh[int(np.count_nonzero(s > threshold)) :].T
+
+
+class TestNullspaceBases:
+    """Every slice of the stacked call is the one-matrix call, bit for bit."""
+
+    @staticmethod
+    def random_stack(rng, k, rows, n):
+        stack = rng.standard_normal((k, rows, n))
+        for i in range(k):
+            kind = int(rng.integers(0, 4))
+            if kind == 1 and rows and n:  # rank deficient
+                r = int(rng.integers(0, min(rows, n)))
+                stack[i] = rng.standard_normal((rows, r)) @ rng.standard_normal((r, n))
+            elif kind == 2:  # all zero
+                stack[i] = 0.0
+            elif kind == 3:  # small integers: repeated and dependent rows
+                stack[i] = rng.integers(-1, 2, size=(rows, n))
+        return stack
+
+    def test_slices_match_one_matrix_calls(self):
+        rng = np.random.default_rng(29)
+        shapes = [(k, rows, n) for k in (1, 4) for rows in range(5) for n in range(5)]
+        for trial in range(300):
+            k, rows, n = shapes[trial % len(shapes)]
+            stack = self.random_stack(rng, k, rows, n)
+            bases = nullspace_bases(stack)
+            assert len(bases) == k
+            for M, B in zip(stack, bases):
+                assert same_bits(B, nullspace_basis(M))
+                assert same_bits(B, one_matrix_nullspace(M))
+
+    def test_relative_tolerance_per_slice(self):
+        # the same matrix at two scales keeps its rank in one stack
+        a = np.diag([1.0, 1e-12, 0.0])
+        bases = nullspace_bases(np.stack([a, 1e6 * a, np.zeros((3, 3))]))
+        assert [B.shape for B in bases] == [(3, 2), (3, 2), (3, 3)]
+
+    def test_empty_shapes(self):
+        assert [B.shape for B in nullspace_bases(np.zeros((2, 0, 3)))] == [(3, 3)] * 2
+        assert [B.shape for B in nullspace_bases(np.zeros((2, 3, 0)))] == [(0, 0)] * 2
+        assert nullspace_bases(np.zeros((0, 3, 3))) == []
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_nonfinite_entry_raises_the_one_matrix_message(self, bad):
+        stack = np.ones((3, 2, 4))
+        stack[1, 0, 2] = bad
+        with pytest.raises(ValueError) as single:
+            nullspace_basis(stack[1])
+        with pytest.raises(ValueError) as stacked:
+            nullspace_bases(stack)
+        assert str(stacked.value) == str(single.value) == "matrix has non-finite entries"
+
+    def test_rejects_a_single_matrix(self):
+        with pytest.raises(ValueError, match="stack of matrices"):
+            nullspace_bases(np.eye(3))
 
 
 class TestPivotSelect:

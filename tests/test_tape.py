@@ -11,7 +11,7 @@ import math
 
 import numpy as np
 import pytest
-from _oracles import RefDomainError, reference_evaluate, reference_grad_hess
+from _oracles import RefDomainError, reference_evaluate, reference_grad_hess, same_bits
 
 from nlpcheck.expr import (
     Binary,
@@ -63,15 +63,6 @@ def corpus(seed=0, count=300):
     exprs += [parse("-(x1 * x2) / (x3 - 4) + x2^3 - x1^0", N)]
     points = [random_point(rng) for _ in range(12)]
     return exprs, points
-
-
-def same_bits(a, b):
-    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
-    return (
-        a.shape == b.shape
-        and np.array_equal(a, b, equal_nan=True)
-        and np.array_equal(np.signbit(a), np.signbit(b))
-    )
 
 
 def outcome(fn, *args):
