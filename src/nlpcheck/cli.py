@@ -62,7 +62,7 @@ class RunConfig:
     point: np.ndarray | None = None
     seed: int = 0
     radii: tuple[float, ...] = (1e-2, 1e-3, 1e-4)
-    samples: int = 64
+    samples: int = cq.DEFAULT_SAMPLES
     tol_rank: float = 1e-8
     tol_active: float = 1e-8
     tol_dir: float = 1e-8
@@ -153,16 +153,15 @@ def _validate(config: RunConfig, problem: Problem, x: np.ndarray) -> None:
         raise InputError(
             f"samples per radius must be between 0 and 2**30, got {config.samples}"
         )
-    # every constraint row may be active, so the scan's rows are at most m + p
-    points = 1 + len(config.radii) * config.samples
-    if points * (problem.m + problem.p + 1) * n > cq.SCAN_BUDGET:
-        raise InputError(
-            f"--samples {config.samples} is too large for this problem: the rank scan "
-            f"would hold {points} points of up to {problem.m + problem.p} gradients in "
-            f"R^{n}, above its budget of {cq.SCAN_BUDGET} floats"
-        )
     if not config.radii or not all(0.0 < r < math.inf for r in config.radii):
         raise InputError(f"radii must be positive and finite, got {list(config.radii)}")
+    # every constraint row may be active, so the scan's rows are at most m + p
+    try:
+        cq.check_scan_size(n, problem.m + problem.p, len(config.radii), config.samples)
+    except ValueError as exc:
+        raise InputError(
+            f"--samples {config.samples} is too large for this problem: {exc}"
+        ) from None
     for name in ("tol_rank", "tol_dir", "newton_tol", "verify_tol"):
         value = getattr(config, name)
         if not 0.0 < value < math.inf:

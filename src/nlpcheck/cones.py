@@ -33,11 +33,17 @@ uncertified value could change no second-order verdict.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from nlpcheck.linalg import nullspace_basis, nullspace_bases, simplex_lp, stack_chunk
+from nlpcheck.linalg import (
+    grouped_nullspace_bases,
+    nullspace_basis,
+    simplex_lp,
+    stack_chunk,
+)
 from nlpcheck.model import PointData, check_multiplier
 
 __all__ = [
@@ -295,52 +301,43 @@ def _scan_faces(masks: np.ndarray, cone: ConeRep, Hs: list, best: list) -> None:
 
     A face replaces a form's minimum only when its smallest restricted
     eigenvalue is strictly below it and an eigenvector meets the remaining
-    rows, exactly as a loop over one face at a time would; no form's
-    minimum depends on another's, so the forms are updated one at a time.
+    rows, exactly as a loop over one face at a time would.
     """
     k_in = cone.a_in.shape[0]
     H_stack = np.stack(Hs)
     pinned = (masks[:, None] >> np.arange(k_in) & 1).astype(bool)  # (faces, k_in)
-    count = pinned.sum(axis=1)
-    bases: list = [None] * len(masks)
-    for c in sorted(set(count.tolist())):
-        at = np.flatnonzero(count == c)
-        cols = np.nonzero(pinned[at])[1].reshape(len(at), c)  # pinned rows, ascending
-        eq = np.broadcast_to(cone.a_eq, (len(at),) + cone.a_eq.shape)
-        stack = np.concatenate([eq, cone.a_in[cols]], axis=1)  # equalities, then pinned rows
-        for j, B in zip(at.tolist(), nullspace_bases(stack)):
-            bases[j] = B
+    eq = cone.a_eq
+
+    def gather(cols: np.ndarray) -> np.ndarray:
+        # equalities, then the pinned rows
+        eqs = np.broadcast_to(eq, (len(cols),) + eq.shape)
+        return np.concatenate([eqs, cone.a_in[cols]], axis=1)
+
+    bases = grouped_nullspace_bases(pinned, gather)
     dims = np.array([B.shape[1] for B in bases])
     # faces with a nonzero subspace, in mask order, and each one's
-    # eigenpairs (smallest eigenvalue first) for every form
+    # eigenpairs (smallest eigenvalue first) and lowest eigenvalues for
+    # every form
     open_at = np.flatnonzero(dims)
-    lowest = np.empty((open_at.size, len(Hs)))
     eig: list = [None] * open_at.size
     for d in sorted(set(dims[open_at].tolist())):
         at = np.flatnonzero(dims[open_at] == d)
         Bs = np.stack([bases[j] for j in open_at[at].tolist()])  # (group, n, d)
         Hr = Bs.transpose(0, 2, 1)[:, None] @ H_stack[None] @ Bs[:, None]
         w, V = np.linalg.eigh(0.5 * (Hr + Hr.transpose(0, 1, 3, 2)))
-        lowest[at] = w[:, :, 0]
         for g, i in enumerate(at.tolist()):
-            eig[i] = (w[g], V[g])
-    for q, H in enumerate(Hs):
-        # only a face whose lowest eigenvalue is below the running minimum
-        # may replace it; after a replacement the scan resumes with the new
-        # minimum at the next face
-        start = 0
-        while start < open_at.size:
-            bound = best[q].min_value if best[q] is not None else np.nan
-            for i in (start + np.flatnonzero(~(lowest[start:, q] >= bound))).tolist():
-                w, V = eig[i]
-                j = int(open_at[i])
-                d = _feasible_in_eigenspace(bases[j], w[q], V[q], cone.a_in[~pinned[j]], _TOL)
-                if d is not None:
-                    best[q] = QuadOnConeResult(float(d @ H @ d), d, "facial-enumeration", True)
-                    start = i + 1
-                    break
-            else:
-                break
+            eig[i] = (w[g], V[g], w[g, :, 0].tolist())
+    # each form's running minimum, +inf while it has none
+    bound = [math.inf if res is None else res.min_value for res in best]
+    for (w, V, lowest), j in zip(eig, open_at.tolist()):
+        for q, H in enumerate(Hs):
+            if lowest[q] >= bound[q]:
+                continue
+            d = _feasible_in_eigenspace(bases[j], w[q], V[q], cone.a_in[~pinned[j]], _TOL)
+            if d is None:
+                continue
+            best[q] = QuadOnConeResult(float(d @ H @ d), d, "facial-enumeration", True)
+            bound[q] = best[q].min_value
 
 
 def _feasible_in_eigenspace(

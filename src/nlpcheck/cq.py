@@ -25,8 +25,9 @@ CRCQ pairs that contain every equality, so a pair both scans reach is
 ranked once.  When a scan's pair count times the number of points exceeds
 ``2^20``, that scan is cut to the pairs of total size <= 2 plus the full
 pair, and its evidence reads ``partial: true``.  The points and their
-tables are held at once, so ``cli.run`` rejects a sample count whose scan
-would hold more than ``SCAN_BUDGET`` floats.
+tables are held at once, so a sample count above the default whose scan
+would hold more than ``SCAN_BUDGET`` floats is rejected
+(:func:`check_scan_size`) before any gradient is evaluated.
 
 Rank constancy over a neighborhood cannot be certified by finitely many
 samples, so the sampled scans return "fails" with a re-checkable witness
@@ -61,6 +62,8 @@ __all__ = [
     "summarize_acq",
     "recheck_rank_certificate",
     "SCAN_BUDGET",
+    "DEFAULT_SAMPLES",
+    "check_scan_size",
 ]
 
 
@@ -78,6 +81,30 @@ class Verdict:
     evidence: dict = field(default_factory=dict)
 
 
+DEFAULT_SAMPLES = 64  # samples per radius of the default scan
+# most floats a rank scan may hold when it samples more than the default:
+# its sample points and the gradient table at each point and at the center.
+# That is 32 MiB of float64; the scan's temporaries (tape values, the
+# singular values) take a few times as much (about 4.5x on paper-example-1)
+SCAN_BUDGET = 1 << 22
+
+
+def check_scan_size(n: int, rows: int, radii: int, samples: int) -> None:
+    """Raise ``ValueError`` when a rank scan of ``samples`` points per
+    radius, over ``radii`` radii with ``rows`` gradients in ``R^n``, would
+    hold more than ``SCAN_BUDGET`` floats, ``(1 + radii * samples) * (rows
+    + 1) * n``.  A count up to ``DEFAULT_SAMPLES`` is always allowed, so a
+    default scan runs on every problem."""
+    points = 1 + radii * samples
+    floats = points * (rows + 1) * n
+    if samples > DEFAULT_SAMPLES and floats > SCAN_BUDGET:
+        raise ValueError(
+            f"the rank scan would hold {points} points of up to {rows} gradients in "
+            f"R^{n}, above its budget of {SCAN_BUDGET} floats (up to {DEFAULT_SAMPLES} "
+            f"samples per radius always run)"
+        )
+
+
 @dataclass
 class NeighborhoodSampler:
     """Deterministic low-discrepancy samples on shrinking infinity-balls.
@@ -91,7 +118,7 @@ class NeighborhoodSampler:
     """
 
     radii: tuple[float, ...] = (1e-2, 1e-3, 1e-4)
-    samples_per_radius: int = 64
+    samples_per_radius: int = DEFAULT_SAMPLES
     seed: int = 0
 
     def shells(self, center) -> Iterator[np.ndarray]:
@@ -192,9 +219,6 @@ def check_mfcq(pd: PointData, tol_rank: float = 1e-8) -> Verdict:
 
 
 _PAIR_BUDGET = 1 << 20
-# most floats a rank scan may hold: its sample points and the gradient
-# table at each point and at the center, (1 + radii * samples) * (rows + 1) * n
-SCAN_BUDGET = 1 << 20
 
 
 def _scan_pairs(
@@ -264,11 +288,13 @@ def check_rank_constancy(
     pair's ranks at the other points come from one stacked SVD and are
     shared by both scans; when every point is settled, no pair needs an SVD.
     Each scan's first mismatch (by pair, then radius, then sample index)
-    becomes its certificate.
+    becomes its certificate.  A sampler whose scan is too large for the
+    budget raises ``ValueError`` (:func:`check_scan_size`).
     """
     active = pd.active
     tapes = [problem.tapes[k] for k in pd.rows]
     count = max(int(sampler.samples_per_radius), 0)
+    check_scan_size(pd.n, len(tapes), len(sampler.radii), count)
     X = np.empty((len(sampler.radii) * count, pd.n))
     for shell, pts in enumerate(sampler.shells(pd.x)):
         X[shell * count : (shell + 1) * count] = pts

@@ -31,7 +31,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from nlpcheck.cones import min_quadratics_on_cone, strong_critical_cone
-from nlpcheck.linalg import nnls, nullspace_bases, stack_chunk
+from nlpcheck.linalg import grouped_nullspace_bases, nnls, stack_chunk
 # no longer called here; the name stays bound because the benchmark's
 # tracer self-test (perfbench/tests) looks it up on this module
 from nlpcheck.linalg import numerical_rank  # noqa: F401
@@ -93,8 +93,8 @@ def solve_multipliers(pd: PointData, tol: float = 1e-8) -> MultiplierSet:
     have a one-dimensional nullspace give ray candidates.  The subsets are
     walked in mask order, in chunks (:func:`~nlpcheck.linalg.stack_chunk`);
     within a chunk, subsets with the same number of columns share one
-    stacked SVD (:func:`~nlpcheck.linalg.nullspace_bases`), and only those
-    with independent columns make a least-squares solve.  When the active
+    stacked SVD (:func:`~nlpcheck.linalg.grouped_nullspace_bases`), and
+    only those with independent columns make a least-squares solve.  When the active
     count plus equality count exceeds ``_ENUM_LIMIT`` (or the polyhedron has
     no vertex at all) only the least-squares representative is reported and
     the result is flagged partial.
@@ -132,19 +132,21 @@ def solve_multipliers(pd: PointData, tol: float = 1e-8) -> MultiplierSet:
     rhs = -pd.f_grad
     vertex_raw: list[np.ndarray] = []
     ray_raw: list[np.ndarray] = []
+
+    def gather(keep: np.ndarray) -> np.ndarray:
+        return cols[:, keep].transpose(1, 0, 2)  # (subsets, n, kept columns)
+
     # per subset: the column stack and the SVD's factors
     chunk = stack_chunk((pd.n + a + p) ** 2)
     for start in range(0, 1 << a, chunk):
         masks = np.arange(start, min(1 << a, start + chunk))
         zeroed = (masks[:, None] >> np.arange(a) & 1).astype(bool)
         kept = np.hstack([~zeroed, np.ones((len(masks), p), dtype=bool)])  # (masks, a + p)
-        size = kept.sum(axis=1)
+        # every subset but the empty one gets a nullspace basis
         nulls: list = [None] * len(masks)
-        for c in sorted(set(size[size > 0].tolist())):
-            at = np.flatnonzero(size == c)
-            keep = np.nonzero(kept[at])[1].reshape(len(at), c)  # kept columns, ascending
-            for j, null in zip(at.tolist(), nullspace_bases(cols[:, keep].transpose(1, 0, 2))):
-                nulls[j] = null
+        live = np.flatnonzero(kept.any(axis=1))
+        for j, null in zip(live.tolist(), grouped_nullspace_bases(kept[live], gather)):
+            nulls[j] = null
         for keep, null in zip(kept, nulls):
             if null is None:  # every column zeroed
                 if float(np.abs(rhs).max(initial=0.0)) <= 1e-8:

@@ -29,6 +29,7 @@ __all__ = [
     "nnls_bound",
     "nullspace_basis",
     "nullspace_bases",
+    "grouped_nullspace_bases",
     "stack_chunk",
     "pivot_select",
     "NewtonError",
@@ -164,6 +165,28 @@ def nullspace_bases(stack, tol_rel: float = 1e-8) -> list[np.ndarray]:
         return [np.eye(cols) for _ in range(k)]
     _, s, Vh = np.linalg.svd(stack)
     return [Vh[i, rank:].T.copy() for i, rank in enumerate(_rank_cut(s, tol_rel).tolist())]
+
+
+def grouped_nullspace_bases(selected, gather, tol_rel: float = 1e-8) -> list[np.ndarray]:
+    """Nullspace bases of ``k`` matrices, each built from a selection of
+    ``r`` rows or columns.
+
+    Row i of the boolean ``selected``, shape ``(k, r)``, marks the indices
+    matrix i is built from.  Matrices with the same number of marks share
+    one :func:`nullspace_bases` call: ``gather(idx)``, given a group's
+    marked indices ``(g, c)`` (ascending in each row), returns its
+    ``(g, rows, cols)`` stack.  Returns the ``k`` bases in the order of
+    ``selected``.
+    """
+    selected = np.asarray(selected, dtype=bool)
+    count = selected.sum(axis=1)
+    bases: list = [None] * len(selected)
+    for c in sorted(set(count.tolist())):
+        at = np.flatnonzero(count == c)
+        idx = np.nonzero(selected[at])[1].reshape(len(at), c)
+        for i, B in zip(at.tolist(), nullspace_bases(gather(idx), tol_rel)):
+            bases[i] = B
+    return bases
 
 
 def nullspace_basis(M, tol_rel: float = 1e-8) -> np.ndarray:

@@ -297,6 +297,22 @@ class TestMain:
         assert f"--samples {over} is too large" in err
         assert f"budget of {cq.SCAN_BUDGET} floats" in err
 
+    @pytest.mark.parametrize("n, m, over", [(100, 60, False), (150, 150, True)])
+    def test_default_samples_run_on_a_wide_problem(self, n, m, over, tmp_path, capsys):
+        # m inequalities, one active; at (150, 150) the m + p bound puts the
+        # default scan over the budget, but a default count always runs
+        lines = [f"vars {n}", "objective " + " + ".join(f"x{i}^2" for i in range(1, n + 1))]
+        lines += ["ineq -x1"] + [f"ineq x{i % n + 1} - 1" for i in range(1, m)]
+        lines.append("point " + " ".join(["0"] * n))
+        path = tmp_path / "wide.prob"
+        path.write_text("\n".join(lines) + "\n")
+        points = 1 + len(RunConfig.radii) * RunConfig.samples
+        assert (points * (m + 1) * n > cq.SCAN_BUDGET) == over
+        assert main(["analyze", str(path)]) == 0
+        if over:
+            assert main(["analyze", str(path), "--samples", str(RunConfig.samples + 1)]) == 2
+            assert f"--samples {RunConfig.samples + 1} is too large" in capsys.readouterr().err
+
     def test_default_samples_well_inside_the_scan_budget(self):
         # every builtin and the largest benchmark problems use under 5% of it
         points = 1 + len(RunConfig.radii) * RunConfig.samples

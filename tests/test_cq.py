@@ -177,6 +177,38 @@ class TestSobol:
         assert out.stdout.strip() == "[]"
 
 
+class TestScanSize:
+    def test_default_samples_always_run(self):
+        # far over the budget, but at the default count
+        n, rows = 2000, 1000
+        assert (1 + 3 * cq.DEFAULT_SAMPLES) * (rows + 1) * n > cq.SCAN_BUDGET
+        for samples in (0, 1, cq.DEFAULT_SAMPLES):
+            cq.check_scan_size(n, rows, 3, samples)
+        with pytest.raises(ValueError, match="above its budget"):
+            cq.check_scan_size(n, rows, 3, cq.DEFAULT_SAMPLES + 1)
+
+    def test_budget_boundary(self):
+        # (1 + 3 s) * (rows + 1) * n floats; rows + 1 = 4, n = 2
+        samples = (cq.SCAN_BUDGET // 8 - 1) // 3
+        cq.check_scan_size(2, 3, 3, samples)
+        with pytest.raises(ValueError, match="above its budget"):
+            cq.check_scan_size(2, 3, 3, samples + 1)
+
+    def test_library_scan_over_the_budget_raises_before_any_sweep(self, monkeypatch):
+        # paper-example-1 has 2 active rows in R^2: 6 floats per point
+        prob = builtin_problem("paper-example-1")
+        pd = evaluate_point(prob, prob.point)
+        over = cq.SCAN_BUDGET // (3 * 6) + 1
+
+        def no_sweep(*args, **kwargs):
+            raise AssertionError("a tape was swept before the budget check")
+
+        for mode in ("value", "gradient", "jet", "gradients"):
+            monkeypatch.setattr(nlpcheck.expr.Tape, mode, no_sweep)
+        with pytest.raises(ValueError, match="above its budget"):
+            check_rank_constancy(prob, pd, NeighborhoodSampler(samples_per_radius=over))
+
+
 class TestLicq:
     def test_tangent_disks_fails_rank_one(self):
         verdict = check_licq(tangent_disks_pd())

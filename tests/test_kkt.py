@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from nlpcheck import cones, kkt
+from nlpcheck import cones, kkt, linalg
 from nlpcheck.cli import main
 from nlpcheck.cones import strong_critical_cone
 from nlpcheck.kkt import (
@@ -343,17 +343,16 @@ class TestSharedFaces:
             assert entry["witness_direction"] == [float(v) for v in witness]
 
     @staticmethod
-    def count_stacks(monkeypatch, module):
-        """Record the stack size of every ``nullspace_bases`` call made
-        through ``module``."""
+    def count_stacks(monkeypatch):
+        """Record the stack size of every ``nullspace_bases`` call."""
         calls = []
-        real = module.nullspace_bases
+        real = linalg.nullspace_bases
 
         def counting(stack, *args, **kwargs):
             calls.append(len(stack))
             return real(stack, *args, **kwargs)
 
-        monkeypatch.setattr(module, "nullspace_bases", counting)
+        monkeypatch.setattr(linalg, "nullspace_bases", counting)
         return calls
 
     def check_faces(self, calls, chunks):
@@ -369,10 +368,10 @@ class TestSharedFaces:
             assert len(calls) <= (k_in + 1) * chunks(1 << k_in)
 
     def test_one_face_enumeration_per_check(self, monkeypatch):
-        self.check_faces(self.count_stacks(monkeypatch, cones), lambda faces: 1)
+        self.check_faces(self.count_stacks(monkeypatch), lambda faces: 1)
 
     def test_face_enumeration_in_chunks(self, monkeypatch):
-        calls = self.count_stacks(monkeypatch, cones)
+        calls = self.count_stacks(monkeypatch)
         monkeypatch.setattr(cones, "stack_chunk", lambda floats: 8)
         self.check_faces(calls, lambda faces: -(-faces // 8))
 
@@ -387,10 +386,10 @@ class TestSharedFaces:
         assert len(calls) <= (a + 1) * chunks(1 << a)
 
     def test_one_svd_per_multiplier_subset(self, monkeypatch):
-        self.check_subsets(self.count_stacks(monkeypatch, kkt), lambda subsets: 1)
+        self.check_subsets(self.count_stacks(monkeypatch), lambda subsets: 1)
 
     def test_multiplier_subsets_in_chunks(self, monkeypatch):
-        calls = self.count_stacks(monkeypatch, kkt)
+        calls = self.count_stacks(monkeypatch)
         monkeypatch.setattr(kkt, "stack_chunk", lambda floats: 8)
         self.check_subsets(calls, lambda subsets: -(-subsets // 8))
 

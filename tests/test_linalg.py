@@ -23,6 +23,7 @@ from nlpcheck.linalg import (
     newton_solve,
     nnls,
     nnls_bound,
+    grouped_nullspace_bases,
     nullspace_bases,
     nullspace_basis,
     numerical_rank,
@@ -143,6 +144,31 @@ class TestNullspaceBases:
     def test_rejects_a_single_matrix(self):
         with pytest.raises(ValueError, match="stack of matrices"):
             nullspace_bases(np.eye(3))
+
+
+class TestGroupedNullspaceBases:
+    def test_each_basis_is_its_selection_s_one_matrix_basis(self):
+        # matrices built from selected rows of a (with a dependent row), one
+        # SVD per selection size, bases returned in selection order
+        rng = np.random.default_rng(3)
+        rows = rng.standard_normal((6, 4))
+        rows[5] = rows[0] + rows[1]
+        selected = rng.integers(0, 2, size=(40, 6)).astype(bool)
+        sizes = []
+
+        def gather(idx):
+            assert (np.diff(idx, axis=1) > 0).all()
+            sizes.append(idx.shape[1])
+            return rows[idx]
+
+        bases = grouped_nullspace_bases(selected, gather)
+        assert sorted(sizes) == sorted(set(selected.sum(axis=1).tolist()))
+        for pick, B in zip(selected, bases):
+            M = rows[pick] if pick.any() else np.zeros((0, 4))
+            assert same_bits(B, nullspace_basis(M))
+
+    def test_no_selections(self):
+        assert grouped_nullspace_bases(np.zeros((0, 3), dtype=bool), lambda idx: None) == []
 
 
 class TestPivotSelect:
