@@ -229,24 +229,25 @@ def _truncation_note(side: int, k: int, tk: float, exc: Exception) -> str:
     return f"side {side:+d} truncated at sample {k} (t = {tk:.6g}): {exc}"
 
 
-def _chart_values(tapes, slot: np.ndarray, source: np.ndarray, X: np.ndarray):
-    """c(x) and c'(x) at every row of ``X``, one batched sweep per tape.
+def _chart_values(sweep, slot: np.ndarray, source: np.ndarray, X: np.ndarray):
+    """c(x) and c'(x) at every row of ``X``, from one multi-output sweep.
 
     Row i of ``X`` is on a chart whose row ``slot[i, k]`` evaluates
-    ``tapes[k]`` (-1 where no row does) and whose row j copies variable
-    ``source[i, j]`` (-1 for the tape rows).  ``ok[i]`` is False where a
-    chart row left its domain.
+    constraint ``k`` of ``sweep`` (-1 where no row does) and whose row j
+    copies variable ``source[i, j]`` (-1 for the constraint rows).
+    ``ok[i]`` is False where a chart row left its domain.
     """
     P, n = X.shape
     F = np.zeros((P, n))
     J = np.zeros((P, n, n))
-    ok = np.ones(P, dtype=bool)
     used = slot >= 0
-    for k in np.flatnonzero(used.any(axis=0)):
-        rows = np.flatnonzero(used[:, k])
-        pos = slot[rows, k]
-        F[rows, pos], J[rows, pos], fine = tapes[k].gradients(X[rows])
-        ok[rows] &= fine
+    cols = np.flatnonzero(used.any(axis=0))
+    values, grads, fine = sweep.gradients(X, cols)
+    used = used[:, cols]
+    ri, ci = np.nonzero(used)
+    pos = slot[:, cols][ri, ci]
+    F[ri, pos], J[ri, pos] = values[ri, ci], grads[ri, ci]
+    ok = ~(used & ~fine).any(axis=1)
     kr, kj = np.nonzero(source >= 0)
     kc = source[kr, kj]
     F[kr, kj] = X[kr, kc]
@@ -313,7 +314,7 @@ def trace_arcs(
         tk = scale[live] * k / half
         slots, sources = slot[live], source[live]
         X, F, J, errors = newton_batch(
-            lambda rows, T: _chart_values(tapes, slots[rows], sources[rows], T),
+            lambda rows, T: _chart_values(problem.sweep, slots[rows], sources[rows], T),
             state,
             z_center[live] + tk[:, None] * step_z[live],
             newton_tol,
@@ -336,9 +337,10 @@ def trace_arcs(
     X, V = points[side_of, sample_of], values[side_of, sample_of]
     fine = np.ones(V.shape, dtype=bool)
     other = slot[side_of] < 0
-    for t in np.flatnonzero(other.any(axis=0)):
-        rows = np.flatnonzero(other[:, t])
-        V[rows, t], _, fine[rows, t] = tapes[t].gradients(X[rows])
+    cols = np.flatnonzero(other.any(axis=0))
+    swept, _, ok = problem.sweep.gradients(X, cols)
+    V[:, cols] = np.where(other[:, cols], swept, V[:, cols])
+    fine[:, cols] = ok | ~other[:, cols]
     for r in np.flatnonzero(~fine.all(axis=1)).tolist():
         s, j = int(side_of[r]), int(sample_of[r])
         if j < cut[s]:

@@ -21,6 +21,7 @@ import os
 import sys
 import time
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -343,6 +344,30 @@ def _json_scalar(obj) -> str | None:
     return None
 
 
+_FLOAT_TYPES = {float, np.float64}
+
+
+def _float_block(seq: list, pad: str) -> str | None:
+    """A list of finite floats, or a list of equal-length lists of them,
+    written by one ``%`` operation; None for anything else, which takes the
+    per-scalar path.  ``%.17g`` is ``format(x, ".17g")``; only nan and inf
+    put an ``n`` in the text, and they need the quoted spellings."""
+    kinds = set(map(type, seq))
+    if kinds <= _FLOAT_TYPES:
+        values = seq
+        text = "[" + ", ".join(["%.17g"] * len(seq)) + "]"
+    elif kinds == {list} and len(set(map(len, seq))) == 1:
+        values = list(chain.from_iterable(seq))
+        if not set(map(type, values)) <= _FLOAT_TYPES:
+            return None
+        row = pad + "  [" + ", ".join(["%.17g"] * len(seq[0])) + "]"
+        text = "[\n" + ",\n".join([row] * len(seq)) + "\n" + pad + "]"
+    else:
+        return None
+    text %= tuple(values)
+    return None if "n" in text else text
+
+
 def _write_json(obj, indent: int, out: list[str]) -> None:
     pad = "  " * indent
     scalar = _json_scalar(obj)
@@ -365,6 +390,10 @@ def _write_json(obj, indent: int, out: list[str]) -> None:
         seq = list(obj)
         if not seq:
             out.append("[]")
+            return
+        block = _float_block(seq, pad)
+        if block is not None:
+            out.append(block)
             return
         scalars = [_json_scalar(v) for v in seq]
         if None not in scalars:

@@ -281,9 +281,9 @@ def check_rank_constancy(
     """Sampled CRCQ and RCRCQ scans from one pass over the neighborhood.
 
     Gradient tables at the center and at every sample are built once, into
-    one stack: each function's tape runs once over all samples (batched
-    mode), and samples where any gradient leaves its domain or overflows are
-    skipped.  One batched SVD of the whole stack finds the settled
+    one stack: one multi-output sweep (``problem.sweep``) gives every row's
+    gradient at all samples, and samples where any gradient leaves its
+    domain or overflows are skipped.  One batched SVD of the whole stack finds the settled
     points (:func:`_settled`), where every subset pair has full rank.  A
     pair's ranks at the other points come from one stacked SVD and are
     shared by both scans; when every point is settled, no pair needs an SVD.
@@ -292,19 +292,17 @@ def check_rank_constancy(
     budget raises ``ValueError`` (:func:`check_scan_size`).
     """
     active = pd.active
-    tapes = [problem.tapes[k] for k in pd.rows]
     count = max(int(sampler.samples_per_radius), 0)
-    check_scan_size(pd.n, len(tapes), len(sampler.radii), count)
+    check_scan_size(pd.n, len(pd.rows), len(sampler.radii), count)
     X = np.empty((len(sampler.radii) * count, pd.n))
     for shell, pts in enumerate(sampler.shells(pd.x)):
         X[shell * count : (shell + 1) * count] = pts
-    stack = np.empty((1 + len(X), len(tapes), pd.n))  # (1 + samples, rows, n)
+    stack = np.empty((1 + len(X), len(pd.rows), pd.n))  # (1 + samples, rows, n)
     stack[0] = pd.c_grads[pd.rows]
     keep = np.ones(len(stack), dtype=bool)
-    for k, tape in enumerate(tapes):
-        _, grads, fine = tape.gradients(X)
-        stack[1:, k] = grads
-        keep[1:] &= fine
+    _, grads, fine = problem.sweep.gradients(X, pd.rows)
+    stack[1:] = grads
+    keep[1:] = fine.all(axis=1)
     # a sample whose table could overflow sigma_max (or is not finite) is
     # skipped like a domain failure
     keep[1:] &= (np.abs(stack[1:]) <= entry_bound(*stack.shape[1:])).all(axis=(1, 2))

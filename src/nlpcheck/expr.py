@@ -4,20 +4,24 @@ Objectives and constraints are written as small arithmetic formulas over
 variables ``x1 .. xn``, for example ``x1^2 + (x2 - 1)^2 - 1``.  This module
 parses such formulas into an immutable tree and compiles the tree, by an
 iterative walk (so trees of any depth work), into a :class:`Tape`: a flat
-post-order list of instructions.  One loop runs a tape forward in four
-modes (forward-mode differentiation, Griewank & Walther, *Evaluating
-Derivatives*, 2008):
+post-order list of instructions.  One loop runs a tape forward at one
+point in three modes (forward-mode differentiation, Griewank & Walther,
+*Evaluating Derivatives*, 2008):
 
 * ``value`` -- the value alone;
-* ``gradient`` -- value and gradient, with no Hessian work (Newton
-  Jacobians, rank scans, charts);
-* ``jet`` -- value, gradient and Hessian (candidate-point evaluation);
-* ``gradients`` -- value and gradient at every row of a (P, n) point
-  matrix, with a per-row ``ok`` flag that is False exactly where the
-  one-point call raises :class:`DomainError`.
+* ``gradient`` -- value and gradient, with no Hessian work;
+* ``jet`` -- value, gradient and Hessian (candidate-point evaluation).
+
+Many points go through the multi-output sweep instead: :func:`compile_tapes`
+merges several tapes into a :class:`TapeSet`, whose identical subtrees share
+one slot and whose slots are grouped by depth and op, and
+:meth:`TapeSet.gradients` gives every value and gradient at every row of a
+(P, n) point matrix (Newton rounds, rank scans, arc samples) with one numpy
+pass per group, plus a per-entry ``ok`` flag that is False exactly where the
+one-point call raises :class:`DomainError`.
 
 Every mode performs the same floating-point operations as the others, in
-the same order, so a value is the same in every mode, and a batched row
+the same order, so a value is the same in every mode, and a swept entry
 equals the one-point call to the last bit:
 
 * product: ``grad = u*w' + w*u'``, ``hess = (u*w'' + w*u'') + (C + C^T)``
@@ -28,8 +32,8 @@ equals the one-point call to the last bit:
   (the zero terms fix the signs of zero gradient entries, so they stay);
 * ``f(u)`` for sin, cos, exp, log, sqrt: ``f(u), f'(u) u',
   f'(u) u'' + f''(u) outer(u', u')``, with f, f', f'' from ``math`` (libm)
-  also in the batched mode, element by element, since numpy's ufuncs may
-  differ from libm in the last bit.
+  also in the sweep, which calls it once per group through ``map``, since
+  numpy's ufuncs may differ from libm in the last bit.
 
 Hessians are exactly symmetric because every update is built from
 explicitly symmetric pieces.  Leaving a function's domain -- log of a
@@ -59,6 +63,7 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass
+from itertools import groupby
 from typing import Union
 
 import numpy as np
@@ -76,6 +81,8 @@ __all__ = [
     "Taylor2Scalar",
     "Tape",
     "compile_tape",
+    "TapeSet",
+    "compile_tapes",
     "parse",
     "to_source",
     "evaluate",
@@ -424,39 +431,14 @@ def _elementary(op: int, v: float, order: int, node) -> tuple[float, float, floa
     return s, f1, f2
 
 
-def _elementary_rows(op: int, v, node, ok: np.ndarray):
-    """Batched ``_elementary`` at order 1: libm, one row at a time.
+def _sweep(code: tuple, x: np.ndarray, order: int):
+    """Run a tape forward once at the point ``x``; return the root's
+    (value, gradient, Hessian), entries past ``order`` None.
 
-    Rows leaving the domain are cleared in ``ok`` and carry NaN onwards.
-    """
-    if not isinstance(v, np.ndarray):  # a constant subtree: the same in every row
-        try:
-            return _elementary(op, v, _GRADIENT, node)[:2]
-        except DomainError:
-            ok[:] = False
-            return math.nan, math.nan
-    f = np.empty((v.shape[0], 2))
-    for r, vr in enumerate(v[:, 0].tolist()):
-        try:
-            f[r] = _elementary(op, vr, _GRADIENT, node)[:2]
-        except DomainError:
-            ok[r] = False
-            f[r] = math.nan
-    return f[:, :1], f[:, 1:]
-
-
-def _sweep(code: tuple, x: np.ndarray, order: int, ok: np.ndarray | None):
-    """Run a tape forward once; return the root's (value, gradient, Hessian).
-
-    ``x`` is one point, or with ``ok`` given a (P, n) matrix of points.  In
-    that batched mode values are (P, 1) columns, so every update below is
-    the same expression for one point and for P; a constant subtree keeps
-    a scalar value and an (n,) gradient, broadcast against the rows.  A
-    domain failure raises for one point and clears the row's ``ok`` in a
-    batch.  Entries past ``order`` are None.
+    A domain failure raises :class:`DomainError` naming the node.
     """
     n = x.shape[-1]
-    xs = x if ok is not None else x.tolist()
+    xs = x.tolist()
     if order:
         zero_g = np.zeros(n)
         unit = np.eye(n)
@@ -468,7 +450,7 @@ def _sweep(code: tuple, x: np.ndarray, order: int, ok: np.ndarray | None):
     g = h = None
     for op, a, b, c in code:
         if op == _VAR:
-            v = xs[:, a : a + 1] if ok is not None else xs[a]
+            v = xs[a]
             if order:
                 g = unit[a]
                 if order == _JET:
@@ -520,14 +502,8 @@ def _sweep(code: tuple, x: np.ndarray, order: int, ok: np.ndarray | None):
                 v = v * u
         elif op == _DIV:
             u, w = val[a], val[b]
-            if isinstance(w, np.ndarray):
-                ok &= w != 0.0
-                w = np.where(w == 0.0, math.nan, w)
-            elif w == 0.0:
-                if ok is None:
-                    raise DomainError("division by zero", c)
-                ok[:] = False
-                w = math.nan
+            if w == 0.0:
+                raise DomainError("division by zero", c)
             v = u / w
             if order:
                 wg = grad[b]
@@ -542,10 +518,7 @@ def _sweep(code: tuple, x: np.ndarray, order: int, ok: np.ndarray | None):
                 if order == _JET:
                     h = -hess[a]
         else:
-            if ok is None:
-                v, f1, f2 = _elementary(op, val[a], order, c)
-            else:
-                v, f1 = _elementary_rows(op, val[a], c, ok)
+            v, f1, f2 = _elementary(op, val[a], order, c)
             if order:
                 ug = grad[a]
                 g = f1 * ug
@@ -561,9 +534,10 @@ def _sweep(code: tuple, x: np.ndarray, order: int, ok: np.ndarray | None):
 class Tape:
     """An expression compiled to a flat post-order instruction list.
 
-    One loop (``_sweep``) runs it in four modes: :meth:`value`,
-    :meth:`gradient`, :meth:`jet` (value, gradient and Hessian) and
-    :meth:`gradients` (value and gradient at every row of a point matrix).
+    One loop (``_sweep``) runs it at one point in three modes:
+    :meth:`value`, :meth:`gradient` and :meth:`jet` (value, gradient and
+    Hessian).  :meth:`gradients` is the one-output :class:`TapeSet` sweep
+    over the rows of a point matrix.
     """
 
     code: tuple[tuple[int, int, int, object], ...]
@@ -574,24 +548,25 @@ class Tape:
             first = next(c.index for op, _, _, c in self.code if op == _VAR and c.index > n)
             raise ExprError(f"point has {n} coordinates but expression uses x{first}")
 
-    def value(self, x) -> float:
-        """Value at the point ``x``; agrees bit for bit with the other modes."""
+    def _at(self, x, order: int):
         x = np.asarray(x, dtype=float)
         self._check(x.size)
-        return _sweep(self.code, x, _VALUE, None)[0]
+        # an overflow reaches the caller as inf, which its bounds then reject
+        with np.errstate(all="ignore"):
+            return _sweep(self.code, x, order)
+
+    def value(self, x) -> float:
+        """Value at the point ``x``; agrees bit for bit with the other modes."""
+        return self._at(x, _VALUE)[0]
 
     def gradient(self, x) -> tuple[float, np.ndarray]:
         """Value and gradient at ``x``, with no Hessian work."""
-        x = np.asarray(x, dtype=float)
-        self._check(x.size)
-        v, g, _ = _sweep(self.code, x, _GRADIENT, None)
+        v, g, _ = self._at(x, _GRADIENT)
         return v, g
 
     def jet(self, x) -> Taylor2Scalar:
         """Value, gradient and exactly symmetric Hessian at ``x``."""
-        x = np.asarray(x, dtype=float)
-        self._check(x.size)
-        return Taylor2Scalar(*_sweep(self.code, x, _JET, None))
+        return Taylor2Scalar(*self._at(x, _JET))
 
     def gradients(self, X) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Values (P,), gradients (P, n) and ``ok`` (P,) at the rows of ``X``.
@@ -600,14 +575,8 @@ class Tape:
         False exactly where that call would raise :class:`DomainError`, and
         the row's value and gradient are then meaningless.
         """
-        X = np.asarray(X, dtype=float)
-        P, n = X.shape
-        self._check(n)
-        ok = np.ones((P, 1), dtype=bool)
-        with np.errstate(all="ignore"):  # failed rows carry NaN and inf
-            v, g, _ = _sweep(self.code, X, _GRADIENT, ok)
-        values = np.broadcast_to(v, (P, 1))[:, 0].copy()
-        return values, np.broadcast_to(g, (P, n)).copy(), ok[:, 0]
+        values, grads, ok = _schedule((self,)).gradients(X)
+        return values[:, 0], grads[:, 0], ok[:, 0]
 
 
 def compile_tape(e: Expression) -> Tape:
@@ -654,6 +623,265 @@ def compile_tape(e: Expression) -> Tape:
             code.append((_POW, done.pop(), node.exponent, node))
         done.append(len(code) - 1)
     return Tape(tuple(code), max_index)
+
+
+_LIBM = {_SIN: math.sin, _COS: math.cos, _EXP: math.exp, _LOG: math.log, _SQRT: math.sqrt}
+
+
+def _elementary_group(op: int, v: np.ndarray):
+    """f(v), f'(v) and a failure mask (None when nothing fails) at every
+    entry of ``v``: the values of ``_elementary`` at order 1.
+
+    libm is called once per function for the whole array, through ``map``.
+    Where that raises (an entry outside the domain), or for sqrt at zero,
+    where libm does not raise but the derivative is undefined, the entries
+    are settled one at a time by ``_elementary``; failed entries carry NaN.
+    """
+    flat = v.ravel().tolist()
+    if op != _SQRT or v.all():
+        try:
+            f0 = np.fromiter(map(_LIBM[op], flat), float, len(flat)).reshape(v.shape)
+            if op == _SIN:
+                f1 = np.fromiter(map(math.cos, flat), float, len(flat)).reshape(v.shape)
+            elif op == _COS:
+                f1 = -np.fromiter(map(math.sin, flat), float, len(flat)).reshape(v.shape)
+            elif op == _EXP:
+                f1 = f0
+            elif op == _LOG:
+                f1 = 1.0 / v
+            else:
+                f1 = 0.5 / f0
+            return f0, f1, None
+        except (ValueError, OverflowError):
+            pass
+    f = np.empty((len(flat), 2))
+    fail = np.zeros(len(flat), dtype=bool)
+    for i, vi in enumerate(flat):
+        try:
+            f[i] = _elementary(op, vi, _GRADIENT, None)[:2]
+        except DomainError:
+            fail[i] = True
+            f[i] = math.nan
+    return f[:, 0].reshape(v.shape), f[:, 1].reshape(v.shape), fail.reshape(v.shape)
+
+
+@dataclass(frozen=True, eq=False)
+class TapeSet:
+    """Several tapes compiled into one multi-output sweep (:func:`compile_tapes`).
+
+    Every instruction of every tape maps to a slot.  Identical subtrees
+    (same op, same operand slots, same constant bits) share one slot, and
+    ``u^k`` becomes the k products from the constant 1 that the one-point
+    sweep performs.  Slots are numbered by (depth, op): the constants, the
+    variables, then one contiguous slice per group of one op at one depth,
+    whose operands all lie in earlier groups.  :meth:`gradients` evaluates
+    a group with a few whole-array numpy operations, each entry going
+    through the floating-point operations of :meth:`Tape.gradient`, so
+    every output keeps its bits.
+    """
+
+    tapes: tuple[Tape, ...]  # one per output, in order
+    size: int  # number of slots
+    consts: np.ndarray  # values of the first len(consts) slots
+    variables: np.ndarray  # 0-based variable index of the next slots
+    groups: tuple  # (op, slice, a, b): the slots of the slice apply op to slots a (and b)
+    outputs: np.ndarray  # (R,) the slot of each tape's root
+    reads: np.ndarray  # (R, size) bool: the slots each tape's instructions map to
+
+    def gradients(self, X, rows=None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Values (P, R), gradients (P, R, n) and ``ok`` (P, R) of the tapes
+        ``rows`` (all of them by default) at the rows of ``X``.
+
+        Entry [i, j] equals ``tapes[rows[j]].gradient(X[i])`` bit for bit;
+        ``ok[i, j]`` is False exactly where that call would raise
+        :class:`DomainError`, and the entry is then meaningless.  A failing
+        slot clears ``ok`` only for the outputs that read it, and slots that
+        no requested tape reads are skipped.  The (slots, points, n)
+        gradient table is built for a chunk of points at a time, sized by
+        :func:`~nlpcheck.linalg.stack_chunk`.
+        """
+        from nlpcheck.linalg import stack_chunk  # linalg imports this module
+
+        X = np.asarray(X, dtype=float)
+        P, n = X.shape
+        rows = np.arange(len(self.tapes)) if rows is None else np.asarray(rows, dtype=int)
+        for r in rows.tolist():
+            self.tapes[r]._check(n)
+        values = np.empty((P, len(rows)))
+        grads = np.empty((P, len(rows), n))
+        ok = np.ones((P, len(rows)), dtype=bool)
+        if not (P and len(rows)):
+            return values, grads, ok
+        reads = self.reads[rows]
+        plan = self._plan(reads.any(axis=0))
+        roots = self.outputs[rows]
+        # a chunk's slot table and a group's temporaries (gathered operand
+        # rows, at most three tables' worth) stay within the stacking budget
+        step = stack_chunk(4 * self.size * (n + 1))
+        with np.errstate(all="ignore"):  # failed entries carry NaN and inf
+            for lo in range(0, P, step):
+                at = slice(lo, lo + step)
+                values[at], grads[at], bad = self._run(plan, X[at], roots)
+                if bad is not None:
+                    ok[at] = ~(bad.T @ reads.T)
+        return values, grads, ok
+
+    def _plan(self, need: np.ndarray) -> list:
+        """The steps that compute the slots in ``need``: first (variable
+        slots, their variables), then each group as (op, destination, a,
+        b), where a whole group runs as its slice."""
+        c, v = len(self.consts), len(self.consts) + len(self.variables)
+        if need.all():
+            return [(slice(c, v), self.variables), *self.groups]
+        took = need[c:v]
+        plan = [(c + np.flatnonzero(took), self.variables[took])]
+        if not self.groups:
+            return plan
+        starts = [dst.start for _, dst, _, _ in self.groups]
+        count = np.add.reduceat(need.astype(np.intp), starts)
+        for (op, dst, a, b), k in zip(self.groups, count.tolist()):
+            if k == dst.stop - dst.start:
+                plan.append((op, dst, a, b))
+            elif k:
+                at = np.flatnonzero(need[dst])
+                plan.append((op, dst.start + at, a[at], b[at]))
+        return plan
+
+    def _run(self, plan: list, X: np.ndarray, roots: np.ndarray):
+        """Values (P, R) and gradients (P, R, n) of the slots ``roots`` at
+        the points ``X``, and the failed slots (size, P), or None."""
+        P, n = X.shape
+        V = np.empty((self.size, P))
+        G = np.empty((self.size, P, n))
+        c = len(self.consts)
+        V[:c] = self.consts[:, None]
+        G[:c] = 0.0
+        slots, variables = plan[0]
+        V[slots] = X.T[variables]
+        G[slots] = np.eye(n)[variables][:, None, :]
+        bad = None
+        for op, dst, a, b in plan[1:]:
+            # ug is a copy (a is an index array), so the gradient updates
+            # work in place on it: the same products and sums, fewer
+            # temporaries
+            u, ug = V[a], G[a]
+            fail = None
+            if op == _MUL:
+                w = V[b]
+                V[dst] = u * w
+                g = G[b]
+                g *= u[..., None]
+                ug *= w[..., None]
+                g += ug
+                ug = g
+            elif op == _ADD:
+                V[dst] = u + V[b]
+                ug += G[b]
+            elif op == _SUB:
+                V[dst] = u - V[b]
+                ug -= G[b]
+            elif op == _NEG:
+                V[dst] = -u
+                np.negative(ug, out=ug)
+            elif op == _DIV:
+                w = V[b]
+                fail = w == 0.0
+                w = np.where(fail, math.nan, w)
+                q = u / w
+                V[dst] = q
+                g = G[b]
+                g *= q[..., None]
+                ug -= g
+                ug /= w[..., None]
+            else:
+                V[dst], f1, fail = _elementary_group(op, u)
+                ug *= f1[..., None]
+            G[dst] = ug
+            if fail is not None and fail.any():
+                if bad is None:
+                    bad = np.zeros((self.size, P), dtype=bool)
+                bad[dst] = fail
+        return V[roots].T, G[roots].transpose(1, 0, 2), bad
+
+
+def _schedule(tapes: tuple[Tape, ...]) -> TapeSet:
+    """Merge tapes into the level-scheduled slots of a :class:`TapeSet`."""
+    index: dict = {}  # (op, a, b, constant bits) -> slot in order of appearance
+    nodes: list[tuple[int, int, int, float]] = []
+    depth: list[int] = []
+
+    def slot(op: int, a: int = 0, b: int = 0, value: float = 0.0) -> int:
+        key = (op, a, b, value.hex())
+        s = index.get(key)
+        if s is None:
+            s = index[key] = len(nodes)
+            nodes.append((op, a, b, value))
+            if op == _CONST or op == _VAR:
+                depth.append(0)
+            elif op in (_ADD, _SUB, _MUL, _DIV):
+                depth.append(1 + max(depth[a], depth[b]))
+            else:
+                depth.append(1 + depth[a])
+        return s
+
+    outputs, touched = [], []
+    for tape in tapes:
+        local: list[int] = []  # slot of each instruction's result
+        seen: set[int] = set()
+        for op, a, b, c in tape.code:
+            if op == _CONST:
+                s = slot(_CONST, value=c)
+            elif op == _VAR:
+                s = slot(_VAR, a)
+            elif op == _POW:
+                s = slot(_CONST, value=1.0)
+                for _ in range(b):
+                    seen.add(s)
+                    s = slot(_MUL, s, local[a])
+            elif op in (_ADD, _SUB, _MUL, _DIV):
+                s = slot(op, local[a], local[b])
+            else:
+                s = slot(op, local[a])
+            seen.add(s)
+            local.append(s)
+        outputs.append(local[-1])
+        touched.append(sorted(seen))
+
+    def level(s: int) -> tuple[int, int]:
+        return depth[s], nodes[s][0]
+
+    order = sorted(range(len(nodes)), key=level)
+    new = np.empty(len(nodes), dtype=int)
+    new[order] = np.arange(len(nodes))
+    consts = [nodes[s][3] for s in order if nodes[s][0] == _CONST]
+    variables = [nodes[s][1] for s in order if nodes[s][0] == _VAR]
+    groups = []
+    lo = len(consts) + len(variables)
+    for (_, op), run in groupby(order[lo:], key=level):
+        members = [nodes[s] for s in run]
+        hi = lo + len(members)
+        a = new[[node[1] for node in members]]
+        b = new[[node[2] for node in members]]
+        groups.append((op, slice(lo, hi), a, b))
+        lo = hi
+    reads = np.zeros((len(tapes), len(nodes)), dtype=bool)
+    for r, seen in enumerate(touched):
+        reads[r, new[seen]] = True
+    return TapeSet(
+        tapes=tapes,
+        size=len(nodes),
+        consts=np.array(consts, dtype=float),
+        variables=np.array(variables, dtype=int),
+        groups=tuple(groups),
+        outputs=new[outputs] if outputs else np.zeros(0, dtype=int),
+        reads=reads,
+    )
+
+
+def compile_tapes(exprs) -> TapeSet:
+    """Compile expressions into one multi-output :class:`TapeSet`; its
+    ``tapes`` are their one-output tapes, in order."""
+    return _schedule(tuple(map(compile_tape, exprs)))
 
 
 def evaluate(e: Expression, x: np.ndarray) -> float:

@@ -31,7 +31,15 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from nlpcheck.expr import DomainError, Expression, Tape, compile_tape, parse
+from nlpcheck.expr import (
+    DomainError,
+    Expression,
+    Tape,
+    TapeSet,
+    compile_tape,
+    compile_tapes,
+    parse,
+)
 
 __all__ = [
     "ProblemError",
@@ -64,7 +72,8 @@ class Problem:
     Every function is compiled to a :class:`~nlpcheck.expr.Tape` once, at
     construction; the analyses evaluate the tapes, not the trees.  ``tapes``
     holds one tape per constraint row: the m inequalities, then the p
-    equalities, each in file order.
+    equalities, each in file order, and ``sweep`` evaluates any of those
+    rows at many points in one multi-output pass.
     """
 
     n: int
@@ -74,11 +83,13 @@ class Problem:
     point: np.ndarray | None
     source: str = ""
     objective_tape: Tape = field(init=False, repr=False)
+    sweep: TapeSet = field(init=False, repr=False)
     tapes: tuple[Tape, ...] = field(init=False, repr=False)
 
     def __post_init__(self):
         object.__setattr__(self, "objective_tape", compile_tape(self.objective))
-        object.__setattr__(self, "tapes", tuple(map(compile_tape, self.ineq + self.eq)))
+        object.__setattr__(self, "sweep", compile_tapes(self.ineq + self.eq))
+        object.__setattr__(self, "tapes", self.sweep.tapes)
 
     @property
     def m(self) -> int:

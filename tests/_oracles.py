@@ -17,10 +17,12 @@ batched ``linalg.newton_batch`` replaced: every row of a batch must
 reproduce it bit for bit, failures included.  ``sequential_trace_arc``
 and ``sequential_arc`` are the one-arc, one-point-at-a-time march (on
 ``reference_newton``) the batched arc tracer replaced: it must reproduce
-their arcs bit for bit.
+their arcs bit for bit.  ``reference_report_to_json`` is the per-scalar
+JSON writer whose bytes ``cli.report_to_json`` must keep.
 """
 
 import itertools
+import json
 import math
 from dataclasses import dataclass
 
@@ -719,3 +721,66 @@ def sequential_arc(problem, pd, d, delta=0.1, samples=41, tol_dir=1e-8, tol_rank
             break
         cur_delta *= 0.5
     return arc
+
+
+def _reference_json_scalar(obj):
+    if obj is None:
+        return "null"
+    if isinstance(obj, bool):
+        return "true" if obj else "false"
+    if isinstance(obj, (int, np.integer)):
+        return str(int(obj))
+    if isinstance(obj, (float, np.floating)):
+        x = float(obj)
+        if math.isnan(x):
+            return '"NaN"'
+        if math.isinf(x):
+            return '"Infinity"' if x > 0 else '"-Infinity"'
+        return format(x, ".17g")
+    if isinstance(obj, str):
+        return json.dumps(obj)
+    return None
+
+
+def _reference_write_json(obj, indent, out):
+    pad = "  " * indent
+    scalar = _reference_json_scalar(obj)
+    if scalar is not None:
+        out.append(scalar)
+        return
+    if isinstance(obj, dict):
+        if not obj:
+            out.append("{}")
+            return
+        out.append("{\n")
+        items = list(obj.items())
+        for k, (key, value) in enumerate(items):
+            out.append(pad + "  " + json.dumps(str(key)) + ": ")
+            _reference_write_json(value, indent + 1, out)
+            out.append(",\n" if k + 1 < len(items) else "\n")
+        out.append(pad + "}")
+        return
+    if isinstance(obj, (list, tuple, np.ndarray)):
+        seq = list(obj)
+        if not seq:
+            out.append("[]")
+            return
+        scalars = [_reference_json_scalar(v) for v in seq]
+        if None not in scalars:
+            out.append("[" + ", ".join(scalars) + "]")
+            return
+        out.append("[\n")
+        for k, value in enumerate(seq):
+            out.append(pad + "  ")
+            _reference_write_json(value, indent + 1, out)
+            out.append(",\n" if k + 1 < len(seq) else "\n")
+        out.append(pad + "]")
+        return
+    raise TypeError(f"cannot serialize {type(obj).__name__} to the report")
+
+
+def reference_report_to_json(report):
+    out = []
+    _reference_write_json(report, 0, out)
+    out.append("\n")
+    return "".join(out)

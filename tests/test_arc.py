@@ -25,7 +25,7 @@ from nlpcheck.arc import (
     verify_arc,
 )
 from nlpcheck.cones import linearized_cone, sample_directions
-from nlpcheck.expr import Tape
+from nlpcheck.expr import TapeSet
 from nlpcheck.model import evaluate_point, load_problem
 from nlpcheck.problems import builtin_names, builtin_problem, builtin_source
 
@@ -170,8 +170,8 @@ class TestTraceArc:
     def test_no_point_evaluated_twice(self, monkeypatch):
         # each solve starts from the state its predecessor returned (the
         # first from the chart's own center values), so no trajectory
-        # evaluates a point twice; and each Newton round sweeps every
-        # chart tape at most once, for all the pending trial points
+        # evaluates a point twice; and each Newton round is one sweep over
+        # the chart rows of all the pending trial points
         trials = []
         batch = arc_mod.newton_batch
 
@@ -183,13 +183,13 @@ class TestTraceArc:
             return batch(recording, start, targets, tol)
 
         calls = []
-        gradients = Tape.gradients
+        gradients = TapeSet.gradients
 
-        def counting(self, X):
-            calls.append(self)
-            return gradients(self, X)
+        def counting(self, X, rows=None):
+            calls.append(list(rows))
+            return gradients(self, X, rows)
 
-        rounds = []  # (tapes swept, rows evaluated) per round
+        rounds = []  # (constraint rows of each sweep, points evaluated) per round
         chart_values = arc_mod._chart_values
 
         def one_round(tapes, slot, source, X):
@@ -199,7 +199,7 @@ class TestTraceArc:
             return out
 
         monkeypatch.setattr(arc_mod, "newton_batch", recording_batch)
-        monkeypatch.setattr(Tape, "gradients", counting)
+        monkeypatch.setattr(TapeSet, "gradients", counting)
         monkeypatch.setattr(arc_mod, "_chart_values", one_round)
         # the cylinder's tangent directions pin x3 >= 0 too: the charts mix
         # one and two tape rows, and an upward direction has none pinned
@@ -212,8 +212,10 @@ class TestTraceArc:
         assert trials and len(set(trials)) == len(trials)
         assert pd.x.tobytes() not in trials
         assert sorted(row for _, rows in rounds for row in rows) == sorted(trials)
-        assert all(len(set(map(id, tapes))) == len(tapes) for tapes, _ in rounds)
-        assert max(len(tapes) for tapes, _ in rounds) == 2
+        # one sweep per round, over each pinned constraint once
+        assert all(len(sweeps) == 1 for sweeps, _ in rounds)
+        assert all(len(set(rows)) == len(rows) for (rows,), _ in rounds)
+        assert max(len(rows) for (rows,), _ in rounds) == 2
 
     def test_truncation_beyond_chart_range(self):
         # the circle chart cannot reach |t| > 1; the grid must stop early

@@ -3,6 +3,7 @@ serialization, argument handling, and exit codes."""
 
 import csv
 import json
+import math
 import os
 import subprocess
 import sys
@@ -10,6 +11,7 @@ import time
 
 import numpy as np
 import pytest
+from _oracles import reference_report_to_json
 
 import nlpcheck
 from nlpcheck import cli, cq, expr
@@ -170,6 +172,55 @@ class TestJson:
         text = report_to_json({"v": [1.0, 2.0, 3.0]})
         assert "[1, 2, 3]" in text.replace(" ", "").replace("\n", "") or "[1,2,3]" in text.replace(" ", "")
 
+    def test_random_trees_keep_the_per_scalar_bytes(self):
+        # float lists and equal-length float rows take one % operation;
+        # everything else (nan, inf, ints, bools, None, strings, ragged or
+        # mixed rows, arrays) must still come out as the per-scalar writer
+        rng = np.random.default_rng(11)
+        specials = [0.0, -0.0, 5e-324, -2.5e-310, 1e308, -1e308, math.nan, math.inf, -math.inf]
+
+        def number():
+            r = rng.random()
+            if r < 0.1:
+                return float(rng.choice(specials))
+            x = float(rng.standard_normal() * 10.0 ** int(rng.integers(-320, 300)))
+            return np.float64(x) if r < 0.25 else x
+
+        def scalar():
+            return [number, lambda: bool(rng.integers(2)), lambda: int(rng.integers(-9, 9)),
+                    lambda: None, lambda: "s%d" % rng.integers(9)][int(rng.integers(5))]()
+
+        def floats(k):
+            return [number() for _ in range(k)]
+
+        def tree(depth):
+            kind = int(rng.integers(8)) if depth else 0
+            if kind == 0:
+                return scalar()
+            if kind == 1:
+                return floats(int(rng.integers(0, 6)))
+            if kind == 2:  # equal-length rows, as in the arc samples
+                k = int(rng.integers(0, 4))
+                return [floats(k) for _ in range(int(rng.integers(1, 5)))]
+            if kind == 3:  # ragged rows
+                return [floats(int(rng.integers(0, 4))) for _ in range(int(rng.integers(1, 5)))]
+            if kind == 4:
+                return np.array(floats(int(rng.integers(1, 4))))
+            if kind == 5:
+                return [floats(2), [number(), scalar()]]
+            if kind == 6:
+                return {f"k{i}": tree(depth - 1) for i in range(int(rng.integers(0, 4)))}
+            return [tree(depth - 1) for _ in range(int(rng.integers(1, 4)))]
+
+        for _ in range(300):
+            report = {"tree": tree(4)}
+            assert report_to_json(report) == reference_report_to_json(report)
+
+    @pytest.mark.parametrize("name", builtin_names())
+    def test_builtin_reports_keep_the_per_scalar_bytes(self, name):
+        report = run(RunConfig(problem=f"builtin:{name}"))
+        assert report_to_json(report) == reference_report_to_json(report)
+
 
 class TestMain:
     def test_analyze_builtin_exit_zero(self, capsys):
@@ -291,6 +342,7 @@ class TestMain:
 
         for mode in ("value", "gradient", "jet", "gradients"):
             monkeypatch.setattr(expr.Tape, mode, no_sweep)
+        monkeypatch.setattr(expr.TapeSet, "gradients", no_sweep)
         code = main(["analyze", "builtin:paper-example-1", "--samples", str(over)])
         assert code == 2
         err = capsys.readouterr().err
@@ -369,6 +421,15 @@ class TestMain:
         path.write_text("vars 2\nobjective x1\neq 1.5e308*x1 + 1.5e308*x2\npoint 0 0\n")
         assert main(["analyze", str(path)]) == 2
         assert "eq 1: gradient at the point too large to rank" in capsys.readouterr().err
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_quotient_gradient_overflow_exit_two(self, tmp_path, capsys):
+        # the gradient of 1/x1 at x1 = 1e-308 overflows in the point's jet;
+        # it reaches the rank bound as inf, without a RuntimeWarning
+        path = tmp_path / "steep.prob"
+        path.write_text("vars 2\nobjective x2\nineq 1/x1 - 1e308\npoint 1e-308 0\n")
+        assert main(["analyze", str(path)]) == 2
+        assert "ineq 1: gradient at the point too large to rank" in capsys.readouterr().err
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize(

@@ -205,6 +205,7 @@ class TestScanSize:
 
         for mode in ("value", "gradient", "jet", "gradients"):
             monkeypatch.setattr(nlpcheck.expr.Tape, mode, no_sweep)
+        monkeypatch.setattr(nlpcheck.expr.TapeSet, "gradients", no_sweep)
         with pytest.raises(ValueError, match="above its budget"):
             check_rank_constancy(prob, pd, NeighborhoodSampler(samples_per_radius=over))
 

@@ -3,16 +3,20 @@
 ``tests/_oracles.py`` keeps the recursive interpreters the tape replaced.
 On seeded random expressions that use every operation, each tape mode
 must reproduce their values, gradients and Hessians exactly, with the
-signs of zeros; the batched mode must reproduce the per-point gradient
-mode row by row and fail on exactly the rows where it raises.
+signs of zeros; the multi-output sweep (``TapeSet.gradients``, and
+``Tape.gradients``, its one-output case) must reproduce the per-point
+gradient mode entry by entry and fail on exactly the entries where it
+raises.
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from _oracles import RefDomainError, reference_evaluate, reference_grad_hess, same_bits
 
+from nlpcheck import linalg
 from nlpcheck.expr import (
     Binary,
     Const,
@@ -22,6 +26,7 @@ from nlpcheck.expr import (
     Unary,
     Var,
     compile_tape,
+    compile_tapes,
     evaluate,
     grad_hess,
     parse,
@@ -168,6 +173,122 @@ class TestBatched:
     def test_no_rows(self):
         values, grads, ok = compile_tape(parse("sin(x1)", 2)).gradients(np.zeros((0, 2)))
         assert values.shape == (0,) and grads.shape == (0, 2) and ok.shape == (0,)
+
+
+def check_sweep(exprs, X, rows=None):
+    """Compare a sweep of ``exprs`` entry by entry with the one-point
+    gradient mode; return its ``ok`` table."""
+    tapes = [compile_tape(e) for e in exprs]
+    picked = list(range(len(exprs))) if rows is None else list(rows)
+    values, grads, ok = compile_tapes(exprs).gradients(X, rows)
+    P, n = X.shape
+    assert values.shape == (P, len(picked)) and grads.shape == (P, len(picked), n)
+    assert ok.shape == (P, len(picked)) and ok.dtype == bool
+    for i, x in enumerate(X):
+        for j, r in enumerate(picked):
+            expect = outcome(tapes[r].gradient, x)
+            if expect == "domain":
+                assert not ok[i, j]
+            else:
+                assert ok[i, j]
+                assert same_bits(values[i, j], expect[0])
+                assert same_bits(grads[i, j], expect[1])
+    return ok
+
+
+class TestSweep:
+    def test_every_output_matches_the_per_point_gradient(self):
+        exprs, points = corpus(seed=3, count=150)
+        X = np.array(points)
+        failed = 0
+        for k in range(0, len(exprs), 5):  # several expressions per sweep
+            failed += int((~check_sweep(exprs[k : k + 5], X)).sum())
+        for k in range(0, 40, 2):  # outputs that share whole subtrees
+            a, b = exprs[k], exprs[k + 1]
+            check_sweep([a, b, Binary("mul", a, b), Binary("div", b, Unary("sin", a))], X)
+        assert failed > 0  # the random corpus leaves the domain somewhere
+
+    def test_identical_subtrees_share_a_slot(self):
+        exprs = [parse("x1^2 + x2^2 - 1", 2), parse("x1^2 + x2^2 + x1", 2)]
+        sweep = compile_tapes(exprs)
+        # x1, x2, the constant 1 (the power's start and the literal), the
+        # four products of the squares, their sum, and one root each
+        assert sum(len(tape.code) for tape in sweep.tapes) == 14
+        assert sweep.size == 10
+        assert len(sweep.consts) == 1 and len(sweep.variables) == 2
+        for op, dst, a, b in sweep.groups:
+            # each group is one contiguous slice whose operands come earlier
+            assert (a < dst.start).all() and len(a) == dst.stop - dst.start
+        X = np.array([[0.5, -2.0], [-0.0, 3.0]])
+        check_sweep(exprs, X)
+
+    def test_failure_clears_only_the_outputs_that_read_it(self):
+        exprs = [parse(src, 2) for src in ("log(x1)", "x2 + 1", "log(x1) * x2", "x2 / x1")]
+        X = np.array([[1.0, 2.0], [-1.0, 2.0], [0.0, -1.0]])
+        ok = check_sweep(exprs, X)
+        assert ok.tolist() == [
+            [True, True, True, True],
+            [False, True, False, True],
+            [False, True, False, False],
+        ]
+
+    def test_zeroth_power_and_constant_subtrees_still_fail(self):
+        # u^0 reads no value of u, but the one-point sweep evaluates u;
+        # a constant subtree outside the domain fails at every point
+        exprs = [parse(src, 2) for src in ("log(x1)^0 + x2", "x1 + log(2 - 2)", "x1^0", "x2")]
+        X = np.array([[1.0, 2.0], [-1.0, 0.5]])
+        ok = check_sweep(exprs, X)
+        assert ok.tolist() == [[True, False, True, True], [False, False, True, True]]
+
+    def test_requested_rows(self):
+        exprs, points = corpus(seed=4, count=12)
+        X = np.array(points)
+        check_sweep(exprs, X, [7, 0, 3])
+        check_sweep(exprs, X, [5])
+        whole = compile_tapes(exprs).gradients(X)
+        part = compile_tapes(exprs).gradients(X, [7, 0, 3])
+        for full, sub in zip(whole, part):
+            assert same_bits(full[:, [7, 0, 3]], sub)
+
+    def test_zero_outputs_and_zero_points(self):
+        values, grads, ok = compile_tapes([]).gradients(np.ones((3, 2)))
+        assert values.shape == (3, 0) and grads.shape == (3, 0, 2) and ok.shape == (3, 0)
+        sweep = compile_tapes([parse("sin(x1)", 2), parse("x2", 2)])
+        values, grads, ok = sweep.gradients(np.zeros((0, 2)))
+        assert values.shape == (0, 2) and grads.shape == (0, 2, 2) and ok.shape == (0, 2)
+        values, grads, ok = sweep.gradients(np.ones((2, 2)), [])
+        assert values.shape == (2, 0) and grads.shape == (2, 0, 2) and ok.shape == (2, 0)
+
+    def test_missing_coordinate(self):
+        sweep = compile_tapes([parse("x1", 3), parse("x3", 3)])
+        sweep.gradients(np.zeros((2, 1)), [0])
+        with pytest.raises(ExprError, match="expression uses x3"):
+            sweep.gradients(np.zeros((2, 1)))
+
+    def test_gradient_table_memory_is_bounded(self, monkeypatch):
+        # about 320 slots in R^10: the whole (slots, points, n) table at
+        # 1000 points would take some 28 MB.  The point chunks keep a
+        # chunk's table and a group's temporaries within the stacking
+        # budget (256 KiB here), so the peak is that plus the results
+        monkeypatch.setattr(linalg, "_STACK_BYTES", 1 << 18)
+        n, P = 10, 1000
+        terms = [f"sin({j}*x{i})" for i in range(1, n + 1) for j in range(1, 11)]
+        while len(terms) > 1:  # a balanced sum: few levels, few groups
+            terms = [f"({' + '.join(terms[k : k + 2])})" for k in range(0, len(terms), 2)]
+        exprs = [parse(terms[0], n)]
+        sweep = compile_tapes(exprs)
+        limit = linalg._STACK_BYTES + P * (n + 1) * 8
+        assert sweep.size * P * (n + 1) * 8 > 10 * limit
+        X = np.random.default_rng(6).standard_normal((P, n))
+        tracemalloc.start()
+        try:
+            values, grads, ok = sweep.gradients(X)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert ok.all() and grads.shape == (P, 1, n)
+        assert peak < limit
+        check_sweep(exprs, X[:3])
 
 
 class TestDomain:
