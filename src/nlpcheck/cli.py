@@ -106,7 +106,7 @@ def _verdict_dict(v: cq.Verdict) -> dict:
 
 
 def _arc_entry(rep: arc_mod.DirectionArcReport) -> dict:
-    entry: dict = {"direction": [float(v) for v in rep.direction]}
+    entry: dict = {"direction": rep.direction.tolist()}
     if rep.error is not None:
         entry["error"] = rep.error
         return entry
@@ -127,10 +127,10 @@ def _arc_entry(rep: arc_mod.DirectionArcReport) -> dict:
     entry["properties"] = props
     entry["passed_all"] = rep.properties.passed_all()
     entry["samples"] = {
-        "t": [float(v) for v in a.t],
-        "zeta": [[float(v) for v in row] for row in a.points],
-        "g": [[float(v) for v in row] for row in a.g_values],
-        "h": [[float(v) for v in row] for row in a.h_values],
+        "t": a.t.tolist(),
+        "zeta": a.points.tolist(),
+        "g": a.g_values.tolist(),
+        "h": a.h_values.tolist(),
     }
     return entry
 

@@ -16,18 +16,19 @@ Four classical qualifications are covered, in decreasing strength:
 
 Both rank scans come from one sampled pass (:func:`check_rank_constancy`).
 The gradient tables at the center and at every sample are built once.
-Where a table has no more rows than columns, one batched SVD of all of
-them finds the points whose smallest singular value clears twice the rank
-tolerance; by interlacing, every subset of rows has full rank there.  Each
-subset pair is then ranked by one stacked SVD over the remaining points
-only, and needs none when every point is settled.  The RCRCQ pairs are the
-CRCQ pairs that contain every equality, so a pair both scans reach is
-ranked once.  When a scan's pair count times the number of points exceeds
-``2^20``, that scan is cut to the pairs of total size <= 2 plus the full
-pair, and its evidence reads ``partial: true``.  The points and their
-tables are held at once, so a sample count above the default whose scan
-would hold more than ``SCAN_BUDGET`` floats is rejected
-(:func:`check_scan_size`) before any gradient is evaluated.
+Each subset pair is first ranked at the center; its singular values there
+and how far its rows move at a sample bound its singular values at that
+sample (Weyl's inequality), and where the bound keeps it at full rank with
+room to spare the sample is settled (:func:`_center_bound`).  A pair's
+other samples are ranked by one stacked SVD, and a pair settled at every
+sample needs none.  The RCRCQ pairs are the CRCQ pairs that contain every
+equality, so a pair both scans reach is ranked once.  When a scan's pair
+count times the number of points exceeds ``2^20``, that scan is cut to the
+pairs of total size <= 2 plus the full pair, and its evidence reads
+``partial: true``.  The points and their tables are held at once, so a
+sample count above the default whose scan would hold more than
+``SCAN_BUDGET`` floats is rejected (:func:`check_scan_size`) before any
+gradient is evaluated.
 
 Rank constancy over a neighborhood cannot be certified by finitely many
 samples, so the sampled scans return "fails" with a re-checkable witness
@@ -42,13 +43,20 @@ arcs can refute nothing about the tangent cone.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import combinations
+from itertools import combinations, groupby
 from typing import Iterator
 
 import numpy as np
 
 from nlpcheck._sobol import scrambled_sobol
-from nlpcheck.linalg import entry_bound, numerical_rank, simplex_lp, stacked_rank
+from nlpcheck.linalg import (
+    entry_bound,
+    numerical_rank,
+    simplex_lp,
+    stack_chunk,
+    stacked_rank,
+    stacked_spectra,
+)
 from nlpcheck.model import PointData, Problem, evaluate_point
 
 __all__ = [
@@ -254,22 +262,30 @@ def _scan_pairs(
     return pairs, partial
 
 
-def _settled(stack: np.ndarray, tol_rank: float) -> np.ndarray:
-    """Points of a ``(points, rows, n)`` stack where every row subset has full rank.
+def _center_bound(
+    center: np.ndarray, rho: np.ndarray, tol_rank: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """Center ranks of a ``(pairs, rows, n)`` stack of subset tables, and
+    the points where each subset's rank provably is ``min(rows, n)``.
 
-    With ``rows <= n``, a point is settled when ``sigma_min > (2 tol_rank +
-    1e-12) sigma_max``.  Deleting rows only raises the smallest singular
-    value and lowers the largest (interlacing), so every nonempty subset S
-    there has numerical rank |S| by the rule of :func:`numerical_rank`.  The
-    factor 2 and the 1e-12 leave room for LAPACK's rounding error and for
-    tiny ``tol_rank``.  Nothing is settled when ``rows > n``, when there are
-    no rows, or when an entry is not finite.
+    ``rho[i, j]`` is the Frobenius distance of subset i's table at point j
+    from its center table, so it bounds the spectral norm of the change.
+    With s0 the center's singular values, r = min(rows, n) and c = 2
+    tol_rank + 1e-12, Weyl's inequality gives ``sigma_r >= s0[r-1] - rho``
+    and ``sigma_1 <= s0[0] + rho`` at the point.  So where ``s0[r-1] - rho
+    > c (s0[0] + rho)``, that is ``rho < (s0[r-1] - c s0[0]) / (1 + c)``,
+    the point has numerical rank r by the rule of :func:`numerical_rank`.
+    The factor 2 and the 1e-12 leave room for LAPACK's rounding error and
+    for tiny ``tol_rank``.  Returns the center ranks ``(pairs,)`` and the
+    settled mask, shaped like ``rho``.  Empty and zero tables settle
+    nowhere; a non-finite center raises ``ValueError``.
     """
-    rows, n = stack.shape[1:]
-    if not 0 < rows <= n or not np.isfinite(stack).all():
-        return np.zeros(len(stack), dtype=bool)
-    s = np.linalg.svd(stack, compute_uv=False)
-    return s[:, -1] > (2.0 * tol_rank + 1e-12) * s[:, 0]
+    ranks, s0 = stacked_spectra(center, tol_rank)
+    if s0.shape[1] == 0:
+        return ranks, np.zeros(rho.shape, dtype=bool)
+    c = 2.0 * tol_rank + 1e-12
+    reach = (s0[:, -1] - c * s0[:, 0]) / (1.0 + c)
+    return ranks, rho < reach[:, None]
 
 
 def check_rank_constancy(
@@ -283,10 +299,14 @@ def check_rank_constancy(
     Gradient tables at the center and at every sample are built once, into
     one stack: one multi-output sweep (``problem.sweep``) gives every row's
     gradient at all samples, and samples where any gradient leaves its
-    domain or overflows are skipped.  One batched SVD of the whole stack finds the settled
-    points (:func:`_settled`), where every subset pair has full rank.  A
-    pair's ranks at the other points come from one stacked SVD and are
-    shared by both scans; when every point is settled, no pair needs an SVD.
+    domain or overflows are skipped.  Each scan walks its pairs by size, in
+    chunks of one size (:func:`linalg.stack_chunk`).  One stacked SVD of a
+    chunk's center tables gives each pair's center rank and singular
+    values, and a table of squared row deviations from the center bounds
+    how far each pair's table moves at each sample; the samples where that
+    bound settles the pair's rank (:func:`_center_bound`) need no SVD.  A
+    pair's other samples are ranked by one stacked SVD, and a pair whose
+    samples all settle needs none.  Both scans share each pair's outcome.
     Each scan's first mismatch (by pair, then radius, then sample index)
     becomes its certificate.  A sampler whose scan is too large for the
     budget raises ``ValueError`` (:func:`check_scan_size`).
@@ -309,10 +329,52 @@ def check_rank_constancy(
     kept = np.flatnonzero(keep[1:])  # sample of each stacked point after the center
     if kept.size < len(X):
         stack = stack[keep]
-    loose_at = np.flatnonzero(~_settled(stack, tol_rank))
-    loose = stack[loose_at]
+    samples = stack[1:]
+    # squared distance of each row from its center gradient, (rows, samples)
+    with np.errstate(over="ignore"):  # a distance too large to square settles nothing
+        dev2 = np.square(samples - stack[0]).sum(axis=2).T.copy()
     pos = {label: k for k, label in enumerate(active)}
-    mismatch: dict = {}  # (I, J) -> (ranks at all points, first sample that differs) or None
+    # (I, J) -> None, or (center rank, first sample that differs, its rank)
+    mismatch: dict = {}
+
+    def outcomes(pairs):
+        """Each pair in order with its outcome, settled a chunk at a time."""
+        for size, group in groupby(pairs, key=lambda pair: len(pair[0]) + len(pair[1])):
+            group = list(group)
+            # chunked as if each pair's tables at every point were stacked
+            step = stack_chunk(len(stack) * size * pd.n)
+            for lo in range(0, len(group), step):
+                chunk = group[lo : lo + step]
+                todo = {pair: at for at, pair in enumerate(p for p in chunk if p not in mismatch)}
+                if todo:
+                    sel = np.array(  # (pairs, size)
+                        [[pos[i] for i in I] + [len(active) + (j - 1) for j in J] for I, J in todo]
+                    )
+                    rho = dev2[sel[:, 0]]  # (pairs, samples)
+                    with np.errstate(over="ignore"):
+                        for col in sel.T[1:]:
+                            rho += dev2[col]
+                    center_ranks, settled = _center_bound(
+                        stack[0][sel], np.sqrt(rho, out=rho), tol_rank
+                    )
+                    full = min(size, pd.n)
+                    clear = (settled.all(axis=1) & (center_ranks == full)).tolist()
+                for pair in chunk:
+                    if pair not in mismatch:
+                        at = todo[pair]
+                        mismatch[pair] = None
+                        if not clear[at]:
+                            ranks = np.full(len(samples), full)
+                            loose_at = np.flatnonzero(~settled[at])
+                            if loose_at.size:
+                                ranks[loose_at] = stacked_rank(
+                                    samples[loose_at[:, None], sel[at]], tol_rank
+                                )
+                            differ = np.flatnonzero(ranks != center_ranks[at])
+                            if differ.size:
+                                k = int(differ[0])
+                                mismatch[pair] = (int(center_ranks[at]), k, int(ranks[k]))
+                    yield pair, mismatch[pair]
 
     verdicts = {}
     n_points = 1 + len(X)
@@ -329,24 +391,17 @@ def check_rank_constancy(
             "partial": partial,
         }
         verdicts[name] = Verdict("undetermined", None, evidence)
-        for I, J in pairs:
-            if (I, J) not in mismatch:
-                sel = [pos[i] for i in I] + [len(active) + (j - 1) for j in J]
-                ranks = np.full(len(stack), len(sel))
-                if loose_at.size:
-                    ranks[loose_at] = stacked_rank(loose[:, sel], tol_rank)
-                differ = np.flatnonzero(ranks[1:] != ranks[0])
-                mismatch[I, J] = (ranks, int(differ[0])) if differ.size else None
-            if mismatch[I, J] is not None:
-                ranks, k = mismatch[I, J]
+        for (I, J), outcome in outcomes(pairs):
+            if outcome is not None:
+                center_rank, k, witness_rank = outcome
                 shell, idx = divmod(int(kept[k]), count)
                 certificate = {
                     "ineq_subset": list(I),
                     "eq_subset": list(J),
                     "center": [float(v) for v in pd.x],
-                    "center_rank": int(ranks[0]),
+                    "center_rank": center_rank,
                     "witness": [float(v) for v in X[kept[k]]],
-                    "witness_rank": int(ranks[k + 1]),
+                    "witness_rank": witness_rank,
                     "radius": float(sampler.radii[shell]),
                     "sample_index": idx,
                     "tol_rank": tol_rank,
@@ -421,7 +476,7 @@ def summarize_acq(reports: list, requested: int, seed: int) -> dict:
     per_direction = []
     for rep in reports:
         entry = {
-            "direction": [float(v) for v in rep.direction],
+            "direction": rep.direction.tolist(),
             "realized": rep.realized(),
         }
         if rep.error is not None:

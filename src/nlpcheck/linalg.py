@@ -24,6 +24,7 @@ __all__ = [
     "RankInfo",
     "numerical_rank",
     "stacked_rank",
+    "stacked_spectra",
     "entry_bound",
     "norm_bound",
     "nnls_bound",
@@ -124,18 +125,27 @@ def numerical_rank(M, tol_rel: float = 1e-8) -> RankInfo:
     return RankInfo(int(_rank_cut(s, tol_rel)), s)
 
 
-def stacked_rank(M, tol_rel: float = 1e-8) -> np.ndarray:
-    """Numerical ranks of a stack of matrices, shape ``(k, rows, cols)``.
+def stacked_spectra(M, tol_rel: float = 1e-8) -> tuple[np.ndarray, np.ndarray]:
+    """Numerical ranks and singular values of a stack of matrices, shape
+    ``(k, rows, cols)``.
 
-    One batched SVD decides all ``k`` ranks by the rule of
-    :func:`numerical_rank`; the result is an integer array of length ``k``.
+    One batched SVD gives the ``(k, min(rows, cols))`` singular values
+    (non-increasing in each row) and decides all ``k`` ranks by the rule of
+    :func:`numerical_rank`.
     """
     M = np.asarray(M, dtype=float)
     if M.size and not np.isfinite(M).all():
         raise ValueError("matrix has non-finite entries")
     if min(M.shape[1:]) == 0:
-        return np.zeros(M.shape[0], dtype=int)
-    return _rank_cut(np.linalg.svd(M, compute_uv=False), tol_rel)
+        return np.zeros(M.shape[0], dtype=int), np.zeros((M.shape[0], 0))
+    s = np.linalg.svd(M, compute_uv=False)
+    return _rank_cut(s, tol_rel), s
+
+
+def stacked_rank(M, tol_rel: float = 1e-8) -> np.ndarray:
+    """Numerical ranks of a stack of matrices, shape ``(k, rows, cols)``:
+    the integer array of length ``k`` of :func:`stacked_spectra`."""
+    return stacked_spectra(M, tol_rel)[0]
 
 
 def stack_chunk(floats: int) -> int:

@@ -9,7 +9,7 @@ import os
 import subprocess
 import sys
 import time
-from itertools import combinations
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -29,7 +29,8 @@ from nlpcheck.cq import (
     recheck_rank_certificate,
 )
 from nlpcheck.expr import grad_hess
-from nlpcheck.linalg import numerical_rank, stacked_rank
+from nlpcheck import linalg
+from nlpcheck.linalg import numerical_rank, stack_chunk, stacked_rank
 from nlpcheck.model import evaluate_point, load_problem
 from nlpcheck.problems import builtin_names, builtin_problem
 
@@ -93,6 +94,12 @@ DOMAIN_GAPS = (
     "vars 2\nobjective x1\nineq x2 + log(x1 + 0.005) - log(0.005)\nineq -x2\npoint 0 0\n"
 )
 
+# each row's squared move from the center nears 1.4e308 at |x1| = 1e-2, so
+# the pair's sum of them overflows
+OVERFLOWING_MOVES = (
+    "vars 1\nobjective x1\nineq 6e155*x1^2 - x1\nineq 6e155*x1^2 + x1\npoint 0\n"
+)
+
 ORACLE_CASES = (
     [(name, builtin_problem(name)) for name in builtin_names()]
     + [(name, load_problem(text)) for name, text in BATTERY]
@@ -103,6 +110,7 @@ ORACLE_CASES = (
         ("same-size mismatches", load_problem(SAME_SIZE_MISMATCHES)),
         ("late witness", load_problem(LATE_WITNESS)),
         ("domain gaps", load_problem(DOMAIN_GAPS)),
+        ("overflowing moves", load_problem(OVERFLOWING_MOVES)),
     ]
 )
 
@@ -487,45 +495,79 @@ def _near_tolerance(tol):
     )
 
 
-class TestSettledPoints:
-    """Points whose full gradient table is well conditioned skip the pair SVDs."""
+def _tables(rng, count, k, n, s_last):
+    """``count`` random ``k x n`` tables with largest singular value 1 and
+    smallest ``s_last`` (one per table), scaled by up to 10^3 either way."""
+    r = min(k, n)
+    U = np.linalg.qr(rng.standard_normal((count, k, r)))[0]
+    V = np.linalg.qr(rng.standard_normal((count, n, r)))[0]
+    s = np.sort(rng.uniform(s_last[:, None], 1.0, (count, r)), axis=1)[:, ::-1]
+    s[:, 0], s[:, -1] = 1.0, s_last if r > 1 else 1.0
+    scale = 10.0 ** rng.uniform(-3, 3, count)
+    return scale[:, None, None] * (U * s[:, None, :]) @ V.transpose(0, 2, 1), U, s, V, scale
 
-    def test_settled_stacks_have_full_rank_subsets(self):
+
+class TestSettledPoints:
+    """Sample points whose subset table stays close enough to the center's
+    skip the pair SVDs."""
+
+    def test_settled_points_have_full_rank(self):
         rng = np.random.default_rng(0)
-        seen = {"settled": 0, "settled near 2 tol": 0, "unsettled": 0}
+        seen = {"settled": 0, "settled near both edges": 0, "unsettled": 0}
         for tol in (1e-8, 1e-4, 0.1):
+            c = 2 * tol + 1e-12
             for _ in range(12):
                 n = int(rng.integers(1, 6))
-                k = int(rng.integers(1, n + 1))
-                U = np.linalg.qr(rng.standard_normal((16, k, k)))[0]
-                V = np.linalg.qr(rng.standard_normal((16, n, k)))[0]
-                # half the stacks sit within 1e-6 (relative) of the 2 tol edge
+                k = int(rng.integers(1, 8))  # more rows than columns too
+                r = min(k, n)
+                # half the centers sit within 1e-6 (relative) of the 2 tol edge
                 ratio = np.where(
                     np.arange(16) < 8,
                     2 * tol * (1 + rng.uniform(-1e-6, 1e-6, 16)),
                     tol ** rng.uniform(0, 1.2, 16),
                 )
-                s = np.sort(rng.uniform(ratio[:, None], 1.0, (16, k)), axis=1)[:, ::-1]
-                s[:, 0], s[:, -1] = 1.0, ratio if k > 1 else 1.0
-                scale = 10.0 ** rng.uniform(-3, 3, 16)
-                stack = scale[:, None, None] * (U * s[:, None, :]) @ V.transpose(0, 2, 1)
-                settled = cq._settled(stack, tol)
-                for A, done, r in zip(stack, settled, ratio):
-                    if not done:
-                        seen["unsettled"] += 1
-                        continue
-                    seen["settled"] += 1
-                    seen["settled near 2 tol"] += k > 1 and r < 2 * tol * (1 + 1e-5)
-                    for size in range(1, k + 1):
-                        for S in combinations(range(k), size):
-                            assert numerical_rank(A[list(S)], tol).rank == size
+                center, U, s, V, scale = _tables(rng, 16, k, n, ratio)
+                # the largest distance the rule can settle, and 8 distances
+                # per table around it: half within 1e-6 of it, half anywhere
+                # up to 3 times as far
+                reach = scale * (s[:, -1] - c * s[:, 0]) / (1 + c)
+                factor = np.hstack(
+                    [1 + rng.uniform(-1e-6, 1e-6, (16, 4)), rng.uniform(0, 3, (16, 4))]
+                )
+                rho = np.abs(reach)[:, None] * factor
+                # half the moves shrink sigma_r by exactly rho (Weyl's worst
+                # case), half point in a random direction
+                worst = -U[:, None, :, -1:] * V[:, None, None, :, -1]
+                noise = rng.standard_normal((16, 8, k, n))
+                move = np.where(np.arange(8)[None, :, None, None] < 4, worst, noise)
+                move /= np.linalg.norm(move, axis=(2, 3), keepdims=True)
+                points = center[:, None] + rho[..., None, None] * move
+                ranks, settled = cq._center_bound(center, rho, tol)
+                assert ranks.tolist() == [numerical_rank(A, tol).rank for A in center]
+                for tables, done, dist, edge in zip(points, settled, rho, reach):
+                    for A, ok, d in zip(tables, done, dist):
+                        if not ok:
+                            seen["unsettled"] += 1
+                            continue
+                        seen["settled"] += 1
+                        seen["settled near both edges"] += r > 1 and abs(d - edge) < 1e-5 * edge
+                        assert numerical_rank(A, tol).rank == r
         assert min(seen.values()) > 0, seen
 
-    def test_wide_empty_or_non_finite_stacks_never_settle(self):
-        assert cq._settled(np.eye(3)[None], 1e-8).all()
-        assert not cq._settled(np.eye(3)[None, :, :2], 1e-8).any()
-        assert not cq._settled(np.zeros((4, 0, 3)), 1e-8).any()
-        assert not cq._settled(np.full((1, 2, 3), np.inf), 1e-8).any()
+    def test_zero_empty_or_non_finite_tables(self):
+        ranks, settled = cq._center_bound(np.eye(3)[None], np.zeros((1, 2)), 1e-8)
+        assert ranks.tolist() == [3] and settled.all()
+        # more rows than columns settle too, at rank n
+        ranks, settled = cq._center_bound(np.eye(3)[None, :, :2], np.zeros((1, 2)), 1e-8)
+        assert ranks.tolist() == [2] and settled.all()
+        for empty in (np.zeros((4, 0, 3)), np.zeros((4, 2, 0))):
+            ranks, settled = cq._center_bound(empty, np.zeros((4, 5)), 1e-8)
+            assert ranks.tolist() == [0] * 4 and not settled.any()
+        ranks, settled = cq._center_bound(np.zeros((2, 2, 3)), np.zeros((2, 5)), 1e-8)
+        assert ranks.tolist() == [0, 0] and not settled.any()
+        for bad in (np.inf, np.nan):
+            with pytest.raises(ValueError, match="non-finite"):
+                cq._center_bound(np.full((1, 2, 3), bad), np.zeros((1, 5)), 1e-8)
 
     @pytest.mark.parametrize("tol", [1e-8, 1e-3])
     @pytest.mark.parametrize("radius, status", [(1.5, "undetermined"), (5.0, "fails")])
@@ -547,15 +589,59 @@ class TestSettledPoints:
             assert scans[key].status == status
             assert _as_tuple(scans[key]) == expected[key], key
 
+    @pytest.mark.parametrize("seed", [0, 5])
+    @pytest.mark.parametrize(
+        "text",
+        [workloads.fan_text(5), workloads.fan_text(8), workloads.fanfree_text(9)],
+        ids=["fan-5", "fan-8", "fanfree-9"],
+    )
+    def test_more_rows_than_variables_match_oracle(self, text, seed):
+        prob = load_problem(text)
+        sampler = NeighborhoodSampler(seed=seed)
+        scans = _scans(prob, sampler)
+        expected = rank_scan_oracle(prob, prob.point, sampler)
+        for key in ("crcq", "rcrcq"):
+            assert _as_tuple(scans[key]) == expected[key], key
+
+    def test_partial_scan_settles_in_chunks(self, monkeypatch):
+        # 16 rows in R^3 at 3 x 4096 samples: the partial scan's 137 pairs
+        # would take about 30 MB of (pairs x samples) tables at once
+        prob = load_problem(workloads.fan_text(16))
+        sampler = NeighborhoodSampler(samples_per_radius=4096, seed=0)
+        pd = evaluate_point(prob, prob.point)
+        start = []
+
+        def first_chunk(floats):
+            # the pair loop begins: measure from here
+            if not start:
+                tracemalloc.reset_peak()
+                start.append(tracemalloc.get_traced_memory()[0])
+            return stack_chunk(floats)
+
+        monkeypatch.setattr(cq, "stack_chunk", first_chunk)
+        tracemalloc.start()
+        try:
+            scans = check_rank_constancy(prob, pd, sampler)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        for verdict in scans.values():
+            assert verdict.evidence["partial"] is True
+            assert verdict.evidence["subsets_scanned"] == 16 + 120 + 1
+        assert peak - start[0] < 2 * linalg._STACK_BYTES
+
     @pytest.mark.parametrize(
         "text, matrices",
         [
             (workloads.chain_text(7), 0),
-            # 130 pairs up to the first mismatch, each ranked at all 193 points,
-            # as the per-pair scan ranked them before points could settle
-            (workloads.fanfree_text(9), 130 * 193),
+            # the 129 pairs of up to 3 rows settle everywhere; the first pair
+            # of 4 rows is dependent at the center (rank 3 of 4), so none of
+            # its 192 samples settles, and it is the first mismatch
+            (workloads.fanfree_text(9), 192),
+            # 8 rows in R^3: every pair settles, the full rank-3 ones included
+            (workloads.fan_text(8), 0),
         ],
-        ids=["chain-7", "fanfree-9"],
+        ids=["chain-7", "fanfree-9", "fan-8"],
     )
     def test_pair_svds_only_at_unsettled_points(self, monkeypatch, text, matrices):
         ranked = []
