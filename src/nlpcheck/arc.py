@@ -242,7 +242,7 @@ def _chart_values(sweep, slot: np.ndarray, source: np.ndarray, X: np.ndarray):
     J = np.zeros((P, n, n))
     used = slot >= 0
     cols = np.flatnonzero(used.any(axis=0))
-    values, grads, fine = sweep.gradients(X, cols)
+    values, grads, _, fine = sweep.evaluate(X, cols)
     used = used[:, cols]
     ri, ci = np.nonzero(used)
     pos = slot[:, cols][ri, ci]
@@ -331,22 +331,21 @@ def trace_arcs(
 
     # a side is cut at the first sample where a constraint leaves its
     # domain; its march ran on past that sample, and the points beyond
-    # are dropped.  A failed batched row is settled by the one-point call,
-    # which raises the message a sequential evaluation would have raised.
+    # are dropped.  The one-point call on a failed sample's failed rows
+    # raises the message a sequential evaluation would have raised.
     side_of, sample_of = np.nonzero(np.arange(half) < cut[:, None])
     X, V = points[side_of, sample_of], values[side_of, sample_of]
     fine = np.ones(V.shape, dtype=bool)
     other = slot[side_of] < 0
     cols = np.flatnonzero(other.any(axis=0))
-    swept, _, ok = problem.sweep.gradients(X, cols)
+    swept, _, _, ok = problem.sweep.evaluate(X, cols, order=0)
     V[:, cols] = np.where(other[:, cols], swept, V[:, cols])
     fine[:, cols] = ok | ~other[:, cols]
     for r in np.flatnonzero(~fine.all(axis=1)).tolist():
         s, j = int(side_of[r]), int(sample_of[r])
         if j < cut[s]:
             try:
-                for t in np.flatnonzero(~fine[r]).tolist():
-                    V[r, t] = tapes[t].value(X[r])
+                problem.sweep.at(X[r], np.flatnonzero(~fine[r]), order=0)
             except DomainError as exc:
                 side = int(sign[s])
                 tj = side * deltas[s // 2] * (j + 1) / half

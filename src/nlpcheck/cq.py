@@ -320,7 +320,7 @@ def check_rank_constancy(
     stack = np.empty((1 + len(X), len(pd.rows), pd.n))  # (1 + samples, rows, n)
     stack[0] = pd.c_grads[pd.rows]
     keep = np.ones(len(stack), dtype=bool)
-    _, grads, fine = problem.sweep.gradients(X, pd.rows)
+    _, grads, _, fine = problem.sweep.evaluate(X, pd.rows)
     stack[1:] = grads
     keep[1:] = fine.all(axis=1)
     # a sample whose table could overflow sigma_max (or is not finite) is
@@ -453,15 +453,10 @@ def recheck_rank_certificate(problem: Problem, certificate: dict) -> tuple[int, 
     J = tuple(int(j) for j in certificate["eq_subset"])
     tol_rank = float(certificate["tol_rank"])
 
-    ineq, eq = problem.tapes[: problem.m], problem.tapes[problem.m :]
-    tapes = [ineq[i - 1] for i in I] + [eq[j - 1] for j in J]
+    rows = [i - 1 for i in I] + [problem.m + j - 1 for j in J]
 
     def rank_at(point) -> int:
-        x = np.asarray(point, dtype=float)
-        table = np.zeros((len(tapes), problem.n))
-        for k, tape in enumerate(tapes):
-            table[k] = tape.gradient(x)[1]
-        return numerical_rank(table, tol_rank).rank
+        return numerical_rank(problem.sweep.at(point, rows, order=1)[1], tol_rank).rank
 
     return rank_at(certificate["center"]), rank_at(certificate["witness"])
 

@@ -4,25 +4,19 @@ Objectives and constraints are written as small arithmetic formulas over
 variables ``x1 .. xn``, for example ``x1^2 + (x2 - 1)^2 - 1``.  This module
 parses such formulas into an immutable tree and compiles the tree, by an
 iterative walk (so trees of any depth work), into a :class:`Tape`: a flat
-post-order list of instructions.  One loop runs a tape forward at one
-point in three modes (forward-mode differentiation, Griewank & Walther,
-*Evaluating Derivatives*, 2008):
+post-order list of instructions.  :func:`compile_tapes` merges tapes into a
+:class:`TapeSet`, whose identical subtrees share one slot and whose slots
+run in groups of one op at one depth.  One loop, ``TapeSet._run``, executes
+the instructions: forward-mode differentiation (Griewank & Walther,
+*Evaluating Derivatives*, 2008, ch. 3 and 13) of every requested output at
+every point of a batch, with one numpy pass per group, at order 0 (values),
+1 (and gradients) or 2 (and Hessians).  :meth:`TapeSet.evaluate` flags the
+entries that leave a domain; :meth:`TapeSet.at`, at one point, raises
+:class:`DomainError` for the first of them.
 
-* ``value`` -- the value alone;
-* ``gradient`` -- value and gradient, with no Hessian work;
-* ``jet`` -- value, gradient and Hessian (candidate-point evaluation).
-
-Many points go through the multi-output sweep instead: :func:`compile_tapes`
-merges several tapes into a :class:`TapeSet`, whose identical subtrees share
-one slot and whose slots are grouped by depth and op, and
-:meth:`TapeSet.gradients` gives every value and gradient at every row of a
-(P, n) point matrix (Newton rounds, rank scans, arc samples) with one numpy
-pass per group, plus a per-entry ``ok`` flag that is False exactly where the
-one-point call raises :class:`DomainError`.
-
-Every mode performs the same floating-point operations as the others, in
-the same order, so a value is the same in every mode, and a swept entry
-equals the one-point call to the last bit:
+Each entry performs the floating-point operations of a one-point,
+one-instruction-at-a-time forward sweep, in its order, so a value is the
+same at every order and every entry keeps its bits in any batch:
 
 * product: ``grad = u*w' + w*u'``, ``hess = (u*w'' + w*u'') + (C + C^T)``
   with ``C = outer(u', w')``;
@@ -31,18 +25,18 @@ equals the one-point call to the last bit:
 * ``u^k``: k products starting from the constant 1 with a zero gradient
   (the zero terms fix the signs of zero gradient entries, so they stay);
 * ``f(u)`` for sin, cos, exp, log, sqrt: ``f(u), f'(u) u',
-  f'(u) u'' + f''(u) outer(u', u')``, with f, f', f'' from ``math`` (libm)
-  also in the sweep, which calls it once per group through ``map``, since
-  numpy's ufuncs may differ from libm in the last bit.
+  f'(u) u'' + f''(u) outer(u', u')``, with f, f', f'' from ``math`` (libm),
+  called once per group through ``map``, since numpy's ufuncs may differ
+  from libm in the last bit.
 
+Outer products are built by broadcasting, one product per entry, and
 Hessians are exactly symmetric because every update is built from
 explicitly symmetric pieces.  Leaving a function's domain -- log of a
 non-positive value, sqrt of a negative value (or at 0 when derivatives
 are asked for), division by zero, ``exp`` overflow, sin or cos of an
-infinite value, a log or sqrt second derivative that overflows -- raises
-:class:`DomainError`.  A central
-finite-difference routine is provided as an independent cross-check for
-the propagated derivatives.
+infinite value, a log or sqrt second derivative that overflows -- is a
+:class:`DomainError`.  A central finite-difference routine, which sweeps
+values only, cross-checks the propagated derivatives.
 
 Grammar (whitespace-insensitive)::
 
@@ -62,7 +56,7 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import groupby
 from typing import Union
 
@@ -115,6 +109,7 @@ class DomainError(ExprError):
         super().__init__(message)
         self.message = message
         self.node = node
+        self.row = None  # the failing output, when raised by TapeSet.at
 
 
 @dataclass(frozen=True)
@@ -378,9 +373,6 @@ class Taylor2Scalar:
 _UNARY_CODE = {"neg": _NEG, "sin": _SIN, "cos": _COS, "exp": _EXP, "log": _LOG, "sqrt": _SQRT}
 _BINARY_CODE = {"add": _ADD, "sub": _SUB, "mul": _MUL, "div": _DIV}
 
-# modes of the sweep: how many derivative orders it carries
-_VALUE, _GRADIENT, _JET = 0, 1, 2
-
 
 def _elementary(op: int, v: float, order: int, node) -> tuple[float, float, float]:
     """f(v), f'(v), f''(v) of a unary function; derivatives only up to ``order``.
@@ -411,7 +403,7 @@ def _elementary(op: int, v: float, order: int, node) -> tuple[float, float, floa
         f0 = math.log(v)
         if order:
             f1 = 1.0 / v
-            if order == _JET:
+            if order == 2:
                 if v * v == 0.0:
                     raise DomainError(f"log second derivative overflows at {v!r}", node)
                 f2 = -1.0 / (v * v)
@@ -424,159 +416,23 @@ def _elementary(op: int, v: float, order: int, node) -> tuple[float, float, floa
     s = math.sqrt(v)
     if order:
         f1 = 0.5 / s
-        if order == _JET:
+        if order == 2:
             if s * v == 0.0:
                 raise DomainError(f"sqrt second derivative overflows at {v!r}", node)
             f2 = -0.25 / (s * v)
     return s, f1, f2
 
 
-def _sweep(code: tuple, x: np.ndarray, order: int):
-    """Run a tape forward once at the point ``x``; return the root's
-    (value, gradient, Hessian), entries past ``order`` None.
-
-    A domain failure raises :class:`DomainError` naming the node.
-    """
-    n = x.shape[-1]
-    xs = x.tolist()
-    if order:
-        zero_g = np.zeros(n)
-        unit = np.eye(n)
-    if order == _JET:
-        zero_h = np.zeros((n, n))
-    val: list = []
-    grad: list = []
-    hess: list = []
-    g = h = None
-    for op, a, b, c in code:
-        if op == _VAR:
-            v = xs[a]
-            if order:
-                g = unit[a]
-                if order == _JET:
-                    h = zero_h
-        elif op == _CONST:
-            v = c
-            if order:
-                g = zero_g
-                if order == _JET:
-                    h = zero_h
-        elif op == _MUL:
-            u, w = val[a], val[b]
-            v = u * w
-            if order:
-                ug, wg = grad[a], grad[b]
-                g = u * wg + w * ug
-                if order == _JET:
-                    cross = np.outer(ug, wg)
-                    h = (u * hess[b] + w * hess[a]) + (cross + cross.T)
-        elif op == _ADD:
-            v = val[a] + val[b]
-            if order:
-                g = grad[a] + grad[b]
-                if order == _JET:
-                    h = hess[a] + hess[b]
-        elif op == _SUB:
-            v = val[a] - val[b]
-            if order:
-                g = grad[a] - grad[b]
-                if order == _JET:
-                    h = hess[a] - hess[b]
-        elif op == _POW:
-            # b repeated multiplications of the constant 1 by the base; the
-            # zero-gradient terms of the first product set signs of zeros
-            u = val[a]
-            v = 1.0
-            if order:
-                ug = grad[a]
-                g = zero_g
-                if order == _JET:
-                    uh = hess[a]
-                    h = zero_h
-            for _ in range(b):
-                if order == _JET:
-                    cross = np.outer(g, ug)
-                    h = (v * uh + u * h) + (cross + cross.T)
-                if order:
-                    g = v * ug + u * g
-                v = v * u
-        elif op == _DIV:
-            u, w = val[a], val[b]
-            if w == 0.0:
-                raise DomainError("division by zero", c)
-            v = u / w
-            if order:
-                wg = grad[b]
-                g = (grad[a] - v * wg) / w
-                if order == _JET:
-                    cross = np.outer(g, wg)
-                    h = ((hess[a] - v * hess[b]) - (cross + cross.T)) / w
-        elif op == _NEG:
-            v = -val[a]
-            if order:
-                g = -grad[a]
-                if order == _JET:
-                    h = -hess[a]
-        else:
-            v, f1, f2 = _elementary(op, val[a], order, c)
-            if order:
-                ug = grad[a]
-                g = f1 * ug
-                if order == _JET:
-                    h = f1 * hess[a] + f2 * np.outer(ug, ug)
-        val.append(v)
-        grad.append(g)
-        hess.append(h)
-    return val[-1], grad[-1], hess[-1]
-
-
 @dataclass(frozen=True, eq=False)
 class Tape:
     """An expression compiled to a flat post-order instruction list.
 
-    One loop (``_sweep``) runs it at one point in three modes:
-    :meth:`value`, :meth:`gradient` and :meth:`jet` (value, gradient and
-    Hessian).  :meth:`gradients` is the one-output :class:`TapeSet` sweep
-    over the rows of a point matrix.
+    Instruction k is ``(op, a, b, c)`` (see the opcodes above) and its
+    result is value k.  A tape is run as an output of a :class:`TapeSet`.
     """
 
     code: tuple[tuple[int, int, int, object], ...]
     max_index: int  # largest 1-based variable index used, 0 for none
-
-    def _check(self, n: int) -> None:
-        if n < self.max_index:
-            first = next(c.index for op, _, _, c in self.code if op == _VAR and c.index > n)
-            raise ExprError(f"point has {n} coordinates but expression uses x{first}")
-
-    def _at(self, x, order: int):
-        x = np.asarray(x, dtype=float)
-        self._check(x.size)
-        # an overflow reaches the caller as inf, which its bounds then reject
-        with np.errstate(all="ignore"):
-            return _sweep(self.code, x, order)
-
-    def value(self, x) -> float:
-        """Value at the point ``x``; agrees bit for bit with the other modes."""
-        return self._at(x, _VALUE)[0]
-
-    def gradient(self, x) -> tuple[float, np.ndarray]:
-        """Value and gradient at ``x``, with no Hessian work."""
-        v, g, _ = self._at(x, _GRADIENT)
-        return v, g
-
-    def jet(self, x) -> Taylor2Scalar:
-        """Value, gradient and exactly symmetric Hessian at ``x``."""
-        return Taylor2Scalar(*self._at(x, _JET))
-
-    def gradients(self, X) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Values (P,), gradients (P, n) and ``ok`` (P,) at the rows of ``X``.
-
-        Row r equals :meth:`gradient` at ``X[r]`` bit for bit; ``ok[r]`` is
-        False exactly where that call would raise :class:`DomainError`, and
-        the row's value and gradient are then meaningless.
-        """
-        values, grads, ok = _schedule((self,)).gradients(X)
-        return values[:, 0], grads[:, 0], ok[:, 0]
 
 
 def compile_tape(e: Expression) -> Tape:
@@ -628,56 +484,74 @@ def compile_tape(e: Expression) -> Tape:
 _LIBM = {_SIN: math.sin, _COS: math.cos, _EXP: math.exp, _LOG: math.log, _SQRT: math.sqrt}
 
 
-def _elementary_group(op: int, v: np.ndarray):
-    """f(v), f'(v) and a failure mask (None when nothing fails) at every
-    entry of ``v``: the values of ``_elementary`` at order 1.
+def _elementary_group(op: int, v: np.ndarray, order: int):
+    """f(v), f'(v), f''(v) and a failure mask (None when nothing fails) at
+    every entry of ``v``: the values of ``_elementary`` at ``order`` (the
+    derivatives past ``order`` are not used).
 
     libm is called once per function for the whole array, through ``map``.
-    Where that raises (an entry outside the domain), or for sqrt at zero,
-    where libm does not raise but the derivative is undefined, the entries
-    are settled one at a time by ``_elementary``; failed entries carry NaN.
+    Where that raises (an entry outside the domain), or where a derivative
+    up to ``order`` has a zero denominator, which libm does not report
+    (sqrt at zero, a log or sqrt second derivative that overflows), the
+    entries are settled one at a time by ``_elementary``; failed entries
+    carry NaN.
     """
     flat = v.ravel().tolist()
-    if op != _SQRT or v.all():
-        try:
-            f0 = np.fromiter(map(_LIBM[op], flat), float, len(flat)).reshape(v.shape)
-            if op == _SIN:
-                f1 = np.fromiter(map(math.cos, flat), float, len(flat)).reshape(v.shape)
-            elif op == _COS:
-                f1 = -np.fromiter(map(math.sin, flat), float, len(flat)).reshape(v.shape)
-            elif op == _EXP:
-                f1 = f0
-            elif op == _LOG:
-                f1 = 1.0 / v
-            else:
-                f1 = 0.5 / f0
-            return f0, f1, None
-        except (ValueError, OverflowError):
-            pass
-    f = np.empty((len(flat), 2))
+
+    def libm(f):
+        return np.fromiter(map(f, flat), float, len(flat)).reshape(v.shape)
+
+    try:
+        f0 = libm(_LIBM[op])
+        if op == _EXP:
+            return f0, f0, f0, None
+        if op == _SIN or op == _COS:
+            f1 = (libm(math.cos) if op == _SIN else -libm(math.sin)) if order else None
+            return f0, f1, -f0, None
+        num1, den1, num2, den2 = (1.0, v, -1.0, v * v) if op == _LOG else (0.5, f0, -0.25, f0 * v)
+        if (order and not den1.all()) or (order == 2 and not den2.all()):
+            raise ValueError("a derivative has a zero denominator")
+        return f0, num1 / den1, num2 / den2, None
+    except (ValueError, OverflowError):
+        pass
+    f = np.empty((len(flat), 3))
     fail = np.zeros(len(flat), dtype=bool)
     for i, vi in enumerate(flat):
         try:
-            f[i] = _elementary(op, vi, _GRADIENT, None)[:2]
+            f[i] = _elementary(op, vi, order, None)
         except DomainError:
             fail[i] = True
             f[i] = math.nan
-    return f[:, 0].reshape(v.shape), f[:, 1].reshape(v.shape), fail.reshape(v.shape)
+    return (*(f[:, k].reshape(v.shape) for k in range(3)), fail.reshape(v.shape))
+
+
+def _symmetric(p: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """``C + C^T`` with ``C = outer(p, q)`` for every leading index, built
+    by broadcasting so that each entry is the one product ``p_i * q_j``."""
+    C = p[..., :, None] * q[..., None, :]
+    return C + C.swapaxes(-1, -2)
+
+
+# request layouts a TapeSet keeps (one per rows, order and dimension); past
+# this many it starts afresh, so ever-new row sets stay bounded
+_LAYOUT_CACHE = 256
 
 
 @dataclass(frozen=True, eq=False)
 class TapeSet:
     """Several tapes compiled into one multi-output sweep (:func:`compile_tapes`).
 
-    Every instruction of every tape maps to a slot.  Identical subtrees
-    (same op, same operand slots, same constant bits) share one slot, and
-    ``u^k`` becomes the k products from the constant 1 that the one-point
-    sweep performs.  Slots are numbered by (depth, op): the constants, the
-    variables, then one contiguous slice per group of one op at one depth,
-    whose operands all lie in earlier groups.  :meth:`gradients` evaluates
-    a group with a few whole-array numpy operations, each entry going
-    through the floating-point operations of :meth:`Tape.gradient`, so
-    every output keeps its bits.
+    Every instruction of every tape maps to a slot (``slots``).  Identical
+    subtrees (same op, same operand slots, same constant bits) share one
+    slot, and ``u^k`` becomes k products from the constant 1.  Slots are
+    numbered by (depth, op): the constants, the variables, then one
+    contiguous slice per group of one op at one depth, whose operands all
+    lie in earlier groups.  ``_run``, the one loop that executes tape
+    instructions, evaluates a group with a few whole-array numpy
+    operations at every point of a batch, in one of three orders: values
+    (0), gradients (1) or Hessians (2).  :meth:`evaluate` sweeps a batch
+    of points and flags the entries that leave a domain; :meth:`at` sweeps
+    one point and raises the first failure as a :class:`DomainError`.
     """
 
     tapes: tuple[Tape, ...]  # one per output, in order
@@ -687,121 +561,233 @@ class TapeSet:
     groups: tuple  # (op, slice, a, b): the slots of the slice apply op to slots a (and b)
     outputs: np.ndarray  # (R,) the slot of each tape's root
     reads: np.ndarray  # (R, size) bool: the slots each tape's instructions map to
+    slots: tuple  # per tape, the slot of each instruction's result
+    max_index: np.ndarray  # (R,) largest 1-based variable index of each tape
+    _layouts: dict = field(default_factory=dict, init=False, repr=False)
 
-    def gradients(self, X, rows=None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Values (P, R), gradients (P, R, n) and ``ok`` (P, R) of the tapes
-        ``rows`` (all of them by default) at the rows of ``X``.
+    def evaluate(self, X, rows=None, order: int = 1):
+        """Values (P, R), gradients (P, R, n), Hessians (P, R, n, n) and
+        ``ok`` (P, R) of the tapes ``rows`` (all of them by default) at the
+        rows of ``X``; gradients and Hessians are None past ``order``.
 
-        Entry [i, j] equals ``tapes[rows[j]].gradient(X[i])`` bit for bit;
-        ``ok[i, j]`` is False exactly where that call would raise
-        :class:`DomainError`, and the entry is then meaningless.  A failing
-        slot clears ``ok`` only for the outputs that read it, and slots that
-        no requested tape reads are skipped.  The (slots, points, n)
-        gradient table is built for a chunk of points at a time, sized by
+        Every entry goes through the floating-point operations of a
+        one-point forward sweep of its tape, in the same order (see the
+        module docstring), so it keeps that sweep's bits.  ``ok[i, j]`` is
+        False exactly where that sweep, at this order, leaves the domain of
+        a function; the entry is then meaningless, and :meth:`at` names the
+        failure.  A failing slot clears ``ok`` only for the outputs that
+        read it, and slots that no requested tape reads are skipped.  The
+        slot tables are built for a chunk of points at a time, and for a
+        chunk of rows when one point's tables would not fit, sized by
         :func:`~nlpcheck.linalg.stack_chunk`.
         """
-        from nlpcheck.linalg import stack_chunk  # linalg imports this module
-
         X = np.asarray(X, dtype=float)
         P, n = X.shape
         rows = np.arange(len(self.tapes)) if rows is None else np.asarray(rows, dtype=int)
-        for r in rows.tolist():
-            self.tapes[r]._check(n)
         values = np.empty((P, len(rows)))
-        grads = np.empty((P, len(rows), n))
+        grads = np.empty((P, len(rows), n)) if order else None
+        hesses = np.empty((P, len(rows), n, n)) if order == 2 else None
         ok = np.ones((P, len(rows)), dtype=bool)
-        if not (P and len(rows)):
-            return values, grads, ok
-        reads = self.reads[rows]
-        plan = self._plan(reads.any(axis=0))
-        roots = self.outputs[rows]
-        # a chunk's slot table and a group's temporaries (gathered operand
-        # rows, at most three tables' worth) stay within the stacking budget
-        step = stack_chunk(4 * self.size * (n + 1))
-        with np.errstate(all="ignore"):  # failed entries carry NaN and inf
+        for cols, plan, step, roots, reads in self._layout(rows, order, n):
             for lo in range(0, P, step):
                 at = slice(lo, lo + step)
-                values[at], grads[at], bad = self._run(plan, X[at], roots)
+                V, G, H, bad = self._run(plan, X[at], order)
+                values[at, cols] = V[roots].T
+                if order:
+                    grads[at, cols] = G[roots].swapaxes(0, 1)
+                if order == 2:
+                    hesses[at, cols] = H[roots].swapaxes(0, 1)
                 if bad is not None:
-                    ok[at] = ~(bad.T @ reads.T)
-        return values, grads, ok
+                    ok[at, cols] = ~(bad.T @ reads.T)
+        return values, grads, hesses, ok
 
-    def _plan(self, need: np.ndarray) -> list:
-        """The steps that compute the slots in ``need``: first (variable
-        slots, their variables), then each group as (op, destination, a,
-        b), where a whole group runs as its slice."""
+    def at(self, x, rows=None, order: int = 1):
+        """Values (R,), gradients (R, n) and Hessians (R, n, n) of the tapes
+        ``rows`` (all of them by default) at the one point ``x``; gradients
+        and Hessians are None past ``order``.
+
+        The first requested row that fails raises the :class:`DomainError`
+        of its tape's first failing instruction in post-order, with ``row``
+        set to that tape's output.
+        """
+        X = np.asarray(x, dtype=float).reshape(1, -1)
+        rows = np.arange(len(self.tapes)) if rows is None else np.asarray(rows, dtype=int)
+        *tables, ok = self.evaluate(X, rows, order)
+        if not ok.all():
+            raise self._failure(X, int(rows[np.argmin(ok[0])]), order)
+        return tuple(None if table is None else table[0] for table in tables)
+
+    def _failure(self, X: np.ndarray, row: int, order: int) -> DomainError:
+        """The error of tape ``row``'s first instruction, in post-order,
+        that fails at the one point ``X`` (shape (1, n)) at ``order``."""
+        plan = self._plan(self.reads[row])
+        V, _, _, bad = self._run(plan, X, order)
+        slots = plan[4][self.slots[row]]
+        k = next(k for k, s in enumerate(slots.tolist()) if bad[s, 0])
+        op, a, _, node = self.tapes[row].code[k]
+        if op == _DIV:
+            exc = DomainError("division by zero", node)
+        else:
+            try:
+                _elementary(op, float(V[slots[a], 0]), order, node)
+            except DomainError as raised:
+                exc = raised
+        exc.row = row
+        return exc
+
+    def _layout(self, rows: np.ndarray, order: int, n: int) -> list:
+        """The chunks of rows a call sweeps: (columns of the result, plan,
+        points per pass, root slots in the plan, the rows' reads of the
+        planned slots).  Each chunk's tables, with a group's temporaries,
+        fit within the stacking budget at one point (a lone row may not);
+        the chunks of a (rows, order, n) request are kept for its next
+        call."""
+        from nlpcheck.linalg import stack_chunk  # linalg imports this module
+
+        key = (rows.tobytes(), order, n)
+        layout = self._layouts.get(key)
+        if layout is not None:
+            return layout
+        if len(rows) and n < self.max_index[rows].max():
+            code = self.tapes[rows[np.argmax(self.max_index[rows] > n)]].code
+            first = next(c.index for op, _, _, c in code if op == _VAR and c.index > n)
+            raise ExprError(f"point has {n} coordinates but expression uses x{first}")
+        # one slot's floats at one point, times the table and a group's
+        # temporaries: at most three tables' worth of gathered operands and
+        # products, four with the outer products of the Hessians
+        floats = (4 if order < 2 else 5) * sum(n**k for k in range(order + 1))
+        reads = self.reads[rows]
+        width = stack_chunk(floats * int(reads.sum(axis=1).max(initial=0)))
+        layout = []
+        for lo in range(0, len(rows), width):
+            cols = slice(lo, lo + width)
+            need = reads[cols].any(axis=0)
+            plan = self._plan(need)
+            roots = plan[4][self.outputs[rows[cols]]]
+            layout.append((cols, plan, stack_chunk(floats * plan[0]), roots, reads[cols][:, need]))
+        if len(self._layouts) >= _LAYOUT_CACHE:
+            self._layouts.clear()
+        self._layouts[key] = layout
+        return layout
+
+    def _plan(self, need: np.ndarray) -> tuple:
+        """The slots in ``need``, renumbered in order from 0, and the steps
+        that compute them: (number of slots, constant values, variables,
+        steps, the new number of every slot).  A step (op, destination, a,
+        b) applies op to the slots a (and b) and fills a slice."""
+        position = np.cumsum(need) - 1
         c, v = len(self.consts), len(self.consts) + len(self.variables)
-        if need.all():
-            return [(slice(c, v), self.variables), *self.groups]
-        took = need[c:v]
-        plan = [(c + np.flatnonzero(took), self.variables[took])]
-        if not self.groups:
-            return plan
+        size = int(need[:v].sum())
+        steps = []
         starts = [dst.start for _, dst, _, _ in self.groups]
-        count = np.add.reduceat(need.astype(np.intp), starts)
-        for (op, dst, a, b), k in zip(self.groups, count.tolist()):
-            if k == dst.stop - dst.start:
-                plan.append((op, dst, a, b))
-            elif k:
+        counts = np.add.reduceat(need.astype(np.intp), starts).tolist() if starts else []
+        for (op, dst, a, b), k in zip(self.groups, counts):
+            if not k:
+                continue
+            if k < dst.stop - dst.start:
                 at = np.flatnonzero(need[dst])
-                plan.append((op, dst.start + at, a[at], b[at]))
-        return plan
+                a, b = a[at], b[at]
+            steps.append((op, slice(size, size + k), position[a], position[b]))
+            size += k
+        return size, self.consts[need[:c]], self.variables[need[c:v]], steps, position
 
-    def _run(self, plan: list, X: np.ndarray, roots: np.ndarray):
-        """Values (P, R) and gradients (P, R, n) of the slots ``roots`` at
-        the points ``X``, and the failed slots (size, P), or None."""
+    def _run(self, plan: tuple, X: np.ndarray, order: int):
+        """The slot tables of ``plan`` at the points ``X``: values (slots,
+        P), gradients (slots, P, n) and Hessians (slots, P, n, n), None past
+        ``order``, and the failed slots (slots, P), or None.
+
+        This is the one loop that executes tape instructions.
+        """
+        size, consts, variables, steps, _ = plan
         P, n = X.shape
-        V = np.empty((self.size, P))
-        G = np.empty((self.size, P, n))
-        c = len(self.consts)
-        V[:c] = self.consts[:, None]
-        G[:c] = 0.0
-        slots, variables = plan[0]
-        V[slots] = X.T[variables]
-        G[slots] = np.eye(n)[variables][:, None, :]
-        bad = None
-        for op, dst, a, b in plan[1:]:
-            # ug is a copy (a is an index array), so the gradient updates
-            # work in place on it: the same products and sums, fewer
-            # temporaries
-            u, ug = V[a], G[a]
-            fail = None
-            if op == _MUL:
-                w = V[b]
-                V[dst] = u * w
-                g = G[b]
-                g *= u[..., None]
-                ug *= w[..., None]
-                g += ug
-                ug = g
-            elif op == _ADD:
-                V[dst] = u + V[b]
-                ug += G[b]
-            elif op == _SUB:
-                V[dst] = u - V[b]
-                ug -= G[b]
-            elif op == _NEG:
-                V[dst] = -u
-                np.negative(ug, out=ug)
-            elif op == _DIV:
-                w = V[b]
-                fail = w == 0.0
-                w = np.where(fail, math.nan, w)
-                q = u / w
-                V[dst] = q
-                g = G[b]
-                g *= q[..., None]
-                ug -= g
-                ug /= w[..., None]
-            else:
-                V[dst], f1, fail = _elementary_group(op, u)
-                ug *= f1[..., None]
-            G[dst] = ug
-            if fail is not None and fail.any():
-                if bad is None:
-                    bad = np.zeros((self.size, P), dtype=bool)
-                bad[dst] = fail
-        return V[roots].T, G[roots].transpose(1, 0, 2), bad
+        c, v = len(consts), len(consts) + len(variables)
+        V = np.empty((size, P))
+        V[:c] = consts[:, None]
+        V[c:v] = X.T[variables]
+        G = H = bad = ug = uh = None
+        if order:
+            G = np.empty((size, P, n))
+            G[:c] = 0.0
+            G[c:v] = np.eye(n)[variables][:, None, :]
+        if order == 2:
+            H = np.empty((size, P, n, n))
+            H[:v] = 0.0
+        with np.errstate(all="ignore"):  # failed entries carry NaN and inf
+            for op, dst, a, b in steps:
+                # ug and uh are copies (a is an index array), so the updates
+                # work in place on them: the same products and sums, fewer
+                # temporaries.  Each Hessian update reads the operands'
+                # gradients, so it comes first.
+                u = V[a]
+                if order:
+                    ug = G[a]
+                if order == 2:
+                    uh = H[a]
+                fail = None
+                if op == _MUL:
+                    w = V[b]
+                    V[dst] = u * w
+                    if order:
+                        wg = G[b]
+                    if order == 2:
+                        wh = H[b]
+                        wh *= u[..., None, None]
+                        uh *= w[..., None, None]
+                        wh += uh
+                        wh += _symmetric(ug, wg)
+                        uh = wh
+                    if order:
+                        wg *= u[..., None]
+                        ug *= w[..., None]
+                        wg += ug
+                        ug = wg
+                elif op == _ADD or op == _SUB:
+                    f = np.add if op == _ADD else np.subtract
+                    V[dst] = f(u, V[b])
+                    if order:
+                        f(ug, G[b], out=ug)
+                    if order == 2:
+                        f(uh, H[b], out=uh)
+                elif op == _NEG:
+                    V[dst] = -u
+                    if order:
+                        np.negative(ug, out=ug)
+                    if order == 2:
+                        np.negative(uh, out=uh)
+                elif op == _DIV:
+                    w = V[b]
+                    fail = w == 0.0
+                    w = np.where(fail, math.nan, w)
+                    q = u / w
+                    V[dst] = q
+                    if order:
+                        wg = G[b]
+                        ug -= wg * q[..., None]
+                        ug /= w[..., None]
+                    if order == 2:
+                        wh = H[b]
+                        wh *= q[..., None, None]
+                        uh -= wh
+                        uh -= _symmetric(ug, wg)
+                        uh /= w[..., None, None]
+                else:
+                    V[dst], f1, f2, fail = _elementary_group(op, u, order)
+                    if order == 2:
+                        uh *= f1[..., None, None]
+                        C = ug[..., :, None] * ug[..., None, :]
+                        C *= f2[..., None, None]
+                        uh += C
+                    if order:
+                        ug *= f1[..., None]
+                if order:
+                    G[dst] = ug
+                if order == 2:
+                    H[dst] = uh
+                if fail is not None and fail.any():
+                    if bad is None:
+                        bad = np.zeros((size, P), dtype=bool)
+                    bad[dst] = fail
+        return V, G, H, bad
 
 
 def _schedule(tapes: tuple[Tape, ...]) -> TapeSet:
@@ -824,7 +810,7 @@ def _schedule(tapes: tuple[Tape, ...]) -> TapeSet:
                 depth.append(1 + depth[a])
         return s
 
-    outputs, touched = [], []
+    locals_, touched = [], []
     for tape in tapes:
         local: list[int] = []  # slot of each instruction's result
         seen: set[int] = set()
@@ -844,7 +830,7 @@ def _schedule(tapes: tuple[Tape, ...]) -> TapeSet:
                 s = slot(op, local[a])
             seen.add(s)
             local.append(s)
-        outputs.append(local[-1])
+        locals_.append(local)
         touched.append(sorted(seen))
 
     def level(s: int) -> tuple[int, int]:
@@ -873,8 +859,10 @@ def _schedule(tapes: tuple[Tape, ...]) -> TapeSet:
         consts=np.array(consts, dtype=float),
         variables=np.array(variables, dtype=int),
         groups=tuple(groups),
-        outputs=new[outputs] if outputs else np.zeros(0, dtype=int),
+        outputs=np.array([new[local[-1]] for local in locals_], dtype=int),
         reads=reads,
+        slots=tuple(new[local] for local in locals_),
+        max_index=np.array([tape.max_index for tape in tapes], dtype=int),
     )
 
 
@@ -886,7 +874,7 @@ def compile_tapes(exprs) -> TapeSet:
 
 def evaluate(e: Expression, x: np.ndarray) -> float:
     """Evaluate ``e`` at the point ``x`` (0-based array, x[i-1] backs xi)."""
-    return compile_tape(e).value(x)
+    return float(compile_tapes([e]).at(x, order=0)[0][0])
 
 
 def grad_hess(e: Expression, x: np.ndarray) -> Taylor2Scalar:
@@ -895,52 +883,46 @@ def grad_hess(e: Expression, x: np.ndarray) -> Taylor2Scalar:
     The returned value agrees bit for bit with :func:`evaluate` and the
     Hessian is exactly symmetric.
     """
-    return compile_tape(e).jet(x)
+    (value,), (grad,), (hess,) = compile_tapes([e]).at(x, order=2)
+    return Taylor2Scalar(float(value), grad, hess)
 
 
 def fd_grad_hess(e: Expression, x: np.ndarray, step: float = 1e-4) -> Taylor2Scalar:
     """Central finite-difference gradient and Hessian, O(step^2) accurate.
 
-    Entirely independent of :func:`grad_hess`; used to cross-check it.  If a
-    stencil point leaves the domain of the expression the underlying
-    :class:`DomainError` propagates.
+    Independent of the propagated derivatives (it sweeps values only); used
+    to cross-check :func:`grad_hess`.  If a stencil point leaves the domain
+    of the expression, the :class:`DomainError` of the first such point
+    (the point, then the single steps, then the pairs) propagates.
     """
     if step <= 0.0:
         raise ValueError("step must be positive")
     x = np.asarray(x, dtype=float)
     n = x.size
-    value_at = compile_tape(e).value
-    f0 = value_at(x)
-    grad = np.zeros(n)
-    hess = np.zeros((n, n))
-    plus = np.zeros(n)
-    minus = np.zeros(n)
-    for i in range(n):
-        xp = x.copy()
-        xp[i] += step
-        xm = x.copy()
-        xm[i] -= step
-        plus[i] = value_at(xp)
-        minus[i] = value_at(xm)
-        grad[i] = (plus[i] - minus[i]) / (2.0 * step)
-        hess[i, i] = (plus[i] - 2.0 * f0 + minus[i]) / (step * step)
-    for i in range(n):
-        for j in range(i + 1, n):
-            xpp = x.copy()
-            xpp[i] += step
-            xpp[j] += step
-            xpm = x.copy()
-            xpm[i] += step
-            xpm[j] -= step
-            xmp = x.copy()
-            xmp[i] -= step
-            xmp[j] += step
-            xmm = x.copy()
-            xmm[i] -= step
-            xmm[j] -= step
-            val = (
-                value_at(xpp) - value_at(xpm) - value_at(xmp) + value_at(xmm)
-            ) / (4.0 * step * step)
-            hess[i, j] = val
-            hess[j, i] = val
+    # the stencil: x, x +- step e_i, then x +- step e_i +- step e_j (i < j)
+    moves = [()] + [((i, s),) for i in range(n) for s in (step, -step)]
+    moves += [
+        ((i, si), (j, sj))
+        for i in range(n)
+        for j in range(i + 1, n)
+        for si, sj in ((step, step), (step, -step), (-step, step), (-step, -step))
+    ]
+    X = np.repeat(x[None], len(moves), axis=0)
+    for r, move in enumerate(moves):
+        for i, s in move:
+            X[r, i] += s
+    sweep = compile_tapes([e])
+    values, _, _, ok = sweep.evaluate(X, order=0)
+    if not ok.all():
+        sweep.at(X[np.argmin(ok[:, 0])], order=0)  # raises that point's error
+    v = values[:, 0]
+    f0 = float(v[0])
+    plus, minus = v[1 : 2 * n + 1 : 2], v[2 : 2 * n + 1 : 2]
+    grad = (plus - minus) / (2.0 * step)
+    hess = np.diag((plus - 2.0 * f0 + minus) / (step * step))
+    corner = v[2 * n + 1 :].reshape(-1, 4)
+    mixed = (corner[:, 0] - corner[:, 1] - corner[:, 2] + corner[:, 3]) / (4.0 * step * step)
+    upper = np.triu_indices(n, 1)
+    hess[upper] = mixed
+    hess[upper[::-1]] = mixed
     return Taylor2Scalar(f0, grad, hess)

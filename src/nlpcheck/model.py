@@ -22,24 +22,18 @@ validated while parsing.  Constraint indices reported by this package are
 Internally every constraint is one 0-based row of a single table: row k is
 inequality k + 1 for k < m and equality k - m + 1 after that.  ``Problem.tapes``
 and the ``c_*`` arrays of :class:`PointData` share this layout, and
-:func:`row_label` names a row.
+:func:`row_label` names a row.  ``Problem.sweep`` has one more output, after
+the constraint rows: the objective.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from nlpcheck.expr import (
-    DomainError,
-    Expression,
-    Tape,
-    TapeSet,
-    compile_tape,
-    compile_tapes,
-    parse,
-)
+from nlpcheck.expr import DomainError, Expression, Tape, TapeSet, compile_tapes, parse
 
 __all__ = [
     "ProblemError",
@@ -69,11 +63,11 @@ class ProblemError(Exception):
 class Problem:
     """Immutable smooth nonlinear program.
 
-    Every function is compiled to a :class:`~nlpcheck.expr.Tape` once, at
-    construction; the analyses evaluate the tapes, not the trees.  ``tapes``
-    holds one tape per constraint row: the m inequalities, then the p
-    equalities, each in file order, and ``sweep`` evaluates any of those
-    rows at many points in one multi-output pass.
+    Every function is compiled once, at construction, into ``sweep``, a
+    multi-output :class:`~nlpcheck.expr.TapeSet`; the analyses evaluate its
+    tapes, not the trees.  Its outputs are the constraint rows (the m
+    inequalities, then the p equalities, each in file order), whose tapes
+    ``tapes`` holds, and last the objective.
     """
 
     n: int
@@ -82,14 +76,12 @@ class Problem:
     eq: tuple[Expression, ...]
     point: np.ndarray | None
     source: str = ""
-    objective_tape: Tape = field(init=False, repr=False)
     sweep: TapeSet = field(init=False, repr=False)
     tapes: tuple[Tape, ...] = field(init=False, repr=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "objective_tape", compile_tape(self.objective))
-        object.__setattr__(self, "sweep", compile_tapes(self.ineq + self.eq))
-        object.__setattr__(self, "tapes", self.sweep.tapes)
+        object.__setattr__(self, "sweep", compile_tapes(self.ineq + self.eq + (self.objective,)))
+        object.__setattr__(self, "tapes", self.sweep.tapes[:-1])
 
     @property
     def m(self) -> int:
@@ -211,44 +203,54 @@ def row_label(m: int, k: int) -> tuple[str, int]:
     return ("ineq", k + 1) if k < m else ("eq", k - m + 1)
 
 
-def _labelled(exc: DomainError, m: int, k: int) -> DomainError:
-    return DomainError("%s %d: %s" % (*row_label(m, k), exc.message), exc.node)
+def _label(problem: Problem, k: int) -> str:
+    """The name of output ``k`` of ``problem.sweep``."""
+    return "objective" if k == len(problem.tapes) else "%s %d" % row_label(problem.m, k)
+
+
+def _sweep_point(problem: Problem, x: np.ndarray, rows: list[int], order: int) -> tuple:
+    """``problem.sweep.at(x, rows, order)``, with every failure named.
+
+    The first row whose function leaves its domain raises; then the first
+    row whose value is NaN (or, for the objective, a gradient entry), which
+    no bound downstream would catch.
+    """
+    try:
+        swept = problem.sweep.at(x, rows, order)
+    except DomainError as exc:
+        raise DomainError(f"{_label(problem, exc.row)}: {exc.message}", exc.node) from exc
+    for j, k in enumerate(rows):
+        if math.isnan(swept[0][j]):
+            raise DomainError(f"{_label(problem, k)}: value is NaN")
+        if k == len(problem.tapes) and order and np.isnan(swept[1][j]).any():
+            raise DomainError("objective: gradient has a NaN entry")
+    return swept
 
 
 def evaluate_point(problem: Problem, x, tol_active: float = 1e-8) -> PointData:
     """Evaluate every problem function with derivatives at ``x``.
 
     Domain violations are re-raised with the offending function named
-    (objective, or the first constraint row that fails).
+    (objective, or the first constraint row that fails), and so is a NaN
+    value or objective gradient entry.
     """
     x = np.asarray(x, dtype=float)
     if x.shape != (problem.n,):
         raise ValueError(f"point must have shape ({problem.n},), got {x.shape}")
     if not np.isfinite(x).all():
         raise ValueError("point has non-finite coordinates")
-    n, m, count = problem.n, problem.m, len(problem.tapes)
-    try:
-        f = problem.objective_tape.jet(x)
-    except DomainError as exc:
-        raise DomainError(f"objective: {exc.message}", exc.node) from exc
-    c_vals = np.zeros(count)
-    c_grads = np.zeros((count, n))
-    c_hesses = np.zeros((count, n, n))
-    for k, tape in enumerate(problem.tapes):
-        try:
-            t = tape.jet(x)
-        except DomainError as exc:
-            raise _labelled(exc, m, k) from exc
-        c_vals[k], c_grads[k], c_hesses[k] = t.value, t.grad, t.hess
+    m, count = problem.m, len(problem.tapes)
+    values, grads, hesses = _sweep_point(problem, x, [count, *range(count)], 2)
+    c_vals = values[1:]
     return PointData(
         x=x.copy(),
-        f_val=f.value,
-        f_grad=f.grad,
-        f_hess=f.hess,
+        f_val=float(values[0]),
+        f_grad=grads[0],
+        f_hess=hesses[0],
         m=m,
         c_vals=c_vals,
-        c_grads=c_grads,
-        c_hesses=c_hesses,
+        c_grads=grads[1:],
+        c_hesses=hesses[1:],
         active=tuple(k + 1 for k in range(m) if abs(c_vals[k]) <= tol_active),
         tol_active=tol_active,
     )
@@ -308,19 +310,16 @@ class FeasibilityReport:
 def feasibility(problem: Problem, x, tol: float = 1e-8) -> FeasibilityReport:
     """Check ``g(x) <= tol`` and ``|h(x)| <= tol`` componentwise.
 
-    Only values are computed; a domain violation names the first constraint
-    row that fails.
+    Only values are computed.  A domain violation names the first
+    constraint row that fails, and a NaN value the first row that has one.
     """
     x = np.asarray(x, dtype=float)
     if x.shape != (problem.n,):
         raise ValueError(f"point must have shape ({problem.n},), got {x.shape}")
     m = problem.m
     worst_g = worst_h = 0.0
-    for k, tape in enumerate(problem.tapes):
-        try:
-            value = tape.value(x)
-        except DomainError as exc:
-            raise _labelled(exc, m, k) from exc
+    values = _sweep_point(problem, x, list(range(len(problem.tapes))), 0)[0]
+    for k, value in enumerate(values.tolist()):
         if k < m:
             worst_g = max(worst_g, value)
         else:

@@ -12,7 +12,10 @@ The reference loops (``rank_scan_oracle``, ``facial_minima_oracle``,
 versions of batched library code; they must agree with it exactly.  ``reference_evaluate`` and
 ``reference_grad_hess`` are the recursive tree interpreters the expression
 tape replaced: every tape mode must reproduce their bits, signed zeros
-included.  ``reference_newton`` is the one-system damped Newton loop the
+included.  ``reference_sweep`` is the per-tape, one-point forward sweep
+(orders 0 to 2) the level-scheduled ``TapeSet`` replaced: every swept
+entry must reproduce its bits, and fail exactly where it raises.
+``reference_newton`` is the one-system damped Newton loop the
 batched ``linalg.newton_batch`` replaced: every row of a batch must
 reproduce it bit for bit, failures included.  ``sequential_trace_arc``
 and ``sequential_arc`` are the one-arc, one-point-at-a-time march (on
@@ -585,6 +588,114 @@ def reference_grad_hess(e, x):
     raise TypeError(f"not an expression node: {e!r}")
 
 
+def reference_sweep(tape, x, order):
+    """Run a tape forward once at the point ``x``, one instruction at a
+    time; return the root's (value, gradient, Hessian), entries past
+    ``order`` None.
+
+    A domain failure raises ``DomainError`` naming the node; an overflow
+    reaches the caller as inf.
+    """
+    from nlpcheck.expr import (
+        _ADD, _CONST, _DIV, _MUL, _NEG, _POW, _SUB, _VAR, DomainError, _elementary,
+    )
+
+    x = np.asarray(x, dtype=float)
+    n = x.shape[-1]
+    xs = x.tolist()
+    if order:
+        zero_g = np.zeros(n)
+        unit = np.eye(n)
+    if order == 2:
+        zero_h = np.zeros((n, n))
+    val: list = []
+    grad: list = []
+    hess: list = []
+    g = h = None
+    with np.errstate(all="ignore"):
+        for op, a, b, c in tape.code:
+            if op == _VAR:
+                v = xs[a]
+                if order:
+                    g = unit[a]
+                    if order == 2:
+                        h = zero_h
+            elif op == _CONST:
+                v = c
+                if order:
+                    g = zero_g
+                    if order == 2:
+                        h = zero_h
+            elif op == _MUL:
+                u, w = val[a], val[b]
+                v = u * w
+                if order:
+                    ug, wg = grad[a], grad[b]
+                    g = u * wg + w * ug
+                    if order == 2:
+                        cross = np.outer(ug, wg)
+                        h = (u * hess[b] + w * hess[a]) + (cross + cross.T)
+            elif op == _ADD:
+                v = val[a] + val[b]
+                if order:
+                    g = grad[a] + grad[b]
+                    if order == 2:
+                        h = hess[a] + hess[b]
+            elif op == _SUB:
+                v = val[a] - val[b]
+                if order:
+                    g = grad[a] - grad[b]
+                    if order == 2:
+                        h = hess[a] - hess[b]
+            elif op == _POW:
+                # b repeated multiplications of the constant 1 by the base;
+                # the zero-gradient terms of the first product set signs of
+                # zeros
+                u = val[a]
+                v = 1.0
+                if order:
+                    ug = grad[a]
+                    g = zero_g
+                    if order == 2:
+                        uh = hess[a]
+                        h = zero_h
+                for _ in range(b):
+                    if order == 2:
+                        cross = np.outer(g, ug)
+                        h = (v * uh + u * h) + (cross + cross.T)
+                    if order:
+                        g = v * ug + u * g
+                    v = v * u
+            elif op == _DIV:
+                u, w = val[a], val[b]
+                if w == 0.0:
+                    raise DomainError("division by zero", c)
+                v = u / w
+                if order:
+                    wg = grad[b]
+                    g = (grad[a] - v * wg) / w
+                    if order == 2:
+                        cross = np.outer(g, wg)
+                        h = ((hess[a] - v * hess[b]) - (cross + cross.T)) / w
+            elif op == _NEG:
+                v = -val[a]
+                if order:
+                    g = -grad[a]
+                    if order == 2:
+                        h = -hess[a]
+            else:
+                v, f1, f2 = _elementary(op, val[a], order, c)
+                if order:
+                    ug = grad[a]
+                    g = f1 * ug
+                    if order == 2:
+                        h = f1 * hess[a] + f2 * np.outer(ug, ug)
+            val.append(v)
+            grad.append(g)
+            hess.append(h)
+    return val[-1], grad[-1], hess[-1]
+
+
 def _chart_fun_jac(problem, chart):
     """c(x) and c'(x) of a chart by one-point tape sweeps, row by row."""
     tapes = [problem.tapes[chart.components[i]] for i in chart.xi]
@@ -596,7 +707,7 @@ def _chart_fun_jac(problem, chart):
         F = np.zeros(n)
         J = np.zeros((n, n))
         for row, tape in enumerate(tapes):
-            F[row], J[row] = tape.gradient(x)
+            F[row], J[row], _ = reference_sweep(tape, x, 1)
         for row, k in enumerate(keep):
             F[r + row] = x[k]
             J[r + row, k] = 1.0
@@ -652,7 +763,7 @@ def reference_newton(fun_jac, start, target, tol=1e-12):
 
 def sequential_trace_arc(problem, chart, d, delta, samples=41, newton_tol=1e-12):
     """One arc marched side by side with one Newton solve at a time, every
-    constraint value taken by a one-point ``Tape.value`` call."""
+    constraint value taken by a one-point ``reference_sweep``."""
     from nlpcheck.arc import ArcResult
     from nlpcheck.expr import DomainError
     from nlpcheck.linalg import NewtonError
@@ -665,8 +776,8 @@ def sequential_trace_arc(problem, chart, d, delta, samples=41, newton_tol=1e-12)
     m, p = problem.m, problem.p
 
     def constraint_values(pt):
-        g = np.array([tape.value(pt) for tape in problem.tapes[:m]]) if m else np.zeros(0)
-        h = np.array([tape.value(pt) for tape in problem.tapes[m:]]) if p else np.zeros(0)
+        g = np.array([reference_sweep(t, pt, 0)[0] for t in problem.tapes[:m]]) if m else np.zeros(0)
+        h = np.array([reference_sweep(t, pt, 0)[0] for t in problem.tapes[m:]]) if p else np.zeros(0)
         return g, h
 
     center_g, center_h = constraint_values(x)

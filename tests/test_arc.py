@@ -183,11 +183,11 @@ class TestTraceArc:
             return batch(recording, start, targets, tol)
 
         calls = []
-        gradients = TapeSet.gradients
+        evaluate = TapeSet.evaluate
 
-        def counting(self, X, rows=None):
+        def counting(self, X, rows=None, order=1):
             calls.append(list(rows))
-            return gradients(self, X, rows)
+            return evaluate(self, X, rows, order)
 
         rounds = []  # (constraint rows of each sweep, points evaluated) per round
         chart_values = arc_mod._chart_values
@@ -199,7 +199,7 @@ class TestTraceArc:
             return out
 
         monkeypatch.setattr(arc_mod, "newton_batch", recording_batch)
-        monkeypatch.setattr(TapeSet, "gradients", counting)
+        monkeypatch.setattr(TapeSet, "evaluate", counting)
         monkeypatch.setattr(arc_mod, "_chart_values", one_round)
         # the cylinder's tangent directions pin x3 >= 0 too: the charts mix
         # one and two tape rows, and an upward direction has none pinned

@@ -340,9 +340,7 @@ class TestMain:
         def no_sweep(*args, **kwargs):
             raise AssertionError("a tape was swept before the budget check")
 
-        for mode in ("value", "gradient", "jet", "gradients"):
-            monkeypatch.setattr(expr.Tape, mode, no_sweep)
-        monkeypatch.setattr(expr.TapeSet, "gradients", no_sweep)
+        monkeypatch.setattr(expr.TapeSet, "_run", no_sweep)
         code = main(["analyze", "builtin:paper-example-1", "--samples", str(over)])
         assert code == 2
         err = capsys.readouterr().err
@@ -387,6 +385,23 @@ class TestMain:
             (
                 "vars 1\nobjective x1\nineq sqrt(x1) - 1\npoint 1e-320\n",
                 "ineq 1: sqrt second derivative overflows",
+            ),
+            # inf - inf is NaN: max(0, NaN) read the inequality as feasible,
+            # and the equality's NaN gradient as too large to rank
+            (
+                "vars 1\nobjective x1\nineq x1^400 - x1^400 + 1\npoint 1e300\n",
+                "ineq 1: value is NaN",
+            ),
+            ("vars 1\nobjective x1\neq x1^400 - x1^400 + 1\npoint 1e300\n", "eq 1: value is NaN"),
+            # a NaN objective got past the multiplier-solve bound (exit 0,
+            # kkt residual nan): exp(-inf) = 0 times an infinite gradient
+            (
+                "vars 2\nobjective exp(-x1^4) + x2\nineq x2 - 1\npoint 1e150 0\n",
+                "objective: gradient has a NaN entry",
+            ),
+            (
+                "vars 2\nobjective x1^400 - x1^400 + x2\nineq x2 - 1\npoint 1e300 0\n",
+                "objective: value is NaN",
             ),
         ],
     )
