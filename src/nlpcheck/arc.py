@@ -19,12 +19,16 @@ gives a curve that keeps xi (hence, where ranks are locally constant, all
 of sigma) exactly at its center value while moving with velocity d.  Each
 zeta(t) is computed by a warm-started Newton solve of c(x) = target.
 
-All the arcs of an analysis are traced together: both sides of every arc
-march outward one sample at a time, each sample one ``newton_batch`` over
-every side, whose rounds evaluate the trial points with one batched tape
-sweep per chart row.  The constraint values along the arcs come from the
-chart rows' Newton values, from ``PointData`` at the center, and from one
-more batched sweep per other constraint.
+The directions that pin the same constraints share one chart.  All the
+arcs of an analysis are traced together: both sides of every arc march
+outward one sample at a time, each sample one ``newton_batch`` over every
+side.  Once per trace, a gather table maps each row of each side's chart to
+a column of one table: the constraint tapes that some chart row evaluates,
+then the variables (the kept rows).  A Newton round is then one batched
+sweep of those tapes at the trial points and one gather each for c(x) and
+c'(x).  The constraint values along the arcs come from the chart rows'
+Newton values, from ``PointData`` at the center, and from one more batched
+sweep of the other constraints.
 
 The traced arc is validated against five properties: (arc1) it starts at
 the point with velocity d; (arc2) pinned inequalities stay at zero; (arc3)
@@ -229,30 +233,24 @@ def _truncation_note(side: int, k: int, tk: float, exc: Exception) -> str:
     return f"side {side:+d} truncated at sample {k} (t = {tk:.6g}): {exc}"
 
 
-def _chart_values(sweep, slot: np.ndarray, source: np.ndarray, X: np.ndarray):
-    """c(x) and c'(x) at every row of ``X``, from one multi-output sweep.
+def _chart_round(sweep, cols: np.ndarray, table: np.ndarray, reads: np.ndarray, X: np.ndarray):
+    """c(x) and c'(x) at every row of ``X``: one Newton round's evaluation.
 
-    Row i of ``X`` is on a chart whose row ``slot[i, k]`` evaluates
-    constraint ``k`` of ``sweep`` (-1 where no row does) and whose row j
-    copies variable ``source[i, j]`` (-1 for the constraint rows).
-    ``ok[i]`` is False where a chart row left its domain.
+    The tapes ``cols`` of ``sweep`` are swept at every row, and row j of
+    point i's chart is column ``table[i, j]`` of the swept values followed
+    by the point's coordinates (a tape for a constraint row, a variable for
+    a kept row); the Jacobian takes the matching gradient or unit row.
+    ``ok[i]`` is False where a tape that point's chart reads (``reads[i]``)
+    left its domain.
     """
     P, n = X.shape
-    F = np.zeros((P, n))
-    J = np.zeros((P, n, n))
-    used = slot >= 0
-    cols = np.flatnonzero(used.any(axis=0))
     values, grads, _, fine = sweep.evaluate(X, cols)
-    used = used[:, cols]
-    ri, ci = np.nonzero(used)
-    pos = slot[:, cols][ri, ci]
-    F[ri, pos], J[ri, pos] = values[ri, ci], grads[ri, ci]
-    ok = ~(used & ~fine).any(axis=1)
-    kr, kj = np.nonzero(source >= 0)
-    kc = source[kr, kj]
-    F[kr, kj] = X[kr, kc]
-    J[kr, kj, kc] = 1.0
-    return F, J, ok
+    at = np.arange(P)[:, None]
+    F = np.concatenate([values, X], axis=1)[at, table]
+    G = np.empty((P, len(cols) + n, n))
+    G[:, : len(cols)] = grads
+    G[:, len(cols) :] = np.eye(n)
+    return F, G[at, table], (fine | ~reads).all(axis=1)
 
 
 def trace_arcs(
@@ -284,15 +282,23 @@ def trace_arcs(
     tapes = problem.tapes
     n, m = problem.n, problem.m
 
-    # sides 2a and 2a + 1 are the negative and positive sides of arc a;
-    # slot and source describe their charts row by row (see _chart_values)
+    # sides 2a and 2a + 1 are the negative and positive sides of arc a.
+    # slot[s, c] is the chart row of side s that evaluates constraint c (-1
+    # for none); every round sweeps the tapes cols that some chart row
+    # evaluates, and table gathers each side's rows from that sweep (see
+    # _chart_round)
     S = 2 * len(charts)
     slot = np.full((S, len(tapes)), -1)
-    source = np.full((S, n), -1)
     for a, chart in enumerate(charts):
         for row, i in enumerate(chart.xi):
             slot[2 * a : 2 * a + 2, chart.components[i]] = row
-        source[2 * a : 2 * a + 2, chart.rank :] = chart.keep_vars
+    cols = np.flatnonzero((slot >= 0).any(axis=0))
+    reads = slot[:, cols] >= 0
+    table = np.empty((S, n), dtype=int)
+    for a, chart in enumerate(charts):
+        rows = [chart.components[i] for i in chart.xi]
+        table[2 * a : 2 * a + 2, : chart.rank] = np.searchsorted(cols, rows)
+        table[2 * a : 2 * a + 2, chart.rank :] = len(cols) + np.array(chart.keep_vars, dtype=int)
     sign = np.tile([-1, 1], len(charts))
     scale = sign * np.repeat(np.asarray(deltas, dtype=float), 2)
     z_center = np.repeat([chart.z_center for chart in charts], 2, axis=0)
@@ -308,25 +314,32 @@ def trace_arcs(
     cut = np.zeros(S, dtype=int)  # samples kept per side
     notes = [""] * S
     live = np.arange(S)
+    # the rows of the live sides in every per-side table, taken anew only
+    # when a side fails
+    per_side = (scale, z_center, step_z, table, reads, np.maximum(slot, 0))
+    lanes = per_side
     for k in range(1, half + 1):
         if not live.size:
             break
-        tk = scale[live] * k / half
-        slots, sources = slot[live], source[live]
+        scales, starts, steps, tables, reading, picks = lanes
+        tk = scales * k / half
         X, F, J, errors = newton_batch(
-            lambda rows, T: _chart_values(problem.sweep, slots[rows], sources[rows], T),
+            lambda rows, T: _chart_round(problem.sweep, cols, tables[rows], reading[rows], T),
             state,
-            z_center[live] + tk[:, None] * step_z[live],
+            starts + tk[:, None] * steps,
             newton_tol,
         )
-        for i, error in enumerate(errors):
-            if error is not None:
-                notes[live[i]] = _truncation_note(int(sign[live[i]]), k, float(tk[i]), error)
         good = np.array([error is None for error in errors])
-        live, state = live[good], (X[good], F[good], J[good])
-        points[live, k - 1] = state[0]
+        if not good.all():
+            for i in np.flatnonzero(~good).tolist():
+                notes[live[i]] = _truncation_note(int(sign[live[i]]), k, float(tk[i]), errors[i])
+            live, X, F, J = live[good], X[good], F[good], J[good]
+            lanes = tuple(column[live] for column in per_side)
+            picks = lanes[-1]
+        state = X, F, J
+        points[live, k - 1] = X
         # the columns of the other tapes are filled in below
-        values[live, k - 1] = np.take_along_axis(state[1], np.maximum(slots[good], 0), axis=1)
+        values[live, k - 1] = F[np.arange(live.size)[:, None], picks]
         cut[live] = k
 
     # a side is cut at the first sample where a constraint leaves its
@@ -526,15 +539,18 @@ def arcs_for_directions(
 ) -> list[DirectionArcReport]:
     """Pin, chart, trace, and verify the arc for each direction.
 
-    Every charted direction is traced in one :func:`trace_arcs` batch.  The
-    arcs that come back truncated have their delta halved (up to
-    ``_MAX_SHRINK`` times) and are retraced together, since
-    Proposition-style arcs are only guaranteed on a small enough interval;
-    the final attempt is reported even if still truncated.
+    The directions that pin the same constraints share one chart (or one
+    :class:`DegenerateRankError`), built once.  Every charted direction is
+    traced in one :func:`trace_arcs` batch.  The arcs that come back
+    truncated have their delta halved (up to ``_MAX_SHRINK`` times) and are
+    retraced together, since Proposition-style arcs are only guaranteed on
+    a small enough interval; the final attempt is reported even if still
+    truncated.
     """
     reports = []
     charts = []
     charted = []  # positions in reports of the charted directions
+    built: dict = {}  # PinnedSet.components -> its chart, or its DegenerateRankError
     for d in directions:
         d = np.asarray(d, dtype=float).ravel()
         try:
@@ -542,10 +558,14 @@ def arcs_for_directions(
         except ValueError as exc:
             reports.append(DirectionArcReport(d, None, {}, None, None, error=str(exc)))
             continue
-        try:
-            chart = build_chart(pd, pinned, tol_rank)
-        except DegenerateRankError as exc:
-            reports.append(DirectionArcReport(d, pinned, {}, None, None, error=str(exc)))
+        if pinned.components not in built:
+            try:
+                built[pinned.components] = build_chart(pd, pinned, tol_rank)
+            except DegenerateRankError as exc:
+                built[pinned.components] = exc
+        chart = built[pinned.components]
+        if isinstance(chart, DegenerateRankError):
+            reports.append(DirectionArcReport(d, pinned, {}, None, None, error=str(chart)))
             continue
         summary = {
             "pinned_ineq": list(pinned.ineq),

@@ -9,7 +9,10 @@ wall-clock content (timing goes to stdout only), so identical
 configurations produce byte-identical files.
 
 Exit codes: 0 when the analysis completed (whatever the verdicts), 2 for
-input errors, 3 for internal numerical failures.
+input errors and for report files that cannot be written, 3 for internal
+numerical failures, and 141 (128 + SIGPIPE, as for a command the signal
+ends) when standard output was closed before the summary was printed; the
+report files are written by then.
 """
 
 from __future__ import annotations
@@ -44,6 +47,9 @@ __all__ = [
     "emit_plot_data",
     "main",
 ]
+
+
+EXIT_STDOUT_CLOSED = 141
 
 
 class InputError(Exception):
@@ -243,6 +249,14 @@ def run(config: RunConfig) -> dict:
     for label, ok in zip(labels, (np.abs(table) <= norm_bound(problem.n)).all(axis=1)):
         if not ok:
             raise InputError(f"{label}: gradient at the point too large to square its norm")
+    # a NaN Hessian entry would read SSONC as undetermined at value 0.  Every
+    # constraint enters the Lagrangian Hessian, even with a zero multiplier
+    # (0 * NaN is NaN).  Checked after the gradient bounds, so that an
+    # overflowing gradient is named as such
+    names = ["objective"] + ["%s %d" % row_label(pd.m, k) for k in range(len(pd.c_vals))]
+    for name, bad in zip(names, np.isnan([pd.f_hess, *pd.c_hesses]).any(axis=(1, 2))):
+        if bad:
+            raise InputError(f"point outside the problem domain: {name}: Hessian has a NaN entry")
     report["active_set"] = list(pd.active)
     report["objective_value"] = pd.f_val
 
@@ -598,14 +612,15 @@ def main(argv=None) -> int:
         print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 3
 
-    for line in _summary_lines(report):
-        print(line)
     # timing is printed but never serialized, so reports stay reproducible
-    print(f"analysis time: {elapsed:.3f} s")
+    lines = [*_summary_lines(report), f"analysis time: {elapsed:.3f} s"]
+    # the report files come first, so that a reader who closes stdout
+    # early (say, ``| head -1``) still gets them
+    failure = None
     try:
         if config.json_path:
             _atomic_write(config.json_path, report_to_json(report))
-            print(f"report written to {config.json_path}")
+            lines.append(f"report written to {config.json_path}")
         if config.csv_dir:
             arcs = report.get("arcs", {})
             entries = arcs.get("entries", []) if isinstance(arcs, dict) else []
@@ -617,11 +632,23 @@ def main(argv=None) -> int:
                 path = os.path.join(config.csv_dir, f"arc_{k + 1:02d}.csv")
                 emit_plot_data(entry, path)
                 written += 1
-            print(f"{written} arc CSV file(s) written to {config.csv_dir}")
+            lines.append(f"{written} arc CSV file(s) written to {config.csv_dir}")
     except OSError as exc:
-        print(f"error: cannot write output: {exc}", file=sys.stderr)
+        failure = exc
+    closed = False
+    try:
+        for line in lines:
+            print(line)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # what is still buffered goes to devnull, so that the interpreter's
+        # last flush cannot fail again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        closed = True
+    if failure is not None:
+        print(f"error: cannot write output: {failure}", file=sys.stderr)
         return 2
-    return 0
+    return EXIT_STDOUT_CLOSED if closed else 0
 
 
 if __name__ == "__main__":

@@ -579,16 +579,28 @@ class TapeSet:
         read it, and slots that no requested tape reads are skipped.  The
         slot tables are built for a chunk of points at a time, and for a
         chunk of rows when one point's tables would not fit, sized by
-        :func:`~nlpcheck.linalg.stack_chunk`.
+        :func:`~nlpcheck.linalg.stack_chunk`.  When one chunk of rows and
+        one pass cover the call, the tables come straight from that pass:
+        they may be strided views, but hold the same bits.
         """
         X = np.asarray(X, dtype=float)
         P, n = X.shape
         rows = np.arange(len(self.tapes)) if rows is None else np.asarray(rows, dtype=int)
+        layout = self._layout(rows, order, n)
+        if len(layout) == 1 and P <= layout[0][2]:  # one pass: its tables are the result
+            _, plan, _, roots, reads = layout[0]
+            V, G, H, bad = self._run(plan, X, order)
+            return (
+                V[roots].T,
+                None if G is None else G[roots].swapaxes(0, 1),
+                None if H is None else H[roots].swapaxes(0, 1),
+                np.ones((P, len(rows)), dtype=bool) if bad is None else ~(bad.T @ reads.T),
+            )
         values = np.empty((P, len(rows)))
         grads = np.empty((P, len(rows), n)) if order else None
         hesses = np.empty((P, len(rows), n, n)) if order == 2 else None
         ok = np.ones((P, len(rows)), dtype=bool)
-        for cols, plan, step, roots, reads in self._layout(rows, order, n):
+        for cols, plan, step, roots, reads in layout:
             for lo in range(0, P, step):
                 at = slice(lo, lo + step)
                 V, G, H, bad = self._run(plan, X[at], order)

@@ -267,7 +267,8 @@ def newton_batch(
     ``start`` holds evaluated points ``(X, F, J)`` of shapes ``(k, n)``,
     ``(k, n)`` and ``(k, n, n)``; ``evaluate(rows, X)`` returns ``(F, J,
     ok)`` at trial points ``X`` of the systems ``rows``, ``ok[i]`` False
-    where a point left the domain.  Each round makes one stacked solve for
+    where a point left the domain; the solver may keep (and write into)
+    the arrays it returns.  Each round makes one stacked solve for
     the systems that need a step and one ``evaluate`` call.  Full steps are
     halved (up to 30 times) until the max-norm residual decreases, and a
     point outside the domain counts as an increase, so a solve can step
@@ -276,6 +277,10 @@ def newton_batch(
     counts, so its row equals a solve of that system alone.  Returns the
     evaluated triples at the solutions (at the last accepted iterate where
     a system failed) and each system's :class:`NewtonError` or None.
+
+    In the common round every unsolved system takes a fresh step and every
+    trial is accepted; it runs on whole arrays, or on the unsolved rows
+    alone, with no per-system bookkeeping.
     """
     X, F, J = (np.array(a, dtype=float) for a in start)
     targets = np.asarray(targets, dtype=float)
@@ -291,36 +296,53 @@ def newton_batch(
         errors[i] = error
         pending[i] = stepping[i] = False
 
+    rounds = 0  # no system has taken more steps than there were rounds
     while True:
-        for i in np.flatnonzero(pending & ~stepping & (iterations == _NEWTON_MAX_ITER)):
-            message = f"no convergence in {_NEWTON_MAX_ITER} iterations (residual {res[i]:.3e})"
-            fail(i, NewtonConvergenceError(message, X[i].copy(), float(res[i])))
+        if rounds >= _NEWTON_MAX_ITER:
+            for i in np.flatnonzero(pending & ~stepping & (iterations == _NEWTON_MAX_ITER)):
+                message = f"no convergence in {_NEWTON_MAX_ITER} iterations (residual {res[i]:.3e})"
+                fail(i, NewtonConvergenceError(message, X[i].copy(), float(res[i])))
+        rounds += 1
         fresh = np.flatnonzero(pending & ~stepping)
         if fresh.size:
+            at = slice(None) if fresh.size == k else fresh  # views when every system steps
             # explicit columns, so the call means the same on numpy 1 and 2
-            R = (targets[fresh] - F[fresh])[..., None]
+            R = (targets[at] - F[at])[..., None]
             try:
-                step[fresh] = np.linalg.solve(J[fresh], R)[..., 0]
+                step[at] = np.linalg.solve(J[at], R)[..., 0]
             except np.linalg.LinAlgError:  # one at a time, to find the singular systems
-                for i, Ji, Ri in zip(fresh, J[fresh], R):
+                for i, Ji, Ri in zip(fresh, J[at], R):
                     try:
                         step[i] = np.linalg.solve(Ji, Ri)[:, 0]
                     except np.linalg.LinAlgError:
                         message = f"singular Jacobian at iterate (residual {res[i]:.3e})"
                         fail(i, SingularJacobianError(message))
-            for i in fresh[pending[fresh] & ~np.isfinite(step[fresh]).all(axis=1)]:
-                fail(i, SingularJacobianError("non-finite Newton step"))
-            alpha[fresh], halvings[fresh] = 1.0, 0
-            iterations[fresh] += 1
-            stepping[fresh] = pending[fresh]
+            finite = np.isfinite(step[at]).all(axis=1)
+            if not finite.all():
+                for i in fresh[pending[at] & ~finite]:
+                    fail(i, SingularJacobianError("non-finite Newton step"))
+            alpha[at], halvings[at] = 1.0, 0
+            iterations[at] += 1
+            stepping[at] = pending[at]
         rows = np.flatnonzero(stepping)
         if not rows.size:
             return X, F, J, errors
-        trial = X[rows] + alpha[rows, None] * step[rows]
+        at = slice(None) if rows.size == k else rows
+        trial = X[at] + alpha[at, None] * step[at]
         F_new, J_new, ok = evaluate(rows, trial)
-        res_new = np.full(rows.size, np.inf)
-        res_new[ok] = np.abs(F_new[ok] - targets[rows[ok]]).max(axis=1, initial=0.0)
-        better = ok & ((res_new < res[rows]) | (res_new <= tol))
+        if ok.all():
+            res_new = np.abs(F_new - targets[at]).max(axis=1, initial=0.0)
+        else:  # the entries of a point outside the domain are meaningless
+            res_new = np.full(rows.size, np.inf)
+            res_new[ok] = np.abs(F_new[ok] - targets[rows[ok]]).max(axis=1, initial=0.0)
+        better = ok & ((res_new < res[at]) | (res_new <= tol))
+        if better.all():
+            if rows.size == k:
+                X, F, J, res = trial, F_new, J_new, res_new
+            else:
+                X[rows], F[rows], J[rows], res[rows] = trial, F_new, J_new, res_new
+            stepping[at], pending[at] = False, ~(res_new <= tol)
+            continue
         took = rows[better]
         X[took], F[took], J[took] = trial[better], F_new[better], J_new[better]
         res[took] = res_new[better]

@@ -232,7 +232,8 @@ def evaluate_point(problem: Problem, x, tol_active: float = 1e-8) -> PointData:
 
     Domain violations are re-raised with the offending function named
     (objective, or the first constraint row that fails), and so is a NaN
-    value or objective gradient entry.
+    value or objective gradient entry, and then a NaN gradient entry of an
+    active inequality or an equality (the rows whose ranks are decided).
     """
     x = np.asarray(x, dtype=float)
     if x.shape != (problem.n,):
@@ -242,7 +243,7 @@ def evaluate_point(problem: Problem, x, tol_active: float = 1e-8) -> PointData:
     m, count = problem.m, len(problem.tapes)
     values, grads, hesses = _sweep_point(problem, x, [count, *range(count)], 2)
     c_vals = values[1:]
-    return PointData(
+    pd = PointData(
         x=x.copy(),
         f_val=float(values[0]),
         f_grad=grads[0],
@@ -254,6 +255,10 @@ def evaluate_point(problem: Problem, x, tol_active: float = 1e-8) -> PointData:
         active=tuple(k + 1 for k in range(m) if abs(c_vals[k]) <= tol_active),
         tol_active=tol_active,
     )
+    for k in pd.rows:
+        if np.isnan(pd.c_grads[k]).any():
+            raise DomainError(f"{_label(problem, k)}: gradient has a NaN entry")
+    return pd
 
 
 def check_multiplier(

@@ -126,6 +126,44 @@ class TestBuildChart:
             build_chart(pd, pinned)
 
 
+class TestChartPerPinnedSet:
+    def record_charts(self, monkeypatch):
+        """The pinned set of every ``build_chart`` call, in order."""
+        built = []
+        build = arc_mod.build_chart
+
+        def recording(pd, pinned, tol_rank=1e-8):
+            built.append(pinned.components)
+            return build(pd, pinned, tol_rank)
+
+        monkeypatch.setattr(arc_mod, "build_chart", recording)
+        return built
+
+    @pytest.mark.parametrize("name, distinct", [("cylinder", 2), ("linear wedge", 3)])
+    def test_one_chart_per_pinned_set(self, name, distinct, monkeypatch):
+        # of the 8 sampled cylinder directions, some stay on the floor x3 = 0
+        # (pinning -x3 and the equality) and the others rise off it (the
+        # equality alone); the wedge's run along either edge (pinning that
+        # inequality) or inside it (nothing)
+        built = self.record_charts(monkeypatch)
+        prob = load_problem(dict(BATTERY)[name])
+        pd = evaluate_point(prob, prob.point)
+        dirs = sample_directions(linearized_cone(pd), 8, seed=0)
+        reports = arcs_for_directions(prob, pd, dirs)
+        assert len(built) == len(set(built)) == distinct
+        assert {rep.pinned.components for rep in reports} == set(built)
+        assert all(rep.error is None for rep in reports)
+
+    def test_degenerate_rank_error_is_shared(self, monkeypatch):
+        built = self.record_charts(monkeypatch)
+        prob = load_problem("vars 1\nobjective x1\nineq x1^2\npoint 0\n")
+        pd = evaluate_point(prob, np.zeros(1))
+        reports = arcs_for_directions(prob, pd, [np.array([v]) for v in (1.0, -1.0, 2.0)])
+        assert built == [(0,)]
+        assert len({rep.error for rep in reports}) == 1
+        assert "numerically zero" in reports[0].error
+
+
 class TestTraceArc:
     def test_circle_matches_closed_form(self):
         prob, pd = circle_setup()
@@ -190,17 +228,17 @@ class TestTraceArc:
             return evaluate(self, X, rows, order)
 
         rounds = []  # (constraint rows of each sweep, points evaluated) per round
-        chart_values = arc_mod._chart_values
+        chart_round = arc_mod._chart_round
 
-        def one_round(tapes, slot, source, X):
+        def one_round(sweep, cols, table, reads, X):
             before = len(calls)
-            out = chart_values(tapes, slot, source, X)
+            out = chart_round(sweep, cols, table, reads, X)
             rounds.append((calls[before:], [row.tobytes() for row in X]))
             return out
 
         monkeypatch.setattr(arc_mod, "newton_batch", recording_batch)
         monkeypatch.setattr(TapeSet, "evaluate", counting)
-        monkeypatch.setattr(arc_mod, "_chart_values", one_round)
+        monkeypatch.setattr(arc_mod, "_chart_round", one_round)
         # the cylinder's tangent directions pin x3 >= 0 too: the charts mix
         # one and two tape rows, and an upward direction has none pinned
         prob = load_problem(dict(BATTERY)["cylinder"])
@@ -405,13 +443,22 @@ class TestLockstepMarch:
             assert (rep.arc is None) == (ref is None)
             if ref is not None:
                 assert_same_arc(rep.arc, ref)
-        # the first attempts, failing rows and all, traced in one batch
-        charts = [build_chart(pd, pinned_constraints(pd, d)) for d in dirs[:3]]
-        arcs = trace_arcs(prob, charts, dirs[:3], [1.5, 0.1, 1.5])
+        # the first attempts, failing rows and all, traced in one batch,
+        # with each chart shared by two arcs.  The last arc's first positive
+        # trial lands on x1 = 0 exactly, where the circle chart's Jacobian
+        # is singular
+        circle, free = (build_chart(pd, pinned_constraints(pd, d)) for d in dirs[:2])
+        charts = [circle, free, free, circle]
+        dirs = dirs[:3] + [np.array([-1.0, 0.0])]
+        deltas = [1.5, 0.1, 1.5, 20.0]
+        arcs = trace_arcs(prob, charts, dirs, deltas)
         assert "no descent" in arcs[0].note
         assert not arcs[1].truncated
         assert arcs[2].note.startswith("side +1 truncated at sample 16 (t = 1.2): log of")
-        for chart, d, delta, arc in zip(charts, dirs, [1.5, 0.1, 1.5], arcs):
+        assert arcs[3].note == (
+            "side +1 truncated at sample 1 (t = 1): singular Jacobian at iterate (residual 1.000e+00)"
+        )
+        for chart, d, delta, arc in zip(charts, dirs, deltas, arcs):
             assert_same_arc(arc, sequential_trace_arc(prob, chart, d, delta))
             assert_same_arc(arc, trace_arc(prob, chart, d, delta))
 

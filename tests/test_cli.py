@@ -403,6 +403,25 @@ class TestMain:
                 "vars 2\nobjective x1^400 - x1^400 + x2\nineq x2 - 1\npoint 1e300 0\n",
                 "objective: value is NaN",
             ),
+            # a NaN gradient on a ranked row read as too large to rank
+            (
+                "vars 2\nobjective x2\neq exp(-x1^4) + x2\npoint 1e150 0\n",
+                "eq 1: gradient has a NaN entry",
+            ),
+            (
+                "vars 2\nobjective x2\nineq exp(-x1^4) - x2\npoint 1e150 0\n",
+                "ineq 1: gradient has a NaN entry",
+            ),
+            # a NaN Hessian read SSONC undetermined with min_value 0 (exit
+            # 0); an inactive row's NaN poisons the Lagrangian Hessian too
+            (
+                "vars 2\nobjective exp(-x1^4) + x2\nineq -x2\npoint 1e80 0\n",
+                "objective: Hessian has a NaN entry",
+            ),
+            (
+                "vars 2\nobjective x2\nineq -x2\nineq exp(-x1^4) - 1\npoint 1e80 0\n",
+                "ineq 2: Hessian has a NaN entry",
+            ),
         ],
     )
     def test_overflow_at_point_exit_two(self, text, message, tmp_path, capsys):
@@ -576,6 +595,37 @@ class TestMain:
         assert proc.returncode == 0, proc.stderr
         assert proc.stderr == ""
         assert out.read_text() == report_to_json(run(RunConfig("builtin:circle")))
+
+    def test_closed_stdout_exits_141_after_writing_the_reports(self, tmp_path):
+        # the reader is gone before the first write, as when `| head -1`
+        # has read its line: the report files are written, and the run
+        # ends with the fixed exit code and no traceback
+        src = os.path.dirname(os.path.dirname(nlpcheck.__file__))
+        out, csv_dir = tmp_path / "circle.json", tmp_path / "arcs"
+        read, write = os.pipe()
+        os.close(read)
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-m", "nlpcheck", "analyze", "builtin:circle"]
+                + ["--json", str(out), "--csv-dir", str(csv_dir)],
+                env={**os.environ, "PYTHONPATH": src},
+                stdout=write,
+                stderr=subprocess.PIPE,
+                text=True,
+            )
+        finally:
+            os.close(write)
+        assert proc.returncode == cli.EXIT_STDOUT_CLOSED == 141
+        assert proc.stderr == ""
+        assert out.read_text() == report_to_json(run(RunConfig("builtin:circle")))
+        assert len(os.listdir(csv_dir)) == 8
+
+    def test_unwritable_report_exits_two_after_the_summary(self, tmp_path, capsys):
+        out = tmp_path / "missing" / "circle.json"
+        assert main(["analyze", "builtin:circle", "--json", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out.splitlines()[-1].startswith("analysis time: ")
+        assert captured.err.startswith("error: cannot write output: ")
 
     def test_internal_failure_exit_three(self, monkeypatch, capsys):
         import nlpcheck.cli as cli_mod

@@ -315,10 +315,46 @@ class TestNewton:
             (uphill, [1.0, 1.0], [0.0, 0.0]),
             (creep, [1.0, 1.0], [0.0, 0.0]),
         ]
+        errors, outside, _ = self.check_batch(systems)
+        assert 3 in outside
+        kinds = [type(err).__name__ if err else None for err in errors]
+        assert kinds == [None, "SingularJacobianError", "SingularJacobianError", None,
+                         "NewtonConvergenceError", "NewtonConvergenceError"]
+        assert "30 halvings" in str(errors[4]) and "50 iterations" in str(errors[5])
+
+    def test_accepted_rounds_match_the_reference_solve(self):
+        # every trial is accepted: the affine system is solved by its first
+        # step, so the first round takes every system at once, the next
+        # ones both sphere systems, and the last ones the slower sphere alone
+        def sphere(x):
+            return np.array([x[0] ** 2 + x[1] ** 2, x[0] - x[1]]), np.array(
+                [[2.0 * x[0], 2.0 * x[1]], [1.0, -1.0]]
+            )
+
+        def affine(x):
+            a = np.array([[2.0, 1.0], [0.0, 3.0]])
+            return a @ x, a
+
+        systems = [
+            (sphere, [2.0, 0.5], [2.0, 0.0]),
+            (affine, [0.0, 0.0], [1.0, 6.0]),
+            (sphere, [0.5, 3.0], [8.0, 0.0]),
+        ]
+        errors, _, calls = self.check_batch(systems)
+        assert errors == [None, None, None]
+        assert calls[0] == [0, 1, 2] and calls[1] == [0, 2] and calls[-1] == [2]
+
+    def check_batch(self, systems):
+        """Solve ``systems`` (function, start, target) in one batch and
+        check each row against the reference solve of its system alone;
+        returns the errors, the systems whose trials left the domain and
+        the systems evaluated in each round."""
         starts = [(np.array(x0), *fun_jac(np.array(x0))) for fun_jac, x0, _ in systems]
         outside = []
+        calls = []
 
         def evaluate(rows, X):
+            calls.append(rows.tolist())
             F, J, ok = np.zeros_like(X), np.zeros(X.shape + X.shape[1:]), np.ones(len(rows), dtype=bool)
             for i, (s, x) in enumerate(zip(rows, X)):
                 try:
@@ -331,11 +367,6 @@ class TestNewton:
         start = tuple(np.array(part) for part in zip(*starts))
         targets = np.array([target for _, _, target in systems])
         X, F, J, errors = newton_batch(evaluate, start, targets)
-        assert 3 in outside
-        kinds = [type(err).__name__ if err else None for err in errors]
-        assert kinds == [None, "SingularJacobianError", "SingularJacobianError", None,
-                         "NewtonConvergenceError", "NewtonConvergenceError"]
-        assert "30 halvings" in str(errors[4]) and "50 iterations" in str(errors[5])
         for i, ((fun_jac, _, target), begin) in enumerate(zip(systems, starts)):
             try:
                 ref = reference_newton(fun_jac, begin, np.array(target))
@@ -349,6 +380,7 @@ class TestNewton:
             assert errors[i] is None
             for got, want in zip((X[i], F[i], J[i]), ref):
                 assert got.tobytes() == want.tobytes()
+        return errors, outside, calls
 
 
 def brute_force_lp(c, a_ub, b_ub, a_eq=None, b_eq=None):

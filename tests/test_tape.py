@@ -32,6 +32,7 @@ from nlpcheck.expr import (
     ExprError,
     Power,
     Unary,
+    TapeSet,
     Var,
     compile_tape,
     compile_tapes,
@@ -277,6 +278,40 @@ class TestSweep:
         part = compile_tapes(exprs).evaluate(X, [7, 0, 3], order=2)
         for full, sub in zip(whole, part):
             assert same_bits(full[:, [7, 0, 3]], sub)
+
+    def test_one_pass_equals_chunked_passes(self, monkeypatch):
+        # a call that one pass over one chunk of rows covers returns that
+        # pass's tables; chunks of two rows and passes of two points must
+        # give the same ok and the same bits wherever ok holds (a failed
+        # entry is meaningless: its NaNs may differ in sign)
+        exprs, points = corpus(seed=5, count=12)
+        X = np.array(points)
+        one = compile_tapes(exprs)
+        runs = []
+        run = TapeSet._run
+
+        def counting(self, plan, X, order):
+            runs.append(len(X))
+            return run(self, plan, X, order)
+
+        monkeypatch.setattr(TapeSet, "_run", counting)
+        whole = [one.evaluate(X, order=order) for order in range(3)]
+        assert runs == [len(X)] * 3
+        monkeypatch.setattr(linalg, "stack_chunk", lambda floats: 2)
+        chunked = compile_tapes(exprs)
+        failed = 0
+        for order, tables in enumerate(whole):
+            runs.clear()
+            again = chunked.evaluate(X, order=order)
+            assert len(runs) == len(X) // 2 * -(-len(exprs) // 2)
+            ok = tables[3]
+            assert np.array_equal(again[3], ok)
+            for got, want in zip(again[:3], tables[:3]):
+                assert (got is None) == (want is None)
+                if want is not None:
+                    assert got.shape == want.shape and same_bits(got[ok], want[ok])
+            failed += int((~ok).sum())
+        assert failed > 0  # the corpus leaves the domain somewhere
 
     def test_zero_outputs_and_zero_points(self):
         values, grads, _, ok = compile_tapes([]).evaluate(np.ones((3, 2)))
