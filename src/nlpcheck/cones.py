@@ -23,12 +23,17 @@ in mask order, in chunks of bounded memory, and each form's minimum is
 selected exactly as a loop over one face at a time selects it, so the
 results are that loop's to the bit.
 
-When no face yields a feasible eigenvector, or the inequality rows are too
-many to enumerate, one box-bounded LP per coordinate and sign decides
-whether the cone is {0}; a {0} cone gives the certified minimum 0
-(``"zero-cone"``).  A nonzero cone is then reported ``"uncertified"``:
-nothing short of the face enumeration certifies its minimum, and an
-uncertified value could change no second-order verdict.
+Before any face, one test decides whether the cone is {0}: a rank gate,
+then one non-negative least-squares solve for a positive dependence of the
+rows (Stiemke's alternative), re-checked by its residual.  A {0} cone gives
+every form the certified minimum 0 (``"zero-cone"``).  When its certificate
+also has a margin over the face loop's tolerances, which proves that no
+face could yield, the faces are skipped; otherwise they are walked as
+usual, and the test's verdict settles only the forms that no face yields
+for, and every form when the inequality rows are too many to enumerate.
+A nonzero cone is then reported ``"uncertified"``: nothing short of the
+face enumeration certifies its minimum, and an uncertified value could
+change no second-order verdict.
 """
 
 from __future__ import annotations
@@ -40,7 +45,9 @@ import numpy as np
 
 from nlpcheck.linalg import (
     grouped_nullspace_bases,
+    nnls,
     nullspace_basis,
+    numerical_rank,
     simplex_lp,
     stack_chunk,
 )
@@ -190,10 +197,11 @@ class QuadOnConeResult:
     """Minimum of d^T H d over unit cone members, with the method used.
 
     ``"facial-enumeration"`` and ``"zero-cone"`` (a cone certified to be
-    {0}, where the form vanishes identically) are certified.  A nonzero cone
-    with more than ``_FACIAL_LIMIT`` inequality rows, or one where no face
-    yields a feasible eigenvector, gives ``"uncertified"``: ``min_value`` 0
-    at the zero witness, which carries no information about the minimum.
+    {0} by the NNLS test, where the form vanishes identically) are
+    certified.  A nonzero cone with more than ``_FACIAL_LIMIT`` inequality
+    rows, or one where no face yields a feasible eigenvector, gives
+    ``"uncertified"``: ``min_value`` 0 at the zero witness, which carries
+    no information about the minimum.
     """
 
     min_value: float
@@ -227,15 +235,54 @@ def _box_maxima(A_ub: np.ndarray, A_eq: np.ndarray):
             )
 
 
-def _is_zero_cone(cone: ConeRep) -> bool:
-    """True when the cone is certified to be {0}: every box maximum is 0.
+def _zero_cone_reach(cone: ConeRep) -> tuple[float, float]:
+    """The {0} test: ``(reach, sigma_max)``, where ``sigma_max`` is the
+    largest singular value of the rows ``[a_in; a_eq]`` (0, like ``reach``,
+    when there are fewer than n rows).
 
-    Any LP that does not solve leaves the cone uncertified.
+    A positive ``reach`` proves that no unit ``d`` has ``a . d <= reach``
+    on every inequality row and ``|a . d| <= reach`` on every equality row;
+    in particular the cone is {0}.  By Stiemke's alternative a cone is {0}
+    exactly when its rows have rank n and ``a_in.T @ mu + a_eq.T @ lam = 0``
+    for some ``mu >= 1``.  Fewer than n rows, or a numerical rank below n,
+    give ``reach`` 0 at once.  Otherwise one :func:`~nlpcheck.linalg.nnls`
+    call minimizes ``||a_in.T @ (1 + nu) + a_eq.T @ lam||`` over ``nu >= 0``,
+    and the certificate ``mu = 1 + nu`` is checked by its residual ``r``
+    (``nnls`` may stop at its best iterate, so nothing is taken on trust).
+    For such a ``d``, ``mu . (a_in d) + lam . (a_eq d) = r . d`` and
+    ``mu >= 1`` bound every ``|a . d|`` by ``(1 + |mu|_1 + |lam|_1) reach +
+    ||r||``, so ``||[a_in; a_eq] d|| <= sigma_min / 2`` when ``reach`` is
+    ``(sigma_min / (2 sqrt(rows)) - ||r||) / (1 + |mu|_1 + |lam|_1)``, and no
+    unit ``d`` gets that far; the factor 2 spares the rounding.  The rows
+    are first scaled by a power of two, which changes neither the cone nor
+    the certificate, so that ``nnls`` works at unit scale.
     """
-    return all(
-        res.status == "optimal" and -res.value <= 1e-6
-        for res in _box_maxima(cone.a_in, cone.a_eq)
-    )
+    rows = np.vstack([cone.a_in, cone.a_eq])
+    if not np.isfinite(rows).all():
+        raise ValueError("matrix has non-finite entries")
+    if rows.shape[0] < cone.n:
+        return 0.0, 0.0
+    exp = math.frexp(float(np.abs(rows).max()))[1]
+    rows = np.ldexp(rows, -exp)
+    info = numerical_rank(rows)
+    s_max = math.ldexp(float(info.magnitudes[0]), exp)
+    if info.rank < cone.n:
+        return 0.0, s_max
+    k_in = cone.a_in.shape[0]
+    mu, lam = np.ones(k_in), np.zeros(rows.shape[0] - k_in)
+    if k_in:
+        y, _ = nnls(rows.T, rows[:k_in].sum(axis=0), np.arange(rows.shape[0]) < k_in)
+        mu += np.maximum(y[:k_in], 0.0)
+        lam = y[k_in:]
+    r = rows[:k_in].T @ mu + rows[k_in:].T @ lam
+    room = float(info.magnitudes[-1]) / (2.0 * math.sqrt(rows.shape[0])) - float(np.linalg.norm(r))
+    reach = room / (1.0 + float(mu.sum()) + float(np.abs(lam).sum()))
+    return max(0.0, math.ldexp(reach, exp)), s_max
+
+
+def _is_zero_cone(cone: ConeRep) -> bool:
+    """True when the cone is certified to be {0} (:func:`_zero_cone_reach`)."""
+    return _zero_cone_reach(cone)[0] > 0.0
 
 
 def _checked_form(H, n: int) -> np.ndarray:
@@ -259,6 +306,17 @@ def min_quadratic_on_cone(H, cone: ConeRep) -> QuadOnConeResult:
 def min_quadratics_on_cone(Hs, cone: ConeRep) -> list[QuadOnConeResult]:
     """Minimize each ``d^T H d`` over unit-norm members of the cone.
 
+    The {0} test (:func:`_zero_cone_reach`) runs first.  When its ``reach``
+    exceeds ``tau = max(_TOL, 1e-8 * sigma_max)``, every form gets the
+    certified zero minimum and no face is walked.  That skips nothing the
+    faces could give: a face's unit eigenvector is kept only if it meets
+    every remaining inequality row at ``_TOL``, and it lies in the
+    numerical nullspace of the pinned rows, cut at 1e-8 times their
+    largest singular value, so ``a . d <= tau`` on every inequality row and
+    ``|a . d| <= tau`` on every equality row, which a ``reach`` above
+    ``tau`` rules out for unit ``d``.  Without that margin the faces are
+    walked first.
+
     With at most ``_FACIAL_LIMIT`` inequality rows every face is enumerated
     once for all forms: rows in the chosen subset become equalities, every
     form restricted to the resulting subspace is minimized by its smallest
@@ -270,12 +328,17 @@ def min_quadratics_on_cone(Hs, cone: ConeRep) -> list[QuadOnConeResult]:
     SVD, and faces of the same dimension share one stacked eigenproblem for
     all forms.  A form for which no face yields a feasible eigenvector, and
     every form beyond the limit, gets the certified zero minimum when the
-    cone is {0} and an uncertified result otherwise.  Results are returned
-    in the order of ``Hs``.
+    {0} test passed and an uncertified result otherwise.  Results are
+    returned in the order of ``Hs``.
     """
     Hs = [_checked_form(H, cone.n) for H in Hs]
     if not Hs:
         return []
+    reach, s_max = _zero_cone_reach(cone)
+    zero = reach > 0.0
+    if reach > max(_TOL, 1e-8 * s_max):
+        # no face can yield a feasible eigenvector (see the docstring)
+        return [_flat_minimum(cone.n, True) for _ in Hs]
     k_in = cone.a_in.shape[0]
     best: list[QuadOnConeResult | None] = [None] * len(Hs)
     faces = 1 << k_in if k_in <= _FACIAL_LIMIT else 0
@@ -285,14 +348,13 @@ def min_quadratics_on_cone(Hs, cone: ConeRep) -> list[QuadOnConeResult]:
     chunk = stack_chunk((rows + cone.n) ** 2 + 4 * len(Hs) * cone.n**2)
     for start in range(0, faces, chunk):
         _scan_faces(np.arange(start, min(faces, start + chunk)), cone, Hs, best)
-    missing = [q for q, res in enumerate(best) if res is None]
-    if missing:
-        zero = _is_zero_cone(cone)
-        for q in missing:
-            best[q] = QuadOnConeResult(
-                0.0, np.zeros(cone.n), "zero-cone" if zero else "uncertified", zero
-            )
-    return best
+    return [_flat_minimum(cone.n, zero) if res is None else res for res in best]
+
+
+def _flat_minimum(n: int, zero: bool) -> QuadOnConeResult:
+    """The minimum 0 at the zero witness: certified on a {0} cone,
+    uncertified otherwise."""
+    return QuadOnConeResult(0.0, np.zeros(n), "zero-cone" if zero else "uncertified", zero)
 
 
 def _scan_faces(masks: np.ndarray, cone: ConeRep, Hs: list, best: list) -> None:

@@ -234,6 +234,10 @@ def check_ssonc(pd: PointData, ms: MultiplierSet) -> SsoncReport:
     homogeneous part (constraint Hessians weighted by the ray direction),
     because moving far along a ray makes that part dominate.  Either kind of
     witness with a certified negative cone minimum refutes the condition.
+    The condition holds when every minimum is certified nonnegative and the
+    multiplier description is complete, or when the cone is certified to be
+    {0} (every result ``"zero-cone"``): that certificate does not depend on
+    the multiplier, so it holds for a partial description too.
     """
     if not ms.vertices:
         raise ValueError("no KKT multipliers available; SSONC is undefined here")
@@ -277,6 +281,14 @@ def check_ssonc(pd: PointData, ms: MultiplierSet) -> SsoncReport:
             "cone minimum is certified nonnegative; since the quadratic form is "
             "affine in the multiplier for fixed direction, this covers every "
             "multiplier"
+        )
+    elif all(r["method"] == "zero-cone" for r in results):
+        status = "holds-certified"
+        rationale = (
+            "the strong critical cone is certified to be {0}, so every "
+            "quadratic form vanishes on it; the certificate does not depend "
+            "on the multiplier, so this covers every multiplier although the "
+            "multiplier description is partial"
         )
     else:
         status = "undetermined"

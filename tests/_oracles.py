@@ -359,6 +359,24 @@ def facial_minima_oracle(Hs, cone, tol=1e-8):
     return best
 
 
+def zero_cone_oracle(cone):
+    """True when the cone is {0} by the box-maxima LPs.
+
+    This is the test ``cones._is_zero_cone`` ran before its NNLS
+    certificate: each coordinate is maximized, with either sign, over the
+    cone cut by [-1, 1]^n, and a nonzero member scaled to unit infinity
+    norm reaches 1 in some coordinate, so the cone is {0} exactly when
+    every maximum is 0 (at 1e-6).  Any LP that does not solve leaves the
+    cone uncertified.
+    """
+    from nlpcheck.cones import _box_maxima
+
+    return all(
+        res.status == "optimal" and -res.value <= 1e-6
+        for res in _box_maxima(cone.a_in, cone.a_eq)
+    )
+
+
 def multiplier_enumeration_oracle(pd, tol=1e-8):
     """The multiplier polyhedron by the one-subset-at-a-time loop.
 

@@ -18,6 +18,7 @@ from nlpcheck import cones, linalg
 from nlpcheck.cones import (
     ConeRep,
     _is_zero_cone,
+    _zero_cone_reach,
     critical_cone_multiplier_form,
     linearized_cone,
     membership,
@@ -35,6 +36,7 @@ from _oracles import (
     facial_minimum_oracle,
     quad_cone_min_oracle,
     same_bits,
+    zero_cone_oracle,
 )
 
 BENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "perfbench")
@@ -426,6 +428,24 @@ class TestStackedFaces:
         with pytest.raises(ValueError, match="non-finite"):
             min_quadratics_on_cone([np.eye(2)], cone)
 
+    @pytest.mark.parametrize(
+        "cone",
+        [
+            inequality_cone([[1.0, 0.0], [np.nan, 1.0]]),
+            # fewer rows than n: the rank gate would return before any SVD
+            ConeRep(n=2, a_eq=np.array([[np.inf, 0.0]]), a_in=np.zeros((0, 2))),
+        ],
+        ids=["inequality", "equality"],
+    )
+    def test_nonfinite_row_raises_before_lapack(self, cone, monkeypatch):
+        def no_lapack(*args, **kwargs):
+            raise AssertionError("LAPACK reached with a non-finite row")
+
+        for name in ("numerical_rank", "nnls", "grouped_nullspace_bases"):
+            monkeypatch.setattr(cones, name, no_lapack)
+        with pytest.raises(ValueError, match="matrix has non-finite entries"):
+            min_quadratics_on_cone([np.eye(2)], cone)
+
     def test_face_loop_memory_is_bounded(self):
         # 2^14 faces in R^20: the SVD's right factors alone would take
         # 2^14 * 20 * 20 * 8 bytes, about 50 MiB, if every face were stacked
@@ -508,3 +528,134 @@ class TestZeroCone:
         )
         assert _is_zero_cone(cone)
         assert not _is_zero_cone(linearized_cone(circle_pd()))
+
+
+def fan_cone(K, scale=1.0):
+    """The fan-K strong critical cone: K tilted planes and ``d3 <= 0``."""
+    t = 2.0 * np.pi * np.arange(1, K + 1) / K
+    rows = np.column_stack([np.cos(t), np.sin(t), -np.ones(K)])
+    return inequality_cone(scale * np.vstack([rows, [[0.0, 0.0, 1.0]]]))
+
+
+def random_cone(rng, n):
+    """Gaussian rows in R^n, half of them with equality rows, and half with
+    the last inequality row chosen so that ``a_in.T @ mu + a_eq.T @ lam =
+    0`` for some ``mu > 0``."""
+    k_eq = int(rng.integers(0, n)) if rng.random() < 0.5 else 0
+    k_in = int(rng.integers(0, n + 4))
+    a_eq = rng.standard_normal((k_eq, n))
+    a_in = rng.standard_normal((k_in, n))
+    if k_in and rng.random() < 0.5:
+        mu = rng.uniform(0.1, 2.0, k_in)
+        a_in[-1] = -(a_in[:-1].T @ mu[:-1] + a_eq.T @ rng.standard_normal(k_eq)) / mu[-1]
+    return ConeRep(n=n, a_eq=a_eq, a_in=a_in)
+
+
+def assert_face_loop_then_oracle(forms, cone):
+    """``min_quadratics_on_cone`` gives what the one-face-at-a-time loop
+    gives, and, for the forms it leaves, the LP {0} test's verdict."""
+    zero = zero_cone_oracle(cone)
+    results = min_quadratics_on_cone(forms, cone)
+    for res, found in zip(results, facial_minima_oracle(forms, cone)):
+        if found is None:
+            assert res.method == ("zero-cone" if zero else "uncertified")
+            assert res.certified == zero
+            assert res.min_value == 0.0
+            assert_array_equal(res.witness, np.zeros(cone.n))
+        else:
+            assert res.method == "facial-enumeration"
+            assert same_bits(res.min_value, found[0])
+            assert same_bits(res.witness, found[1])
+
+
+class TestZeroConeCertificate:
+    """The NNLS {0} test against the box-maxima LPs it replaced
+    (``zero_cone_oracle``), and the shortcut it allows before the faces."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_agrees_with_lp_oracle(self, n):
+        rng = np.random.default_rng(7000 + n)
+        verdicts = {True: 0, False: 0}
+        for _ in range(500):
+            cone = random_cone(rng, n)
+            zero = _is_zero_cone(cone)
+            assert zero == zero_cone_oracle(cone)
+            verdicts[zero] += 1
+        assert min(verdicts.values()) >= 100
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_random_cones_match_face_loop_then_oracle(self, n):
+        rng = np.random.default_rng(8000 + n)
+        for _ in range(60):
+            cone = random_cone(rng, n)
+            forms = []
+            for _ in range(2):
+                a = rng.standard_normal((n, n))
+                forms.append(a + a.T)
+            assert_face_loop_then_oracle(forms, cone)
+
+    def test_corrupted_certificate_fails_the_recheck(self, monkeypatch):
+        cone = fan_cone(3)
+        assert _is_zero_cone(cone)
+        real = cones.nnls
+        y, _ = real(np.vstack([cone.a_in, cone.a_eq]).T, cone.a_in.sum(axis=0), [True] * 4)
+        assert_allclose(1.0 + y, [1.0, 1.0, 1.0, 3.0])  # a_in.T @ (1 + y) = 0
+        for bad in (np.zeros_like(y), y + np.eye(4)[0], y + np.eye(4)[3]):
+            # the residual nnls reports is not trusted either
+            monkeypatch.setattr(cones, "nnls", lambda *args, bad=bad: (bad, 0.0))
+            assert not _is_zero_cone(cone)
+            assert _zero_cone_reach(cone)[0] == 0.0
+
+    @pytest.mark.parametrize(
+        "cone",
+        [fan_cone(3, scale) for scale in (1e-7, 3e-8, 1e-8)]
+        + [
+            # d1 <= 0 <= d1 - eps |d2|: a {0} wedge that thins with eps
+            inequality_cone([[1.0, 0.0], [-1.0, eps], [-1.0, -eps]])
+            for eps in (1e-7, 3e-8, 2e-8)
+        ]
+        + [
+            ConeRep(
+                n=3,
+                a_eq=np.array([[0.0, 0.0, 1.0]]),
+                a_in=np.array([[1.0, 0.0, 0.0], [-1.0, eps, 0.0], [-1.0, -eps, 0.0]]),
+            )
+            for eps in (5e-8, 2e-8)
+        ],
+        ids=["fan*1e-7", "fan*3e-8", "fan*1e-8", "wedge-1e-7", "wedge-3e-8", "wedge-2e-8",
+             "wedge-eq-5e-8", "wedge-eq-2e-8"],
+    )
+    def test_zero_cone_below_the_margin_walks_the_faces(self, cone, monkeypatch):
+        reach, s_max = _zero_cone_reach(cone)
+        assert 0.0 < reach <= max(cones._TOL, 1e-8 * s_max)
+        n = cone.n
+        forms = [np.eye(n), -np.eye(n), np.diag([1.0, -1.0, 0.5][:n]), np.diag([-1.0, 2.0, 3.0][:n])]
+        walked = []
+        real = cones._scan_faces
+        monkeypatch.setattr(cones, "_scan_faces", lambda *args: walked.append(1) or real(*args))
+        assert_face_loop_then_oracle(forms, cone)
+        assert walked
+
+    @pytest.mark.parametrize("K", [3, 8])
+    def test_fan_cones_skip_the_faces(self, K, monkeypatch):
+        pd = evaluate_point(load_problem(workloads.fan_text(K)), np.zeros(3))
+        ms = solve_multipliers(pd)
+        forms = [lagrangian_hessian(pd, mu, lam) for mu, lam in ms.vertices]
+
+        def unused(*args, **kwargs):
+            raise AssertionError("the face loop ran on a {0} cone")
+
+        monkeypatch.setattr(cones, "grouped_nullspace_bases", unused)
+        monkeypatch.setattr(cones, "simplex_lp", unused)
+        results = min_quadratics_on_cone(forms, strong_critical_cone(pd))
+        assert [r.method for r in results] == ["zero-cone"] * len(forms)
+        assert all(r.certified and r.min_value == 0.0 for r in results)
+
+    def test_fanfree_rank_gate_returns_before_nnls(self, monkeypatch):
+        pd = evaluate_point(load_problem(workloads.fanfree_text(10)), np.zeros(5))
+
+        def unused(*args, **kwargs):
+            raise AssertionError("nnls ran on a cone of rank below n")
+
+        monkeypatch.setattr(cones, "nnls", unused)
+        assert not _is_zero_cone(strong_critical_cone(pd))

@@ -9,12 +9,13 @@ import json
 import math
 import os
 import sys
+import time
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from nlpcheck import cones, kkt, linalg
+from nlpcheck import cli, cones, cq, kkt, linalg
 from nlpcheck.cli import main
 from nlpcheck.cones import strong_critical_cone
 from nlpcheck.kkt import (
@@ -504,6 +505,44 @@ class TestZeroCone:
             assert entry["certified"]
             assert entry["min_value"] == 0.0
             assert entry["witness_direction"] == [0.0] * 3
+
+    @pytest.mark.parametrize("K", [13, 14])
+    def test_partial_multipliers_over_a_zero_cone_hold_certified(self, K):
+        # the {0} certificate does not depend on the multiplier, so the
+        # capped vertex enumeration of the wide fans does not weaken it
+        pd = problem_pd(workloads.fan_text(K))
+        ms = solve_multipliers(pd)
+        assert ms.partial
+        report = check_ssonc(pd, ms)
+        assert report.status == "holds-certified"
+        assert {entry["method"] for entry in report.results} == {"zero-cone"}
+        assert "does not depend on the multiplier" in report.rationale
+
+    def test_fan3_analysis_solves_one_lp(self, tmp_path, monkeypatch):
+        # the MFCQ LP; the {0} cone takes no LP
+        path = tmp_path / "fan-3.nlp"
+        path.write_text(workloads.fan_text(3))
+        calls = []
+        real = linalg.simplex_lp
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return real(*args, **kwargs)
+
+        for module in (cq, cones):
+            monkeypatch.setattr(module, "simplex_lp", counting)
+        report = cli.run(cli.RunConfig(problem=str(path)))
+        assert report["ssonc"]["status"] == "holds-certified"
+        assert len(calls) == 1
+
+    def test_fan12_analysis_is_fast(self, tmp_path):
+        # the face loop over 2^13 faces took about 3 s of it
+        path = tmp_path / "fan-12.nlp"
+        path.write_text(workloads.fan_text(12))
+        start = time.perf_counter()
+        report = cli.run(cli.RunConfig(problem=str(path)))
+        assert time.perf_counter() - start < 1.0
+        assert report["ssonc"]["status"] == "holds-certified"
 
 
 class TestBeyondFacialLimit:
