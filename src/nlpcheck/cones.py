@@ -12,8 +12,12 @@ of the minimum is decided on unit vectors.  A constrained minimizer on the
 cone is an eigenvector of the Hessian restricted to the span of the face it
 lies on, so enumerating faces (subsets of inequality rows turned into
 equalities) and solving a small symmetric eigenproblem per face certifies
-the global minimum whenever the face count is tractable.  A cone without
-inequality rows is a subspace with a single face.  The faces depend only on
+the global minimum whenever the face count is tractable.  When the
+smallest eigenvalue is repeated, its eigenspace is searched by projecting
+onto the wedge the remaining rows cut out of it, one non-negative
+least-squares solve per projection, so that solver is the one polyhedral
+primitive here.  A cone without inequality rows is a subspace with a
+single face.  The faces depend only on
 the cone, so several forms over one cone (one per multiplier in the
 second-order check) share a single enumeration, and the faces share their
 LAPACK calls: faces with the same number of pinned rows get their nullspace
@@ -48,7 +52,6 @@ from nlpcheck.linalg import (
     nnls,
     nullspace_basis,
     numerical_rank,
-    simplex_lp,
     stack_chunk,
 )
 from nlpcheck.model import PointData, check_multiplier
@@ -208,31 +211,6 @@ class QuadOnConeResult:
     witness: np.ndarray
     method: str  # "facial-enumeration" | "zero-cone" | "uncertified"
     certified: bool
-
-
-def _box_maxima(A_ub: np.ndarray, A_eq: np.ndarray):
-    """Maximize each coordinate, with either sign, over
-    {z : A_ub z <= 0, A_eq z = 0} intersected with [-1, 1]^q.
-
-    Yields one ``simplex_lp`` result per coordinate and sign, in that
-    order, and solves each LP only when it is asked for.  The value of
-    each result is minus the maximum.  A nonzero member of the cone scaled
-    to unit infinity norm reaches 1 in some coordinate, so the cone is {0}
-    exactly when every maximum is 0.
-    """
-    q = A_ub.shape[1]
-    for j in range(q):
-        for sign in (1.0, -1.0):
-            c = np.zeros(q)
-            c[j] = -sign
-            yield simplex_lp(
-                c,
-                A_ub=A_ub,
-                b_ub=np.zeros(A_ub.shape[0]),
-                A_eq=A_eq,
-                b_eq=np.zeros(A_eq.shape[0]),
-                bounds=[(-1.0, 1.0)] * q,
-            )
 
 
 def _zero_cone_reach(cone: ConeRep) -> tuple[float, float]:
@@ -416,8 +394,14 @@ def _feasible_in_eigenspace(
     columns of ``B``.  When the smallest eigenvalue is simple, only its
     eigenvector (either sign) can work.  Under multiplicity the minimizer
     may be any unit vector of the eigenspace, so after trying the computed
-    basis vectors the box maxima over the eigenspace decide exactly whether
-    it meets the remaining inequalities away from zero.
+    basis vectors each signed coordinate vector ``v`` of the eigenspace is
+    projected onto the wedge ``{z : M z <= 0}`` the remaining rows cut out
+    of it; by Moreau that is ``v - M.T @ y`` for the ``y >= 0`` minimizing
+    ``||M.T @ y - v||``, one :func:`~nlpcheck.linalg.nnls` call.  Every
+    ``v`` projects to 0 exactly when the wedge is {0}, since a nonzero
+    member is at an acute angle with one ``v``.  Each projection is
+    normalized and re-checked against the rows (``nnls`` may stop at its
+    best iterate).
     """
     spread = 1e-10 * max(1.0, float(np.abs(w).max()))
     cluster = int(np.count_nonzero(w <= w[0] + spread))
@@ -430,12 +414,15 @@ def _feasible_in_eigenspace(
     if cluster == 1 or A_rest.shape[0] == 0:
         return None
     E = B @ V[:, :cluster]  # (n, cluster) orthonormal
-    for res in _box_maxima(A_rest @ E, np.zeros((0, cluster))):
-        if res.status != "optimal" or res.x is None:
-            continue
-        nz = float(np.linalg.norm(res.x))
-        if -res.value > 1e-6 and nz > 1e-9:
-            d = E @ (res.x / nz)
+    M = A_rest @ E
+    M = np.ldexp(M, -math.frexp(float(np.abs(M).max()))[1])  # same wedge, unit scale
+    wedge = np.ones(M.shape[0], dtype=bool)
+    for v in np.kron(np.eye(cluster), [[1.0], [-1.0]]):  # e_1, -e_1, e_2, ...
+        y, _ = nnls(M.T, -v, wedge)
+        z = v - M.T @ y
+        nz = float(np.linalg.norm(z))
+        if nz > 1e-6:  # in a nonzero wedge some v projects to >= 1/sqrt(cluster)
+            d = E @ (z / nz)
             if float((A_rest @ d).max()) <= tol:
                 return d
     return None

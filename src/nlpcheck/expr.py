@@ -327,30 +327,38 @@ _BINOP_SYMBOL = {"add": "+", "sub": "-", "mul": "*", "div": "/"}
 
 
 def to_source(e: Expression) -> str:
-    """Print an expression; re-parsing the result reproduces the tree.
+    """Print an expression by an iterative walk, so trees of any depth print.
 
-    Binary operations are fully parenthesized so the round trip is exact.
-    Negative constants (possible only in hand-built trees, the parser never
-    produces them) print as negated positive literals.
+    Binary operations are fully parenthesized, so re-parsing the result
+    reproduces the tree within the parser's nesting bound; deeper trees
+    re-parse to ``expression nested too deeply``.  Negative constants
+    (possible only in hand-built trees, the parser never produces them)
+    print as negated positive literals.
     """
-    if isinstance(e, Const):
-        return _fmt_const(e.value)
-    if isinstance(e, Var):
-        return f"x{e.index}"
-    if isinstance(e, Unary):
-        if e.op == "neg":
-            return f"(-{to_source(e.arg)})"
-        return f"{e.op}({to_source(e.arg)})"
-    if isinstance(e, Binary):
-        sym = _BINOP_SYMBOL[e.op]
-        return f"({to_source(e.left)} {sym} {to_source(e.right)})"
-    if isinstance(e, Power):
-        if isinstance(e.base, (Var, Const)) and not (
-            isinstance(e.base, Const) and e.base.value < 0
-        ):
-            return f"{to_source(e.base)}^{e.exponent}"
-        return f"({to_source(e.base)})^{e.exponent}"
-    raise TypeError(f"not an expression node: {e!r}")
+    parts: list[str] = []
+    stack: list = [e]  # nodes still to print and literal text, last first
+    while stack:
+        item = stack.pop()
+        if isinstance(item, str):
+            parts.append(item)
+        elif isinstance(item, Const):
+            parts.append(_fmt_const(item.value))
+        elif isinstance(item, Var):
+            parts.append(f"x{item.index}")
+        elif isinstance(item, Unary):
+            head = "(-" if item.op == "neg" else f"{item.op}("
+            stack.extend((")", item.arg, head))
+        elif isinstance(item, Binary):
+            stack.extend((")", item.right, f" {_BINOP_SYMBOL[item.op]} ", item.left, "("))
+        elif isinstance(item, Power):
+            base = item.base
+            if isinstance(base, Var) or (isinstance(base, Const) and not base.value < 0):
+                stack.extend((f"^{item.exponent}", base))
+            else:
+                stack.extend((f")^{item.exponent}", base, "("))
+        else:
+            raise TypeError(f"not an expression node: {item!r}")
+    return "".join(parts)
 
 
 @dataclass

@@ -7,7 +7,9 @@ simplex solver, the sign-constrained least-squares solver, the greedy column
 pivoting, and the damped Newton iteration (a batch of systems stepped
 together, one stacked solve per round) are implemented directly because
 their tie-breaking and failure behaviour must be deterministic and
-inspectable.
+inspectable.  The sign-constrained least-squares solver is the polyhedral
+primitive of the multiplier probe and of the cone layer; the simplex now
+serves only the MFCQ direction LP.
 """
 
 from __future__ import annotations

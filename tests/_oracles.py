@@ -7,6 +7,11 @@ O(step.||H||), which is far above the comparison tolerances used here,
 while the augmented candidate set is exact up to rounding.  None of this
 shares code with the library's facial enumeration.
 
+``zero_cone_oracle`` and ``eigenspace_box_oracle`` decide by the simplex
+box LPs (``box_maxima``) what the library now decides by non-negative
+least squares: whether a cone, or a wedge in an eigenspace, is {0}.  They
+must agree with it on every verdict.
+
 The reference loops (``rank_scan_oracle``, ``facial_minima_oracle``,
 ``multiplier_enumeration_oracle``) are the plain one-matrix-at-a-time
 versions of batched library code; they must agree with it exactly.  ``reference_evaluate`` and
@@ -359,22 +364,74 @@ def facial_minima_oracle(Hs, cone, tol=1e-8):
     return best
 
 
+def box_maxima(A_ub, A_eq):
+    """Maximize each coordinate, with either sign, over
+    {z : A_ub z <= 0, A_eq z = 0} intersected with [-1, 1]^q.
+
+    Yields one ``linalg.simplex_lp`` result per coordinate and sign, in
+    that order, and solves each LP only when it is asked for.  The value of
+    each result is minus the maximum.  A nonzero member of the cone scaled
+    to unit infinity norm reaches 1 in some coordinate, so the cone is {0}
+    exactly when every maximum is 0.
+    """
+    from nlpcheck.linalg import simplex_lp
+
+    q = A_ub.shape[1]
+    for j in range(q):
+        for sign in (1.0, -1.0):
+            c = np.zeros(q)
+            c[j] = -sign
+            yield simplex_lp(
+                c,
+                A_ub=A_ub,
+                b_ub=np.zeros(A_ub.shape[0]),
+                A_eq=A_eq,
+                b_eq=np.zeros(A_eq.shape[0]),
+                bounds=[(-1.0, 1.0)] * q,
+            )
+
+
 def zero_cone_oracle(cone):
     """True when the cone is {0} by the box-maxima LPs.
 
     This is the test ``cones._is_zero_cone`` ran before its NNLS
     certificate: each coordinate is maximized, with either sign, over the
-    cone cut by [-1, 1]^n, and a nonzero member scaled to unit infinity
-    norm reaches 1 in some coordinate, so the cone is {0} exactly when
-    every maximum is 0 (at 1e-6).  Any LP that does not solve leaves the
-    cone uncertified.
+    cone cut by [-1, 1]^n (``box_maxima``), and the cone is {0} exactly
+    when every maximum is 0 (at 1e-6).  Any LP that does not solve leaves
+    the cone uncertified.
     """
-    from nlpcheck.cones import _box_maxima
-
     return all(
         res.status == "optimal" and -res.value <= 1e-6
-        for res in _box_maxima(cone.a_in, cone.a_eq)
+        for res in box_maxima(cone.a_in, cone.a_eq)
     )
+
+
+def eigenspace_box_oracle(B, w, V, A_rest, tol):
+    """``cones._feasible_in_eigenspace`` as it searched a repeated
+    eigenvalue's eigenspace before its NNLS projections: eigh's signed
+    basis vectors first, then the box maxima (``box_maxima``) over the
+    eigenspace, each normalized and re-checked against the rows.
+    """
+    spread = 1e-10 * max(1.0, float(np.abs(w).max()))
+    cluster = int(np.count_nonzero(w <= w[0] + spread))
+    for idx in range(cluster):
+        for sign in (1.0, -1.0):
+            d = sign * (B @ V[:, idx])
+            if A_rest.shape[0] and float((A_rest @ d).max()) > tol:
+                continue
+            return d
+    if cluster == 1 or A_rest.shape[0] == 0:
+        return None
+    E = B @ V[:, :cluster]
+    for res in box_maxima(A_rest @ E, np.zeros((0, cluster))):
+        if res.status != "optimal" or res.x is None:
+            continue
+        nz = float(np.linalg.norm(res.x))
+        if -res.value > 1e-6 and nz > 1e-9:
+            d = E @ (res.x / nz)
+            if float((A_rest @ d).max()) <= tol:
+                return d
+    return None
 
 
 def multiplier_enumeration_oracle(pd, tol=1e-8):

@@ -32,6 +32,7 @@ from nlpcheck.model import evaluate_point, lagrangian_hessian, load_problem
 from nlpcheck.problems import builtin_problem
 
 from _oracles import (
+    eigenspace_box_oracle,
     facial_minima_oracle,
     facial_minimum_oracle,
     quad_cone_min_oracle,
@@ -401,25 +402,26 @@ class TestStackedFaces:
         self.assert_matches_oracle(forms, cone)
 
     @pytest.mark.parametrize("chunk", [None, 1, 3], ids=["one-chunk", "chunks-of-1", "chunks-of-3"])
-    def test_eigenvalue_cluster_reaches_the_box_maxima(self, chunk, monkeypatch):
+    def test_eigenvalue_cluster_reaches_the_eigenspace_projection(self, chunk, monkeypatch):
         # each diagonal form has a repeated lowest eigenvalue on span{e2, e3},
         # where the wedge excludes every signed eigenvector eigh returns, so
-        # only the box maxima over the eigenspace find the minimizer
+        # only the NNLS projections onto the wedge find the minimizer (the
+        # cone has fewer rows than n, so the {0} test calls no nnls)
         cone = inequality_cone([[0.0, 1.0, -2.0], [0.0, -2.0, 1.0]])
         forms = [np.diag([2.0, 1.0, 1.0]), np.diag([3.0, -1.0, -1.0]), np.diag([0.0, -2.0, -2.0])]
         calls = []
-        real = cones._box_maxima
+        real = cones.nnls
 
         def counting(*args):
             calls.append(1)
             return real(*args)
 
-        monkeypatch.setattr(cones, "_box_maxima", counting)
+        monkeypatch.setattr(cones, "nnls", counting)
         if chunk is not None:
             monkeypatch.setattr(cones, "stack_chunk", lambda floats: chunk)
         results = min_quadratics_on_cone(forms, cone)
         assert len(calls) >= len(forms)
-        monkeypatch.setattr(cones, "_box_maxima", real)
+        monkeypatch.setattr(cones, "nnls", real)
         self.assert_matches_oracle(forms, cone)
         assert_allclose([r.min_value for r in results], [1.0, -1.0, -2.0], atol=1e-9)
 
@@ -537,6 +539,39 @@ def fan_cone(K, scale=1.0):
     return inequality_cone(scale * np.vstack([rows, [[0.0, 0.0, 1.0]]]))
 
 
+class TestEigenspaceProjection:
+    """The NNLS projections that search a repeated eigenvalue's eigenspace,
+    against the box-maxima LPs they replaced (``eigenspace_box_oracle``)."""
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    def test_agrees_with_lp_oracle(self, n, monkeypatch):
+        # a fully repeated eigenvalue, so the eigenspace is the whole face
+        # and eigh's basis is any orthonormal one; every other wedge is
+        # forced to contain a random direction
+        rng = np.random.default_rng(9000 + n)
+        calls = []
+        real = cones.nnls
+        monkeypatch.setattr(cones, "nnls", lambda *args: calls.append(1) or real(*args))
+        searched = {True: 0, False: 0}
+        for i in range(500):
+            B, _ = np.linalg.qr(rng.standard_normal((n, n)))
+            V, _ = np.linalg.qr(rng.standard_normal((n, n)))
+            w = np.full(n, float(rng.standard_normal()))
+            A_rest = rng.standard_normal((int(rng.integers(1, n + 4)), n))
+            if i % 2 == 0:
+                A_rest[A_rest @ (B @ rng.standard_normal(n)) > 0.0] *= -1.0
+            before = len(calls)
+            d = cones._feasible_in_eigenspace(B, w, V, A_rest, cones._TOL)
+            assert (d is None) == (eigenspace_box_oracle(B, w, V, A_rest, cones._TOL) is None)
+            if d is not None:
+                assert abs(float(np.linalg.norm(d)) - 1.0) <= 1e-12
+                assert float((A_rest @ d).max()) <= cones._TOL
+            if len(calls) > before:
+                searched[d is not None] += 1
+        # the projections both found and ruled out vectors, often
+        assert min(searched.values()) >= 10
+
+
 def random_cone(rng, n):
     """Gaussian rows in R^n, half of them with equality rows, and half with
     the last inequality row chosen so that ``a_in.T @ mu + a_eq.T @ lam =
@@ -646,7 +681,6 @@ class TestZeroConeCertificate:
             raise AssertionError("the face loop ran on a {0} cone")
 
         monkeypatch.setattr(cones, "grouped_nullspace_bases", unused)
-        monkeypatch.setattr(cones, "simplex_lp", unused)
         results = min_quadratics_on_cone(forms, strong_critical_cone(pd))
         assert [r.method for r in results] == ["zero-cone"] * len(forms)
         assert all(r.certified and r.min_value == 0.0 for r in results)

@@ -109,6 +109,15 @@ class TestParse:
         tree = parse(source, 2)
         assert parse(to_source(tree), 2) == tree
 
+    def test_printer_handles_a_5000_term_sum(self):
+        # the parser reads a flat sum without recursing, but its fully
+        # parenthesized print nests 4999 levels deep
+        terms = [f"x{i % 3 + 1}" for i in range(5000)]
+        printed = to_source(parse(" + ".join(terms), 3))
+        assert printed == "(" * 4999 + terms[0] + "".join(f" + {t})" for t in terms[1:])
+        with pytest.raises(ParseError, match="expression nested too deeply"):
+            parse(printed, 3)
+
 
 class TestEvaluate:
     def test_coordinate(self):

@@ -529,7 +529,14 @@ class TestZeroCone:
             calls.append(1)
             return real(*args, **kwargs)
 
-        for module in (cq, cones):
+        # every nlpcheck module that binds the simplex, so no caller escapes
+        bound = [
+            module
+            for name, module in sorted(sys.modules.items())
+            if name.split(".")[0] == "nlpcheck" and getattr(module, "simplex_lp", None) is real
+        ]
+        assert cq in bound
+        for module in bound:
             monkeypatch.setattr(module, "simplex_lp", counting)
         report = cli.run(cli.RunConfig(problem=str(path)))
         assert report["ssonc"]["status"] == "holds-certified"
