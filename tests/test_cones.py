@@ -402,11 +402,12 @@ class TestStackedFaces:
         self.assert_matches_oracle(forms, cone)
 
     @pytest.mark.parametrize("chunk", [None, 1, 3], ids=["one-chunk", "chunks-of-1", "chunks-of-3"])
-    def test_eigenvalue_cluster_reaches_the_eigenspace_projection(self, chunk, monkeypatch):
+    def test_eigenvalue_cluster_reaches_the_box_maxima(self, chunk, monkeypatch):
         # each diagonal form has a repeated lowest eigenvalue on span{e2, e3},
         # where the wedge excludes every signed eigenvector eigh returns, so
-        # only the NNLS projections onto the wedge find the minimizer (the
-        # cone has fewer rows than n, so the {0} test calls no nnls)
+        # only the search over the eigenspace's signed coordinate box (the
+        # NNLS projections of its corners onto the wedge) finds the minimizer
+        # (the cone has fewer rows than n, so the {0} test calls no nnls)
         cone = inequality_cone([[0.0, 1.0, -2.0], [0.0, -2.0, 1.0]])
         forms = [np.diag([2.0, 1.0, 1.0]), np.diag([3.0, -1.0, -1.0]), np.diag([0.0, -2.0, -2.0])]
         calls = []
