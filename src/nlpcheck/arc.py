@@ -22,13 +22,13 @@ zeta(t) is computed by a warm-started Newton solve of c(x) = target.
 The directions that pin the same constraints share one chart.  All the
 arcs of an analysis are traced together: both sides of every arc march
 outward one sample at a time, each sample one ``newton_batch`` over every
-side.  Once per trace, a gather table maps each row of each side's chart to
-a column of one table: the constraint tapes that some chart row evaluates,
-then the variables (the kept rows).  A Newton round is then one batched
-sweep of those tapes at the trial points and one gather each for c(x) and
-c'(x).  The constraint values along the arcs come from the chart rows'
-Newton values, from ``PointData`` at the center, and from one more batched
-sweep of the other constraints.
+side.  Once per trace, one :class:`~nlpcheck.expr.Gather` lists each
+chart's rows (its xi constraints, then its kept coordinates) as slots of a
+single sweep plan.  A Newton round is then one sweep at the trial points,
+from whose slot tables c(x) and c'(x) are gathered directly.  The
+constraint values along the arcs come from the chart rows' Newton values,
+from ``PointData`` at the center, and from one more batched sweep of the
+other constraints.
 
 The traced arc is validated against five properties: (arc1) it starts at
 the point with velocity d; (arc2) pinned inequalities stay at zero; (arc3)
@@ -233,26 +233,6 @@ def _truncation_note(side: int, k: int, tk: float, exc: Exception) -> str:
     return f"side {side:+d} truncated at sample {k} (t = {tk:.6g}): {exc}"
 
 
-def _chart_round(sweep, cols: np.ndarray, table: np.ndarray, reads: np.ndarray, X: np.ndarray):
-    """c(x) and c'(x) at every row of ``X``: one Newton round's evaluation.
-
-    The tapes ``cols`` of ``sweep`` are swept at every row, and row j of
-    point i's chart is column ``table[i, j]`` of the swept values followed
-    by the point's coordinates (a tape for a constraint row, a variable for
-    a kept row); the Jacobian takes the matching gradient or unit row.
-    ``ok[i]`` is False where a tape that point's chart reads (``reads[i]``)
-    left its domain.
-    """
-    P, n = X.shape
-    values, grads, _, fine = sweep.evaluate(X, cols)
-    at = np.arange(P)[:, None]
-    F = np.concatenate([values, X], axis=1)[at, table]
-    G = np.empty((P, len(cols) + n, n))
-    G[:, : len(cols)] = grads
-    G[:, len(cols) :] = np.eye(n)
-    return F, G[at, table], (fine | ~reads).all(axis=1)
-
-
 def trace_arcs(
     problem: Problem,
     charts,
@@ -284,21 +264,18 @@ def trace_arcs(
 
     # sides 2a and 2a + 1 are the negative and positive sides of arc a.
     # slot[s, c] is the chart row of side s that evaluates constraint c (-1
-    # for none); every round sweeps the tapes cols that some chart row
-    # evaluates, and table gathers each side's rows from that sweep (see
-    # _chart_round)
+    # for none).  Line a of the gather holds arc a's chart rows: its xi
+    # constraint rows, then its kept coordinates; a Newton round takes each
+    # side's c(x) and c'(x) straight from one sweep
     S = 2 * len(charts)
     slot = np.full((S, len(tapes)), -1)
+    chart_rows = np.empty((len(charts), n), dtype=int)
     for a, chart in enumerate(charts):
         for row, i in enumerate(chart.xi):
             slot[2 * a : 2 * a + 2, chart.components[i]] = row
-    cols = np.flatnonzero((slot >= 0).any(axis=0))
-    reads = slot[:, cols] >= 0
-    table = np.empty((S, n), dtype=int)
-    for a, chart in enumerate(charts):
-        rows = [chart.components[i] for i in chart.xi]
-        table[2 * a : 2 * a + 2, : chart.rank] = np.searchsorted(cols, rows)
-        table[2 * a : 2 * a + 2, chart.rank :] = len(cols) + np.array(chart.keep_vars, dtype=int)
+        chart_rows[a, : chart.rank] = [chart.components[i] for i in chart.xi]
+        chart_rows[a, chart.rank :] = [~k for k in chart.keep_vars]
+    gather = problem.sweep.gather(chart_rows, n)
     sign = np.tile([-1, 1], len(charts))
     scale = sign * np.repeat(np.asarray(deltas, dtype=float), 2)
     z_center = np.repeat([chart.z_center for chart in charts], 2, axis=0)
@@ -316,15 +293,15 @@ def trace_arcs(
     live = np.arange(S)
     # the rows of the live sides in every per-side table, taken anew only
     # when a side fails
-    per_side = (scale, z_center, step_z, table, reads, np.maximum(slot, 0))
+    per_side = (scale, z_center, step_z, np.arange(S) // 2, np.maximum(slot, 0))
     lanes = per_side
     for k in range(1, half + 1):
         if not live.size:
             break
-        scales, starts, steps, tables, reading, picks = lanes
+        scales, starts, steps, lines, picks = lanes
         tk = scales * k / half
         X, F, J, errors = newton_batch(
-            lambda rows, T: _chart_round(problem.sweep, cols, tables[rows], reading[rows], T),
+            lambda rows, T: gather.evaluate(T, lines[rows]),
             state,
             starts + tk[:, None] * steps,
             newton_tol,

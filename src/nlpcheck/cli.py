@@ -18,13 +18,13 @@ report files are written by then.
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import os
 import sys
 import time
 from dataclasses import dataclass
 from itertools import chain
+from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
@@ -354,7 +354,7 @@ def _json_scalar(obj) -> str | None:
     if isinstance(obj, (float, np.floating)):
         return _fmt_float(float(obj))
     if isinstance(obj, str):
-        return json.dumps(obj)
+        return encode_basestring_ascii(obj)  # what json.dumps runs for a str
     return None
 
 
@@ -395,7 +395,7 @@ def _write_json(obj, indent: int, out: list[str]) -> None:
         out.append("{\n")
         items = list(obj.items())
         for k, (key, value) in enumerate(items):
-            out.append(pad + "  " + json.dumps(str(key)) + ": ")
+            out.append(pad + "  " + encode_basestring_ascii(str(key)) + ": ")
             _write_json(value, indent + 1, out)
             out.append(",\n" if k + 1 < len(items) else "\n")
         out.append(pad + "}")

@@ -12,7 +12,9 @@ the instructions: forward-mode differentiation (Griewank & Walther,
 every point of a batch, with one numpy pass per group, at order 0 (values),
 1 (and gradients) or 2 (and Hessians).  :meth:`TapeSet.evaluate` flags the
 entries that leave a domain; :meth:`TapeSet.at`, at one point, raises
-:class:`DomainError` for the first of them.
+:class:`DomainError` for the first of them.  A :class:`Gather`
+(:meth:`TapeSet.gather`) takes a table of outputs and coordinates, one line
+per point, straight from the slot tables of one sweep.
 
 Each entry performs the floating-point operations of a one-point,
 one-instruction-at-a-time forward sweep, in its order, so a value is the
@@ -76,6 +78,7 @@ __all__ = [
     "Tape",
     "compile_tape",
     "TapeSet",
+    "Gather",
     "compile_tapes",
     "parse",
     "to_source",
@@ -324,40 +327,52 @@ def _fmt_const(value: float) -> str:
 
 
 _BINOP_SYMBOL = {"add": "+", "sub": "-", "mul": "*", "div": "/"}
+_BINOP_LEVEL = {"add": 0, "sub": 0, "mul": 1, "div": 1}  # precedence
 
 
 def to_source(e: Expression) -> str:
     """Print an expression by an iterative walk, so trees of any depth print.
 
-    Binary operations are fully parenthesized, so re-parsing the result
-    reproduces the tree within the parser's nesting bound; deeper trees
-    re-parse to ``expression nested too deeply``.  Negative constants
-    (possible only in hand-built trees, the parser never produces them)
-    print as negated positive literals.
+    Binary operations are parenthesized, except a left operand of the same
+    precedence as its parent (a ``+ -`` node under ``+ -``, a ``* /`` node
+    under ``* /``): the parser reads such a chain left to right and without
+    recursing, so a sum or product of any length re-parses to its tree.
+    Right operands keep their parentheses, so ``x1 - (x2 - x3)`` keeps its
+    meaning.  A tree nested past the parser's bound in any other way (deep
+    right operands, functions, alternating precedence) re-parses to
+    ``expression nested too deeply``.  Negative constants (possible only in
+    hand-built trees, the parser never produces them) print as negated
+    positive literals.
     """
     parts: list[str] = []
-    stack: list = [e]  # nodes still to print and literal text, last first
+    # literal text and (node, parenthesized) pairs still to print, last first
+    stack: list = [(e, True)]
     while stack:
         item = stack.pop()
         if isinstance(item, str):
             parts.append(item)
-        elif isinstance(item, Const):
-            parts.append(_fmt_const(item.value))
-        elif isinstance(item, Var):
-            parts.append(f"x{item.index}")
-        elif isinstance(item, Unary):
-            head = "(-" if item.op == "neg" else f"{item.op}("
-            stack.extend((")", item.arg, head))
-        elif isinstance(item, Binary):
-            stack.extend((")", item.right, f" {_BINOP_SYMBOL[item.op]} ", item.left, "("))
-        elif isinstance(item, Power):
-            base = item.base
+            continue
+        node, wrap = item
+        if isinstance(node, Const):
+            parts.append(_fmt_const(node.value))
+        elif isinstance(node, Var):
+            parts.append(f"x{node.index}")
+        elif isinstance(node, Unary):
+            head = "(-" if node.op == "neg" else f"{node.op}("
+            stack.extend((")", (node.arg, True), head))
+        elif isinstance(node, Binary):
+            left = node.left
+            chained = isinstance(left, Binary) and _BINOP_LEVEL[left.op] == _BINOP_LEVEL[node.op]
+            body = ((node.right, True), f" {_BINOP_SYMBOL[node.op]} ", (left, not chained))
+            stack.extend((")", *body, "(") if wrap else body)
+        elif isinstance(node, Power):
+            base = node.base
             if isinstance(base, Var) or (isinstance(base, Const) and not base.value < 0):
-                stack.extend((f"^{item.exponent}", base))
+                stack.extend((f"^{node.exponent}", (base, True)))
             else:
-                stack.extend((f")^{item.exponent}", base, "("))
+                stack.extend((f")^{node.exponent}", (base, True), "("))
         else:
-            raise TypeError(f"not an expression node: {item!r}")
+            raise TypeError(f"not an expression node: {node!r}")
     return "".join(parts)
 
 
@@ -540,6 +555,21 @@ def _symmetric(p: np.ndarray, q: np.ndarray) -> np.ndarray:
     return C + C.swapaxes(-1, -2)
 
 
+def _run_of(slots: np.ndarray):
+    """``slots`` as a slice when they run consecutively, else as they are."""
+    lo = int(slots[0])
+    if slots.tolist() == list(range(lo, lo + len(slots))):
+        return slice(lo, lo + len(slots))
+    return slots
+
+
+def _slot_floats(order: int, n: int) -> int:
+    """One slot's floats at one point, times the table and a group's
+    temporaries: at most three tables' worth of gathered operands and
+    products, four with the outer products of the Hessians."""
+    return (4 if order < 2 else 5) * sum(n**k for k in range(order + 1))
+
+
 # request layouts a TapeSet keeps (one per rows, order and dimension); past
 # this many it starts afresh, so ever-new row sets stay bounded
 _LAYOUT_CACHE = 256
@@ -668,14 +698,8 @@ class TapeSet:
         layout = self._layouts.get(key)
         if layout is not None:
             return layout
-        if len(rows) and n < self.max_index[rows].max():
-            code = self.tapes[rows[np.argmax(self.max_index[rows] > n)]].code
-            first = next(c.index for op, _, _, c in code if op == _VAR and c.index > n)
-            raise ExprError(f"point has {n} coordinates but expression uses x{first}")
-        # one slot's floats at one point, times the table and a group's
-        # temporaries: at most three tables' worth of gathered operands and
-        # products, four with the outer products of the Hessians
-        floats = (4 if order < 2 else 5) * sum(n**k for k in range(order + 1))
+        self._check_dimension(rows, n)
+        floats = _slot_floats(order, n)
         reads = self.reads[rows]
         width = stack_chunk(floats * int(reads.sum(axis=1).max(initial=0)))
         layout = []
@@ -690,14 +714,62 @@ class TapeSet:
         self._layouts[key] = layout
         return layout
 
-    def _plan(self, need: np.ndarray) -> tuple:
+    def gather(self, outputs, n: int) -> "Gather":
+        """The :class:`Gather` of the table ``outputs`` (lines, width) at
+        points of ``n`` coordinates.  An entry r >= 0 names tape r; an entry
+        ``~k`` (that is, -1 - k) names the coordinate x_{k+1}, whose value
+        and unit gradient the sweep holds in a variable slot."""
+        from nlpcheck.linalg import stack_chunk  # linalg imports this module
+
+        outputs = np.asarray(outputs, dtype=int)
+        # the tapes and coordinates named, found by masks: np.unique imports
+        # numpy.ma (close to 1 MiB of memory) on numpy 2.4
+        tapes, coords = np.zeros(len(self.tapes), dtype=bool), np.zeros(n, dtype=bool)
+        tapes[outputs[outputs >= 0]] = True
+        coords[~outputs[outputs < 0]] = True
+        rows, coords = np.flatnonzero(tapes), np.flatnonzero(coords)
+        self._check_dimension(rows, n)
+        c, v = len(self.consts), len(self.consts) + len(self.variables)
+        own = np.full(n, -1)  # the variable slot of each coordinate, or -1
+        kept = self.variables < n
+        own[self.variables[kept]] = c + np.flatnonzero(kept)
+        need = self.reads[rows].any(axis=0)
+        slot = own[coords]
+        need[slot[slot >= 0]] = True
+        extra = coords[slot < 0]
+        plan = self._plan(need, extra)
+        position = plan[4]
+        at = np.where(own >= 0, position[own], 0)  # the plan slot of each coordinate
+        at[extra] = int(need[:v].sum()) + np.arange(len(extra))
+        roots = position[self.outputs[np.maximum(outputs, 0)]]
+        slots = np.where(outputs >= 0, roots, at[~np.minimum(outputs, -1)])
+        # the plan slots each line's tapes read (variable slots never fail)
+        reads = np.zeros((len(self.tapes), plan[0]), dtype=bool)
+        reads[:, position[need]] = self.reads[:, need]
+        reads = (reads[np.maximum(outputs, 0)] & (outputs >= 0)[..., None]).any(axis=1)
+        return Gather(self, plan, stack_chunk(_slot_floats(1, n) * plan[0]), slots, reads)
+
+    def _check_dimension(self, rows: np.ndarray, n: int) -> None:
+        """Raise :class:`ExprError` when a tape ``rows`` uses a variable
+        past the ``n`` coordinates of a point."""
+        if len(rows) and n < self.max_index[rows].max():
+            code = self.tapes[rows[np.argmax(self.max_index[rows] > n)]].code
+            first = next(c.index for op, _, _, c in code if op == _VAR and c.index > n)
+            raise ExprError(f"point has {n} coordinates but expression uses x{first}")
+
+    def _plan(self, need: np.ndarray, coords=()) -> tuple:
         """The slots in ``need``, renumbered in order from 0, and the steps
         that compute them: (number of slots, constant values, variables,
-        steps, the new number of every slot).  A step (op, destination, a,
-        b) applies op to the slots a (and b) and fills a slice."""
+        steps, the new number of every slot).  The coordinates ``coords``,
+        which have no slot of their own, get slots after the variables in
+        ``need``.  A step (op, destination, a, b) applies op to the slots a
+        (and b) and fills a slice; operand slots that run consecutively are
+        a slice too, so that :meth:`_run` reads them as a view."""
         position = np.cumsum(need) - 1
         c, v = len(self.consts), len(self.consts) + len(self.variables)
-        size = int(need[:v].sum())
+        variables = np.concatenate([self.variables[need[c:v]], np.asarray(coords, dtype=int)])
+        position[v:] += len(coords)
+        size = int(need[:c].sum()) + len(variables)
         steps = []
         starts = [dst.start for _, dst, _, _ in self.groups]
         counts = np.add.reduceat(need.astype(np.intp), starts).tolist() if starts else []
@@ -707,16 +779,20 @@ class TapeSet:
             if k < dst.stop - dst.start:
                 at = np.flatnonzero(need[dst])
                 a, b = a[at], b[at]
-            steps.append((op, slice(size, size + k), position[a], position[b]))
+            steps.append((op, slice(size, size + k), _run_of(position[a]), _run_of(position[b])))
             size += k
-        return size, self.consts[need[:c]], self.variables[need[c:v]], steps, position
+        return size, self.consts[need[:c]], variables, steps, position
 
     def _run(self, plan: tuple, X: np.ndarray, order: int):
         """The slot tables of ``plan`` at the points ``X``: values (slots,
         P), gradients (slots, P, n) and Hessians (slots, P, n, n), None past
         ``order``, and the failed slots (slots, P), or None.
 
-        This is the one loop that executes tape instructions.
+        This is the one loop that executes tape instructions.  Each group
+        is written straight into its slots of the tables by ``out=``
+        operations, reading its operands as views where their slots run
+        consecutively; each entry still takes the operations of the module
+        docstring, in their order.
         """
         size, consts, variables, steps, _ = plan
         P, n = X.shape
@@ -724,7 +800,7 @@ class TapeSet:
         V = np.empty((size, P))
         V[:c] = consts[:, None]
         V[c:v] = X.T[variables]
-        G = H = bad = ug = uh = None
+        G = H = bad = ug = uh = Gd = Hd = None
         if order:
             G = np.empty((size, P, n))
             G[:c] = 0.0
@@ -734,80 +810,99 @@ class TapeSet:
             H[:v] = 0.0
         with np.errstate(all="ignore"):  # failed entries carry NaN and inf
             for op, dst, a, b in steps:
-                # ug and uh are copies (a is an index array), so the updates
-                # work in place on them: the same products and sums, fewer
-                # temporaries.  Each Hessian update reads the operands'
-                # gradients, so it comes first.
-                u = V[a]
+                u, Vd = V[a], V[dst]
                 if order:
-                    ug = G[a]
+                    ug, Gd = G[a], G[dst]
                 if order == 2:
-                    uh = H[a]
+                    uh, Hd = H[a], H[dst]
                 fail = None
                 if op == _MUL:
                     w = V[b]
-                    V[dst] = u * w
+                    np.multiply(u, w, out=Vd)
                     if order:
                         wg = G[b]
+                        np.multiply(wg, u[..., None], out=Gd)
+                        Gd += ug * w[..., None]
                     if order == 2:
-                        wh = H[b]
-                        wh *= u[..., None, None]
-                        uh *= w[..., None, None]
-                        wh += uh
-                        wh += _symmetric(ug, wg)
-                        uh = wh
-                    if order:
-                        wg *= u[..., None]
-                        ug *= w[..., None]
-                        wg += ug
-                        ug = wg
+                        np.multiply(H[b], u[..., None, None], out=Hd)
+                        Hd += uh * w[..., None, None]
+                        Hd += _symmetric(ug, wg)
                 elif op == _ADD or op == _SUB:
                     f = np.add if op == _ADD else np.subtract
-                    V[dst] = f(u, V[b])
+                    f(u, V[b], out=Vd)
                     if order:
-                        f(ug, G[b], out=ug)
+                        f(ug, G[b], out=Gd)
                     if order == 2:
-                        f(uh, H[b], out=uh)
+                        f(uh, H[b], out=Hd)
                 elif op == _NEG:
-                    V[dst] = -u
+                    np.negative(u, out=Vd)
                     if order:
-                        np.negative(ug, out=ug)
+                        np.negative(ug, out=Gd)
                     if order == 2:
-                        np.negative(uh, out=uh)
+                        np.negative(uh, out=Hd)
                 elif op == _DIV:
                     w = V[b]
                     fail = w == 0.0
                     w = np.where(fail, math.nan, w)
-                    q = u / w
-                    V[dst] = q
+                    q = np.divide(u, w, out=Vd)
                     if order:
                         wg = G[b]
-                        ug -= wg * q[..., None]
-                        ug /= w[..., None]
+                        np.multiply(wg, q[..., None], out=Gd)
+                        np.subtract(ug, Gd, out=Gd)
+                        Gd /= w[..., None]
                     if order == 2:
-                        wh = H[b]
-                        wh *= q[..., None, None]
-                        uh -= wh
-                        uh -= _symmetric(ug, wg)
-                        uh /= w[..., None, None]
+                        np.multiply(H[b], q[..., None, None], out=Hd)
+                        np.subtract(uh, Hd, out=Hd)
+                        Hd -= _symmetric(Gd, wg)
+                        Hd /= w[..., None, None]
                 else:
-                    V[dst], f1, f2, fail = _elementary_group(op, u, order)
+                    Vd[...], f1, f2, fail = _elementary_group(op, u, order)
+                    if order:
+                        np.multiply(ug, f1[..., None], out=Gd)
                     if order == 2:
-                        uh *= f1[..., None, None]
+                        np.multiply(uh, f1[..., None, None], out=Hd)
                         C = ug[..., :, None] * ug[..., None, :]
                         C *= f2[..., None, None]
-                        uh += C
-                    if order:
-                        ug *= f1[..., None]
-                if order:
-                    G[dst] = ug
-                if order == 2:
-                    H[dst] = uh
+                        Hd += C
                 if fail is not None and fail.any():
                     if bad is None:
                         bad = np.zeros((size, P), dtype=bool)
                     bad[dst] = fail
         return V, G, H, bad
+
+
+@dataclass(frozen=True, eq=False)
+class Gather:
+    """A table of :class:`TapeSet` outputs (:meth:`TapeSet.gather`), whose
+    lines :meth:`evaluate` takes straight from the slot tables of a sweep.
+
+    Every line's tapes and coordinates are slots of one plan, so a batch
+    of points, each with its own line, is one sweep per pass of ``step``
+    points and one gather each for the values and the gradients.
+    """
+
+    sweep: TapeSet
+    plan: tuple
+    step: int  # points per pass
+    slots: np.ndarray  # (lines, width): the plan slot of each entry
+    reads: np.ndarray  # (lines, plan slots): the slots each line's tapes read
+
+    def evaluate(self, X: np.ndarray, lines: np.ndarray):
+        """Values (P, width), gradients (P, width, n) and ``ok`` (P,) of
+        line ``lines[i]`` at ``X[i]``; every entry has the bits of
+        :meth:`TapeSet.evaluate` at order 1.  ``ok[i]`` is False where a
+        tape of that line left its domain."""
+        P, n = X.shape
+        width = self.slots.shape[1]
+        values, grads, ok = np.empty((P, width)), np.empty((P, width, n)), np.ones(P, dtype=bool)
+        for lo in range(0, P, self.step):
+            at = slice(lo, lo + self.step)
+            V, G, _, bad = self.sweep._run(self.plan, X[at], 1)
+            pick = self.slots[lines[at]], np.arange(V.shape[1])[:, None]
+            values[at], grads[at] = V[pick], G[pick]
+            if bad is not None:
+                ok[at] = ~(bad.T & self.reads[lines[at]]).any(axis=1)
+        return values, grads, ok
 
 
 def _schedule(tapes: tuple[Tape, ...]) -> TapeSet:

@@ -280,23 +280,30 @@ def newton_batch(
     evaluated triples at the solutions (at the last accepted iterate where
     a system failed) and each system's :class:`NewtonError` or None.
 
-    In the common round every unsolved system takes a fresh step and every
-    trial is accepted; it runs on whole arrays, or on the unsolved rows
-    alone, with no per-system bookkeeping.
+    In the common round every pending system takes a fresh full step and
+    every trial is accepted.  Such a round knows which systems it evaluates
+    (those its predecessor left unsolved) and that none of them is halving,
+    so it does no per-system bookkeeping; any other round finds its systems
+    from the flags.
     """
     X, F, J = (np.array(a, dtype=float) for a in start)
     targets = np.asarray(targets, dtype=float)
     k = X.shape[0]
     res = np.abs(F - targets).max(axis=1, initial=0.0)
     errors: list[NewtonError | None] = [None] * k
+    # alpha and halvings are 1 and 0 for every system whose step is not
+    # being halved
     step, alpha = np.zeros_like(X), np.ones(k)
     halvings, iterations = np.zeros(k, dtype=int), np.zeros(k, dtype=int)
     stepping = np.zeros(k, dtype=bool)  # a step is being halved
     pending = ~(res <= tol)  # neither solved nor failed
+    rows = np.flatnonzero(pending)  # the systems of the round
+    common = True  # no pending system is halving, and rows lists them all
 
     def fail(i: int, error: NewtonError) -> None:
+        nonlocal common
         errors[i] = error
-        pending[i] = stepping[i] = False
+        pending[i] = stepping[i] = common = False
 
     rounds = 0  # no system has taken more steps than there were rounds
     while True:
@@ -305,7 +312,7 @@ def newton_batch(
                 message = f"no convergence in {_NEWTON_MAX_ITER} iterations (residual {res[i]:.3e})"
                 fail(i, NewtonConvergenceError(message, X[i].copy(), float(res[i])))
         rounds += 1
-        fresh = np.flatnonzero(pending & ~stepping)
+        fresh = rows if common else np.flatnonzero(pending & ~stepping)
         if fresh.size:
             at = slice(None) if fresh.size == k else fresh  # views when every system steps
             # explicit columns, so the call means the same on numpy 1 and 2
@@ -319,37 +326,45 @@ def newton_batch(
                     except np.linalg.LinAlgError:
                         message = f"singular Jacobian at iterate (residual {res[i]:.3e})"
                         fail(i, SingularJacobianError(message))
-            finite = np.isfinite(step[at]).all(axis=1)
-            if not finite.all():
+            if not np.isfinite(step[at]).all():
+                finite = np.isfinite(step[at]).all(axis=1)
                 for i in fresh[pending[at] & ~finite]:
                     fail(i, SingularJacobianError("non-finite Newton step"))
-            alpha[at], halvings[at] = 1.0, 0
             iterations[at] += 1
-            stepping[at] = pending[at]
-        rows = np.flatnonzero(stepping)
+        if not common:
+            rows = np.flatnonzero(pending)
         if not rows.size:
             return X, F, J, errors
         at = slice(None) if rows.size == k else rows
-        trial = X[at] + alpha[at, None] * step[at]
+        trial = X[at] + step[at] if common else X[at] + alpha[at, None] * step[at]
         F_new, J_new, ok = evaluate(rows, trial)
-        if ok.all():
+        inside = ok.all()
+        if inside:
             res_new = np.abs(F_new - targets[at]).max(axis=1, initial=0.0)
         else:  # the entries of a point outside the domain are meaningless
             res_new = np.full(rows.size, np.inf)
             res_new[ok] = np.abs(F_new[ok] - targets[rows[ok]]).max(axis=1, initial=0.0)
-        better = ok & ((res_new < res[at]) | (res_new <= tol))
+        solved = res_new <= tol
+        better = (res_new < res[at]) | solved
+        if not inside:
+            better &= ok
         if better.all():
             if rows.size == k:
                 X, F, J, res = trial, F_new, J_new, res_new
             else:
                 X[rows], F[rows], J[rows], res[rows] = trial, F_new, J_new, res_new
-            stepping[at], pending[at] = False, ~(res_new <= tol)
+            if not common:
+                stepping[at], alpha[at], halvings[at] = False, 1.0, 0
+            pending[at] = ~solved
+            rows, common = rows[~solved], True
             continue
         took = rows[better]
         X[took], F[took], J[took] = trial[better], F_new[better], J_new[better]
         res[took] = res_new[better]
-        stepping[took], pending[took] = False, ~(res[took] <= tol)
+        stepping[took], alpha[took], halvings[took] = False, 1.0, 0
+        pending[took] = ~solved[better]
         worse = rows[~better]
+        stepping[worse], common = True, False
         alpha[worse] *= 0.5
         halvings[worse] += 1
         for i in worse[halvings[worse] == 30]:

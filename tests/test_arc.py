@@ -13,6 +13,7 @@ import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
 from nlpcheck import arc as arc_mod
+from nlpcheck import linalg
 from nlpcheck.arc import (
     DegenerateRankError,
     arc_for_direction,
@@ -25,7 +26,7 @@ from nlpcheck.arc import (
     verify_arc,
 )
 from nlpcheck.cones import linearized_cone, sample_directions
-from nlpcheck.expr import TapeSet
+from nlpcheck.expr import Gather, TapeSet
 from nlpcheck.model import evaluate_point, load_problem
 from nlpcheck.problems import builtin_names, builtin_problem, builtin_source
 
@@ -220,25 +221,34 @@ class TestTraceArc:
 
             return batch(recording, start, targets, tol)
 
-        calls = []
-        evaluate = TapeSet.evaluate
+        sweeps = []  # the plan of every sweep
+        run = TapeSet._run
 
-        def counting(self, X, rows=None, order=1):
-            calls.append(list(rows))
-            return evaluate(self, X, rows, order)
+        def counting(self, plan, X, order):
+            sweeps.append(plan)
+            return run(self, plan, X, order)
 
-        rounds = []  # (constraint rows of each sweep, points evaluated) per round
-        chart_round = arc_mod._chart_round
+        named = {}  # the table of each gather
+        gather = TapeSet.gather
 
-        def one_round(sweep, cols, table, reads, X):
-            before = len(calls)
-            out = chart_round(sweep, cols, table, reads, X)
-            rounds.append((calls[before:], [row.tobytes() for row in X]))
+        def recording_gather(self, outputs, n):
+            table = gather(self, outputs, n)
+            named[id(table)] = np.asarray(outputs)
+            return table
+
+        rounds = []  # (plans swept, gather, points evaluated) per round
+        chart_round = Gather.evaluate
+
+        def one_round(self, X, lines):
+            before = len(sweeps)
+            out = chart_round(self, X, lines)
+            rounds.append((sweeps[before:], self, [row.tobytes() for row in X]))
             return out
 
         monkeypatch.setattr(arc_mod, "newton_batch", recording_batch)
-        monkeypatch.setattr(TapeSet, "evaluate", counting)
-        monkeypatch.setattr(arc_mod, "_chart_round", one_round)
+        monkeypatch.setattr(TapeSet, "_run", counting)
+        monkeypatch.setattr(TapeSet, "gather", recording_gather)
+        monkeypatch.setattr(Gather, "evaluate", one_round)
         # the cylinder's tangent directions pin x3 >= 0 too: the charts mix
         # one and two tape rows, and an upward direction has none pinned
         prob = load_problem(dict(BATTERY)["cylinder"])
@@ -249,11 +259,52 @@ class TestTraceArc:
         assert {rep.chart_summary["rank"] for rep in reports} == {1, 2}
         assert trials and len(set(trials)) == len(trials)
         assert pd.x.tobytes() not in trials
-        assert sorted(row for _, rows in rounds for row in rows) == sorted(trials)
-        # one sweep per round, over each pinned constraint once
-        assert all(len(sweeps) == 1 for sweeps, _ in rounds)
-        assert all(len(set(rows)) == len(rows) for (rows,), _ in rounds)
-        assert max(len(rows) for (rows,), _ in rounds) == 2
+        assert sorted(row for _, _, rows in rounds for row in rows) == sorted(trials)
+        # one sweep per round, of the gather's plan, over each pinned
+        # constraint once
+        assert all(len(plans) == 1 for plans, _, _ in rounds)
+        assert all(plan is table.plan for (plan,), table, _ in rounds)
+        pinned = []
+        for _, table, _ in rounds:
+            rows = named[id(table)] >= 0
+            pairs = set(zip(named[id(table)][rows].tolist(), table.slots[rows].tolist()))
+            assert len(pairs) == len({row for row, _ in pairs}) == len({s for _, s in pairs})
+            pinned.append(len(pairs))
+        assert max(pinned) == 2
+
+    @pytest.mark.parametrize("source, tail", [(builtin_source("circle"), 0),
+                                              (workloads.chain_text(7), 1)],
+                             ids=["circle", "chain-7"])
+    def test_one_sweep_per_newton_round(self, source, tail, monkeypatch):
+        # every round of the march is one sweep, and the constraints that no
+        # chart row evaluates take one more after it: chain-7 leaves some
+        # inequality unpinned, while the circle's one equality is always
+        # pinned
+        runs, rounds = [], []
+        run = TapeSet._run
+
+        def counting(self, plan, X, order):
+            runs.append(order)
+            return run(self, plan, X, order)
+
+        batch = arc_mod.newton_batch
+
+        def counting_batch(evaluate, start, targets, tol):
+            def one_round(rows, X):
+                rounds.append(len(X))
+                return evaluate(rows, X)
+
+            return batch(one_round, start, targets, tol)
+
+        prob = load_problem(source)
+        pd = evaluate_point(prob, prob.point)
+        dirs = sample_directions(linearized_cone(pd), 8, seed=0)
+        charts = [build_chart(pd, pinned_constraints(pd, d)) for d in dirs]
+        monkeypatch.setattr(TapeSet, "_run", counting)
+        monkeypatch.setattr(arc_mod, "newton_batch", counting_batch)
+        trace_arcs(prob, charts, dirs, [0.1] * len(dirs))
+        assert len(rounds) > 20
+        assert runs == [1] * len(rounds) + [0] * tail
 
     def test_truncation_beyond_chart_range(self):
         # the circle chart cannot reach |t| > 1; the grid must stop early
@@ -429,6 +480,27 @@ class TestLockstepMarch:
             assert (rep.arc is None) == (ref is None)
             if ref is not None:
                 assert_same_arc(rep.arc, ref)
+
+    def test_point_chunked_rounds_match_one_pass(self, monkeypatch):
+        # a round whose trial points take several passes of the sweep (here
+        # three points each) gathers the same bits as one pass
+        prob = load_problem(workloads.chain_text(7))
+        pd = evaluate_point(prob, prob.point)
+        dirs = sample_directions(linearized_cone(pd), 8, seed=0)
+        whole = arcs_for_directions(prob, pd, dirs)
+        passes = []
+        run = TapeSet._run
+
+        def counting(self, plan, X, order):
+            passes.append(len(X))
+            return run(self, plan, X, order)
+
+        monkeypatch.setattr(linalg, "stack_chunk", lambda floats: 3)
+        monkeypatch.setattr(TapeSet, "_run", counting)
+        chunked = arcs_for_directions(load_problem(workloads.chain_text(7)), pd, dirs)
+        assert max(passes) == 3 and len(passes) > 3 * len(whole)
+        for rep, ref in zip(chunked, whole):
+            assert_same_arc(rep.arc, ref.arc)
 
     def test_mixed_batch_matches_sequential_march(self):
         prob = load_problem(MIXED)

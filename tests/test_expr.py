@@ -41,6 +41,30 @@ CORPUS = [
 ]
 
 
+def same_tree(a, b) -> bool:
+    """``a == b`` for trees of any depth (the dataclass comparison recurses)."""
+    stack = [(a, b)]
+    while stack:
+        x, y = stack.pop()
+        if type(x) is not type(y):
+            return False
+        if isinstance(x, Binary):
+            if x.op != y.op:
+                return False
+            stack += [(x.left, y.left), (x.right, y.right)]
+        elif isinstance(x, Unary):
+            if x.op != y.op:
+                return False
+            stack.append((x.arg, y.arg))
+        elif isinstance(x, Power):
+            if x.exponent != y.exponent:
+                return False
+            stack.append((x.base, y.base))
+        elif x != y:  # a constant or a variable
+            return False
+    return True
+
+
 class TestParse:
     def test_simple_variable(self):
         assert parse("x2", 2) == Var(2)
@@ -110,13 +134,36 @@ class TestParse:
         assert parse(to_source(tree), 2) == tree
 
     def test_printer_handles_a_5000_term_sum(self):
-        # the parser reads a flat sum without recursing, but its fully
-        # parenthesized print nests 4999 levels deep
+        # the parser reads a flat sum without recursing, and so does the
+        # printer's output: a left operand of the same precedence prints
+        # without parentheses of its own
         terms = [f"x{i % 3 + 1}" for i in range(5000)]
-        printed = to_source(parse(" + ".join(terms), 3))
-        assert printed == "(" * 4999 + terms[0] + "".join(f" + {t})" for t in terms[1:])
-        with pytest.raises(ParseError, match="expression nested too deeply"):
-            parse(printed, 3)
+        tree = parse(" + ".join(terms), 3)
+        printed = to_source(tree)
+        assert printed == "(" + " + ".join(terms) + ")"
+        assert same_tree(parse(printed, 3), tree)
+
+    @pytest.mark.parametrize(
+        "source",
+        [
+            " + ".join(f"x{i % 3 + 1}" for i in range(1000)),
+            " * ".join(f"x{i % 3 + 1}" if i % 2 else f"x{i % 3 + 1} / 2" for i in range(1000)),
+            "x1 - x2 + x3",
+            "x1 - (x2 - x3)",
+            "x1 / (x2 / x3) * x1",
+            "(x1 + x2) * x3 - x1 * (x2 + x3)",
+            "-(x1 - x2) - x3",
+        ],
+        ids=["sum-1000", "mul-div-chain", "sub-add", "sub-of-sub", "div-of-div", "mixed", "neg"],
+    )
+    def test_roundtrip_of_long_and_mixed_chains(self, source):
+        tree = parse(source, 3)
+        assert same_tree(parse(to_source(tree), 3), tree)
+
+    def test_right_operands_keep_their_parentheses(self):
+        assert to_source(parse("x1 - (x2 - x3)", 3)) == "(x1 - (x2 - x3))"
+        assert to_source(parse("x1 - x2 + x3", 3)) == "(x1 - x2 + x3)"
+        assert to_source(parse("x1 * x2 + x3", 3)) == "((x1 * x2) + x3)"
 
 
 class TestEvaluate:

@@ -344,6 +344,36 @@ class TestNewton:
         assert errors == [None, None, None]
         assert calls[0] == [0, 1, 2] and calls[1] == [0, 2] and calls[-1] == [2]
 
+    def test_late_exits_from_the_common_round_match_the_reference_solve(self):
+        # both hole and kink halve their residual each round, so the first
+        # rounds are common ones.  Hole's third trial, (1/8, 1/8), is outside
+        # its domain, so its step is halved there; kink's second accepted
+        # iterate, (1/4, 1/4), has a singular Jacobian, so its next solve fails
+        def sphere(x):
+            return np.array([x[0] ** 2 + x[1] ** 2, x[0] - x[1]]), np.array(
+                [[2.0 * x[0], 2.0 * x[1]], [1.0, -1.0]]
+            )
+
+        def hole(x):
+            if x[0] == 0.125:
+                raise DomainError("a hole at x1 = 1/8")
+            return x.copy(), 2.0 * np.eye(2)
+
+        def kink(x):
+            return x.copy(), (0.0 if x[0] == 0.25 else 2.0) * np.eye(2)
+
+        systems = [
+            (sphere, [2.0, 0.5], [2.0, 0.0]),
+            (hole, [1.0, 1.0], [0.0, 0.0]),
+            (kink, [1.0, 1.0], [0.0, 0.0]),
+        ]
+        errors, outside, calls = self.check_batch(systems)
+        assert outside == [1]
+        assert errors[:2] == [None, None] and type(errors[2]).__name__ == "SingularJacobianError"
+        # two common rounds; in the third kink's solve fails and hole's trial
+        # leaves the domain, and in the fourth hole takes its halved step
+        assert calls[:4] == [[0, 1, 2], [0, 1, 2], [0, 1], [0, 1]]
+
     def check_batch(self, systems):
         """Solve ``systems`` (function, start, target) in one batch and
         check each row against the reference solve of its system alone;

@@ -313,6 +313,41 @@ class TestSweep:
             failed += int((~ok).sum())
         assert failed > 0  # the corpus leaves the domain somewhere
 
+    def test_gather_takes_each_line_straight_from_the_sweep(self, monkeypatch):
+        # point i evaluates line at[i]: tapes and coordinates (~k is x_{k+1};
+        # x4 has no slot, since the corpus uses x1..x3).  Each entry has the
+        # bits of evaluate's, or of the coordinate and its unit gradient,
+        # in one pass or in passes of two points
+        exprs, points = corpus(seed=6, count=12)
+        X = np.hstack([np.array(points), np.arange(len(points))[:, None] - 5.0])
+        values, grads, _, ok = compile_tapes(exprs).evaluate(X)
+        lines = np.array([[0, 5, ~3, ~0], [7, 7, 2, ~1], [~3, ~2, ~1, ~0]])
+        at = np.arange(len(X)) % len(lines)
+        runs = []
+        run = TapeSet._run
+
+        def counting(self, plan, X, order):
+            runs.append(len(X))
+            return run(self, plan, X, order)
+
+        monkeypatch.setattr(TapeSet, "_run", counting)
+        failed = 0
+        for step in (len(X), 2):
+            monkeypatch.setattr(linalg, "stack_chunk", lambda floats: step)
+            runs.clear()
+            F, J, fine = compile_tapes(exprs).gather(lines, 4).evaluate(X, at)
+            assert runs == [step] * (len(X) // step)
+            for i, line in enumerate(lines[at]):
+                tapes = [r for r in line if r >= 0]
+                assert fine[i] == ok[i, tapes].all()
+                failed += not fine[i]
+                for j, r in enumerate(line):
+                    if r < 0:
+                        assert same_bits(F[i, j], X[i, ~r]) and same_bits(J[i, j], np.eye(4)[~r])
+                    elif ok[i, r]:
+                        assert same_bits(F[i, j], values[i, r]) and same_bits(J[i, j], grads[i, r])
+        assert failed > 0  # some line leaves the domain somewhere
+
     def test_zero_outputs_and_zero_points(self):
         values, grads, _, ok = compile_tapes([]).evaluate(np.ones((3, 2)))
         assert values.shape == (3, 0) and grads.shape == (3, 0, 2) and ok.shape == (3, 0)
