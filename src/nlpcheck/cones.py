@@ -20,12 +20,18 @@ primitive here.  A cone without inequality rows is a subspace with a
 single face.  The faces depend only on
 the cone, so several forms over one cone (one per multiplier in the
 second-order check) share a single enumeration, and the faces share their
-LAPACK calls: faces with the same number of pinned rows get their nullspace
-bases from one stacked SVD, and faces of the same dimension have every form
-restricted to them solved in one stacked eigenproblem.  The faces are walked
-in mask order, in chunks of bounded memory, and each form's minimum is
-selected exactly as a loop over one face at a time selects it, so the
-results are that loop's to the bit.
+LAPACK calls.  Each stage is sized by what it holds.  The faces are taken
+in mask order, in chunks sized by their SVD's input and factors plus one
+float per form, and within a chunk faces with the same number of pinned
+rows get their nullspace bases from one stacked SVD.  Every form
+restricted to the faces of one dimension d is solved in stacked
+eigenproblems, chunked by d, of which only each form's lowest eigenvalue
+per face is kept, in a (faces, forms) table.  Each form then walks its
+candidate faces, those whose lowest eigenvalue is below the form's
+running minimum, in mask order, recomputing their eigenpairs by the same
+stacked call.  Each form's minimum is thus selected exactly as a loop
+over one face at a time selects it, so the results are that loop's to
+the bit.
 
 Before any face, one test decides whether the cone is {0}: a rank gate,
 then one non-negative least-squares solve for a positive dependence of the
@@ -43,6 +49,7 @@ change no second-order verdict.
 from __future__ import annotations
 
 import math
+from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -300,14 +307,20 @@ def min_quadratics_on_cone(Hs, cone: ConeRep) -> list[QuadOnConeResult]:
     form restricted to the resulting subspace is minimized by its smallest
     eigenpair, and the eigenvector (either sign) is kept if it satisfies the
     remaining inequalities at ``_TOL``.  A cone without inequality rows is a
-    subspace, so its one face gives the exact minimum.  The faces are walked
-    in mask order, in chunks (:func:`~nlpcheck.linalg.stack_chunk`); within
-    a chunk, faces with the same number of pinned rows share one stacked
-    SVD, and faces of the same dimension share one stacked eigenproblem for
-    all forms.  A form for which no face yields a feasible eigenvector, and
-    every form beyond the limit, gets the certified zero minimum when the
-    {0} test passed and an uncertified result otherwise.  Results are
-    returned in the order of ``Hs``.
+    subspace, so its one face gives the exact minimum.  The faces are taken
+    in mask order, in chunks (:func:`~nlpcheck.linalg.stack_chunk`) sized
+    by their SVD's input and factors plus one float per form.  Within a
+    chunk, faces with the same number of pinned rows share one stacked SVD
+    (:func:`~nlpcheck.linalg.grouped_nullspace_bases`), and the faces of
+    one dimension d have every form's eigenproblem solved in stacked calls
+    chunked by d, which keep only each form's lowest eigenvalue per face.
+    Each form then walks the chunk's faces whose lowest eigenvalue is below
+    its running minimum, in mask order, and recomputes those faces'
+    eigenpairs by the same stacked call, so the same bits.  A form for
+    which no face yields a feasible eigenvector, and every form beyond the
+    limit, gets the certified zero minimum when the {0} test passed and an
+    uncertified result otherwise.  Results are returned in the order of
+    ``Hs``.
     """
     Hs = [_checked_form(H, cone.n) for H in Hs]
     if not Hs:
@@ -320,10 +333,10 @@ def min_quadratics_on_cone(Hs, cone: ConeRep) -> list[QuadOnConeResult]:
     k_in = cone.a_in.shape[0]
     best: list[QuadOnConeResult | None] = [None] * len(Hs)
     faces = 1 << k_in if k_in <= _FACIAL_LIMIT else 0
-    # per face: the SVD's input and factors, and every form's restricted
-    # products and eigenvectors, counted at the largest face dimension n
+    # per face: the SVD's input and factors, and one lowest eigenvalue per
+    # form (the eigenproblems make their own chunks, per face dimension)
     rows = cone.a_eq.shape[0] + k_in
-    chunk = stack_chunk((rows + cone.n) ** 2 + 4 * len(Hs) * cone.n**2)
+    chunk = stack_chunk((rows + cone.n) ** 2 + len(Hs))
     for start in range(0, faces, chunk):
         _scan_faces(np.arange(start, min(faces, start + chunk)), cone, Hs, best)
     return [_flat_minimum(cone.n, zero) if res is None else res for res in best]
@@ -339,9 +352,12 @@ def _scan_faces(masks: np.ndarray, cone: ConeRep, Hs: list, best: list) -> None:
     """Update each form's running minimum ``best`` over the faces ``masks``
     (bit i pins inequality row i), in mask order.
 
-    A face replaces a form's minimum only when its smallest restricted
-    eigenvalue is strictly below it and an eigenvector meets the remaining
-    rows, exactly as a loop over one face at a time would.
+    Each form walks its candidate faces (see :func:`min_quadratics_on_cone`)
+    and recomputes their eigenpairs in batches that double while no
+    candidate yields.  A face replaces a form's minimum only when its
+    smallest restricted eigenvalue is strictly below it and an eigenvector
+    meets the remaining rows, exactly as a loop over one face at a time
+    would.
     """
     k_in = cone.a_in.shape[0]
     H_stack = np.stack(Hs)
@@ -353,31 +369,71 @@ def _scan_faces(masks: np.ndarray, cone: ConeRep, Hs: list, best: list) -> None:
         eqs = np.broadcast_to(eq, (len(cols),) + eq.shape)
         return np.concatenate([eqs, cone.a_in[cols]], axis=1)
 
-    bases = grouped_nullspace_bases(pinned, gather)
-    dims = np.array([B.shape[1] for B in bases])
-    # faces with a nonzero subspace, in mask order, and each one's
-    # eigenpairs (smallest eigenvalue first) and lowest eigenvalues for
-    # every form
-    open_at = np.flatnonzero(dims)
-    eig: list = [None] * open_at.size
-    for d in sorted(set(dims[open_at].tolist())):
-        at = np.flatnonzero(dims[open_at] == d)
-        Bs = np.stack([bases[j] for j in open_at[at].tolist()])  # (group, n, d)
-        Hr = Bs.transpose(0, 2, 1)[:, None] @ H_stack[None] @ Bs[:, None]
-        w, V = np.linalg.eigh(0.5 * (Hr + Hr.transpose(0, 1, 3, 2)))
-        for g, i in enumerate(at.tolist()):
-            eig[i] = (w[g], V[g], w[g, :, 0].tolist())
-    # each form's running minimum, +inf while it has none
-    bound = [math.inf if res is None else res.min_value for res in best]
-    for (w, V, lowest), j in zip(eig, open_at.tolist()):
-        for q, H in enumerate(Hs):
-            if lowest[q] >= bound[q]:
-                continue
-            d = _feasible_in_eigenspace(bases[j], w[q], V[q], cone.a_in[~pinned[j]], _TOL)
+    # each face's lowest restricted eigenvalue for every form, +inf on a
+    # face with a zero subspace, and where in ``groups`` its basis lies
+    lowest = np.full((len(masks), len(Hs)), np.inf)
+    groups: list = []
+    group_of = np.zeros(len(masks), dtype=int)
+    slot_of = np.zeros(len(masks), dtype=int)
+    for at, bases in grouped_nullspace_bases(pinned, gather):
+        d = bases.shape[2]
+        if d == 0:
+            continue
+        group_of[at], slot_of[at] = len(groups), np.arange(len(at))
+        groups.append(bases)
+        # per face: every form's (d, n) product, restricted form, its
+        # symmetrized copies and eigenvectors
+        step = stack_chunk(len(Hs) * d * (cone.n + 3 * d))
+        for start in range(0, len(at), step):
+            w, _ = _restricted_eigh(bases[start : start + step], H_stack)
+            lowest[at[start : start + step]] = w[..., 0]
+
+    def eigenpairs(faces: np.ndarray, q: int) -> deque:
+        # form q's eigenpairs on each face, one stacked call per group: the
+        # same LAPACK call per matrix as the table's, so the same bits
+        pairs: list = [None] * len(faces)
+        of = group_of[faces]
+        for g in sorted(set(of.tolist())):
+            at = np.flatnonzero(of == g)
+            w, V = _restricted_eigh(groups[g][slot_of[faces[at]]], H_stack[q : q + 1])
+            for k, j in enumerate(at.tolist()):
+                pairs[j] = (w[k, 0], V[k, 0])
+        return deque(pairs)
+
+    most = stack_chunk(4 * cone.n**2)  # the largest batch: one form, faces of dimension n
+    for q, H in enumerate(Hs):
+        bound = math.inf if best[q] is None else best[q].min_value
+        col = lowest[:, q]
+        # not ``col < bound``: a NaN eigenvalue is a candidate, as it is
+        # for the one-face loop
+        candidates = np.flatnonzero(~(col >= bound))
+        # the eigenpairs of the first candidates, computed in batches that
+        # double while no candidate yields
+        ahead, take = deque(), 1
+        while candidates.size:
+            if not ahead:
+                ahead, take = eigenpairs(candidates[:take], q), min(2 * take, most)
+            i, candidates = candidates[0], candidates[1:]
+            w, V = ahead.popleft()
+            basis = groups[group_of[i]][slot_of[i]]
+            d = _feasible_in_eigenspace(basis, w, V, cone.a_in[~pinned[i]], _TOL)
             if d is None:
                 continue
             best[q] = QuadOnConeResult(float(d @ H @ d), d, "facial-enumeration", True)
-            bound[q] = best[q].min_value
+            bound = best[q].min_value
+            keep = ~(col[candidates] >= bound)
+            candidates = candidates[keep]
+            # ahead holds the eigenpairs of the first candidates
+            ahead = deque(pair for pair, kept in zip(ahead, keep.tolist()) if kept)
+            take = 1
+
+
+def _restricted_eigh(Bs: np.ndarray, H_stack: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenpairs (smallest eigenvalue first) of every form in ``H_stack``
+    restricted to every basis in ``Bs``, shape ``(faces, n, d)``: arrays of
+    shape ``(faces, forms, d)`` and ``(faces, forms, d, d)``."""
+    Hr = Bs.transpose(0, 2, 1)[:, None] @ H_stack[None] @ Bs[:, None]
+    return np.linalg.eigh(0.5 * (Hr + Hr.transpose(0, 1, 3, 2)))
 
 
 def _feasible_in_eigenspace(

@@ -77,8 +77,10 @@ def _dedup_sorted(
 ) -> list[np.ndarray]:
     """Drop near-duplicates (infinity norm) and sort lexicographically."""
     kept: list[np.ndarray] = []
+    stack = np.empty((len(items), len(items[0]) if items else 0))  # the kept vectors
     for v in items:
-        if all(float(np.abs(v - u).max(initial=0.0)) > tol for u in kept):
+        if (np.abs(stack[: len(kept)] - v).max(axis=1, initial=0.0) > tol).all():
+            stack[len(kept)] = v
             kept.append(v)
     kept.sort(key=lambda v: tuple(v))
     return kept
@@ -94,10 +96,12 @@ def solve_multipliers(pd: PointData, tol: float = 1e-8) -> MultiplierSet:
     walked in mask order, in chunks (:func:`~nlpcheck.linalg.stack_chunk`);
     within a chunk, subsets with the same number of columns share one
     stacked SVD (:func:`~nlpcheck.linalg.grouped_nullspace_bases`), and
-    only those with independent columns make a least-squares solve.  When the active
-    count plus equality count exceeds ``_ENUM_LIMIT`` (or the polyhedron has
-    no vertex at all) only the least-squares representative is reported and
-    the result is flagged partial.
+    only those with independent columns make a least-squares solve.  The
+    candidates are put back in mask order before near-duplicates are
+    dropped, so the first of each is kept.  When the active count plus
+    equality count exceeds ``_ENUM_LIMIT`` (or the polyhedron has no vertex
+    at all) only the least-squares representative is reported and the
+    result is flagged partial.
     """
     act, rows = pd.active, pd.rows
     a, p = len(act), pd.p
@@ -130,8 +134,10 @@ def solve_multipliers(pd: PointData, tol: float = 1e-8) -> MultiplierSet:
         return ms
 
     rhs = -pd.f_grad
-    vertex_raw: list[np.ndarray] = []
-    ray_raw: list[np.ndarray] = []
+    # (mask, candidate) pairs: the groups come by subset size and rank, and
+    # are put back in mask order before deduplication
+    vertex_raw: list[tuple[int, np.ndarray]] = []
+    ray_raw: list[tuple[int, np.ndarray]] = []
 
     def gather(keep: np.ndarray) -> np.ndarray:
         return cols[:, keep].transpose(1, 0, 2)  # (subsets, n, kept columns)
@@ -143,34 +149,35 @@ def solve_multipliers(pd: PointData, tol: float = 1e-8) -> MultiplierSet:
         zeroed = (masks[:, None] >> np.arange(a) & 1).astype(bool)
         kept = np.hstack([~zeroed, np.ones((len(masks), p), dtype=bool)])  # (masks, a + p)
         # every subset but the empty one gets a nullspace basis
-        nulls: list = [None] * len(masks)
-        live = np.flatnonzero(kept.any(axis=1))
-        for j, null in zip(live.tolist(), grouped_nullspace_bases(kept[live], gather)):
-            nulls[j] = null
-        for keep, null in zip(kept, nulls):
-            if null is None:  # every column zeroed
-                if float(np.abs(rhs).max(initial=0.0)) <= 1e-8:
-                    vertex_raw.append(expand(np.zeros(a + p)))
-                continue
-            if null.shape[1] == 0:
-                sub = cols[:, keep]
-                y_sub, *_ = np.linalg.lstsq(sub, rhs, rcond=None)
-                if float(np.abs(sub @ y_sub - rhs).max(initial=0.0)) <= 1e-8:
-                    y = np.zeros(a + p)
-                    y[keep] = y_sub
-                    if not (y[:a] < -1e-12).any():
-                        vertex_raw.append(expand(y))
-            if null.shape[1] == 1:
-                w = np.zeros(a + p)
-                w[keep] = null[:, 0]
-                for sign in (1.0, -1.0):
-                    cand = sign * w
-                    if not (cand[:a] < -1e-12).any():
-                        norm = float(np.linalg.norm(cand))
-                        if norm > 1e-12:
-                            ray_raw.append(expand(cand / norm))
-    vertices = _dedup_sorted(vertex_raw)
-    rays = _dedup_sorted(ray_raw)
+        nonempty = kept.any(axis=1)
+        if not nonempty.all() and float(np.abs(rhs).max(initial=0.0)) <= 1e-8:
+            vertex_raw.append((int(masks[~nonempty][0]), expand(np.zeros(a + p))))
+        live = np.flatnonzero(nonempty)
+        for at, nulls in grouped_nullspace_bases(kept[live], gather):
+            if nulls.shape[2] == 0:  # independent columns: a vertex candidate
+                for j in live[at].tolist():
+                    keep = kept[j]
+                    sub = cols[:, keep]
+                    y_sub, *_ = np.linalg.lstsq(sub, rhs, rcond=None)
+                    if float(np.abs(sub @ y_sub - rhs).max(initial=0.0)) <= 1e-8:
+                        y = np.zeros(a + p)
+                        y[keep] = y_sub
+                        if not (y[:a] < -1e-12).any():
+                            vertex_raw.append((int(masks[j]), expand(y)))
+            elif nulls.shape[2] == 1:  # a one-dimensional nullspace: ray candidates
+                for j, null in zip(live[at].tolist(), nulls[:, :, 0]):
+                    w = np.zeros(a + p)
+                    w[kept[j]] = null
+                    for sign in (1.0, -1.0):
+                        cand = sign * w
+                        if not (cand[:a] < -1e-12).any():
+                            norm = float(np.linalg.norm(cand))
+                            if norm > 1e-12:
+                                ray_raw.append((int(masks[j]), expand(cand / norm)))
+    vertex_raw.sort(key=lambda pair: pair[0])  # stable: a mask's candidates keep their order
+    ray_raw.sort(key=lambda pair: pair[0])
+    vertices = _dedup_sorted([v for _, v in vertex_raw])
+    rays = _dedup_sorted([r for _, r in ray_raw])
     ms.vertices = [split(v) for v in vertices]
     ms.rays = [split(r) for r in rays]
     ms.bounded = not ms.rays

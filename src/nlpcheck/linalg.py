@@ -158,6 +158,26 @@ def stack_chunk(floats: int) -> int:
     return max(1, _STACK_BYTES // (8 * max(floats, 1)))
 
 
+def _nullspace_factors(stack, tol_rel: float) -> tuple[np.ndarray, np.ndarray]:
+    """Numerical ranks and right singular factors of a stack of matrices,
+    shape ``(k, rows, n)``: one batched SVD, after the non-finite check.
+
+    Row ``rank_i`` onwards of ``Vh[i]`` spans the nullspace of matrix i.  A
+    stack without rows or columns needs no SVD: every rank is 0 and every
+    factor the identity.
+    """
+    stack = np.asarray(stack, dtype=float)
+    if stack.ndim != 3:
+        raise ValueError(f"expected a stack of matrices, got ndim={stack.ndim}")
+    if stack.size and not np.isfinite(stack).all():
+        raise ValueError("matrix has non-finite entries")
+    k, rows, cols = stack.shape
+    if rows == 0 or cols == 0:
+        return np.zeros(k, dtype=int), np.broadcast_to(np.eye(cols), (k, cols, cols))
+    _, s, Vh = np.linalg.svd(stack)
+    return _rank_cut(s, tol_rel), Vh
+
+
 def nullspace_bases(stack, tol_rel: float = 1e-8) -> list[np.ndarray]:
     """Nullspace bases of a stack of matrices, shape ``(k, rows, n)``.
 
@@ -167,38 +187,34 @@ def nullspace_bases(stack, tol_rel: float = 1e-8) -> list[np.ndarray]:
     basis is bit-identical to the one-matrix call.  Returns a list of ``k``
     arrays of shape ``(n, n - rank_i)``.
     """
-    stack = np.asarray(stack, dtype=float)
-    if stack.ndim != 3:
-        raise ValueError(f"expected a stack of matrices, got ndim={stack.ndim}")
-    if stack.size and not np.isfinite(stack).all():
-        raise ValueError("matrix has non-finite entries")
-    k, rows, cols = stack.shape
-    if rows == 0 or cols == 0:
-        return [np.eye(cols) for _ in range(k)]
-    _, s, Vh = np.linalg.svd(stack)
-    return [Vh[i, rank:].T.copy() for i, rank in enumerate(_rank_cut(s, tol_rel).tolist())]
+    ranks, Vh = _nullspace_factors(stack, tol_rel)
+    return [Vh[i, rank:].T.copy() for i, rank in enumerate(ranks.tolist())]
 
 
-def grouped_nullspace_bases(selected, gather, tol_rel: float = 1e-8) -> list[np.ndarray]:
+def grouped_nullspace_bases(selected, gather, tol_rel: float = 1e-8):
     """Nullspace bases of ``k`` matrices, each built from a selection of
-    ``r`` rows or columns.
+    ``r`` rows or columns, yielded in groups of one selection size and one
+    rank.
 
     Row i of the boolean ``selected``, shape ``(k, r)``, marks the indices
     matrix i is built from.  Matrices with the same number of marks share
-    one :func:`nullspace_bases` call: ``gather(idx)``, given a group's
-    marked indices ``(g, c)`` (ascending in each row), returns its
-    ``(g, rows, cols)`` stack.  Returns the ``k`` bases in the order of
-    ``selected``.
+    one stacked SVD: ``gather(idx)``, given a group's marked indices
+    ``(g, c)`` (ascending in each row), returns its ``(g, rows, n)`` stack.
+    Each group of that stack with one rank is yielded as ``(at, bases)``:
+    ``at`` holds its positions in ``selected``, ascending, and ``bases`` is
+    a contiguous ``(len(at), n, d)`` stack whose slice j is, bit for bit,
+    the :func:`nullspace_basis` of matrix ``at[j]``.  Groups come by
+    selection size, then by rank, both ascending.
     """
     selected = np.asarray(selected, dtype=bool)
     count = selected.sum(axis=1)
-    bases: list = [None] * len(selected)
     for c in sorted(set(count.tolist())):
         at = np.flatnonzero(count == c)
         idx = np.nonzero(selected[at])[1].reshape(len(at), c)
-        for i, B in zip(at.tolist(), nullspace_bases(gather(idx), tol_rel)):
-            bases[i] = B
-    return bases
+        ranks, Vh = _nullspace_factors(gather(idx), tol_rel)
+        for rank in sorted(set(ranks.tolist())):
+            same = ranks == rank
+            yield at[same], Vh[same, rank:].transpose(0, 2, 1).copy()
 
 
 def nullspace_basis(M, tol_rel: float = 1e-8) -> np.ndarray:

@@ -380,8 +380,16 @@ class TestStackedFaces:
             assert same_bits(res.min_value, value)
             assert same_bits(res.witness, witness)
 
-    @pytest.mark.parametrize("K", [9, 10])
-    def test_fanfree_vertex_forms(self, K):
+    @pytest.mark.parametrize(
+        "K, chunk",
+        [(9, None), (10, None), (9, 1), (10, 1), (9, 7), (10, 7)],
+        ids=["9", "10", "9-chunks-of-1", "10-chunks-of-1", "9-chunks-of-7", "10-chunks-of-7"],
+    )
+    def test_fanfree_vertex_forms(self, K, chunk, monkeypatch):
+        # small chunks carry each form's running minimum across face
+        # chunks and across the eigenproblems' own chunks
+        if chunk is not None:
+            monkeypatch.setattr(cones, "stack_chunk", lambda floats: chunk)
         prob = load_problem(workloads.fanfree_text(K))
         pd = evaluate_point(prob, prob.point)
         ms = solve_multipliers(pd)
@@ -470,6 +478,37 @@ class TestStackedFaces:
             tracemalloc.stop()
         assert result.method == "facial-enumeration"
         assert result.min_value == -1.0
+        assert peak < limit
+
+    def test_many_forms_face_loop_memory_is_bounded(self):
+        # 64 forms on 2^12 faces in R^12: every form's eigenpairs on every
+        # face would take about 80 MiB at once; the face chunks, their
+        # (faces, forms) table of lowest eigenvalues and the eigenproblems'
+        # own chunks keep the peak near the stacking budget
+        limit = 2 * linalg._STACK_BYTES
+        dims = [12 - bin(mask).count("1") for mask in range(1 << 12)]
+        assert 64 * sum(d * d for d in dims) * 8 > 10 * limit
+        rng = np.random.default_rng(17)
+        a_in = rng.standard_normal((12, 12))
+        a_in[:, 0] = -np.abs(a_in[:, 0])  # e1 lies in the cone
+        cone = inequality_cone(a_in)
+        # each form's global minimum, at e1, lies a unit below the rest of
+        # its spectrum, so the first face (the whole space) settles every
+        # form and every later face is rejected by its table entry alone
+        forms = []
+        for a in rng.standard_normal((64, 11, 11)):
+            H = np.zeros((12, 12))
+            H[1:, 1:] = a + a.T
+            H[0, 0] = np.linalg.eigvalsh(a + a.T)[0] - 1.0
+            forms.append(H)
+        tracemalloc.start()
+        try:
+            results = min_quadratics_on_cone(forms, cone)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert [r.method for r in results] == ["facial-enumeration"] * len(forms)
+        assert [abs(r.witness[0]) for r in results] == [1.0] * len(forms)
         assert peak < limit
 
 

@@ -345,15 +345,17 @@ class TestSharedFaces:
 
     @staticmethod
     def count_stacks(monkeypatch):
-        """Record the stack size of every ``nullspace_bases`` call."""
+        """Record the stack size of every stacked nullspace SVD
+        (``linalg._nullspace_factors``, which ``grouped_nullspace_bases``
+        calls once per selection size)."""
         calls = []
-        real = linalg.nullspace_bases
+        real = linalg._nullspace_factors
 
         def counting(stack, *args, **kwargs):
             calls.append(len(stack))
             return real(stack, *args, **kwargs)
 
-        monkeypatch.setattr(linalg, "nullspace_bases", counting)
+        monkeypatch.setattr(linalg, "_nullspace_factors", counting)
         return calls
 
     def check_faces(self, calls, chunks):

@@ -149,7 +149,8 @@ class TestNullspaceBases:
 class TestGroupedNullspaceBases:
     def test_each_basis_is_its_selection_s_one_matrix_basis(self):
         # matrices built from selected rows of a (with a dependent row), one
-        # SVD per selection size, bases returned in selection order
+        # SVD per selection size, each selection in exactly one group of
+        # one rank, whose contiguous stack holds its one-matrix basis
         rng = np.random.default_rng(3)
         rows = rng.standard_normal((6, 4))
         rows[5] = rows[0] + rows[1]
@@ -161,14 +162,34 @@ class TestGroupedNullspaceBases:
             sizes.append(idx.shape[1])
             return rows[idx]
 
-        bases = grouped_nullspace_bases(selected, gather)
+        seen, order = [], []
+        for at, bases in grouped_nullspace_bases(selected, gather):
+            assert (np.diff(at) > 0).all()
+            assert bases.shape[0] == len(at) and bases.shape[1] == 4
+            assert bases.flags.c_contiguous
+            counts = selected[at].sum(axis=1)
+            assert (counts == counts[0]).all()
+            order.append((int(counts[0]), 4 - bases.shape[2]))
+            for i, B in zip(at.tolist(), bases):
+                M = rows[selected[i]] if selected[i].any() else np.zeros((0, 4))
+                assert same_bits(B, nullspace_basis(M))
+                seen.append(i)
         assert sorted(sizes) == sorted(set(selected.sum(axis=1).tolist()))
-        for pick, B in zip(selected, bases):
-            M = rows[pick] if pick.any() else np.zeros((0, 4))
-            assert same_bits(B, nullspace_basis(M))
+        assert sorted(seen) == list(range(len(selected)))
+        assert order == sorted(set(order))  # by selection size, then rank
+        assert len(order) > len({c for c, _ in order})  # the dependent row splits a size
 
     def test_no_selections(self):
-        assert grouped_nullspace_bases(np.zeros((0, 3), dtype=bool), lambda idx: None) == []
+        assert list(grouped_nullspace_bases(np.zeros((0, 3), dtype=bool), lambda idx: None)) == []
+
+    def test_nonfinite_stack_raises_before_the_svd(self, monkeypatch):
+        def no_svd(*args, **kwargs):
+            raise AssertionError("SVD reached with a non-finite entry")
+
+        monkeypatch.setattr(np.linalg, "svd", no_svd)
+        rows = np.array([[1.0, 0.0], [np.nan, 1.0]])
+        with pytest.raises(ValueError, match="matrix has non-finite entries"):
+            list(grouped_nullspace_bases(np.ones((1, 2), dtype=bool), lambda idx: rows[idx]))
 
 
 class TestPivotSelect:
