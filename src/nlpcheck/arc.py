@@ -25,10 +25,9 @@ outward one sample at a time, each sample one ``newton_batch`` over every
 side.  Once per trace, one :class:`~nlpcheck.expr.Gather` lists each
 chart's rows (its xi constraints, then its kept coordinates) as slots of a
 single sweep plan.  A Newton round is then one sweep at the trial points,
-from whose slot tables c(x) and c'(x) are gathered directly.  The
-constraint values along the arcs come from the chart rows' Newton values,
-from ``PointData`` at the center, and from one more batched sweep of the
-other constraints.
+from whose slot tables c(x) and c'(x) are gathered directly.  The march
+keeps only the points; every constraint value along the arcs, the
+centers' included, comes from one order-0 sweep after it.
 
 The traced arc is validated against five properties: (arc1) it starts at
 the point with velocity d; (arc2) pinned inequalities stay at zero; (arc3)
@@ -113,10 +112,9 @@ class LocalChart:
     ``components`` are the pinned constraint rows (``PinnedSet.components``)
     and ``xi`` indexes the selected ones (0-based positions into
     ``components``); ``solve_vars``/``keep_vars`` are 0-based variable
-    positions (J and K).  ``jac_center`` is c'(center), ``c_center`` holds
-    every constraint value at the center (``pd.c_vals``), and
-    ``cond_estimate`` is the 2-norm condition number of the selected square
-    block, a warning signal for poorly scaled charts.
+    positions (J and K).  ``z_center`` is c(center), ``jac_center`` is
+    c'(center), and ``cond_estimate`` is the 2-norm condition number of the
+    selected square block, a warning signal for poorly scaled charts.
     """
 
     components: tuple[int, ...]
@@ -126,7 +124,6 @@ class LocalChart:
     center: np.ndarray
     z_center: np.ndarray
     jac_center: np.ndarray
-    c_center: np.ndarray
     cond_estimate: float
     rank: int
 
@@ -151,7 +148,6 @@ def identity_chart(pd: PointData) -> LocalChart:
         center=x.copy(),
         z_center=x.copy(),
         jac_center=np.eye(n),
-        c_center=pd.c_vals,
         cond_estimate=1.0,
         rank=0,
     )
@@ -197,7 +193,6 @@ def build_chart(pd: PointData, pinned: PinnedSet, tol_rank: float = 1e-8) -> Loc
         center=x.copy(),
         z_center=z_center,
         jac_center=jac,
-        c_center=pd.c_vals,
         cond_estimate=cond,
         rank=r,
     )
@@ -249,9 +244,11 @@ def trace_arcs(
     contains t = 0 and enough symmetric pairs for derivative estimates.
     Sample k of both sides of every arc is one :func:`newton_batch`, each
     side starting from its sample k - 1 (the chart center for the first).
-    A Newton failure truncates that side at the last good sample, and so
-    does a constraint that leaves its domain at a sample.  Each arc equals
-    the one traced alone.
+    A Newton failure truncates that side at the last good sample.  The
+    constraint values at every kept sample and every chart center then
+    come from one order-0 sweep, which truncates a side again at a sample
+    where a constraint leaves its domain.  Each arc equals the one traced
+    alone.
     """
     directions = [np.asarray(d, dtype=float).ravel() for d in directions]
     if any(delta <= 0.0 for delta in deltas):
@@ -259,20 +256,15 @@ def trace_arcs(
     if samples < 5 or samples % 2 == 0:
         raise ValueError("samples must be odd and at least 5")
     half = (samples - 1) // 2
-    tapes = problem.tapes
     n, m = problem.n, problem.m
 
     # sides 2a and 2a + 1 are the negative and positive sides of arc a.
-    # slot[s, c] is the chart row of side s that evaluates constraint c (-1
-    # for none).  Line a of the gather holds arc a's chart rows: its xi
-    # constraint rows, then its kept coordinates; a Newton round takes each
-    # side's c(x) and c'(x) straight from one sweep
+    # Line a of the gather holds arc a's chart rows: its xi constraint rows,
+    # then its kept coordinates; a Newton round takes each side's c(x) and
+    # c'(x) straight from one sweep
     S = 2 * len(charts)
-    slot = np.full((S, len(tapes)), -1)
     chart_rows = np.empty((len(charts), n), dtype=int)
     for a, chart in enumerate(charts):
-        for row, i in enumerate(chart.xi):
-            slot[2 * a : 2 * a + 2, chart.components[i]] = row
         chart_rows[a, : chart.rank] = [chart.components[i] for i in chart.xi]
         chart_rows[a, chart.rank :] = [~k for k in chart.keep_vars]
     gather = problem.sweep.gather(chart_rows, n)
@@ -283,22 +275,19 @@ def trace_arcs(
     state = (np.repeat([chart.center for chart in charts], 2, axis=0), z_center,
              np.repeat([chart.jac_center for chart in charts], 2, axis=0))
 
-    # sample k of every live side in one batch; each constraint value at a
-    # marched point is its chart row's Newton value, or comes from the
-    # batched sweeps below
+    # sample k of every live side in one batch
     points = np.empty((S, half, n))
-    values = np.empty((S, half, len(tapes)))
     cut = np.zeros(S, dtype=int)  # samples kept per side
     notes = [""] * S
     live = np.arange(S)
     # the rows of the live sides in every per-side table, taken anew only
     # when a side fails
-    per_side = (scale, z_center, step_z, np.arange(S) // 2, np.maximum(slot, 0))
+    per_side = (scale, z_center, step_z, np.arange(S) // 2)
     lanes = per_side
     for k in range(1, half + 1):
         if not live.size:
             break
-        scales, starts, steps, lines, picks = lanes
+        scales, starts, steps, lines = lanes
         tk = scales * k / half
         X, F, J, errors = newton_batch(
             lambda rows, T: gather.evaluate(T, lines[rows]),
@@ -312,48 +301,44 @@ def trace_arcs(
                 notes[live[i]] = _truncation_note(int(sign[live[i]]), k, float(tk[i]), errors[i])
             live, X, F, J = live[good], X[good], F[good], J[good]
             lanes = tuple(column[live] for column in per_side)
-            picks = lanes[-1]
         state = X, F, J
         points[live, k - 1] = X
-        # the columns of the other tapes are filled in below
-        values[live, k - 1] = F[np.arange(live.size)[:, None], picks]
         cut[live] = k
 
-    # a side is cut at the first sample where a constraint leaves its
-    # domain; its march ran on past that sample, and the points beyond
-    # are dropped.  The one-point call on a failed sample's failed rows
-    # raises the message a sequential evaluation would have raised.
+    # every constraint value comes from one sweep of the kept samples, then
+    # the chart centers.  A side is cut at the first sample where a
+    # constraint leaves its domain; its march ran on past that sample, and
+    # the points beyond are dropped.  The one-point call on a failed
+    # sample's failed rows raises the message a sequential evaluation would
+    # have raised.
     side_of, sample_of = np.nonzero(np.arange(half) < cut[:, None])
-    X, V = points[side_of, sample_of], values[side_of, sample_of]
-    fine = np.ones(V.shape, dtype=bool)
-    other = slot[side_of] < 0
-    cols = np.flatnonzero(other.any(axis=0))
-    swept, _, _, ok = problem.sweep.evaluate(X, cols, order=0)
-    V[:, cols] = np.where(other[:, cols], swept, V[:, cols])
-    fine[:, cols] = ok | ~other[:, cols]
-    for r in np.flatnonzero(~fine.all(axis=1)).tolist():
+    kept = side_of.size
+    X = np.vstack([points[side_of, sample_of], *(chart.center for chart in charts)])
+    values, _, _, ok = problem.sweep.evaluate(X, np.arange(len(problem.tapes)), order=0)
+    for r in np.flatnonzero(~ok[:kept].all(axis=1)).tolist():
         s, j = int(side_of[r]), int(sample_of[r])
         if j < cut[s]:
             try:
-                problem.sweep.at(X[r], np.flatnonzero(~fine[r]), order=0)
+                problem.sweep.at(X[r], np.flatnonzero(~ok[r]), order=0)
             except DomainError as exc:
                 side = int(sign[s])
                 tj = side * deltas[s // 2] * (j + 1) / half
                 notes[s] = _truncation_note(side, j + 1, tj, exc)
                 cut[s] = j
-    values[side_of, sample_of] = V
+    row_of = np.empty((S, half), dtype=int)  # the row of X of each kept sample
+    row_of[side_of, sample_of] = np.arange(kept)
 
     arcs = []
     for a, (chart, d, delta) in enumerate(zip(charts, directions, deltas)):
         lo, hi = cut[2 * a], cut[2 * a + 1]
-        neg, pos = values[2 * a, :lo][::-1], values[2 * a + 1, :hi]
+        rows = np.concatenate([row_of[2 * a, :lo][::-1], [kept + a], row_of[2 * a + 1, :hi]])
         t = np.array([delta * k / half for k in range(-lo, hi + 1)])
         arcs.append(
             ArcResult(
                 t=t,
-                points=np.vstack([points[2 * a, :lo][::-1], chart.center, points[2 * a + 1, :hi]]),
-                g_values=np.vstack([neg[:, :m], chart.c_center[:m], pos[:, :m]]),
-                h_values=np.vstack([neg[:, m:], chart.c_center[m:], pos[:, m:]]),
+                points=X[rows],
+                g_values=values[rows, :m],
+                h_values=values[rows, m:],
                 delta=delta,
                 direction=d.copy(),
                 center=chart.center.copy(),

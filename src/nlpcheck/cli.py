@@ -177,6 +177,8 @@ def _validate(config: RunConfig, problem: Problem, x: np.ndarray) -> None:
         raise InputError(f"tol_active must be >= 0 and finite, got {config.tol_active}")
     if config.arc_sample < 0:
         raise InputError(f"arc sample count must be >= 0, got {config.arc_sample}")
+    if not isinstance(config.seed, (int, np.integer)) or config.seed < 0:
+        raise InputError(f"seed must be a non-negative integer, got {config.seed}")
 
 
 def run(config: RunConfig) -> dict:

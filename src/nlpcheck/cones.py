@@ -265,11 +265,6 @@ def _zero_cone_reach(cone: ConeRep) -> tuple[float, float]:
     return max(0.0, math.ldexp(reach, exp)), s_max
 
 
-def _is_zero_cone(cone: ConeRep) -> bool:
-    """True when the cone is certified to be {0} (:func:`_zero_cone_reach`)."""
-    return _zero_cone_reach(cone)[0] > 0.0
-
-
 def _checked_form(H, n: int) -> np.ndarray:
     H = np.asarray(H, dtype=float)
     if H.shape != (n, n):

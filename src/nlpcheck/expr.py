@@ -58,7 +58,7 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import groupby
 from typing import Union
 
@@ -570,11 +570,6 @@ def _slot_floats(order: int, n: int) -> int:
     return (4 if order < 2 else 5) * sum(n**k for k in range(order + 1))
 
 
-# request layouts a TapeSet keeps (one per rows, order and dimension); past
-# this many it starts afresh, so ever-new row sets stay bounded
-_LAYOUT_CACHE = 256
-
-
 @dataclass(frozen=True, eq=False)
 class TapeSet:
     """Several tapes compiled into one multi-output sweep (:func:`compile_tapes`).
@@ -601,7 +596,6 @@ class TapeSet:
     reads: np.ndarray  # (R, size) bool: the slots each tape's instructions map to
     slots: tuple  # per tape, the slot of each instruction's result
     max_index: np.ndarray  # (R,) largest 1-based variable index of each tape
-    _layouts: dict = field(default_factory=dict, init=False, repr=False)
 
     def evaluate(self, X, rows=None, order: int = 1):
         """Values (P, R), gradients (P, R, n), Hessians (P, R, n, n) and
@@ -617,28 +611,30 @@ class TapeSet:
         read it, and slots that no requested tape reads are skipped.  The
         slot tables are built for a chunk of points at a time, and for a
         chunk of rows when one point's tables would not fit, sized by
-        :func:`~nlpcheck.linalg.stack_chunk`.  When one chunk of rows and
-        one pass cover the call, the tables come straight from that pass:
-        they may be strided views, but hold the same bits.
+        :func:`~nlpcheck.linalg.stack_chunk` so that a pass's tables, with
+        a group's temporaries, fit within the stacking budget (a lone row's
+        may not).
         """
+        from nlpcheck.linalg import stack_chunk  # linalg imports this module
+
         X = np.asarray(X, dtype=float)
         P, n = X.shape
         rows = np.arange(len(self.tapes)) if rows is None else np.asarray(rows, dtype=int)
-        layout = self._layout(rows, order, n)
-        if len(layout) == 1 and P <= layout[0][2]:  # one pass: its tables are the result
-            _, plan, _, roots, reads = layout[0]
-            V, G, H, bad = self._run(plan, X, order)
-            return (
-                V[roots].T,
-                None if G is None else G[roots].swapaxes(0, 1),
-                None if H is None else H[roots].swapaxes(0, 1),
-                np.ones((P, len(rows)), dtype=bool) if bad is None else ~(bad.T @ reads.T),
-            )
+        self._check_dimension(rows, n)
         values = np.empty((P, len(rows)))
         grads = np.empty((P, len(rows), n)) if order else None
         hesses = np.empty((P, len(rows), n, n)) if order == 2 else None
         ok = np.ones((P, len(rows)), dtype=bool)
-        for cols, plan, step, roots, reads in layout:
+        floats = _slot_floats(order, n)
+        reads = self.reads[rows]
+        width = stack_chunk(floats * int(reads.sum(axis=1).max(initial=0)))
+        for first in range(0, len(rows), width):
+            cols = slice(first, first + width)
+            need = reads[cols].any(axis=0)
+            plan = self._plan(need)
+            roots = plan[4][self.outputs[rows[cols]]]
+            chunk_reads = reads[cols][:, need]
+            step = stack_chunk(floats * plan[0])
             for lo in range(0, P, step):
                 at = slice(lo, lo + step)
                 V, G, H, bad = self._run(plan, X[at], order)
@@ -648,7 +644,7 @@ class TapeSet:
                 if order == 2:
                     hesses[at, cols] = H[roots].swapaxes(0, 1)
                 if bad is not None:
-                    ok[at, cols] = ~(bad.T @ reads.T)
+                    ok[at, cols] = ~(bad.T @ chunk_reads.T)
         return values, grads, hesses, ok
 
     def at(self, x, rows=None, order: int = 1):
@@ -684,35 +680,6 @@ class TapeSet:
                 exc = raised
         exc.row = row
         return exc
-
-    def _layout(self, rows: np.ndarray, order: int, n: int) -> list:
-        """The chunks of rows a call sweeps: (columns of the result, plan,
-        points per pass, root slots in the plan, the rows' reads of the
-        planned slots).  Each chunk's tables, with a group's temporaries,
-        fit within the stacking budget at one point (a lone row may not);
-        the chunks of a (rows, order, n) request are kept for its next
-        call."""
-        from nlpcheck.linalg import stack_chunk  # linalg imports this module
-
-        key = (rows.tobytes(), order, n)
-        layout = self._layouts.get(key)
-        if layout is not None:
-            return layout
-        self._check_dimension(rows, n)
-        floats = _slot_floats(order, n)
-        reads = self.reads[rows]
-        width = stack_chunk(floats * int(reads.sum(axis=1).max(initial=0)))
-        layout = []
-        for lo in range(0, len(rows), width):
-            cols = slice(lo, lo + width)
-            need = reads[cols].any(axis=0)
-            plan = self._plan(need)
-            roots = plan[4][self.outputs[rows[cols]]]
-            layout.append((cols, plan, stack_chunk(floats * plan[0]), roots, reads[cols][:, need]))
-        if len(self._layouts) >= _LAYOUT_CACHE:
-            self._layouts.clear()
-        self._layouts[key] = layout
-        return layout
 
     def gather(self, outputs, n: int) -> "Gather":
         """The :class:`Gather` of the table ``outputs`` (lines, width) at

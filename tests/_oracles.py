@@ -394,7 +394,7 @@ def box_maxima(A_ub, A_eq):
 def zero_cone_oracle(cone):
     """True when the cone is {0} by the box-maxima LPs.
 
-    This is the test ``cones._is_zero_cone`` ran before its NNLS
+    This is the {0} test that ``cones`` ran before its NNLS
     certificate: each coordinate is maximized, with either sign, over the
     cone cut by [-1, 1]^n (``box_maxima``), and the cone is {0} exactly
     when every maximum is 0 (at 1e-6).  Any LP that does not solve leaves

@@ -10,7 +10,7 @@ import sys
 
 import numpy as np
 import pytest
-from numpy.testing import assert_allclose, assert_array_equal
+from numpy.testing import assert_allclose
 
 from nlpcheck import arc as arc_mod
 from nlpcheck import linalg
@@ -111,12 +111,16 @@ class TestBuildChart:
     def test_identity_chart_for_empty_pin(self):
         x = np.array([2.0, -1.0])
         prob = load_problem("vars 2\nobjective x1\nineq x1 - 3\neq x2 + 1\npoint 2 -1\n")
-        chart = identity_chart(evaluate_point(prob, x))
+        pd = evaluate_point(prob, x)
+        chart = identity_chart(pd)
         assert chart.components == ()
         assert chart.rank == 0
         assert_allclose(chart.jac_center, np.eye(2))
         assert_allclose(chart.z_center, x)
-        assert_array_equal(chart.c_center, [-1.0, 0.0])
+        # the traced arc's center row is the point's constraint values
+        arc = trace_arc(prob, chart, np.array([-1.0, 0.0]), 0.1)
+        center = np.concatenate([arc.g_values[arc.zero_index], arc.h_values[arc.zero_index]])
+        assert center.tobytes() == pd.c_vals.tobytes()
 
     def test_zero_gradient_degenerate(self):
         prob = load_problem("vars 1\nobjective x1\nineq x1^2\npoint 0\n")
@@ -272,14 +276,13 @@ class TestTraceArc:
             pinned.append(len(pairs))
         assert max(pinned) == 2
 
-    @pytest.mark.parametrize("source, tail", [(builtin_source("circle"), 0),
-                                              (workloads.chain_text(7), 1)],
+    @pytest.mark.parametrize("source", [builtin_source("circle"), workloads.chain_text(7)],
                              ids=["circle", "chain-7"])
-    def test_one_sweep_per_newton_round(self, source, tail, monkeypatch):
-        # every round of the march is one sweep, and the constraints that no
-        # chart row evaluates take one more after it: chain-7 leaves some
-        # inequality unpinned, while the circle's one equality is always
-        # pinned
+    def test_one_sweep_per_newton_round(self, source, monkeypatch):
+        # every round of the march is one sweep at order 1, and every
+        # constraint value along the arcs, the centers' included, comes
+        # from one order-0 sweep after the march, whether some inequality
+        # is left unpinned (chain-7) or every row is a chart row (circle)
         runs, rounds = [], []
         run = TapeSet._run
 
@@ -304,7 +307,7 @@ class TestTraceArc:
         monkeypatch.setattr(arc_mod, "newton_batch", counting_batch)
         trace_arcs(prob, charts, dirs, [0.1] * len(dirs))
         assert len(rounds) > 20
-        assert runs == [1] * len(rounds) + [0] * tail
+        assert runs == [1] * len(rounds) + [0]
 
     def test_truncation_beyond_chart_range(self):
         # the circle chart cannot reach |t| > 1; the grid must stop early

@@ -318,6 +318,7 @@ class TestMain:
             (["--tol-active", "nan"], "tol_active must be >= 0 and finite"),
             (["--arc-sample", "-2"], "arc sample count must be >= 0"),
             (["--samples", "2000000000"], "samples per radius must be between 0 and 2**30"),
+            (["--seed", "-1"], "seed must be a non-negative integer, got -1"),
         ],
     )
     def test_invalid_config_exit_two(self, flags, message, capsys):

@@ -706,6 +706,60 @@ class TestAcqEmpirical:
             assert report_to_json(explicit) == report_to_json(plain)
 
 
+# Hand-derived problems that separate the CQ hierarchy, all at the point 0,
+# each with the theory's verdict for every CQ (True: holds, False: fails)
+SEPARATING = {
+    # the two rows have parallel gradients everywhere, and d = e1 points
+    # strictly inside both
+    "crcq-mfcq-without-licq": (
+        "vars 2\nobjective x1\nineq -x1 + x2^2\nineq -2*x1 + 2*x2^2\npoint 0 0\n",
+        dict(licq=False, mfcq=True, crcq=True, rcrcq=True, acq=True),
+    ),
+    # x2 = -x1^2 written as two inequalities: rank 1 everywhere, but no d
+    # points strictly inside both
+    "crcq-without-mfcq": (
+        "vars 2\nobjective x1\nineq x1^2 + x2\nineq -x1^2 - x2\npoint 0 0\n",
+        dict(licq=False, mfcq=False, crcq=True, rcrcq=True, acq=True),
+    ),
+    # {eq 1, ineq 1} has rank 1 at 0 and 2 off the x2 = 0 line, but every
+    # subset that holds both equalities spans R^2; the feasible set and
+    # both cones are {0}
+    "rcrcq-without-crcq": (
+        "vars 2\nobjective x1 + x2\neq x1\neq x2\nineq x1 + x2^2\npoint 0 0\n",
+        dict(licq=False, mfcq=False, crcq=False, rcrcq=True, acq=True),
+    ),
+    # the Kuhn-Tucker cusp 0 <= x2 <= x1^3: its tangent cone is the ray
+    # d1 >= 0, d2 = 0, its linearized cone the whole line d2 = 0
+    "kuhn-tucker-cusp": (
+        "vars 2\nobjective x1\nineq x2 - x1^3\nineq -x2\npoint 0 0\n",
+        dict(licq=False, mfcq=False, crcq=False, rcrcq=False, acq=False),
+    ),
+}
+
+
+def _separating_report(name: str, tmp_path) -> dict:
+    path = tmp_path / f"{name}.nlp"
+    path.write_text(SEPARATING[name][0])
+    return run(RunConfig(str(path)))
+
+
+class TestSeparatingBattery:
+    """No verdict is stronger than the theory allows: ``holds`` or
+    ``holds-certified`` only where the CQ holds, ``fails`` only where it
+    fails, and ``undetermined`` anywhere."""
+
+    @pytest.mark.parametrize("name", list(SEPARATING))
+    def test_verdicts_are_sound(self, name, tmp_path):
+        cqs = _separating_report(name, tmp_path)["constraint_qualifications"]
+        for key, holds in SEPARATING[name][1].items():
+            allowed = {"holds", "holds-certified"} if holds else {"fails"}
+            assert cqs[key]["status"] in allowed | {"undetermined"}, key
+
+    def test_cusp_is_not_a_kkt_point(self, tmp_path):
+        # 0 minimizes x1 on the cusp, yet no multiplier exists: ACQ fails
+        assert not _separating_report("kuhn-tucker-cusp", tmp_path)["kkt"]["is_kkt_point"]
+
+
 class TestRecheck:
     def test_recheck_matches_independent_evaluation(self):
         prob = builtin_problem("paper-example-1")

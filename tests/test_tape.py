@@ -280,10 +280,10 @@ class TestSweep:
             assert same_bits(full[:, [7, 0, 3]], sub)
 
     def test_one_pass_equals_chunked_passes(self, monkeypatch):
-        # a call that one pass over one chunk of rows covers returns that
-        # pass's tables; chunks of two rows and passes of two points must
-        # give the same ok and the same bits wherever ok holds (a failed
-        # entry is meaningless: its NaNs may differ in sign)
+        # a call that one pass over one chunk of rows covers makes one
+        # sweep; chunks of two rows and passes of two points must give the
+        # same ok and the same bits wherever ok holds (a failed entry is
+        # meaningless: its NaNs may differ in sign)
         exprs, points = corpus(seed=5, count=12)
         X = np.array(points)
         one = compile_tapes(exprs)
