@@ -148,10 +148,15 @@ def _validate(config: RunConfig, problem: Problem, x: np.ndarray) -> None:
         raise InputError(f"point must have {n} coordinates, got {x.size}")
     if not np.isfinite(x).all():
         raise InputError("point has non-finite coordinates")
+    bound = norm_bound(n)  # the gradients' bound: the direction's norm stays finite
     for d in config.arc_dirs:
         d = np.asarray(d, dtype=float)
         if d.shape != (n,) or not np.isfinite(d).all():
             raise InputError(f"arc direction must have {n} finite coordinates, got {d.tolist()}")
+        if np.abs(d).max(initial=0.0) > bound:
+            raise InputError(
+                f"arc direction entries must be at most {bound!r} in magnitude, got {d.tolist()}"
+            )
     if config.arc_points < 5 or config.arc_points % 2 == 0:
         raise InputError(f"arc points must be odd and >= 5, got {config.arc_points}")
     if not 0.0 < config.delta < math.inf:
@@ -173,6 +178,9 @@ def _validate(config: RunConfig, problem: Problem, x: np.ndarray) -> None:
         value = getattr(config, name)
         if not 0.0 < value < math.inf:
             raise InputError(f"{name} must be positive and finite, got {value}")
+    if config.tol_rank >= 1.0:
+        # singular values above tol_rank * sigma_max count, so none would
+        raise InputError(f"tol_rank must be below 1, got {config.tol_rank}")
     if not 0.0 <= config.tol_active < math.inf:
         raise InputError(f"tol_active must be >= 0 and finite, got {config.tol_active}")
     if config.arc_sample < 0:

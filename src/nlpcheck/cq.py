@@ -26,9 +26,9 @@ equality, so a pair both scans reach is ranked once.  When a scan's pair
 count times the number of points exceeds ``2^20``, that scan is cut to the
 pairs of total size <= 2 plus the full pair, and its evidence reads
 ``partial: true``.  The points and their tables are held at once, so a
-sample count above the default whose scan would hold more than
-``SCAN_BUDGET`` floats is rejected (:func:`check_scan_size`) before any
-gradient is evaluated.
+scan of more points than the default one whose tables would hold more
+than ``SCAN_BUDGET`` floats is rejected (:func:`check_scan_size`) before
+any gradient is evaluated.
 
 Rank constancy over a neighborhood cannot be certified by finitely many
 samples, so the sampled scans return "fails" with a re-checkable witness
@@ -101,15 +101,18 @@ def check_scan_size(n: int, rows: int, radii: int, samples: int) -> None:
     """Raise ``ValueError`` when a rank scan of ``samples`` points per
     radius, over ``radii`` radii with ``rows`` gradients in ``R^n``, would
     hold more than ``SCAN_BUDGET`` floats, ``(1 + radii * samples) * (rows
-    + 1) * n``.  A count up to ``DEFAULT_SAMPLES`` is always allowed, so a
-    default scan runs on every problem."""
+    + 1) * n``.  A scan of no more points than the default one (``1 + 3 *
+    DEFAULT_SAMPLES``: the center and the default count at each of the three
+    default radii) is always allowed, so a default scan runs on every
+    problem."""
     points = 1 + radii * samples
     floats = points * (rows + 1) * n
-    if samples > DEFAULT_SAMPLES and floats > SCAN_BUDGET:
+    default = 1 + len(NeighborhoodSampler.radii) * DEFAULT_SAMPLES
+    if points > default and floats > SCAN_BUDGET:
         raise ValueError(
-            f"the rank scan would hold {points} points of up to {rows} gradients in "
-            f"R^{n}, above its budget of {SCAN_BUDGET} floats (up to {DEFAULT_SAMPLES} "
-            f"samples per radius always run)"
+            f"the rank scan would hold {points} points ({samples} per radius at {radii} "
+            f"radii, and the center) of up to {rows} gradients in R^{n}, above its budget "
+            f"of {SCAN_BUDGET} floats (a scan of up to {default} points always runs)"
         )
 
 

@@ -2,11 +2,12 @@
 
 Objectives and constraints are written as small arithmetic formulas over
 variables ``x1 .. xn``, for example ``x1^2 + (x2 - 1)^2 - 1``.  This module
-parses such formulas into an immutable tree and compiles the tree, by an
-iterative walk (so trees of any depth work), into a :class:`Tape`: a flat
-post-order list of instructions.  :func:`compile_tapes` merges tapes into a
-:class:`TapeSet`, whose identical subtrees share one slot and whose slots
-run in groups of one op at one depth.  One loop, ``TapeSet._run``, executes
+parses such formulas, in one loop with explicit stacks, into an immutable
+tree, prints a tree back (:func:`to_source`), and compiles it, by an
+iterative walk, into a :class:`Tape`: a flat post-order list of
+instructions.  :func:`compile_tapes` merges tapes into a :class:`TapeSet`,
+whose identical subtrees share one slot and whose slots run in groups of
+one op at one depth.  One loop, ``TapeSet._run``, executes
 the instructions: forward-mode differentiation (Griewank & Walther,
 *Evaluating Derivatives*, 2008, ch. 3 and 13) of every requested output at
 every point of a batch, with one numpy pass per group, at order 0 (values),
@@ -51,7 +52,9 @@ Grammar (whitespace-insensitive)::
     FUNC    := sin | cos | exp | log | sqrt
 
 Exponents are integer literals from 0 to 1024 (``_MAX_EXPONENT``); unary
-minus binds looser than ``^``, so ``-x1^2`` means ``-(x1^2)``.
+minus binds looser than ``^``, so ``-x1^2`` means ``-(x1^2)``.  None of
+the parser, the printer and the compiler recurses, so trees of any depth
+work, whatever the caller's stack.
 """
 
 from __future__ import annotations
@@ -153,51 +156,52 @@ _LETTERS = re.compile(r"[A-Za-z]+")
 _DIGITS = re.compile(r"\d+")
 
 
-def _byte_offset(source: str, pos: int) -> int:
-    return len(source[:pos].encode("utf-8"))
-
-
 def _tokenize(source: str) -> list[tuple[str, object, int]]:
     """Return (kind, payload, byte offset) tokens; kinds: op, num, var, func."""
     tokens: list[tuple[str, object, int]] = []
     i = 0
+    off = 0  # byte offset of source[i]
     while i < len(source):
         ch = source[i]
         if ch.isspace():
             i += 1
+            off += len(ch.encode("utf-8"))
             continue
-        off = _byte_offset(source, i)
         if ch in "+-*/^()":
             tokens.append(("op", ch, off))
             i += 1
+            off += 1
             continue
         if ch.isdigit() or ch == ".":
             m = _NUMBER.match(source, i)
             if m is None:
                 raise ParseError("malformed number", off)
-            value = float(m.group(0))
+            text = m.group(0)
+            value = float(text)
             if not math.isfinite(value):
                 raise ParseError("number literal overflows", off)
-            tokens.append(("num", (value, m.group(0)), off))
+            tokens.append(("num", (value, text), off))
             i = m.end()
+            off += len(text.encode("utf-8"))  # \d matches non-ASCII digits
             continue
-        if ch.isalpha():
-            m = _LETTERS.match(source, i)
-            word = m.group(0)
-            if word == "x":
-                d = _DIGITS.match(source, m.end())
-                if d is None:
-                    raise ParseError("variable index expected after 'x'", off)
-                tokens.append(("var", int(d.group(0)), off))
-                i = d.end()
-                continue
-            if word in _FUNCS:
-                tokens.append(("func", word, off))
-                i = m.end()
-                continue
+        m = _LETTERS.match(source, i)
+        if m is None:
+            raise ParseError(f"unexpected character {ch!r}", off)
+        word = m.group(0)
+        if word == "x":
+            d = _DIGITS.match(source, m.end())
+            if d is None:
+                raise ParseError("variable index expected after 'x'", off)
+            tokens.append(("var", int(d.group(0)), off))
+            i = d.end()
+            off += 1 + len(d.group(0).encode("utf-8"))
+            continue
+        if word not in _FUNCS:
             raise ParseError(f"unknown identifier '{word}'", off)
-        raise ParseError(f"unexpected character {ch!r}", off)
-    tokens.append(("end", None, _byte_offset(source, len(source))))
+        tokens.append(("func", word, off))
+        i = m.end()
+        off += len(word)
+    tokens.append(("end", None, off))
     return tokens
 
 
@@ -205,118 +209,112 @@ def _tokenize(source: str) -> list[tuple[str, object, int]]:
 # exponent is bounded at parse time
 _MAX_EXPONENT = 1024
 
+_BINOP = {"+": "add", "-": "sub", "*": "mul", "/": "div"}
+_BINOP_SYMBOL = {name: symbol for symbol, name in _BINOP.items()}
 
-class _Parser:
-    def __init__(self, tokens: list[tuple[str, object, int]], n: int):
-        self.tokens = tokens
-        self.pos = 0
-        self.n = n
 
-    def peek(self) -> tuple[str, object, int]:
-        return self.tokens[self.pos]
+def _exponent(token: tuple[str, object, int]) -> int:
+    """The exponent a ``^`` token is followed by."""
+    kind, payload, off = token
+    if kind == "op" and payload == "-":
+        raise ParseError("negative integer exponent not allowed", off)
+    if kind != "num":
+        raise ParseError("integer exponent expected after '^'", off)
+    text = payload[1]
+    if any(c in text for c in ".eE"):
+        raise ParseError("exponent must be an integer literal", off)
+    exponent = int(text)
+    if exponent > _MAX_EXPONENT:
+        raise ParseError(f"integer exponent {exponent} exceeds the limit {_MAX_EXPONENT}", off)
+    return exponent
 
-    def advance(self) -> tuple[str, object, int]:
-        tok = self.tokens[self.pos]
-        self.pos += 1
-        return tok
 
-    def expect_op(self, symbol: str) -> None:
-        kind, payload, off = self.peek()
-        if kind != "op" or payload != symbol:
-            raise ParseError(f"expected '{symbol}'", off)
-        self.advance()
-
-    def parse_expr(self) -> Expression:
-        node = self.parse_term()
-        while True:
-            kind, payload, _ = self.peek()
-            if kind == "op" and payload in "+-":
-                self.advance()
-                rhs = self.parse_term()
-                node = Binary("add" if payload == "+" else "sub", node, rhs)
-            else:
-                return node
-
-    def parse_term(self) -> Expression:
-        node = self.parse_factor()
-        while True:
-            kind, payload, _ = self.peek()
-            if kind == "op" and payload in "*/":
-                self.advance()
-                rhs = self.parse_factor()
-                node = Binary("mul" if payload == "*" else "div", node, rhs)
-            else:
-                return node
-
-    def parse_factor(self) -> Expression:
-        kind, payload, _ = self.peek()
-        if kind == "op" and payload == "-":
-            self.advance()
-            return Unary("neg", self.parse_power())
-        return self.parse_power()
-
-    def parse_power(self) -> Expression:
-        base = self.parse_atom()
-        kind, payload, _ = self.peek()
-        if kind == "op" and payload == "^":
-            self.advance()
-            kind, payload, off = self.peek()
-            if kind == "op" and payload == "-":
-                raise ParseError("negative integer exponent not allowed", off)
-            if kind != "num":
-                raise ParseError("integer exponent expected after '^'", off)
-            value, text = payload
-            if any(c in text for c in ".eE"):
-                raise ParseError("exponent must be an integer literal", off)
-            exponent = int(text)
-            if exponent > _MAX_EXPONENT:
-                raise ParseError(
-                    f"integer exponent {exponent} exceeds the limit {_MAX_EXPONENT}", off
-                )
-            self.advance()
-            return Power(base, exponent)
-        return base
-
-    def parse_atom(self) -> Expression:
-        kind, payload, off = self.advance()
-        if kind == "num":
-            value, _ = payload
-            return Const(value)
-        if kind == "var":
-            index = int(payload)
-            if index == 0:
-                raise ParseError("variable index 0 (variables are x1..xn)", off)
-            if index > self.n:
-                raise ParseError(
-                    f"variable x{index} exceeds declared dimension {self.n}", off
-                )
-            return Var(index)
-        if kind == "func":
-            self.expect_op("(")
-            inner = self.parse_expr()
-            self.expect_op(")")
-            return Unary(str(payload), inner)
-        if kind == "op" and payload == "(":
-            inner = self.parse_expr()
-            self.expect_op(")")
-            return inner
-        raise ParseError("expected a number, variable, function, or '('", off)
+def _reduce(operands: list, ops: list[str], names) -> None:
+    """Apply the binary operators named ``names`` on top of ``ops``."""
+    while ops and ops[-1] in names:
+        right = operands.pop()
+        operands[-1] = Binary(ops.pop(), operands[-1], right)
 
 
 def parse(source: str, n: int) -> Expression:
-    """Parse ``source`` into an expression over variables x1..xn."""
+    """Parse ``source`` into an expression over variables x1..xn.
+
+    One loop over the tokens, with no recursion, so any depth parses: an
+    operand stack, and an operator stack of pending binary operators, one
+    ``neg`` mark per unary minus and one frame per open ``(`` or function
+    call (Dijkstra's shunting-yard, with the precedence of the grammar
+    above).  A ``*`` or ``/`` applies the pending ``*`` and ``/`` of its
+    frame first, a ``+``, ``-``, ``)`` or the end every pending binary
+    operator; a minus applies to the power after it.  A malformed source
+    raises :class:`ParseError` with the byte offset of the first token that
+    does not fit the grammar.
+    """
     if n < 0:
         raise ValueError("dimension n must be non-negative")
-    parser = _Parser(_tokenize(source), n)
-    try:
-        node = parser.parse_expr()
-    except RecursionError:
-        # recursive descent spends a few frames per nesting level
-        raise ParseError("expression nested too deeply", parser.peek()[2]) from None
-    kind, _, off = parser.peek()
-    if kind != "end":
-        raise ParseError("unexpected trailing input", off)
-    return node
+    tokens = _tokenize(source)
+    operands: list[Expression] = []
+    # binary op names, "neg", and frames: "(" or a function name
+    ops: list[str] = []
+    frames = 0  # open frames on ops
+    i = 0
+    while True:
+        # a factor: an optional minus, then an atom or the opening of a frame
+        kind, payload, off = tokens[i]
+        i += 1
+        if kind == "op" and payload == "-":
+            ops.append("neg")
+            kind, payload, off = tokens[i]
+            i += 1
+        if kind == "num":
+            operands.append(Const(payload[0]))
+        elif kind == "var":
+            if payload == 0:
+                raise ParseError("variable index 0 (variables are x1..xn)", off)
+            if payload > n:
+                raise ParseError(f"variable x{payload} exceeds declared dimension {n}", off)
+            operands.append(Var(payload))
+        elif kind == "func":
+            kind, symbol, off = tokens[i]
+            if kind != "op" or symbol != "(":
+                raise ParseError("expected '('", off)
+            i += 1
+            ops.append(payload)
+            frames += 1
+            continue
+        elif kind == "op" and payload == "(":
+            ops.append("(")
+            frames += 1
+            continue
+        else:
+            raise ParseError("expected a number, variable, function, or '('", off)
+        # after an atom: its power, its minus, then an operator, or the close
+        # of a frame (itself an atom) or the end
+        while True:
+            kind, payload, off = tokens[i]
+            if kind == "op" and payload == "^":
+                operands[-1] = Power(operands[-1], _exponent(tokens[i + 1]))
+                i += 2
+                kind, payload, off = tokens[i]
+            if ops and ops[-1] == "neg":
+                ops.pop()
+                operands[-1] = Unary("neg", operands[-1])
+            if kind == "op" and payload in "+-*/":
+                _reduce(operands, ops, ("mul", "div") if payload in "*/" else _BINOP_SYMBOL)
+                ops.append(_BINOP[payload])
+                i += 1
+                break
+            _reduce(operands, ops, _BINOP_SYMBOL)
+            if not frames:
+                if kind != "end":
+                    raise ParseError("unexpected trailing input", off)
+                return operands[0]
+            if kind != "op" or payload != ")":
+                raise ParseError("expected ')'", off)
+            i += 1
+            frames -= 1
+            head = ops.pop()
+            if head != "(":
+                operands[-1] = Unary(head, operands[-1])
 
 
 def _fmt_const(value: float) -> str:
@@ -326,53 +324,37 @@ def _fmt_const(value: float) -> str:
     return repr(value)
 
 
-_BINOP_SYMBOL = {"add": "+", "sub": "-", "mul": "*", "div": "/"}
-_BINOP_LEVEL = {"add": 0, "sub": 0, "mul": 1, "div": 1}  # precedence
-
-
 def to_source(e: Expression) -> str:
     """Print an expression by an iterative walk, so trees of any depth print.
 
-    Binary operations are parenthesized, except a left operand of the same
-    precedence as its parent (a ``+ -`` node under ``+ -``, a ``* /`` node
-    under ``* /``): the parser reads such a chain left to right and without
-    recursing, so a sum or product of any length re-parses to its tree.
-    Right operands keep their parentheses, so ``x1 - (x2 - x3)`` keeps its
-    meaning.  A tree nested past the parser's bound in any other way (deep
-    right operands, functions, alternating precedence) re-parses to
-    ``expression nested too deeply``.  Negative constants (possible only in
+    Binary operations are fully parenthesized, so the result re-parses to
+    the same tree at any depth.  Negative constants (possible only in
     hand-built trees, the parser never produces them) print as negated
     positive literals.
     """
     parts: list[str] = []
-    # literal text and (node, parenthesized) pairs still to print, last first
-    stack: list = [(e, True)]
+    stack: list = [e]  # nodes still to print and literal text, last first
     while stack:
         item = stack.pop()
         if isinstance(item, str):
             parts.append(item)
-            continue
-        node, wrap = item
-        if isinstance(node, Const):
-            parts.append(_fmt_const(node.value))
-        elif isinstance(node, Var):
-            parts.append(f"x{node.index}")
-        elif isinstance(node, Unary):
-            head = "(-" if node.op == "neg" else f"{node.op}("
-            stack.extend((")", (node.arg, True), head))
-        elif isinstance(node, Binary):
-            left = node.left
-            chained = isinstance(left, Binary) and _BINOP_LEVEL[left.op] == _BINOP_LEVEL[node.op]
-            body = ((node.right, True), f" {_BINOP_SYMBOL[node.op]} ", (left, not chained))
-            stack.extend((")", *body, "(") if wrap else body)
-        elif isinstance(node, Power):
-            base = node.base
+        elif isinstance(item, Const):
+            parts.append(_fmt_const(item.value))
+        elif isinstance(item, Var):
+            parts.append(f"x{item.index}")
+        elif isinstance(item, Unary):
+            head = "(-" if item.op == "neg" else f"{item.op}("
+            stack.extend((")", item.arg, head))
+        elif isinstance(item, Binary):
+            stack.extend((")", item.right, f" {_BINOP_SYMBOL[item.op]} ", item.left, "("))
+        elif isinstance(item, Power):
+            base = item.base
             if isinstance(base, Var) or (isinstance(base, Const) and not base.value < 0):
-                stack.extend((f"^{node.exponent}", (base, True)))
+                stack.extend((f"^{item.exponent}", base))
             else:
-                stack.extend((f")^{node.exponent}", (base, True), "("))
+                stack.extend((f")^{item.exponent}", base, "("))
         else:
-            raise TypeError(f"not an expression node: {node!r}")
+            raise TypeError(f"not an expression node: {item!r}")
     return "".join(parts)
 
 

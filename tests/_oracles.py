@@ -27,6 +27,9 @@ and ``sequential_arc`` are the one-arc, one-point-at-a-time march (on
 ``reference_newton``) the batched arc tracer replaced: it must reproduce
 their arcs bit for bit.  ``reference_report_to_json`` is the per-scalar
 JSON writer whose bytes ``cli.report_to_json`` must keep.
+``reference_parse`` is the recursive-descent parser the one-loop
+``expr.parse`` replaced: on every input within its depth it must give the
+same tree, or the same ``ParseError`` message and byte offset.
 """
 
 import itertools
@@ -510,6 +513,131 @@ def multiplier_enumeration_oracle(pd, tol=1e-8):
             "least-squares representative reported"
         )
     return ms
+
+
+class _RecursiveDescentParser:
+    """The recursive-descent parser the one-loop ``expr.parse`` replaced:
+    one method per grammar rule, reading ``expr._tokenize``'s tokens."""
+
+    def __init__(self, tokens, n):
+        self.tokens = tokens
+        self.pos = 0
+        self.n = n
+
+    def peek(self):
+        return self.tokens[self.pos]
+
+    def advance(self):
+        tok = self.tokens[self.pos]
+        self.pos += 1
+        return tok
+
+    def expect_op(self, symbol):
+        from nlpcheck.expr import ParseError
+
+        kind, payload, off = self.peek()
+        if kind != "op" or payload != symbol:
+            raise ParseError(f"expected '{symbol}'", off)
+        self.advance()
+
+    def parse_expr(self):
+        from nlpcheck.expr import Binary
+
+        node = self.parse_term()
+        while True:
+            kind, payload, _ = self.peek()
+            if kind == "op" and payload in "+-":
+                self.advance()
+                rhs = self.parse_term()
+                node = Binary("add" if payload == "+" else "sub", node, rhs)
+            else:
+                return node
+
+    def parse_term(self):
+        from nlpcheck.expr import Binary
+
+        node = self.parse_factor()
+        while True:
+            kind, payload, _ = self.peek()
+            if kind == "op" and payload in "*/":
+                self.advance()
+                rhs = self.parse_factor()
+                node = Binary("mul" if payload == "*" else "div", node, rhs)
+            else:
+                return node
+
+    def parse_factor(self):
+        from nlpcheck.expr import Unary
+
+        kind, payload, _ = self.peek()
+        if kind == "op" and payload == "-":
+            self.advance()
+            return Unary("neg", self.parse_power())
+        return self.parse_power()
+
+    def parse_power(self):
+        from nlpcheck.expr import _MAX_EXPONENT, ParseError, Power
+
+        base = self.parse_atom()
+        kind, payload, _ = self.peek()
+        if kind == "op" and payload == "^":
+            self.advance()
+            kind, payload, off = self.peek()
+            if kind == "op" and payload == "-":
+                raise ParseError("negative integer exponent not allowed", off)
+            if kind != "num":
+                raise ParseError("integer exponent expected after '^'", off)
+            value, text = payload
+            if any(c in text for c in ".eE"):
+                raise ParseError("exponent must be an integer literal", off)
+            exponent = int(text)
+            if exponent > _MAX_EXPONENT:
+                raise ParseError(
+                    f"integer exponent {exponent} exceeds the limit {_MAX_EXPONENT}", off
+                )
+            self.advance()
+            return Power(base, exponent)
+        return base
+
+    def parse_atom(self):
+        from nlpcheck.expr import Const, ParseError, Unary, Var
+
+        kind, payload, off = self.advance()
+        if kind == "num":
+            value, _ = payload
+            return Const(value)
+        if kind == "var":
+            index = int(payload)
+            if index == 0:
+                raise ParseError("variable index 0 (variables are x1..xn)", off)
+            if index > self.n:
+                raise ParseError(
+                    f"variable x{index} exceeds declared dimension {self.n}", off
+                )
+            return Var(index)
+        if kind == "func":
+            self.expect_op("(")
+            inner = self.parse_expr()
+            self.expect_op(")")
+            return Unary(str(payload), inner)
+        if kind == "op" and payload == "(":
+            inner = self.parse_expr()
+            self.expect_op(")")
+            return inner
+        raise ParseError("expected a number, variable, function, or '('", off)
+
+
+def reference_parse(source, n):
+    """Parse ``source`` by recursive descent; Python's stack bounds the
+    depth, so callers keep their inputs shallow."""
+    from nlpcheck.expr import ParseError, _tokenize
+
+    parser = _RecursiveDescentParser(_tokenize(source), n)
+    node = parser.parse_expr()
+    kind, _, off = parser.peek()
+    if kind != "end":
+        raise ParseError("unexpected trailing input", off)
+    return node
 
 
 @dataclass

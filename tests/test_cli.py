@@ -319,6 +319,11 @@ class TestMain:
             (["--arc-sample", "-2"], "arc sample count must be >= 0"),
             (["--samples", "2000000000"], "samples per radius must be between 0 and 2**30"),
             (["--seed", "-1"], "seed must be a non-negative integer, got -1"),
+            # 1,280,001 points at the default 64 samples per radius
+            (["--radii", ",".join(["1e-2"] * 20000)], "(64 per radius at 20000 radii"),
+            (["--arc-dir", "1e308,1e308"], "arc direction entries must be at most"),
+            (["--tol-rank", "1e308"], "tol_rank must be below 1"),
+            (["--tol-rank", "1"], "tol_rank must be below 1, got 1.0"),
         ],
     )
     def test_invalid_config_exit_two(self, flags, message, capsys):
@@ -545,12 +550,20 @@ class TestMain:
         assert main(["analyze", str(path), "--json", str(out)]) == 0
         assert json.loads(out.read_text())["objective_value"] == 0.0
 
-    def test_deep_nesting_exit_two(self, tmp_path, capsys):
-        path = tmp_path / "nested.prob"
-        path.write_text("vars 1\nobjective " + "(" * 400 + "x1" + ")" * 400 + "\npoint 0\n")
-        assert main(["analyze", str(path)]) == 2
-        err = capsys.readouterr().err
-        assert "line 2: expression nested too deeply (byte offset " in err
+    def test_deep_nesting_exit_zero(self, tmp_path):
+        # the parser reads any depth: 1000 parentheses, and a degree-400
+        # Horner polynomial (400 nested left operands)
+        nested = tmp_path / "nested.prob"
+        nested.write_text("vars 1\nobjective " + "(" * 1000 + "x1" + ")" * 1000 + "\npoint 0\n")
+        assert main(["analyze", str(nested)]) == 0
+        horner = "(" * 400 + "1" + ")*x1 + 1" * 400
+        path = tmp_path / "horner.prob"
+        path.write_text(
+            f"vars 2\nobjective x2 + 0.001*({horner})\nineq x1^2 + x2^2 - 1\npoint 0 -1\n"
+        )
+        out = tmp_path / "horner.json"
+        assert main(["analyze", str(path), "--json", str(out)]) == 0
+        assert json.loads(out.read_text())["objective_value"] == -0.999
 
     def test_exponent_above_limit_exit_two(self, tmp_path, capsys):
         path = tmp_path / "power.prob"

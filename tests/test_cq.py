@@ -32,7 +32,7 @@ from nlpcheck.expr import grad_hess
 from nlpcheck import linalg
 from nlpcheck.linalg import numerical_rank, stack_chunk, stacked_rank
 from nlpcheck.model import evaluate_point, load_problem
-from nlpcheck.problems import builtin_names, builtin_problem
+from nlpcheck.problems import builtin_names, builtin_problem, builtin_source
 
 from _oracles import rank_scan_oracle, reference_sweep, sample_points
 from test_acceptance import BATTERY
@@ -201,6 +201,15 @@ class TestScanSize:
         cq.check_scan_size(2, 3, 3, samples)
         with pytest.raises(ValueError, match="above its budget"):
             cq.check_scan_size(2, 3, 3, samples + 1)
+
+    def test_radii_count_toward_the_exemption(self):
+        # the default 64 samples per radius, but at 20,000 radii
+        with pytest.raises(ValueError, match="64 per radius at 20000 radii"):
+            cq.check_scan_size(2, 1, 20000, cq.DEFAULT_SAMPLES)
+        # the default scan's 193 points run, however they are spread
+        cq.check_scan_size(2000, 1000, 1, 3 * cq.DEFAULT_SAMPLES)
+        with pytest.raises(ValueError, match="up to 193 points always runs"):
+            cq.check_scan_size(2000, 1000, 1, 3 * cq.DEFAULT_SAMPLES + 1)
 
     def test_library_scan_over_the_budget_raises_before_any_sweep(self, monkeypatch):
         # paper-example-1 has 2 active rows in R^2: 6 floats per point
@@ -734,6 +743,27 @@ SEPARATING = {
         "vars 2\nobjective x1\nineq x2 - x1^3\nineq -x2\npoint 0 0\n",
         dict(licq=False, mfcq=False, crcq=False, rcrcq=False, acq=False),
     ),
+    # paper-example-1: both gradients are (0, -2) at 0, and d = e2 points
+    # strictly inside both, but the pair has rank 2 off the x1 = 0 line.
+    # 0 minimizes x2, yet the multiplier vertex (0, 0.5) has cone minimum -1
+    "mfcq-without-rcrcq": (
+        builtin_source("paper-example-1"),
+        dict(licq=False, mfcq=True, crcq=False, rcrcq=False, acq=True, ssonc=False),
+    ),
+    # two equalities with independent gradients, and f = -2 t^2 along the
+    # feasible curve x2 = x3 = t, x1 = -2 t^2
+    "ssonc-fails-under-licq": (
+        "vars 3\nobjective x1\neq x1 + x2^2 + x3^2\neq x2 - x3\npoint 0 0 0\n",
+        dict(licq=True, mfcq=True, crcq=True, rcrcq=True, acq=True, ssonc=False),
+    ),
+    # the paper-example-1 disks times x3 = 0, written as two inequalities:
+    # no d points strictly inside both x3 rows, and the disks' pair changes
+    # rank; the tangent and the linearized cone are both {d2 >= 0, d3 = 0}
+    "acq-without-mfcq-or-rcrcq": (
+        "vars 3\nobjective x2\nineq x1^2 + (x2 - 1)^2 - 1\nineq 1 - x1^2 - (x2 + 1)^2\n"
+        "ineq x3\nineq -x3\npoint 0 0 0\n",
+        dict(licq=False, mfcq=False, crcq=False, rcrcq=False, acq=True),
+    ),
 }
 
 
@@ -745,15 +775,17 @@ def _separating_report(name: str, tmp_path) -> dict:
 
 class TestSeparatingBattery:
     """No verdict is stronger than the theory allows: ``holds`` or
-    ``holds-certified`` only where the CQ holds, ``fails`` only where it
-    fails, and ``undetermined`` anywhere."""
+    ``holds-certified`` only where the CQ (or SSONC, where a problem names
+    it) holds, ``fails`` only where it fails, and ``undetermined``
+    anywhere."""
 
     @pytest.mark.parametrize("name", list(SEPARATING))
     def test_verdicts_are_sound(self, name, tmp_path):
-        cqs = _separating_report(name, tmp_path)["constraint_qualifications"]
+        report = _separating_report(name, tmp_path)
         for key, holds in SEPARATING[name][1].items():
+            verdict = report["ssonc"] if key == "ssonc" else report["constraint_qualifications"][key]
             allowed = {"holds", "holds-certified"} if holds else {"fails"}
-            assert cqs[key]["status"] in allowed | {"undetermined"}, key
+            assert verdict["status"] in allowed | {"undetermined"}, key
 
     def test_cusp_is_not_a_kkt_point(self, tmp_path):
         # 0 minimizes x1 on the cusp, yet no multiplier exists: ACQ fails

@@ -5,6 +5,8 @@ propagated gradients and Hessians; parser behaviour is pinned against
 hand-derived trees and error offsets.
 """
 
+import random
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -24,6 +26,8 @@ from nlpcheck.expr import (
     parse,
     to_source,
 )
+
+from _oracles import reference_parse
 
 # formulas over x1, x2 exercised repeatedly below; all smooth near the
 # sampled boxes
@@ -134,13 +138,12 @@ class TestParse:
         assert parse(to_source(tree), 2) == tree
 
     def test_printer_handles_a_5000_term_sum(self):
-        # the parser reads a flat sum without recursing, and so does the
-        # printer's output: a left operand of the same precedence prints
-        # without parentheses of its own
+        # every binary operation is parenthesized, and the parser reads the
+        # 4999 nested parentheses in one loop
         terms = [f"x{i % 3 + 1}" for i in range(5000)]
         tree = parse(" + ".join(terms), 3)
         printed = to_source(tree)
-        assert printed == "(" + " + ".join(terms) + ")"
+        assert printed == "(" * 4999 + terms[0] + "".join(f" + {t})" for t in terms[1:])
         assert same_tree(parse(printed, 3), tree)
 
     @pytest.mark.parametrize(
@@ -161,9 +164,155 @@ class TestParse:
         assert same_tree(parse(to_source(tree), 3), tree)
 
     def test_right_operands_keep_their_parentheses(self):
-        assert to_source(parse("x1 - (x2 - x3)", 3)) == "(x1 - (x2 - x3))"
-        assert to_source(parse("x1 - x2 + x3", 3)) == "(x1 - x2 + x3)"
-        assert to_source(parse("x1 * x2 + x3", 3)) == "((x1 * x2) + x3)"
+        # and so do left operands: every binary operation prints its own
+        for source, printed in [
+            ("x1 - (x2 - x3)", "(x1 - (x2 - x3))"),
+            ("x1 - x2 + x3", "((x1 - x2) + x3)"),
+            ("x1 * x2 + x3", "((x1 * x2) + x3)"),
+            ("x1 / x2 / x3", "((x1 / x2) / x3)"),
+        ]:
+            tree = parse(source, 3)
+            assert to_source(tree) == printed
+            assert parse(printed, 3) == tree
+
+    def test_non_ascii_letter_is_an_unexpected_character(self):
+        # str.isalpha() accepts it, but no identifier is spelled with it
+        with pytest.raises(ParseError) as err:
+            parse("2*π*x1", 1)
+        assert err.value.message == "unexpected character 'π'"
+        assert err.value.offset == 2
+        assert str(err.value) == "unexpected character 'π' (byte offset 2)"
+
+    def test_byte_offsets_count_utf8_bytes(self):
+        # an ideographic space is 3 bytes, an Arabic-Indic digit 2
+        with pytest.raises(ParseError) as err:
+            parse("x1\u3000+ \u0663 x1", 1)
+        assert (err.value.message, err.value.offset) == ("unexpected trailing input", 10)
+        assert parse("x1\u3000+ \u0663", 1) == Binary("add", Var(1), Const(3.0))
+
+    @pytest.mark.parametrize(
+        "opening, inner, closing, wrap",
+        [
+            ("(", "x1", ")", lambda t: t),
+            ("sin(", "x1", ")", lambda t: Unary("sin", t)),
+            ("-(", "x1^2", ")^3", lambda t: Unary("neg", Power(t, 3))),
+            ("x1 - (", "x2", ")", lambda t: Binary("sub", Var(1), t)),
+        ],
+        ids=["parentheses", "functions", "negated-powers", "right-operands"],
+    )
+    def test_any_depth_parses_from_a_deep_stack(self, opening, inner, closing, wrap):
+        # the parser does not recurse: 10,000 levels parse even when it is
+        # called from 800 frames deep, and print back to the same tree
+        source = opening * 10000 + inner + closing * 10000
+        expected = parse(inner, 2)
+        for _ in range(10000):
+            expected = wrap(expected)
+
+        def nested_call(frames):
+            return parse(source, 2) if frames == 0 else nested_call(frames - 1)
+
+        tree = nested_call(800)
+        assert same_tree(tree, expected)
+        assert same_tree(parse(to_source(tree), 2), expected)
+
+    def test_printer_round_trips_1000_levels(self):
+        rng = np.random.default_rng(5)
+        tree = Var(1)
+        for k in range(1000):
+            pick = int(rng.integers(5))
+            if pick == 0:
+                tree = Unary("sin", tree)
+            elif pick == 1:
+                tree = Unary("neg", tree)
+            elif pick == 2:
+                tree = Power(tree, 2)
+            else:
+                op = ("add", "sub", "mul", "div")[k % 4]
+                tree = Binary(op, tree, Var(2)) if pick == 3 else Binary(op, Const(0.5), tree)
+        assert same_tree(parse(to_source(tree), 2), tree)
+
+
+class TestParserAgainstRecursiveDescent:
+    """The one-loop parser against the recursive-descent parser it
+    replaced (``tests/_oracles.py::reference_parse``), on seeded inputs:
+    random strings of tokens and near-tokens, generated expressions, and
+    generated expressions with one piece deleted, inserted or replaced."""
+
+    PIECES = [
+        "x1", "x2", "x3", "x0", "x12", "x", "x\u0663", "sin", "cos", "exp", "log",
+        "sqrt", "tan", "e", "(", ")", "+", "-", "*", "/", "^", "2", "0", "1.5", "1e3",
+        ".5", "3.", ".", "1024", "1025", "1e400", "\u0663", "\u00b2", " ", "\t",
+        "\u3000", "\u03c0", "\u00e9", "#",
+    ]
+
+    def expression(self, rng, depth):
+        r = rng.random()
+        if depth <= 0 or r < 0.3:
+            return rng.choice(["x1", "x2", "x3", "2", "0.5", "1e-3", "x4"])
+        if r < 0.55:
+            op = rng.choice([" + ", " - ", "*", "/"])
+            return self.expression(rng, depth - 1) + op + self.expression(rng, depth - 1)
+        if r < 0.65:
+            return "-" + self.expression(rng, depth - 1)
+        if r < 0.75:
+            exponent = rng.choice(["2", "3", "0", "-1", "2.0", "x1", "1025"])
+            return self.expression(rng, depth - 1) + "^" + exponent
+        if r < 0.87:
+            return "(" + self.expression(rng, depth - 1) + ")"
+        func = rng.choice(["sin", "cos", "exp", "log", "sqrt"])
+        return func + "(" + self.expression(rng, depth - 1) + ")"
+
+    def source(self, rng, k):
+        if k % 3 == 0:
+            return "".join(rng.choice(self.PIECES) for _ in range(rng.randint(0, 12)))
+        text = self.expression(rng, rng.randint(0, 6))
+        if k % 3 == 2 and text:
+            at = rng.randrange(len(text))
+            cut = at + (rng.random() < 0.6)
+            text = text[:at] + ("" if rng.random() < 0.3 else rng.choice(self.PIECES)) + text[cut:]
+        return text
+
+    @staticmethod
+    def outcome(parser, source, n):
+        try:
+            return parser(source, n)
+        except ParseError as err:
+            return (err.message, err.offset)
+
+    def test_same_tree_or_same_error(self):
+        rng = random.Random(2022)
+        parsed = failed = 0
+        for k in range(24000):
+            source = self.source(rng, k)
+            n = rng.randint(0, 4)
+            want = self.outcome(reference_parse, source, n)
+            assert self.outcome(parse, source, n) == want, (source, n)
+            if isinstance(want, tuple):
+                failed += 1
+            else:
+                parsed += 1
+        # both kinds of outcome are well represented
+        assert parsed > 4000 and failed > 4000
+
+    def test_token_offsets_are_utf8_byte_offsets(self):
+        rng = random.Random(23)
+        for k in range(3000):
+            source = self.source(rng, k)
+            try:
+                tokens = expr._tokenize(source)
+            except ParseError:
+                continue
+            data = source.encode("utf-8")
+            for kind, payload, offset in tokens:
+                rest = data[offset:].decode("utf-8")  # fails off a character boundary
+                if kind == "end":
+                    assert rest == ""
+                elif kind == "num":
+                    assert rest.startswith(payload[1])
+                elif kind == "var":
+                    assert rest.startswith("x")
+                else:
+                    assert rest.startswith(payload)
 
 
 class TestEvaluate:
