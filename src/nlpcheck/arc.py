@@ -62,9 +62,30 @@ __all__ = [
     "DirectionArcReport",
     "arcs_for_directions",
     "arc_for_direction",
+    "ARC_BUDGET",
+    "check_arc_size",
 ]
 
 _MAX_SHRINK = 5  # delta halvings after a truncated trace
+
+ARC_BUDGET = 1 << 22  # floats the samples of an analysis' arcs may keep: 32 MiB
+_DEFAULT_SAMPLES = 8 * 41  # the default run: 8 sampled arcs of 41 samples
+
+
+def check_arc_size(n: int, rows: int, arcs: int, samples: int) -> None:
+    """Raise ``ValueError`` when ``arcs`` arcs of ``samples`` samples each
+    would keep more than ``ARC_BUDGET`` floats, ``arcs * samples * (1 + n
+    + rows)``: t, the n coordinates of the point and its ``rows``
+    constraint values, at every sample.  A run of no more samples than the
+    default one (8 arcs of 41) always runs, so a default run works on
+    every problem."""
+    floats = arcs * samples * (1 + n + rows)
+    if arcs * samples > _DEFAULT_SAMPLES and floats > ARC_BUDGET:
+        raise ValueError(
+            f"{arcs} arcs of {samples} samples would keep {floats} floats (t, {n} coordinates "
+            f"and {rows} constraint values per sample), above the budget of {ARC_BUDGET} floats "
+            f"(up to {_DEFAULT_SAMPLES} samples always run)"
+        )
 
 
 class DegenerateRankError(Exception):
@@ -314,7 +335,7 @@ def trace_arcs(
     side_of, sample_of = np.nonzero(np.arange(half) < cut[:, None])
     kept = side_of.size
     X = np.vstack([points[side_of, sample_of], *(chart.center for chart in charts)])
-    values, _, _, ok = problem.sweep.evaluate(X, np.arange(len(problem.tapes)), order=0)
+    values, _, _, ok = problem.sweep.evaluate(X, np.arange(m + problem.p), order=0)
     for r in np.flatnonzero(~ok[:kept].all(axis=1)).tolist():
         s, j = int(side_of[r]), int(sample_of[r])
         if j < cut[s]:
@@ -507,8 +528,10 @@ def arcs_for_directions(
     truncated have their delta halved (up to ``_MAX_SHRINK`` times) and are
     retraced together, since Proposition-style arcs are only guaranteed on
     a small enough interval; the final attempt is reported even if still
-    truncated.
+    truncated.  Directions whose samples would not fit the budget raise
+    ``ValueError`` (:func:`check_arc_size`) before any is traced.
     """
+    check_arc_size(problem.n, problem.m + problem.p, len(directions), samples)
     reports = []
     charts = []
     charted = []  # positions in reports of the charted directions

@@ -185,6 +185,15 @@ def _validate(config: RunConfig, problem: Problem, x: np.ndarray) -> None:
         raise InputError(f"tol_active must be >= 0 and finite, got {config.tol_active}")
     if config.arc_sample < 0:
         raise InputError(f"arc sample count must be >= 0, got {config.arc_sample}")
+    try:
+        arc_mod.check_arc_size(
+            n, problem.m + problem.p, config.arc_sample + len(config.arc_dirs), config.arc_points
+        )
+    except ValueError as exc:
+        raise InputError(
+            f"--arc-sample {config.arc_sample} with {len(config.arc_dirs)} --arc-dir and "
+            f"--arc-points {config.arc_points} is too large for this problem: {exc}"
+        ) from None
     if not isinstance(config.seed, (int, np.integer)) or config.seed < 0:
         raise InputError(f"seed must be a non-negative integer, got {config.seed}")
 

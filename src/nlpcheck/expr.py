@@ -3,12 +3,11 @@
 Objectives and constraints are written as small arithmetic formulas over
 variables ``x1 .. xn``, for example ``x1^2 + (x2 - 1)^2 - 1``.  This module
 parses such formulas, in one loop with explicit stacks, into an immutable
-tree, prints a tree back (:func:`to_source`), and compiles it, by an
-iterative walk, into a :class:`Tape`: a flat post-order list of
-instructions.  :func:`compile_tapes` merges tapes into a :class:`TapeSet`,
-whose identical subtrees share one slot and whose slots run in groups of
-one op at one depth.  One loop, ``TapeSet._run``, executes
-the instructions: forward-mode differentiation (Griewank & Walther,
+tree, prints a tree back (:func:`to_source`), and compiles trees, by one
+iterative walk each, straight into the slots of a :class:`TapeSet`
+(:func:`compile_tapes`), whose identical subtrees share one slot and whose
+slots run in groups of one op at one depth.  One loop, ``TapeSet._run``,
+executes the slots: forward-mode differentiation (Griewank & Walther,
 *Evaluating Derivatives*, 2008, ch. 3 and 13) of every requested output at
 every point of a batch, with one numpy pass per group, at order 0 (values),
 1 (and gradients) or 2 (and Hessians).  :meth:`TapeSet.evaluate` flags the
@@ -18,7 +17,7 @@ entries that leave a domain; :meth:`TapeSet.at`, at one point, raises
 per point, straight from the slot tables of one sweep.
 
 Each entry performs the floating-point operations of a one-point,
-one-instruction-at-a-time forward sweep, in its order, so a value is the
+one-node-at-a-time forward sweep, in its order, so a value is the
 same at every order and every entry keeps its bits in any batch:
 
 * product: ``grad = u*w' + w*u'``, ``hess = (u*w'' + w*u'') + (C + C^T)``
@@ -78,8 +77,6 @@ __all__ = [
     "Power",
     "Expression",
     "Taylor2Scalar",
-    "Tape",
-    "compile_tape",
     "TapeSet",
     "Gather",
     "compile_tapes",
@@ -367,14 +364,11 @@ class Taylor2Scalar:
     hess: np.ndarray  # shape (n, n)
 
 
-# Tape opcodes.  An instruction is (op, a, b, c); its result goes to the
-# slot with its own position in the tape.
-#   CONST: c is the value;  VAR: a is the 0-based variable index;
-#   unary ops: a is the argument slot;  binary ops: a, b are operand slots;
-#   POW: a is the base slot and b the exponent.
-# c is the source node for every op but CONST, so errors can name it.
-(_CONST, _VAR, _NEG, _ADD, _SUB, _MUL, _DIV, _POW,
- _SIN, _COS, _EXP, _LOG, _SQRT) = range(13)
+# Slot opcodes.  A slot (op, a, b, value) of compile_tapes holds:
+#   CONST: the constant value;  VAR: the 0-based variable index a;
+#   unary ops: op applied to slot a;  binary ops: op applied to slots a, b.
+(_CONST, _VAR, _NEG, _ADD, _SUB, _MUL, _DIV,
+ _SIN, _COS, _EXP, _LOG, _SQRT) = range(12)
 _UNARY_CODE = {"neg": _NEG, "sin": _SIN, "cos": _COS, "exp": _EXP, "log": _LOG, "sqrt": _SQRT}
 _BINARY_CODE = {"add": _ADD, "sub": _SUB, "mul": _MUL, "div": _DIV}
 
@@ -426,64 +420,6 @@ def _elementary(op: int, v: float, order: int, node) -> tuple[float, float, floa
                 raise DomainError(f"sqrt second derivative overflows at {v!r}", node)
             f2 = -0.25 / (s * v)
     return s, f1, f2
-
-
-@dataclass(frozen=True, eq=False)
-class Tape:
-    """An expression compiled to a flat post-order instruction list.
-
-    Instruction k is ``(op, a, b, c)`` (see the opcodes above) and its
-    result is value k.  A tape is run as an output of a :class:`TapeSet`.
-    """
-
-    code: tuple[tuple[int, int, int, object], ...]
-    max_index: int  # largest 1-based variable index used, 0 for none
-
-
-def compile_tape(e: Expression) -> Tape:
-    """Compile an expression tree to a :class:`Tape` by an iterative walk.
-
-    Instructions come out in the post-order the recursive interpreters
-    used (left operand, right operand, node), so a point that leaves the
-    domain in several places fails at the same node.  Trees of any depth
-    compile.
-    """
-    code: list[tuple[int, int, int, object]] = []
-    done: list[int] = []  # result slots of finished subtrees
-    max_index = 0
-    stack: list[tuple[Expression, bool]] = [(e, False)]
-    while stack:
-        node, expanded = stack.pop()
-        if isinstance(node, Const):
-            code.append((_CONST, 0, 0, float(node.value)))
-        elif isinstance(node, Var):
-            code.append((_VAR, node.index - 1, 0, node))
-            max_index = max(max_index, node.index)
-        elif not expanded:
-            if isinstance(node, Binary):
-                children = (node.left, node.right)
-            elif isinstance(node, Unary):
-                children = (node.arg,)
-            elif isinstance(node, Power):
-                children = (node.base,)
-            else:
-                raise TypeError(f"not an expression node: {node!r}")
-            stack.append((node, True))
-            stack.extend((child, False) for child in reversed(children))
-            continue
-        elif isinstance(node, Binary):
-            if node.op not in _BINARY_CODE:
-                raise TypeError(f"unknown binary op {node.op!r}")
-            right = done.pop()
-            code.append((_BINARY_CODE[node.op], done.pop(), right, node))
-        elif isinstance(node, Unary):
-            if node.op not in _UNARY_CODE:
-                raise TypeError(f"unknown unary op {node.op!r}")
-            code.append((_UNARY_CODE[node.op], done.pop(), 0, node))
-        else:
-            code.append((_POW, done.pop(), node.exponent, node))
-        done.append(len(code) - 1)
-    return Tape(tuple(code), max_index)
 
 
 _LIBM = {_SIN: math.sin, _COS: math.cos, _EXP: math.exp, _LOG: math.log, _SQRT: math.sqrt}
@@ -554,44 +490,44 @@ def _slot_floats(order: int, n: int) -> int:
 
 @dataclass(frozen=True, eq=False)
 class TapeSet:
-    """Several tapes compiled into one multi-output sweep (:func:`compile_tapes`).
+    """Expressions compiled into one multi-output sweep (:func:`compile_tapes`).
 
-    Every instruction of every tape maps to a slot (``slots``).  Identical
-    subtrees (same op, same operand slots, same constant bits) share one
-    slot, and ``u^k`` becomes k products from the constant 1.  Slots are
-    numbered by (depth, op): the constants, the variables, then one
-    contiguous slice per group of one op at one depth, whose operands all
-    lie in earlier groups.  ``_run``, the one loop that executes tape
-    instructions, evaluates a group with a few whole-array numpy
-    operations at every point of a batch, in one of three orders: values
-    (0), gradients (1) or Hessians (2).  :meth:`evaluate` sweeps a batch
-    of points and flags the entries that leave a domain; :meth:`at` sweeps
-    one point and raises the first failure as a :class:`DomainError`.
+    Every node of every expression maps to a slot.  Identical subtrees
+    (same op, same operand slots, same constant bits) share one slot, and
+    ``u^k`` becomes k products from the constant 1.  Slots are numbered by
+    (depth, op): the constants, the variables, then one contiguous slice
+    per group of one op at one depth, whose operands all lie in earlier
+    groups.  ``_run``, the one loop that executes the slots, evaluates a
+    group with a few whole-array numpy operations at every point of a
+    batch, in one of three orders: values (0), gradients (1) or Hessians
+    (2).  :meth:`evaluate` sweeps a batch of points and flags the entries
+    that leave a domain; :meth:`at` sweeps one point and raises the first
+    failure as a :class:`DomainError`.
     """
 
-    tapes: tuple[Tape, ...]  # one per output, in order
     size: int  # number of slots
     consts: np.ndarray  # values of the first len(consts) slots
     variables: np.ndarray  # 0-based variable index of the next slots
     groups: tuple  # (op, slice, a, b): the slots of the slice apply op to slots a (and b)
-    outputs: np.ndarray  # (R,) the slot of each tape's root
-    reads: np.ndarray  # (R, size) bool: the slots each tape's instructions map to
-    slots: tuple  # per tape, the slot of each instruction's result
-    max_index: np.ndarray  # (R,) largest 1-based variable index of each tape
+    outputs: np.ndarray  # (R,) the slot of each output's root
+    reads: np.ndarray  # (R, size) bool: the slots each output's nodes map to
+    # per output, in post-order, (slot, op, operand slot, node) of each node
+    # that can leave a domain: a division, by its divisor, or a function
+    failures: tuple
 
     def evaluate(self, X, rows=None, order: int = 1):
         """Values (P, R), gradients (P, R, n), Hessians (P, R, n, n) and
-        ``ok`` (P, R) of the tapes ``rows`` (all of them by default) at the
-        rows of ``X``; gradients and Hessians are None past ``order``.
+        ``ok`` (P, R) of the outputs ``rows`` (all of them by default) at
+        the rows of ``X``; gradients and Hessians are None past ``order``.
 
         Every entry goes through the floating-point operations of a
-        one-point forward sweep of its tape, in the same order (see the
-        module docstring), so it keeps that sweep's bits.  ``ok[i, j]`` is
-        False exactly where that sweep, at this order, leaves the domain of
-        a function; the entry is then meaningless, and :meth:`at` names the
-        failure.  A failing slot clears ``ok`` only for the outputs that
-        read it, and slots that no requested tape reads are skipped.  The
-        slot tables are built for a chunk of points at a time, and for a
+        one-point forward sweep of its expression, in the same order (see
+        the module docstring), so it keeps that sweep's bits.  ``ok[i, j]``
+        is False exactly where that sweep, at this order, leaves the domain
+        of a function; the entry is then meaningless, and :meth:`at` names
+        the failure.  A failing slot clears ``ok`` only for the outputs
+        that read it, and slots that no requested output reads are skipped.
+        The slot tables are built for a chunk of points at a time, and for a
         chunk of rows when one point's tables would not fit, sized by
         :func:`~nlpcheck.linalg.stack_chunk` so that a pass's tables, with
         a group's temporaries, fit within the stacking budget (a lone row's
@@ -601,8 +537,7 @@ class TapeSet:
 
         X = np.asarray(X, dtype=float)
         P, n = X.shape
-        rows = np.arange(len(self.tapes)) if rows is None else np.asarray(rows, dtype=int)
-        self._check_dimension(rows, n)
+        rows = np.arange(len(self.outputs)) if rows is None else np.asarray(rows, dtype=int)
         values = np.empty((P, len(rows)))
         grads = np.empty((P, len(rows), n)) if order else None
         hesses = np.empty((P, len(rows), n, n)) if order == 2 else None
@@ -613,7 +548,7 @@ class TapeSet:
         for first in range(0, len(rows), width):
             cols = slice(first, first + width)
             need = reads[cols].any(axis=0)
-            plan = self._plan(need)
+            plan = self._plan(need, n)
             roots = plan[4][self.outputs[rows[cols]]]
             chunk_reads = reads[cols][:, need]
             step = stack_chunk(floats * plan[0])
@@ -630,34 +565,33 @@ class TapeSet:
         return values, grads, hesses, ok
 
     def at(self, x, rows=None, order: int = 1):
-        """Values (R,), gradients (R, n) and Hessians (R, n, n) of the tapes
-        ``rows`` (all of them by default) at the one point ``x``; gradients
-        and Hessians are None past ``order``.
+        """Values (R,), gradients (R, n) and Hessians (R, n, n) of the
+        outputs ``rows`` (all of them by default) at the one point ``x``;
+        gradients and Hessians are None past ``order``.
 
         The first requested row that fails raises the :class:`DomainError`
-        of its tape's first failing instruction in post-order, with ``row``
-        set to that tape's output.
+        of its expression's first failing node in post-order, with ``row``
+        set to that output.
         """
         X = np.asarray(x, dtype=float).reshape(1, -1)
-        rows = np.arange(len(self.tapes)) if rows is None else np.asarray(rows, dtype=int)
+        rows = np.arange(len(self.outputs)) if rows is None else np.asarray(rows, dtype=int)
         *tables, ok = self.evaluate(X, rows, order)
         if not ok.all():
             raise self._failure(X, int(rows[np.argmin(ok[0])]), order)
         return tuple(None if table is None else table[0] for table in tables)
 
     def _failure(self, X: np.ndarray, row: int, order: int) -> DomainError:
-        """The error of tape ``row``'s first instruction, in post-order,
-        that fails at the one point ``X`` (shape (1, n)) at ``order``."""
-        plan = self._plan(self.reads[row])
+        """The error of output ``row``'s first node, in post-order, that
+        fails at the one point ``X`` (shape (1, n)) at ``order``."""
+        plan = self._plan(self.reads[row], X.shape[1])
         V, _, _, bad = self._run(plan, X, order)
-        slots = plan[4][self.slots[row]]
-        k = next(k for k, s in enumerate(slots.tolist()) if bad[s, 0])
-        op, a, _, node = self.tapes[row].code[k]
+        position = plan[4]
+        _, op, a, node = next(f for f in self.failures[row] if bad[position[f[0]], 0])
         if op == _DIV:
             exc = DomainError("division by zero", node)
         else:
             try:
-                _elementary(op, float(V[slots[a], 0]), order, node)
+                _elementary(op, float(V[position[a], 0]), order, node)
             except DomainError as raised:
                 exc = raised
         exc.row = row
@@ -665,19 +599,18 @@ class TapeSet:
 
     def gather(self, outputs, n: int) -> "Gather":
         """The :class:`Gather` of the table ``outputs`` (lines, width) at
-        points of ``n`` coordinates.  An entry r >= 0 names tape r; an entry
-        ``~k`` (that is, -1 - k) names the coordinate x_{k+1}, whose value
-        and unit gradient the sweep holds in a variable slot."""
+        points of ``n`` coordinates.  An entry r >= 0 names output r; an
+        entry ``~k`` (that is, -1 - k) names the coordinate x_{k+1}, whose
+        value and unit gradient the sweep holds in a variable slot."""
         from nlpcheck.linalg import stack_chunk  # linalg imports this module
 
         outputs = np.asarray(outputs, dtype=int)
-        # the tapes and coordinates named, found by masks: np.unique imports
-        # numpy.ma (close to 1 MiB of memory) on numpy 2.4
-        tapes, coords = np.zeros(len(self.tapes), dtype=bool), np.zeros(n, dtype=bool)
-        tapes[outputs[outputs >= 0]] = True
+        # the outputs and coordinates named, found by masks: np.unique
+        # imports numpy.ma (close to 1 MiB of memory) on numpy 2.4
+        rows, coords = np.zeros(len(self.outputs), dtype=bool), np.zeros(n, dtype=bool)
+        rows[outputs[outputs >= 0]] = True
         coords[~outputs[outputs < 0]] = True
-        rows, coords = np.flatnonzero(tapes), np.flatnonzero(coords)
-        self._check_dimension(rows, n)
+        rows, coords = np.flatnonzero(rows), np.flatnonzero(coords)
         c, v = len(self.consts), len(self.consts) + len(self.variables)
         own = np.full(n, -1)  # the variable slot of each coordinate, or -1
         kept = self.variables < n
@@ -686,36 +619,33 @@ class TapeSet:
         slot = own[coords]
         need[slot[slot >= 0]] = True
         extra = coords[slot < 0]
-        plan = self._plan(need, extra)
+        plan = self._plan(need, n, extra)
         position = plan[4]
         at = np.where(own >= 0, position[own], 0)  # the plan slot of each coordinate
         at[extra] = int(need[:v].sum()) + np.arange(len(extra))
         roots = position[self.outputs[np.maximum(outputs, 0)]]
         slots = np.where(outputs >= 0, roots, at[~np.minimum(outputs, -1)])
-        # the plan slots each line's tapes read (variable slots never fail)
-        reads = np.zeros((len(self.tapes), plan[0]), dtype=bool)
+        # the plan slots each line's outputs read (variable slots never fail)
+        reads = np.zeros((len(self.outputs), plan[0]), dtype=bool)
         reads[:, position[need]] = self.reads[:, need]
         reads = (reads[np.maximum(outputs, 0)] & (outputs >= 0)[..., None]).any(axis=1)
         return Gather(self, plan, stack_chunk(_slot_floats(1, n) * plan[0]), slots, reads)
 
-    def _check_dimension(self, rows: np.ndarray, n: int) -> None:
-        """Raise :class:`ExprError` when a tape ``rows`` uses a variable
-        past the ``n`` coordinates of a point."""
-        if len(rows) and n < self.max_index[rows].max():
-            code = self.tapes[rows[np.argmax(self.max_index[rows] > n)]].code
-            first = next(c.index for op, _, _, c in code if op == _VAR and c.index > n)
-            raise ExprError(f"point has {n} coordinates but expression uses x{first}")
-
-    def _plan(self, need: np.ndarray, coords=()) -> tuple:
+    def _plan(self, need: np.ndarray, n: int, coords=()) -> tuple:
         """The slots in ``need``, renumbered in order from 0, and the steps
-        that compute them: (number of slots, constant values, variables,
-        steps, the new number of every slot).  The coordinates ``coords``,
-        which have no slot of their own, get slots after the variables in
-        ``need``.  A step (op, destination, a, b) applies op to the slots a
-        (and b) and fills a slice; operand slots that run consecutively are
-        a slice too, so that :meth:`_run` reads them as a view."""
+        that compute them at points of ``n`` coordinates: (number of slots,
+        constant values, variables, steps, the new number of every slot).
+        The coordinates ``coords``, which have no slot of their own, get
+        slots after the variables in ``need``.  A step (op, destination, a,
+        b) applies op to the slots a (and b) and fills a slice; operand
+        slots that run consecutively are a slice too, so that :meth:`_run`
+        reads them as a view.  A variable in ``need`` past the ``n``
+        coordinates raises :class:`ExprError`, naming the largest."""
         position = np.cumsum(need) - 1
         c, v = len(self.consts), len(self.consts) + len(self.variables)
+        last = int(self.variables[need[c:v]].max(initial=-1)) + 1  # the largest, 1-based
+        if last > n:
+            raise ExprError(f"point has {n} coordinates but expression uses x{last}")
         variables = np.concatenate([self.variables[need[c:v]], np.asarray(coords, dtype=int)])
         position[v:] += len(coords)
         size = int(need[:c].sum()) + len(variables)
@@ -737,7 +667,7 @@ class TapeSet:
         P), gradients (slots, P, n) and Hessians (slots, P, n, n), None past
         ``order``, and the failed slots (slots, P), or None.
 
-        This is the one loop that executes tape instructions.  Each group
+        This is the one loop that executes the slots.  Each group
         is written straight into its slots of the tables by ``out=``
         operations, reading its operands as views where their slots run
         consecutively; each entry still takes the operations of the module
@@ -825,7 +755,7 @@ class Gather:
     """A table of :class:`TapeSet` outputs (:meth:`TapeSet.gather`), whose
     lines :meth:`evaluate` takes straight from the slot tables of a sweep.
 
-    Every line's tapes and coordinates are slots of one plan, so a batch
+    Every line's outputs and coordinates are slots of one plan, so a batch
     of points, each with its own line, is one sweep per pass of ``step``
     points and one gather each for the values and the gradients.
     """
@@ -834,13 +764,13 @@ class Gather:
     plan: tuple
     step: int  # points per pass
     slots: np.ndarray  # (lines, width): the plan slot of each entry
-    reads: np.ndarray  # (lines, plan slots): the slots each line's tapes read
+    reads: np.ndarray  # (lines, plan slots): the slots each line's outputs read
 
     def evaluate(self, X: np.ndarray, lines: np.ndarray):
         """Values (P, width), gradients (P, width, n) and ``ok`` (P,) of
         line ``lines[i]`` at ``X[i]``; every entry has the bits of
-        :meth:`TapeSet.evaluate` at order 1.  ``ok[i]`` is False where a
-        tape of that line left its domain."""
+        :meth:`TapeSet.evaluate` at order 1.  ``ok[i]`` is False where an
+        output of that line left its domain."""
         P, n = X.shape
         width = self.slots.shape[1]
         values, grads, ok = np.empty((P, width)), np.empty((P, width, n)), np.ones(P, dtype=bool)
@@ -854,8 +784,18 @@ class Gather:
         return values, grads, ok
 
 
-def _schedule(tapes: tuple[Tape, ...]) -> TapeSet:
-    """Merge tapes into the level-scheduled slots of a :class:`TapeSet`."""
+def compile_tapes(exprs) -> TapeSet:
+    """Compile expressions into one multi-output :class:`TapeSet` whose
+    output r is ``exprs[r]``.
+
+    Each tree is walked once, iteratively, in post-order (left operand,
+    right operand, node), so trees of any depth compile.  Every node goes
+    straight into a slot, shared with an earlier identical one (same op,
+    same operand slots, same constant bits); ``u^k`` becomes k products
+    from the constant 1.  The nodes that can leave a domain are listed per
+    output in post-order, so a point that fails in several places fails at
+    the same node as a one-point sweep of the tree.
+    """
     index: dict = {}  # (op, a, b, constant bits) -> slot in order of appearance
     nodes: list[tuple[int, int, int, float]] = []
     depth: list[int] = []
@@ -874,28 +814,58 @@ def _schedule(tapes: tuple[Tape, ...]) -> TapeSet:
                 depth.append(1 + depth[a])
         return s
 
-    locals_, touched = [], []
-    for tape in tapes:
-        local: list[int] = []  # slot of each instruction's result
-        seen: set[int] = set()
-        for op, a, b, c in tape.code:
-            if op == _CONST:
-                s = slot(_CONST, value=c)
-            elif op == _VAR:
-                s = slot(_VAR, a)
-            elif op == _POW:
-                s = slot(_CONST, value=1.0)
-                for _ in range(b):
-                    seen.add(s)
-                    s = slot(_MUL, s, local[a])
-            elif op in (_ADD, _SUB, _MUL, _DIV):
-                s = slot(op, local[a], local[b])
+    roots, touched, failures = [], [], []
+    for e in exprs:
+        seen: set[int] = set()  # the slots this output reads
+        fails = []  # (slot, op, operand slot, node) of the nodes that can fail
+        done: list[int] = []  # slots of finished subtrees
+        stack: list[tuple[Expression, bool]] = [(e, False)]
+        while stack:
+            node, expanded = stack.pop()
+            operand = None  # the operand that decides a failure
+            if isinstance(node, Const):
+                s = slot(_CONST, value=float(node.value))
+            elif isinstance(node, Var):
+                s = slot(_VAR, node.index - 1)
+            elif not expanded:
+                if isinstance(node, Binary):
+                    children = (node.left, node.right)
+                elif isinstance(node, Unary):
+                    children = (node.arg,)
+                elif isinstance(node, Power):
+                    children = (node.base,)
+                else:
+                    raise TypeError(f"not an expression node: {node!r}")
+                stack.append((node, True))
+                stack.extend((child, False) for child in reversed(children))
+                continue
+            elif isinstance(node, Binary):
+                if node.op not in _BINARY_CODE:
+                    raise TypeError(f"unknown binary op {node.op!r}")
+                op, right = _BINARY_CODE[node.op], done.pop()
+                s = slot(op, done.pop(), right)
+                if op == _DIV:
+                    operand = right
+            elif isinstance(node, Unary):
+                if node.op not in _UNARY_CODE:
+                    raise TypeError(f"unknown unary op {node.op!r}")
+                op, a = _UNARY_CODE[node.op], done.pop()
+                s = slot(op, a)
+                if op != _NEG:
+                    operand = a
             else:
-                s = slot(op, local[a])
+                base = done.pop()
+                s = slot(_CONST, value=1.0)
+                for _ in range(node.exponent):
+                    seen.add(s)
+                    s = slot(_MUL, s, base)
+            if operand is not None and s not in seen:
+                fails.append((s, op, operand, node))
             seen.add(s)
-            local.append(s)
-        locals_.append(local)
-        touched.append(sorted(seen))
+            done.append(s)
+        roots.append(done.pop())
+        touched.append(list(seen))
+        failures.append(fails)
 
     def level(s: int) -> tuple[int, int]:
         return depth[s], nodes[s][0]
@@ -914,26 +884,22 @@ def _schedule(tapes: tuple[Tape, ...]) -> TapeSet:
         b = new[[node[2] for node in members]]
         groups.append((op, slice(lo, hi), a, b))
         lo = hi
-    reads = np.zeros((len(tapes), len(nodes)), dtype=bool)
-    for r, seen in enumerate(touched):
-        reads[r, new[seen]] = True
+    reads = np.zeros((len(roots), len(nodes)), dtype=bool)
+    for r, slots in enumerate(touched):
+        reads[r, new[slots]] = True
+    renumber = new.tolist()
     return TapeSet(
-        tapes=tapes,
         size=len(nodes),
         consts=np.array(consts, dtype=float),
         variables=np.array(variables, dtype=int),
         groups=tuple(groups),
-        outputs=np.array([new[local[-1]] for local in locals_], dtype=int),
+        outputs=new[roots],
         reads=reads,
-        slots=tuple(new[local] for local in locals_),
-        max_index=np.array([tape.max_index for tape in tapes], dtype=int),
+        failures=tuple(
+            tuple((renumber[s], op, renumber[a], node) for s, op, a, node in fails)
+            for fails in failures
+        ),
     )
-
-
-def compile_tapes(exprs) -> TapeSet:
-    """Compile expressions into one multi-output :class:`TapeSet`; its
-    ``tapes`` are their one-output tapes, in order."""
-    return _schedule(tuple(map(compile_tape, exprs)))
 
 
 def evaluate(e: Expression, x: np.ndarray) -> float:

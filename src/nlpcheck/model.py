@@ -20,10 +20,10 @@ validated while parsing.  Constraint indices reported by this package are
 1-based and follow file order.
 
 Internally every constraint is one 0-based row of a single table: row k is
-inequality k + 1 for k < m and equality k - m + 1 after that.  ``Problem.tapes``
-and the ``c_*`` arrays of :class:`PointData` share this layout, and
-:func:`row_label` names a row.  ``Problem.sweep`` has one more output, after
-the constraint rows: the objective.
+inequality k + 1 for k < m and equality k - m + 1 after that.  The outputs
+of ``Problem.sweep`` and the ``c_*`` arrays of :class:`PointData` share this
+layout, and :func:`row_label` names a row.  ``Problem.sweep`` has one more
+output, after the constraint rows: the objective.
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from nlpcheck.expr import DomainError, Expression, Tape, TapeSet, compile_tapes, parse
+from nlpcheck.expr import DomainError, Expression, TapeSet, compile_tapes, parse
 
 __all__ = [
     "ProblemError",
@@ -65,9 +65,9 @@ class Problem:
 
     Every function is compiled once, at construction, into ``sweep``, a
     multi-output :class:`~nlpcheck.expr.TapeSet`; the analyses evaluate its
-    tapes, not the trees.  Its outputs are the constraint rows (the m
-    inequalities, then the p equalities, each in file order), whose tapes
-    ``tapes`` holds, and last the objective.
+    slots, not the trees.  Its outputs are the constraint rows (the m
+    inequalities, then the p equalities, each in file order), and last the
+    objective.
     """
 
     n: int
@@ -77,11 +77,9 @@ class Problem:
     point: np.ndarray | None
     source: str = ""
     sweep: TapeSet = field(init=False, repr=False)
-    tapes: tuple[Tape, ...] = field(init=False, repr=False)
 
     def __post_init__(self):
         object.__setattr__(self, "sweep", compile_tapes(self.ineq + self.eq + (self.objective,)))
-        object.__setattr__(self, "tapes", self.sweep.tapes[:-1])
 
     @property
     def m(self) -> int:
@@ -165,8 +163,8 @@ class PointData:
     """Values, gradients, and Hessians of all problem functions at a point.
 
     ``c_vals``/``c_grads``/``c_hesses`` hold one entry per constraint row, in
-    the layout of ``Problem.tapes``: the ``m`` inequalities, then the
-    equalities.  ``active`` holds the 1-based labels of inequality
+    the layout of the outputs of ``Problem.sweep``: the ``m`` inequalities,
+    then the equalities.  ``active`` holds the 1-based labels of inequality
     constraints with ``|g_i(x)| <= tol_active``; feasibility is not assumed
     here.  ``rows`` is the index set every first-order condition works on.
     """
@@ -205,7 +203,7 @@ def row_label(m: int, k: int) -> tuple[str, int]:
 
 def _label(problem: Problem, k: int) -> str:
     """The name of output ``k`` of ``problem.sweep``."""
-    return "objective" if k == len(problem.tapes) else "%s %d" % row_label(problem.m, k)
+    return "objective" if k == problem.m + problem.p else "%s %d" % row_label(problem.m, k)
 
 
 def _sweep_point(problem: Problem, x: np.ndarray, rows: list[int], order: int) -> tuple:
@@ -222,7 +220,7 @@ def _sweep_point(problem: Problem, x: np.ndarray, rows: list[int], order: int) -
     for j, k in enumerate(rows):
         if math.isnan(swept[0][j]):
             raise DomainError(f"{_label(problem, k)}: value is NaN")
-        if k == len(problem.tapes) and order and np.isnan(swept[1][j]).any():
+        if k == problem.m + problem.p and order and np.isnan(swept[1][j]).any():
             raise DomainError("objective: gradient has a NaN entry")
     return swept
 
@@ -240,7 +238,7 @@ def evaluate_point(problem: Problem, x, tol_active: float = 1e-8) -> PointData:
         raise ValueError(f"point must have shape ({problem.n},), got {x.shape}")
     if not np.isfinite(x).all():
         raise ValueError("point has non-finite coordinates")
-    m, count = problem.m, len(problem.tapes)
+    m, count = problem.m, problem.m + problem.p
     values, grads, hesses = _sweep_point(problem, x, [count, *range(count)], 2)
     c_vals = values[1:]
     pd = PointData(
@@ -323,7 +321,7 @@ def feasibility(problem: Problem, x, tol: float = 1e-8) -> FeasibilityReport:
         raise ValueError(f"point must have shape ({problem.n},), got {x.shape}")
     m = problem.m
     worst_g = worst_h = 0.0
-    values = _sweep_point(problem, x, list(range(len(problem.tapes))), 0)[0]
+    values = _sweep_point(problem, x, list(range(m + problem.p)), 0)[0]
     for k, value in enumerate(values.tolist()):
         if k < m:
             worst_g = max(worst_g, value)

@@ -11,9 +11,11 @@ from nlpcheck.model import Problem, load_problem
 __all__ = ["BUILTINS", "builtin_names", "builtin_source", "builtin_problem"]
 
 BUILTINS: dict[str, str] = {
-    # two disks tangent at the origin from opposite sides; the feasible set
-    # is the single point (0, 0), every direction in the linearized cone is
-    # horizontal, and the multiplier set is a segment
+    # two unit disks tangent at the origin from opposite sides: the first
+    # inequality keeps the upper disk, the second the points outside the
+    # lower one, so the feasible set is the whole upper disk.  Both
+    # constraint gradients are (0, -2) at the origin, the linearized cone
+    # is {d2 >= 0}, and the multipliers form the segment mu1 + mu2 = 1/2
     "paper-example-1": """\
 vars 2
 objective x2

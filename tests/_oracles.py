@@ -15,11 +15,12 @@ must agree with it on every verdict.
 The reference loops (``rank_scan_oracle``, ``facial_minima_oracle``,
 ``multiplier_enumeration_oracle``) are the plain one-matrix-at-a-time
 versions of batched library code; they must agree with it exactly.  ``reference_evaluate`` and
-``reference_grad_hess`` are the recursive tree interpreters the expression
-tape replaced: every tape mode must reproduce their bits, signed zeros
-included.  ``reference_sweep`` is the per-tape, one-point forward sweep
-(orders 0 to 2) the level-scheduled ``TapeSet`` replaced: every swept
-entry must reproduce its bits, and fail exactly where it raises.
+``reference_grad_hess`` are the recursive tree interpreters the sweep
+replaced: every sweep order must reproduce their bits, signed zeros
+included.  ``reference_sweep`` is the one-point forward sweep of one tree
+(orders 0 to 2), a recursion with the operations of the level-scheduled
+``TapeSet``: every swept entry must reproduce its bits, and fail exactly
+where it raises, at the node it names.
 ``reference_newton`` is the one-system damped Newton loop the
 batched ``linalg.newton_batch`` replaced: every row of a batch must
 reproduce it bit for bit, failures included.  ``sequential_trace_arc``
@@ -791,126 +792,78 @@ def reference_grad_hess(e, x):
     raise TypeError(f"not an expression node: {e!r}")
 
 
-def reference_sweep(tape, x, order):
-    """Run a tape forward once at the point ``x``, one instruction at a
-    time; return the root's (value, gradient, Hessian), entries past
+def reference_sweep(e, x, order):
+    """Run the expression ``e`` forward once at the point ``x``, one node
+    at a time, by a recursion in post-order (left operand, right operand,
+    node); return the root's (value, gradient, Hessian), entries past
     ``order`` None.
 
-    A domain failure raises ``DomainError`` naming the node; an overflow
-    reaches the caller as inf.
+    Each node takes the floating-point operations of the sweep, in its
+    order (see the ``nlpcheck.expr`` module docstring); derivatives past
+    ``order`` are carried along but never decide a value or a failure.  A
+    domain failure raises ``DomainError`` naming the first failing node in
+    post-order; an overflow reaches the caller as inf.
     """
-    from nlpcheck.expr import (
-        _ADD, _CONST, _DIV, _MUL, _NEG, _POW, _SUB, _VAR, DomainError, _elementary,
-    )
+    from nlpcheck.expr import _UNARY_CODE, Binary, Const, DomainError, Power, Unary, Var, _elementary
 
     x = np.asarray(x, dtype=float)
     n = x.shape[-1]
-    xs = x.tolist()
-    if order:
-        zero_g = np.zeros(n)
-        unit = np.eye(n)
-    if order == 2:
-        zero_h = np.zeros((n, n))
-    val: list = []
-    grad: list = []
-    hess: list = []
-    g = h = None
+    xs, zero_g, unit, zero_h = x.tolist(), np.zeros(n), np.eye(n), np.zeros((n, n))
+
+    def sweep(e):
+        if isinstance(e, Var):
+            return xs[e.index - 1], unit[e.index - 1], zero_h
+        if isinstance(e, Const):
+            return float(e.value), zero_g, zero_h
+        if isinstance(e, Power):
+            # repeated multiplications of the constant 1 by the base; the
+            # zero-gradient terms of the first product set signs of zeros
+            u, ug, uh = sweep(e.base)
+            v, g, h = 1.0, zero_g, zero_h
+            for _ in range(e.exponent):
+                cross = np.outer(g, ug)
+                v, g, h = v * u, v * ug + u * g, (v * uh + u * h) + (cross + cross.T)
+            return v, g, h
+        if isinstance(e, Unary):
+            u, ug, uh = sweep(e.arg)
+            if e.op == "neg":
+                return -u, -ug, -uh
+            v, f1, f2 = _elementary(_UNARY_CODE[e.op], u, order, e)
+            return v, f1 * ug, f1 * uh + f2 * np.outer(ug, ug)
+        assert isinstance(e, Binary)
+        u, ug, uh = sweep(e.left)
+        w, wg, wh = sweep(e.right)
+        if e.op == "add":
+            return u + w, ug + wg, uh + wh
+        if e.op == "sub":
+            return u - w, ug - wg, uh - wh
+        if e.op == "mul":
+            cross = np.outer(ug, wg)
+            return u * w, u * wg + w * ug, (u * wh + w * uh) + (cross + cross.T)
+        if w == 0.0:
+            raise DomainError("division by zero", e)
+        v = u / w
+        g = (ug - v * wg) / w
+        cross = np.outer(g, wg)
+        return v, g, ((uh - v * wh) - (cross + cross.T)) / w
+
     with np.errstate(all="ignore"):
-        for op, a, b, c in tape.code:
-            if op == _VAR:
-                v = xs[a]
-                if order:
-                    g = unit[a]
-                    if order == 2:
-                        h = zero_h
-            elif op == _CONST:
-                v = c
-                if order:
-                    g = zero_g
-                    if order == 2:
-                        h = zero_h
-            elif op == _MUL:
-                u, w = val[a], val[b]
-                v = u * w
-                if order:
-                    ug, wg = grad[a], grad[b]
-                    g = u * wg + w * ug
-                    if order == 2:
-                        cross = np.outer(ug, wg)
-                        h = (u * hess[b] + w * hess[a]) + (cross + cross.T)
-            elif op == _ADD:
-                v = val[a] + val[b]
-                if order:
-                    g = grad[a] + grad[b]
-                    if order == 2:
-                        h = hess[a] + hess[b]
-            elif op == _SUB:
-                v = val[a] - val[b]
-                if order:
-                    g = grad[a] - grad[b]
-                    if order == 2:
-                        h = hess[a] - hess[b]
-            elif op == _POW:
-                # b repeated multiplications of the constant 1 by the base;
-                # the zero-gradient terms of the first product set signs of
-                # zeros
-                u = val[a]
-                v = 1.0
-                if order:
-                    ug = grad[a]
-                    g = zero_g
-                    if order == 2:
-                        uh = hess[a]
-                        h = zero_h
-                for _ in range(b):
-                    if order == 2:
-                        cross = np.outer(g, ug)
-                        h = (v * uh + u * h) + (cross + cross.T)
-                    if order:
-                        g = v * ug + u * g
-                    v = v * u
-            elif op == _DIV:
-                u, w = val[a], val[b]
-                if w == 0.0:
-                    raise DomainError("division by zero", c)
-                v = u / w
-                if order:
-                    wg = grad[b]
-                    g = (grad[a] - v * wg) / w
-                    if order == 2:
-                        cross = np.outer(g, wg)
-                        h = ((hess[a] - v * hess[b]) - (cross + cross.T)) / w
-            elif op == _NEG:
-                v = -val[a]
-                if order:
-                    g = -grad[a]
-                    if order == 2:
-                        h = -hess[a]
-            else:
-                v, f1, f2 = _elementary(op, val[a], order, c)
-                if order:
-                    ug = grad[a]
-                    g = f1 * ug
-                    if order == 2:
-                        h = f1 * hess[a] + f2 * np.outer(ug, ug)
-            val.append(v)
-            grad.append(g)
-            hess.append(h)
-    return val[-1], grad[-1], hess[-1]
+        v, g, h = sweep(e)
+    return v, g if order else None, h if order == 2 else None
 
 
 def _chart_fun_jac(problem, chart):
-    """c(x) and c'(x) of a chart by one-point tape sweeps, row by row."""
-    tapes = [problem.tapes[chart.components[i]] for i in chart.xi]
+    """c(x) and c'(x) of a chart by one-point reference sweeps, row by row."""
+    rows = [(problem.ineq + problem.eq)[chart.components[i]] for i in chart.xi]
     keep = list(chart.keep_vars)
     n = chart.n
-    r = len(tapes)
+    r = len(rows)
 
     def fun_jac(x):
         F = np.zeros(n)
         J = np.zeros((n, n))
-        for row, tape in enumerate(tapes):
-            F[row], J[row], _ = reference_sweep(tape, x, 1)
+        for row, e in enumerate(rows):
+            F[row], J[row], _ = reference_sweep(e, x, 1)
         for row, k in enumerate(keep):
             F[r + row] = x[k]
             J[r + row, k] = 1.0
@@ -979,8 +932,8 @@ def sequential_trace_arc(problem, chart, d, delta, samples=41, newton_tol=1e-12)
     m, p = problem.m, problem.p
 
     def constraint_values(pt):
-        g = np.array([reference_sweep(t, pt, 0)[0] for t in problem.tapes[:m]]) if m else np.zeros(0)
-        h = np.array([reference_sweep(t, pt, 0)[0] for t in problem.tapes[m:]]) if p else np.zeros(0)
+        g = np.array([reference_sweep(e, pt, 0)[0] for e in problem.ineq]) if m else np.zeros(0)
+        h = np.array([reference_sweep(e, pt, 0)[0] for e in problem.eq]) if p else np.zeros(0)
         return g, h
 
     center_g, center_h = constraint_values(x)

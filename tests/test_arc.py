@@ -15,10 +15,12 @@ from numpy.testing import assert_allclose
 from nlpcheck import arc as arc_mod
 from nlpcheck import linalg
 from nlpcheck.arc import (
+    ARC_BUDGET,
     DegenerateRankError,
     arc_for_direction,
     arcs_for_directions,
     build_chart,
+    check_arc_size,
     identity_chart,
     pinned_constraints,
     trace_arc,
@@ -444,6 +446,22 @@ class TestArcForDirection:
             report = arc_for_direction(prob, pd, d)
             assert report.error is None
             assert report.realized()
+
+    def test_arc_budget(self, monkeypatch):
+        # a sample keeps t, the point and the constraint values: 4 floats
+        # on the circle.  A run of up to 8 arcs of 41 samples always runs
+        check_arc_size(10**6, 10**6, 8, 41)
+        check_arc_size(2, 1, 2, ARC_BUDGET // 8)
+        with pytest.raises(ValueError, match=f"above the budget of {ARC_BUDGET} floats"):
+            check_arc_size(2, 1, 2, ARC_BUDGET // 8 + 1)
+
+        def no_trace(*args, **kwargs):
+            raise AssertionError("an arc was traced before the budget check")
+
+        monkeypatch.setattr(arc_mod, "trace_arcs", no_trace)
+        prob, pd = circle_setup()
+        with pytest.raises(ValueError, match="^3 arcs of 50000001 samples would keep 600000012"):
+            arcs_for_directions(prob, pd, [np.array([0.0, 1.0])] * 3, samples=50000001)
 
 
 ORACLE_PROBLEMS = (

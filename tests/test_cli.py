@@ -324,6 +324,10 @@ class TestMain:
             (["--arc-dir", "1e308,1e308"], "arc direction entries must be at most"),
             (["--tol-rank", "1e308"], "tol_rank must be below 1"),
             (["--tol-rank", "1"], "tol_rank must be below 1, got 1.0"),
+            # arc samples of t, the point and g: 8 * 50,000,001 * 4 and
+            # 3,000,000 * 41 * 4 floats, each above the budget of 2**22
+            (["--arc-points", "50000001"], "and --arc-points 50000001 is too large"),
+            (["--arc-sample", "3000000"], "--arc-sample 3000000 with 0 --arc-dir"),
         ],
     )
     def test_invalid_config_exit_two(self, flags, message, capsys):

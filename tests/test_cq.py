@@ -377,10 +377,10 @@ class TestCrcqRcrcq:
         # and at others is finite but too large for its norm to be a double
         prob = builtin_problem(name)
         sampler = NeighborhoodSampler(radii=radii, seed=0)
-        tapes = prob.tapes
+        rows = prob.ineq + prob.eq
         with np.errstate(over="ignore"):
             infinite = sum(
-                not all(np.isfinite(reference_sweep(t, x, 1)[1]).all() for t in tapes)
+                not all(np.isfinite(reference_sweep(e, x, 1)[1]).all() for e in rows)
                 for _, _, x in sample_points(sampler, prob.point)
             )
             expected = rank_scan_oracle(prob, prob.point, sampler)
@@ -582,7 +582,7 @@ class TestSettledPoints:
         prob = _near_tolerance(tol)
         sampler = NeighborhoodSampler(radii=(radius * tol,), seed=0)
         tables = [
-            np.vstack([reference_sweep(t, x, 1)[1] for t in prob.tapes])
+            np.vstack([reference_sweep(e, x, 1)[1] for e in prob.ineq + prob.eq])
             for x in [prob.point] + [x for _, _, x in sample_points(sampler, prob.point)]
         ]
         s = np.linalg.svd(np.array(tables), compute_uv=False)
@@ -764,6 +764,27 @@ SEPARATING = {
         "ineq x3\nineq -x3\npoint 0 0 0\n",
         dict(licq=False, mfcq=False, crcq=False, rcrcq=False, acq=True),
     ),
+    # the pair {ineq 1, ineq 2} has rank 1 at 0 and 2 wherever x2 != 0,
+    # while every subset that holds the equality has rank 2 everywhere;
+    # d = (-1, 0) points strictly inside both inequalities, and the strong
+    # critical cone is {0}
+    "rcrcq-and-mfcq-without-crcq": (
+        "vars 2\nobjective -x1\neq x2\nineq x1\nineq x1 + x2^2\npoint 0 0\n",
+        dict(licq=False, mfcq=True, crcq=False, rcrcq=True, acq=True, ssonc=True),
+    ),
+    # the feasible set is {0} and grad h(0) = 0: the linearized cone is
+    # R^2, the tangent cone {0}.  0 minimizes x1, with no multiplier
+    "degenerate-equality-without-multiplier": (
+        "vars 2\nobjective x1\neq x1^2 + x2^2\npoint 0 0\n",
+        dict(licq=False, mfcq=False, crcq=False, rcrcq=False, acq=False),
+    ),
+    # no constraint is active and the Hessian of f at 0 is diag(0, 2), so
+    # SSONC holds; yet f(-t, 0) = -t^3, so 0 is no minimizer: SSONC is only
+    # necessary
+    "ssonc-at-a-non-minimizer": (
+        "vars 2\nobjective x1^3 + x2^2\nineq x1^2 + x2^2 - 1\npoint 0 0\n",
+        dict(licq=True, mfcq=True, crcq=True, rcrcq=True, acq=True, ssonc=True),
+    ),
 }
 
 
@@ -790,6 +811,11 @@ class TestSeparatingBattery:
     def test_cusp_is_not_a_kkt_point(self, tmp_path):
         # 0 minimizes x1 on the cusp, yet no multiplier exists: ACQ fails
         assert not _separating_report("kuhn-tucker-cusp", tmp_path)["kkt"]["is_kkt_point"]
+
+    def test_degenerate_equality_is_not_a_kkt_point(self, tmp_path):
+        # 0 minimizes x1 on {0}, yet grad f = e1 is no multiple of grad h(0) = 0
+        report = _separating_report("degenerate-equality-without-multiplier", tmp_path)
+        assert not report["kkt"]["is_kkt_point"]
 
 
 class TestRecheck:

@@ -1,14 +1,14 @@
-"""Bit-level tests of the expression tape against the reference interpreters.
+"""Bit-level tests of the expression sweep against the reference interpreters.
 
-``tests/_oracles.py`` keeps the recursive interpreters the tape replaced
-(``reference_evaluate``, ``reference_grad_hess``) and the per-tape,
-one-point forward sweep the level-scheduled ``TapeSet`` replaced
-(``reference_sweep``).  On seeded random expressions that use every
-operation, the one-point entry ``TapeSet.at`` must reproduce the recursive
-interpreters' values, gradients and Hessians exactly, with the signs of
-zeros; the multi-point ``TapeSet.evaluate`` must reproduce
+``tests/_oracles.py`` keeps the recursive interpreters the sweep replaced
+(``reference_evaluate``, ``reference_grad_hess``) and a one-point forward
+sweep of one tree, a recursion with the operations of the level-scheduled
+``TapeSet`` (``reference_sweep``).  On seeded random expressions that use
+every operation, the one-point entry ``TapeSet.at`` must reproduce the
+recursive interpreters' values, gradients and Hessians exactly, with the
+signs of zeros; the multi-point ``TapeSet.evaluate`` must reproduce
 ``reference_sweep`` entry by entry at orders 0, 1 and 2, and fail on
-exactly the entries where it raises.
+exactly the entries where it raises, with its message and node.
 """
 
 import math
@@ -34,7 +34,6 @@ from nlpcheck.expr import (
     Unary,
     TapeSet,
     Var,
-    compile_tape,
     compile_tapes,
     evaluate,
     grad_hess,
@@ -154,7 +153,7 @@ def check_sweep(exprs, X, rows=None):
         tables = (values, grads, hesses)
         for i, x in enumerate(X):
             for j, r in enumerate(picked):
-                expect = outcome(reference_sweep, sweep.tapes[r], x, order)
+                expect = outcome(reference_sweep, exprs[r], x, order)
                 if expect == "domain":
                     assert not ok[i, j]
                 else:
@@ -242,7 +241,6 @@ class TestSweep:
         sweep = compile_tapes(exprs)
         # x1, x2, the constant 1 (the power's start and the literal), the
         # four products of the squares, their sum, and one root each
-        assert sum(len(tape.code) for tape in sweep.tapes) == 14
         assert sweep.size == 10
         assert len(sweep.consts) == 1 and len(sweep.variables) == 2
         for op, dst, a, b in sweep.groups:
@@ -411,7 +409,7 @@ class TestSweep:
         assert hesses.shape == (n, n, n)
         assert peak < limit
         for j in (0, 1, 2, 3, n - 1):
-            expect = reference_sweep(sweep.tapes[j], x, 2)
+            expect = reference_sweep(exprs[j], x, 2)
             for got, ref in zip((values[j], grads[j], hesses[j]), expect):
                 assert same_bits(got, ref)
 
@@ -468,6 +466,29 @@ class TestDomain:
             compile_tapes([parse("x1 / (x2 - x2)", 2)]).at(both, order=0)
         assert info.value.row == 0
 
+    def test_failures_over_the_corpus_match_the_reference(self):
+        # wherever the one-point reference sweep of a tree raises, the sweep
+        # of the whole corpus raises, for that row alone, the same message
+        # at the same node
+        checked = 0
+        for seed in range(4):
+            exprs, points = corpus(seed)
+            sweep = compile_tapes(exprs)
+            for r, e in enumerate(exprs):
+                for x in points:
+                    for order in range(3):
+                        try:
+                            reference_sweep(e, x, order)
+                            continue
+                        except DomainError as raised:
+                            expect = raised
+                        with pytest.raises(DomainError) as info:
+                            sweep.at(x, [r], order)
+                        assert info.value.message == expect.message
+                        assert info.value.node is expect.node and info.value.row == r
+                        checked += 1
+        assert checked > 10000
+
     def test_missing_coordinate(self):
         with pytest.raises(ExprError, match="point has 1 coordinates but expression uses x3"):
             evaluate(parse("x1 + x3 + x2", 3), np.zeros(1))
@@ -492,21 +513,31 @@ class TestCompile:
         e = Var(1)
         for _ in range(depth - 1):
             e = Binary("add", e, Var(1))
-        tape = compile_tape(e)
-        assert len(tape.code) == 2 * depth - 1
-        values, grads, _ = compile_tapes([e]).at(np.array([1.0]), order=1)
+        sweep = compile_tapes([e])
+        # x1 and one new sum per level, each a group of its own
+        assert sweep.size == depth and len(sweep.groups) == depth - 1
+        values, grads, _ = sweep.at(np.array([1.0]), order=1)
         assert values.tolist() == [depth] and grads.tolist() == [[float(depth)]]
 
     def test_post_order_layout(self):
-        tape = compile_tape(parse("x1 * (x2 - 1)", 2))
-        ops = [op for op, *_ in tape.code]
-        assert len(ops) == 5 and tape.max_index == 2
-        # var, var, const, sub, mul: operands always precede their node
-        assert all(a < k and b < k for k, (op, a, b, _) in enumerate(tape.code) if op >= 3)
-        assert math.isclose(reference_sweep(tape, np.array([2.0, 4.0]), 0)[0], 6.0)
+        # slots by (depth, op): x1, x2, then one group each for the log,
+        # the sqrt, the quotient and the product.  The nodes that can fail
+        # are listed in post-order, each with the slot of the operand that
+        # decides it
+        e = parse("log(x1) * (x2 / sqrt(x1))", 2)
+        sweep = compile_tapes([e])
+        assert sweep.size == 6 and not len(sweep.consts) and sweep.variables.tolist() == [0, 1]
+        assert [dst for _, dst, _, _ in sweep.groups] == [slice(k, k + 1) for k in range(2, 6)]
+        for _, dst, a, b in sweep.groups:
+            assert (a < dst.start).all() and (b < dst.start).all()
+        assert sweep.outputs.tolist() == [5] and sweep.reads.all()
+        failures = sweep.failures[0]
+        assert [(s, a) for s, _, a, _ in failures] == [(2, 0), (3, 0), (4, 3)]
+        assert all(f[3] is node for f, node in zip(failures, (e.left, e.right.right, e.right)))
+        assert math.isclose(reference_sweep(e, np.array([4.0, 6.0]), 0)[0], 3.0 * math.log(4.0))
 
     def test_not_an_expression(self):
         with pytest.raises(TypeError):
-            compile_tape(Unary("tan", Var(1)))
+            compile_tapes([Unary("tan", Var(1))])
         with pytest.raises(TypeError):
-            compile_tape("x1")
+            compile_tapes(["x1"])
