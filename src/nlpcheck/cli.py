@@ -35,7 +35,7 @@ from nlpcheck._version import __version__
 from nlpcheck.expr import DomainError
 from nlpcheck.linalg import entry_bound, nnls_bound, norm_bound
 from nlpcheck.model import (
-    Problem, ProblemError, evaluate_point, feasibility, load_problem, row_label
+    Problem, ProblemError, check_point_size, evaluate_point, feasibility, load_problem, row_label
 )
 from nlpcheck.problems import builtin_names, builtin_source
 
@@ -148,6 +148,10 @@ def _validate(config: RunConfig, problem: Problem, x: np.ndarray) -> None:
         raise InputError(f"point must have {n} coordinates, got {x.size}")
     if not np.isfinite(x).all():
         raise InputError("point has non-finite coordinates")
+    try:
+        check_point_size(n, problem.m + problem.p)
+    except ValueError as exc:
+        raise InputError(f"point is too large for this problem: {exc}") from None
     bound = norm_bound(n)  # the gradients' bound: the direction's norm stays finite
     for d in config.arc_dirs:
         d = np.asarray(d, dtype=float)

@@ -1,23 +1,26 @@
 """Expression language with exact first and second derivatives.
 
 Objectives and constraints are written as small arithmetic formulas over
-variables ``x1 .. xn``, for example ``x1^2 + (x2 - 1)^2 - 1``.  This module
-parses such formulas, in one loop with explicit stacks, into an immutable
-tree, prints a tree back (:func:`to_source`), and compiles trees, by one
-iterative walk each, straight into the slots of a :class:`TapeSet`
-(:func:`compile_tapes`), whose identical subtrees share one slot and whose
-slots run in groups of one op at one depth.  One loop, ``TapeSet._run``,
-executes the slots: forward-mode differentiation (Griewank & Walther,
-*Evaluating Derivatives*, 2008, ch. 3 and 13) of every requested output at
-every point of a batch, with one numpy pass per group, at order 0 (values),
-1 (and gradients) or 2 (and Hessians).  :meth:`TapeSet.evaluate` flags the
+variables ``x1 .. xn``, for example ``x1^2 + (x2 - 1)^2 - 1``.  A
+:class:`Compiler` parses such formulas, each in one loop with explicit
+stacks, straight into the slots of one multi-output :class:`TapeSet`:
+every reduction of the loop makes its slot at once, identical
+subexpressions (same op, same operand slots, same constant bits) share
+one, and no tree is ever built (evaluation procedures in the sense of
+Griewank & Walther, *Evaluating Derivatives*, 2008, ch. 2).
+:meth:`Compiler.finish` numbers the slots in groups of one op at one
+depth.  One loop, ``TapeSet._run``, executes the slots: forward-mode
+differentiation (ibid., ch. 3 and 13) of every requested output at every
+point of a batch, with one numpy pass per group, at order 0 (values), 1
+(and gradients) or 2 (and Hessians).  :meth:`TapeSet.evaluate` flags the
 entries that leave a domain; :meth:`TapeSet.at`, at one point, raises
 :class:`DomainError` for the first of them.  A :class:`Gather`
 (:meth:`TapeSet.gather`) takes a table of outputs and coordinates, one line
-per point, straight from the slot tables of one sweep.
+per point, straight from the slot tables of one sweep.  :func:`parse`
+compiles one formula alone.
 
 Each entry performs the floating-point operations of a one-point,
-one-node-at-a-time forward sweep, in its order, so a value is the
+one-operation-at-a-time forward sweep, in its order, so a value is the
 same at every order and every entry keeps its bits in any batch:
 
 * product: ``grad = u*w' + w*u'``, ``hess = (u*w'' + w*u'') + (C + C^T)``
@@ -51,9 +54,9 @@ Grammar (whitespace-insensitive)::
     FUNC    := sin | cos | exp | log | sqrt
 
 Exponents are integer literals from 0 to 1024 (``_MAX_EXPONENT``); unary
-minus binds looser than ``^``, so ``-x1^2`` means ``-(x1^2)``.  None of
-the parser, the printer and the compiler recurses, so trees of any depth
-work, whatever the caller's stack.
+minus binds looser than ``^``, so ``-x1^2`` means ``-(x1^2)``.  Neither
+the parser nor the slot numbering recurses, so formulas of any depth
+compile, whatever the caller's stack.
 """
 
 from __future__ import annotations
@@ -62,7 +65,6 @@ import math
 import re
 from dataclasses import dataclass
 from itertools import groupby
-from typing import Union
 
 import numpy as np
 
@@ -70,18 +72,11 @@ __all__ = [
     "ExprError",
     "ParseError",
     "DomainError",
-    "Const",
-    "Var",
-    "Unary",
-    "Binary",
-    "Power",
-    "Expression",
     "Taylor2Scalar",
     "TapeSet",
     "Gather",
-    "compile_tapes",
+    "Compiler",
     "parse",
-    "to_source",
     "evaluate",
     "grad_hess",
     "fd_grad_hess",
@@ -108,43 +103,11 @@ class ParseError(ExprError):
 class DomainError(ExprError):
     """Evaluation left the domain of an elementary function."""
 
-    def __init__(self, message: str, node: "Expression | None" = None):
+    def __init__(self, message: str):
         super().__init__(message)
         self.message = message
-        self.node = node
         self.row = None  # the failing output, when raised by TapeSet.at
 
-
-@dataclass(frozen=True)
-class Const:
-    value: float
-
-
-@dataclass(frozen=True)
-class Var:
-    index: int  # 1-based, as written in the source (x1, x2, ...)
-
-
-@dataclass(frozen=True)
-class Unary:
-    op: str  # "neg" | "sin" | "cos" | "exp" | "log" | "sqrt"
-    arg: "Expression"
-
-
-@dataclass(frozen=True)
-class Binary:
-    op: str  # "add" | "sub" | "mul" | "div"
-    left: "Expression"
-    right: "Expression"
-
-
-@dataclass(frozen=True)
-class Power:
-    base: "Expression"
-    exponent: int  # non-negative integer
-
-
-Expression = Union[Const, Var, Unary, Binary, Power]
 
 _FUNCS = ("sin", "cos", "exp", "log", "sqrt")
 
@@ -206,9 +169,6 @@ def _tokenize(source: str) -> list[tuple[str, object, int]]:
 # exponent is bounded at parse time
 _MAX_EXPONENT = 1024
 
-_BINOP = {"+": "add", "-": "sub", "*": "mul", "/": "div"}
-_BINOP_SYMBOL = {name: symbol for symbol, name in _BINOP.items()}
-
 
 def _exponent(token: tuple[str, object, int]) -> int:
     """The exponent a ``^`` token is followed by."""
@@ -226,135 +186,6 @@ def _exponent(token: tuple[str, object, int]) -> int:
     return exponent
 
 
-def _reduce(operands: list, ops: list[str], names) -> None:
-    """Apply the binary operators named ``names`` on top of ``ops``."""
-    while ops and ops[-1] in names:
-        right = operands.pop()
-        operands[-1] = Binary(ops.pop(), operands[-1], right)
-
-
-def parse(source: str, n: int) -> Expression:
-    """Parse ``source`` into an expression over variables x1..xn.
-
-    One loop over the tokens, with no recursion, so any depth parses: an
-    operand stack, and an operator stack of pending binary operators, one
-    ``neg`` mark per unary minus and one frame per open ``(`` or function
-    call (Dijkstra's shunting-yard, with the precedence of the grammar
-    above).  A ``*`` or ``/`` applies the pending ``*`` and ``/`` of its
-    frame first, a ``+``, ``-``, ``)`` or the end every pending binary
-    operator; a minus applies to the power after it.  A malformed source
-    raises :class:`ParseError` with the byte offset of the first token that
-    does not fit the grammar.
-    """
-    if n < 0:
-        raise ValueError("dimension n must be non-negative")
-    tokens = _tokenize(source)
-    operands: list[Expression] = []
-    # binary op names, "neg", and frames: "(" or a function name
-    ops: list[str] = []
-    frames = 0  # open frames on ops
-    i = 0
-    while True:
-        # a factor: an optional minus, then an atom or the opening of a frame
-        kind, payload, off = tokens[i]
-        i += 1
-        if kind == "op" and payload == "-":
-            ops.append("neg")
-            kind, payload, off = tokens[i]
-            i += 1
-        if kind == "num":
-            operands.append(Const(payload[0]))
-        elif kind == "var":
-            if payload == 0:
-                raise ParseError("variable index 0 (variables are x1..xn)", off)
-            if payload > n:
-                raise ParseError(f"variable x{payload} exceeds declared dimension {n}", off)
-            operands.append(Var(payload))
-        elif kind == "func":
-            kind, symbol, off = tokens[i]
-            if kind != "op" or symbol != "(":
-                raise ParseError("expected '('", off)
-            i += 1
-            ops.append(payload)
-            frames += 1
-            continue
-        elif kind == "op" and payload == "(":
-            ops.append("(")
-            frames += 1
-            continue
-        else:
-            raise ParseError("expected a number, variable, function, or '('", off)
-        # after an atom: its power, its minus, then an operator, or the close
-        # of a frame (itself an atom) or the end
-        while True:
-            kind, payload, off = tokens[i]
-            if kind == "op" and payload == "^":
-                operands[-1] = Power(operands[-1], _exponent(tokens[i + 1]))
-                i += 2
-                kind, payload, off = tokens[i]
-            if ops and ops[-1] == "neg":
-                ops.pop()
-                operands[-1] = Unary("neg", operands[-1])
-            if kind == "op" and payload in "+-*/":
-                _reduce(operands, ops, ("mul", "div") if payload in "*/" else _BINOP_SYMBOL)
-                ops.append(_BINOP[payload])
-                i += 1
-                break
-            _reduce(operands, ops, _BINOP_SYMBOL)
-            if not frames:
-                if kind != "end":
-                    raise ParseError("unexpected trailing input", off)
-                return operands[0]
-            if kind != "op" or payload != ")":
-                raise ParseError("expected ')'", off)
-            i += 1
-            frames -= 1
-            head = ops.pop()
-            if head != "(":
-                operands[-1] = Unary(head, operands[-1])
-
-
-def _fmt_const(value: float) -> str:
-    if value < 0:
-        # negative constants re-read as a negation of the positive literal
-        return f"(-{-value!r})"
-    return repr(value)
-
-
-def to_source(e: Expression) -> str:
-    """Print an expression by an iterative walk, so trees of any depth print.
-
-    Binary operations are fully parenthesized, so the result re-parses to
-    the same tree at any depth.  Negative constants (possible only in
-    hand-built trees, the parser never produces them) print as negated
-    positive literals.
-    """
-    parts: list[str] = []
-    stack: list = [e]  # nodes still to print and literal text, last first
-    while stack:
-        item = stack.pop()
-        if isinstance(item, str):
-            parts.append(item)
-        elif isinstance(item, Const):
-            parts.append(_fmt_const(item.value))
-        elif isinstance(item, Var):
-            parts.append(f"x{item.index}")
-        elif isinstance(item, Unary):
-            head = "(-" if item.op == "neg" else f"{item.op}("
-            stack.extend((")", item.arg, head))
-        elif isinstance(item, Binary):
-            stack.extend((")", item.right, f" {_BINOP_SYMBOL[item.op]} ", item.left, "("))
-        elif isinstance(item, Power):
-            base = item.base
-            if isinstance(base, Var) or (isinstance(base, Const) and not base.value < 0):
-                stack.extend((f"^{item.exponent}", base))
-            else:
-                stack.extend((f")^{item.exponent}", base, "("))
-        else:
-            raise TypeError(f"not an expression node: {item!r}")
-    return "".join(parts)
-
-
 @dataclass
 class Taylor2Scalar:
     """Value, gradient and Hessian of a function at one point."""
@@ -364,16 +195,16 @@ class Taylor2Scalar:
     hess: np.ndarray  # shape (n, n)
 
 
-# Slot opcodes.  A slot (op, a, b, value) of compile_tapes holds:
+# Slot opcodes.  A slot (op, a, b, value) of a Compiler holds:
 #   CONST: the constant value;  VAR: the 0-based variable index a;
-#   unary ops: op applied to slot a;  binary ops: op applied to slots a, b.
+#   unary ops: op applied to slot a (b = a);  binary ops: op applied to slots a, b.
 (_CONST, _VAR, _NEG, _ADD, _SUB, _MUL, _DIV,
  _SIN, _COS, _EXP, _LOG, _SQRT) = range(12)
 _UNARY_CODE = {"neg": _NEG, "sin": _SIN, "cos": _COS, "exp": _EXP, "log": _LOG, "sqrt": _SQRT}
-_BINARY_CODE = {"add": _ADD, "sub": _SUB, "mul": _MUL, "div": _DIV}
+_BINOP = {"+": _ADD, "-": _SUB, "*": _MUL, "/": _DIV}
 
 
-def _elementary(op: int, v: float, order: int, node) -> tuple[float, float, float]:
+def _elementary(op: int, v: float, order: int) -> tuple[float, float, float]:
     """f(v), f'(v), f''(v) of a unary function; derivatives only up to ``order``.
 
     Every way of leaving the domain raises :class:`DomainError`, including
@@ -386,7 +217,7 @@ def _elementary(op: int, v: float, order: int, node) -> tuple[float, float, floa
             s, c = math.sin(v), math.cos(v)
         except ValueError:
             name = "sin" if op == _SIN else "cos"
-            raise DomainError(f"{name} of non-finite value {v!r}", node) from None
+            raise DomainError(f"{name} of non-finite value {v!r}") from None
         if op == _SIN:
             return s, c, -s
         return c, -s, -c
@@ -394,30 +225,30 @@ def _elementary(op: int, v: float, order: int, node) -> tuple[float, float, floa
         try:
             ev = math.exp(v)
         except OverflowError:
-            raise DomainError(f"exp overflows at {v!r}", node) from None
+            raise DomainError(f"exp overflows at {v!r}") from None
         return ev, ev, ev
     if op == _LOG:
         if v <= 0.0:
-            raise DomainError(f"log of non-positive value {v!r}", node)
+            raise DomainError(f"log of non-positive value {v!r}")
         f0 = math.log(v)
         if order:
             f1 = 1.0 / v
             if order == 2:
                 if v * v == 0.0:
-                    raise DomainError(f"log second derivative overflows at {v!r}", node)
+                    raise DomainError(f"log second derivative overflows at {v!r}")
                 f2 = -1.0 / (v * v)
         return f0, f1, f2
     # _SQRT
     if v < 0.0:
-        raise DomainError(f"sqrt of negative value {v!r}", node)
+        raise DomainError(f"sqrt of negative value {v!r}")
     if order and v == 0.0:
-        raise DomainError("sqrt derivative undefined at zero", node)
+        raise DomainError("sqrt derivative undefined at zero")
     s = math.sqrt(v)
     if order:
         f1 = 0.5 / s
         if order == 2:
             if s * v == 0.0:
-                raise DomainError(f"sqrt second derivative overflows at {v!r}", node)
+                raise DomainError(f"sqrt second derivative overflows at {v!r}")
             f2 = -0.25 / (s * v)
     return s, f1, f2
 
@@ -459,7 +290,7 @@ def _elementary_group(op: int, v: np.ndarray, order: int):
     fail = np.zeros(len(flat), dtype=bool)
     for i, vi in enumerate(flat):
         try:
-            f[i] = _elementary(op, vi, order, None)
+            f[i] = _elementary(op, vi, order)
         except DomainError:
             fail[i] = True
             f[i] = math.nan
@@ -490,19 +321,19 @@ def _slot_floats(order: int, n: int) -> int:
 
 @dataclass(frozen=True, eq=False)
 class TapeSet:
-    """Expressions compiled into one multi-output sweep (:func:`compile_tapes`).
+    """Expressions compiled into one multi-output sweep (:class:`Compiler`).
 
-    Every node of every expression maps to a slot.  Identical subtrees
-    (same op, same operand slots, same constant bits) share one slot, and
-    ``u^k`` becomes k products from the constant 1.  Slots are numbered by
-    (depth, op): the constants, the variables, then one contiguous slice
-    per group of one op at one depth, whose operands all lie in earlier
-    groups.  ``_run``, the one loop that executes the slots, evaluates a
-    group with a few whole-array numpy operations at every point of a
-    batch, in one of three orders: values (0), gradients (1) or Hessians
-    (2).  :meth:`evaluate` sweeps a batch of points and flags the entries
-    that leave a domain; :meth:`at` sweeps one point and raises the first
-    failure as a :class:`DomainError`.
+    Every operation of every expression maps to a slot.  Identical
+    subexpressions (same op, same operand slots, same constant bits) share
+    one slot, and ``u^k`` becomes k products from the constant 1.  Slots
+    are numbered by (depth, op): the constants, the variables, then one
+    contiguous slice per group of one op at one depth, whose operands all
+    lie in earlier groups.  ``_run``, the one loop that executes the
+    slots, evaluates a group with a few whole-array numpy operations at
+    every point of a batch, in one of three orders: values (0), gradients
+    (1) or Hessians (2).  :meth:`evaluate` sweeps a batch of points and
+    flags the entries that leave a domain; :meth:`at` sweeps one point and
+    raises the first failure as a :class:`DomainError`.
     """
 
     size: int  # number of slots
@@ -510,8 +341,8 @@ class TapeSet:
     variables: np.ndarray  # 0-based variable index of the next slots
     groups: tuple  # (op, slice, a, b): the slots of the slice apply op to slots a (and b)
     outputs: np.ndarray  # (R,) the slot of each output's root
-    reads: np.ndarray  # (R, size) bool: the slots each output's nodes map to
-    # per output, in post-order, (slot, op, operand slot, node) of each node
+    reads: np.ndarray  # (R, size) bool: the slots each output reads
+    # per output, in post-order, (slot, op, operand slot) of each operation
     # that can leave a domain: a division, by its divisor, or a function
     failures: tuple
 
@@ -570,8 +401,8 @@ class TapeSet:
         gradients and Hessians are None past ``order``.
 
         The first requested row that fails raises the :class:`DomainError`
-        of its expression's first failing node in post-order, with ``row``
-        set to that output.
+        of its expression's first failing operation in post-order, with
+        ``row`` set to that output.
         """
         X = np.asarray(x, dtype=float).reshape(1, -1)
         rows = np.arange(len(self.outputs)) if rows is None else np.asarray(rows, dtype=int)
@@ -581,17 +412,17 @@ class TapeSet:
         return tuple(None if table is None else table[0] for table in tables)
 
     def _failure(self, X: np.ndarray, row: int, order: int) -> DomainError:
-        """The error of output ``row``'s first node, in post-order, that
+        """The error of output ``row``'s first operation, in post-order, that
         fails at the one point ``X`` (shape (1, n)) at ``order``."""
         plan = self._plan(self.reads[row], X.shape[1])
         V, _, _, bad = self._run(plan, X, order)
         position = plan[4]
-        _, op, a, node = next(f for f in self.failures[row] if bad[position[f[0]], 0])
+        _, op, a = next(f for f in self.failures[row] if bad[position[f[0]], 0])
         if op == _DIV:
-            exc = DomainError("division by zero", node)
+            exc = DomainError("division by zero")
         else:
             try:
-                _elementary(op, float(V[position[a], 0]), order, node)
+                _elementary(op, float(V[position[a], 0]), order)
             except DomainError as raised:
                 exc = raised
         exc.row = row
@@ -784,141 +615,208 @@ class Gather:
         return values, grads, ok
 
 
-def compile_tapes(exprs) -> TapeSet:
-    """Compile expressions into one multi-output :class:`TapeSet` whose
-    output r is ``exprs[r]``.
+class Compiler:
+    """Expressions over x1..xn, parsed straight into the slots of one
+    multi-output :class:`TapeSet`.
 
-    Each tree is walked once, iteratively, in post-order (left operand,
-    right operand, node), so trees of any depth compile.  Every node goes
-    straight into a slot, shared with an earlier identical one (same op,
-    same operand slots, same constant bits); ``u^k`` becomes k products
-    from the constant 1.  The nodes that can leave a domain are listed per
-    output in post-order, so a point that fails in several places fails at
-    the same node as a one-point sweep of the tree.
+    :meth:`parse` reads one expression and returns its number;
+    :meth:`finish` makes the sweep whose outputs are the numbered
+    expressions.  Slots are shared across every expression parsed, so a
+    subexpression that two outputs read is computed once.
     """
-    index: dict = {}  # (op, a, b, constant bits) -> slot in order of appearance
-    nodes: list[tuple[int, int, int, float]] = []
-    depth: list[int] = []
 
-    def slot(op: int, a: int = 0, b: int = 0, value: float = 0.0) -> int:
-        key = (op, a, b, value.hex())
-        s = index.get(key)
-        if s is None:
-            s = index[key] = len(nodes)
-            nodes.append((op, a, b, value))
-            if op == _CONST or op == _VAR:
-                depth.append(0)
-            elif op in (_ADD, _SUB, _MUL, _DIV):
-                depth.append(1 + max(depth[a], depth[b]))
-            else:
-                depth.append(1 + depth[a])
-        return s
+    def __init__(self, n: int):
+        if n < 0:
+            raise ValueError("dimension n must be non-negative")
+        self.n = n
+        self._index: dict = {}  # (op, a, b, constant bits) -> slot
+        self._nodes: list[tuple[int, int, int, float]] = []  # (op, a, b, value) of each slot
+        self._depth: list[int] = []
+        # per expression: its root slot, the slots it reads in post-order of
+        # first reading, and (slot, op, operand slot) of each operation that
+        # can leave a domain, in post-order
+        self._parsed: list[tuple[int, dict, list]] = []
 
-    roots, touched, failures = [], [], []
-    for e in exprs:
-        seen: set[int] = set()  # the slots this output reads
-        fails = []  # (slot, op, operand slot, node) of the nodes that can fail
-        done: list[int] = []  # slots of finished subtrees
-        stack: list[tuple[Expression, bool]] = [(e, False)]
-        while stack:
-            node, expanded = stack.pop()
-            operand = None  # the operand that decides a failure
-            if isinstance(node, Const):
-                s = slot(_CONST, value=float(node.value))
-            elif isinstance(node, Var):
-                s = slot(_VAR, node.index - 1)
-            elif not expanded:
-                if isinstance(node, Binary):
-                    children = (node.left, node.right)
-                elif isinstance(node, Unary):
-                    children = (node.arg,)
-                elif isinstance(node, Power):
-                    children = (node.base,)
-                else:
-                    raise TypeError(f"not an expression node: {node!r}")
-                stack.append((node, True))
-                stack.extend((child, False) for child in reversed(children))
+    def parse(self, source: str) -> int:
+        """Parse ``source`` into slots and return its number for :meth:`finish`.
+
+        One loop over the tokens, with no recursion, so any depth parses: an
+        operand stack of slots, and an operator stack of pending binary
+        operators, one ``_NEG`` mark per unary minus and one frame per open
+        ``(`` or function call (Dijkstra's shunting-yard, with the
+        precedence of the grammar above).  A ``*`` or ``/`` applies the
+        pending ``*`` and ``/`` of its frame first, a ``+``, ``-``, ``)`` or
+        the end every pending binary operator; a minus applies to the power
+        after it.  Each operation gets its slot when it is applied, after
+        its operands, that is in post-order.  A malformed source raises
+        :class:`ParseError` with the byte offset of the first token that
+        does not fit the grammar.
+        """
+        index, nodes, depth = self._index, self._nodes, self._depth
+        seen: dict[int, None] = {}  # the slots read, in post-order of first reading
+        fails: list[tuple[int, int, int]] = []
+        tokens = _tokenize(source)
+        operands: list[int] = []
+        ops: list = []  # binary opcodes, _NEG, and frames: "(" or a function's opcode
+        frames = 0  # open frames on ops
+
+        def slot(op: int, a: int = 0, b: int = 0, value: float = 0.0) -> int:
+            key = (op, a, b, value.hex())
+            s = index.get(key)
+            if s is None:
+                s = index[key] = len(nodes)
+                nodes.append((op, a, b, value))
+                depth.append(0 if op <= _VAR else 1 + max(depth[a], depth[b]))
+            if s not in seen:  # a repeat fails, if at all, where the first did
+                seen[s] = None
+                if op == _DIV or op >= _SIN:
+                    fails.append((s, op, b if op == _DIV else a))
+            return s
+
+        def reduce(names) -> None:
+            """Apply the binary operators ``names`` on top of ``ops``."""
+            while ops and ops[-1] in names:
+                right = operands.pop()
+                operands[-1] = slot(ops.pop(), operands[-1], right)
+
+        i = 0
+        while True:
+            # a factor: an optional minus, then an atom or the opening of a frame
+            kind, payload, off = tokens[i]
+            i += 1
+            if kind == "op" and payload == "-":
+                ops.append(_NEG)
+                kind, payload, off = tokens[i]
+                i += 1
+            if kind == "num":
+                operands.append(slot(_CONST, value=payload[0]))
+            elif kind == "var":
+                if payload == 0:
+                    raise ParseError("variable index 0 (variables are x1..xn)", off)
+                if payload > self.n:
+                    raise ParseError(f"variable x{payload} exceeds declared dimension {self.n}", off)
+                operands.append(slot(_VAR, payload - 1))
+            elif kind == "func":
+                kind, symbol, off = tokens[i]
+                if kind != "op" or symbol != "(":
+                    raise ParseError("expected '('", off)
+                i += 1
+                ops.append(_UNARY_CODE[payload])
+                frames += 1
                 continue
-            elif isinstance(node, Binary):
-                if node.op not in _BINARY_CODE:
-                    raise TypeError(f"unknown binary op {node.op!r}")
-                op, right = _BINARY_CODE[node.op], done.pop()
-                s = slot(op, done.pop(), right)
-                if op == _DIV:
-                    operand = right
-            elif isinstance(node, Unary):
-                if node.op not in _UNARY_CODE:
-                    raise TypeError(f"unknown unary op {node.op!r}")
-                op, a = _UNARY_CODE[node.op], done.pop()
-                s = slot(op, a)
-                if op != _NEG:
-                    operand = a
+            elif kind == "op" and payload == "(":
+                ops.append("(")
+                frames += 1
+                continue
             else:
-                base = done.pop()
-                s = slot(_CONST, value=1.0)
-                for _ in range(node.exponent):
-                    seen.add(s)
-                    s = slot(_MUL, s, base)
-            if operand is not None and s not in seen:
-                fails.append((s, op, operand, node))
-            seen.add(s)
-            done.append(s)
-        roots.append(done.pop())
-        touched.append(list(seen))
-        failures.append(fails)
+                raise ParseError("expected a number, variable, function, or '('", off)
+            # after an atom: its power, its minus, then an operator, or the close
+            # of a frame (itself an atom) or the end
+            while True:
+                kind, payload, off = tokens[i]
+                if kind == "op" and payload == "^":
+                    base, s = operands[-1], slot(_CONST, value=1.0)
+                    for _ in range(_exponent(tokens[i + 1])):
+                        s = slot(_MUL, s, base)
+                    operands[-1] = s
+                    i += 2
+                    kind, payload, off = tokens[i]
+                if ops and ops[-1] == _NEG:
+                    ops.pop()
+                    operands[-1] = slot(_NEG, operands[-1], operands[-1])
+                if kind == "op" and payload in "+-*/":
+                    reduce((_MUL, _DIV) if payload in "*/" else _BINOP.values())
+                    ops.append(_BINOP[payload])
+                    i += 1
+                    break
+                reduce(_BINOP.values())
+                if not frames:
+                    if kind != "end":
+                        raise ParseError("unexpected trailing input", off)
+                    self._parsed.append((operands[0], seen, fails))
+                    return len(self._parsed) - 1
+                if kind != "op" or payload != ")":
+                    raise ParseError("expected ')'", off)
+                i += 1
+                frames -= 1
+                head = ops.pop()
+                if head != "(":
+                    operands[-1] = slot(head, operands[-1], operands[-1])
 
-    def level(s: int) -> tuple[int, int]:
-        return depth[s], nodes[s][0]
+    def finish(self, outputs) -> TapeSet:
+        """The :class:`TapeSet` whose output r is expression ``outputs[r]``.
 
-    order = sorted(range(len(nodes)), key=level)
-    new = np.empty(len(nodes), dtype=int)
-    new[order] = np.arange(len(nodes))
-    consts = [nodes[s][3] for s in order if nodes[s][0] == _CONST]
-    variables = [nodes[s][1] for s in order if nodes[s][0] == _VAR]
-    groups = []
-    lo = len(consts) + len(variables)
-    for (_, op), run in groupby(order[lo:], key=level):
-        members = [nodes[s] for s in run]
-        hi = lo + len(members)
-        a = new[[node[1] for node in members]]
-        b = new[[node[2] for node in members]]
-        groups.append((op, slice(lo, hi), a, b))
-        lo = hi
-    reads = np.zeros((len(roots), len(nodes)), dtype=bool)
-    for r, slots in enumerate(touched):
-        reads[r, new[slots]] = True
-    renumber = new.tolist()
-    return TapeSet(
-        size=len(nodes),
-        consts=np.array(consts, dtype=float),
-        variables=np.array(variables, dtype=int),
-        groups=tuple(groups),
-        outputs=new[roots],
-        reads=reads,
-        failures=tuple(
-            tuple((renumber[s], op, renumber[a], node) for s, op, a, node in fails)
-            for fails in failures
-        ),
-    )
+        It holds the slots those expressions read, numbered by (depth, op);
+        within a group, slots come in order of first reading, taking the
+        outputs in the given order and each in post-order.
+        """
+        nodes, depth = self._nodes, self._depth
+        parsed = [self._parsed[e] for e in outputs]
+        first: dict[int, None] = {}  # every slot read, in order of first reading
+        for _, seen, _ in parsed:
+            first.update(seen)
+
+        def level(s: int) -> tuple[int, int]:
+            return depth[s], nodes[s][0]
+
+        order = sorted(first, key=level)
+        new = np.zeros(len(nodes), dtype=int)
+        new[order] = np.arange(len(order))
+        consts = [nodes[s][3] for s in order if nodes[s][0] == _CONST]
+        variables = [nodes[s][1] for s in order if nodes[s][0] == _VAR]
+        groups = []
+        lo = len(consts) + len(variables)
+        for (_, op), run in groupby(order[lo:], key=level):
+            members = [nodes[s] for s in run]
+            hi = lo + len(members)
+            a = new[[node[1] for node in members]]
+            b = new[[node[2] for node in members]]
+            groups.append((op, slice(lo, hi), a, b))
+            lo = hi
+        reads = np.zeros((len(parsed), len(order)), dtype=bool)
+        for r, (_, seen, _) in enumerate(parsed):
+            reads[r, new[list(seen)]] = True
+        renumber = new.tolist()
+        return TapeSet(
+            size=len(order),
+            consts=np.array(consts, dtype=float),
+            variables=np.array(variables, dtype=int),
+            groups=tuple(groups),
+            outputs=new[[root for root, _, _ in parsed]],
+            reads=reads,
+            failures=tuple(
+                tuple((renumber[s], op, renumber[a]) for s, op, a in fails)
+                for _, _, fails in parsed
+            ),
+        )
 
 
-def evaluate(e: Expression, x: np.ndarray) -> float:
-    """Evaluate ``e`` at the point ``x`` (0-based array, x[i-1] backs xi)."""
-    return float(compile_tapes([e]).at(x, order=0)[0][0])
+def parse(source: str, n: int) -> TapeSet:
+    """The one-output :class:`TapeSet` of ``source``, an expression over
+    variables x1..xn (:meth:`Compiler.parse`)."""
+    compiler = Compiler(n)
+    return compiler.finish([compiler.parse(source)])
 
 
-def grad_hess(e: Expression, x: np.ndarray) -> Taylor2Scalar:
-    """Value, gradient, and Hessian of ``e`` at ``x`` in a single pass.
+def evaluate(sweep: TapeSet, x: np.ndarray) -> float:
+    """Output 0 of ``sweep`` at the point ``x`` (0-based array, x[i-1] backs xi)."""
+    return float(sweep.at(x, [0], order=0)[0][0])
+
+
+def grad_hess(sweep: TapeSet, x: np.ndarray) -> Taylor2Scalar:
+    """Value, gradient, and Hessian of output 0 of ``sweep`` at ``x`` in a
+    single pass.
 
     The returned value agrees bit for bit with :func:`evaluate` and the
     Hessian is exactly symmetric.
     """
-    (value,), (grad,), (hess,) = compile_tapes([e]).at(x, order=2)
+    (value,), (grad,), (hess,) = sweep.at(x, [0], order=2)
     return Taylor2Scalar(float(value), grad, hess)
 
 
-def fd_grad_hess(e: Expression, x: np.ndarray, step: float = 1e-4) -> Taylor2Scalar:
-    """Central finite-difference gradient and Hessian, O(step^2) accurate.
+def fd_grad_hess(sweep: TapeSet, x: np.ndarray, step: float = 1e-4) -> Taylor2Scalar:
+    """Central finite-difference gradient and Hessian of output 0 of
+    ``sweep``, O(step^2) accurate.
 
     Independent of the propagated derivatives (it sweeps values only); used
     to cross-check :func:`grad_hess`.  If a stencil point leaves the domain
@@ -941,10 +839,9 @@ def fd_grad_hess(e: Expression, x: np.ndarray, step: float = 1e-4) -> Taylor2Sca
     for r, move in enumerate(moves):
         for i, s in move:
             X[r, i] += s
-    sweep = compile_tapes([e])
-    values, _, _, ok = sweep.evaluate(X, order=0)
+    values, _, _, ok = sweep.evaluate(X, [0], order=0)
     if not ok.all():
-        sweep.at(X[np.argmin(ok[:, 0])], order=0)  # raises that point's error
+        sweep.at(X[np.argmin(ok[:, 0])], [0], order=0)  # raises that point's error
     v = values[:, 0]
     f0 = float(v[0])
     plus, minus = v[1 : 2 * n + 1 : 2], v[2 : 2 * n + 1 : 2]

@@ -16,14 +16,19 @@ Problems load from a small line-oriented text format::
     point 0 0           # optional candidate point
 
 ``vars`` must precede any expression line so variable indices can be
-validated while parsing.  Constraint indices reported by this package are
-1-based and follow file order.
+validated while parsing.  The lines are read in file order, each
+expression straight into the slots of one :class:`~nlpcheck.expr.Compiler`,
+so the first error in the file is the one reported.  Constraint indices
+reported by this package are 1-based and follow file order.
 
-Internally every constraint is one 0-based row of a single table: row k is
-inequality k + 1 for k < m and equality k - m + 1 after that.  The outputs
-of ``Problem.sweep`` and the ``c_*`` arrays of :class:`PointData` share this
-layout, and :func:`row_label` names a row.  ``Problem.sweep`` has one more
-output, after the constraint rows: the objective.
+A function exists only as slots of ``Problem.sweep``, a multi-output
+:class:`~nlpcheck.expr.TapeSet`.  Every constraint is one 0-based row of a
+single table: row k is inequality k + 1 for k < m and equality k - m + 1
+after that.  The outputs of ``Problem.sweep`` and the ``c_*`` arrays of
+:class:`PointData` share this layout, and :func:`row_label` names a row.
+``Problem.sweep`` has one more output, after the constraint rows: the
+objective.  :func:`check_point_size` bounds the dense Hessian tables of a
+point before :func:`evaluate_point` builds them.
 """
 
 from __future__ import annotations
@@ -33,11 +38,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from nlpcheck.expr import DomainError, Expression, TapeSet, compile_tapes, parse
+from nlpcheck.expr import Compiler, DomainError, TapeSet
 
 __all__ = [
     "ProblemError",
     "Problem",
+    "POINT_BUDGET",
+    "check_point_size",
     "PointData",
     "row_label",
     "FeasibilityReport",
@@ -61,50 +68,30 @@ class ProblemError(Exception):
 
 @dataclass(frozen=True, eq=False)
 class Problem:
-    """Immutable smooth nonlinear program.
+    """Immutable smooth nonlinear program of ``m`` inequalities and ``p``
+    equalities in ``n`` variables.
 
-    Every function is compiled once, at construction, into ``sweep``, a
-    multi-output :class:`~nlpcheck.expr.TapeSet`; the analyses evaluate its
-    slots, not the trees.  Its outputs are the constraint rows (the m
+    Its functions are the outputs of ``sweep``, a multi-output
+    :class:`~nlpcheck.expr.TapeSet`: the constraint rows (the m
     inequalities, then the p equalities, each in file order), and last the
-    objective.
+    objective.  ``source`` is the text it was loaded from.
     """
 
     n: int
-    objective: Expression
-    ineq: tuple[Expression, ...]
-    eq: tuple[Expression, ...]
+    m: int
+    p: int
+    sweep: TapeSet = field(repr=False)
     point: np.ndarray | None
-    source: str = ""
-    sweep: TapeSet = field(init=False, repr=False)
-
-    def __post_init__(self):
-        object.__setattr__(self, "sweep", compile_tapes(self.ineq + self.eq + (self.objective,)))
-
-    @property
-    def m(self) -> int:
-        return len(self.ineq)
-
-    @property
-    def p(self) -> int:
-        return len(self.eq)
+    source: str
 
 
 def load_problem(text: str) -> Problem:
     """Parse the problem text format; errors carry 1-based line numbers."""
-    n: int | None = None
-    objective: Expression | None = None
-    ineq: list[Expression] = []
-    eq: list[Expression] = []
+    compiler: Compiler | None = None
+    objective: int | None = None
+    ineq: list[int] = []
+    eq: list[int] = []
     point: np.ndarray | None = None
-
-    def parse_expr(source: str, line_no: int) -> Expression:
-        assert n is not None
-        try:
-            return parse(source, n)
-        except Exception as exc:
-            raise ProblemError(str(exc), line_no) from exc
-
     for line_no, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -113,7 +100,7 @@ def load_problem(text: str) -> Problem:
         directive = parts[0]
         rest = parts[1] if len(parts) > 1 else ""
         if directive == "vars":
-            if n is not None:
+            if compiler is not None:
                 raise ProblemError("duplicate 'vars' directive", line_no)
             try:
                 n = int(rest.strip())
@@ -121,22 +108,26 @@ def load_problem(text: str) -> Problem:
                 raise ProblemError(f"'vars' expects an integer, got {rest!r}", line_no)
             if n <= 0:
                 raise ProblemError("number of variables must be positive", line_no)
+            compiler = Compiler(n)
         elif directive in ("objective", "ineq", "eq"):
-            if n is None:
+            if compiler is None:
                 raise ProblemError("'vars' must precede expression lines", line_no)
             if not rest.strip():
                 raise ProblemError(f"'{directive}' expects an expression", line_no)
-            node = parse_expr(rest, line_no)
+            try:
+                e = compiler.parse(rest)
+            except Exception as exc:
+                raise ProblemError(str(exc), line_no) from exc
             if directive == "objective":
                 if objective is not None:
                     raise ProblemError("duplicate 'objective' directive", line_no)
-                objective = node
+                objective = e
             elif directive == "ineq":
-                ineq.append(node)
+                ineq.append(e)
             else:
-                eq.append(node)
+                eq.append(e)
         elif directive == "point":
-            if n is None:
+            if compiler is None:
                 raise ProblemError("'vars' must precede 'point'", line_no)
             if point is not None:
                 raise ProblemError("duplicate 'point' directive", line_no)
@@ -144,18 +135,19 @@ def load_problem(text: str) -> Problem:
                 values = [float(tok) for tok in rest.split()]
             except ValueError:
                 raise ProblemError(f"'point' expects numbers, got {rest!r}", line_no)
-            if len(values) != n:
+            if len(values) != compiler.n:
                 raise ProblemError(
-                    f"'point' has {len(values)} coordinates, expected {n}", line_no
+                    f"'point' has {len(values)} coordinates, expected {compiler.n}", line_no
                 )
             point = np.array(values, dtype=float)
         else:
             raise ProblemError(f"unknown directive {directive!r}", line_no)
-    if n is None:
+    if compiler is None:
         raise ProblemError("missing 'vars' directive")
     if objective is None:
         raise ProblemError("missing 'objective' directive")
-    return Problem(n, objective, tuple(ineq), tuple(eq), point, source=text)
+    sweep = compiler.finish(ineq + eq + [objective])
+    return Problem(compiler.n, len(ineq), len(eq), sweep, point, text)
 
 
 @dataclass
@@ -216,13 +208,30 @@ def _sweep_point(problem: Problem, x: np.ndarray, rows: list[int], order: int) -
     try:
         swept = problem.sweep.at(x, rows, order)
     except DomainError as exc:
-        raise DomainError(f"{_label(problem, exc.row)}: {exc.message}", exc.node) from exc
+        raise DomainError(f"{_label(problem, exc.row)}: {exc.message}") from exc
     for j, k in enumerate(rows):
         if math.isnan(swept[0][j]):
             raise DomainError(f"{_label(problem, k)}: value is NaN")
         if k == problem.m + problem.p and order and np.isnan(swept[1][j]).any():
             raise DomainError("objective: gradient has a NaN entry")
     return swept
+
+
+POINT_BUDGET = 1 << 26  # floats the Hessians at a point may hold: 512 MiB
+
+
+def check_point_size(n: int, rows: int) -> None:
+    """Raise ``ValueError`` when the Hessians at a point of ``n``
+    coordinates, one n x n table for each of ``rows`` constraint rows and
+    one for the objective, would hold more than ``POINT_BUDGET`` floats,
+    ``(rows + 1) * n * n``.  :class:`PointData` keeps them dense."""
+    floats = (rows + 1) * n * n
+    if floats > POINT_BUDGET:
+        raise ValueError(
+            f"the Hessians at a point of {n} coordinates, one for each of {rows} constraint "
+            f"rows and the objective, would hold {floats} floats, above the budget of "
+            f"{POINT_BUDGET} floats"
+        )
 
 
 def evaluate_point(problem: Problem, x, tol_active: float = 1e-8) -> PointData:
@@ -232,12 +241,14 @@ def evaluate_point(problem: Problem, x, tol_active: float = 1e-8) -> PointData:
     (objective, or the first constraint row that fails), and so is a NaN
     value or objective gradient entry, and then a NaN gradient entry of an
     active inequality or an equality (the rows whose ranks are decided).
+    A point too large for :func:`check_point_size` raises ``ValueError``.
     """
     x = np.asarray(x, dtype=float)
     if x.shape != (problem.n,):
         raise ValueError(f"point must have shape ({problem.n},), got {x.shape}")
     if not np.isfinite(x).all():
         raise ValueError("point has non-finite coordinates")
+    check_point_size(problem.n, problem.m + problem.p)
     m, count = problem.m, problem.m + problem.p
     values, grads, hesses = _sweep_point(problem, x, [count, *range(count)], 2)
     c_vals = values[1:]

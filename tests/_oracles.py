@@ -20,7 +20,7 @@ replaced: every sweep order must reproduce their bits, signed zeros
 included.  ``reference_sweep`` is the one-point forward sweep of one tree
 (orders 0 to 2), a recursion with the operations of the level-scheduled
 ``TapeSet``: every swept entry must reproduce its bits, and fail exactly
-where it raises, at the node it names.
+where it raises, with its message.
 ``reference_newton`` is the one-system damped Newton loop the
 batched ``linalg.newton_batch`` replaced: every row of a batch must
 reproduce it bit for bit, failures included.  ``sequential_trace_arc``
@@ -29,14 +29,21 @@ and ``sequential_arc`` are the one-arc, one-point-at-a-time march (on
 their arcs bit for bit.  ``reference_report_to_json`` is the per-scalar
 JSON writer whose bytes ``cli.report_to_json`` must keep.
 ``reference_parse`` is the recursive-descent parser the one-loop
-``expr.parse`` replaced: on every input within its depth it must give the
-same tree, or the same ``ParseError`` message and byte offset.
+``expr.parse`` replaced, and the only place trees are built: its trees
+(``Const``, ``Var``, ``Unary``, ``Binary``, ``Power``) feed the reference
+interpreters, ``reference_to_source`` prints them back, and
+``reference_rows`` re-parses a problem's source into one tree per output
+of ``Problem.sweep``, so the oracles stay independent of ``src``'s parser.
+On every input within its depth the one-loop parser must raise the same
+``ParseError`` message and byte offset, or compile to slots that sweep
+like the tree.
 """
 
 import itertools
 import json
 import math
 from dataclasses import dataclass
+from typing import Union
 
 import numpy as np
 
@@ -53,6 +60,20 @@ def same_bits(a, b):
         a.shape == b.shape
         and np.array_equal(a, b, equal_nan=True)
         and np.array_equal(np.signbit(a), np.signbit(b))
+    )
+
+
+def slot_tables(sweep):
+    """Everything an ``expr.TapeSet`` holds, as plain values that compare
+    with ``==`` (constants by their bits)."""
+    return (
+        sweep.size,
+        sweep.consts.tobytes(),
+        sweep.variables.tolist(),
+        [(op, dst, a.tolist(), b.tolist()) for op, dst, a, b in sweep.groups],
+        sweep.outputs.tolist(),
+        sweep.reads.tolist(),
+        sweep.failures,
     )
 
 
@@ -239,11 +260,12 @@ def rank_scan_oracle(problem, x, sampler, tol_active=1e-8, tol_rank=1e-8, budget
     domain or are too large for an SVD are skipped.  Returns ``{"crcq": (status,
     certificate, evidence), "rcrcq": ...}`` in the library's layout.
     """
-    from nlpcheck.expr import DomainError, grad_hess
+    from nlpcheck.expr import DomainError
     from nlpcheck.model import evaluate_point
 
     x = np.asarray(x, dtype=float)
     active = evaluate_point(problem, x, tol_active).active
+    trees = reference_rows(problem)
     eq = tuple(range(1, problem.p + 1))
 
     def subsets(labels, include_empty):
@@ -254,8 +276,8 @@ def rank_scan_oracle(problem, x, sampler, tol_active=1e-8, tol_rank=1e-8, budget
 
     def table(pt):
         try:
-            rows = [grad_hess(problem.ineq[i - 1], pt).grad for i in active]
-            rows += [grad_hess(e, pt).grad for e in problem.eq]
+            rows = [reference_sweep(trees[i - 1], pt, 2)[1] for i in active]
+            rows += [reference_sweep(e, pt, 2)[1] for e in trees[problem.m : -1]]
         except DomainError:
             return None
         tab = np.array(rows, dtype=float).reshape(len(rows), problem.n)
@@ -516,6 +538,74 @@ def multiplier_enumeration_oracle(pd, tol=1e-8):
     return ms
 
 
+@dataclass(frozen=True)
+class Const:
+    value: float
+
+
+@dataclass(frozen=True)
+class Var:
+    index: int  # 1-based, as written in the source (x1, x2, ...)
+
+
+@dataclass(frozen=True)
+class Unary:
+    op: str  # "neg" | "sin" | "cos" | "exp" | "log" | "sqrt"
+    arg: "Expression"
+
+
+@dataclass(frozen=True)
+class Binary:
+    op: str  # "add" | "sub" | "mul" | "div"
+    left: "Expression"
+    right: "Expression"
+
+
+@dataclass(frozen=True)
+class Power:
+    base: "Expression"
+    exponent: int  # non-negative integer
+
+
+Expression = Union[Const, Var, Unary, Binary, Power]
+
+_BINOP_SYMBOL = {"add": "+", "sub": "-", "mul": "*", "div": "/"}
+
+
+def reference_to_source(e):
+    """Print a tree by an iterative walk, so trees of any depth print.
+
+    Binary operations are fully parenthesized, so the result parses back
+    to the same operations at any depth.  Negative constants (possible
+    only in hand-built trees, the parser never produces them) print as
+    negated positive literals.
+    """
+    parts = []
+    stack = [e]  # nodes still to print and literal text, last first
+    while stack:
+        item = stack.pop()
+        if isinstance(item, str):
+            parts.append(item)
+        elif isinstance(item, Const):
+            parts.append(f"(-{-item.value!r})" if item.value < 0 else repr(item.value))
+        elif isinstance(item, Var):
+            parts.append(f"x{item.index}")
+        elif isinstance(item, Unary):
+            head = "(-" if item.op == "neg" else f"{item.op}("
+            stack.extend((")", item.arg, head))
+        elif isinstance(item, Binary):
+            stack.extend((")", item.right, f" {_BINOP_SYMBOL[item.op]} ", item.left, "("))
+        elif isinstance(item, Power):
+            base = item.base
+            if isinstance(base, Var) or (isinstance(base, Const) and not base.value < 0):
+                stack.extend((f"^{item.exponent}", base))
+            else:
+                stack.extend((f")^{item.exponent}", base, "("))
+        else:
+            raise TypeError(f"not an expression node: {item!r}")
+    return "".join(parts)
+
+
 class _RecursiveDescentParser:
     """The recursive-descent parser the one-loop ``expr.parse`` replaced:
     one method per grammar rule, reading ``expr._tokenize``'s tokens."""
@@ -542,8 +632,6 @@ class _RecursiveDescentParser:
         self.advance()
 
     def parse_expr(self):
-        from nlpcheck.expr import Binary
-
         node = self.parse_term()
         while True:
             kind, payload, _ = self.peek()
@@ -555,8 +643,6 @@ class _RecursiveDescentParser:
                 return node
 
     def parse_term(self):
-        from nlpcheck.expr import Binary
-
         node = self.parse_factor()
         while True:
             kind, payload, _ = self.peek()
@@ -568,8 +654,6 @@ class _RecursiveDescentParser:
                 return node
 
     def parse_factor(self):
-        from nlpcheck.expr import Unary
-
         kind, payload, _ = self.peek()
         if kind == "op" and payload == "-":
             self.advance()
@@ -577,7 +661,7 @@ class _RecursiveDescentParser:
         return self.parse_power()
 
     def parse_power(self):
-        from nlpcheck.expr import _MAX_EXPONENT, ParseError, Power
+        from nlpcheck.expr import _MAX_EXPONENT, ParseError
 
         base = self.parse_atom()
         kind, payload, _ = self.peek()
@@ -601,7 +685,7 @@ class _RecursiveDescentParser:
         return base
 
     def parse_atom(self):
-        from nlpcheck.expr import Const, ParseError, Unary, Var
+        from nlpcheck.expr import ParseError
 
         kind, payload, off = self.advance()
         if kind == "num":
@@ -639,6 +723,18 @@ def reference_parse(source, n):
     if kind != "end":
         raise ParseError("unexpected trailing input", off)
     return node
+
+
+def reference_rows(problem):
+    """The trees of ``problem.sweep``'s outputs, by ``reference_parse`` of
+    ``problem.source``: one per constraint row (the inequalities, then the
+    equalities, each in file order), then the objective."""
+    lines = {"ineq": [], "eq": [], "objective": []}
+    for raw in problem.source.splitlines():
+        parts = raw.split("#", 1)[0].split(None, 1)
+        if parts and parts[0] in lines:
+            lines[parts[0]].append(reference_parse(parts[1], problem.n))
+    return lines["ineq"] + lines["eq"] + lines["objective"]
 
 
 @dataclass
@@ -705,8 +801,6 @@ def _ref_exp(v):
 
 def reference_evaluate(e, x):
     """Value of an expression tree by recursion, the pre-tape ``_eval``."""
-    from nlpcheck.expr import Binary, Const, Power, Unary, Var
-
     if isinstance(e, Const):
         return e.value
     if isinstance(e, Var):
@@ -745,8 +839,6 @@ def reference_evaluate(e, x):
 
 def reference_grad_hess(e, x):
     """RefJet of an expression tree by recursion, the pre-tape ``_ad``."""
-    from nlpcheck.expr import Binary, Const, Power, Unary, Var
-
     x = np.asarray(x, dtype=float)
     n = x.size
     if isinstance(e, Const):
@@ -801,10 +893,10 @@ def reference_sweep(e, x, order):
     Each node takes the floating-point operations of the sweep, in its
     order (see the ``nlpcheck.expr`` module docstring); derivatives past
     ``order`` are carried along but never decide a value or a failure.  A
-    domain failure raises ``DomainError`` naming the first failing node in
+    domain failure raises the ``DomainError`` of the first failing node in
     post-order; an overflow reaches the caller as inf.
     """
-    from nlpcheck.expr import _UNARY_CODE, Binary, Const, DomainError, Power, Unary, Var, _elementary
+    from nlpcheck.expr import _UNARY_CODE, DomainError, _elementary
 
     x = np.asarray(x, dtype=float)
     n = x.shape[-1]
@@ -828,7 +920,7 @@ def reference_sweep(e, x, order):
             u, ug, uh = sweep(e.arg)
             if e.op == "neg":
                 return -u, -ug, -uh
-            v, f1, f2 = _elementary(_UNARY_CODE[e.op], u, order, e)
+            v, f1, f2 = _elementary(_UNARY_CODE[e.op], u, order)
             return v, f1 * ug, f1 * uh + f2 * np.outer(ug, ug)
         assert isinstance(e, Binary)
         u, ug, uh = sweep(e.left)
@@ -841,7 +933,7 @@ def reference_sweep(e, x, order):
             cross = np.outer(ug, wg)
             return u * w, u * wg + w * ug, (u * wh + w * uh) + (cross + cross.T)
         if w == 0.0:
-            raise DomainError("division by zero", e)
+            raise DomainError("division by zero")
         v = u / w
         g = (ug - v * wg) / w
         cross = np.outer(g, wg)
@@ -854,7 +946,8 @@ def reference_sweep(e, x, order):
 
 def _chart_fun_jac(problem, chart):
     """c(x) and c'(x) of a chart by one-point reference sweeps, row by row."""
-    rows = [(problem.ineq + problem.eq)[chart.components[i]] for i in chart.xi]
+    trees = reference_rows(problem)
+    rows = [trees[chart.components[i]] for i in chart.xi]
     keep = list(chart.keep_vars)
     n = chart.n
     r = len(rows)
@@ -930,10 +1023,11 @@ def sequential_trace_arc(problem, chart, d, delta, samples=41, newton_tol=1e-12)
     fun_jac = _chart_fun_jac(problem, chart)
     step_z = chart.jac_center @ d
     m, p = problem.m, problem.p
+    trees = reference_rows(problem)
 
     def constraint_values(pt):
-        g = np.array([reference_sweep(e, pt, 0)[0] for e in problem.ineq]) if m else np.zeros(0)
-        h = np.array([reference_sweep(e, pt, 0)[0] for e in problem.eq]) if p else np.zeros(0)
+        g = np.array([reference_sweep(e, pt, 0)[0] for e in trees[:m]]) if m else np.zeros(0)
+        h = np.array([reference_sweep(e, pt, 0)[0] for e in trees[m:-1]]) if p else np.zeros(0)
         return g, h
 
     center_g, center_h = constraint_values(x)

@@ -328,10 +328,22 @@ class TestMain:
             # 3,000,000 * 41 * 4 floats, each above the budget of 2**22
             (["--arc-points", "50000001"], "and --arc-points 50000001 is too large"),
             (["--arc-sample", "3000000"], "--arc-sample 3000000 with 0 --arc-dir"),
+            # a problem text of its own: the Hessians at a point of 100,000
+            # coordinates would take 10^10 floats, above the budget of 2**26
+            (
+                [f"vars 100000\nobjective x1\npoint {' 0' * 100000}\n"],
+                "point is too large for this problem: the Hessians at a point of 100000 "
+                "coordinates, one for each of 0 constraint rows and the objective",
+            ),
         ],
     )
-    def test_invalid_config_exit_two(self, flags, message, capsys):
-        code = main(["analyze", "builtin:circle", *flags])
+    def test_invalid_config_exit_two(self, flags, message, tmp_path, capsys):
+        target = "builtin:circle"
+        if not flags[0].startswith("-"):
+            target = tmp_path / "problem.nlp"
+            target.write_text(flags[0])
+            flags = flags[1:]
+        code = main(["analyze", str(target), *flags])
         assert code == 2
         assert message in capsys.readouterr().err
 

@@ -28,13 +28,12 @@ from nlpcheck.cq import (
     check_rcrcq,
     recheck_rank_certificate,
 )
-from nlpcheck.expr import grad_hess
 from nlpcheck import linalg
 from nlpcheck.linalg import numerical_rank, stack_chunk, stacked_rank
 from nlpcheck.model import evaluate_point, load_problem
 from nlpcheck.problems import builtin_names, builtin_problem, builtin_source
 
-from _oracles import rank_scan_oracle, reference_sweep, sample_points
+from _oracles import rank_scan_oracle, reference_rows, reference_sweep, sample_points
 from test_acceptance import BATTERY
 
 BENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "perfbench")
@@ -377,7 +376,7 @@ class TestCrcqRcrcq:
         # and at others is finite but too large for its norm to be a double
         prob = builtin_problem(name)
         sampler = NeighborhoodSampler(radii=radii, seed=0)
-        rows = prob.ineq + prob.eq
+        rows = reference_rows(prob)[:-1]
         with np.errstate(over="ignore"):
             infinite = sum(
                 not all(np.isfinite(reference_sweep(e, x, 1)[1]).all() for e in rows)
@@ -581,8 +580,9 @@ class TestSettledPoints:
     def test_partly_settled_scan_matches_oracle(self, tol, radius, status):
         prob = _near_tolerance(tol)
         sampler = NeighborhoodSampler(radii=(radius * tol,), seed=0)
+        rows = reference_rows(prob)[:-1]
         tables = [
-            np.vstack([reference_sweep(e, x, 1)[1] for e in prob.ineq + prob.eq])
+            np.vstack([reference_sweep(e, x, 1)[1] for e in rows])
             for x in [prob.point] + [x for _, _, x in sample_points(sampler, prob.point)]
         ]
         s = np.linalg.svd(np.array(tables), compute_uv=False)
@@ -823,8 +823,7 @@ class TestRecheck:
         prob = builtin_problem("paper-example-1")
         cert = check_rcrcq(prob, np.zeros(2), NeighborhoodSampler(seed=0)).certificate
         witness = np.array(cert["witness"])
-        rows = np.array(
-            [grad_hess(prob.ineq[i - 1], witness).grad for i in cert["ineq_subset"]]
-        )
+        trees = reference_rows(prob)
+        rows = np.array([reference_sweep(trees[i - 1], witness, 2)[1] for i in cert["ineq_subset"]])
         # full-rank at the witness confirmed by plain numpy
         assert np.linalg.matrix_rank(rows, tol=1e-8) == cert["witness_rank"]

@@ -1,11 +1,15 @@
 """Tests for parsing, evaluation, and forward derivative propagation.
 
 The finite-difference routine serves as the independent oracle for the
-propagated gradients and Hessians; parser behaviour is pinned against
-hand-derived trees and error offsets.
+propagated gradients and Hessians.  Parser behaviour is pinned against
+hand-built trees and error offsets: trees exist only in
+``tests/_oracles.py``, so a parse is checked by its slots, against those of
+the tree's printed source (``reference_to_source``), and by its sweep,
+bit for bit against the tree's ``reference_sweep``.
 """
 
 import random
+import sys
 
 import numpy as np
 import pytest
@@ -13,21 +17,26 @@ from numpy.testing import assert_allclose
 
 from nlpcheck import expr
 from nlpcheck.expr import (
-    Binary,
-    Const,
     DomainError,
     ParseError,
-    Power,
-    Unary,
-    Var,
     evaluate,
     fd_grad_hess,
     grad_hess,
     parse,
-    to_source,
 )
 
-from _oracles import reference_parse
+from _oracles import (
+    Binary,
+    Const,
+    Power,
+    Unary,
+    Var,
+    reference_parse,
+    reference_sweep,
+    reference_to_source,
+    same_bits,
+    slot_tables,
+)
 
 # formulas over x1, x2 exercised repeatedly below; all smooth near the
 # sampled boxes
@@ -44,37 +53,50 @@ CORPUS = [
     "(x1 + x2)^3 - x1 / (x2 + 2)",
 ]
 
+# coordinates of the seeded points: zeros of both signs, both signs, and
+# values where log, sqrt and division leave their domains
+COORDINATES = np.array([0.0, -0.0, 0.5, -1.5, 2.0, 3.25])
 
-def same_tree(a, b) -> bool:
-    """``a == b`` for trees of any depth (the dataclass comparison recurses)."""
-    stack = [(a, b)]
-    while stack:
-        x, y = stack.pop()
-        if type(x) is not type(y):
-            return False
-        if isinstance(x, Binary):
-            if x.op != y.op:
-                return False
-            stack += [(x.left, y.left), (x.right, y.right)]
-        elif isinstance(x, Unary):
-            if x.op != y.op:
-                return False
-            stack.append((x.arg, y.arg))
-        elif isinstance(x, Power):
-            if x.exponent != y.exponent:
-                return False
-            stack.append((x.base, y.base))
-        elif x != y:  # a constant or a variable
-            return False
-    return True
+
+def points(n, rng=None):
+    """Three seeded points in R^n."""
+    rng = np.random.default_rng(26) if rng is None else rng
+    return rng.choice(COORDINATES, size=(3, n))
+
+
+def assert_sweeps_like(sweep, tree, X):
+    """Output 0 of ``sweep`` against ``reference_sweep(tree)`` at the rows
+    of ``X``, at orders 0, 1 and 2: the same bits, or the same
+    ``DomainError`` message wherever the reference raises."""
+    for order in range(3):
+        *tables, ok = sweep.evaluate(X, [0], order)
+        for i, x in enumerate(X):
+            try:
+                expect = reference_sweep(tree, x, order)
+            except DomainError as raised:
+                assert not ok[i, 0]
+                with pytest.raises(DomainError) as info:
+                    sweep.at(x, [0], order)
+                assert info.value.message == raised.message
+                continue
+            assert ok[i, 0]
+            for k in range(order + 1):
+                assert same_bits(tables[k][i, 0], expect[k])
+
+
+def assert_parses_to(source, n, tree):
+    """``parse(source, n)`` holds the slots of the tree's printed source and
+    sweeps like the tree."""
+    sweep = parse(source, n)
+    assert slot_tables(sweep) == slot_tables(parse(reference_to_source(tree), n))
+    assert_sweeps_like(sweep, tree, points(n))
 
 
 class TestParse:
     def test_simple_variable(self):
-        assert parse("x2", 2) == Var(2)
+        assert_parses_to("x2", 2, Var(2))
 
     def test_tangent_disk_tree(self):
-        tree = parse("x1^2 + (x2 - 1)^2 - 1", 2)
         expected = Binary(
             "sub",
             Binary(
@@ -84,16 +106,16 @@ class TestParse:
             ),
             Const(1.0),
         )
-        assert tree == expected
+        assert_parses_to("x1^2 + (x2 - 1)^2 - 1", 2, expected)
 
     def test_unary_minus_binds_loosely(self):
-        assert parse("-x1^2", 2) == Unary("neg", Power(Var(1), 2))
+        assert_parses_to("-x1^2", 2, Unary("neg", Power(Var(1), 2)))
 
     def test_whitespace_insensitive(self):
-        assert parse("x1   +x2", 2) == parse("x1+x2", 2)
+        assert slot_tables(parse("x1   +x2", 2)) == slot_tables(parse("x1+x2", 2))
 
     def test_function_call(self):
-        assert parse("sin(x1)", 1) == Unary("sin", Var(1))
+        assert_parses_to("sin(x1)", 1, Unary("sin", Var(1)))
 
     def test_variable_index_zero_rejected(self):
         with pytest.raises(ParseError, match="variable index 0"):
@@ -112,7 +134,7 @@ class TestParse:
             parse("x1^2.5", 1)
 
     def test_exponent_at_limit_parses(self):
-        assert parse(f"x1^{expr._MAX_EXPONENT}", 1) == Power(Var(1), expr._MAX_EXPONENT)
+        assert_parses_to(f"x1^{expr._MAX_EXPONENT}", 1, Power(Var(1), expr._MAX_EXPONENT))
 
     def test_exponent_above_limit_rejected(self):
         with pytest.raises(ParseError, match="exceeds the limit") as err:
@@ -134,17 +156,16 @@ class TestParse:
 
     @pytest.mark.parametrize("source", CORPUS)
     def test_roundtrip_through_printer(self, source):
-        tree = parse(source, 2)
-        assert parse(to_source(tree), 2) == tree
+        assert_parses_to(source, 2, reference_parse(source, 2))
 
     def test_printer_handles_a_5000_term_sum(self):
         # every binary operation is parenthesized, and the parser reads the
         # 4999 nested parentheses in one loop
         terms = [f"x{i % 3 + 1}" for i in range(5000)]
-        tree = parse(" + ".join(terms), 3)
-        printed = to_source(tree)
+        source = " + ".join(terms)
+        printed = reference_to_source(reference_parse(source, 3))
         assert printed == "(" * 4999 + terms[0] + "".join(f" + {t})" for t in terms[1:])
-        assert same_tree(parse(printed, 3), tree)
+        assert slot_tables(parse(printed, 3)) == slot_tables(parse(source, 3))
 
     @pytest.mark.parametrize(
         "source",
@@ -160,8 +181,8 @@ class TestParse:
         ids=["sum-1000", "mul-div-chain", "sub-add", "sub-of-sub", "div-of-div", "mixed", "neg"],
     )
     def test_roundtrip_of_long_and_mixed_chains(self, source):
-        tree = parse(source, 3)
-        assert same_tree(parse(to_source(tree), 3), tree)
+        printed = reference_to_source(reference_parse(source, 3))
+        assert slot_tables(parse(printed, 3)) == slot_tables(parse(source, 3))
 
     def test_right_operands_keep_their_parentheses(self):
         # and so do left operands: every binary operation prints its own
@@ -171,9 +192,9 @@ class TestParse:
             ("x1 * x2 + x3", "((x1 * x2) + x3)"),
             ("x1 / x2 / x3", "((x1 / x2) / x3)"),
         ]:
-            tree = parse(source, 3)
-            assert to_source(tree) == printed
-            assert parse(printed, 3) == tree
+            tree = reference_parse(source, 3)
+            assert reference_to_source(tree) == printed
+            assert_parses_to(source, 3, tree)
 
     def test_non_ascii_letter_is_an_unexpected_character(self):
         # str.isalpha() accepts it, but no identifier is spelled with it
@@ -188,7 +209,7 @@ class TestParse:
         with pytest.raises(ParseError) as err:
             parse("x1\u3000+ \u0663 x1", 1)
         assert (err.value.message, err.value.offset) == ("unexpected trailing input", 10)
-        assert parse("x1\u3000+ \u0663", 1) == Binary("add", Var(1), Const(3.0))
+        assert_parses_to("x1\u3000+ \u0663", 1, Binary("add", Var(1), Const(3.0)))
 
     @pytest.mark.parametrize(
         "opening, inner, closing, wrap",
@@ -202,20 +223,21 @@ class TestParse:
     )
     def test_any_depth_parses_from_a_deep_stack(self, opening, inner, closing, wrap):
         # the parser does not recurse: 10,000 levels parse even when it is
-        # called from 800 frames deep, and print back to the same tree
+        # called from 800 frames deep, into the slots of the tree's printed
+        # source
         source = opening * 10000 + inner + closing * 10000
-        expected = parse(inner, 2)
+        expected = reference_parse(inner, 2)
         for _ in range(10000):
             expected = wrap(expected)
 
         def nested_call(frames):
             return parse(source, 2) if frames == 0 else nested_call(frames - 1)
 
-        tree = nested_call(800)
-        assert same_tree(tree, expected)
-        assert same_tree(parse(to_source(tree), 2), expected)
+        sweep = nested_call(800)
+        assert slot_tables(sweep) == slot_tables(parse(reference_to_source(expected), 2))
 
     def test_printer_round_trips_1000_levels(self):
+        # the recursive reference sweep needs a frame per level
         rng = np.random.default_rng(5)
         tree = Var(1)
         for k in range(1000):
@@ -229,7 +251,13 @@ class TestParse:
             else:
                 op = ("add", "sub", "mul", "div")[k % 4]
                 tree = Binary(op, tree, Var(2)) if pick == 3 else Binary(op, Const(0.5), tree)
-        assert same_tree(parse(to_source(tree), 2), tree)
+        sweep = parse(reference_to_source(tree), 2)
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(limit + 2000)
+        try:
+            assert_sweeps_like(sweep, tree, points(2))
+        finally:
+            sys.setrecursionlimit(limit)
 
 
 class TestParserAgainstRecursiveDescent:
@@ -280,16 +308,22 @@ class TestParserAgainstRecursiveDescent:
             return (err.message, err.offset)
 
     def test_same_tree_or_same_error(self):
+        # both parsers raise the same error, or the one-loop parser's sweep
+        # evaluates like the recursive-descent tree at three seeded points
         rng = random.Random(2022)
+        coordinates = np.random.default_rng(2022)
         parsed = failed = 0
         for k in range(24000):
             source = self.source(rng, k)
             n = rng.randint(0, 4)
             want = self.outcome(reference_parse, source, n)
-            assert self.outcome(parse, source, n) == want, (source, n)
+            got = self.outcome(parse, source, n)
             if isinstance(want, tuple):
+                assert got == want, (source, n)
                 failed += 1
             else:
+                assert not isinstance(got, tuple), (source, n, got)
+                assert_sweeps_like(got, want, points(n, coordinates))
                 parsed += 1
         # both kinds of outcome are well represented
         assert parsed > 4000 and failed > 4000

@@ -1,5 +1,8 @@
 """Tests for problem loading and point evaluation."""
 
+import gc
+import tracemalloc
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
@@ -80,6 +83,41 @@ class TestLoadProblem:
         )
         assert prob.m == 0
         assert prob.p == 1
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            (
+                "vars 1\nobjective x1 +\nineq x1\nobjective x1\n",
+                "expected a number, variable, function, or '(' (byte offset 4)",
+            ),
+            ("vars 1\nbound x1\nineq x1 +\nobjective x1\n", "unknown directive 'bound'"),
+        ],
+        ids=["parse-error-before-duplicate-objective", "unknown-directive-before-parse-error"],
+    )
+    def test_first_error_in_file_order_is_reported(self, text, message):
+        # each line is compiled as it is read, so a later line's error
+        # never hides an earlier one
+        with pytest.raises(ProblemError) as err:
+            load_problem(text)
+        assert (err.value.line, err.value.message) == (2, message)
+
+    def test_memory_after_load_is_bounded(self):
+        # a 20,000-term objective over 200 variables: each function is kept
+        # only as slots of the sweep, about 8 MB here, where the expression
+        # trees kept beside them took some 17 MB in all
+        terms = " + ".join(f"{t % 7 + 1}*x{t % 200 + 1}^2" for t in range(20000))
+        text = f"vars 200\nobjective {terms}\nineq x1 - 1\n"
+        gc.collect()
+        tracemalloc.start()
+        try:
+            prob = load_problem(text)
+            gc.collect()
+            retained, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert prob.sweep.size == 22007 and prob.m == 1
+        assert retained <= 12e6
 
 
 class TestBuiltins:
