@@ -6,12 +6,20 @@ exactly as SciPy draws them, so ``scrambled_sobol(d, n, entropy)`` equals
 ``qmc.Sobol(d, scramble=True, rng=np.random.default_rng(entropy)).random(n)``
 bit for bit without importing SciPy.  The direction-number table is the
 file SciPy ships; see ``_sobol_direction_numbers.LICENSE`` for its origin
-and licence.  It is loaded once, at import, so that its cost is part of
-start-up rather than of the first analysis.
+and licence.
+
+The table has 21201 rows, but a call in d dimensions reads only its first
+d rows, and of those only the columns below the rows' largest polynomial
+degree (5 for d <= 9).  Import reads no table data: ``MAXDIM`` comes from
+the header of the ``poly`` member.  The first call decompresses the rows
+and columns it needs (at least 64 rows), and keeps them for the rest of
+the process; a call that needs more reads the table again, with the rows
+at least doubled.
 """
 
 from __future__ import annotations
 
+import zipfile
 from pathlib import Path
 
 import numpy as np
@@ -20,11 +28,68 @@ __all__ = ["MAXDIM", "MAXPOINTS", "scrambled_sobol"]
 
 _BITS = 30
 MAXPOINTS = 1 << _BITS  # distinct points a 30-bit sequence holds
-with np.load(Path(__file__).with_name("_sobol_direction_numbers.npz")) as _table:
-    _POLY = _table["poly"]
-    _VINIT = _table["vinit"]
-MAXDIM = _POLY.size
-_DEGREE = np.frexp(_POLY)[1] - 1  # degree of each primitive polynomial
+_TABLE = Path(__file__).with_name("_sobol_direction_numbers.npz")
+_SKIP = 1 << 16  # bytes a forward skip decompresses at a time
+_MIN_ROWS = 64
+
+
+def _read_header(stream) -> tuple[tuple[int, ...], bool, np.dtype]:
+    """``(shape, fortran_order, dtype)`` from the header of an ``.npy``
+    stream, which is left at the start of the data."""
+    if np.lib.format.read_magic(stream) == (1, 0):
+        return np.lib.format.read_array_header_1_0(stream)
+    return np.lib.format.read_array_header_2_0(stream)
+
+
+def _skip(stream, size: int) -> None:
+    """Decompress and drop ``size`` bytes, a bounded piece at a time (a
+    forward ``seek`` decompresses the whole gap in one read)."""
+    while size > 0:
+        size -= len(stream.read(min(size, _SKIP)))
+
+
+def _read_leading(name: str, rows: int, cols: int = 1) -> np.ndarray:
+    """``[:rows, :cols]`` of the table's member ``name`` (``[:rows]`` of a
+    vector), decompressing no more of it than that block's last entry.
+
+    A matrix is read as stored in Fortran order, as ``vinit`` is: the first
+    ``rows`` entries of column j start ``j * shape[0]`` entries into the
+    data, so each column's prefix is read and the rest of it skipped.
+    """
+    with zipfile.ZipFile(_TABLE) as archive, archive.open(name + ".npy") as stream:
+        shape, _, dtype = _read_header(stream)
+        block = np.empty((cols, rows), dtype=dtype)
+        for j in range(cols):
+            if j:
+                _skip(stream, (shape[0] - rows) * dtype.itemsize)
+            block[j] = np.frombuffer(stream.read(rows * dtype.itemsize), dtype=dtype, count=rows)
+    return block.T if len(shape) > 1 else block[0]
+
+
+with zipfile.ZipFile(_TABLE) as _archive, _archive.open("poly.npy") as _stream:
+    (MAXDIM,), _, _ = _read_header(_stream)
+del _archive, _stream
+
+# (poly, degree, vinit) over the rows and columns read so far; replaced,
+# never mutated, so that concurrent callers each see a consistent triple
+_read = (np.zeros(0, dtype=np.int64),) * 2 + (np.zeros((0, 0), dtype=np.int64),)
+
+
+def _table(d: int, m: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The first ``d`` polynomials, their degrees, and their initial
+    direction numbers, with at least the columns the first ``m`` direction
+    numbers use."""
+    global _read
+    poly, deg, vinit = _read
+    if d > poly.size:
+        poly = _read_leading("poly", min(max(d, _MIN_ROWS, 2 * poly.size), MAXDIM))
+        deg = np.frexp(poly)[1] - 1  # degree of each primitive polynomial
+    # row i has deg(P_i) initial values, the rest come from the recurrence
+    cols = max(min(m, int(deg[:d].max(initial=0))), vinit.shape[1])
+    if vinit.shape != (poly.size, cols):
+        vinit = _read_leading("vinit", poly.size, cols)
+        _read = poly, deg, vinit
+    return poly[:d], deg[:d], vinit[:d]
 
 
 def _direction_numbers(d: int, m: int) -> np.ndarray:
@@ -37,7 +102,7 @@ def _direction_numbers(d: int, m: int) -> np.ndarray:
     below ``2^30``, so the int64 arithmetic never wraps.  Column j is
     finally scaled by ``2^(29 - j)``.
     """
-    poly, deg = _POLY[:d], _DEGREE[:d]
+    poly, deg, vinit = _table(d, m)
     w = int(deg.max(initial=0))
     # window column c holds lag k + 1 = w - c; ``mult`` is a_k 2^(k+1)
     k = np.arange(w)[::-1]
@@ -46,8 +111,8 @@ def _direction_numbers(d: int, m: int) -> np.ndarray:
     # w zero columns in front, so every window is a plain slice
     v = np.zeros((d, w + m), dtype=np.int64)
     init = np.arange(m) < deg[:, None]
-    cols = min(m, _VINIT.shape[1])
-    v[:, w : w + cols] = np.where(init[:, :cols], _VINIT[:d, :cols], 0)
+    cols = min(m, vinit.shape[1])
+    v[:, w : w + cols] = np.where(init[:, :cols], vinit[:, :cols], 0)
     rows, lag_s = np.arange(d), w - deg
     for j in range(1, m):
         new = np.bitwise_xor.reduce(v[:, j : j + w] * mult, axis=1) ^ v[rows, lag_s + j]

@@ -43,7 +43,7 @@ import numpy as np
 
 from nlpcheck.cones import linearized_cone, membership
 from nlpcheck.expr import DomainError
-from nlpcheck.linalg import newton_batch, numerical_rank, pivot_select
+from nlpcheck.linalg import newton_batch, norm_bound, numerical_rank, pivot_select
 from nlpcheck.model import PointData, Problem, row_label
 
 __all__ = [
@@ -261,8 +261,9 @@ def trace_arcs(
     grids by warm-started Newton, all of them together.
 
     Arc a runs along ``directions[a]`` through ``charts[a]`` with half-width
-    ``deltas[a]``.  ``samples`` must be odd and at least 5 so each grid
-    contains t = 0 and enough symmetric pairs for derivative estimates.
+    ``deltas[a]``, which must be positive and at most ``norm_bound(n)``.
+    ``samples`` must be odd and at least 5 so each grid contains t = 0 and
+    enough symmetric pairs for derivative estimates.
     Sample k of both sides of every arc is one :func:`newton_batch`, each
     side starting from its sample k - 1 (the chart center for the first).
     A Newton failure truncates that side at the last good sample.  The
@@ -274,6 +275,9 @@ def trace_arcs(
     directions = [np.asarray(d, dtype=float).ravel() for d in directions]
     if any(delta <= 0.0 for delta in deltas):
         raise ValueError("delta must be positive")
+    bound = norm_bound(problem.n)  # so that delta times a step stays finite
+    if any(delta > bound for delta in deltas):
+        raise ValueError(f"delta must be at most {bound!r}")
     if samples < 5 or samples % 2 == 0:
         raise ValueError("samples must be odd and at least 5")
     half = (samples - 1) // 2

@@ -165,6 +165,8 @@ def _validate(config: RunConfig, problem: Problem, x: np.ndarray) -> None:
         raise InputError(f"arc points must be odd and >= 5, got {config.arc_points}")
     if not 0.0 < config.delta < math.inf:
         raise InputError(f"delta must be positive and finite, got {config.delta}")
+    if config.delta > bound:  # the arc steps, delta times a direction, stay finite
+        raise InputError(f"delta must be at most {bound!r}, got {config.delta!r}")
     if not 0 <= config.samples <= MAXPOINTS:
         raise InputError(
             f"samples per radius must be between 0 and 2**30, got {config.samples}"

@@ -243,7 +243,9 @@ def pivot_select(M, r: int, tol_rel: float = 1e-8) -> list[int]:
     info = numerical_rank(M, tol_rel)
     if r > info.rank:
         raise ValueError(f"requested {r} pivot columns but numerical rank is {info.rank}")
-    R = M.copy()
+    # a power-of-two scale is exact and brings max|M| into [0.5, 1), so the
+    # squared norms neither underflow (1e-200 squares to 0) nor overflow
+    R = np.ldexp(M, -np.frexp(np.abs(M).max(initial=0.0))[1])
     selected: list[int] = []
     for _ in range(r):
         norms = np.linalg.norm(R, axis=0)
@@ -630,7 +632,7 @@ def nnls(A, b, nonneg_mask) -> tuple[np.ndarray, float]:
     time by most-negative gradient, with backtracking steps that keep the
     passive iterate feasible.  Ties in the entering choice go to the
     smallest index.  Gradient entries count as negative below
-    ``-1e-10 * max(1, |A^T b|_inf)``.  Returns ``(y, residual_norm)``; after
+    ``-1e-10 * |A^T b|_inf``.  Returns ``(y, residual_norm)``; after
     ``3 * columns + 10`` entering steps the best iterate found so far is
     returned.
     """
@@ -643,7 +645,7 @@ def nnls(A, b, nonneg_mask) -> tuple[np.ndarray, float]:
     if b.size != mrows:
         raise ValueError("b must have one entry per row")
     scale = float(np.abs(A.T @ b).max(initial=0.0)) if ncols else 0.0
-    tol = 1e-10 * max(1.0, scale)
+    tol = 1e-10 * scale  # relative, so that a column with a small gradient still enters
 
     passive = ~mask.copy()
     y = np.zeros(ncols)

@@ -124,6 +124,21 @@ class TestBuildChart:
         center = np.concatenate([arc.g_values[arc.zero_index], arc.h_values[arc.zero_index]])
         assert center.tobytes() == pd.c_vals.tobytes()
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("scale", ["1e-200*", "1e-300*"])
+    def test_tiny_gradient_picks_as_unit_gradient(self, scale):
+        # the pivot norms of the gradient (1e-200, 0) squared to 0 and
+        # divided by zero
+        charts = []
+        for text in (scale, ""):
+            prob = load_problem(f"vars 2\nobjective x1\nineq {text}x1\npoint 0 0\n")
+            pd = evaluate_point(prob, np.zeros(2))
+            charts.append(build_chart(pd, pinned_constraints(pd, np.array([0.0, 1.0]))))
+        tiny, unit = charts
+        assert (tiny.components, tiny.xi, tiny.solve_vars, tiny.keep_vars, tiny.rank) == (
+            unit.components, unit.xi, unit.solve_vars, unit.keep_vars, unit.rank
+        ) == ((0,), (0,), (0,), (1,), 1)
+
     def test_zero_gradient_degenerate(self):
         prob = load_problem("vars 1\nobjective x1\nineq x1^2\npoint 0\n")
         pd = evaluate_point(prob, np.zeros(1))
@@ -328,6 +343,9 @@ class TestTraceArc:
         chart = identity_chart(pd)
         with pytest.raises(ValueError, match="delta"):
             trace_arc(prob, chart, np.array([0.0, 1.0]), -0.1, 41)
+        # delta * k / half overflowed at 1e308
+        with pytest.raises(ValueError, match="delta must be at most"):
+            trace_arc(prob, chart, np.array([0.0, 1.0]), 1e308, 41)
         with pytest.raises(ValueError, match="odd"):
             trace_arc(prob, chart, np.array([0.0, 1.0]), 0.1, 40)
         with pytest.raises(ValueError, match="odd"):

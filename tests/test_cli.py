@@ -335,6 +335,8 @@ class TestMain:
                 "point is too large for this problem: the Hessians at a point of 100000 "
                 "coordinates, one for each of 0 constraint rows and the objective",
             ),
+            # the arc steps delta * k / half overflowed at 1e308
+            (["--delta", "1e308"], "delta must be at most 4.740375954054588e+153"),
         ],
     )
     def test_invalid_config_exit_two(self, flags, message, tmp_path, capsys):

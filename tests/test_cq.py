@@ -10,6 +10,7 @@ import subprocess
 import sys
 import time
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -142,6 +143,9 @@ class TestSampler:
 class TestSobol:
     """The in-house scrambled Sobol against ``scipy.stats.qmc.Sobol``."""
 
+    # the table state of a process that has read no table data
+    UNREAD = (np.zeros(0, np.int64),) * 2 + (np.zeros((0, 0), np.int64),)
+
     @pytest.mark.parametrize("d", [*range(1, 13), 30, 64])
     def test_bit_identical_to_scipy(self, d):
         from scipy.stats import qmc  # test-only dependency
@@ -166,6 +170,71 @@ class TestSobol:
             u = qmc.Sobol(center.size, scramble=True, seed=rng).random(8)[:5]
             expected.extend(center + radius * (2.0 * u - 1.0))
         assert np.array_equal(np.array(got), np.array(expected))
+
+    @pytest.mark.parametrize("d, n", [(1111, 1025), (21201, 2)])
+    def test_bit_identical_to_scipy_in_many_dimensions(self, d, n):
+        # rows beyond any earlier call's, up to the whole table
+        from scipy.stats import qmc  # test-only dependency
+        rng = np.random.default_rng([5, 1])
+        # a power of two, which SciPy draws without its balance warning
+        expected = qmc.Sobol(d, scramble=True, seed=rng).random_base2(n.bit_length())[:n]
+        assert np.array_equal(_sobol.scrambled_sobol(d, n, [5, 1]), expected)
+
+    @pytest.mark.parametrize("rows, cols", [(1, 1), (9, 5), (64, 18), (13426, 18), (21201, 18)])
+    def test_lazy_reader_matches_the_table(self, rows, cols):
+        # row 13425 is the first of degree 18, so it uses every column
+        with np.load(_sobol._TABLE) as table:
+            poly, vinit = table["poly"], table["vinit"]
+        got = _sobol._read_leading("poly", rows)
+        assert got.dtype == poly.dtype and np.array_equal(got, poly[:rows])
+        got = _sobol._read_leading("vinit", rows, cols)
+        assert got.dtype == vinit.dtype and np.array_equal(got, vinit[:rows, :cols])
+
+    def test_table_grows_as_calls_need(self, monkeypatch):
+        monkeypatch.setattr(_sobol, "_read", self.UNREAD)
+        shapes = []
+        for d, m in [(3, 6), (9, 6), (9, 6), (9, 1), (100, 1), (150, 20), (1, 30)]:
+            poly, deg, vinit = _sobol._table(d, m)
+            assert poly.size == deg.size == vinit.shape[0] == d
+            shapes.append(_sobol._read[2].shape)
+        # at least 64 rows, then doubled; the columns the degrees need
+        assert shapes == [(64, 2), (64, 5), (64, 5), (64, 5), (128, 5), (256, 10), (256, 10)]
+
+    def test_concurrent_calls_see_whole_tables(self, monkeypatch):
+        # each call grows the table in locals before it replaces the shared
+        # one, so no caller sees another's half-grown table
+        cases = [(d, n) for d in (2, 9, 70, 200, 9, 300, 3) for n in (2, 64)]
+        expected = [_sobol.scrambled_sobol(d, n, [d, n]) for d, n in cases]
+        monkeypatch.setattr(_sobol, "_read", self.UNREAD)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=8) as pool:
+                futures = [pool.submit(_sobol.scrambled_sobol, d, n, [d, n]) for d, n in cases * 4]
+                got = [future.result(timeout=60) for future in futures]
+        finally:
+            sys.setswitchinterval(interval)
+        assert all(np.array_equal(g, e) for g, e in zip(got, expected * 4))
+
+    def test_import_reads_no_table_data(self):
+        src = os.path.dirname(os.path.dirname(nlpcheck.__file__))
+        code = (
+            "import tracemalloc, numpy as np\n"
+            "tracemalloc.start()\n"
+            "import nlpcheck.cli\n"
+            "from nlpcheck import _sobol\n"
+            "held = [a for v in vars(_sobol).values() for a in (v if isinstance(v, tuple) else [v])]\n"
+            "print(sum(a.size for a in held if isinstance(a, np.ndarray)),"
+            " tracemalloc.get_traced_memory()[0])"
+        )
+        env = {**os.environ, "PYTHONPATH": src}
+        out = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+        )
+        entries, traced = map(int, out.stdout.split())
+        assert entries == 0
+        # the whole table, read at import, kept 4.4 MiB
+        assert traced < 2.5 * 2**20
 
     def test_dimension_limit(self):
         with pytest.raises(ValueError, match="Maximum supported dimensionality is 21201"):

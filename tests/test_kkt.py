@@ -139,6 +139,19 @@ class TestSolveMultipliers:
         assert ms.residual > 0.5
         assert ms.note
 
+    def test_small_gradient_multiplier_found(self):
+        # LICQ holds and mu = 1e10 solves stationarity; the multiplier
+        # probe once counted gradients below 1e-10 as zero, so it read
+        # residual 1.0 and no vertex
+        pd = problem_pd("vars 2\nobjective -x1\nineq 1e-10*x1\npoint 0 0\n")
+        ms = solve_multipliers(pd)
+        assert ms.residual == 0.0
+        assert len(ms.vertices) == 1
+        mu, lam = ms.vertices[0]
+        assert_allclose(mu, [1e10], rtol=1e-12)
+        assert check_kkt(pd, mu, lam)[1]
+        assert check_ssonc(pd, ms).status == "holds-certified"
+
     def test_unbounded_multiplier_ray(self):
         # opposing vertical gradients: mu2 = 1 + mu1 for every mu1 >= 0
         prob = load_problem(

@@ -216,6 +216,13 @@ class TestPivotSelect:
         picked = pivot_select(cols, 2)
         assert picked == [0, 2]
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("scale", [1e-300, 1e-200, 3.0, 1e200])
+    def test_scale_keeps_the_picks(self, scale):
+        # squared norms of the scaled columns underflow or overflow
+        cols = np.array([[1.0, 0.99, 0.0], [0.0, 0.10, 0.0], [0.0, 0.00, 0.5]])
+        assert pivot_select(scale * cols, 2) == pivot_select(cols, 2) == [0, 2]
+
     def test_count_zero(self):
         assert pivot_select(np.eye(2), 0) == []
 
