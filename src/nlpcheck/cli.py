@@ -274,14 +274,16 @@ def run(config: RunConfig) -> dict:
     for label, ok in zip(labels, (np.abs(table) <= norm_bound(problem.n)).all(axis=1)):
         if not ok:
             raise InputError(f"{label}: gradient at the point too large to square its norm")
-    # a NaN Hessian entry would read SSONC as undetermined at value 0.  Every
-    # constraint enters the Lagrangian Hessian, even with a zero multiplier
-    # (0 * NaN is NaN).  Checked after the gradient bounds, so that an
-    # overflowing gradient is named as such
+    # a NaN or infinite Hessian entry would read SSONC as undetermined at
+    # value 0.  Every constraint enters the Lagrangian Hessian, even with a
+    # zero multiplier (0 * NaN and 0 * inf are NaN).  Checked after the
+    # gradient bounds, so that an overflowing gradient is named as such
     names = ["objective"] + ["%s %d" % row_label(pd.m, k) for k in range(len(pd.c_vals))]
-    for name, bad in zip(names, np.isnan([pd.f_hess, *pd.c_hesses]).any(axis=(1, 2))):
-        if bad:
+    for name, H in zip(names, [pd.f_hess, *pd.c_hesses]):
+        if np.isnan(H).any():
             raise InputError(f"point outside the problem domain: {name}: Hessian has a NaN entry")
+        if np.isinf(H).any():
+            raise InputError(f"{name}: Hessian at the point has an infinite entry")
     report["active_set"] = list(pd.active)
     report["objective_value"] = pd.f_val
 

@@ -23,15 +23,16 @@ second-order check) share a single enumeration, and the faces share their
 LAPACK calls.  Each stage is sized by what it holds.  The faces are taken
 in mask order, in chunks sized by their SVD's input and factors plus one
 float per form, and within a chunk faces with the same number of pinned
-rows get their nullspace bases from one stacked SVD.  Every form
-restricted to the faces of one dimension d is solved in stacked
-eigenproblems, chunked by d, of which only each form's lowest eigenvalue
-per face is kept, in a (faces, forms) table.  Each form then walks its
-candidate faces, those whose lowest eigenvalue is below the form's
-running minimum, in mask order, recomputing their eigenpairs by the same
-stacked call.  Each form's minimum is thus selected exactly as a loop
-over one face at a time selects it, so the results are that loop's to
-the bit.
+rows get their nullspace bases from one stacked SVD.  Each chunk is then
+taken in runs sized by every form's eigenpairs on a face of dimension up
+to n, and every form restricted to the run's faces of one SVD group is
+solved in one stacked eigenproblem, so each (face, form) eigenproblem is
+solved once.  Each form then walks the run's candidate faces, those
+whose lowest eigenvalue is below the form's running minimum, in mask
+order, reading their eigenpairs from those calls.  Each form's minimum is
+thus selected exactly as a loop over one face at a time selects it, so
+the results are that loop's to the bit.  A form with an entry too large
+for its restricted forms to stay finite is not minimized.
 
 Before any face, one test decides whether the cone is {0}: a rank gate,
 then one non-negative least-squares solve for a positive dependence of the
@@ -49,7 +50,6 @@ change no second-order verdict.
 from __future__ import annotations
 
 import math
-from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -270,8 +270,11 @@ def _checked_form(H, n: int) -> np.ndarray:
     if H.shape != (n, n):
         raise ValueError(f"H must have shape ({n}, {n})")
     scale = max(1.0, float(np.abs(H).max(initial=0.0)))
-    if float(np.abs(H - H.T).max(initial=0.0)) > 1e-12 * scale:
-        raise ValueError("H is not symmetric within 1e-12 relative")
+    # a non-finite entry gives a NaN difference, which passes (such a form
+    # gets the flat minimum); a difference past the float range fails
+    with np.errstate(over="ignore", invalid="ignore"):
+        if float(np.abs(H - H.T).max(initial=0.0)) > 1e-12 * scale:
+            raise ValueError("H is not symmetric within 1e-12 relative")
     return H
 
 
@@ -306,16 +309,18 @@ def min_quadratics_on_cone(Hs, cone: ConeRep) -> list[QuadOnConeResult]:
     in mask order, in chunks (:func:`~nlpcheck.linalg.stack_chunk`) sized
     by their SVD's input and factors plus one float per form.  Within a
     chunk, faces with the same number of pinned rows share one stacked SVD
-    (:func:`~nlpcheck.linalg.grouped_nullspace_bases`), and the faces of
-    one dimension d have every form's eigenproblem solved in stacked calls
-    chunked by d, which keep only each form's lowest eigenvalue per face.
-    Each form then walks the chunk's faces whose lowest eigenvalue is below
-    its running minimum, in mask order, and recomputes those faces'
-    eigenpairs by the same stacked call, so the same bits.  A form for
-    which no face yields a feasible eigenvector, and every form beyond the
-    limit, gets the certified zero minimum when the {0} test passed and an
-    uncertified result otherwise.  Results are returned in the order of
-    ``Hs``.
+    (:func:`~nlpcheck.linalg.grouped_nullspace_bases`).  Each chunk is
+    taken in mask order, in runs sized by every form's eigenpairs and
+    temporaries on a face of dimension up to n, and one stacked call per
+    SVD group in a run gives every form's eigenpairs on those faces.  Each
+    form then walks the run's faces whose lowest eigenvalue is below its
+    running minimum, in mask order, with the eigenpairs that made them
+    candidates.  A form with a non-finite entry, or one above
+    ``float max / (4 n)``, is not minimized, since its restricted forms or
+    ``d @ H @ d`` could overflow.  Such a form, a form for which no face
+    yields a feasible eigenvector, and every form beyond the limit, gets
+    the certified zero minimum when the {0} test passed and an uncertified
+    result otherwise.  Results are returned in the order of ``Hs``.
     """
     Hs = [_checked_form(H, cone.n) for H in Hs]
     if not Hs:
@@ -325,16 +330,20 @@ def min_quadratics_on_cone(Hs, cone: ConeRep) -> list[QuadOnConeResult]:
     if reach > max(_TOL, 1e-8 * s_max):
         # no face can yield a feasible eigenvector (see the docstring)
         return [_flat_minimum(cone.n, True) for _ in Hs]
+    limit = np.finfo(float).max / (4 * cone.n)  # see the docstring
+    minimized = [q for q, H in enumerate(Hs) if np.abs(H).max() <= limit]
+    best: list[QuadOnConeResult | None] = [None] * len(minimized)
     k_in = cone.a_in.shape[0]
-    best: list[QuadOnConeResult | None] = [None] * len(Hs)
-    faces = 1 << k_in if k_in <= _FACIAL_LIMIT else 0
-    # per face: the SVD's input and factors, and one lowest eigenvalue per
-    # form (the eigenproblems make their own chunks, per face dimension)
+    faces = 1 << k_in if k_in <= _FACIAL_LIMIT and minimized else 0
+    # per face: the SVD's input and factors, and one float per form for its
+    # row of the lowest-eigenvalue table
     rows = cone.a_eq.shape[0] + k_in
-    chunk = stack_chunk((rows + cone.n) ** 2 + len(Hs))
+    chunk = stack_chunk((rows + cone.n) ** 2 + len(minimized))
     for start in range(0, faces, chunk):
-        _scan_faces(np.arange(start, min(faces, start + chunk)), cone, Hs, best)
-    return [_flat_minimum(cone.n, zero) if res is None else res for res in best]
+        masks = np.arange(start, min(faces, start + chunk))
+        _scan_faces(masks, cone, [Hs[q] for q in minimized], best)
+    found = dict(zip(minimized, best))
+    return [found.get(q) or _flat_minimum(cone.n, zero) for q in range(len(Hs))]
 
 
 def _flat_minimum(n: int, zero: bool) -> QuadOnConeResult:
@@ -347,12 +356,11 @@ def _scan_faces(masks: np.ndarray, cone: ConeRep, Hs: list, best: list) -> None:
     """Update each form's running minimum ``best`` over the faces ``masks``
     (bit i pins inequality row i), in mask order.
 
-    Each form walks its candidate faces (see :func:`min_quadratics_on_cone`)
-    and recomputes their eigenpairs in batches that double while no
-    candidate yields.  A face replaces a form's minimum only when its
-    smallest restricted eigenvalue is strictly below it and an eigenvector
-    meets the remaining rows, exactly as a loop over one face at a time
-    would.
+    The faces are taken in runs (see :func:`min_quadratics_on_cone`), and
+    each (face, form) eigenproblem is solved once.  A face replaces a
+    form's minimum only when its smallest restricted eigenvalue is
+    strictly below it and an eigenvector meets the remaining rows, exactly
+    as a loop over one face at a time would.
     """
     k_in = cone.a_in.shape[0]
     H_stack = np.stack(Hs)
@@ -364,63 +372,50 @@ def _scan_faces(masks: np.ndarray, cone: ConeRep, Hs: list, best: list) -> None:
         eqs = np.broadcast_to(eq, (len(cols),) + eq.shape)
         return np.concatenate([eqs, cone.a_in[cols]], axis=1)
 
-    # each face's lowest restricted eigenvalue for every form, +inf on a
-    # face with a zero subspace, and where in ``groups`` its basis lies
-    lowest = np.full((len(masks), len(Hs)), np.inf)
+    # where each face's basis lies in ``groups``; -1 for a zero subspace
     groups: list = []
-    group_of = np.zeros(len(masks), dtype=int)
+    group_of = np.full(len(masks), -1)
     slot_of = np.zeros(len(masks), dtype=int)
     for at, bases in grouped_nullspace_bases(pinned, gather):
-        d = bases.shape[2]
-        if d == 0:
-            continue
-        group_of[at], slot_of[at] = len(groups), np.arange(len(at))
-        groups.append(bases)
-        # per face: every form's (d, n) product, restricted form, its
-        # symmetrized copies and eigenvectors
-        step = stack_chunk(len(Hs) * d * (cone.n + 3 * d))
-        for start in range(0, len(at), step):
-            w, _ = _restricted_eigh(bases[start : start + step], H_stack)
-            lowest[at[start : start + step]] = w[..., 0]
-
-    def eigenpairs(faces: np.ndarray, q: int) -> deque:
-        # form q's eigenpairs on each face, one stacked call per group: the
-        # same LAPACK call per matrix as the table's, so the same bits
-        pairs: list = [None] * len(faces)
-        of = group_of[faces]
-        for g in sorted(set(of.tolist())):
+        if bases.shape[2]:
+            group_of[at], slot_of[at] = len(groups), np.arange(len(at))
+            groups.append(bases)
+    bound = np.array([math.inf if res is None else res.min_value for res in best])
+    # per face: every form's (d, n) product, restricted form, its
+    # symmetrized copies and eigenvectors, on a face of dimension up to n
+    run = stack_chunk(4 * len(Hs) * cone.n**2)
+    for start in range(0, len(masks), run):
+        of = group_of[start : start + run]
+        # each face's lowest restricted eigenvalue for every form, +inf on
+        # a zero subspace, and which call's row holds its eigenpairs
+        lowest = np.full((len(of), len(Hs)), np.inf)
+        calls: list = []
+        call_of = np.zeros(len(of), dtype=int)
+        row_of = np.zeros(len(of), dtype=int)
+        for g in sorted(set(of.tolist()) - {-1}):
             at = np.flatnonzero(of == g)
-            w, V = _restricted_eigh(groups[g][slot_of[faces[at]]], H_stack[q : q + 1])
-            for k, j in enumerate(at.tolist()):
-                pairs[j] = (w[k, 0], V[k, 0])
-        return deque(pairs)
-
-    most = stack_chunk(4 * cone.n**2)  # the largest batch: one form, faces of dimension n
-    for q, H in enumerate(Hs):
-        bound = math.inf if best[q] is None else best[q].min_value
-        col = lowest[:, q]
-        # not ``col < bound``: a NaN eigenvalue is a candidate, as it is
+            # a group's faces in the run are consecutive slots of its stack
+            lo = slot_of[start + at[0]]
+            bases = groups[g][lo : lo + len(at)]
+            w, V = _restricted_eigh(bases, H_stack)
+            lowest[at] = w[..., 0]
+            call_of[at], row_of[at] = len(calls), np.arange(len(at))
+            calls.append((bases, w, V))
+        # not ``lowest < bound``: a NaN eigenvalue is a candidate, as it is
         # for the one-face loop
-        candidates = np.flatnonzero(~(col >= bound))
-        # the eigenpairs of the first candidates, computed in batches that
-        # double while no candidate yields
-        ahead, take = deque(), 1
-        while candidates.size:
-            if not ahead:
-                ahead, take = eigenpairs(candidates[:take], q), min(2 * take, most)
-            i, candidates = candidates[0], candidates[1:]
-            w, V = ahead.popleft()
-            basis = groups[group_of[i]][slot_of[i]]
-            d = _feasible_in_eigenspace(basis, w, V, cone.a_in[~pinned[i]], _TOL)
-            if d is None:
-                continue
-            best[q] = QuadOnConeResult(float(d @ H @ d), d, "facial-enumeration", True)
-            bound = best[q].min_value
-            keep = ~(col[candidates] >= bound)
-            candidates = candidates[keep]
-            # ahead holds the eigenpairs of the first candidates
-            ahead = deque(pair for pair, kept in zip(ahead, keep.tolist()) if kept)
-            take = 1
+        candidate = ~(lowest >= bound)
+        for q in np.flatnonzero(candidate.any(axis=0)).tolist():
+            for j in np.flatnonzero(candidate[:, q]).tolist():
+                if lowest[j, q] >= bound[q]:
+                    continue
+                bases, w, V = calls[call_of[j]]
+                r = row_of[j]
+                rest = cone.a_in[~pinned[start + j]]
+                d = _feasible_in_eigenspace(bases[r], w[r, q], V[r, q], rest, _TOL)
+                if d is None:
+                    continue
+                best[q] = QuadOnConeResult(float(d @ Hs[q] @ d), d, "facial-enumeration", True)
+                bound[q] = best[q].min_value
 
 
 def _restricted_eigh(Bs: np.ndarray, H_stack: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -31,7 +31,6 @@ __all__ = [
     "norm_bound",
     "nnls_bound",
     "nullspace_basis",
-    "nullspace_bases",
     "grouped_nullspace_bases",
     "stack_chunk",
     "pivot_select",
@@ -178,19 +177,6 @@ def _nullspace_factors(stack, tol_rel: float) -> tuple[np.ndarray, np.ndarray]:
     return _rank_cut(s, tol_rel), Vh
 
 
-def nullspace_bases(stack, tol_rel: float = 1e-8) -> list[np.ndarray]:
-    """Nullspace bases of a stack of matrices, shape ``(k, rows, n)``.
-
-    One batched SVD covers all ``k`` matrices, and each basis follows the
-    rule of :func:`nullspace_basis`, of which this is the stacked form: the
-    stacked call runs the same LAPACK routine on each matrix, so every
-    basis is bit-identical to the one-matrix call.  Returns a list of ``k``
-    arrays of shape ``(n, n - rank_i)``.
-    """
-    ranks, Vh = _nullspace_factors(stack, tol_rel)
-    return [Vh[i, rank:].T.copy() for i, rank in enumerate(ranks.tolist())]
-
-
 def grouped_nullspace_bases(selected, gather, tol_rel: float = 1e-8):
     """Nullspace bases of ``k`` matrices, each built from a selection of
     ``r`` rows or columns, yielded in groups of one selection size and one
@@ -221,10 +207,11 @@ def nullspace_basis(M, tol_rel: float = 1e-8) -> np.ndarray:
     """Orthonormal basis (columns) of the numerical nullspace of ``M``.
 
     A matrix with no rows is treated as the zero map, so the basis is the
-    identity.  The returned array has shape ``(n, n - rank)``.  The
-    one-matrix case of :func:`nullspace_bases`.
+    identity.  The returned array has shape ``(n, n - rank)``, where rank
+    is that of :func:`numerical_rank` at ``tol_rel``.
     """
-    return nullspace_bases(_as_matrix(M)[None], tol_rel)[0]
+    ranks, Vh = _nullspace_factors(_as_matrix(M)[None], tol_rel)
+    return Vh[0, ranks[0] :].T.copy()
 
 
 def pivot_select(M, r: int, tol_rel: float = 1e-8) -> list[int]:

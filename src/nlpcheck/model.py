@@ -304,10 +304,13 @@ def lagrangian_hessian(pd: PointData, mu, lam) -> np.ndarray:
     """
     mu, lam = check_multiplier(pd, mu, lam, 1e-12)
     H = pd.f_hess.copy()
-    if pd.m:
-        H = H + np.einsum("i,ijk->jk", mu, pd.c_hesses[: pd.m])
-    if pd.p:
-        H = H + np.einsum("j,jkl->kl", lam, pd.c_hesses[pd.m :])
+    # an entry past the float range is inf (or NaN), which the cone layer
+    # does not minimize
+    with np.errstate(over="ignore", invalid="ignore"):
+        if pd.m:
+            H = H + np.einsum("i,ijk->jk", mu, pd.c_hesses[: pd.m])
+        if pd.p:
+            H = H + np.einsum("j,jkl->kl", lam, pd.c_hesses[pd.m :])
     return H
 
 

@@ -337,6 +337,12 @@ class TestMain:
             ),
             # the arc steps delta * k / half overflowed at 1e308
             (["--delta", "1e308"], "delta must be at most 4.740375954054588e+153"),
+            # the objective's Hessian is +-inf at the point, which no cone
+            # minimum can use
+            (
+                ["vars 2\nobjective 1e308*x1^2 - 1e308*x2^2\nineq -x1\npoint 0 0\n"],
+                "objective: Hessian at the point has an infinite entry",
+            ),
         ],
     )
     def test_invalid_config_exit_two(self, flags, message, tmp_path, capsys):

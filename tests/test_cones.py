@@ -379,6 +379,13 @@ class TestStackedFaces:
             assert same_bits(res.min_value, value)
             assert same_bits(res.witness, witness)
 
+    @staticmethod
+    def fanfree_instance(K):
+        prob = load_problem(workloads.fanfree_text(K))
+        pd = evaluate_point(prob, prob.point)
+        forms = [lagrangian_hessian(pd, mu, lam) for mu, lam in solve_multipliers(pd).vertices]
+        return forms, strong_critical_cone(pd)
+
     @pytest.mark.parametrize(
         "K, chunk",
         [(9, None), (10, None), (9, 1), (10, 1), (9, 7), (10, 7)],
@@ -386,15 +393,50 @@ class TestStackedFaces:
     )
     def test_fanfree_vertex_forms(self, K, chunk, monkeypatch):
         # small chunks carry each form's running minimum across face
-        # chunks and across the eigenproblems' own chunks
+        # chunks and across the runs of the eigenproblems
         if chunk is not None:
             monkeypatch.setattr(cones, "stack_chunk", lambda floats: chunk)
-        prob = load_problem(workloads.fanfree_text(K))
-        pd = evaluate_point(prob, prob.point)
-        ms = solve_multipliers(pd)
-        forms = [lagrangian_hessian(pd, mu, lam) for mu, lam in ms.vertices]
+        forms, cone = self.fanfree_instance(K)
         assert len(forms) >= 25
-        self.assert_matches_oracle(forms, strong_critical_cone(pd))
+        self.assert_matches_oracle(forms, cone)
+
+    @staticmethod
+    def many_forms_instance():
+        # the cone and forms of test_many_forms_face_loop_memory_is_bounded
+        rng = np.random.default_rng(17)
+        a_in = rng.standard_normal((12, 12))
+        a_in[:, 0] = -np.abs(a_in[:, 0])
+        forms = []
+        for a in rng.standard_normal((64, 11, 11)):
+            H = np.zeros((12, 12))
+            H[1:, 1:] = a + a.T
+            H[0, 0] = np.linalg.eigvalsh(a + a.T)[0] - 1.0
+            forms.append(H)
+        return forms, inequality_cone(a_in)
+
+    @pytest.mark.parametrize("instance", ["fanfree-9", "fanfree-10", "many-forms"])
+    def test_one_eigensolve_per_face_and_form(self, instance, monkeypatch):
+        if instance == "many-forms":
+            forms, cone = self.many_forms_instance()
+            # independent rows: every face but the one pinning all 12 has d > 0
+            assert np.linalg.matrix_rank(cone.a_in) == 12
+            expected = ((1 << 12) - 1) * len(forms)
+        else:
+            forms, cone = self.fanfree_instance(int(instance.split("-")[1]))
+            # five variables, and pinned rows of rank at most 3: d > 0 on every face
+            expected = {"fanfree-9": 30720, "fanfree-10": 51200}[instance]
+            assert expected == len(forms) << cone.a_in.shape[0]
+        solved = []
+        real = cones._restricted_eigh
+
+        def counting(Bs, H_stack):
+            solved.append(Bs.shape[0] * H_stack.shape[0])
+            return real(Bs, H_stack)
+
+        monkeypatch.setattr(cones, "_restricted_eigh", counting)
+        results = min_quadratics_on_cone(forms, cone)
+        assert sum(solved) == expected
+        assert {r.method for r in results} == {"facial-enumeration"}
 
     @pytest.mark.parametrize("chunk", [None, 5], ids=["one-chunk", "chunks-of-5"])
     def test_cone_with_equality_rows(self, chunk, monkeypatch):

@@ -323,6 +323,26 @@ class TestSsonc:
         report = check_ssonc(pd, solve_multipliers(pd))
         assert "negative" in report.rationale or "fails" in report.rationale
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize(
+        "text",
+        [
+            # mu = 1e10 times the Hessian entry -2e300 is -inf
+            "vars 2\nobjective -x1\nineq 1e-10*x1 - 1e300*x2^2\npoint 0 0\n",
+            # finite entries, but on the face x1 = 0 the restricted form overflows
+            "vars 3\nobjective -x1 - 0.5e308*(x2 + x3)^2\nineq x1\npoint 0 0 0\n",
+            # the Lagrangian's sum 1e308 + 1e308 overflows
+            "vars 2\nobjective -x1 + 0.5e308*x2^2\nineq x1 + 0.5e308*x2^2\npoint 0 0\n",
+        ],
+        ids=["inf-multiplier-product", "restricted-overflow", "sum-overflow"],
+    )
+    def test_overflowing_form_is_undetermined(self, text):
+        pd = problem_pd(text)
+        assert np.isfinite(pd.f_hess).all() and np.isfinite(pd.c_hesses).all()
+        report = check_ssonc(pd, solve_multipliers(pd))
+        assert report.status == "undetermined"
+        assert [(r["method"], r["certified"]) for r in report.results] == [("uncertified", False)]
+
 
 class TestSharedFaces:
     """check_ssonc enumerates the faces of the strong critical cone once

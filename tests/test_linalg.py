@@ -24,7 +24,6 @@ from nlpcheck.linalg import (
     nnls,
     nnls_bound,
     grouped_nullspace_bases,
-    nullspace_bases,
     nullspace_basis,
     numerical_rank,
     pivot_select,
@@ -83,7 +82,8 @@ class TestNullspace:
 
 
 def one_matrix_nullspace(M, tol_rel=1e-8):
-    """The one-matrix SVD that ``nullspace_bases`` stacks."""
+    """The one-matrix SVD that ``nullspace_basis`` and
+    ``grouped_nullspace_bases`` cut."""
     if 0 in M.shape:
         return np.eye(M.shape[1])
     _, s, Vh = np.linalg.svd(M)
@@ -91,8 +91,20 @@ def one_matrix_nullspace(M, tol_rel=1e-8):
     return Vh[int(np.count_nonzero(s > threshold)) :].T
 
 
+def stacked_bases(stack):
+    """``grouped_nullspace_bases`` over one stack: every matrix selects the
+    same single index, so the whole stack is one SVD.  Returns the bases in
+    stack order."""
+    bases = [None] * len(stack)
+    for at, group in grouped_nullspace_bases(np.ones((len(stack), 1), dtype=bool), lambda idx: stack):
+        for i, B in zip(at.tolist(), group):
+            bases[i] = B
+    return bases
+
+
 class TestNullspaceBases:
-    """Every slice of the stacked call is the one-matrix call, bit for bit."""
+    """``nullspace_basis`` and every slice of the stacked SVD of
+    ``grouped_nullspace_bases`` are the one-matrix call, bit for bit."""
 
     @staticmethod
     def random_stack(rng, k, rows, n):
@@ -114,22 +126,22 @@ class TestNullspaceBases:
         for trial in range(300):
             k, rows, n = shapes[trial % len(shapes)]
             stack = self.random_stack(rng, k, rows, n)
-            bases = nullspace_bases(stack)
-            assert len(bases) == k
-            for M, B in zip(stack, bases):
+            for M, B in zip(stack, stacked_bases(stack)):
                 assert same_bits(B, nullspace_basis(M))
                 assert same_bits(B, one_matrix_nullspace(M))
 
     def test_relative_tolerance_per_slice(self):
         # the same matrix at two scales keeps its rank in one stack
         a = np.diag([1.0, 1e-12, 0.0])
-        bases = nullspace_bases(np.stack([a, 1e6 * a, np.zeros((3, 3))]))
+        bases = stacked_bases(np.stack([a, 1e6 * a, np.zeros((3, 3))]))
         assert [B.shape for B in bases] == [(3, 2), (3, 2), (3, 3)]
+        assert nullspace_basis(1e6 * a).shape == (3, 2)
 
     def test_empty_shapes(self):
-        assert [B.shape for B in nullspace_bases(np.zeros((2, 0, 3)))] == [(3, 3)] * 2
-        assert [B.shape for B in nullspace_bases(np.zeros((2, 3, 0)))] == [(0, 0)] * 2
-        assert nullspace_bases(np.zeros((0, 3, 3))) == []
+        assert nullspace_basis(np.zeros((0, 3))).shape == (3, 3)
+        assert nullspace_basis(np.zeros((3, 0))).shape == (0, 0)
+        assert [B.shape for B in stacked_bases(np.zeros((2, 0, 3)))] == [(3, 3)] * 2
+        assert [B.shape for B in stacked_bases(np.zeros((2, 3, 0)))] == [(0, 0)] * 2
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_nonfinite_entry_raises_the_one_matrix_message(self, bad):
@@ -138,12 +150,13 @@ class TestNullspaceBases:
         with pytest.raises(ValueError) as single:
             nullspace_basis(stack[1])
         with pytest.raises(ValueError) as stacked:
-            nullspace_bases(stack)
+            stacked_bases(stack)
         assert str(stacked.value) == str(single.value) == "matrix has non-finite entries"
 
     def test_rejects_a_single_matrix(self):
+        # gather must return a stack of matrices
         with pytest.raises(ValueError, match="stack of matrices"):
-            nullspace_bases(np.eye(3))
+            stacked_bases(np.eye(3))
 
 
 class TestGroupedNullspaceBases:
