@@ -122,6 +122,25 @@ def _direction_numbers(d: int, m: int) -> np.ndarray:
     return v << (_BITS - 1 - np.arange(m))
 
 
+# (d, m, bits): the last call's direction-number bits, read-only; replaced,
+# never mutated, like ``_read``
+_bits = (0, 0, np.zeros((0, _BITS, 0), dtype=bool))
+
+
+def _direction_bits(d: int, m: int) -> np.ndarray:
+    """The bits of the first m direction numbers of each of d dimensions,
+    shape (d, 30, m), most significant first; the last (d, m) asked for is
+    kept, since an analysis asks for the same one several times."""
+    global _bits
+    kept_d, kept_m, bits = _bits
+    if (kept_d, kept_m) != (d, m):
+        msb_first = 1 << np.arange(_BITS, dtype=np.int64)[::-1]
+        bits = (_direction_numbers(d, m)[:, None, :] & msb_first[:, None]) != 0
+        bits.flags.writeable = False
+        _bits = d, m, bits
+    return bits
+
+
 def scrambled_sobol(d: int, n: int, entropy) -> np.ndarray:
     """First ``n`` LMS+shift scrambled Sobol' points in ``[0, 1)^d``.
 
@@ -140,12 +159,9 @@ def scrambled_sobol(d: int, n: int, entropy) -> np.ndarray:
     shift = rng.integers(0, 2, size=(d, _BITS), dtype=np.uint32) @ bit
     ltm = np.tril(rng.integers(0, 2, size=(d, _BITS, _BITS), dtype=np.uint32))
     ltm[:, np.arange(_BITS), np.arange(_BITS)] = 1
-    # bits of each direction number, most significant first, as columns
-    msb_first = bit[::-1]
-    v_bits = (_direction_numbers(d, m)[:, None, :] & msb_first[:, None]) != 0
     # exact mod-2 product: 0/1 entries, so every float sum is an integer <= 30
-    scrambled = (ltm.astype(np.float64) @ v_bits).astype(np.int64) & 1
-    sv = np.einsum("dpj,p->dj", scrambled, msb_first)
+    scrambled = (ltm.astype(np.float64) @ _direction_bits(d, m)).astype(np.int64) & 1
+    sv = np.einsum("dpj,p->dj", scrambled, bit[::-1])
     # the second half of each power-of-two prefix mirrors the first half
     # with the next direction number XORed in
     x = np.empty((1 << m, d), dtype=np.int64)

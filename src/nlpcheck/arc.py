@@ -534,14 +534,21 @@ def arcs_for_directions(
     a small enough interval; the final attempt is reported even if still
     truncated.  Directions whose samples would not fit the budget raise
     ``ValueError`` (:func:`check_arc_size`) before any is traced.
+
+    Directions with the same bits pin the same constraints and get the same
+    chart and delta, so their arcs are the same: each distinct direction is
+    traced and verified once, and its duplicates share its report.
     """
     check_arc_size(problem.n, problem.m + problem.p, len(directions), samples)
+    directions = [np.asarray(d, dtype=float).ravel() for d in directions]
+    report_of: dict = {}  # the bits of each distinct direction -> its position in reports
     reports = []
     charts = []
     charted = []  # positions in reports of the charted directions
     built: dict = {}  # PinnedSet.components -> its chart, or its DegenerateRankError
     for d in directions:
-        d = np.asarray(d, dtype=float).ravel()
+        if report_of.setdefault(d.tobytes(), len(reports)) < len(reports):
+            continue
         try:
             pinned = pinned_constraints(pd, d, tol_dir)
         except ValueError as exc:
@@ -587,7 +594,7 @@ def arcs_for_directions(
             cur_delta[i] *= 0.5
     for rep in (reports[r] for r in charted):
         rep.properties = verify_arc(rep.arc, pd, rep.pinned, verify_tol)
-    return reports
+    return [reports[report_of[d.tobytes()]] for d in directions]
 
 
 def arc_for_direction(

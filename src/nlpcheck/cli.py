@@ -149,7 +149,7 @@ def _validate(config: RunConfig, problem: Problem, x: np.ndarray) -> None:
     if not np.isfinite(x).all():
         raise InputError("point has non-finite coordinates")
     try:
-        check_point_size(n, problem.m + problem.p)
+        check_point_size(problem)
     except ValueError as exc:
         raise InputError(f"point is too large for this problem: {exc}") from None
     bound = norm_bound(n)  # the gradients' bound: the direction's norm stays finite

@@ -63,7 +63,7 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import groupby
 
 import numpy as np
@@ -493,24 +493,18 @@ class TapeSet:
             size += k
         return size, self.consts[need[:c]], variables, steps, position
 
-    def _run(self, plan: tuple, X: np.ndarray, order: int):
-        """The slot tables of ``plan`` at the points ``X``: values (slots,
-        P), gradients (slots, P, n) and Hessians (slots, P, n, n), None past
-        ``order``, and the failed slots (slots, P), or None.
-
-        This is the one loop that executes the slots.  Each group
-        is written straight into its slots of the tables by ``out=``
-        operations, reading its operands as views where their slots run
-        consecutively; each entry still takes the operations of the module
-        docstring, in their order.
-        """
-        size, consts, variables, steps, _ = plan
-        P, n = X.shape
+    @staticmethod
+    def _tables(plan: tuple, P: int, n: int, order: int) -> tuple:
+        """Empty slot tables of ``plan`` for ``P`` points of ``n``
+        coordinates: values (slots, P), gradients (slots, P, n) and Hessians
+        (slots, P, n, n), None past ``order``.  The constant slots and every
+        derivative of the variable slots are filled; :meth:`_run` writes the
+        rest."""
+        size, consts, variables, _, _ = plan
         c, v = len(consts), len(consts) + len(variables)
         V = np.empty((size, P))
         V[:c] = consts[:, None]
-        V[c:v] = X.T[variables]
-        G = H = bad = ug = uh = Gd = Hd = None
+        G = H = None
         if order:
             G = np.empty((size, P, n))
             G[:c] = 0.0
@@ -518,6 +512,27 @@ class TapeSet:
         if order == 2:
             H = np.empty((size, P, n, n))
             H[:v] = 0.0
+        return V, G, H
+
+    def _run(self, plan: tuple, X: np.ndarray, order: int, tables=None):
+        """The slot tables of ``plan`` at the points ``X``: values (slots,
+        P), gradients (slots, P, n) and Hessians (slots, P, n, n), None past
+        ``order``, and the failed slots (slots, P), or None.
+
+        This is the one loop that executes the slots.  It writes into
+        ``tables``, when given, as :meth:`_tables` makes them for these
+        points and this order: every slot of a variable or a group is
+        written again, so nothing of an earlier sweep is read.  Each group
+        is written straight into its slots of the tables by ``out=``
+        operations, reading its operands as views where their slots run
+        consecutively; each entry still takes the operations of the module
+        docstring, in their order.
+        """
+        size, consts, variables, steps, _ = plan
+        P, n = X.shape
+        V, G, H = self._tables(plan, P, n, order) if tables is None else tables
+        V[len(consts) : len(consts) + len(variables)] = X.T[variables]
+        bad = ug = uh = Gd = Hd = None
         with np.errstate(all="ignore"):  # failed entries carry NaN and inf
             for op, dst, a, b in steps:
                 u, Vd = V[a], V[dst]
@@ -581,14 +596,21 @@ class TapeSet:
         return V, G, H, bad
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(eq=False)
 class Gather:
     """A table of :class:`TapeSet` outputs (:meth:`TapeSet.gather`), whose
     lines :meth:`evaluate` takes straight from the slot tables of a sweep.
 
     Every line's outputs and coordinates are slots of one plan, so a batch
     of points, each with its own line, is one sweep per pass of ``step``
-    points and one gather each for the values and the gradients.
+    points and one gather each for the values and the gradients.  A
+    Gather keeps the slot tables of the last two pass widths it swept, with
+    the constants and the unit gradients of the variables in place, so a
+    pass of a kept width writes only the variable values and the groups.
+    Two, because the rounds of a Newton march alternate between two widths
+    (every pending system, then those a step has not yet solved); a width
+    it no longer meets is dropped, so at most two passes' tables are held.
+    A Gather is for one caller at a time.
     """
 
     sweep: TapeSet
@@ -596,6 +618,7 @@ class Gather:
     step: int  # points per pass
     slots: np.ndarray  # (lines, width): the plan slot of each entry
     reads: np.ndarray  # (lines, plan slots): the slots each line's outputs read
+    _kept: dict = field(default_factory=dict, init=False, repr=False)  # width -> tables
 
     def evaluate(self, X: np.ndarray, lines: np.ndarray):
         """Values (P, width), gradients (P, width, n) and ``ok`` (P,) of
@@ -603,16 +626,30 @@ class Gather:
         :meth:`TapeSet.evaluate` at order 1.  ``ok[i]`` is False where an
         output of that line left its domain."""
         P, n = X.shape
-        width = self.slots.shape[1]
-        values, grads, ok = np.empty((P, width)), np.empty((P, width, n)), np.ones(P, dtype=bool)
+        if P <= self.step:  # one pass, whose lines are the result
+            return self._pass(X, lines)
+        entries = self.slots.shape[1]
+        values, grads = np.empty((P, entries)), np.empty((P, entries, n))
+        ok = np.empty(P, dtype=bool)
         for lo in range(0, P, self.step):
             at = slice(lo, lo + self.step)
-            V, G, _, bad = self.sweep._run(self.plan, X[at], 1)
-            pick = self.slots[lines[at]], np.arange(V.shape[1])[:, None]
-            values[at], grads[at] = V[pick], G[pick]
-            if bad is not None:
-                ok[at] = ~(bad.T & self.reads[lines[at]]).any(axis=1)
+            values[at], grads[at], ok[at] = self._pass(X[at], lines[at])
         return values, grads, ok
+
+    def _pass(self, X: np.ndarray, lines: np.ndarray):
+        """:meth:`evaluate` in one sweep, written into the kept tables of
+        its width; the lines it returns are new arrays."""
+        P, n = X.shape
+        tables = self._kept.get(P)
+        if tables is None:
+            if len(self._kept) == 2:
+                del self._kept[next(iter(self._kept))]  # the older width
+            tables = self._kept[P] = self.sweep._tables(self.plan, P, n, 1)
+        V, G, _, bad = self.sweep._run(self.plan, X, 1, tables)
+        pick = self.slots[lines], np.arange(P)[:, None]
+        if bad is None:
+            return V[pick], G[pick], np.ones(P, dtype=bool)
+        return V[pick], G[pick], ~(bad.T & self.reads[lines]).any(axis=1)
 
 
 class Compiler:

@@ -28,7 +28,8 @@ after that.  The outputs of ``Problem.sweep`` and the ``c_*`` arrays of
 :class:`PointData` share this layout, and :func:`row_label` names a row.
 ``Problem.sweep`` has one more output, after the constraint rows: the
 objective.  :func:`check_point_size` bounds the dense Hessian tables of a
-point before :func:`evaluate_point` builds them.
+point, and those of the sweep that computes them, before
+:func:`evaluate_point` builds them.
 """
 
 from __future__ import annotations
@@ -220,17 +221,22 @@ def _sweep_point(problem: Problem, x: np.ndarray, rows: list[int], order: int) -
 POINT_BUDGET = 1 << 26  # floats the Hessians at a point may hold: 512 MiB
 
 
-def check_point_size(n: int, rows: int) -> None:
-    """Raise ``ValueError`` when the Hessians at a point of ``n``
-    coordinates, one n x n table for each of ``rows`` constraint rows and
-    one for the objective, would hold more than ``POINT_BUDGET`` floats,
-    ``(rows + 1) * n * n``.  :class:`PointData` keeps them dense."""
-    floats = (rows + 1) * n * n
+def check_point_size(problem: Problem) -> None:
+    """Raise ``ValueError`` when the Hessians at a point would hold more
+    than ``POINT_BUDGET`` floats, ``(rows + 1 + slots) * n * n``: one n x n
+    table for each of the ``rows`` constraint rows and one for the
+    objective, which :class:`PointData` keeps dense, and one for each of
+    the ``slots`` sweep slots of the function that reads the most, which
+    the order-2 sweep holds at once, since it cannot split one function's
+    tables."""
+    n, rows = problem.n, problem.m + problem.p
+    slots = int(problem.sweep.reads.sum(axis=1).max(initial=0))
+    floats = (rows + 1 + slots) * n * n
     if floats > POINT_BUDGET:
         raise ValueError(
             f"the Hessians at a point of {n} coordinates, one for each of {rows} constraint "
-            f"rows and the objective, would hold {floats} floats, above the budget of "
-            f"{POINT_BUDGET} floats"
+            f"rows and the objective and one for each of the {slots} sweep slots of the widest "
+            f"function, would hold {floats} floats, above the budget of {POINT_BUDGET} floats"
         )
 
 
@@ -248,7 +254,7 @@ def evaluate_point(problem: Problem, x, tol_active: float = 1e-8) -> PointData:
         raise ValueError(f"point must have shape ({problem.n},), got {x.shape}")
     if not np.isfinite(x).all():
         raise ValueError("point has non-finite coordinates")
-    check_point_size(problem.n, problem.m + problem.p)
+    check_point_size(problem)
     m, count = problem.m, problem.m + problem.p
     values, grads, hesses = _sweep_point(problem, x, [count, *range(count)], 2)
     c_vals = values[1:]

@@ -245,9 +245,9 @@ class TestTraceArc:
         sweeps = []  # the plan of every sweep
         run = TapeSet._run
 
-        def counting(self, plan, X, order):
+        def counting(self, plan, X, order, tables=None):
             sweeps.append(plan)
-            return run(self, plan, X, order)
+            return run(self, plan, X, order, tables)
 
         named = {}  # the table of each gather
         gather = TapeSet.gather
@@ -303,9 +303,9 @@ class TestTraceArc:
         runs, rounds = [], []
         run = TapeSet._run
 
-        def counting(self, plan, X, order):
+        def counting(self, plan, X, order, tables=None):
             runs.append(order)
-            return run(self, plan, X, order)
+            return run(self, plan, X, order, tables)
 
         batch = arc_mod.newton_batch
 
@@ -465,6 +465,46 @@ class TestArcForDirection:
             assert report.error is None
             assert report.realized()
 
+    def test_each_distinct_direction_traced_once(self, monkeypatch):
+        # equal bits pin the same constraints and get the same chart and
+        # delta, so a repeated direction shares the report of its first
+        # occurrence; 0.0 and -0.0 are told apart, so both are traced
+        prob = load_problem(dict(BATTERY)["cylinder"])
+        pd = evaluate_point(prob, prob.point)
+        up, side, flip, down = (0.0, 0.0, 1.0), (0.0, 1.0, 0.0), (-0.0, 1.0, 0.0), (0.0, 0.0, -1.0)
+        dirs = [np.array(d) for d in (up, side, up, flip, down, side, up, down)]
+        alone = [arc_for_direction(prob, pd, d) for d in dirs]
+        verified, systems = [], []
+        verify, batch = arc_mod.verify_arc, arc_mod.newton_batch
+
+        def counting_verify(arc, pd, pinned, tol):
+            verified.append(arc.direction.tobytes())
+            return verify(arc, pd, pinned, tol)
+
+        def counting_batch(evaluate, start, targets, tol):
+            def one_round(rows, X):
+                systems.append(len(X))
+                return evaluate(rows, X)
+
+            return batch(one_round, start, targets, tol)
+
+        monkeypatch.setattr(arc_mod, "verify_arc", counting_verify)
+        monkeypatch.setattr(arc_mod, "newton_batch", counting_batch)
+        reports = arcs_for_directions(prob, pd, dirs)
+        # down leaves the cone (x3 >= 0): an error, traced by no one
+        assert sorted(verified) == sorted(np.array(d).tobytes() for d in (up, side, flip))
+        assert max(systems) == 2 * 3  # both sides of the three distinct arcs
+        assert reports[0] is reports[2] is reports[6] and reports[1] is reports[5]
+        assert reports[4] is reports[7] and reports[1] is not reports[3]
+        for rep, ref in zip(reports, alone):
+            assert rep.direction.tobytes() == ref.direction.tobytes()
+            assert (rep.error, rep.chart_summary) == (ref.error, ref.chart_summary)
+            if ref.arc is None:
+                assert rep.arc is rep.properties is None
+                continue
+            assert_same_arc(rep.arc, ref.arc)
+            assert rep.properties.checks == ref.properties.checks
+
     def test_arc_budget(self, monkeypatch):
         # a sample keeps t, the point and the constraint values: 4 floats
         # on the circle.  A run of up to 8 arcs of 41 samples always runs
@@ -530,9 +570,9 @@ class TestLockstepMarch:
         passes = []
         run = TapeSet._run
 
-        def counting(self, plan, X, order):
+        def counting(self, plan, X, order, tables=None):
             passes.append(len(X))
-            return run(self, plan, X, order)
+            return run(self, plan, X, order, tables)
 
         monkeypatch.setattr(linalg, "stack_chunk", lambda floats: 3)
         monkeypatch.setattr(TapeSet, "_run", counting)

@@ -343,6 +343,15 @@ class TestMain:
                 ["vars 2\nobjective 1e308*x1^2 - 1e308*x2^2\nineq -x1\npoint 0 0\n"],
                 "objective: Hessian at the point has an infinite entry",
             ),
+            # the point's Hessians fit, 4000^2 floats, but the objective's
+            # sweep holds one 4000 x 4000 table for each of its 120 slots
+            (
+                ["vars 4000\nobjective " + " + ".join(f"x{i}*x{i + 1}" for i in range(1, 41))
+                 + f"\npoint {' 0' * 4000}\n"],
+                "point is too large for this problem: the Hessians at a point of 4000 "
+                "coordinates, one for each of 0 constraint rows and the objective and one for "
+                "each of the 120 sweep slots of the widest function, would hold 1936000000 floats",
+            ),
         ],
     )
     def test_invalid_config_exit_two(self, flags, message, tmp_path, capsys):

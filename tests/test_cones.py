@@ -523,9 +523,10 @@ class TestStackedFaces:
 
     def test_many_forms_face_loop_memory_is_bounded(self):
         # 64 forms on 2^12 faces in R^12: every form's eigenpairs on every
-        # face would take about 80 MiB at once; the face chunks, their
-        # (faces, forms) table of lowest eigenvalues and the eigenproblems'
-        # own chunks keep the peak near the stacking budget
+        # face would take about 80 MiB at once; the face chunks, and per
+        # run of faces in _scan_faces the eigenpairs and the (faces, forms)
+        # table of lowest eigenvalues read from them, keep the peak near
+        # the stacking budget
         limit = 2 * linalg._STACK_BYTES
         dims = [12 - bin(mask).count("1") for mask in range(1 << 12)]
         assert 64 * sum(d * d for d in dims) * 8 > 10 * limit

@@ -145,6 +145,8 @@ class TestSobol:
 
     # the table state of a process that has read no table data
     UNREAD = (np.zeros(0, np.int64),) * 2 + (np.zeros((0, 0), np.int64),)
+    # and the direction-number bits of a process that has made no call
+    NO_BITS = (0, 0, np.zeros((0, 30, 0), bool))
 
     @pytest.mark.parametrize("d", [*range(1, 13), 30, 64])
     def test_bit_identical_to_scipy(self, d):
@@ -206,6 +208,7 @@ class TestSobol:
         cases = [(d, n) for d in (2, 9, 70, 200, 9, 300, 3) for n in (2, 64)]
         expected = [_sobol.scrambled_sobol(d, n, [d, n]) for d, n in cases]
         monkeypatch.setattr(_sobol, "_read", self.UNREAD)
+        monkeypatch.setattr(_sobol, "_bits", self.NO_BITS)
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
@@ -215,6 +218,23 @@ class TestSobol:
         finally:
             sys.setswitchinterval(interval)
         assert all(np.array_equal(g, e) for g, e in zip(got, expected * 4))
+
+    def test_interleaved_shapes_keep_their_bits(self, monkeypatch):
+        # the bits of the last (d, m) are kept for the next call; calls
+        # that switch between shapes give the points of calls that each
+        # build their own bits
+        cases = [(2, 64), (5, 64), (2, 64), (2, 64), (2, 9), (9, 300), (2, 64), (2, 33)]
+        alone = []
+        for d, n in cases:
+            monkeypatch.setattr(_sobol, "_bits", self.NO_BITS)
+            alone.append(_sobol.scrambled_sobol(d, n, [d, n, 4]))
+        monkeypatch.setattr(_sobol, "_bits", self.NO_BITS)
+        for (d, n), expected in zip(cases, alone):
+            got = _sobol.scrambled_sobol(d, n, [d, n, 4])
+            assert got.tobytes() == expected.tobytes(), (d, n)
+            kept_d, kept_m, bits = _sobol._bits
+            assert (kept_d, kept_m) == (d, max(n - 1, 0).bit_length())
+            assert bits.shape == (kept_d, 30, kept_m) and not bits.flags.writeable
 
     def test_import_reads_no_table_data(self):
         src = os.path.dirname(os.path.dirname(nlpcheck.__file__))

@@ -8,10 +8,12 @@ import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
 from nlpcheck.cones import critical_cone_multiplier_form
-from nlpcheck.expr import DomainError
+from nlpcheck.expr import DomainError, TapeSet
 from nlpcheck.kkt import check_kkt
 from nlpcheck.model import (
+    POINT_BUDGET,
     ProblemError,
+    check_point_size,
     evaluate_point,
     feasibility,
     lagrangian_hessian,
@@ -174,6 +176,39 @@ class TestEvaluatePoint:
         assert_allclose(pd.c_vals, [0.0], atol=1e-15)
         assert_allclose(pd.c_grads, [[2.0, 0.0]])
         assert_allclose(pd.c_hesses[0], 2.0 * np.eye(2))
+
+    def test_point_size_counts_the_widest_functions_slots(self):
+        # 2048^2 = 2^22 floats per table: 4 rows, the objective and the 11
+        # slots of x1*x2 + x3*x4 + x5*x6 (6 variables, 3 products, 2 sums)
+        # fill the budget of 2^26 floats exactly; a fifth row is over it
+        objective = "objective x1*x2 + x3*x4 + x5*x6\n"
+        check_point_size(load_problem("vars 2048\n" + objective + "ineq x1\n" * 4))
+        with pytest.raises(ValueError, match="the 11 sweep slots of the widest function, would "
+                           f"hold {17 << 22} floats, above the budget of {POINT_BUDGET} floats"):
+            check_point_size(load_problem("vars 2048\n" + objective + "ineq x1\n" * 5))
+
+    def test_point_too_large_for_its_sweep_fails_before_any_sweep(self, monkeypatch):
+        # 40 products over 4000 variables: the point's own Hessian table,
+        # 16,000,000 floats, fits, but the objective's sweep holds a
+        # 4000 x 4000 table for each of its 120 slots (14.3 GiB), which no
+        # chunking splits
+        terms = " + ".join(f"x{i}*x{i + 1}" for i in range(1, 41))
+        prob = load_problem(f"vars 4000\nobjective {terms}\n")
+
+        def no_sweep(*args, **kwargs):
+            raise AssertionError("a tape was swept before the size check")
+
+        monkeypatch.setattr(TapeSet, "_run", no_sweep)
+        x = np.zeros(4000)
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="the 120 sweep slots of the widest function, "
+                               "would hold 1936000000 floats"):
+                evaluate_point(prob, x)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
 
     def test_domain_error_labels_constraint(self):
         prob = load_problem("vars 1\nobjective x1\nineq log(x1)\npoint 1\n")

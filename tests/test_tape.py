@@ -312,9 +312,9 @@ class TestSweep:
         runs = []
         run = TapeSet._run
 
-        def counting(self, plan, X, order):
+        def counting(self, plan, X, order, tables=None):
             runs.append(len(X))
-            return run(self, plan, X, order)
+            return run(self, plan, X, order, tables)
 
         monkeypatch.setattr(TapeSet, "_run", counting)
         whole = [one.evaluate(X, order=order) for order in range(3)]
@@ -348,9 +348,9 @@ class TestSweep:
         runs = []
         run = TapeSet._run
 
-        def counting(self, plan, X, order):
+        def counting(self, plan, X, order, tables=None):
             runs.append(len(X))
-            return run(self, plan, X, order)
+            return run(self, plan, X, order, tables)
 
         monkeypatch.setattr(TapeSet, "_run", counting)
         failed = 0
@@ -369,6 +369,49 @@ class TestSweep:
                     elif ok[i, r]:
                         assert same_bits(F[i, j], values[i, r]) and same_bits(J[i, j], grads[i, r])
         assert failed > 0  # some line leaves the domain somewhere
+
+    @pytest.mark.parametrize("step, builds", [
+        (12, [[12], [5], [], [7], [12]]),  # one pass; 7 drops 12, and 12 drops 5
+        (5, [[5, 2], [], [], [], []]),  # passes of 5, the last one of 5 or 2
+    ])
+    def test_gather_keeps_its_tables_across_batch_sizes(self, step, builds, monkeypatch):
+        # one Gather evaluated at 12 points, then 5, 12, 7 and 12, each
+        # round at new points: every round has evaluate's bits and flags,
+        # the rounds after one whose points left the domain included, and
+        # tables are built only for a pass width other than the last two
+        exprs, _ = corpus(seed=6, count=12)
+        sweep = compile_trees(exprs)
+        lines = np.array([[0, 5, ~3, ~0], [7, 7, 2, ~1], [~3, ~2, ~1, ~0]])
+        built = []
+        tables = TapeSet._tables
+
+        def counting(plan, P, n, order):
+            built[-1].append(P)
+            return tables(plan, P, n, order)
+
+        monkeypatch.setattr(linalg, "stack_chunk", lambda floats: step)
+        gather = sweep.gather(lines, 4)
+        failed = []
+        for seed, P in zip((7, 8, 9, 10, 11), (12, 5, 12, 7, 12)):
+            _, points = corpus(seed=seed, count=0)
+            X = np.hstack([np.array(points[:P]), np.arange(P)[:, None] - 2.0])
+            at = (np.arange(P) + seed) % len(lines)
+            values, grads, _, ok = sweep.evaluate(X)
+            built.append([])
+            with monkeypatch.context() as patch:
+                patch.setattr(TapeSet, "_tables", staticmethod(counting))
+                F, J, fine = gather.evaluate(X, at)
+            failed.append(int((~fine).sum()))
+            for i, line in enumerate(lines[at]):
+                tapes = [r for r in line if r >= 0]
+                assert fine[i] == ok[i, tapes].all()
+                for j, r in enumerate(line):
+                    if r < 0:
+                        assert same_bits(F[i, j], X[i, ~r]) and same_bits(J[i, j], np.eye(4)[~r])
+                    elif ok[i, r]:
+                        assert same_bits(F[i, j], values[i, r]) and same_bits(J[i, j], grads[i, r])
+        assert built == builds
+        assert all(failed)  # every round leaves the domain somewhere, so each follows one that did
 
     def test_zero_outputs_and_zero_points(self):
         values, grads, _, ok = Compiler(2).finish([]).evaluate(np.ones((3, 2)))
