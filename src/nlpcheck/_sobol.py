@@ -8,13 +8,13 @@ bit for bit without importing SciPy.  The direction-number table is the
 file SciPy ships; see ``_sobol_direction_numbers.LICENSE`` for its origin
 and licence.
 
-The table has 21201 rows, but a call in d dimensions reads only its first
-d rows, and of those only the columns below the rows' largest polynomial
-degree (5 for d <= 9).  Import reads no table data: ``MAXDIM`` comes from
-the header of the ``poly`` member.  The first call decompresses the rows
-and columns it needs (at least 64 rows), and keeps them for the rest of
-the process; a call that needs more reads the table again, with the rows
-at least doubled.
+The table has 21201 rows, but only its leading rows are read, and of
+those only the columns below the rows' largest polynomial degree (9 for
+the first 64 rows).  Import reads no table data: ``MAXDIM`` comes from the
+header of the ``poly`` member.  The first call reads at least 64 rows and
+keeps the bits of their direction numbers, all 30 of each, for the rest of
+the process; a call in more dimensions reads the table again, with the
+rows at least doubled.
 """
 
 from __future__ import annotations
@@ -70,75 +70,66 @@ with zipfile.ZipFile(_TABLE) as _archive, _archive.open("poly.npy") as _stream:
     (MAXDIM,), _, _ = _read_header(_stream)
 del _archive, _stream
 
-# (poly, degree, vinit) over the rows and columns read so far; replaced,
-# never mutated, so that concurrent callers each see a consistent triple
-_read = (np.zeros(0, dtype=np.int64),) * 2 + (np.zeros((0, 0), dtype=np.int64),)
-
-
-def _table(d: int, m: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The first ``d`` polynomials, their degrees, and their initial
-    direction numbers, with at least the columns the first ``m`` direction
-    numbers use."""
-    global _read
-    poly, deg, vinit = _read
-    if d > poly.size:
-        poly = _read_leading("poly", min(max(d, _MIN_ROWS, 2 * poly.size), MAXDIM))
-        deg = np.frexp(poly)[1] - 1  # degree of each primitive polynomial
-    # row i has deg(P_i) initial values, the rest come from the recurrence
-    cols = max(min(m, int(deg[:d].max(initial=0))), vinit.shape[1])
-    if vinit.shape != (poly.size, cols):
-        vinit = _read_leading("vinit", poly.size, cols)
-        _read = poly, deg, vinit
-    return poly[:d], deg[:d], vinit[:d]
-
-
-def _direction_numbers(d: int, m: int) -> np.ndarray:
-    """First m columns of the ``(d, 30)`` direction numbers.
+def _direction_numbers(d: int) -> np.ndarray:
+    """The ``(d, 30)`` direction numbers of the first ``d`` dimensions.
 
     Row 0 is all ones.  Row i starts from the ``s = deg(P_i)`` initial
     values in the table and continues by the Bratley-Fox recurrence
     ``v_j = v_{j-s} ^ XOR_k a_k 2^(k+1) v_{j-1-k}`` (k < s), where ``a_k``
     is bit ``s-1-k`` of the polynomial, so ``a_{s-1} = 1``.  Every term is
     below ``2^30``, so the int64 arithmetic never wraps.  Column j is
-    finally scaled by ``2^(29 - j)``.
+    finally scaled by ``2^(29 - j)``.  Only the table's first ``d`` rows,
+    and of those only the columns below their largest degree, are read.
     """
-    poly, deg, vinit = _table(d, m)
+    poly = _read_leading("poly", d)
+    deg = np.frexp(poly)[1] - 1  # degree of each primitive polynomial
     w = int(deg.max(initial=0))
+    # row i has deg(P_i) initial values, the rest come from the recurrence
+    vinit = _read_leading("vinit", d, w)
     # window column c holds lag k + 1 = w - c; ``mult`` is a_k 2^(k+1)
     k = np.arange(w)[::-1]
     bit_k = (poly[:, None] >> np.maximum(deg[:, None] - 1 - k, 0)) & 1
     mult = np.where(k < deg[:, None], bit_k, 0) << (k + 1)
     # w zero columns in front, so every window is a plain slice
-    v = np.zeros((d, w + m), dtype=np.int64)
-    init = np.arange(m) < deg[:, None]
-    cols = min(m, vinit.shape[1])
-    v[:, w : w + cols] = np.where(init[:, :cols], vinit[:, :cols], 0)
+    v = np.zeros((d, w + _BITS), dtype=np.int64)
+    init = np.arange(_BITS) < deg[:, None]
+    cols = vinit.shape[1]
+    v[:, w : w + cols] = np.where(init[:, :cols], vinit, 0)
     rows, lag_s = np.arange(d), w - deg
-    for j in range(1, m):
+    for j in range(1, _BITS):
         new = np.bitwise_xor.reduce(v[:, j : j + w] * mult, axis=1) ^ v[rows, lag_s + j]
         v[:, w + j] = np.where(init[:, j], v[:, w + j], new)
     v = v[:, w:]
     v[:1] = 1
-    return v << (_BITS - 1 - np.arange(m))
+    return v << (_BITS - 1 - np.arange(_BITS))
 
 
-# (d, m, bits): the last call's direction-number bits, read-only; replaced,
-# never mutated, like ``_read``
-_bits = (0, 0, np.zeros((0, _BITS, 0), dtype=bool))
+# the bits of the direction numbers of the first D dimensions, shape
+# (D, 30 bits, 30 columns), most significant bit first; read-only, and
+# replaced, never mutated, so that concurrent callers each see a whole table
+_bits = np.zeros((0, _BITS, _BITS), dtype=bool)
 
 
 def _direction_bits(d: int, m: int) -> np.ndarray:
     """The bits of the first m direction numbers of each of d dimensions,
-    shape (d, 30, m), most significant first; the last (d, m) asked for is
-    kept, since an analysis asks for the same one several times."""
+    shape (d, 30, m), most significant first.
+
+    A slice of ``_bits``, which holds at least 64 dimensions; a call that
+    needs more reads the table and computes the bits once, for at least
+    twice as many.  The direction numbers of fewer dimensions, or of fewer
+    columns, are a prefix of them, so no later call that needs less reads
+    the table again.
+    """
     global _bits
-    kept_d, kept_m, bits = _bits
-    if (kept_d, kept_m) != (d, m):
-        msb_first = 1 << np.arange(_BITS, dtype=np.int64)[::-1]
-        bits = (_direction_numbers(d, m)[:, None, :] & msb_first[:, None]) != 0
+    bits = _bits
+    if d > bits.shape[0]:
+        rows = min(max(d, _MIN_ROWS, 2 * bits.shape[0]), MAXDIM)
+        # each number as 4 big-endian bytes, of which the low 30 bits count
+        octets = _direction_numbers(rows).astype(">u4").view(np.uint8).reshape(rows, _BITS, 4)
+        bits = np.unpackbits(octets, axis=2)[:, :, 32 - _BITS :].transpose(0, 2, 1).view(bool)
         bits.flags.writeable = False
-        _bits = d, m, bits
-    return bits
+        _bits = bits
+    return bits[:d, :, :m]
 
 
 def scrambled_sobol(d: int, n: int, entropy) -> np.ndarray:

@@ -33,9 +33,9 @@ from nlpcheck import cones, cq, kkt
 from nlpcheck._sobol import MAXPOINTS
 from nlpcheck._version import __version__
 from nlpcheck.expr import DomainError
-from nlpcheck.linalg import entry_bound, nnls_bound, norm_bound
+from nlpcheck.linalg import norm_bound
 from nlpcheck.model import (
-    Problem, ProblemError, check_point_size, evaluate_point, feasibility, load_problem, row_label
+    Problem, ProblemError, check_point_size, evaluate_point, feasibility, load_problem
 )
 from nlpcheck.problems import builtin_names, builtin_source
 
@@ -79,8 +79,6 @@ class RunConfig:
     arc_sample: int = 8
     arc_points: int = 41
     delta: float = 0.1
-    json_path: str | None = None
-    csv_dir: str | None = None
 
 
 def _load(config: RunConfig) -> tuple[str, Problem]:
@@ -240,8 +238,11 @@ def run(config: RunConfig) -> dict:
 
     try:
         feas = feasibility(problem, x, config.tol_active)
+        pd = evaluate_point(problem, x, config.tol_active) if feas.feasible else None
     except DomainError as exc:
         raise InputError(f"point outside the problem domain: {exc}") from exc
+    except ValueError as exc:
+        raise InputError(str(exc)) from exc
     report["feasibility"] = {
         "feasible": feas.feasible,
         "max_ineq_violation": feas.max_ineq_violation,
@@ -257,33 +258,6 @@ def run(config: RunConfig) -> dict:
         report["arcs"] = {"skipped": reason}
         return report
 
-    try:
-        pd = evaluate_point(problem, x, config.tol_active)
-    except DomainError as exc:
-        raise InputError(f"point outside the problem domain: {exc}") from exc
-    # an overflowing sigma_max would give every rank decision rank 0
-    table = pd.c_grads[pd.rows]
-    labels = ["%s %d" % row_label(pd.m, k) for k in pd.rows]
-    for label, ok in zip(labels, (np.abs(table) <= entry_bound(*table.shape)).all(axis=1)):
-        if not ok:
-            raise InputError(f"{label}: gradient at the point too large to rank")
-    # the multiplier probe solves nnls(table.T, f_grad), which would overflow
-    if (np.abs(pd.f_grad) > nnls_bound(table.T)).any():
-        raise InputError("objective: gradient at the point too large for the multiplier solve")
-    # cone sampling and chart pivoting square the norms of these rows
-    for label, ok in zip(labels, (np.abs(table) <= norm_bound(problem.n)).all(axis=1)):
-        if not ok:
-            raise InputError(f"{label}: gradient at the point too large to square its norm")
-    # a NaN or infinite Hessian entry would read SSONC as undetermined at
-    # value 0.  Every constraint enters the Lagrangian Hessian, even with a
-    # zero multiplier (0 * NaN and 0 * inf are NaN).  Checked after the
-    # gradient bounds, so that an overflowing gradient is named as such
-    names = ["objective"] + ["%s %d" % row_label(pd.m, k) for k in range(len(pd.c_vals))]
-    for name, H in zip(names, [pd.f_hess, *pd.c_hesses]):
-        if np.isnan(H).any():
-            raise InputError(f"point outside the problem domain: {name}: Hessian has a NaN entry")
-        if np.isinf(H).any():
-            raise InputError(f"{name}: Hessian at the point has an infinite entry")
     report["active_set"] = list(pd.active)
     report["objective_value"] = pd.f_val
 
@@ -302,7 +276,7 @@ def run(config: RunConfig) -> dict:
     ms = kkt.solve_multipliers(pd, tol=config.tol_rank)
     report["kkt"] = {
         "stationarity_residual": ms.residual,
-        "is_kkt_point": ms.residual <= config.tol_rank and bool(ms.vertices),
+        "is_kkt_point": bool(ms.vertices),
         "vertices": [
             {"mu": [float(v) for v in mu], "lam": [float(v) for v in lam]}
             for mu, lam in ms.vertices
@@ -315,7 +289,7 @@ def run(config: RunConfig) -> dict:
         "partial": ms.partial,
         "note": ms.note,
     }
-    if ms.vertices and ms.residual <= config.tol_rank:
+    if ms.vertices:
         ss = kkt.check_ssonc(pd, ms)
         report["ssonc"] = {
             "status": ss.status,
@@ -580,7 +554,8 @@ def main(argv=None) -> int:
     )
     pa.add_argument("problem", help="problem file path, or builtin:NAME")
     pa.add_argument("--point", help="candidate point v1,...,vn (overrides the file)")
-    for flag, kind, what in (
+    # each flag sets the RunConfig field of its name
+    flags = (
         ("--seed", int, "sampling seed"),
         ("--samples", int, "samples per radius in the rank scans"),
         ("--tol-rank", float, "singular-value cutoff for rank decisions"),
@@ -591,9 +566,12 @@ def main(argv=None) -> int:
         ("--arc-sample", int, "number of sampled arc directions"),
         ("--arc-points", int, "samples per arc, odd and >= 5"),
         ("--delta", float, "arc half-width"),
-    ):
-        default = getattr(RunConfig, flag[2:].replace("-", "_"))
-        pa.add_argument(flag, type=kind, default=default, help=f"{what} (default %(default)s)")
+    )
+    fields = [flag[2:].replace("-", "_") for flag, _, _ in flags]
+    for (flag, kind, what), name in zip(flags, fields):
+        pa.add_argument(
+            flag, type=kind, default=getattr(RunConfig, name), help=f"{what} (default %(default)s)"
+        )
     pa.add_argument(
         "--radii",
         default=",".join(str(r) for r in RunConfig.radii),
@@ -614,20 +592,9 @@ def main(argv=None) -> int:
         config = RunConfig(
             problem=args.problem,
             point=_parse_vector(args.point, "--point") if args.point else None,
-            seed=args.seed,
             radii=tuple(float(r) for r in _parse_vector(args.radii, "--radii")),
-            samples=args.samples,
-            tol_rank=args.tol_rank,
-            tol_active=args.tol_active,
-            tol_dir=args.tol_dir,
-            newton_tol=args.newton_tol,
-            verify_tol=args.verify_tol,
             arc_dirs=tuple(_parse_vector(d, "--arc-dir") for d in args.arc_dir),
-            arc_sample=args.arc_sample,
-            arc_points=args.arc_points,
-            delta=args.delta,
-            json_path=args.json_path,
-            csv_dir=args.csv_dir,
+            **{name: getattr(args, name) for name in fields},
         )
         start = time.perf_counter()
         report = run(config)
@@ -645,21 +612,21 @@ def main(argv=None) -> int:
     # early (say, ``| head -1``) still gets them
     failure = None
     try:
-        if config.json_path:
-            _atomic_write(config.json_path, report_to_json(report))
-            lines.append(f"report written to {config.json_path}")
-        if config.csv_dir:
+        if args.json_path:
+            _atomic_write(args.json_path, report_to_json(report))
+            lines.append(f"report written to {args.json_path}")
+        if args.csv_dir:
             arcs = report.get("arcs", {})
             entries = arcs.get("entries", []) if isinstance(arcs, dict) else []
-            os.makedirs(config.csv_dir, exist_ok=True)
+            os.makedirs(args.csv_dir, exist_ok=True)
             written = 0
             for k, entry in enumerate(entries):
                 if "samples" not in entry:
                     continue
-                path = os.path.join(config.csv_dir, f"arc_{k + 1:02d}.csv")
+                path = os.path.join(args.csv_dir, f"arc_{k + 1:02d}.csv")
                 emit_plot_data(entry, path)
                 written += 1
-            lines.append(f"{written} arc CSV file(s) written to {config.csv_dir}")
+            lines.append(f"{written} arc CSV file(s) written to {args.csv_dir}")
     except OSError as exc:
         failure = exc
     closed = False

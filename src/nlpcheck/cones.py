@@ -315,10 +315,12 @@ def min_quadratics_on_cone(Hs, cone: ConeRep) -> list[QuadOnConeResult]:
     SVD group in a run gives every form's eigenpairs on those faces.  Each
     form then walks the run's faces whose lowest eigenvalue is below its
     running minimum, in mask order, with the eigenpairs that made them
-    candidates.  A form with a non-finite entry, or one above
-    ``float max / (4 n)``, is not minimized, since its restricted forms or
-    ``d @ H @ d`` could overflow.  Such a form, a form for which no face
-    yields a feasible eigenvector, and every form beyond the limit, gets
+    candidates.  A form is walked scaled by the power of two that brings
+    its entries within ``float max / (4 n)``, so that its restricted forms
+    and ``d @ H @ d`` stay finite, and its minimum is scaled back (-inf
+    past the float range).  A form with a non-finite entry is not
+    minimized.  Such a form, a form for which no face yields a feasible
+    eigenvector, and every form beyond the limit, gets
     the certified zero minimum when the {0} test passed and an uncertified
     result otherwise.  Results are returned in the order of ``Hs``.
     """
@@ -331,7 +333,11 @@ def min_quadratics_on_cone(Hs, cone: ConeRep) -> list[QuadOnConeResult]:
         # no face can yield a feasible eigenvector (see the docstring)
         return [_flat_minimum(cone.n, True) for _ in Hs]
     limit = np.finfo(float).max / (4 * cone.n)  # see the docstring
-    minimized = [q for q, H in enumerate(Hs) if np.abs(H).max() <= limit]
+    tops = [float(np.abs(H).max()) for H in Hs]
+    minimized = [q for q, top in enumerate(tops) if math.isfinite(top)]
+    # the power of two that brings each form under the limit
+    shift = [math.frexp(tops[q] / limit)[1] if tops[q] > limit else 0 for q in minimized]
+    scaled = [np.ldexp(Hs[q], -s) for q, s in zip(minimized, shift)]
     best: list[QuadOnConeResult | None] = [None] * len(minimized)
     k_in = cone.a_in.shape[0]
     faces = 1 << k_in if k_in <= _FACIAL_LIMIT and minimized else 0
@@ -341,7 +347,10 @@ def min_quadratics_on_cone(Hs, cone: ConeRep) -> list[QuadOnConeResult]:
     chunk = stack_chunk((rows + cone.n) ** 2 + len(minimized))
     for start in range(0, faces, chunk):
         masks = np.arange(start, min(faces, start + chunk))
-        _scan_faces(masks, cone, [Hs[q] for q in minimized], best)
+        _scan_faces(masks, cone, scaled, best)
+    for res, s in zip(best, shift):
+        if res is not None:
+            res.min_value *= 2.0**s  # a Python float product: -inf past the range, silently
     found = dict(zip(minimized, best))
     return [found.get(q) or _flat_minimum(cone.n, zero) for q in range(len(Hs))]
 

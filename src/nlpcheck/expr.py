@@ -68,6 +68,8 @@ from itertools import groupby
 
 import numpy as np
 
+from nlpcheck.linalg import stack_chunk
+
 __all__ = [
     "ExprError",
     "ParseError",
@@ -364,8 +366,6 @@ class TapeSet:
         a group's temporaries, fit within the stacking budget (a lone row's
         may not).
         """
-        from nlpcheck.linalg import stack_chunk  # linalg imports this module
-
         X = np.asarray(X, dtype=float)
         P, n = X.shape
         rows = np.arange(len(self.outputs)) if rows is None else np.asarray(rows, dtype=int)
@@ -433,8 +433,6 @@ class TapeSet:
         points of ``n`` coordinates.  An entry r >= 0 names output r; an
         entry ``~k`` (that is, -1 - k) names the coordinate x_{k+1}, whose
         value and unit gradient the sweep holds in a variable slot."""
-        from nlpcheck.linalg import stack_chunk  # linalg imports this module
-
         outputs = np.asarray(outputs, dtype=int)
         # the outputs and coordinates named, found by masks: np.unique
         # imports numpy.ma (close to 1 MiB of memory) on numpy 2.4

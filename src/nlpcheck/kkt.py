@@ -55,8 +55,10 @@ class MultiplierSet:
     """KKT multiplier polyhedron at a point.
 
     ``residual`` is the infinity-norm stationarity residual of the
-    sign-constrained least-squares probe; the point is a KKT point exactly
-    when it is below tolerance.  ``vertices`` and ``rays`` list (mu, lam)
+    sign-constrained least-squares probe.  :func:`solve_multipliers` at
+    ``tol`` lists no vertex exactly when the residual exceeds ``tol``, so
+    the point is a KKT point exactly when ``vertices`` is nonempty; that
+    is the one KKT-point rule.  ``vertices`` and ``rays`` list (mu, lam)
     pairs with mu of full length m (inactive entries zero), deduplicated and
     sorted lexicographically.  ``partial`` flags results where enumeration
     was skipped or degenerate, in which case ``vertices`` may hold only a

@@ -20,8 +20,6 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from nlpcheck.expr import DomainError
-
 __all__ = [
     "RankInfo",
     "numerical_rank",
@@ -387,6 +385,8 @@ def newton_solve(
     ``(F(x), J(x))``, and a :class:`DomainError` it raises marks ``x`` as
     outside the domain.  Raises the system's :class:`NewtonError`, and
     returns ``start`` itself when it already solves the system."""
+    from nlpcheck.expr import DomainError  # expr imports this module
+
     evaluated = []
 
     def evaluate(rows, X):

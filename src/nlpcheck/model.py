@@ -29,7 +29,8 @@ after that.  The outputs of ``Problem.sweep`` and the ``c_*`` arrays of
 ``Problem.sweep`` has one more output, after the constraint rows: the
 objective.  :func:`check_point_size` bounds the dense Hessian tables of a
 point, and those of the sweep that computes them, before
-:func:`evaluate_point` builds them.
+:func:`evaluate_point` builds them.  :func:`evaluate_point` is the one gate
+for point data: it admits only what every analysis layer can work on.
 """
 
 from __future__ import annotations
@@ -40,6 +41,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from nlpcheck.expr import Compiler, DomainError, TapeSet
+from nlpcheck.linalg import entry_bound, nnls_bound, norm_bound
 
 __all__ = [
     "ProblemError",
@@ -241,13 +243,20 @@ def check_point_size(problem: Problem) -> None:
 
 
 def evaluate_point(problem: Problem, x, tol_active: float = 1e-8) -> PointData:
-    """Evaluate every problem function with derivatives at ``x``.
+    """Evaluate every problem function with derivatives at ``x``, and admit
+    only point data that every analysis layer can work on.
 
-    Domain violations are re-raised with the offending function named
-    (objective, or the first constraint row that fails), and so is a NaN
-    value or objective gradient entry, and then a NaN gradient entry of an
-    active inequality or an equality (the rows whose ranks are decided).
-    A point too large for :func:`check_point_size` raises ``ValueError``.
+    A domain violation names the failing function (the objective, or the
+    first constraint row), and so does each later ``DomainError``: a NaN
+    value or objective gradient entry, a NaN gradient entry of a ranked row
+    (``PointData.rows``), and last a NaN Hessian entry of any function,
+    since ``0 * NaN`` is NaN in the Lagrangian Hessian.  ``ValueError``
+    names, in order, a ranked row's gradient above ``entry_bound`` (its
+    rank could read 0), an objective gradient above ``nnls_bound`` of those
+    rows, a ranked row's gradient above ``norm_bound`` (its squared norm
+    could overflow), and an infinite Hessian entry.  A point of the wrong
+    shape or with a non-finite coordinate raises ``ValueError`` too, and so
+    does one too large for :func:`check_point_size`.
     """
     x = np.asarray(x, dtype=float)
     if x.shape != (problem.n,):
@@ -256,7 +265,8 @@ def evaluate_point(problem: Problem, x, tol_active: float = 1e-8) -> PointData:
         raise ValueError("point has non-finite coordinates")
     check_point_size(problem)
     m, count = problem.m, problem.m + problem.p
-    values, grads, hesses = _sweep_point(problem, x, [count, *range(count)], 2)
+    outputs = [count, *range(count)]  # the objective, then the constraint rows
+    values, grads, hesses = _sweep_point(problem, x, outputs, 2)
     c_vals = values[1:]
     pd = PointData(
         x=x.copy(),
@@ -270,9 +280,27 @@ def evaluate_point(problem: Problem, x, tol_active: float = 1e-8) -> PointData:
         active=tuple(k + 1 for k in range(m) if abs(c_vals[k]) <= tol_active),
         tol_active=tol_active,
     )
-    for k in pd.rows:
+    rows = pd.rows
+    for k in rows:
         if np.isnan(pd.c_grads[k]).any():
             raise DomainError(f"{_label(problem, k)}: gradient has a NaN entry")
+    table = pd.c_grads[rows]
+
+    def bound_rows(bound: float, what: str) -> None:
+        for k, ok in zip(rows, (np.abs(table) <= bound).all(axis=1)):
+            if not ok:
+                raise ValueError(f"{_label(problem, k)}: gradient at the point too large {what}")
+
+    bound_rows(entry_bound(*table.shape), "to rank")
+    if (np.abs(pd.f_grad) > nnls_bound(table.T)).any():
+        raise ValueError("objective: gradient at the point too large for the multiplier solve")
+    bound_rows(norm_bound(problem.n), "to square its norm")
+    # after the gradient bounds, so that an overflowing gradient is named as such
+    for k, H in zip(outputs, hesses):
+        if np.isnan(H).any():
+            raise DomainError(f"{_label(problem, k)}: Hessian has a NaN entry")
+        if np.isinf(H).any():
+            raise ValueError(f"{_label(problem, k)}: Hessian at the point has an infinite entry")
     return pd
 
 

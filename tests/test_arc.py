@@ -13,7 +13,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from nlpcheck import arc as arc_mod
-from nlpcheck import linalg
+from nlpcheck import expr
 from nlpcheck.arc import (
     ARC_BUDGET,
     DegenerateRankError,
@@ -574,7 +574,7 @@ class TestLockstepMarch:
             passes.append(len(X))
             return run(self, plan, X, order, tables)
 
-        monkeypatch.setattr(linalg, "stack_chunk", lambda floats: 3)
+        monkeypatch.setattr(expr, "stack_chunk", lambda floats: 3)
         monkeypatch.setattr(TapeSet, "_run", counting)
         chunked = arcs_for_directions(load_problem(workloads.chain_text(7)), pd, dirs)
         assert max(passes) == 3 and len(passes) > 3 * len(whole)

@@ -22,12 +22,15 @@ from nlpcheck.cli import (
     report_to_json,
     run,
 )
-from nlpcheck.model import load_problem
+from nlpcheck.expr import DomainError
+from nlpcheck.model import evaluate_point, load_problem
 from nlpcheck.problems import builtin_names, builtin_problem, builtin_source
 
 BENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "perfbench")
 sys.path.append(BENCH)
 import workloads  # noqa: E402
+from test_acceptance import BATTERY  # noqa: E402
+from test_cq import SEPARATING  # noqa: E402
 
 TOP_KEYS = [
     "tool",
@@ -93,6 +96,22 @@ class TestRun:
         report = run(RunConfig(problem=path))
         assert report["kkt"]["is_kkt_point"] is False
         assert "skipped" in report["ssonc"]
+
+    @pytest.mark.parametrize(
+        "text",
+        [builtin_source(name) for name in builtin_names()]
+        + [text for _, text in BATTERY]
+        + [text for text, _ in SEPARATING.values()],
+        ids=list(builtin_names()) + [name for name, _ in BATTERY] + list(SEPARATING),
+    )
+    def test_kkt_point_rule_is_a_vertex(self, text, tmp_path):
+        # solve_multipliers lists no vertex exactly when the stationarity
+        # residual exceeds the tolerance, so the report needs no residual test
+        path = tmp_path / "problem.nlp"
+        path.write_text(text)
+        kkt = run(RunConfig(str(path)))["kkt"]
+        residual_rule = kkt["stationarity_residual"] <= RunConfig.tol_rank
+        assert kkt["is_kkt_point"] == bool(kkt["vertices"]) == residual_rule
 
     def test_explicit_arc_directions(self):
         report = run(
@@ -470,6 +489,63 @@ class TestMain:
         assert code == 2
         err = capsys.readouterr().err
         assert f"point outside the problem domain: {message}" in err
+
+    @pytest.mark.parametrize(
+        "text, error, message",
+        [
+            (
+                "vars 2\nobjective x1^400 - x1^400 + x2\nineq x2 - 1\npoint 1e300 0\n",
+                DomainError,
+                "objective: value is NaN",
+            ),
+            (
+                "vars 2\nobjective x2\neq exp(-x1^4) + x2\npoint 1e150 0\n",
+                DomainError,
+                "eq 1: gradient has a NaN entry",
+            ),
+            (
+                "vars 2\nobjective x1\neq 1.5e308*x1 + 1.5e308*x2\npoint 0 0\n",
+                ValueError,
+                "eq 1: gradient at the point too large to rank",
+            ),
+            (
+                "vars 2\nobjective 1e200*x1 + 1e200*x2\nineq -x1\npoint 0 0\n",
+                ValueError,
+                "objective: gradient at the point too large for the multiplier solve",
+            ),
+            (
+                "vars 2\nobjective x1\nineq -x1\neq x2 - 2e154*x1\npoint 0 0\n",
+                ValueError,
+                "eq 1: gradient at the point too large to square its norm",
+            ),
+            (
+                "vars 2\nobjective x2\nineq -x2\nineq exp(-x1^4) - 1\npoint 1e80 0\n",
+                DomainError,
+                "ineq 2: Hessian has a NaN entry",
+            ),
+            (
+                "vars 2\nobjective 1e308*x1^2 - 1e308*x2^2\nineq -x1\npoint 0 0\n",
+                ValueError,
+                "objective: Hessian at the point has an infinite entry",
+            ),
+        ],
+        ids=[
+            "nan-value", "nan-gradient", "rank-bound", "multiplier-bound", "norm-bound",
+            "nan-hessian", "infinite-hessian",
+        ],
+    )
+    def test_point_admission_is_evaluate_points(self, text, error, message, tmp_path, capsys):
+        # the CLI prints model.evaluate_point's message, after the domain
+        # prefix for a DomainError
+        problem = load_problem(text)
+        with pytest.raises(error) as info:
+            evaluate_point(problem, problem.point)
+        assert info.type is error and str(info.value) == message
+        path = tmp_path / "gate.prob"
+        path.write_text(text)
+        assert main(["analyze", str(path)]) == 2
+        prefix = "point outside the problem domain: " if error is DomainError else ""
+        assert capsys.readouterr().err == f"error: {prefix}{message}\n"
 
     def test_feasibility_evaluates_values_only(self, tmp_path, capsys):
         # sqrt(x1) has a value at x1 = 0 but no derivative: an infeasible

@@ -143,10 +143,8 @@ class TestSampler:
 class TestSobol:
     """The in-house scrambled Sobol against ``scipy.stats.qmc.Sobol``."""
 
-    # the table state of a process that has read no table data
-    UNREAD = (np.zeros(0, np.int64),) * 2 + (np.zeros((0, 0), np.int64),)
-    # and the direction-number bits of a process that has made no call
-    NO_BITS = (0, 0, np.zeros((0, 30, 0), bool))
+    # the direction-number bits of a process that has made no call
+    NO_BITS = np.zeros((0, 30, 30), bool)
 
     @pytest.mark.parametrize("d", [*range(1, 13), 30, 64])
     def test_bit_identical_to_scipy(self, d):
@@ -193,21 +191,49 @@ class TestSobol:
         assert got.dtype == vinit.dtype and np.array_equal(got, vinit[:rows, :cols])
 
     def test_table_grows_as_calls_need(self, monkeypatch):
-        monkeypatch.setattr(_sobol, "_read", self.UNREAD)
+        monkeypatch.setattr(_sobol, "_bits", self.NO_BITS)
+        reads = []
+        read = _sobol._read_leading
+
+        def counting(name, rows, cols=1):
+            reads.append((name, rows, cols))
+            return read(name, rows, cols)
+
+        monkeypatch.setattr(_sobol, "_read_leading", counting)
         shapes = []
         for d, m in [(3, 6), (9, 6), (9, 6), (9, 1), (100, 1), (150, 20), (1, 30)]:
-            poly, deg, vinit = _sobol._table(d, m)
-            assert poly.size == deg.size == vinit.shape[0] == d
-            shapes.append(_sobol._read[2].shape)
-        # at least 64 rows, then doubled; the columns the degrees need
-        assert shapes == [(64, 2), (64, 5), (64, 5), (64, 5), (128, 5), (256, 10), (256, 10)]
+            bits = _sobol._direction_bits(d, m)
+            assert bits.shape == (d, 30, m) and not bits.flags.writeable
+            shapes.append(_sobol._bits.shape)
+        # at least 64 rows, then doubled, each at all 30 columns
+        assert shapes == [(64, 30, 30)] * 4 + [(128, 30, 30), (256, 30, 30), (256, 30, 30)]
+        # each growth reads the rows once, and the columns their degrees need
+        assert reads == [("poly", 64, 1), ("vinit", 64, 9), ("poly", 128, 1), ("vinit", 128, 10),
+                         ("poly", 256, 1), ("vinit", 256, 11)]
+
+    def test_smaller_shape_after_a_larger_one_reads_no_table(self, monkeypatch):
+        # the direction numbers of fewer dimensions, or of fewer columns,
+        # are a prefix of those of more
+        monkeypatch.setattr(_sobol, "_bits", self.NO_BITS)
+        _sobol.scrambled_sobol(64, 4096, [0, 0])
+        numbers = {d: _sobol._direction_numbers(d) for d in (1, 2, 5, 40, 64)}
+
+        def no_read(*args):
+            raise AssertionError("the table was read again")
+
+        monkeypatch.setattr(_sobol, "_read_leading", no_read)
+        msb_first = 1 << np.arange(30, dtype=np.int64)[::-1]
+        for d, v in numbers.items():
+            for m in (1, 6, 12, 30):
+                expected = (v[:, None, :m] & msb_first[:, None]) != 0
+                assert np.array_equal(_sobol._direction_bits(d, m), expected), (d, m)
+            _sobol.scrambled_sobol(d, 64, [d, 4])
 
     def test_concurrent_calls_see_whole_tables(self, monkeypatch):
-        # each call grows the table in locals before it replaces the shared
-        # one, so no caller sees another's half-grown table
+        # each call grows the bits in locals before it replaces the shared
+        # ones, so no caller sees another's half-grown table
         cases = [(d, n) for d in (2, 9, 70, 200, 9, 300, 3) for n in (2, 64)]
         expected = [_sobol.scrambled_sobol(d, n, [d, n]) for d, n in cases]
-        monkeypatch.setattr(_sobol, "_read", self.UNREAD)
         monkeypatch.setattr(_sobol, "_bits", self.NO_BITS)
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
@@ -220,9 +246,8 @@ class TestSobol:
         assert all(np.array_equal(g, e) for g, e in zip(got, expected * 4))
 
     def test_interleaved_shapes_keep_their_bits(self, monkeypatch):
-        # the bits of the last (d, m) are kept for the next call; calls
-        # that switch between shapes give the points of calls that each
-        # build their own bits
+        # calls that switch between shapes give the points of calls that
+        # each start from no kept bits
         cases = [(2, 64), (5, 64), (2, 64), (2, 64), (2, 9), (9, 300), (2, 64), (2, 33)]
         alone = []
         for d, n in cases:
@@ -232,9 +257,7 @@ class TestSobol:
         for (d, n), expected in zip(cases, alone):
             got = _sobol.scrambled_sobol(d, n, [d, n, 4])
             assert got.tobytes() == expected.tobytes(), (d, n)
-            kept_d, kept_m, bits = _sobol._bits
-            assert (kept_d, kept_m) == (d, max(n - 1, 0).bit_length())
-            assert bits.shape == (kept_d, 30, kept_m) and not bits.flags.writeable
+            assert _sobol._bits.shape == (64, 30, 30) and not _sobol._bits.flags.writeable
 
     def test_import_reads_no_table_data(self):
         src = os.path.dirname(os.path.dirname(nlpcheck.__file__))

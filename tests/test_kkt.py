@@ -329,12 +329,10 @@ class TestSsonc:
         [
             # mu = 1e10 times the Hessian entry -2e300 is -inf
             "vars 2\nobjective -x1\nineq 1e-10*x1 - 1e300*x2^2\npoint 0 0\n",
-            # finite entries, but on the face x1 = 0 the restricted form overflows
-            "vars 3\nobjective -x1 - 0.5e308*(x2 + x3)^2\nineq x1\npoint 0 0 0\n",
             # the Lagrangian's sum 1e308 + 1e308 overflows
             "vars 2\nobjective -x1 + 0.5e308*x2^2\nineq x1 + 0.5e308*x2^2\npoint 0 0\n",
         ],
-        ids=["inf-multiplier-product", "restricted-overflow", "sum-overflow"],
+        ids=["inf-multiplier-product", "sum-overflow"],
     )
     def test_overflowing_form_is_undetermined(self, text):
         pd = problem_pd(text)
@@ -342,6 +340,28 @@ class TestSsonc:
         report = check_ssonc(pd, solve_multipliers(pd))
         assert report.status == "undetermined"
         assert [(r["method"], r["certified"]) for r in report.results] == [("uncertified", False)]
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize(
+        "coef, value",
+        [("0.3e308", -1.2e308), ("0.5e308", -math.inf)],
+        ids=["finite-minimum", "restricted-overflow"],
+    )
+    def test_finite_form_above_the_walk_limit_is_certified(self, coef, value):
+        # entries of 2 * coef, above finfo.max / 12: on the face x1 = 0 the
+        # restricted form could overflow, so the walk runs on the form
+        # scaled by 2^-3, and the minimum -4 * coef is scaled back, to -inf
+        # where that overflows
+        pd = problem_pd(f"vars 3\nobjective -x1 - {coef}*(x2 + x3)^2\nineq x1\npoint 0 0 0\n")
+        assert np.abs(pd.f_hess).max() > np.finfo(float).max / 12
+        report = check_ssonc(pd, solve_multipliers(pd))
+        assert report.status == "fails"
+        (entry,) = report.results
+        assert (entry["method"], entry["certified"]) == ("facial-enumeration", True)
+        assert_allclose(entry["witness_direction"], [0.0, 0.5**0.5, 0.5**0.5])
+        assert_allclose(entry["min_value"], value, rtol=1e-12)
+        if math.isfinite(value):
+            assert_allclose(recheck_ssonc_witness(pd, entry), entry["min_value"], rtol=1e-12)
 
 
 class TestSharedFaces:

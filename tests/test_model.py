@@ -229,6 +229,40 @@ class TestEvaluatePoint:
         ]
 
 
+class TestPointGate:
+    """evaluate_point admits only point data that every analysis layer can
+    work on, so the library path gets the CLI's guarantees."""
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            # sigma_max of the one nonzero row overflowed: LICQ read fails
+            # with the singular value inf
+            (
+                "vars 2\nobjective x1\nineq 1.5e308*x1 + 1.5e308*x2\npoint 0 0\n",
+                "ineq 1: gradient at the point too large to rank",
+            ),
+            # the multiplier probe overflowed in linalg.nnls
+            (
+                "vars 2\nobjective 1.7e308*x1 + 1.7e308*x2\nineq -x1\nineq -x2\npoint 0 0\n",
+                "objective: gradient at the point too large for the multiplier solve",
+            ),
+            # SSONC read undetermined from the infinite Hessian
+            (
+                "vars 2\nobjective 1e308*x1^2 - 1e308*x2^2\nineq -x1\npoint 0 0\n",
+                "objective: Hessian at the point has an infinite entry",
+            ),
+        ],
+        ids=["rank-overflow", "multiplier-overflow", "infinite-hessian"],
+    )
+    def test_library_reproducers_raise(self, text, message):
+        problem = load_problem(text)
+        with pytest.raises(ValueError) as info:
+            evaluate_point(problem, problem.point)
+        assert info.type is ValueError and str(info.value) == message
+
+
 @pytest.mark.parametrize("evaluate", [evaluate_point, feasibility], ids=["jet", "value"])
 @pytest.mark.parametrize(
     "text, point, message",

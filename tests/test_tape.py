@@ -34,7 +34,7 @@ from _oracles import (
     slot_tables,
 )
 
-from nlpcheck import linalg
+from nlpcheck import expr, linalg
 from nlpcheck.expr import (
     _DIV,
     _LOG,
@@ -319,7 +319,7 @@ class TestSweep:
         monkeypatch.setattr(TapeSet, "_run", counting)
         whole = [one.evaluate(X, order=order) for order in range(3)]
         assert runs == [len(X)] * 3
-        monkeypatch.setattr(linalg, "stack_chunk", lambda floats: 2)
+        monkeypatch.setattr(expr, "stack_chunk", lambda floats: 2)
         chunked = compile_trees(exprs)
         failed = 0
         for order, tables in enumerate(whole):
@@ -355,7 +355,7 @@ class TestSweep:
         monkeypatch.setattr(TapeSet, "_run", counting)
         failed = 0
         for step in (len(X), 2):
-            monkeypatch.setattr(linalg, "stack_chunk", lambda floats: step)
+            monkeypatch.setattr(expr, "stack_chunk", lambda floats: step)
             runs.clear()
             F, J, fine = compile_trees(exprs).gather(lines, 4).evaluate(X, at)
             assert runs == [step] * (len(X) // step)
@@ -389,7 +389,7 @@ class TestSweep:
             built[-1].append(P)
             return tables(plan, P, n, order)
 
-        monkeypatch.setattr(linalg, "stack_chunk", lambda floats: step)
+        monkeypatch.setattr(expr, "stack_chunk", lambda floats: step)
         gather = sweep.gather(lines, 4)
         failed = []
         for seed, P in zip((7, 8, 9, 10, 11), (12, 5, 12, 7, 12)):
