@@ -203,7 +203,12 @@ def _validate(config: RunConfig, problem: Problem, x: np.ndarray) -> None:
 
 
 def run(config: RunConfig) -> dict:
-    """Run the full analysis and return the report as an ordered dict."""
+    """Run the full analysis and return the report as an ordered dict.
+
+    Arc entries for directions with the same bits, which share one traced
+    arc, are the same dict: ``report["arcs"]["entries"]`` may hold one
+    object more than once.  Copy an entry before changing it.
+    """
     ref, problem = _load(config)
     if config.point is not None:
         x = np.asarray(config.point, dtype=float)
@@ -323,11 +328,15 @@ def run(config: RunConfig) -> dict:
         verify_tol=config.verify_tol,
     )
     arc_reports = traced[: len(explicit)] if explicit else traced
+    entry_of: dict = {}  # id of each distinct report -> its one entry
+    for rep in arc_reports:
+        if id(rep) not in entry_of:
+            entry_of[id(rep)] = _arc_entry(rep)
     report["arcs"] = {
         "delta": config.delta,
         "samples_per_arc": config.arc_points,
         "directions_explicit": bool(explicit),
-        "entries": [_arc_entry(rep) for rep in arc_reports],
+        "entries": [entry_of[id(rep)] for rep in arc_reports],
     }
     acq_reports = traced[len(explicit) :]
     evidence = cq.summarize_acq(acq_reports, requested=config.arc_sample, seed=config.seed)
@@ -415,9 +424,17 @@ def _write_json(obj, indent: int, out: list[str]) -> None:
             out.append("[" + ", ".join(scalars) + "]")
             return
         out.append("[\n")
+        span_of: dict = {}  # id of each element written -> its pieces of out
         for k, value in enumerate(seq):
             out.append(pad + "  ")
-            _write_json(value, indent + 1, out)
+            span = span_of.get(id(value))
+            if span is None:
+                at = len(out)
+                _write_json(value, indent + 1, out)
+                span_of[id(value)] = (at, len(out))
+            else:
+                # the same object at the same indent: the same text
+                out.extend(out[span[0] : span[1]])
             out.append(",\n" if k + 1 < len(seq) else "\n")
         out.append(pad + "]")
         return

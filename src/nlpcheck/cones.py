@@ -26,13 +26,15 @@ float per form, and within a chunk faces with the same number of pinned
 rows get their nullspace bases from one stacked SVD.  Each chunk is then
 taken in runs sized by every form's eigenpairs on a face of dimension up
 to n, and every form restricted to the run's faces of one SVD group is
-solved in one stacked eigenproblem, so each (face, form) eigenproblem is
-solved once.  Each form then walks the run's candidate faces, those
-whose lowest eigenvalue is below the form's running minimum, in mask
-order, reading their eigenpairs from those calls.  Each form's minimum is
-thus selected exactly as a loop over one face at a time selects it, so
-the results are that loop's to the bit.  A form with an entry too large
-for its restricted forms to stay finite is not minimized.
+solved in one stacked eigenproblem.  Many masks cut out the same subspace,
+and the SVD often returns the same basis bits for them; equal bits give
+equal eigenpairs, so within a run each distinct basis is solved once,
+and equal forms are walked once.  Each form then walks the run's
+candidate faces, those whose lowest eigenvalue is below the form's
+running minimum, in mask order, reading their eigenpairs from those
+calls.  Each form's minimum is thus selected exactly as a loop over one
+face at a time selects it, so the results are that loop's to the bit.  A
+form with a non-finite entry is not minimized.
 
 Before any face, one test decides whether the cone is {0}: a rank gate,
 then one non-negative least-squares solve for a positive dependence of the
@@ -312,7 +314,10 @@ def min_quadratics_on_cone(Hs, cone: ConeRep) -> list[QuadOnConeResult]:
     (:func:`~nlpcheck.linalg.grouped_nullspace_bases`).  Each chunk is
     taken in mask order, in runs sized by every form's eigenpairs and
     temporaries on a face of dimension up to n, and one stacked call per
-    SVD group in a run gives every form's eigenpairs on those faces.  Each
+    SVD group in a run gives every form's eigenpairs on those faces, once
+    per distinct basis: faces whose bases have the same bits read one
+    solve, which gives them the same eigenpairs bit for bit.  The dedupe
+    stays within the run, so memory stays bounded by the run.  Each
     form then walks the run's faces whose lowest eigenvalue is below its
     running minimum, in mask order, with the eigenpairs that made them
     candidates.  A form is walked scaled by the power of two that brings
@@ -322,7 +327,9 @@ def min_quadratics_on_cone(Hs, cone: ConeRep) -> list[QuadOnConeResult]:
     minimized.  Such a form, a form for which no face yields a feasible
     eigenvector, and every form beyond the limit, gets
     the certified zero minimum when the {0} test passed and an uncertified
-    result otherwise.  Results are returned in the order of ``Hs``.
+    result otherwise.  Results are returned in the order of ``Hs``.  Forms
+    with the same bits are scaled and walked once and share one
+    :class:`QuadOnConeResult` object.
     """
     Hs = [_checked_form(H, cone.n) for H in Hs]
     if not Hs:
@@ -332,12 +339,15 @@ def min_quadratics_on_cone(Hs, cone: ConeRep) -> list[QuadOnConeResult]:
     if reach > max(_TOL, 1e-8 * s_max):
         # no face can yield a feasible eigenvector (see the docstring)
         return [_flat_minimum(cone.n, True) for _ in Hs]
+    # equal forms, bit for bit, are walked once and share one result
+    firsts, of = _distinct(Hs)
+    forms = [Hs[q] for q in firsts]
     limit = np.finfo(float).max / (4 * cone.n)  # see the docstring
-    tops = [float(np.abs(H).max()) for H in Hs]
+    tops = [float(np.abs(H).max()) for H in forms]
     minimized = [q for q, top in enumerate(tops) if math.isfinite(top)]
     # the power of two that brings each form under the limit
     shift = [math.frexp(tops[q] / limit)[1] if tops[q] > limit else 0 for q in minimized]
-    scaled = [np.ldexp(Hs[q], -s) for q, s in zip(minimized, shift)]
+    scaled = [np.ldexp(forms[q], -s) for q, s in zip(minimized, shift)]
     best: list[QuadOnConeResult | None] = [None] * len(minimized)
     k_in = cone.a_in.shape[0]
     faces = 1 << k_in if k_in <= _FACIAL_LIMIT and minimized else 0
@@ -352,7 +362,25 @@ def min_quadratics_on_cone(Hs, cone: ConeRep) -> list[QuadOnConeResult]:
         if res is not None:
             res.min_value *= 2.0**s  # a Python float product: -inf past the range, silently
     found = dict(zip(minimized, best))
-    return [found.get(q) or _flat_minimum(cone.n, zero) for q in range(len(Hs))]
+    results = [found.get(u) or _flat_minimum(cone.n, zero) for u in range(len(forms))]
+    return [results[u] for u in of]
+
+
+def _distinct(arrays: list) -> tuple[list[int], list[int]]:
+    """The positions of the first of each bitwise-distinct array, in
+    order, and for every array the index of its first among them.
+
+    Keyed on the bytes, so -0.0 and 0.0 differ; not ``np.unique``, which
+    compares by value and imports ``numpy.ma``."""
+    index: dict = {}
+    firsts: list[int] = []
+    of = []
+    for i, a in enumerate(arrays):
+        u = index.setdefault(a.tobytes(), len(firsts))
+        if u == len(firsts):
+            firsts.append(i)
+        of.append(u)
+    return firsts, of
 
 
 def _flat_minimum(n: int, zero: bool) -> QuadOnConeResult:
@@ -365,11 +393,14 @@ def _scan_faces(masks: np.ndarray, cone: ConeRep, Hs: list, best: list) -> None:
     """Update each form's running minimum ``best`` over the faces ``masks``
     (bit i pins inequality row i), in mask order.
 
-    The faces are taken in runs (see :func:`min_quadratics_on_cone`), and
-    each (face, form) eigenproblem is solved once.  A face replaces a
-    form's minimum only when its smallest restricted eigenvalue is
-    strictly below it and an eigenvector meets the remaining rows, exactly
-    as a loop over one face at a time would.
+    The faces are taken in runs (see :func:`min_quadratics_on_cone`).
+    Within a run, each SVD group's faces are keyed on the bits of their
+    bases, and one stacked call solves every form on the first face of each
+    distinct key, in mask order; a face reads its eigenpairs through that
+    index, so a candidate reads the eigenpairs of the call that made it a
+    candidate.  A face replaces a form's minimum only when its smallest
+    restricted eigenvalue is strictly below it and an eigenvector meets the
+    remaining rows, exactly as a loop over one face at a time would.
     """
     k_in = cone.a_in.shape[0]
     H_stack = np.stack(Hs)
@@ -403,12 +434,14 @@ def _scan_faces(masks: np.ndarray, cone: ConeRep, Hs: list, best: list) -> None:
         row_of = np.zeros(len(of), dtype=int)
         for g in sorted(set(of.tolist()) - {-1}):
             at = np.flatnonzero(of == g)
-            # a group's faces in the run are consecutive slots of its stack
+            # a group's faces in the run are consecutive slots of its stack;
+            # faces whose bases have the same bits share one eigenproblem
             lo = slot_of[start + at[0]]
-            bases = groups[g][lo : lo + len(at)]
+            firsts, row = _distinct(groups[g][lo : lo + len(at)])
+            bases = groups[g][lo + np.array(firsts)]
             w, V = _restricted_eigh(bases, H_stack)
-            lowest[at] = w[..., 0]
-            call_of[at], row_of[at] = len(calls), np.arange(len(at))
+            lowest[at] = w[row, :, 0]
+            call_of[at], row_of[at] = len(calls), row
             calls.append((bases, w, V))
         # not ``lowest < bound``: a NaN eigenvalue is a candidate, as it is
         # for the one-face loop

@@ -1,6 +1,7 @@
 """Tests for the command-line pipeline: report assembly, JSON and CSV
 serialization, argument handling, and exit codes."""
 
+import copy
 import csv
 import json
 import math
@@ -239,6 +240,50 @@ class TestJson:
     def test_builtin_reports_keep_the_per_scalar_bytes(self, name):
         report = run(RunConfig(problem=f"builtin:{name}"))
         assert report_to_json(report) == reference_report_to_json(report)
+
+
+def _instance_config(inst, tmp_path) -> RunConfig:
+    ref = inst.problem
+    if not ref.startswith("builtin:"):
+        ref = str(tmp_path / f"{inst.problem}.nlp")
+        with open(ref, "w", encoding="utf-8") as fh:
+            fh.write(inst.text)
+    return RunConfig(
+        problem=ref,
+        arc_dirs=tuple(np.array(d, dtype=float) for d in inst.arc_dirs),
+        delta=inst.delta,
+    )
+
+
+REPEATED_ARC = workloads.Instance(
+    "circle-repeated", "builtin:circle", "", arc_dirs=((0, 1), (0, 1))
+)
+ARC_CASES = [REPEATED_ARC, *workloads.instances("fixtures")]
+
+
+class TestSharedArcEntries:
+    """An arc shared by directions with the same bits has one entry dict,
+    which the writer formats once and repeats."""
+
+    @pytest.mark.parametrize("inst", ARC_CASES, ids=[inst.name for inst in ARC_CASES])
+    def test_repeated_entries_write_the_bytes_of_copies(self, inst, tmp_path):
+        report = run(_instance_config(inst, tmp_path))
+        entries = report["arcs"]["entries"]
+        directions = {np.array(e["direction"]).tobytes() for e in entries}
+        assert len({id(e) for e in entries}) == len(directions)
+        text = report_to_json(report)
+        assert text == report_to_json(copy.deepcopy(report))
+        # each entry copied on its own, so no object repeats
+        unshared = copy.copy(report)
+        unshared["arcs"] = dict(report["arcs"], entries=[copy.deepcopy(e) for e in entries])
+        assert text == report_to_json(unshared)
+        assert text == reference_report_to_json(report)
+
+    def test_repeated_direction_is_one_entry(self):
+        report = run(RunConfig(problem="builtin:circle", arc_dirs=(np.array([0.0, 1.0]),) * 2))
+        first, second = report["arcs"]["entries"]
+        assert first is second
+        assert first["direction"] == [0.0, 1.0] and first["passed_all"]
 
 
 class TestMain:

@@ -415,21 +415,29 @@ class TestStackedFaces:
         return forms, inequality_cone(a_in)
 
     @pytest.mark.parametrize("instance", ["fanfree-9", "fanfree-10", "many-forms"])
-    def test_one_eigensolve_per_face_and_form(self, instance, monkeypatch):
+    def test_one_eigensolve_per_distinct_basis_and_form(self, instance, monkeypatch):
+        # within a run of faces, faces whose bases have the same bits share
+        # one eigenproblem, and forms with the same bits are walked once
         if instance == "many-forms":
             forms, cone = self.many_forms_instance()
-            # independent rows: every face but the one pinning all 12 has d > 0
+            # independent rows: every face but the one pinning all 12 has
+            # d > 0, and every basis and every form is distinct
             assert np.linalg.matrix_rank(cone.a_in) == 12
             expected = ((1 << 12) - 1) * len(forms)
         else:
             forms, cone = self.fanfree_instance(int(instance.split("-")[1]))
-            # five variables, and pinned rows of rank at most 3: d > 0 on every face
-            expected = {"fanfree-9": 30720, "fanfree-10": 51200}[instance]
-            assert expected == len(forms) << cone.a_in.shape[0]
+            # five variables, and pinned rows of rank at most 3: d > 0 on
+            # every face, so one eigenproblem per face and form would be
+            # 30,720 and 51,200
+            one_per_face = {"fanfree-9": 30720, "fanfree-10": 51200}[instance]
+            assert len(forms) << cone.a_in.shape[0] == one_per_face
+            expected = {"fanfree-9": 2900, "fanfree-10": 4872}[instance]
         solved = []
         real = cones._restricted_eigh
 
         def counting(Bs, H_stack):
+            assert len({B.tobytes() for B in Bs}) == len(Bs), "two bases with equal bits"
+            assert len({H.tobytes() for H in H_stack}) == len(H_stack), "two forms with equal bits"
             solved.append(Bs.shape[0] * H_stack.shape[0])
             return real(Bs, H_stack)
 
@@ -437,6 +445,39 @@ class TestStackedFaces:
         results = min_quadratics_on_cone(forms, cone)
         assert sum(solved) == expected
         assert {r.method for r in results} == {"facial-enumeration"}
+
+    @pytest.mark.parametrize("chunk", [None, 1, 3], ids=["default", "chunks-of-1", "chunks-of-3"])
+    def test_repeated_forms_across_runs_and_chunks(self, chunk, monkeypatch):
+        # fanfree-9's forms, exact duplicates of three of them, and a copy
+        # of one that differs only by a -0.0 entry: each result must be
+        # the bits of that form minimized alone, however the faces are
+        # split into chunks and runs
+        forms, cone = self.fanfree_instance(9)
+        signed = forms[2].copy()
+        zeros = np.argwhere(signed == 0.0)
+        assert len(zeros)
+        signed[tuple(zeros[0])] = -0.0
+        assert not np.array_equal(np.signbit(signed), np.signbit(forms[2]))
+        batch = forms + [forms[0].copy(), forms[7].copy(), forms[2], signed]
+        alone = [min_quadratic_on_cone(H, cone) for H in batch]
+        if chunk is not None:
+            monkeypatch.setattr(cones, "stack_chunk", lambda floats: chunk)
+        results = min_quadratics_on_cone(batch, cone)
+        assert len(results) == len(batch)
+        for res, ref in zip(results, alone):
+            assert res.method == ref.method == "facial-enumeration"
+            assert res.certified == ref.certified
+            assert same_bits(res.min_value, ref.min_value)
+            assert same_bits(res.witness, ref.witness)
+        # equal forms share one result object
+        assert results[len(forms)] is results[0]
+        assert results[len(forms) + 1] is results[7]
+        assert results[len(forms) + 2] is results[2]
+        assert results[len(forms) + 3] is not results[2]
+        first, second = min_quadratics_on_cone([forms[5], forms[5]], cone)
+        assert first is second
+        assert same_bits(first.min_value, alone[5].min_value)
+        assert same_bits(first.witness, alone[5].witness)
 
     @pytest.mark.parametrize("chunk", [None, 5], ids=["one-chunk", "chunks-of-5"])
     def test_cone_with_equality_rows(self, chunk, monkeypatch):
