@@ -34,9 +34,7 @@ from nlpcheck._sobol import MAXPOINTS
 from nlpcheck._version import __version__
 from nlpcheck.expr import DomainError
 from nlpcheck.linalg import norm_bound
-from nlpcheck.model import (
-    Problem, ProblemError, check_point_size, evaluate_point, feasibility, load_problem
-)
+from nlpcheck.model import Problem, ProblemError, evaluate_point, feasibility, load_problem
 from nlpcheck.problems import builtin_names, builtin_source
 
 __all__ = [
@@ -139,17 +137,10 @@ def _arc_entry(rep: arc_mod.DirectionArcReport) -> dict:
     return entry
 
 
-def _validate(config: RunConfig, problem: Problem, x: np.ndarray) -> None:
-    """Reject a configuration the analysis cannot run on."""
+def _validate(config: RunConfig, problem: Problem) -> None:
+    """Reject a configuration the analysis cannot run on.  The point is not
+    read here: :func:`~nlpcheck.model.check_point` admits it."""
     n = problem.n
-    if x.shape != (n,):
-        raise InputError(f"point must have {n} coordinates, got {x.size}")
-    if not np.isfinite(x).all():
-        raise InputError("point has non-finite coordinates")
-    try:
-        check_point_size(problem)
-    except ValueError as exc:
-        raise InputError(f"point is too large for this problem: {exc}") from None
     bound = norm_bound(n)  # the gradients' bound: the direction's norm stays finite
     for d in config.arc_dirs:
         d = np.asarray(d, dtype=float)
@@ -210,15 +201,17 @@ def run(config: RunConfig) -> dict:
     object more than once.  Copy an entry before changing it.
     """
     ref, problem = _load(config)
-    if config.point is not None:
-        x = np.asarray(config.point, dtype=float)
-    elif problem.point is not None:
-        x = problem.point
-    else:
-        raise InputError(
-            "no candidate point: give one with --point or a 'point' line"
-        )
-    _validate(config, problem, x)
+    x = problem.point if config.point is None else config.point
+    if x is None:
+        raise InputError("no candidate point: give one with --point or a 'point' line")
+    _validate(config, problem)
+    try:
+        feas = feasibility(problem, x, config.tol_active)
+        pd = evaluate_point(problem, x, config.tol_active) if feas.feasible else None
+    except DomainError as exc:
+        raise InputError(f"point outside the problem domain: {exc}") from exc
+    except ValueError as exc:
+        raise InputError(str(exc)) from exc
 
     report: dict = {
         "tool": "nlpcheck",
@@ -240,14 +233,6 @@ def run(config: RunConfig) -> dict:
             "verify": config.verify_tol,
         },
     }
-
-    try:
-        feas = feasibility(problem, x, config.tol_active)
-        pd = evaluate_point(problem, x, config.tol_active) if feas.feasible else None
-    except DomainError as exc:
-        raise InputError(f"point outside the problem domain: {exc}") from exc
-    except ValueError as exc:
-        raise InputError(str(exc)) from exc
     report["feasibility"] = {
         "feasible": feas.feasible,
         "max_ineq_violation": feas.max_ineq_violation,

@@ -63,13 +63,12 @@ from nlpcheck.linalg import (
     numerical_rank,
     stack_chunk,
 )
-from nlpcheck.model import PointData, check_multiplier
+from nlpcheck.model import PointData
 
 __all__ = [
     "ConeRep",
     "linearized_cone",
     "strong_critical_cone",
-    "critical_cone_multiplier_form",
     "membership",
     "sample_directions",
     "QuadOnConeResult",
@@ -105,34 +104,6 @@ def strong_critical_cone(pd: PointData) -> ConeRep:
     """Linearized cone intersected with {d : f_grad . d <= 0}."""
     base = linearized_cone(pd)
     return ConeRep(pd.n, base.a_eq, np.vstack([base.a_in, pd.f_grad.reshape(1, -1)]))
-
-
-def critical_cone_multiplier_form(pd: PointData, mu, tol: float = 1e-8) -> ConeRep:
-    """Critical cone written through a multiplier: strictly positive
-    multipliers pin their constraints to equalities.
-
-    ``mu`` must be the inequality part of a KKT multiplier at the point: it
-    is validated for sign and complementarity at ``tol``
-    (:func:`~nlpcheck.model.check_multiplier`) and for stationarity
-    (minimizing over the equality multiplier), and rejected above ``tol``.
-    """
-    mu, _ = check_multiplier(pd, mu, np.zeros(pd.p), tol)  # lam is solved for below
-    a = len(pd.active)
-    rows = pd.c_grads[pd.rows]
-    base = pd.f_grad + (mu @ pd.c_grads[: pd.m] if pd.m else 0.0)
-    if pd.p:
-        lam, *_ = np.linalg.lstsq(rows[a:].T, -base, rcond=None)
-        residual = float(np.abs(base + rows[a:].T @ lam).max(initial=0.0))
-    else:
-        residual = float(np.abs(base).max(initial=0.0))
-    if residual > tol:
-        raise ValueError(
-            f"mu is not part of a KKT multiplier (stationarity residual {residual:.3e})"
-        )
-    # strict-multiplier threshold: anything above 1e-10 counts as positive
-    positive = mu[pd.rows[:a]] > 1e-10
-    a_eq = np.vstack([rows[a:], rows[:a][positive]])
-    return ConeRep(pd.n, a_eq, rows[:a][~positive])
 
 
 def membership(cone: ConeRep, d, tol: float = 1e-8) -> bool:

@@ -177,7 +177,11 @@ def check_mfcq(pd: PointData, tol_rank: float = 1e-8) -> Verdict:
 
     The direction search maximizes ``s`` subject to ``grad g_i . d <= -s``
     on the active set, ``grad h . d = 0``, ``|d_k| <= 1``, ``s <= 1``; MFCQ
-    holds exactly when the optimum is positive (classified at 1e-9).
+    holds exactly when the optimum is positive (classified at 1e-9).  When
+    the LP does not solve, it is solved once more on the rows scaled by the
+    power of two that puts their largest entry in [0.5, 1), and the
+    evidence names that ``lp_scale``: a positive scale keeps the cone, so
+    the direction still certifies the original rows.
     """
     n = pd.n
     a = len(pd.active)
@@ -200,18 +204,20 @@ def check_mfcq(pd: PointData, tol_rank: float = 1e-8) -> Verdict:
         return Verdict("holds", {"direction": [0.0] * n, "lp_optimum": 1.0}, evidence)
     c = np.zeros(n + 1)
     c[n] = -1.0  # maximize s
-    A_ub = None
-    b_ub = None
-    if a:
-        A_ub = np.hstack([rows[:a], np.ones((a, 1))])
-        b_ub = np.zeros(a)
-    A_eq = None
-    b_eq = None
-    if pd.p:
-        A_eq = np.hstack([rows[a:], np.zeros((pd.p, 1))])
-        b_eq = np.zeros(pd.p)
     bounds = [(-1.0, 1.0)] * n + [(None, 1.0)]
-    res = simplex_lp(c, A_ub=A_ub, b_ub=b_ub, A_eq=A_eq, b_eq=b_eq, bounds=bounds)
+
+    def direction_lp(rows: np.ndarray):
+        A_ub = np.hstack([rows[:a], np.ones((a, 1))])
+        A_eq = np.hstack([rows[a:], np.zeros((pd.p, 1))])
+        return simplex_lp(c, A_ub, np.zeros(a), A_eq, np.zeros(pd.p), bounds)
+
+    res = direction_lp(rows)
+    if res.status != "optimal":
+        # the simplex classifies feasibility at an absolute 1e-9, which rows
+        # far above unit scale defeat
+        scale = np.ldexp(1.0, -np.frexp(np.abs(rows).max())[1])
+        evidence["lp_scale"] = float(scale)
+        res = direction_lp(rows * scale)
     if res.status != "optimal" or res.x is None:
         raise RuntimeError(f"descent-direction LP did not solve: status {res.status}")
     s_star = -float(res.value)

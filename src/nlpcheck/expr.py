@@ -40,8 +40,7 @@ explicitly symmetric pieces.  Leaving a function's domain -- log of a
 non-positive value, sqrt of a negative value (or at 0 when derivatives
 are asked for), division by zero, ``exp`` overflow, sin or cos of an
 infinite value, a log or sqrt second derivative that overflows -- is a
-:class:`DomainError`.  A central finite-difference routine, which sweeps
-values only, cross-checks the propagated derivatives.
+:class:`DomainError`.
 
 Grammar (whitespace-insensitive)::
 
@@ -81,7 +80,6 @@ __all__ = [
     "parse",
     "evaluate",
     "grad_hess",
-    "fd_grad_hess",
 ]
 
 
@@ -848,43 +846,3 @@ def grad_hess(sweep: TapeSet, x: np.ndarray) -> Taylor2Scalar:
     (value,), (grad,), (hess,) = sweep.at(x, [0], order=2)
     return Taylor2Scalar(float(value), grad, hess)
 
-
-def fd_grad_hess(sweep: TapeSet, x: np.ndarray, step: float = 1e-4) -> Taylor2Scalar:
-    """Central finite-difference gradient and Hessian of output 0 of
-    ``sweep``, O(step^2) accurate.
-
-    Independent of the propagated derivatives (it sweeps values only); used
-    to cross-check :func:`grad_hess`.  If a stencil point leaves the domain
-    of the expression, the :class:`DomainError` of the first such point
-    (the point, then the single steps, then the pairs) propagates.
-    """
-    if step <= 0.0:
-        raise ValueError("step must be positive")
-    x = np.asarray(x, dtype=float)
-    n = x.size
-    # the stencil: x, x +- step e_i, then x +- step e_i +- step e_j (i < j)
-    moves = [()] + [((i, s),) for i in range(n) for s in (step, -step)]
-    moves += [
-        ((i, si), (j, sj))
-        for i in range(n)
-        for j in range(i + 1, n)
-        for si, sj in ((step, step), (step, -step), (-step, step), (-step, -step))
-    ]
-    X = np.repeat(x[None], len(moves), axis=0)
-    for r, move in enumerate(moves):
-        for i, s in move:
-            X[r, i] += s
-    values, _, _, ok = sweep.evaluate(X, [0], order=0)
-    if not ok.all():
-        sweep.at(X[np.argmin(ok[:, 0])], [0], order=0)  # raises that point's error
-    v = values[:, 0]
-    f0 = float(v[0])
-    plus, minus = v[1 : 2 * n + 1 : 2], v[2 : 2 * n + 1 : 2]
-    grad = (plus - minus) / (2.0 * step)
-    hess = np.diag((plus - 2.0 * f0 + minus) / (step * step))
-    corner = v[2 * n + 1 :].reshape(-1, 4)
-    mixed = (corner[:, 0] - corner[:, 1] - corner[:, 2] + corner[:, 3]) / (4.0 * step * step)
-    upper = np.triu_indices(n, 1)
-    hess[upper] = mixed
-    hess[upper[::-1]] = mixed
-    return Taylor2Scalar(f0, grad, hess)

@@ -35,12 +35,11 @@ from nlpcheck.linalg import grouped_nullspace_bases, nnls, stack_chunk
 # no longer called here; the name stays bound because the benchmark's
 # tracer self-test (perfbench/tests) looks it up on this module
 from nlpcheck.linalg import numerical_rank  # noqa: F401
-from nlpcheck.model import PointData, check_multiplier, lagrangian_hessian
+from nlpcheck.model import PointData, lagrangian_hessian
 
 __all__ = [
     "MultiplierSet",
     "solve_multipliers",
-    "check_kkt",
     "SsoncReport",
     "check_ssonc",
     "recheck_ssonc_witness",
@@ -193,26 +192,6 @@ def solve_multipliers(pd: PointData, tol: float = 1e-8) -> MultiplierSet:
             "least-squares representative reported"
         )
     return ms
-
-
-def check_kkt(pd: PointData, mu, lam, tol: float = 1e-8) -> tuple[float, bool]:
-    """KKT residual of a proposed multiplier pair.
-
-    The residual is the max of the stationarity infinity-norm, the worst
-    negative-mu violation, and the worst complementarity product
-    ``|mu_i g_i(x)|``.
-    """
-    mu, lam = check_multiplier(pd, mu, lam)
-    stat = pd.f_grad.copy()
-    if pd.m:
-        stat = stat + mu @ pd.c_grads[: pd.m]
-    if pd.p:
-        stat = stat + lam @ pd.c_grads[pd.m :]
-    residual = float(np.abs(stat).max(initial=0.0))
-    if pd.m:
-        residual = max(residual, float((-mu).max(initial=0.0)))
-        residual = max(residual, float(np.abs(mu * pd.c_vals[: pd.m]).max(initial=0.0)))
-    return residual, residual <= tol
 
 
 @dataclass

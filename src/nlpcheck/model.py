@@ -27,10 +27,12 @@ single table: row k is inequality k + 1 for k < m and equality k - m + 1
 after that.  The outputs of ``Problem.sweep`` and the ``c_*`` arrays of
 :class:`PointData` share this layout, and :func:`row_label` names a row.
 ``Problem.sweep`` has one more output, after the constraint rows: the
-objective.  :func:`check_point_size` bounds the dense Hessian tables of a
-point, and those of the sweep that computes them, before
-:func:`evaluate_point` builds them.  :func:`evaluate_point` is the one gate
-for point data: it admits only what every analysis layer can work on.
+objective.  :func:`check_point` is the one gate for a point: n finite
+coordinates, whose dense Hessian tables, and those of the sweep that
+computes them, fit :func:`check_point_size`.  :func:`feasibility` and
+:func:`evaluate_point` call it before they sweep.  :func:`evaluate_point`
+is the one gate for point data: it admits only what every analysis layer
+can work on.
 """
 
 from __future__ import annotations
@@ -48,6 +50,7 @@ __all__ = [
     "Problem",
     "POINT_BUDGET",
     "check_point_size",
+    "check_point",
     "PointData",
     "row_label",
     "FeasibilityReport",
@@ -230,16 +233,31 @@ def check_point_size(problem: Problem) -> None:
     objective, which :class:`PointData` keeps dense, and one for each of
     the ``slots`` sweep slots of the function that reads the most, which
     the order-2 sweep holds at once, since it cannot split one function's
-    tables."""
+    tables.  :func:`check_point` gives this text as it is."""
     n, rows = problem.n, problem.m + problem.p
     slots = int(problem.sweep.reads.sum(axis=1).max(initial=0))
     floats = (rows + 1 + slots) * n * n
     if floats > POINT_BUDGET:
         raise ValueError(
-            f"the Hessians at a point of {n} coordinates, one for each of {rows} constraint "
-            f"rows and the objective and one for each of the {slots} sweep slots of the widest "
-            f"function, would hold {floats} floats, above the budget of {POINT_BUDGET} floats"
+            f"point is too large for this problem: the Hessians at a point of {n} coordinates, "
+            f"one for each of {rows} constraint rows and the objective and one for each of the "
+            f"{slots} sweep slots of the widest function, would hold {floats} floats, above the "
+            f"budget of {POINT_BUDGET} floats"
         )
+
+
+def check_point(problem: Problem, x) -> np.ndarray:
+    """``x`` as a float vector, if it is a point the analysis can run on:
+    ``n`` finite coordinates, on a problem within :func:`check_point_size`.
+    Otherwise ``ValueError``, with the text ``nlpcheck analyze`` prints."""
+    x = np.asarray(x, dtype=float)
+    if x.shape != (problem.n,):
+        got = x.size if x.ndim == 1 else f"shape {x.shape}"
+        raise ValueError(f"point must have {problem.n} coordinates, got {got}")
+    if not np.isfinite(x).all():
+        raise ValueError("point has non-finite coordinates")
+    check_point_size(problem)
+    return x
 
 
 def evaluate_point(problem: Problem, x, tol_active: float = 1e-8) -> PointData:
@@ -254,16 +272,10 @@ def evaluate_point(problem: Problem, x, tol_active: float = 1e-8) -> PointData:
     names, in order, a ranked row's gradient above ``entry_bound`` (its
     rank could read 0), an objective gradient above ``nnls_bound`` of those
     rows, a ranked row's gradient above ``norm_bound`` (its squared norm
-    could overflow), and an infinite Hessian entry.  A point of the wrong
-    shape or with a non-finite coordinate raises ``ValueError`` too, and so
-    does one too large for :func:`check_point_size`.
+    could overflow), and an infinite Hessian entry.  Before all of these,
+    :func:`check_point` raises ``ValueError`` for a point it does not admit.
     """
-    x = np.asarray(x, dtype=float)
-    if x.shape != (problem.n,):
-        raise ValueError(f"point must have shape ({problem.n},), got {x.shape}")
-    if not np.isfinite(x).all():
-        raise ValueError("point has non-finite coordinates")
-    check_point_size(problem)
+    x = check_point(problem, x)
     m, count = problem.m, problem.m + problem.p
     outputs = [count, *range(count)]  # the objective, then the constraint rows
     values, grads, hesses = _sweep_point(problem, x, outputs, 2)
@@ -361,12 +373,11 @@ class FeasibilityReport:
 def feasibility(problem: Problem, x, tol: float = 1e-8) -> FeasibilityReport:
     """Check ``g(x) <= tol`` and ``|h(x)| <= tol`` componentwise.
 
-    Only values are computed.  A domain violation names the first
-    constraint row that fails, and a NaN value the first row that has one.
+    Only values are computed, at a point :func:`check_point` admits.  A
+    domain violation names the first constraint row that fails, and a NaN
+    value the first row that has one.
     """
-    x = np.asarray(x, dtype=float)
-    if x.shape != (problem.n,):
-        raise ValueError(f"point must have shape ({problem.n},), got {x.shape}")
+    x = check_point(problem, x)
     m = problem.m
     worst_g = worst_h = 0.0
     values = _sweep_point(problem, x, list(range(m + problem.p)), 0)[0]

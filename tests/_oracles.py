@@ -37,6 +37,12 @@ of ``Problem.sweep``, so the oracles stay independent of ``src``'s parser.
 On every input within its depth the one-loop parser must raise the same
 ``ParseError`` message and byte offset, or compile to slots that sweep
 like the tree.
+
+``fd_grad_hess``, ``check_kkt`` and ``critical_cone_multiplier_form`` check
+the library from outside: a finite-difference gradient and Hessian, which
+sweeps values only, for ``expr.grad_hess``; the KKT residual of a proposed
+multiplier pair; and the critical cone written through a multiplier, for
+``cones.strong_critical_cone``.
 """
 
 import itertools
@@ -1145,3 +1151,101 @@ def reference_report_to_json(report):
     _reference_write_json(report, 0, out)
     out.append("\n")
     return "".join(out)
+
+
+def fd_grad_hess(sweep, x, step=1e-4):
+    """Central finite-difference gradient and Hessian of output 0 of
+    ``sweep``, O(step^2) accurate.
+
+    Independent of the propagated derivatives (it sweeps values only); used
+    to cross-check ``expr.grad_hess``.  If a stencil point leaves the domain
+    of the expression, the ``DomainError`` of the first such point (the
+    point, then the single steps, then the pairs) propagates.
+    """
+    from nlpcheck.expr import Taylor2Scalar
+
+    if step <= 0.0:
+        raise ValueError("step must be positive")
+    x = np.asarray(x, dtype=float)
+    n = x.size
+    # the stencil: x, x +- step e_i, then x +- step e_i +- step e_j (i < j)
+    moves = [()] + [((i, s),) for i in range(n) for s in (step, -step)]
+    moves += [
+        ((i, si), (j, sj))
+        for i in range(n)
+        for j in range(i + 1, n)
+        for si, sj in ((step, step), (step, -step), (-step, step), (-step, -step))
+    ]
+    X = np.repeat(x[None], len(moves), axis=0)
+    for r, move in enumerate(moves):
+        for i, s in move:
+            X[r, i] += s
+    values, _, _, ok = sweep.evaluate(X, [0], order=0)
+    if not ok.all():
+        sweep.at(X[np.argmin(ok[:, 0])], [0], order=0)  # raises that point's error
+    v = values[:, 0]
+    f0 = float(v[0])
+    plus, minus = v[1 : 2 * n + 1 : 2], v[2 : 2 * n + 1 : 2]
+    grad = (plus - minus) / (2.0 * step)
+    hess = np.diag((plus - 2.0 * f0 + minus) / (step * step))
+    corner = v[2 * n + 1 :].reshape(-1, 4)
+    mixed = (corner[:, 0] - corner[:, 1] - corner[:, 2] + corner[:, 3]) / (4.0 * step * step)
+    upper = np.triu_indices(n, 1)
+    hess[upper] = mixed
+    hess[upper[::-1]] = mixed
+    return Taylor2Scalar(f0, grad, hess)
+
+
+def check_kkt(pd, mu, lam, tol=1e-8):
+    """KKT residual of a proposed multiplier pair, and whether it is at
+    most ``tol``.
+
+    The residual is the max of the stationarity infinity-norm, the worst
+    negative-mu violation, and the worst complementarity product
+    ``|mu_i g_i(x)|``.
+    """
+    from nlpcheck.model import check_multiplier
+
+    mu, lam = check_multiplier(pd, mu, lam)
+    stat = pd.f_grad.copy()
+    if pd.m:
+        stat = stat + mu @ pd.c_grads[: pd.m]
+    if pd.p:
+        stat = stat + lam @ pd.c_grads[pd.m :]
+    residual = float(np.abs(stat).max(initial=0.0))
+    if pd.m:
+        residual = max(residual, float((-mu).max(initial=0.0)))
+        residual = max(residual, float(np.abs(mu * pd.c_vals[: pd.m]).max(initial=0.0)))
+    return residual, residual <= tol
+
+
+def critical_cone_multiplier_form(pd, mu, tol=1e-8):
+    """Critical cone written through a multiplier: strictly positive
+    multipliers pin their constraints to equalities.  At a KKT multiplier
+    it is the set ``cones.strong_critical_cone`` describes.
+
+    ``mu`` must be the inequality part of a KKT multiplier at the point: it
+    is validated for sign and complementarity at ``tol``
+    (``model.check_multiplier``) and for stationarity (minimizing over the
+    equality multiplier), and rejected above ``tol``.
+    """
+    from nlpcheck.cones import ConeRep
+    from nlpcheck.model import check_multiplier
+
+    mu, _ = check_multiplier(pd, mu, np.zeros(pd.p), tol)  # lam is solved for below
+    a = len(pd.active)
+    rows = pd.c_grads[pd.rows]
+    base = pd.f_grad + (mu @ pd.c_grads[: pd.m] if pd.m else 0.0)
+    if pd.p:
+        lam, *_ = np.linalg.lstsq(rows[a:].T, -base, rcond=None)
+        residual = float(np.abs(base + rows[a:].T @ lam).max(initial=0.0))
+    else:
+        residual = float(np.abs(base).max(initial=0.0))
+    if residual > tol:
+        raise ValueError(
+            f"mu is not part of a KKT multiplier (stationarity residual {residual:.3e})"
+        )
+    # strict-multiplier threshold: anything above 1e-10 counts as positive
+    positive = mu[pd.rows[:a]] > 1e-10
+    a_eq = np.vstack([rows[a:], rows[:a][positive]])
+    return ConeRep(pd.n, a_eq, rows[:a][~positive])

@@ -18,19 +18,18 @@ from nlpcheck.arc import arc_for_direction
 from nlpcheck.cli import RunConfig, report_to_json, run
 from nlpcheck.cones import (
     ConeRep,
-    critical_cone_multiplier_form,
     membership,
     min_quadratic_on_cone,
     sample_directions,
     strong_critical_cone,
 )
 from nlpcheck.cq import NeighborhoodSampler, check_rcrcq, recheck_rank_certificate
-from nlpcheck.expr import fd_grad_hess, grad_hess, parse
+from nlpcheck.expr import grad_hess, parse
 from nlpcheck.kkt import check_ssonc, solve_multipliers
 from nlpcheck.model import evaluate_point, load_problem
 from nlpcheck.problems import builtin_problem
 
-from _oracles import quad_cone_min_oracle
+from _oracles import critical_cone_multiplier_form, fd_grad_hess, quad_cone_min_oracle
 from conftest import record_acceptance
 
 

@@ -24,7 +24,7 @@ from nlpcheck.cli import (
     run,
 )
 from nlpcheck.expr import DomainError
-from nlpcheck.model import evaluate_point, load_problem
+from nlpcheck.model import evaluate_point, feasibility, load_problem
 from nlpcheck.problems import builtin_names, builtin_problem, builtin_source
 
 BENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "perfbench")
@@ -32,6 +32,13 @@ sys.path.append(BENCH)
 import workloads  # noqa: E402
 from test_acceptance import BATTERY  # noqa: E402
 from test_cq import SEPARATING  # noqa: E402
+
+# the point's Hessians fit, 4000^2 floats, but the objective's sweep holds
+# one 4000 x 4000 table for each of its 120 slots
+WIDE_POINT = (
+    "vars 4000\nobjective " + " + ".join(f"x{i}*x{i + 1}" for i in range(1, 41))
+    + f"\npoint {' 0' * 4000}\n"
+)
 
 TOP_KEYS = [
     "tool",
@@ -407,11 +414,8 @@ class TestMain:
                 ["vars 2\nobjective 1e308*x1^2 - 1e308*x2^2\nineq -x1\npoint 0 0\n"],
                 "objective: Hessian at the point has an infinite entry",
             ),
-            # the point's Hessians fit, 4000^2 floats, but the objective's
-            # sweep holds one 4000 x 4000 table for each of its 120 slots
             (
-                ["vars 4000\nobjective " + " + ".join(f"x{i}*x{i + 1}" for i in range(1, 41))
-                 + f"\npoint {' 0' * 4000}\n"],
+                [WIDE_POINT],
                 "point is too large for this problem: the Hessians at a point of 4000 "
                 "coordinates, one for each of 0 constraint rows and the objective and one for "
                 "each of the 120 sweep slots of the widest function, would hold 1936000000 floats",
@@ -438,7 +442,7 @@ class TestMain:
         while (1 + radii * over) * floats <= cq.SCAN_BUDGET:
             over += 1
         # the largest accepted value passes validation (it is not run)
-        cli._validate(RunConfig("builtin:paper-example-1", samples=over - 1), problem, problem.point)
+        cli._validate(RunConfig("builtin:paper-example-1", samples=over - 1), problem)
 
         def no_sweep(*args, **kwargs):
             raise AssertionError("a tape was swept before the budget check")
@@ -591,6 +595,50 @@ class TestMain:
         assert main(["analyze", str(path)]) == 2
         prefix = "point outside the problem domain: " if error is DomainError else ""
         assert capsys.readouterr().err == f"error: {prefix}{message}\n"
+
+    @pytest.mark.parametrize(
+        "point, message",
+        [
+            ([1.0, 0.0, 0.0], "point must have 2 coordinates, got 3"),
+            ([[1.0, 0.0]], "point must have 2 coordinates, got shape (1, 2)"),
+            ([math.nan, 0.0], "point has non-finite coordinates"),
+            ([0.0, -math.inf], "point has non-finite coordinates"),
+            (None, "point is too large for this problem: the Hessians at a point of 4000 "),
+        ],
+        ids=["three-coordinates", "row-shaped", "nan", "inf", "oversized"],
+    )
+    def test_point_gate_is_one_text_before_any_sweep(
+        self, point, message, monkeypatch, tmp_path, capsys
+    ):
+        # model.check_point rejects the point for feasibility, evaluate_point
+        # and the CLI with one text, before any tape is swept
+        target = "builtin:circle"
+        if point is None:
+            target = tmp_path / "wide.nlp"
+            target.write_text(WIDE_POINT)
+        problem = load_problem(WIDE_POINT) if point is None else builtin_problem("circle")
+        x = problem.point if point is None else point
+
+        def no_sweep(*args, **kwargs):
+            raise AssertionError("a tape was swept before the point gate")
+
+        monkeypatch.setattr(expr.TapeSet, "_run", no_sweep)
+        texts = []
+        for check in (feasibility, evaluate_point):
+            with pytest.raises(ValueError) as info:
+                check(problem, x)
+            texts.append(str(info.value))
+        with pytest.raises(InputError) as info:
+            run(RunConfig(str(target), point=point))
+        texts.append(str(info.value))
+        if np.ndim(x) == 1:  # --point spells only a vector
+            argv = ["analyze", str(target)]
+            if point is not None:
+                argv += ["--point", ",".join(map(str, point))]
+            assert main(argv) == 2
+            texts.append(capsys.readouterr().err.removeprefix("error: ").removesuffix("\n"))
+        assert texts[0].startswith(message)
+        assert texts == [texts[0]] * len(texts), texts
 
     def test_feasibility_evaluates_values_only(self, tmp_path, capsys):
         # sqrt(x1) has a value at x1 = 0 but no derivative: an infeasible

@@ -18,7 +18,6 @@ from nlpcheck import cones, linalg
 from nlpcheck.cones import (
     ConeRep,
     _zero_cone_reach,
-    critical_cone_multiplier_form,
     linearized_cone,
     membership,
     min_quadratic_on_cone,
@@ -31,6 +30,7 @@ from nlpcheck.model import evaluate_point, lagrangian_hessian, load_problem
 from nlpcheck.problems import builtin_problem
 
 from _oracles import (
+    critical_cone_multiplier_form,
     eigenspace_box_oracle,
     facial_minima_oracle,
     facial_minimum_oracle,

@@ -19,7 +19,7 @@ from numpy.testing import assert_allclose
 import nlpcheck
 from nlpcheck import _sobol, cq
 from nlpcheck.arc import arc_for_direction
-from nlpcheck.cli import RunConfig, report_to_json, run
+from nlpcheck.cli import RunConfig, main, report_to_json, run
 from nlpcheck.cq import (
     NeighborhoodSampler,
     check_crcq,
@@ -388,6 +388,42 @@ class TestMfcq:
         verdict = check_mfcq(evaluate_point(prob, np.zeros(1)))
         assert verdict.status == "fails"
         assert verdict.certificate["equality_rank"] == 0
+
+    @pytest.mark.parametrize(
+        "text, scale",
+        [
+            ("vars 1\nobjective x1\nineq -1e8*x1\npoint 0\n", 2.0**-27),
+            ("vars 1\nobjective x1\nineq -1e9*x1\npoint 0\n", 2.0**-30),
+            ("vars 1\nobjective x1\nineq -5e8*x1\npoint 0\n", None),
+            ("vars 1\nobjective x1\nineq -1e12*x1\npoint 0\n", None),
+            ("vars 2\nobjective x1\nineq -1e9*x1\neq 1e9*x2\npoint 0 0\n", 2.0**-30),
+            ("vars 2\nobjective x1\nineq -1e9*x1 + x2\nineq -1e8*x2\npoint 0 0\n", 2.0**-30),
+        ],
+    )
+    def test_large_rows_hold_at_a_named_scale(self, text, scale, tmp_path, capsys):
+        # the simplex read these rows infeasible at its absolute 1e-9 and the
+        # analysis exited 3; the second LP runs on rows whose largest entry
+        # is in [0.5, 1), and its direction certifies the original rows
+        problem = load_problem(text)
+        pd = evaluate_point(problem, problem.point)
+        verdict = check_mfcq(pd)
+        assert verdict.status == "holds"
+        assert verdict.evidence.get("lp_scale") == scale
+        rows = pd.c_grads[pd.rows]
+        if scale is not None:
+            assert 0.5 <= scale * np.abs(rows).max() < 1.0
+        d = np.array(verdict.certificate["direction"])
+        a = len(pd.active)
+        assert (rows[:a] @ d).max() < 0.0 and not (rows[a:] @ d).any()
+        path = tmp_path / "large-rows.nlp"
+        path.write_text(text)
+        assert main(["analyze", str(path)]) == 0
+        assert "mfcq=holds" in capsys.readouterr().out
+
+    def test_unit_scale_rows_run_one_lp(self):
+        # the second LP, and its evidence key, only follow a failed first one
+        for pd in (tangent_disks_pd(), parabola_pd(), circle_pd()):
+            assert "lp_scale" not in check_mfcq(pd).evidence
 
 
 class TestCrcqRcrcq:

@@ -1,7 +1,7 @@
 """Tests for parsing, evaluation, and forward derivative propagation.
 
-The finite-difference routine serves as the independent oracle for the
-propagated gradients and Hessians.  Parser behaviour is pinned against
+The finite-difference routine of ``tests/_oracles.py`` serves as the
+independent oracle for the propagated gradients and Hessians.  Parser behaviour is pinned against
 hand-built trees and error offsets: trees exist only in
 ``tests/_oracles.py``, so a parse is checked by its slots, against those of
 the tree's printed source (``reference_to_source``), and by its sweep,
@@ -20,7 +20,6 @@ from nlpcheck.expr import (
     DomainError,
     ParseError,
     evaluate,
-    fd_grad_hess,
     grad_hess,
     parse,
 )
@@ -31,6 +30,7 @@ from _oracles import (
     Power,
     Unary,
     Var,
+    fd_grad_hess,
     reference_parse,
     reference_sweep,
     reference_to_source,

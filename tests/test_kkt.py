@@ -18,16 +18,16 @@ from numpy.testing import assert_allclose
 from nlpcheck import cli, cones, cq, kkt, linalg
 from nlpcheck.cli import main
 from nlpcheck.cones import strong_critical_cone
-from nlpcheck.kkt import (
-    check_kkt,
-    check_ssonc,
-    recheck_ssonc_witness,
-    solve_multipliers,
-)
+from nlpcheck.kkt import check_ssonc, recheck_ssonc_witness, solve_multipliers
 from nlpcheck.model import PointData, evaluate_point, lagrangian_hessian, load_problem
 from nlpcheck.problems import builtin_names, builtin_problem, builtin_source
 
-from _oracles import facial_minimum_oracle, multiplier_enumeration_oracle, same_bits
+from _oracles import (
+    check_kkt,
+    facial_minimum_oracle,
+    multiplier_enumeration_oracle,
+    same_bits,
+)
 from test_acceptance import BATTERY
 
 BENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "perfbench")

@@ -7,9 +7,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
-from nlpcheck.cones import critical_cone_multiplier_form
 from nlpcheck.expr import DomainError, TapeSet
-from nlpcheck.kkt import check_kkt
 from nlpcheck.model import (
     POINT_BUDGET,
     ProblemError,
@@ -21,6 +19,8 @@ from nlpcheck.model import (
     row_label,
 )
 from nlpcheck.problems import builtin_names, builtin_problem, builtin_source
+
+from _oracles import check_kkt, critical_cone_multiplier_form
 
 TANGENT_DISKS = """\
 # two disks tangent at the origin
