@@ -17,10 +17,9 @@ import numpy as np
 
 from nlpcheck.cq import (
     NeighborhoodSampler,
-    check_crcq,
     check_licq,
     check_mfcq,
-    check_rcrcq,
+    check_rank_constancy,
 )
 from nlpcheck.model import evaluate_point, load_problem
 from nlpcheck.problems import builtin_source
@@ -63,8 +62,8 @@ def main():
         pd = evaluate_point(prob, x)
         licq = check_licq(pd).status
         mfcq = check_mfcq(pd).status
-        crcq = check_crcq(prob, x, NeighborhoodSampler(seed=sampler_seed))
-        rcrcq = check_rcrcq(prob, x, NeighborhoodSampler(seed=sampler_seed))
+        scans = check_rank_constancy(prob, pd, NeighborhoodSampler(seed=sampler_seed))
+        crcq, rcrcq = scans["crcq"], scans["rcrcq"]
 
         def tag(verdict):
             if verdict.status == "undetermined":

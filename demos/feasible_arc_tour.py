@@ -19,7 +19,7 @@ Run:  python3 demos/feasible_arc_tour.py
 
 import numpy as np
 
-from nlpcheck.arc import arc_for_direction
+from nlpcheck.arc import arcs_for_directions
 from nlpcheck.model import evaluate_point
 from nlpcheck.problems import builtin_problem
 
@@ -35,7 +35,7 @@ def circle_stop():
     print("-----------------------------------------------------------")
     prob = builtin_problem("circle")
     pd = evaluate_point(prob, np.array([1.0, 0.0]))
-    report = arc_for_direction(prob, pd, np.array([0.0, 1.0]), delta=0.25)
+    (report,) = arcs_for_directions(prob, pd, [np.array([0.0, 1.0])], delta=0.25)
     arc = report.arc
 
     exact = np.stack([np.sqrt(1.0 - arc.t**2), arc.t], axis=1)
@@ -62,7 +62,7 @@ def parabola_stop():
     print("----------------------------------------------------------------")
     prob = builtin_problem("paper-example-2")
     pd = evaluate_point(prob, np.zeros(2))
-    report = arc_for_direction(prob, pd, np.array([1.0, 0.0]), delta=0.2)
+    (report,) = arcs_for_directions(prob, pd, [np.array([1.0, 0.0])], delta=0.2)
     arc = report.arc
 
     exact = np.stack([arc.t, arc.t**2], axis=1)

@@ -14,7 +14,7 @@ Run:  python3 demos/tangency_breakdown.py
 import numpy as np
 
 from nlpcheck.cones import sample_directions, strong_critical_cone
-from nlpcheck.cq import NeighborhoodSampler, check_crcq, check_licq, check_mfcq, check_rcrcq
+from nlpcheck.cq import NeighborhoodSampler, check_licq, check_mfcq, check_rank_constancy
 from nlpcheck.kkt import check_ssonc, solve_multipliers
 from nlpcheck.model import evaluate_point
 from nlpcheck.problems import builtin_problem, builtin_source
@@ -45,9 +45,8 @@ def main():
     print("       decreases both constraints to first order)")
     print()
 
-    sampler = NeighborhoodSampler(seed=0)
-    for name, checker in (("crcq", check_crcq), ("rcrcq", check_rcrcq)):
-        verdict = checker(prob, x, sampler)
+    scans = check_rank_constancy(prob, pd, NeighborhoodSampler(seed=0))
+    for name, verdict in scans.items():
         cert = verdict.certificate
         print(f"{name}: {verdict.status}")
         if cert is not None:

@@ -6,7 +6,8 @@ Four classical qualifications are covered, in decreasing strength:
   independent.  Decided by one numerical rank.
 * MFCQ: equality gradients have full rank and some direction satisfies
   ``grad h . d = 0`` with ``grad g_i . d < 0`` on the active set.  Decided by
-  a small LP maximizing the strict-descent margin.
+  a small LP maximizing the strict-descent margin (``linalg.simplex_lp``),
+  solved once more at unit row scale when its answer does not certify.
 * CRCQ: every subset of active-inequality plus equality gradients keeps a
   locally constant rank.  Sampled over shrinking neighborhoods, on
   scrambled Sobol points (:class:`NeighborhoodSampler`; Joe & Kuo direction
@@ -175,13 +176,16 @@ def check_licq(pd: PointData, tol_rank: float = 1e-8) -> Verdict:
 def check_mfcq(pd: PointData, tol_rank: float = 1e-8) -> Verdict:
     """Full-rank equalities plus a strict descent direction on the actives.
 
-    The direction search maximizes ``s`` subject to ``grad g_i . d <= -s``
-    on the active set, ``grad h . d = 0``, ``|d_k| <= 1``, ``s <= 1``; MFCQ
-    holds exactly when the optimum is positive (classified at 1e-9).  When
-    the LP does not solve, it is solved once more on the rows scaled by the
-    power of two that puts their largest entry in [0.5, 1), and the
-    evidence names that ``lp_scale``: a positive scale keeps the cone, so
-    the direction still certifies the original rows.
+    The direction LP (:func:`linalg.simplex_lp`) maximizes ``s`` subject to
+    ``grad g_i . d <= -s`` on the active set, ``grad h . d = 0``,
+    ``|d_k| <= 1``, ``s <= 1``; MFCQ holds exactly when the optimum is
+    positive (classified at 1e-9).  The LP always has the solution d = 0,
+    s = 0, but it works at absolute tolerances, at the scale of its box
+    rather than of the rows.  So when it does not solve, or reads an
+    optimum <= 1e-9, and the rows' largest entry is not in [0.5, 1), it is
+    solved once more on the rows scaled by the power of two that puts it
+    there, and the evidence names that ``lp_scale``.  A positive scale keeps
+    the cone, so the direction still certifies the original rows.
     """
     n = pd.n
     a = len(pd.active)
@@ -202,26 +206,14 @@ def check_mfcq(pd: PointData, tol_rank: float = 1e-8) -> Verdict:
     if not pd.active and not pd.p:
         evidence["note"] = "no active constraints; any direction works"
         return Verdict("holds", {"direction": [0.0] * n, "lp_optimum": 1.0}, evidence)
-    c = np.zeros(n + 1)
-    c[n] = -1.0  # maximize s
-    bounds = [(-1.0, 1.0)] * n + [(None, 1.0)]
-
-    def direction_lp(rows: np.ndarray):
-        A_ub = np.hstack([rows[:a], np.ones((a, 1))])
-        A_eq = np.hstack([rows[a:], np.zeros((pd.p, 1))])
-        return simplex_lp(c, A_ub, np.zeros(a), A_eq, np.zeros(pd.p), bounds)
-
-    res = direction_lp(rows)
-    if res.status != "optimal":
-        # the simplex classifies feasibility at an absolute 1e-9, which rows
-        # far above unit scale defeat
-        scale = np.ldexp(1.0, -np.frexp(np.abs(rows).max())[1])
+    res = simplex_lp(rows[:a], rows[a:])
+    scale = np.ldexp(1.0, -np.frexp(np.abs(rows).max())[1])
+    if (res is None or res[1] <= 1e-9) and scale != 1.0:
         evidence["lp_scale"] = float(scale)
-        res = direction_lp(rows * scale)
-    if res.status != "optimal" or res.x is None:
-        raise RuntimeError(f"descent-direction LP did not solve: status {res.status}")
-    s_star = -float(res.value)
-    d = res.x[:n]
+        res = simplex_lp(rows[:a] * scale, rows[a:] * scale)
+    if res is None:
+        raise RuntimeError("descent-direction LP did not solve")
+    d, s_star = res
     evidence["lp_optimum"] = s_star
     if s_star > 1e-9:
         certificate = {"direction": [float(v) for v in d], "lp_optimum": s_star}

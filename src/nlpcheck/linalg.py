@@ -3,20 +3,20 @@
 Everything here operates on small dense matrices (tens of rows and columns,
 not thousands), or on stacks of them.  Rank decisions, nullspaces,
 eigenvalues and Newton directions are backed by LAPACK through numpy; the
-simplex solver, the sign-constrained least-squares solver, the greedy column
-pivoting, and the damped Newton iteration (a batch of systems stepped
-together, one stacked solve per round) are implemented directly because
-their tie-breaking and failure behaviour must be deterministic and
-inspectable.  The sign-constrained least-squares solver is the polyhedral
-primitive of the multiplier probe and of the cone layer; the simplex now
-serves only the MFCQ direction LP.
+MFCQ direction LP (a two-phase simplex on the one LP MFCQ solves), the
+sign-constrained least-squares solver, the greedy column pivoting, and the
+damped Newton iteration (a batch of systems stepped together, one stacked
+solve per round) are implemented directly because their tie-breaking and
+failure behaviour must be deterministic and inspectable.  The
+sign-constrained least-squares solver is the polyhedral primitive of the
+multiplier probe and of the cone layer.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
@@ -38,7 +38,6 @@ __all__ = [
     "newton_batch",
     "newton_solve",
     "min_eig_sym",
-    "LpResult",
     "simplex_lp",
     "nnls",
 ]
@@ -416,15 +415,6 @@ def min_eig_sym(H) -> tuple[float, np.ndarray]:
     return float(w[0]), V[:, 0].copy()
 
 
-@dataclass
-class LpResult:
-    """Outcome of a linear program: status, minimizer, optimal value."""
-
-    status: str  # "optimal" | "infeasible" | "unbounded"
-    x: np.ndarray | None
-    value: float | None
-
-
 def _pivot(T: np.ndarray, basis: list[int], row: int, col: int) -> None:
     T[row] /= T[row, col]
     for i in range(T.shape[0]):
@@ -469,99 +459,46 @@ def _simplex_phase(
         _pivot(T, basis, leave, enter)
 
 
-def simplex_lp(
-    c,
-    A_ub=None,
-    b_ub=None,
-    A_eq=None,
-    b_eq=None,
-    bounds: Sequence[tuple[float | None, float | None]] | None = None,
-) -> LpResult:
-    """Minimize ``c @ x`` subject to ``A_ub x <= b_ub``, ``A_eq x = b_eq``.
+def simplex_lp(A: np.ndarray, E: np.ndarray) -> tuple[np.ndarray, float] | None:
+    """The MFCQ direction LP: maximize ``s`` subject to ``A d + s <= 0``,
+    ``E d = 0``, ``|d_k| <= 1`` and ``s <= 1``.
 
-    ``bounds`` holds one ``(lo, hi)`` pair per variable with ``None`` meaning
-    unbounded on that side; variables are free by default.  Dense two-phase
-    simplex with Bland's rule, so it terminates on every input; feasibility
-    is classified at absolute tolerance 1e-9.
+    Returns ``(d, s)`` at the optimum, or None when the simplex does not
+    solve it.  The tableau minimizes ``c @ (d, s)`` with ``c = -e_s``, and
+    ``s`` is minus that value, so the sign of a zero optimum is the one the
+    minimization gives.  The LP always has the solution d = 0, s = 0 and
+    is bounded, but feasibility is classified at the absolute tolerance
+    ``_LP_TOL``.  The variables are shifted to z = (d + 1, 1 - s) >= 0,
+    and each |d_k| <= 1 becomes the range row z_k <= 2.  Dense two-phase
+    simplex with Bland's rule, so it terminates on every input: phase 1
+    puts an artificial on every row, and the artificials left basic are
+    driven out before phase 2.
     """
-    c = np.asarray(c, dtype=float).ravel()
-    nvar = c.size
-    A_ub = np.zeros((0, nvar)) if A_ub is None else _as_matrix(A_ub)
-    b_ub = np.zeros(0) if b_ub is None else np.asarray(b_ub, dtype=float).ravel()
-    A_eq = np.zeros((0, nvar)) if A_eq is None else _as_matrix(A_eq)
-    b_eq = np.zeros(0) if b_eq is None else np.asarray(b_eq, dtype=float).ravel()
-    if A_ub.shape != (b_ub.size, nvar):
-        raise ValueError("A_ub/b_ub dimensions do not match c")
-    if A_eq.shape != (b_eq.size, nvar):
-        raise ValueError("A_eq/b_eq dimensions do not match c")
-    if bounds is None:
-        bounds = [(None, None)] * nvar
-    if len(bounds) != nvar:
-        raise ValueError("bounds must list one (lo, hi) pair per variable")
-
-    # substitute x_j = offset_j + sum of signed standard columns (z >= 0)
-    offsets = np.zeros(nvar)
-    col_of: list[list[tuple[int, float]]] = []
-    range_rows: list[tuple[int, float]] = []  # (column, upper bound) for two-sided bounds
-    ncols = 0
-    for j, (lo, hi) in enumerate(bounds):
-        if lo is not None and hi is not None:
-            if lo > hi:
-                return LpResult("infeasible", None, None)
-            offsets[j] = lo
-            col_of.append([(ncols, 1.0)])
-            range_rows.append((ncols, hi - lo))
-            ncols += 1
-        elif lo is not None:
-            offsets[j] = lo
-            col_of.append([(ncols, 1.0)])
-            ncols += 1
-        elif hi is not None:
-            offsets[j] = hi
-            col_of.append([(ncols, -1.0)])
-            ncols += 1
-        else:
-            col_of.append([(ncols, 1.0), (ncols + 1, -1.0)])
-            ncols += 2
-
-    def to_std(rows: np.ndarray) -> np.ndarray:
-        out = np.zeros((rows.shape[0], ncols))
-        for j in range(nvar):
-            col = rows[:, j]
-            for k, coeff in col_of[j]:
-                out[:, k] += coeff * col
-        return out
-
-    ub_rows = to_std(A_ub)
-    ub_rhs = b_ub - A_ub @ offsets
-    for k, ub in range_rows:
-        row = np.zeros(ncols)
-        row[k] = 1.0
-        ub_rows = np.vstack([ub_rows, row])
-        ub_rhs = np.append(ub_rhs, ub)
-    eq_rows = to_std(A_eq)
-    eq_rhs = b_eq - A_eq @ offsets
-    c_std = to_std(c.reshape(1, -1)).ravel()
-
-    n_ub = ub_rows.shape[0]
-    n_eq = eq_rows.shape[0]
-    mrows = n_ub + n_eq
-    nslack = n_ub
-    ntot = ncols + nslack  # artificials appended after these
-    A = np.zeros((mrows, ntot + mrows))
-    rhs = np.concatenate([ub_rhs, eq_rhs])
-    A[:n_ub, :ncols] = ub_rows
-    A[n_ub:, :ncols] = eq_rows
-    for i in range(nslack):
-        A[i, ncols + i] = 1.0
+    a, n = A.shape
+    p = E.shape[0]
+    offsets = np.append(np.full(n, -1.0), 1.0)  # x at z = 0
+    ntot = 2 * n + 1 + a  # z, then a slack per inequality and range row
+    mrows = a + n + p  # inequality, range and equality rows
+    T = np.zeros((mrows + 1, ntot + mrows + 1))  # artificials, then the rhs
+    # the rows are copied as the general simplex's column map copied them,
+    # with -0.0 read as 0.0, so the tableau has its bits
+    T[:a, :n] = 0.0 + A
+    T[:a, n] = -1.0
+    T[a : a + n, :n] = np.eye(n)
+    T[a + n : mrows, :n] = 0.0 + E
+    T[: a + n, n + 1 : ntot] = np.eye(a + n)
+    rhs = np.concatenate(
+        [
+            np.zeros(a) - np.hstack([A, np.ones((a, 1))]) @ offsets,
+            np.full(n, 2.0),
+            np.zeros(p) - np.hstack([E, np.zeros((p, 1))]) @ offsets,
+        ]
+    )
     for i in range(mrows):
         if rhs[i] < 0.0:
-            A[i] = -A[i]
+            T[i, :-1] = -T[i, :-1]
             rhs[i] = -rhs[i]
-        A[i, ntot + i] = 1.0
-
-    T = np.zeros((mrows + 1, ntot + mrows + 1))
-    T[:mrows, :-1] = A
+        T[i, ntot + i] = 1.0
     T[:mrows, -1] = rhs
     basis = [ntot + i for i in range(mrows)]
     # phase-1 objective: sum of artificials, expressed in the artificial basis
@@ -570,7 +507,7 @@ def simplex_lp(
     T[-1, ntot:-1] += 1.0
     _simplex_phase(T, basis, ntot, _LP_TOL)
     if T[-1, -1] < -_LP_TOL:  # tableau stores -objective
-        return LpResult("infeasible", None, None)
+        return None
 
     # drive leftover artificial basics out, dropping redundant rows
     keep = []
@@ -588,27 +525,22 @@ def simplex_lp(
     basis = [basis[i] for i in keep]
     mrows = len(basis)
 
+    # phase 2 minimizes z_n = 1 - s, expressed in the current basis
     T2 = np.zeros((mrows + 1, ntot + 1))
     T2[:mrows, :ntot] = T[keep][:, :ntot]
     T2[:mrows, -1] = T[keep][:, -1]
-    cost = np.zeros(ntot)
-    cost[:ncols] = c_std
-    T2[-1, :ntot] = cost
-    for i in range(mrows):
-        if cost[basis[i]] != 0.0:
-            T2[-1, :] -= cost[basis[i]] * T2[i, :]
-    status = _simplex_phase(T2, basis, ntot, _LP_TOL)
-    if status == "unbounded":
-        return LpResult("unbounded", None, None)
+    T2[-1, n] = 1.0
+    if n in basis:
+        T2[-1, :] -= T2[basis.index(n), :]
+    if _simplex_phase(T2, basis, ntot, _LP_TOL) == "unbounded":
+        return None
 
     z = np.zeros(ntot)
-    for i in range(mrows):
-        z[basis[i]] = T2[i, -1]
-    x = offsets.copy()
-    for j in range(nvar):
-        for k, coeff in col_of[j]:
-            x[j] += coeff * z[k]
-    return LpResult("optimal", x, float(c @ x))
+    z[basis] = T2[:mrows, -1]
+    x = offsets + np.append(z[:n], -z[n])
+    c = np.zeros(n + 1)
+    c[n] = -1.0
+    return x[:n], -float(c @ x)
 
 
 def nnls(A, b, nonneg_mask) -> tuple[np.ndarray, float]:

@@ -7,10 +7,13 @@ O(step.||H||), which is far above the comparison tolerances used here,
 while the augmented candidate set is exact up to rounding.  None of this
 shares code with the library's facial enumeration.
 
-``zero_cone_oracle`` and ``eigenspace_box_oracle`` decide by the simplex
-box LPs (``box_maxima``) what the library now decides by non-negative
-least squares: whether a cone, or a wedge in an eigenspace, is {0}.  They
-must agree with it on every verdict.
+``reference_simplex_lp`` is the general two-phase simplex (bounds, free
+variables, equalities; Bland's rule) that ``linalg.simplex_lp`` was cut
+from: on the MFCQ direction LP the library must reproduce its pivots, so
+its ``x`` and value bit for bit.  ``zero_cone_oracle`` and
+``eigenspace_box_oracle`` decide by its box LPs (``box_maxima``) what the
+library now decides by non-negative least squares: whether a cone, or a
+wedge in an eigenspace, is {0}.  They must agree with it on every verdict.
 
 The reference loops (``rank_scan_oracle``, ``facial_minima_oracle``,
 ``multiplier_enumeration_oracle``) are the plain one-matrix-at-a-time
@@ -49,13 +52,14 @@ import itertools
 import json
 import math
 from dataclasses import dataclass
-from typing import Union
+from typing import Sequence, Union
 
 import numpy as np
 
 TWO_PI = 2.0 * np.pi
 GRID_STEP = 1e-3
 EDGE_TOL = 1e-9
+LP_TOL = 1e-9
 
 
 def same_bits(a, b):
@@ -396,24 +400,228 @@ def facial_minima_oracle(Hs, cone, tol=1e-8):
     return best
 
 
+def _reference_matrix(M) -> np.ndarray:
+    M = np.asarray(M, dtype=float)
+    if M.ndim == 1:
+        M = M.reshape(1, -1)
+    if M.ndim != 2:
+        raise ValueError(f"expected a matrix, got ndim={M.ndim}")
+    if M.size and not np.isfinite(M).all():
+        raise ValueError("matrix has non-finite entries")
+    return M
+
+
+@dataclass
+class LpResult:
+    """Outcome of a linear program: status, minimizer, optimal value."""
+
+    status: str  # "optimal" | "infeasible" | "unbounded"
+    x: np.ndarray | None
+    value: float | None
+
+
+def _pivot(T: np.ndarray, basis: list[int], row: int, col: int) -> None:
+    T[row] /= T[row, col]
+    for i in range(T.shape[0]):
+        if i != row and T[i, col] != 0.0:
+            T[i] -= T[i, col] * T[row]
+    basis[row] = col
+
+
+def _simplex_phase(
+    T: np.ndarray, basis: list[int], ncols: int, tol: float
+) -> str:
+    """Run Bland-rule pivoting on a tableau whose last row is the objective.
+
+    Columns ``0..ncols-1`` may enter the basis.  Returns "optimal" or
+    "unbounded".  Bland's rule (smallest eligible entering index; among
+    min-ratio ties the row whose basic variable has the smallest index)
+    guarantees termination without cycling.
+    """
+    mrows = T.shape[0] - 1
+    while True:
+        enter = -1
+        for j in range(ncols):
+            if T[-1, j] < -tol:
+                enter = j
+                break
+        if enter < 0:
+            return "optimal"
+        leave = -1
+        best_ratio = np.inf
+        for i in range(mrows):
+            a = T[i, enter]
+            if a > tol:
+                ratio = T[i, -1] / a
+                if ratio < best_ratio - tol or (
+                    abs(ratio - best_ratio) <= tol
+                    and (leave < 0 or basis[i] < basis[leave])
+                ):
+                    best_ratio = ratio
+                    leave = i
+        if leave < 0:
+            return "unbounded"
+        _pivot(T, basis, leave, enter)
+
+
+def reference_simplex_lp(
+    c,
+    A_ub=None,
+    b_ub=None,
+    A_eq=None,
+    b_eq=None,
+    bounds: Sequence[tuple[float | None, float | None]] | None = None,
+) -> LpResult:
+    """Minimize ``c @ x`` subject to ``A_ub x <= b_ub``, ``A_eq x = b_eq``.
+
+    ``bounds`` holds one ``(lo, hi)`` pair per variable with ``None`` meaning
+    unbounded on that side; variables are free by default.  Dense two-phase
+    simplex with Bland's rule, so it terminates on every input; feasibility
+    is classified at absolute tolerance 1e-9.
+    """
+    c = np.asarray(c, dtype=float).ravel()
+    nvar = c.size
+    A_ub = np.zeros((0, nvar)) if A_ub is None else _reference_matrix(A_ub)
+    b_ub = np.zeros(0) if b_ub is None else np.asarray(b_ub, dtype=float).ravel()
+    A_eq = np.zeros((0, nvar)) if A_eq is None else _reference_matrix(A_eq)
+    b_eq = np.zeros(0) if b_eq is None else np.asarray(b_eq, dtype=float).ravel()
+    if A_ub.shape != (b_ub.size, nvar):
+        raise ValueError("A_ub/b_ub dimensions do not match c")
+    if A_eq.shape != (b_eq.size, nvar):
+        raise ValueError("A_eq/b_eq dimensions do not match c")
+    if bounds is None:
+        bounds = [(None, None)] * nvar
+    if len(bounds) != nvar:
+        raise ValueError("bounds must list one (lo, hi) pair per variable")
+
+    # substitute x_j = offset_j + sum of signed standard columns (z >= 0)
+    offsets = np.zeros(nvar)
+    col_of: list[list[tuple[int, float]]] = []
+    range_rows: list[tuple[int, float]] = []  # (column, upper bound) for two-sided bounds
+    ncols = 0
+    for j, (lo, hi) in enumerate(bounds):
+        if lo is not None and hi is not None:
+            if lo > hi:
+                return LpResult("infeasible", None, None)
+            offsets[j] = lo
+            col_of.append([(ncols, 1.0)])
+            range_rows.append((ncols, hi - lo))
+            ncols += 1
+        elif lo is not None:
+            offsets[j] = lo
+            col_of.append([(ncols, 1.0)])
+            ncols += 1
+        elif hi is not None:
+            offsets[j] = hi
+            col_of.append([(ncols, -1.0)])
+            ncols += 1
+        else:
+            col_of.append([(ncols, 1.0), (ncols + 1, -1.0)])
+            ncols += 2
+
+    def to_std(rows: np.ndarray) -> np.ndarray:
+        out = np.zeros((rows.shape[0], ncols))
+        for j in range(nvar):
+            col = rows[:, j]
+            for k, coeff in col_of[j]:
+                out[:, k] += coeff * col
+        return out
+
+    ub_rows = to_std(A_ub)
+    ub_rhs = b_ub - A_ub @ offsets
+    for k, ub in range_rows:
+        row = np.zeros(ncols)
+        row[k] = 1.0
+        ub_rows = np.vstack([ub_rows, row])
+        ub_rhs = np.append(ub_rhs, ub)
+    eq_rows = to_std(A_eq)
+    eq_rhs = b_eq - A_eq @ offsets
+    c_std = to_std(c.reshape(1, -1)).ravel()
+
+    n_ub = ub_rows.shape[0]
+    n_eq = eq_rows.shape[0]
+    mrows = n_ub + n_eq
+    nslack = n_ub
+    ntot = ncols + nslack  # artificials appended after these
+    A = np.zeros((mrows, ntot + mrows))
+    rhs = np.concatenate([ub_rhs, eq_rhs])
+    A[:n_ub, :ncols] = ub_rows
+    A[n_ub:, :ncols] = eq_rows
+    for i in range(nslack):
+        A[i, ncols + i] = 1.0
+    for i in range(mrows):
+        if rhs[i] < 0.0:
+            A[i] = -A[i]
+            rhs[i] = -rhs[i]
+        A[i, ntot + i] = 1.0
+
+    T = np.zeros((mrows + 1, ntot + mrows + 1))
+    T[:mrows, :-1] = A
+    T[:mrows, -1] = rhs
+    basis = [ntot + i for i in range(mrows)]
+    # phase-1 objective: sum of artificials, expressed in the artificial basis
+    for i in range(mrows):
+        T[-1, :] -= T[i, :]
+    T[-1, ntot:-1] += 1.0
+    _simplex_phase(T, basis, ntot, LP_TOL)
+    if T[-1, -1] < -LP_TOL:  # tableau stores -objective
+        return LpResult("infeasible", None, None)
+
+    # drive leftover artificial basics out, dropping redundant rows
+    keep = []
+    for i in range(mrows):
+        if basis[i] >= ntot:
+            pivot_col = -1
+            for j in range(ntot):
+                if abs(T[i, j]) > LP_TOL:
+                    pivot_col = j
+                    break
+            if pivot_col < 0:
+                continue  # redundant constraint row
+            _pivot(T, basis, i, pivot_col)
+        keep.append(i)
+    basis = [basis[i] for i in keep]
+    mrows = len(basis)
+
+    T2 = np.zeros((mrows + 1, ntot + 1))
+    T2[:mrows, :ntot] = T[keep][:, :ntot]
+    T2[:mrows, -1] = T[keep][:, -1]
+    cost = np.zeros(ntot)
+    cost[:ncols] = c_std
+    T2[-1, :ntot] = cost
+    for i in range(mrows):
+        if cost[basis[i]] != 0.0:
+            T2[-1, :] -= cost[basis[i]] * T2[i, :]
+    status = _simplex_phase(T2, basis, ntot, LP_TOL)
+    if status == "unbounded":
+        return LpResult("unbounded", None, None)
+
+    z = np.zeros(ntot)
+    for i in range(mrows):
+        z[basis[i]] = T2[i, -1]
+    x = offsets.copy()
+    for j in range(nvar):
+        for k, coeff in col_of[j]:
+            x[j] += coeff * z[k]
+    return LpResult("optimal", x, float(c @ x))
+
+
 def box_maxima(A_ub, A_eq):
     """Maximize each coordinate, with either sign, over
     {z : A_ub z <= 0, A_eq z = 0} intersected with [-1, 1]^q.
 
-    Yields one ``linalg.simplex_lp`` result per coordinate and sign, in
+    Yields one ``reference_simplex_lp`` result per coordinate and sign, in
     that order, and solves each LP only when it is asked for.  The value of
     each result is minus the maximum.  A nonzero member of the cone scaled
     to unit infinity norm reaches 1 in some coordinate, so the cone is {0}
     exactly when every maximum is 0.
     """
-    from nlpcheck.linalg import simplex_lp
-
     q = A_ub.shape[1]
     for j in range(q):
         for sign in (1.0, -1.0):
             c = np.zeros(q)
             c[j] = -sign
-            yield simplex_lp(
+            yield reference_simplex_lp(
                 c,
                 A_ub=A_ub,
                 b_ub=np.zeros(A_ub.shape[0]),

@@ -401,9 +401,9 @@ class TestMfcq:
         ],
     )
     def test_large_rows_hold_at_a_named_scale(self, text, scale, tmp_path, capsys):
-        # the simplex read these rows infeasible at its absolute 1e-9 and the
-        # analysis exited 3; the second LP runs on rows whose largest entry
-        # is in [0.5, 1), and its direction certifies the original rows
+        # the direction LP reads these rows infeasible at its absolute 1e-9,
+        # and the analysis exited 3; the second LP runs on rows whose largest
+        # entry is in [0.5, 1), and its direction certifies the original rows
         problem = load_problem(text)
         pd = evaluate_point(problem, problem.point)
         verdict = check_mfcq(pd)
@@ -421,9 +421,38 @@ class TestMfcq:
         assert "mfcq=holds" in capsys.readouterr().out
 
     def test_unit_scale_rows_run_one_lp(self):
-        # the second LP, and its evidence key, only follow a failed first one
+        # the second LP, and its evidence key, only follow an uncertified
+        # first one
         for pd in (tangent_disks_pd(), parabola_pd(), circle_pd()):
             assert "lp_scale" not in check_mfcq(pd).evidence
+
+    def test_tiny_row_holds_at_a_named_scale(self, tmp_path, capsys):
+        # LICQ holds, so MFCQ holds; the first LP's optimum, about -1e-10,
+        # is below its absolute 1e-9, and the rows at unit scale certify
+        text = "vars 2\nobjective -x1\nineq 1e-10*x1\npoint 0 0\n"
+        problem = load_problem(text)
+        pd = evaluate_point(problem, problem.point)
+        verdict = check_mfcq(pd)
+        assert verdict.status == "holds"
+        assert verdict.evidence["lp_scale"] == 2.0**33
+        d = np.array(verdict.certificate["direction"])
+        assert (pd.c_grads[pd.rows] @ d).max() < 0.0
+        path = tmp_path / "tiny-row.nlp"
+        path.write_text(text)
+        assert main(["analyze", str(path)]) == 0
+        assert "licq=holds  mfcq=holds" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("factor, scale", [(1.0, 0.5), (1e-10, 2.0**33), (1e9, 2.0**-30)])
+    def test_failures_off_unit_scale_are_solved_twice(self, factor, scale):
+        # opposing rows fail at every scale; off unit scale the evidence
+        # names the scale of the second LP, whose optimum is the verdict's
+        prob = load_problem(
+            f"vars 2\nobjective x1\nineq {factor!r}*x2\nineq -{factor!r}*x2\npoint 0 0\n"
+        )
+        verdict = check_mfcq(evaluate_point(prob, np.zeros(2)))
+        assert verdict.status == "fails"
+        assert verdict.evidence["lp_scale"] == scale
+        assert verdict.certificate["lp_optimum"] == verdict.evidence["lp_optimum"] <= 1e-9
 
 
 class TestCrcqRcrcq:

@@ -1,12 +1,16 @@
 """Tests for the dense linear algebra kernels.
 
-The simplex solver is cross-checked against a brute-force vertex
-enumeration oracle on random bounded polytopes, and the masked
+The MFCQ direction LP must reproduce the general two-phase simplex it was
+cut from (``_oracles.reference_simplex_lp``) bit for bit; that simplex is
+itself cross-checked against a brute-force vertex enumeration on random
+bounded polytopes.  The masked
 least-squares routine against scipy.optimize.nnls and plain lstsq in the
 two unmasked extremes.
 """
 
 import itertools
+import os
+import sys
 
 import numpy as np
 import pytest
@@ -29,8 +33,13 @@ from nlpcheck.linalg import (
     pivot_select,
     simplex_lp,
 )
+from nlpcheck.model import evaluate_point, load_problem
 
-from _oracles import reference_newton, same_bits
+from _oracles import reference_newton, reference_simplex_lp, same_bits
+
+BENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "perfbench")
+sys.path.append(BENCH)
+import workloads  # noqa: E402
 
 
 class TestRank:
@@ -490,9 +499,11 @@ def brute_force_lp(c, a_ub, b_ub, a_eq=None, b_eq=None):
 
 
 class TestSimplex:
+    """The general simplex the direction LP was cut from, kept as its oracle."""
+
     def test_textbook_maximization(self):
         # max x + y over x,y >= 0, x + 2y <= 4, 3x + y <= 6 -> (8/5, 6/5)
-        res = simplex_lp(
+        res = reference_simplex_lp(
             c=[-1.0, -1.0],
             A_ub=[[1.0, 2.0], [3.0, 1.0]],
             b_ub=[4.0, 6.0],
@@ -502,7 +513,7 @@ class TestSimplex:
         assert_allclose(res.value, -(8.0 / 5.0 + 6.0 / 5.0), atol=1e-9)
 
     def test_equality_constraint(self):
-        res = simplex_lp(
+        res = reference_simplex_lp(
             c=[1.0, 2.0],
             A_eq=[[1.0, 1.0]],
             b_eq=[1.0],
@@ -512,7 +523,7 @@ class TestSimplex:
         assert_allclose(res.x, [1.0, 0.0], atol=1e-9)
 
     def test_infeasible(self):
-        res = simplex_lp(
+        res = reference_simplex_lp(
             c=[1.0],
             A_ub=[[1.0], [-1.0]],
             b_ub=[-1.0, -1.0],
@@ -521,23 +532,23 @@ class TestSimplex:
         assert res.status == "infeasible"
 
     def test_unbounded(self):
-        res = simplex_lp(c=[-1.0], A_ub=[[0.0]], b_ub=[1.0], bounds=[(0, None)])
+        res = reference_simplex_lp(c=[-1.0], A_ub=[[0.0]], b_ub=[1.0], bounds=[(0, None)])
         assert res.status == "unbounded"
 
     def test_free_variables_by_default(self):
         # min x s.t. x >= -3 with free x hits the negative bound
-        res = simplex_lp(c=[1.0], A_ub=[[-1.0]], b_ub=[3.0])
+        res = reference_simplex_lp(c=[1.0], A_ub=[[-1.0]], b_ub=[3.0])
         assert res.status == "optimal"
         assert_allclose(res.x, [-3.0], atol=1e-9)
 
     def test_two_sided_bounds(self):
-        res = simplex_lp(c=[-1.0, 1.0], bounds=[(-2.0, 5.0), (1.0, 4.0)])
+        res = reference_simplex_lp(c=[-1.0, 1.0], bounds=[(-2.0, 5.0), (1.0, 4.0)])
         assert res.status == "optimal"
         assert_allclose(res.x, [5.0, 1.0], atol=1e-9)
 
     def test_degenerate_vertex_terminates(self):
         # three rows through one point; Bland's rule must not cycle
-        res = simplex_lp(
+        res = reference_simplex_lp(
             c=[-1.0, -1.0],
             A_ub=[[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]],
             b_ub=[1.0, 1.0, 2.0],
@@ -559,7 +570,7 @@ class TestSimplex:
             b_ub = np.concatenate([b_ub, np.full(2 * n, 10.0)])
             c = rng.standard_normal(n)
             oracle = brute_force_lp(c, a_ub, b_ub)
-            res = simplex_lp(c=c, A_ub=a_ub, b_ub=b_ub)
+            res = reference_simplex_lp(c=c, A_ub=a_ub, b_ub=b_ub)
             assert res.status == "optimal"
             assert_allclose(res.value, oracle, atol=1e-7)
             assert np.all(a_ub @ res.x <= b_ub + 1e-8)
@@ -575,9 +586,82 @@ class TestSimplex:
             b_ub = np.full(2 * n, 1.0)
             c = rng.standard_normal(n)
             oracle = brute_force_lp(c, a_ub, b_ub, a_eq, b_eq)
-            res = simplex_lp(c=c, A_ub=a_ub, b_ub=b_ub, A_eq=a_eq, b_eq=b_eq)
+            res = reference_simplex_lp(c=c, A_ub=a_ub, b_ub=b_ub, A_eq=a_eq, b_eq=b_eq)
             assert res.status == "optimal"
             assert_allclose(res.value, oracle, atol=1e-7)
+
+
+def direction_lp_reference(A, E):
+    """The MFCQ direction LP as the general simplex solved it."""
+    a, n = A.shape
+    p = E.shape[0]
+    c = np.zeros(n + 1)
+    c[n] = -1.0  # maximize s
+    bounds = [(-1.0, 1.0)] * n + [(None, 1.0)]
+    A_ub = np.hstack([A, np.ones((a, 1))])
+    A_eq = np.hstack([E, np.zeros((p, 1))])
+    return reference_simplex_lp(c, A_ub, np.zeros(a), A_eq, np.zeros(p), bounds)
+
+
+def assert_same_lp(A, E):
+    ref = direction_lp_reference(A, E)
+    res = simplex_lp(A, E)
+    if ref.status != "optimal":
+        assert res is None
+        return
+    d, s = res
+    assert same_bits(d, ref.x[:-1])
+    assert same_bits(np.float64(s), np.float64(-ref.value))
+
+
+def random_cone(rng):
+    """Rows of a random direction LP with signed zeros, zero rows, opposite
+    rows and equalities, at row scales from 1e-3 to 1e3."""
+    n = int(rng.integers(1, 6))
+    a = int(rng.integers(0, 8))
+    p = int(rng.integers(0, 3))
+    if a + p == 0:
+        a = 1
+    M = rng.standard_normal((a + p, n)) * 10.0 ** rng.uniform(-3, 3, size=(a + p, 1))
+    M[rng.random(M.shape) < 0.2] = 0.0
+    M[rng.random(M.shape) < 0.1] = -0.0
+    if a >= 2 and rng.random() < 0.3:
+        M[1] = -M[0]
+    if rng.random() < 0.1:
+        M[int(rng.integers(0, a + p))] = 0.0
+    return M[:a], M[a:]
+
+
+class TestDirectionLp:
+    def test_descent_margin_on_one_row(self):
+        # max s with d1 + s <= 0, |d_k| <= 1, s <= 1: d1 = -1 and s = 1
+        d, s = simplex_lp(np.array([[1.0, 0.0]]), np.zeros((0, 2)))
+        assert (d[0], s) == (-1.0, 1.0)
+        assert abs(d[1]) <= 1.0
+
+    def test_opposite_rows_have_zero_margin(self):
+        d, s = simplex_lp(np.array([[0.0, 1.0], [0.0, -1.0]]), np.zeros((0, 2)))
+        assert s == 0.0
+        assert d[1] == 0.0
+
+    def test_matches_general_simplex_bits_on_random_cones(self):
+        rng = np.random.default_rng(34)
+        for _ in range(1000):
+            assert_same_lp(*random_cone(rng))
+
+    def test_matches_general_simplex_bits_on_benchmark_rows(self):
+        seen = set()
+        for workload in workloads.WORKLOADS:
+            for inst in workloads.instances(workload):
+                if inst.text in seen:
+                    continue
+                seen.add(inst.text)
+                problem = load_problem(inst.text)
+                pd = evaluate_point(problem, problem.point)
+                rows = pd.c_grads[pd.rows]
+                a = len(pd.active)
+                assert_same_lp(rows[:a], rows[a:])
+        assert len(seen) == 20
 
 
 class TestMaskedNnls:
