@@ -62,14 +62,43 @@ __all__ = [
     "DirectionArcReport",
     "arcs_for_directions",
     "arc_for_direction",
+    "DEFAULT_ARCS",
+    "DEFAULT_POINTS",
+    "check_arc_request",
     "ARC_BUDGET",
     "check_arc_size",
 ]
 
 _MAX_SHRINK = 5  # delta halvings after a truncated trace
 
+DEFAULT_ARCS = 8  # sampled arcs of the default run
+DEFAULT_POINTS = 41  # samples per arc of the default run
 ARC_BUDGET = 1 << 22  # floats the samples of an analysis' arcs may keep: 32 MiB
-_DEFAULT_SAMPLES = 8 * 41  # the default run: 8 sampled arcs of 41 samples
+
+
+def check_arc_request(n: int, directions, deltas, samples: int) -> list[np.ndarray]:
+    """The directions as flat float arrays, or the ``ValueError`` that
+    ``nlpcheck analyze`` prints: each needs n finite entries of magnitude at
+    most ``norm_bound(n)``, and each delta must be positive, finite and at
+    most that bound, so the arc steps stay finite; the grid of ``samples``
+    must be odd and >= 5, so it holds t = 0 and two symmetric pairs."""
+    bound = norm_bound(n)
+    directions = [np.asarray(d, dtype=float).ravel() for d in directions]
+    for d in directions:
+        if d.size != n or not np.isfinite(d).all():
+            raise ValueError(f"arc direction must have {n} finite coordinates, got {d.tolist()}")
+        if np.abs(d).max(initial=0.0) > bound:
+            raise ValueError(
+                f"arc direction entries must be at most {bound!r} in magnitude, got {d.tolist()}"
+            )
+    if samples < 5 or samples % 2 == 0:
+        raise ValueError(f"arc points must be odd and >= 5, got {samples}")
+    for delta in map(float, deltas):
+        if not 0.0 < delta < np.inf:
+            raise ValueError(f"delta must be positive and finite, got {delta}")
+        if delta > bound:
+            raise ValueError(f"delta must be at most {bound!r}, got {delta!r}")
+    return directions
 
 
 def check_arc_size(n: int, rows: int, arcs: int, samples: int) -> None:
@@ -77,14 +106,14 @@ def check_arc_size(n: int, rows: int, arcs: int, samples: int) -> None:
     would keep more than ``ARC_BUDGET`` floats, ``arcs * samples * (1 + n
     + rows)``: t, the n coordinates of the point and its ``rows``
     constraint values, at every sample.  A run of no more samples than the
-    default one (8 arcs of 41) always runs, so a default run works on
-    every problem."""
+    default one (``DEFAULT_ARCS`` arcs of ``DEFAULT_POINTS``) always runs,
+    so a default run works on every problem."""
     floats = arcs * samples * (1 + n + rows)
-    if arcs * samples > _DEFAULT_SAMPLES and floats > ARC_BUDGET:
+    if arcs * samples > DEFAULT_ARCS * DEFAULT_POINTS and floats > ARC_BUDGET:
         raise ValueError(
             f"{arcs} arcs of {samples} samples would keep {floats} floats (t, {n} coordinates "
             f"and {rows} constraint values per sample), above the budget of {ARC_BUDGET} floats "
-            f"(up to {_DEFAULT_SAMPLES} samples always run)"
+            f"(up to {DEFAULT_ARCS * DEFAULT_POINTS} samples always run)"
         )
 
 
@@ -254,16 +283,15 @@ def trace_arcs(
     charts,
     directions,
     deltas,
-    samples: int = 41,
+    samples: int = DEFAULT_POINTS,
     newton_tol: float = 1e-12,
 ) -> list[ArcResult]:
     """March the arcs zeta(t) through their chart centers over symmetric
     grids by warm-started Newton, all of them together.
 
     Arc a runs along ``directions[a]`` through ``charts[a]`` with half-width
-    ``deltas[a]``, which must be positive and at most ``norm_bound(n)``.
-    ``samples`` must be odd and at least 5 so each grid contains t = 0 and
-    enough symmetric pairs for derivative estimates.
+    ``deltas[a]``, over a grid of ``samples`` points; a request that
+    :func:`check_arc_request` rejects raises its ``ValueError``.
     Sample k of both sides of every arc is one :func:`newton_batch`, each
     side starting from its sample k - 1 (the chart center for the first).
     A Newton failure truncates that side at the last good sample.  The
@@ -272,14 +300,7 @@ def trace_arcs(
     where a constraint leaves its domain.  Each arc equals the one traced
     alone.
     """
-    directions = [np.asarray(d, dtype=float).ravel() for d in directions]
-    if any(delta <= 0.0 for delta in deltas):
-        raise ValueError("delta must be positive")
-    bound = norm_bound(problem.n)  # so that delta times a step stays finite
-    if any(delta > bound for delta in deltas):
-        raise ValueError(f"delta must be at most {bound!r}")
-    if samples < 5 or samples % 2 == 0:
-        raise ValueError("samples must be odd and at least 5")
+    directions = check_arc_request(problem.n, directions, deltas, samples)
     half = (samples - 1) // 2
     n, m = problem.n, problem.m
 
@@ -379,7 +400,7 @@ def trace_arc(
     chart: LocalChart,
     d,
     delta: float,
-    samples: int = 41,
+    samples: int = DEFAULT_POINTS,
     newton_tol: float = 1e-12,
 ) -> ArcResult:
     """The one arc of :func:`trace_arcs` for a single chart and direction."""
@@ -518,7 +539,7 @@ def arcs_for_directions(
     pd: PointData,
     directions,
     delta: float = 0.1,
-    samples: int = 41,
+    samples: int = DEFAULT_POINTS,
     tol_dir: float = 1e-8,
     tol_rank: float = 1e-8,
     newton_tol: float = 1e-12,
@@ -532,15 +553,15 @@ def arcs_for_directions(
     truncated have their delta halved (up to ``_MAX_SHRINK`` times) and are
     retraced together, since Proposition-style arcs are only guaranteed on
     a small enough interval; the final attempt is reported even if still
-    truncated.  Directions whose samples would not fit the budget raise
-    ``ValueError`` (:func:`check_arc_size`) before any is traced.
+    truncated.  :func:`check_arc_request` and :func:`check_arc_size` raise
+    ``ValueError`` before any trace; a direction off the cone gets an error.
 
     Directions with the same bits pin the same constraints and get the same
     chart and delta, so their arcs are the same: each distinct direction is
     traced and verified once, and its duplicates share its report.
     """
+    directions = check_arc_request(problem.n, directions, [delta], samples)
     check_arc_size(problem.n, problem.m + problem.p, len(directions), samples)
-    directions = [np.asarray(d, dtype=float).ravel() for d in directions]
     report_of: dict = {}  # the bits of each distinct direction -> its position in reports
     reports = []
     charts = []
@@ -602,7 +623,7 @@ def arc_for_direction(
     pd: PointData,
     d,
     delta: float = 0.1,
-    samples: int = 41,
+    samples: int = DEFAULT_POINTS,
     tol_dir: float = 1e-8,
     tol_rank: float = 1e-8,
     newton_tol: float = 1e-12,

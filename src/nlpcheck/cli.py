@@ -30,10 +30,8 @@ import numpy as np
 
 from nlpcheck import arc as arc_mod
 from nlpcheck import cones, cq, kkt
-from nlpcheck._sobol import MAXPOINTS
 from nlpcheck._version import __version__
 from nlpcheck.expr import DomainError
-from nlpcheck.linalg import norm_bound
 from nlpcheck.model import Problem, ProblemError, evaluate_point, feasibility, load_problem
 from nlpcheck.problems import builtin_names, builtin_source
 
@@ -66,7 +64,7 @@ class RunConfig:
     problem: str
     point: np.ndarray | None = None
     seed: int = 0
-    radii: tuple[float, ...] = (1e-2, 1e-3, 1e-4)
+    radii: tuple[float, ...] = cq.NeighborhoodSampler.radii
     samples: int = cq.DEFAULT_SAMPLES
     tol_rank: float = 1e-8
     tol_active: float = 1e-8
@@ -74,8 +72,8 @@ class RunConfig:
     newton_tol: float = 1e-12
     verify_tol: float = 1e-7
     arc_dirs: tuple = ()
-    arc_sample: int = 8
-    arc_points: int = 41
+    arc_sample: int = arc_mod.DEFAULT_ARCS
+    arc_points: int = arc_mod.DEFAULT_POINTS
     delta: float = 0.1
 
 
@@ -137,34 +135,20 @@ def _arc_entry(rep: arc_mod.DirectionArcReport) -> dict:
     return entry
 
 
-def _validate(config: RunConfig, problem: Problem) -> None:
-    """Reject a configuration the analysis cannot run on.  The point is not
-    read here: :func:`~nlpcheck.model.check_point` admits it."""
-    n = problem.n
-    bound = norm_bound(n)  # the gradients' bound: the direction's norm stays finite
-    for d in config.arc_dirs:
-        d = np.asarray(d, dtype=float)
-        if d.shape != (n,) or not np.isfinite(d).all():
-            raise InputError(f"arc direction must have {n} finite coordinates, got {d.tolist()}")
-        if np.abs(d).max(initial=0.0) > bound:
-            raise InputError(
-                f"arc direction entries must be at most {bound!r} in magnitude, got {d.tolist()}"
-            )
-    if config.arc_points < 5 or config.arc_points % 2 == 0:
-        raise InputError(f"arc points must be odd and >= 5, got {config.arc_points}")
-    if not 0.0 < config.delta < math.inf:
-        raise InputError(f"delta must be positive and finite, got {config.delta}")
-    if config.delta > bound:  # the arc steps, delta times a direction, stay finite
-        raise InputError(f"delta must be at most {bound!r}, got {config.delta!r}")
-    if not 0 <= config.samples <= MAXPOINTS:
-        raise InputError(
-            f"samples per radius must be between 0 and 2**30, got {config.samples}"
-        )
-    if not config.radii or not all(0.0 < r < math.inf for r in config.radii):
-        raise InputError(f"radii must be positive and finite, got {list(config.radii)}")
-    # every constraint row may be active, so the scan's rows are at most m + p
+def _validate(config: RunConfig, problem: Problem) -> cq.NeighborhoodSampler:
+    """Reject a configuration before any sweep; return the rank-scan sampler.
+    :func:`~nlpcheck.arc.check_arc_request`, :class:`~nlpcheck.cq.NeighborhoodSampler`
+    and the two budgets admit their requests, with the texts printed (the
+    budgets' after the flags); only the tolerances and ``--arc-sample`` are
+    checked here, and :func:`~nlpcheck.model.check_point` admits the point."""
+    n, rows = problem.n, problem.m + problem.p  # every constraint row may be active
     try:
-        cq.check_scan_size(n, problem.m + problem.p, len(config.radii), config.samples)
+        arc_mod.check_arc_request(n, config.arc_dirs, [config.delta], config.arc_points)
+        sampler = cq.NeighborhoodSampler(tuple(config.radii), config.samples, config.seed)
+    except ValueError as exc:
+        raise InputError(str(exc)) from None
+    try:
+        cq.check_scan_size(n, rows, len(config.radii), config.samples)
     except ValueError as exc:
         raise InputError(
             f"--samples {config.samples} is too large for this problem: {exc}"
@@ -181,16 +165,13 @@ def _validate(config: RunConfig, problem: Problem) -> None:
     if config.arc_sample < 0:
         raise InputError(f"arc sample count must be >= 0, got {config.arc_sample}")
     try:
-        arc_mod.check_arc_size(
-            n, problem.m + problem.p, config.arc_sample + len(config.arc_dirs), config.arc_points
-        )
+        arc_mod.check_arc_size(n, rows, config.arc_sample + len(config.arc_dirs), config.arc_points)
     except ValueError as exc:
         raise InputError(
             f"--arc-sample {config.arc_sample} with {len(config.arc_dirs)} --arc-dir and "
             f"--arc-points {config.arc_points} is too large for this problem: {exc}"
         ) from None
-    if not isinstance(config.seed, (int, np.integer)) or config.seed < 0:
-        raise InputError(f"seed must be a non-negative integer, got {config.seed}")
+    return sampler
 
 
 def run(config: RunConfig) -> dict:
@@ -204,7 +185,7 @@ def run(config: RunConfig) -> dict:
     x = problem.point if config.point is None else config.point
     if x is None:
         raise InputError("no candidate point: give one with --point or a 'point' line")
-    _validate(config, problem)
+    sampler = _validate(config, problem)
     try:
         feas = feasibility(problem, x, config.tol_active)
         pd = evaluate_point(problem, x, config.tol_active) if feas.feasible else None
@@ -241,21 +222,13 @@ def run(config: RunConfig) -> dict:
     }
     if not feas.feasible:
         reason = "point is infeasible at tolerance; first-order analysis skipped"
-        report["active_set"] = {"skipped": reason}
-        report["constraint_qualifications"] = {"skipped": reason}
-        report["kkt"] = {"skipped": reason}
-        report["ssonc"] = {"skipped": reason}
-        report["arcs"] = {"skipped": reason}
+        for key in ("active_set", "constraint_qualifications", "kkt", "ssonc", "arcs"):
+            report[key] = {"skipped": reason}
         return report
 
     report["active_set"] = list(pd.active)
     report["objective_value"] = pd.f_val
 
-    sampler = cq.NeighborhoodSampler(
-        radii=tuple(config.radii),
-        samples_per_radius=config.samples,
-        seed=config.seed,
-    )
     cqs: dict = {}
     cqs["licq"] = _verdict_dict(cq.check_licq(pd, config.tol_rank))
     cqs["mfcq"] = _verdict_dict(cq.check_mfcq(pd, config.tol_rank))
@@ -560,7 +533,7 @@ def main(argv=None) -> int:
     flags = (
         ("--seed", int, "sampling seed"),
         ("--samples", int, "samples per radius in the rank scans"),
-        ("--tol-rank", float, "singular-value cutoff for rank decisions"),
+        ("--tol-rank", float, "relative rank cutoff, and absolute KKT stationarity tolerance"),
         ("--tol-active", float, "activity threshold for inequalities"),
         ("--tol-dir", float, "pinning threshold for arc directions"),
         ("--newton-tol", float, "Newton residual target along arcs"),
@@ -618,8 +591,7 @@ def main(argv=None) -> int:
             _atomic_write(args.json_path, report_to_json(report))
             lines.append(f"report written to {args.json_path}")
         if args.csv_dir:
-            arcs = report.get("arcs", {})
-            entries = arcs.get("entries", []) if isinstance(arcs, dict) else []
+            entries = report["arcs"].get("entries", [])  # none when the point is infeasible
             os.makedirs(args.csv_dir, exist_ok=True)
             written = 0
             for k, entry in enumerate(entries):

@@ -49,7 +49,7 @@ from typing import Iterator
 
 import numpy as np
 
-from nlpcheck._sobol import scrambled_sobol
+from nlpcheck._sobol import MAXPOINTS, scrambled_sobol
 from nlpcheck.linalg import (
     entry_bound,
     numerical_rank,
@@ -117,7 +117,7 @@ def check_scan_size(n: int, rows: int, radii: int, samples: int) -> None:
         )
 
 
-@dataclass
+@dataclass(frozen=True)
 class NeighborhoodSampler:
     """Deterministic low-discrepancy samples on shrinking infinity-balls.
 
@@ -127,20 +127,29 @@ class NeighborhoodSampler:
     in-house LMS+shift scrambled Sobol of :mod:`nlpcheck._sobol`, whose
     points are bit-identical to ``scipy.stats.qmc.Sobol(n, scramble=True,
     seed=np.random.default_rng([seed, shell]))``; SciPy is not imported.
+    Building one admits the scan request: non-empty, positive, finite radii,
+    an integer count in ``[0, 2^30]`` and a non-negative integer seed, or the
+    ``ValueError`` that ``nlpcheck analyze`` prints.
     """
 
     radii: tuple[float, ...] = (1e-2, 1e-3, 1e-4)
     samples_per_radius: int = DEFAULT_SAMPLES
     seed: int = 0
 
+    def __post_init__(self):
+        count = self.samples_per_radius
+        if not (isinstance(count, (int, np.integer)) and 0 <= count <= MAXPOINTS):
+            raise ValueError(f"samples per radius must be between 0 and 2**30, got {count}")
+        if not self.radii or not all(0.0 < r < np.inf for r in self.radii):
+            raise ValueError(f"radii must be positive and finite, got {list(self.radii)}")
+        if not isinstance(self.seed, (int, np.integer)) or self.seed < 0:
+            raise ValueError(f"seed must be a non-negative integer, got {self.seed}")
+
     def shells(self, center) -> Iterator[np.ndarray]:
         """Yield one ``(samples_per_radius, n)`` array of points per radius, in order."""
         center = np.asarray(center, dtype=float)
-        count = int(self.samples_per_radius)
-        if count <= 0:
-            return
         for shell, radius in enumerate(self.radii):
-            u = scrambled_sobol(center.size, count, [self.seed, shell])
+            u = scrambled_sobol(center.size, self.samples_per_radius, [self.seed, shell])
             yield center + radius * (2.0 * u - 1.0)
 
 
@@ -313,11 +322,9 @@ def check_rank_constancy(
     budget raises ``ValueError`` (:func:`check_scan_size`).
     """
     active = pd.active
-    count = max(int(sampler.samples_per_radius), 0)
+    count = sampler.samples_per_radius
     check_scan_size(pd.n, len(pd.rows), len(sampler.radii), count)
-    X = np.empty((len(sampler.radii) * count, pd.n))
-    for shell, pts in enumerate(sampler.shells(pd.x)):
-        X[shell * count : (shell + 1) * count] = pts
+    X = np.concatenate(list(sampler.shells(pd.x)))  # (radii * count, n)
     stack = np.empty((1 + len(X), len(pd.rows), pd.n))  # (1 + samples, rows, n)
     stack[0] = pd.c_grads[pd.rows]
     keep = np.ones(len(stack), dtype=bool)

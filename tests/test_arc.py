@@ -5,8 +5,10 @@ zeta(t) = (sqrt(1 - t^2), t), the parabola fixture gives (t, t^2), and
 straight-line cases are exact.
 """
 
+import math
 import os
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -436,6 +438,32 @@ class TestArcForDirection:
         assert report.error is not None
         assert report.arc is None
         assert not report.realized()
+
+    @pytest.mark.parametrize(
+        "d, delta, message",
+        [
+            # traced an arc whose one sample was t = nan
+            ([0.0, 1.0], math.nan, "delta must be positive and finite, got nan"),
+            # traced an arc with no error
+            ([math.nan, 1.0], 0.1, "arc direction must have 2 finite coordinates, got [nan, 1.0]"),
+            # raised a RuntimeWarning in a matrix product
+            ([0.0, math.inf], 0.1, "arc direction must have 2 finite coordinates, got [0.0, inf]"),
+            # gave an error entry, "direction must have length 2"
+            (
+                [0.0, 1.0, 0.0],
+                0.1,
+                "arc direction must have 2 finite coordinates, got [0.0, 1.0, 0.0]",
+            ),
+        ],
+        ids=["nan-delta", "nan-direction", "infinite-direction", "three-coordinates"],
+    )
+    def test_request_the_cli_rejects_raises_its_text(self, d, delta, message):
+        prob, pd = circle_setup()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(ValueError) as info:
+                arcs_for_directions(prob, pd, [np.array(d)], delta)
+        assert str(info.value) == message
 
     def test_degenerate_rank_reports_error(self):
         prob = load_problem("vars 1\nobjective x1\nineq x1^2\npoint 0\n")

@@ -15,6 +15,7 @@ import pytest
 from _oracles import reference_report_to_json
 
 import nlpcheck
+from nlpcheck import arc as arc_mod
 from nlpcheck import cli, cq, expr
 from nlpcheck.cli import (
     InputError,
@@ -39,6 +40,72 @@ WIDE_POINT = (
     "vars 4000\nobjective " + " + ".join(f"x{i}*x{i + 1}" for i in range(1, 41))
     + f"\npoint {' 0' * 4000}\n"
 )
+
+# each flag value or problem text that nlpcheck analyze rejects (exit 2),
+# and a part of its message
+INVALID_CONFIG = [
+    (["--point", "nan,1"], "point has non-finite"),
+    (["--arc-dir", "1,0,0"], "arc direction must have 2"),
+    (["--arc-dir", "nan,0"], "arc direction must have 2 finite"),
+    (["--arc-points", "4"], "arc points must be odd"),
+    (["--arc-points", "3"], "arc points must be odd and >= 5"),
+    (["--delta", "-1"], "delta must be positive"),
+    (["--delta", "nan"], "delta must be positive and finite"),
+    (["--samples", "-3"], "samples per radius"),
+    (["--radii", ","], "--radii expects comma-separated numbers"),
+    (["--radii", "1e-2,inf"], "radii must be positive and finite"),
+    (["--radii", "1e-2,0"], "radii must be positive"),
+    (["--tol-rank", "nan"], "tol_rank must be positive and finite"),
+    (["--tol-dir", "0"], "tol_dir must be positive"),
+    (["--newton-tol", "-1"], "newton_tol must be positive"),
+    (["--verify-tol", "0"], "verify_tol must be positive"),
+    (["--verify-tol", "inf"], "verify_tol must be positive and finite"),
+    (["--tol-active", "-1"], "tol_active must be >= 0"),
+    (["--tol-active", "nan"], "tol_active must be >= 0 and finite"),
+    (["--arc-sample", "-2"], "arc sample count must be >= 0"),
+    (["--samples", "2000000000"], "samples per radius must be between 0 and 2**30"),
+    (["--seed", "-1"], "seed must be a non-negative integer, got -1"),
+    # 1,280,001 points at the default 64 samples per radius
+    (["--radii", ",".join(["1e-2"] * 20000)], "(64 per radius at 20000 radii"),
+    (["--arc-dir", "1e308,1e308"], "arc direction entries must be at most"),
+    (["--tol-rank", "1e308"], "tol_rank must be below 1"),
+    (["--tol-rank", "1"], "tol_rank must be below 1, got 1.0"),
+    # arc samples of t, the point and g: 8 * 50,000,001 * 4 and
+    # 3,000,000 * 41 * 4 floats, each above the budget of 2**22
+    (["--arc-points", "50000001"], "and --arc-points 50000001 is too large"),
+    (["--arc-sample", "3000000"], "--arc-sample 3000000 with 0 --arc-dir"),
+    # a problem text of its own: the Hessians at a point of 100,000
+    # coordinates would take 10^10 floats, above the budget of 2**26
+    (
+        [f"vars 100000\nobjective x1\npoint {' 0' * 100000}\n"],
+        "point is too large for this problem: the Hessians at a point of 100000 "
+        "coordinates, one for each of 0 constraint rows and the objective",
+    ),
+    # the arc steps delta * k / half overflowed at 1e308
+    (["--delta", "1e308"], "delta must be at most 4.740375954054588e+153"),
+    # the objective's Hessian is +-inf at the point, which no cone
+    # minimum can use
+    (
+        ["vars 2\nobjective 1e308*x1^2 - 1e308*x2^2\nineq -x1\npoint 0 0\n"],
+        "objective: Hessian at the point has an infinite entry",
+    ),
+    (
+        [WIDE_POINT],
+        "point is too large for this problem: the Hessians at a point of 4000 "
+        "coordinates, one for each of 0 constraint rows and the objective and one for "
+        "each of the 120 sweep slots of the widest function, would hold 1936000000 floats",
+    ),
+]
+
+# the rows of INVALID_CONFIG that the arc request (arc.check_arc_request) or
+# the rank-scan request (cq.NeighborhoodSampler) rejects; the others fail to
+# parse, exceed a memory budget, or break a rule of another layer
+REQUEST_ROWS = [
+    (flags, message)
+    for flags, message in INVALID_CONFIG
+    if flags[0] in ("--arc-dir", "--arc-points", "--delta", "--radii", "--samples", "--seed")
+    and not message.startswith(("--", "(", "and --"))
+]
 
 TOP_KEYS = [
     "tool",
@@ -366,62 +433,7 @@ class TestMain:
         code = main(["analyze", "builtin:circle", "--radii", "x"])
         assert code == 2
 
-    @pytest.mark.parametrize(
-        "flags, message",
-        [
-            (["--point", "nan,1"], "point has non-finite"),
-            (["--arc-dir", "1,0,0"], "arc direction must have 2"),
-            (["--arc-dir", "nan,0"], "arc direction must have 2 finite"),
-            (["--arc-points", "4"], "arc points must be odd"),
-            (["--arc-points", "3"], "arc points must be odd and >= 5"),
-            (["--delta", "-1"], "delta must be positive"),
-            (["--delta", "nan"], "delta must be positive and finite"),
-            (["--samples", "-3"], "samples per radius"),
-            (["--radii", ","], "--radii expects comma-separated numbers"),
-            (["--radii", "1e-2,inf"], "radii must be positive and finite"),
-            (["--radii", "1e-2,0"], "radii must be positive"),
-            (["--tol-rank", "nan"], "tol_rank must be positive and finite"),
-            (["--tol-dir", "0"], "tol_dir must be positive"),
-            (["--newton-tol", "-1"], "newton_tol must be positive"),
-            (["--verify-tol", "0"], "verify_tol must be positive"),
-            (["--verify-tol", "inf"], "verify_tol must be positive and finite"),
-            (["--tol-active", "-1"], "tol_active must be >= 0"),
-            (["--tol-active", "nan"], "tol_active must be >= 0 and finite"),
-            (["--arc-sample", "-2"], "arc sample count must be >= 0"),
-            (["--samples", "2000000000"], "samples per radius must be between 0 and 2**30"),
-            (["--seed", "-1"], "seed must be a non-negative integer, got -1"),
-            # 1,280,001 points at the default 64 samples per radius
-            (["--radii", ",".join(["1e-2"] * 20000)], "(64 per radius at 20000 radii"),
-            (["--arc-dir", "1e308,1e308"], "arc direction entries must be at most"),
-            (["--tol-rank", "1e308"], "tol_rank must be below 1"),
-            (["--tol-rank", "1"], "tol_rank must be below 1, got 1.0"),
-            # arc samples of t, the point and g: 8 * 50,000,001 * 4 and
-            # 3,000,000 * 41 * 4 floats, each above the budget of 2**22
-            (["--arc-points", "50000001"], "and --arc-points 50000001 is too large"),
-            (["--arc-sample", "3000000"], "--arc-sample 3000000 with 0 --arc-dir"),
-            # a problem text of its own: the Hessians at a point of 100,000
-            # coordinates would take 10^10 floats, above the budget of 2**26
-            (
-                [f"vars 100000\nobjective x1\npoint {' 0' * 100000}\n"],
-                "point is too large for this problem: the Hessians at a point of 100000 "
-                "coordinates, one for each of 0 constraint rows and the objective",
-            ),
-            # the arc steps delta * k / half overflowed at 1e308
-            (["--delta", "1e308"], "delta must be at most 4.740375954054588e+153"),
-            # the objective's Hessian is +-inf at the point, which no cone
-            # minimum can use
-            (
-                ["vars 2\nobjective 1e308*x1^2 - 1e308*x2^2\nineq -x1\npoint 0 0\n"],
-                "objective: Hessian at the point has an infinite entry",
-            ),
-            (
-                [WIDE_POINT],
-                "point is too large for this problem: the Hessians at a point of 4000 "
-                "coordinates, one for each of 0 constraint rows and the objective and one for "
-                "each of the 120 sweep slots of the widest function, would hold 1936000000 floats",
-            ),
-        ],
-    )
+    @pytest.mark.parametrize("flags, message", INVALID_CONFIG)
     def test_invalid_config_exit_two(self, flags, message, tmp_path, capsys):
         target = "builtin:circle"
         if not flags[0].startswith("-"):
@@ -639,6 +651,48 @@ class TestMain:
             texts.append(capsys.readouterr().err.removeprefix("error: ").removesuffix("\n"))
         assert texts[0].startswith(message)
         assert texts == [texts[0]] * len(texts), texts
+
+    @pytest.mark.parametrize("flags, message", REQUEST_ROWS)
+    def test_request_gates_are_one_text_before_any_sweep(
+        self, flags, message, monkeypatch, capsys
+    ):
+        # arc.check_arc_request admits the arc request and cq.NeighborhoodSampler
+        # the rank-scan request: the library raises the text the CLI prints,
+        # and neither path sweeps a tape first
+        flag, value = flags
+        problem = builtin_problem("circle")
+        pd = evaluate_point(problem, problem.point)
+        chart = arc_mod.identity_chart(pd)
+
+        def no_sweep(*args, **kwargs):
+            raise AssertionError("a tape was swept before the request gate")
+
+        monkeypatch.setattr(expr.TapeSet, "_run", no_sweep)
+        assert main(["analyze", "builtin:circle", *flags]) == 2
+        text = capsys.readouterr().err.removeprefix("error: ").removesuffix("\n")
+        assert text.startswith(message)
+        if flag == "--radii":
+            requests = [lambda: cq.NeighborhoodSampler(radii=tuple(map(float, value.split(","))))]
+        elif flag == "--samples":
+            requests = [lambda: cq.NeighborhoodSampler(samples_per_radius=int(value))]
+        elif flag == "--seed":
+            requests = [lambda: cq.NeighborhoodSampler(seed=int(value))]
+        else:
+            d, delta, samples = [0.0, 1.0], 0.1, 41
+            if flag == "--arc-dir":
+                d = [float(v) for v in value.split(",")]
+            elif flag == "--delta":
+                delta = float(value)
+            else:
+                samples = int(value)
+            requests = [
+                lambda: arc_mod.arcs_for_directions(problem, pd, [d], delta, samples),
+                lambda: arc_mod.trace_arcs(problem, [chart], [d], [delta], samples),
+            ]
+        for request in requests:
+            with pytest.raises(ValueError) as info:
+                request()
+            assert str(info.value) == text
 
     def test_feasibility_evaluates_values_only(self, tmp_path, capsys):
         # sqrt(x1) has a value at x1 = 0 but no derivative: an infeasible

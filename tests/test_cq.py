@@ -5,6 +5,7 @@ rank certificates by evaluating gradients at the recorded points, MFCQ
 directions by substituting into the active gradients.
 """
 
+import math
 import os
 import subprocess
 import sys
@@ -138,6 +139,38 @@ class TestSampler:
         xs0 = [x for _, _, x in sample_points(NeighborhoodSampler(seed=0), center)]
         xs1 = [x for _, _, x in sample_points(NeighborhoodSampler(seed=1), center)]
         assert not np.array_equal(np.array(xs0), np.array(xs1))
+
+    @pytest.mark.parametrize(
+        "kwargs, message",
+        [
+            # the scan reported its 64 samples as skipped for the domain
+            ({"radii": (math.nan,)}, "radii must be positive and finite, got [nan]"),
+            # the scans read undetermined from no sample at all
+            ({"radii": ()}, "radii must be positive and finite, got []"),
+            # the same, with 0 samples
+            ({"samples_per_radius": -5}, "samples per radius must be between 0 and 2**30, got -5"),
+            # numpy's "expected non-negative integer"
+            ({"seed": -1}, "seed must be a non-negative integer, got -1"),
+        ],
+        ids=["nan-radius", "no-radii", "negative-samples", "negative-seed"],
+    )
+    def test_request_the_cli_rejects_raises_its_text(self, kwargs, message):
+        prob = builtin_problem("paper-example-1")
+        pd = evaluate_point(prob, prob.point)
+        with pytest.raises(ValueError) as info:
+            check_rank_constancy(prob, pd, NeighborhoodSampler(**kwargs))
+        assert str(info.value) == message
+
+    def test_no_samples_scan_nothing(self):
+        # --samples 0: every shell is empty, and the scans read undetermined
+        prob = builtin_problem("paper-example-1")
+        pd = evaluate_point(prob, prob.point)
+        sampler = NeighborhoodSampler(samples_per_radius=0)
+        assert [shell.shape for shell in sampler.shells(pd.x)] == [(0, 2)] * 3
+        for verdict in check_rank_constancy(prob, pd, sampler).values():
+            assert verdict.status == "undetermined"
+            assert verdict.evidence["samples_used"] == 0
+            assert verdict.evidence["samples_skipped_domain"] == 0
 
 
 class TestSobol:
