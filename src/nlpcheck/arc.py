@@ -19,15 +19,9 @@ gives a curve that keeps xi (hence, where ranks are locally constant, all
 of sigma) exactly at its center value while moving with velocity d.  Each
 zeta(t) is computed by a warm-started Newton solve of c(x) = target.
 
-The directions that pin the same constraints share one chart.  All the
-arcs of an analysis are traced together: both sides of every arc march
-outward one sample at a time, each sample one ``newton_batch`` over every
-side.  Once per trace, one :class:`~nlpcheck.expr.Gather` lists each
-chart's rows (its xi constraints, then its kept coordinates) as slots of a
-single sweep plan.  A Newton round is then one sweep at the trial points,
-from whose slot tables c(x) and c'(x) are gathered directly.  The march
-keeps only the points; every constraint value along the arcs, the
-centers' included, comes from one order-0 sweep after it.
+The directions that pin the same constraints share one chart, and all
+the arcs of an analysis are marched together, one ``newton_batch`` per
+sample over both sides of every arc (:func:`trace_arcs`).
 
 The traced arc is validated against five properties: (arc1) it starts at
 the point with velocity d; (arc2) pinned inequalities stay at zero; (arc3)
@@ -44,7 +38,7 @@ import numpy as np
 from nlpcheck.cones import linearized_cone, membership
 from nlpcheck.expr import DomainError
 from nlpcheck.linalg import newton_batch, norm_bound, numerical_rank, pivot_select
-from nlpcheck.model import PointData, Problem, row_label
+from nlpcheck.model import PointData, Problem, Tolerances, row_label
 
 __all__ = [
     "PinnedSet",
@@ -135,17 +129,17 @@ class PinnedSet:
     components: tuple[int, ...]
 
 
-def pinned_constraints(pd: PointData, d, tol_dir: float = 1e-8) -> PinnedSet:
-    """Classify which constraints stay pinned along ``d``.
+def pinned_constraints(pd: PointData, d) -> PinnedSet:
+    """Classify which constraints stay pinned along ``d``, at ``pd.tol.direction``.
 
     ``d`` must belong to the linearized cone at the point; directions
     outside it have no feasible arc to begin with.
     """
     d = np.asarray(d, dtype=float).ravel()
     cone = linearized_cone(pd)
-    if not membership(cone, d, tol_dir):
+    if not membership(cone, d):
         raise ValueError("direction is not in the linearized cone")
-    scale = tol_dir * (1.0 + float(np.linalg.norm(d)))
+    scale = pd.tol.direction * (1.0 + float(np.linalg.norm(d)))
     a = len(pd.active)
     rows = pd.rows
     keep = [abs(float(pd.c_grads[k] @ d)) <= scale for k in rows[:a]] + [True] * pd.p
@@ -203,11 +197,12 @@ def identity_chart(pd: PointData) -> LocalChart:
     )
 
 
-def build_chart(pd: PointData, pinned: PinnedSet, tol_rank: float = 1e-8) -> LocalChart:
+def build_chart(pd: PointData, pinned: PinnedSet) -> LocalChart:
     """Select chart rows and variables at ``pd.x`` by greedy pivoting.
 
     Rows of the pinned-constraint Jacobian (read from ``pd``) are reduced to
-    a spanning subset xi of size equal to the numerical rank; then the
+    a spanning subset xi of size equal to the numerical rank at
+    ``pd.tol.rank``; then the
     variable block J is chosen the same way from the xi rows.  Ties prefer
     earlier components and earlier variables, so the selection is
     deterministic.
@@ -216,7 +211,7 @@ def build_chart(pd: PointData, pinned: PinnedSet, tol_rank: float = 1e-8) -> Loc
     n = x.size
     if not pinned.components:
         return identity_chart(pd)
-    comps = list(pinned.components)
+    comps, tol_rank = list(pinned.components), pd.tol.rank
     rows = pd.c_grads[comps]
     info = numerical_rank(rows, tol_rank)
     r = info.rank
@@ -284,10 +279,11 @@ def trace_arcs(
     directions,
     deltas,
     samples: int = DEFAULT_POINTS,
-    newton_tol: float = 1e-12,
+    tol: Tolerances = Tolerances(),
 ) -> list[ArcResult]:
     """March the arcs zeta(t) through their chart centers over symmetric
-    grids by warm-started Newton, all of them together.
+    grids by warm-started Newton, all of them together, to the residual
+    ``tol.newton``.
 
     Arc a runs along ``directions[a]`` through ``charts[a]`` with half-width
     ``deltas[a]``, over a grid of ``samples`` points; a request that
@@ -339,7 +335,7 @@ def trace_arcs(
             lambda rows, T: gather.evaluate(T, lines[rows]),
             state,
             starts + tk[:, None] * steps,
-            newton_tol,
+            tol.newton,
         )
         good = np.array([error is None for error in errors])
         if not good.all():
@@ -401,10 +397,10 @@ def trace_arc(
     d,
     delta: float,
     samples: int = DEFAULT_POINTS,
-    newton_tol: float = 1e-12,
+    tol: Tolerances = Tolerances(),
 ) -> ArcResult:
     """The one arc of :func:`trace_arcs` for a single chart and direction."""
-    return trace_arcs(problem, [chart], [d], [delta], samples, newton_tol)[0]
+    return trace_arcs(problem, [chart], [d], [delta], samples, tol)[0]
 
 
 @dataclass
@@ -422,7 +418,6 @@ class ArcProperties:
     feasibility of the whole constraint system."""
 
     checks: dict[str, PropertyCheck]
-    tol: float
 
     def passed_all(self) -> bool:
         return all(c.passed for c in self.checks.values())
@@ -442,10 +437,8 @@ def _worst_per_ineq(labels, residuals, tol: float) -> PropertyCheck:
     return PropertyCheck(worst <= tol, worst, {"per_constraint": per})
 
 
-def verify_arc(
-    arc: ArcResult, pd: PointData, pinned: PinnedSet, tol: float = 1e-7
-) -> ArcProperties:
-    """Validate the five arc properties on the stored samples.
+def verify_arc(arc: ArcResult, pd: PointData, pinned: PinnedSet) -> ArcProperties:
+    """Validate the five arc properties on the stored samples at ``tol = pd.tol.verify``.
 
     (arc1) checks the start point at ``tol`` and the Richardson-extrapolated
     velocity at ``sqrt(tol)`` (a plain central difference on grids too short
@@ -456,8 +449,7 @@ def verify_arc(
     for t >= 0.  Forward feasibility summarizes g <= tol and |h| <= tol over
     t >= 0.
     """
-    iz = arc.zero_index
-    t = arc.t
+    iz, t, tol = arc.zero_index, arc.t, pd.tol.verify
     checks: dict[str, PropertyCheck] = {}
 
     # (arc1): start point and velocity
@@ -512,7 +504,7 @@ def verify_arc(
     checks["forward_feasible"] = PropertyCheck(
         worst <= tol, worst, {"worst_ineq": worst_g, "worst_eq": worst_h}
     )
-    return ArcProperties(checks=checks, tol=tol)
+    return ArcProperties(checks)
 
 
 @dataclass
@@ -540,12 +532,8 @@ def arcs_for_directions(
     directions,
     delta: float = 0.1,
     samples: int = DEFAULT_POINTS,
-    tol_dir: float = 1e-8,
-    tol_rank: float = 1e-8,
-    newton_tol: float = 1e-12,
-    verify_tol: float = 1e-7,
 ) -> list[DirectionArcReport]:
-    """Pin, chart, trace, and verify the arc for each direction.
+    """Pin, chart, trace, and verify the arc for each direction, at ``pd.tol``.
 
     The directions that pin the same constraints share one chart (or one
     :class:`DegenerateRankError`), built once.  Every charted direction is
@@ -571,13 +559,13 @@ def arcs_for_directions(
         if report_of.setdefault(d.tobytes(), len(reports)) < len(reports):
             continue
         try:
-            pinned = pinned_constraints(pd, d, tol_dir)
+            pinned = pinned_constraints(pd, d)
         except ValueError as exc:
             reports.append(DirectionArcReport(d, None, {}, None, None, error=str(exc)))
             continue
         if pinned.components not in built:
             try:
-                built[pinned.components] = build_chart(pd, pinned, tol_rank)
+                built[pinned.components] = build_chart(pd, pinned)
             except DegenerateRankError as exc:
                 built[pinned.components] = exc
         chart = built[pinned.components]
@@ -606,7 +594,7 @@ def arcs_for_directions(
             [reports[charted[i]].direction for i in pending],
             [cur_delta[i] for i in pending],
             samples,
-            newton_tol,
+            pd.tol,
         )
         for i, arc in zip(pending, traced):
             reports[charted[i]].arc = arc
@@ -614,7 +602,7 @@ def arcs_for_directions(
         for i in pending:
             cur_delta[i] *= 0.5
     for rep in (reports[r] for r in charted):
-        rep.properties = verify_arc(rep.arc, pd, rep.pinned, verify_tol)
+        rep.properties = verify_arc(rep.arc, pd, rep.pinned)
     return [reports[report_of[d.tobytes()]] for d in directions]
 
 
@@ -624,12 +612,6 @@ def arc_for_direction(
     d,
     delta: float = 0.1,
     samples: int = DEFAULT_POINTS,
-    tol_dir: float = 1e-8,
-    tol_rank: float = 1e-8,
-    newton_tol: float = 1e-12,
-    verify_tol: float = 1e-7,
 ) -> DirectionArcReport:
     """The report of :func:`arcs_for_directions` for a single direction."""
-    return arcs_for_directions(
-        problem, pd, [d], delta, samples, tol_dir, tol_rank, newton_tol, verify_tol
-    )[0]
+    return arcs_for_directions(problem, pd, [d], delta, samples)[0]

@@ -22,7 +22,7 @@ import math
 import os
 import sys
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from itertools import chain
 from json.encoder import encode_basestring_ascii
 
@@ -32,7 +32,8 @@ from nlpcheck import arc as arc_mod
 from nlpcheck import cones, cq, kkt
 from nlpcheck._version import __version__
 from nlpcheck.expr import DomainError
-from nlpcheck.model import Problem, ProblemError, evaluate_point, feasibility, load_problem
+from nlpcheck.model import Problem, ProblemError, Tolerances, evaluate_point, feasibility
+from nlpcheck.model import load_problem
 from nlpcheck.problems import builtin_names, builtin_source
 
 __all__ = [
@@ -58,7 +59,7 @@ class RunConfig:
 
     ``problem`` is a path or ``builtin:NAME``.  ``arc_dirs`` lists explicit
     arc directions; when empty, ``arc_sample`` directions are sampled from
-    the linearized cone with ``seed``.
+    the linearized cone with ``seed``.  ``tol`` holds the five tolerances.
     """
 
     problem: str
@@ -66,11 +67,7 @@ class RunConfig:
     seed: int = 0
     radii: tuple[float, ...] = cq.NeighborhoodSampler.radii
     samples: int = cq.DEFAULT_SAMPLES
-    tol_rank: float = 1e-8
-    tol_active: float = 1e-8
-    tol_dir: float = 1e-8
-    newton_tol: float = 1e-12
-    verify_tol: float = 1e-7
+    tol: Tolerances = Tolerances()
     arc_dirs: tuple = ()
     arc_sample: int = arc_mod.DEFAULT_ARCS
     arc_points: int = arc_mod.DEFAULT_POINTS
@@ -139,8 +136,9 @@ def _validate(config: RunConfig, problem: Problem) -> cq.NeighborhoodSampler:
     """Reject a configuration before any sweep; return the rank-scan sampler.
     :func:`~nlpcheck.arc.check_arc_request`, :class:`~nlpcheck.cq.NeighborhoodSampler`
     and the two budgets admit their requests, with the texts printed (the
-    budgets' after the flags); only the tolerances and ``--arc-sample`` are
-    checked here, and :func:`~nlpcheck.model.check_point` admits the point."""
+    budgets' after the flags); only ``--arc-sample`` is checked here.
+    :class:`~nlpcheck.model.Tolerances` admits the tolerances when it is
+    built, and :func:`~nlpcheck.model.check_point` admits the point."""
     n, rows = problem.n, problem.m + problem.p  # every constraint row may be active
     try:
         arc_mod.check_arc_request(n, config.arc_dirs, [config.delta], config.arc_points)
@@ -153,15 +151,6 @@ def _validate(config: RunConfig, problem: Problem) -> cq.NeighborhoodSampler:
         raise InputError(
             f"--samples {config.samples} is too large for this problem: {exc}"
         ) from None
-    for name in ("tol_rank", "tol_dir", "newton_tol", "verify_tol"):
-        value = getattr(config, name)
-        if not 0.0 < value < math.inf:
-            raise InputError(f"{name} must be positive and finite, got {value}")
-    if config.tol_rank >= 1.0:
-        # singular values above tol_rank * sigma_max count, so none would
-        raise InputError(f"tol_rank must be below 1, got {config.tol_rank}")
-    if not 0.0 <= config.tol_active < math.inf:
-        raise InputError(f"tol_active must be >= 0 and finite, got {config.tol_active}")
     if config.arc_sample < 0:
         raise InputError(f"arc sample count must be >= 0, got {config.arc_sample}")
     try:
@@ -187,8 +176,8 @@ def run(config: RunConfig) -> dict:
         raise InputError("no candidate point: give one with --point or a 'point' line")
     sampler = _validate(config, problem)
     try:
-        feas = feasibility(problem, x, config.tol_active)
-        pd = evaluate_point(problem, x, config.tol_active) if feas.feasible else None
+        feas = feasibility(problem, x, config.tol)
+        pd = evaluate_point(problem, x, config.tol) if feas.feasible else None
     except DomainError as exc:
         raise InputError(f"point outside the problem domain: {exc}") from exc
     except ValueError as exc:
@@ -206,19 +195,13 @@ def run(config: RunConfig) -> dict:
         },
         "point": [float(v) for v in x],
         "seed": config.seed,
-        "tolerances": {
-            "rank": config.tol_rank,
-            "active": config.tol_active,
-            "direction": config.tol_dir,
-            "newton": config.newton_tol,
-            "verify": config.verify_tol,
-        },
+        "tolerances": asdict(config.tol),
     }
     report["feasibility"] = {
         "feasible": feas.feasible,
         "max_ineq_violation": feas.max_ineq_violation,
         "max_eq_violation": feas.max_eq_violation,
-        "tol": feas.tol,
+        "tol": config.tol.active,
     }
     if not feas.feasible:
         reason = "point is infeasible at tolerance; first-order analysis skipped"
@@ -230,13 +213,13 @@ def run(config: RunConfig) -> dict:
     report["objective_value"] = pd.f_val
 
     cqs: dict = {}
-    cqs["licq"] = _verdict_dict(cq.check_licq(pd, config.tol_rank))
-    cqs["mfcq"] = _verdict_dict(cq.check_mfcq(pd, config.tol_rank))
-    for name, verdict in cq.check_rank_constancy(problem, pd, sampler, config.tol_rank).items():
+    cqs["licq"] = _verdict_dict(cq.check_licq(pd))
+    cqs["mfcq"] = _verdict_dict(cq.check_mfcq(pd))
+    for name, verdict in cq.check_rank_constancy(problem, pd, sampler).items():
         cqs[name] = _verdict_dict(verdict)
     report["constraint_qualifications"] = cqs
 
-    ms = kkt.solve_multipliers(pd, tol=config.tol_rank)
+    ms = kkt.solve_multipliers(pd)
     report["kkt"] = {
         "stationarity_residual": ms.residual,
         "is_kkt_point": bool(ms.vertices),
@@ -270,20 +253,10 @@ def run(config: RunConfig) -> dict:
     # arcs, and explicit ones are traced in the same batch (arcs are
     # independent).  Finitely many arcs refute nothing, so the verdict
     # stays undetermined.
-    sampled = cones.sample_directions(
-        cones.linearized_cone(pd), config.arc_sample, config.seed, config.tol_dir
-    )
+    sampled = cones.sample_directions(cones.linearized_cone(pd), config.arc_sample, config.seed)
     explicit = [np.asarray(d, dtype=float) for d in config.arc_dirs]
     traced = arc_mod.arcs_for_directions(
-        problem,
-        pd,
-        explicit + sampled,
-        delta=config.delta,
-        samples=config.arc_points,
-        tol_dir=config.tol_dir,
-        tol_rank=config.tol_rank,
-        newton_tol=config.newton_tol,
-        verify_tol=config.verify_tol,
+        problem, pd, explicit + sampled, delta=config.delta, samples=config.arc_points
     )
     arc_reports = traced[: len(explicit)] if explicit else traced
     entry_of: dict = {}  # id of each distinct report -> its one entry
@@ -512,6 +485,13 @@ def _parse_vector(text: str, flag: str) -> np.ndarray:
         raise InputError(f"{flag} expects comma-separated numbers, got {text!r}")
 
 
+def _tolerances(values: dict) -> Tolerances:
+    try:
+        return Tolerances(**values)
+    except ValueError as exc:
+        raise InputError(str(exc)) from None
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="nlpcheck",
@@ -529,7 +509,8 @@ def main(argv=None) -> int:
     )
     pa.add_argument("problem", help="problem file path, or builtin:NAME")
     pa.add_argument("--point", help="candidate point v1,...,vn (overrides the file)")
-    # each flag sets the RunConfig field of its name
+    # each flag sets the RunConfig field of its name, or the Tolerances
+    # field that Tolerances.FLAGS names it for
     flags = (
         ("--seed", int, "sampling seed"),
         ("--samples", int, "samples per radius in the rank scans"),
@@ -543,9 +524,11 @@ def main(argv=None) -> int:
         ("--delta", float, "arc half-width"),
     )
     fields = [flag[2:].replace("-", "_") for flag, _, _ in flags]
+    tol_fields = {flag: name for name, flag in Tolerances.FLAGS.items()}
     for (flag, kind, what), name in zip(flags, fields):
+        owner, attr = (Tolerances, tol_fields[name]) if name in tol_fields else (RunConfig, name)
         pa.add_argument(
-            flag, type=kind, default=getattr(RunConfig, name), help=f"{what} (default %(default)s)"
+            flag, type=kind, default=getattr(owner, attr), help=f"{what} (default %(default)s)"
         )
     pa.add_argument(
         "--radii",
@@ -569,7 +552,8 @@ def main(argv=None) -> int:
             point=_parse_vector(args.point, "--point") if args.point else None,
             radii=tuple(float(r) for r in _parse_vector(args.radii, "--radii")),
             arc_dirs=tuple(_parse_vector(d, "--arc-dir") for d in args.arc_dir),
-            **{name: getattr(args, name) for name in fields},
+            tol=_tolerances({tol_fields[name]: getattr(args, name) for name in tol_fields}),
+            **{name: getattr(args, name) for name in fields if name not in tol_fields},
         )
         start = time.perf_counter()
         report = run(config)

@@ -17,24 +17,12 @@ smallest eigenvalue is repeated, its eigenspace is searched by projecting
 onto the wedge the remaining rows cut out of it, one non-negative
 least-squares solve per projection, so that solver is the one polyhedral
 primitive here.  A cone without inequality rows is a subspace with a
-single face.  The faces depend only on
-the cone, so several forms over one cone (one per multiplier in the
-second-order check) share a single enumeration, and the faces share their
-LAPACK calls.  Each stage is sized by what it holds.  The faces are taken
-in mask order, in chunks sized by their SVD's input and factors plus one
-float per form, and within a chunk faces with the same number of pinned
-rows get their nullspace bases from one stacked SVD.  Each chunk is then
-taken in runs sized by every form's eigenpairs on a face of dimension up
-to n, and every form restricted to the run's faces of one SVD group is
-solved in one stacked eigenproblem.  Many masks cut out the same subspace,
-and the SVD often returns the same basis bits for them; equal bits give
-equal eigenpairs, so within a run each distinct basis is solved once,
-and equal forms are walked once.  Each form then walks the run's
-candidate faces, those whose lowest eigenvalue is below the form's
-running minimum, in mask order, reading their eigenpairs from those
-calls.  Each form's minimum is thus selected exactly as a loop over one
-face at a time selects it, so the results are that loop's to the bit.  A
-form with a non-finite entry is not minimized.
+single face.  The faces depend only on the cone, so several forms over one
+cone (one per multiplier in the second-order check) share a single
+enumeration, whose faces share their LAPACK calls as
+:func:`min_quadratics_on_cone` describes; each form's minimum is still the
+one a loop over one face at a time selects, to the bit.  A form with a
+non-finite entry is not minimized.
 
 Before any face, one test decides whether the cone is {0}: a rank gate,
 then one non-negative least-squares solve for a positive dependence of the
@@ -63,7 +51,7 @@ from nlpcheck.linalg import (
     numerical_rank,
     stack_chunk,
 )
-from nlpcheck.model import PointData
+from nlpcheck.model import PointData, Tolerances
 
 __all__ = [
     "ConeRep",
@@ -86,32 +74,33 @@ class ConeRep:
 
     The rows are constraint gradients taken in the order of ``pd.rows``; the
     strong critical cone appends the objective gradient as its last
-    ``a_in`` row.
+    ``a_in`` row.  ``tol`` is the tolerance record of the point data.
     """
 
     n: int
     a_eq: np.ndarray  # (k_eq, n)
     a_in: np.ndarray  # (k_in, n)
+    tol: Tolerances = Tolerances()
 
 
 def linearized_cone(pd: PointData) -> ConeRep:
     """First-order feasible directions at the evaluated point."""
     a = len(pd.active)
-    return ConeRep(pd.n, pd.c_grads[pd.rows[a:]], pd.c_grads[pd.rows[:a]])
+    return ConeRep(pd.n, pd.c_grads[pd.rows[a:]], pd.c_grads[pd.rows[:a]], pd.tol)
 
 
 def strong_critical_cone(pd: PointData) -> ConeRep:
     """Linearized cone intersected with {d : f_grad . d <= 0}."""
     base = linearized_cone(pd)
-    return ConeRep(pd.n, base.a_eq, np.vstack([base.a_in, pd.f_grad.reshape(1, -1)]))
+    return ConeRep(pd.n, base.a_eq, np.vstack([base.a_in, pd.f_grad.reshape(1, -1)]), pd.tol)
 
 
-def membership(cone: ConeRep, d, tol: float = 1e-8) -> bool:
-    """Test ``d`` against the cone rows at scale ``tol * (1 + ||d||)``."""
+def membership(cone: ConeRep, d) -> bool:
+    """Test ``d`` against the cone rows at scale ``tol.direction * (1 + ||d||)``."""
     d = np.asarray(d, dtype=float).ravel()
     if d.size != cone.n:
         raise ValueError(f"direction must have length {cone.n}")
-    scale = tol * (1.0 + float(np.linalg.norm(d)))
+    scale = cone.tol.direction * (1.0 + float(np.linalg.norm(d)))
     if cone.a_eq.shape[0] and float(np.abs(cone.a_eq @ d).max()) > scale:
         return False
     if cone.a_in.shape[0] and float((cone.a_in @ d).max()) > scale:
@@ -137,21 +126,20 @@ def _project_into_rows(z: np.ndarray, R: np.ndarray) -> np.ndarray:
     return z
 
 
-def sample_directions(
-    cone: ConeRep, count: int, seed: int, tol: float = 1e-8
-) -> list[np.ndarray]:
+def sample_directions(cone: ConeRep, count: int, seed: int) -> list[np.ndarray]:
     """Sample up to ``count`` unit directions from the cone, deterministically.
 
-    Gaussian draws in the nullspace of the equality rows are pushed into the
-    inequality system by cyclic projection; draws that fail membership after
-    projection are discarded.  Duplicates are allowed.  Returns fewer than
+    Gaussian draws in the nullspace of the equality rows (at
+    ``cone.tol.rank``) are pushed into the inequality system by cyclic
+    projection; draws that fail :func:`membership` after projection are
+    discarded.  Duplicates are allowed.  Returns fewer than
     ``count`` vectors (possibly none) when the cone has no nonzero members
     reachable at the sampling tolerance.
     """
     if count <= 0:
         return []
     rng = np.random.default_rng(seed)
-    B = nullspace_basis(cone.a_eq if cone.a_eq.shape[0] else np.zeros((0, cone.n)))
+    B = nullspace_basis(cone.a_eq if len(cone.a_eq) else np.zeros((0, cone.n)), cone.tol.rank)
     k = B.shape[1]
     if k == 0:
         return []
@@ -170,7 +158,7 @@ def sample_directions(
         if nz < 1e-10:
             continue
         d = B @ (z / nz)
-        if membership(cone, d, tol):
+        if membership(cone, d):
             out.append(d)
     return out
 
@@ -201,8 +189,8 @@ def _zero_cone_reach(cone: ConeRep) -> tuple[float, float]:
     A positive ``reach`` proves that no unit ``d`` has ``a . d <= reach``
     on every inequality row and ``|a . d| <= reach`` on every equality row;
     in particular the cone is {0}.  By Stiemke's alternative a cone is {0}
-    exactly when its rows have rank n and ``a_in.T @ mu + a_eq.T @ lam = 0``
-    for some ``mu >= 1``.  Fewer than n rows, or a numerical rank below n,
+    exactly when its rows have rank n (at ``cone.tol.rank``) and ``a_in.T @
+    mu + a_eq.T @ lam = 0`` for some ``mu >= 1``.  Fewer than n rows, or a numerical rank below n,
     give ``reach`` 0 at once.  Otherwise one :func:`~nlpcheck.linalg.nnls`
     call minimizes ``||a_in.T @ (1 + nu) + a_eq.T @ lam||`` over ``nu >= 0``,
     and the certificate ``mu = 1 + nu`` is checked by its residual ``r``
@@ -222,7 +210,7 @@ def _zero_cone_reach(cone: ConeRep) -> tuple[float, float]:
         return 0.0, 0.0
     exp = math.frexp(float(np.abs(rows).max()))[1]
     rows = np.ldexp(rows, -exp)
-    info = numerical_rank(rows)
+    info = numerical_rank(rows, cone.tol.rank)
     s_max = math.ldexp(float(info.magnitudes[0]), exp)
     if info.rank < cone.n:
         return 0.0, s_max
@@ -263,14 +251,14 @@ def min_quadratics_on_cone(Hs, cone: ConeRep) -> list[QuadOnConeResult]:
     """Minimize each ``d^T H d`` over unit-norm members of the cone.
 
     The {0} test (:func:`_zero_cone_reach`) runs first.  When its ``reach``
-    exceeds ``tau = max(_TOL, 1e-8 * sigma_max)``, every form gets the
-    certified zero minimum and no face is walked.  That skips nothing the
-    faces could give: a face's unit eigenvector is kept only if it meets
-    every remaining inequality row at ``_TOL``, and it lies in the
-    numerical nullspace of the pinned rows, cut at 1e-8 times their
-    largest singular value, so ``a . d <= tau`` on every inequality row and
-    ``|a . d| <= tau`` on every equality row, which a ``reach`` above
-    ``tau`` rules out for unit ``d``.  Without that margin the faces are
+    exceeds ``tau = max(_TOL, cone.tol.rank * sigma_max)``, every form gets
+    the certified zero minimum and no face is walked.  That skips nothing
+    the faces could give: a face's unit eigenvector is kept only if it
+    meets every remaining inequality row at ``_TOL``, and it lies in the
+    numerical nullspace of the pinned rows, cut at ``cone.tol.rank`` times
+    their largest singular value, so ``a . d <= tau`` on every inequality
+    row and ``|a . d| <= tau`` on every equality row, which a ``reach``
+    above ``tau`` rules out for unit ``d``.  Without that margin the faces are
     walked first.
 
     With at most ``_FACIAL_LIMIT`` inequality rows every face is enumerated
@@ -307,7 +295,7 @@ def min_quadratics_on_cone(Hs, cone: ConeRep) -> list[QuadOnConeResult]:
         return []
     reach, s_max = _zero_cone_reach(cone)
     zero = reach > 0.0
-    if reach > max(_TOL, 1e-8 * s_max):
+    if reach > max(_TOL, cone.tol.rank * s_max):
         # no face can yield a feasible eigenvector (see the docstring)
         return [_flat_minimum(cone.n, True) for _ in Hs]
     # equal forms, bit for bit, are walked once and share one result
@@ -387,7 +375,7 @@ def _scan_faces(masks: np.ndarray, cone: ConeRep, Hs: list, best: list) -> None:
     groups: list = []
     group_of = np.full(len(masks), -1)
     slot_of = np.zeros(len(masks), dtype=int)
-    for at, bases in grouped_nullspace_bases(pinned, gather):
+    for at, bases in grouped_nullspace_bases(pinned, gather, cone.tol.rank):
         if bases.shape[2]:
             group_of[at], slot_of[at] = len(groups), np.arange(len(at))
             groups.append(bases)

@@ -15,21 +15,11 @@ Four classical qualifications are covered, in decreasing strength:
   and bit-identical to ``scipy.stats.qmc.Sobol``).
 * RCRCQ: same, but only subsets that contain every equality gradient.
 
-Both rank scans come from one sampled pass (:func:`check_rank_constancy`).
-The gradient tables at the center and at every sample are built once.
-Each subset pair is first ranked at the center; its singular values there
-and how far its rows move at a sample bound its singular values at that
-sample (Weyl's inequality), and where the bound keeps it at full rank with
-room to spare the sample is settled (:func:`_center_bound`).  A pair's
-other samples are ranked by one stacked SVD, and a pair settled at every
-sample needs none.  The RCRCQ pairs are the CRCQ pairs that contain every
-equality, so a pair both scans reach is ranked once.  When a scan's pair
-count times the number of points exceeds ``2^20``, that scan is cut to the
-pairs of total size <= 2 plus the full pair, and its evidence reads
-``partial: true``.  The points and their tables are held at once, so a
-scan of more points than the default one whose tables would hold more
-than ``SCAN_BUDGET`` floats is rejected (:func:`check_scan_size`) before
-any gradient is evaluated.
+Both rank scans come from one sampled pass (:func:`check_rank_constancy`),
+which ranks each subset pair once: at the center, and at the samples
+where Weyl's inequality does not settle it (:func:`_center_bound`).  A
+scan over too many pairs is cut (:func:`_scan_pairs`), and one over too
+many points is rejected (:func:`check_scan_size`).
 
 Rank constancy over a neighborhood cannot be certified by finitely many
 samples, so the sampled scans return "fails" with a re-checkable witness
@@ -58,7 +48,7 @@ from nlpcheck.linalg import (
     stacked_rank,
     stacked_spectra,
 )
-from nlpcheck.model import PointData, Problem, evaluate_point
+from nlpcheck.model import PointData, Problem, Tolerances, evaluate_point
 
 __all__ = [
     "Verdict",
@@ -153,8 +143,9 @@ class NeighborhoodSampler:
             yield center + radius * (2.0 * u - 1.0)
 
 
-def check_licq(pd: PointData, tol_rank: float = 1e-8) -> Verdict:
-    """Rank test on the gradients of ``pd.rows``."""
+def check_licq(pd: PointData) -> Verdict:
+    """Rank test on the gradients of ``pd.rows``, at ``pd.tol.rank``."""
+    tol_rank = pd.tol.rank
     rows = pd.c_grads[pd.rows]
     needed = len(rows)
     evidence = {
@@ -182,7 +173,7 @@ def check_licq(pd: PointData, tol_rank: float = 1e-8) -> Verdict:
     return Verdict("fails", certificate, evidence)
 
 
-def check_mfcq(pd: PointData, tol_rank: float = 1e-8) -> Verdict:
+def check_mfcq(pd: PointData) -> Verdict:
     """Full-rank equalities plus a strict descent direction on the actives.
 
     The direction LP (:func:`linalg.simplex_lp`) maximizes ``s`` subject to
@@ -196,8 +187,7 @@ def check_mfcq(pd: PointData, tol_rank: float = 1e-8) -> Verdict:
     there, and the evidence names that ``lp_scale``.  A positive scale keeps
     the cone, so the direction still certifies the original rows.
     """
-    n = pd.n
-    a = len(pd.active)
+    n, a, tol_rank = pd.n, len(pd.active), pd.tol.rank
     rows = pd.c_grads[pd.rows]  # the active inequalities, then the equalities
     evidence = {"active": list(pd.active), "num_equalities": pd.p, "tol_rank": tol_rank}
     if pd.p:
@@ -302,7 +292,6 @@ def check_rank_constancy(
     problem: Problem,
     pd: PointData,
     sampler: NeighborhoodSampler,
-    tol_rank: float = 1e-8,
 ) -> dict[str, Verdict]:
     """Sampled CRCQ and RCRCQ scans from one pass over the neighborhood.
 
@@ -321,7 +310,7 @@ def check_rank_constancy(
     becomes its certificate.  A sampler whose scan is too large for the
     budget raises ``ValueError`` (:func:`check_scan_size`).
     """
-    active = pd.active
+    active, tol_rank = pd.active, pd.tol.rank
     count = sampler.samples_per_radius
     check_scan_size(pd.n, len(pd.rows), len(sampler.radii), count)
     X = np.concatenate(list(sampler.shells(pd.x)))  # (radii * count, n)
@@ -426,29 +415,19 @@ def check_rank_constancy(
 
 
 def check_crcq(
-    problem: Problem,
-    x,
-    sampler: NeighborhoodSampler,
-    tol_active: float = 1e-8,
-    tol_rank: float = 1e-8,
+    problem: Problem, x, sampler: NeighborhoodSampler, tol: Tolerances = Tolerances()
 ) -> Verdict:
     """Sampled rank-constancy over every subset pair (I, J): the CRCQ entry
     of :func:`check_rank_constancy` at ``x``."""
-    pd = evaluate_point(problem, x, tol_active)
-    return check_rank_constancy(problem, pd, sampler, tol_rank)["crcq"]
+    return check_rank_constancy(problem, evaluate_point(problem, x, tol), sampler)["crcq"]
 
 
 def check_rcrcq(
-    problem: Problem,
-    x,
-    sampler: NeighborhoodSampler,
-    tol_active: float = 1e-8,
-    tol_rank: float = 1e-8,
+    problem: Problem, x, sampler: NeighborhoodSampler, tol: Tolerances = Tolerances()
 ) -> Verdict:
     """Sampled rank-constancy over the pairs that hold every equality: the
     RCRCQ entry of :func:`check_rank_constancy` at ``x``."""
-    pd = evaluate_point(problem, x, tol_active)
-    return check_rank_constancy(problem, pd, sampler, tol_rank)["rcrcq"]
+    return check_rank_constancy(problem, evaluate_point(problem, x, tol), sampler)["rcrcq"]
 
 
 def recheck_rank_certificate(problem: Problem, certificate: dict) -> tuple[int, int]:

@@ -54,8 +54,8 @@ class MultiplierSet:
     """KKT multiplier polyhedron at a point.
 
     ``residual`` is the infinity-norm stationarity residual of the
-    sign-constrained least-squares probe.  :func:`solve_multipliers` at
-    ``tol`` lists no vertex exactly when the residual exceeds ``tol``, so
+    sign-constrained least-squares probe.  :func:`solve_multipliers` lists
+    no vertex exactly when the residual exceeds ``pd.tol.rank``, so
     the point is a KKT point exactly when ``vertices`` is nonempty; that
     is the one KKT-point rule.  ``vertices`` and ``rays`` list (mu, lam)
     pairs with mu of full length m (inactive entries zero), deduplicated and
@@ -87,24 +87,26 @@ def _dedup_sorted(
     return kept
 
 
-def solve_multipliers(pd: PointData, tol: float = 1e-8) -> MultiplierSet:
+def solve_multipliers(pd: PointData) -> MultiplierSet:
     """Describe the multiplier polyhedron by vertices and extreme rays.
 
     Enumeration runs over all subsets of active-inequality multipliers
-    forced to zero; subsets whose remaining columns are independent and
-    solve stationarity within 1e-8 give vertices, and subsets whose columns
-    have a one-dimensional nullspace give ray candidates.  The subsets are
-    walked in mask order, in chunks (:func:`~nlpcheck.linalg.stack_chunk`);
-    within a chunk, subsets with the same number of columns share one
-    stacked SVD (:func:`~nlpcheck.linalg.grouped_nullspace_bases`), and
-    only those with independent columns make a least-squares solve.  The
-    candidates are put back in mask order before near-duplicates are
-    dropped, so the first of each is kept.  When the active count plus
-    equality count exceeds ``_ENUM_LIMIT`` (or the polyhedron has no vertex
-    at all) only the least-squares representative is reported and the
-    result is flagged partial.
+    forced to zero, at ``tol = pd.tol.rank``: subsets whose remaining
+    columns are independent at the relative cutoff ``tol`` and solve
+    stationarity within the absolute ``tol`` (that of the KKT gate) give
+    vertices, and subsets whose columns have a one-dimensional nullspace
+    give ray candidates.  The subsets are walked in mask order, in chunks
+    (:func:`~nlpcheck.linalg.stack_chunk`); within a chunk, subsets with
+    the same number of columns share one stacked SVD
+    (:func:`~nlpcheck.linalg.grouped_nullspace_bases`), and only those
+    with independent columns make a least-squares solve.  The candidates
+    are put back in mask order before near-duplicates are dropped, so the
+    first of each is kept.  When the active count plus equality count
+    exceeds ``_ENUM_LIMIT`` (or the polyhedron has no vertex at all) only
+    the least-squares representative is reported and the result is
+    flagged partial.
     """
-    act, rows = pd.active, pd.rows
+    act, rows, tol = pd.active, pd.rows, pd.tol.rank
     a, p = len(act), pd.p
     # a C-ordered copy: BLAS may round products with a transposed view differently
     cols = pd.c_grads[rows].T.copy()
@@ -151,16 +153,16 @@ def solve_multipliers(pd: PointData, tol: float = 1e-8) -> MultiplierSet:
         kept = np.hstack([~zeroed, np.ones((len(masks), p), dtype=bool)])  # (masks, a + p)
         # every subset but the empty one gets a nullspace basis
         nonempty = kept.any(axis=1)
-        if not nonempty.all() and float(np.abs(rhs).max(initial=0.0)) <= 1e-8:
+        if not nonempty.all() and float(np.abs(rhs).max(initial=0.0)) <= tol:
             vertex_raw.append((int(masks[~nonempty][0]), expand(np.zeros(a + p))))
         live = np.flatnonzero(nonempty)
-        for at, nulls in grouped_nullspace_bases(kept[live], gather):
+        for at, nulls in grouped_nullspace_bases(kept[live], gather, tol):
             if nulls.shape[2] == 0:  # independent columns: a vertex candidate
                 for j in live[at].tolist():
                     keep = kept[j]
                     sub = cols[:, keep]
                     y_sub, *_ = np.linalg.lstsq(sub, rhs, rcond=None)
-                    if float(np.abs(sub @ y_sub - rhs).max(initial=0.0)) <= 1e-8:
+                    if float(np.abs(sub @ y_sub - rhs).max(initial=0.0)) <= tol:
                         y = np.zeros(a + p)
                         y[keep] = y_sub
                         if not (y[:a] < -1e-12).any():
@@ -214,6 +216,24 @@ class SsoncReport:
     rationale: str = ""
 
 
+def _form(pd: PointData, kind: str, mu, lam) -> tuple[np.ndarray, int]:
+    """A vertex's Lagrangian Hessian, or a ray's homogeneous part, as ``(H,
+    exp)`` where the form is ``2^exp H``.  ``exp`` is 0 when the form is
+    finite.  Otherwise the entries of each term are below ``2^e``, ``e``
+    the exponents of its coefficient and of its largest entry summed, and
+    ``exp`` brings the sum of the terms below ``2^1023``."""
+    exp = 0
+    while True:
+        with np.errstate(over="ignore"):
+            H = lagrangian_hessian(pd, mu, lam, exp)
+            H = H - np.ldexp(pd.f_hess, -exp) if kind == "ray" else H
+        if exp or np.isfinite(H).all():
+            return H, exp
+        tops = np.abs(np.concatenate([pd.f_hess[None], pd.c_hesses])).max(axis=(1, 2))
+        e = np.frexp(np.concatenate([[1.0], mu, lam]))[1] + np.frexp(tops)[1]
+        exp = max(1, int(e.max()) + (e.size + 1).bit_length() - 1023)  # a ray's f counts twice
+
+
 def check_ssonc(pd: PointData, ms: MultiplierSet) -> SsoncReport:
     """Check the Lagrangian Hessian on the strong critical cone for every
     multiplier.
@@ -232,23 +252,22 @@ def check_ssonc(pd: PointData, ms: MultiplierSet) -> SsoncReport:
     cone = strong_critical_cone(pd)
     entries = [("vertex", k, mu, lam) for k, (mu, lam) in enumerate(ms.vertices)]
     entries += [("ray", k, mu, lam) for k, (mu, lam) in enumerate(ms.rays)]
-    forms = []
-    for kind, _, mu, lam in entries:
-        H = lagrangian_hessian(pd, mu, lam)
-        forms.append(H - pd.f_hess if kind == "ray" else H)
-    minima = min_quadratics_on_cone(forms, cone)
+    forms, exps = zip(*(_form(pd, kind, mu, lam) for kind, _, mu, lam in entries))
+    minima = min_quadratics_on_cone(list(forms), cone)
+    with np.errstate(over="ignore"):  # past the float range: -inf or inf
+        values = [float(np.ldexp(q.min_value, exp)) for q, exp in zip(minima, exps)]
     results = [
         {
             "kind": kind,
             "index": k,
             "mu": [float(v) for v in mu],
             "lam": [float(v) for v in lam],
-            "min_value": q.min_value,
+            "min_value": value,
             "witness_direction": [float(v) for v in q.witness],
             "method": q.method,
             "certified": q.certified,
         }
-        for (kind, k, mu, lam), q in zip(entries, minima)
+        for (kind, k, mu, lam), q, value in zip(entries, minima, values)
     ]
     worst = min(results, key=lambda r: r["min_value"]) if results else None
     certified_neg = [r for r in results if r["certified"] and r["min_value"] < _SSONC_NEG]
@@ -290,13 +309,13 @@ def check_ssonc(pd: PointData, ms: MultiplierSet) -> SsoncReport:
 def recheck_ssonc_witness(pd: PointData, entry: dict) -> float:
     """Recompute d^T H d for a stored SSONC result entry.
 
-    Vertices use the full Lagrangian Hessian, rays its homogeneous part;
-    useful for auditing reported minima independently of the cone search.
+    Vertices use the full Lagrangian Hessian, rays its homogeneous part,
+    each formed as :func:`check_ssonc` forms it; useful for auditing
+    reported minima independently of the cone search.
     """
     mu = np.asarray(entry["mu"], dtype=float)
     lam = np.asarray(entry["lam"], dtype=float)
     d = np.asarray(entry["witness_direction"], dtype=float)
-    H = lagrangian_hessian(pd, mu, lam)
-    if entry["kind"] == "ray":
-        H = H - pd.f_hess
-    return float(d @ H @ d)
+    H, exp = _form(pd, entry["kind"], mu, lam)
+    with np.errstate(over="ignore"):  # past the float range: -inf or inf
+        return float(np.ldexp(d @ H @ d, exp))

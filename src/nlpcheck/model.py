@@ -32,7 +32,8 @@ coordinates, whose dense Hessian tables, and those of the sweep that
 computes them, fit :func:`check_point_size`.  :func:`feasibility` and
 :func:`evaluate_point` call it before they sweep.  :func:`evaluate_point`
 is the one gate for point data: it admits only what every analysis layer
-can work on.
+can work on.  :class:`Tolerances` admits the five tolerances once, and
+the point data carries them to every layer.
 """
 
 from __future__ import annotations
@@ -48,6 +49,7 @@ from nlpcheck.linalg import entry_bound, nnls_bound, norm_bound
 __all__ = [
     "ProblemError",
     "Problem",
+    "Tolerances",
     "POINT_BUDGET",
     "check_point_size",
     "check_point",
@@ -80,7 +82,8 @@ class Problem:
     Its functions are the outputs of ``sweep``, a multi-output
     :class:`~nlpcheck.expr.TapeSet`: the constraint rows (the m
     inequalities, then the p equalities, each in file order), and last the
-    objective.  ``source`` is the text it was loaded from.
+    objective.  ``source`` is the text it was loaded from, and ``slots``
+    counts the sweep slots that the function reading the most reads.
     """
 
     n: int
@@ -89,6 +92,7 @@ class Problem:
     sweep: TapeSet = field(repr=False)
     point: np.ndarray | None
     source: str
+    slots: int
 
 
 def load_problem(text: str) -> Problem:
@@ -153,7 +157,45 @@ def load_problem(text: str) -> Problem:
     if objective is None:
         raise ProblemError("missing 'objective' directive")
     sweep = compiler.finish(ineq + eq + [objective])
-    return Problem(compiler.n, len(ineq), len(eq), sweep, point, text)
+    slots = int(sweep.reads.sum(axis=1).max(initial=0))
+    return Problem(compiler.n, len(ineq), len(eq), sweep, point, text, slots)
+
+
+@dataclass(frozen=True)
+class Tolerances:
+    """The five tolerances of an analysis.
+
+    ``rank`` is the relative cutoff of every rank decision (a singular value
+    counts above ``rank`` times the largest), and also the absolute
+    tolerance on the KKT stationarity residual, at the KKT gate and at each
+    vertex.  ``active`` is the activity threshold and the feasibility
+    tolerance, ``direction`` the pinning and cone-membership threshold of
+    arc directions, ``newton`` the Newton residual target along arcs, and
+    ``verify`` the pass/fail threshold of the arc properties.  A value that
+    ``nlpcheck analyze`` rejects raises the ``ValueError`` it prints, which
+    names each field as its flag does (``FLAGS``).
+    """
+
+    rank: float = 1e-8
+    active: float = 1e-8
+    direction: float = 1e-8
+    newton: float = 1e-12
+    verify: float = 1e-7
+    FLAGS = dict(  # the name of each field in the messages: that of its flag
+        rank="tol_rank", active="tol_active", direction="tol_dir", newton="newton_tol",
+        verify="verify_tol",
+    )
+
+    def __post_init__(self):
+        for name in ("rank", "direction", "newton", "verify"):
+            value = getattr(self, name)
+            if not 0.0 < value < math.inf:
+                raise ValueError(f"{self.FLAGS[name]} must be positive and finite, got {value}")
+        if self.rank >= 1.0:
+            # singular values above rank * sigma_max count, so none would
+            raise ValueError(f"tol_rank must be below 1, got {self.rank}")
+        if not 0.0 <= self.active < math.inf:
+            raise ValueError(f"tol_active must be >= 0 and finite, got {self.active}")
 
 
 @dataclass
@@ -163,8 +205,9 @@ class PointData:
     ``c_vals``/``c_grads``/``c_hesses`` hold one entry per constraint row, in
     the layout of the outputs of ``Problem.sweep``: the ``m`` inequalities,
     then the equalities.  ``active`` holds the 1-based labels of inequality
-    constraints with ``|g_i(x)| <= tol_active``; feasibility is not assumed
+    constraints with ``|g_i(x)| <= tol.active``; feasibility is not assumed
     here.  ``rows`` is the index set every first-order condition works on.
+    ``tol`` is the tolerance record that every layer reads from here.
     """
 
     x: np.ndarray
@@ -176,7 +219,7 @@ class PointData:
     c_grads: np.ndarray  # (m + p, n)
     c_hesses: np.ndarray  # (m + p, n, n)
     active: tuple[int, ...]
-    tol_active: float
+    tol: Tolerances
 
     @property
     def n(self) -> int:
@@ -234,8 +277,7 @@ def check_point_size(problem: Problem) -> None:
     the ``slots`` sweep slots of the function that reads the most, which
     the order-2 sweep holds at once, since it cannot split one function's
     tables.  :func:`check_point` gives this text as it is."""
-    n, rows = problem.n, problem.m + problem.p
-    slots = int(problem.sweep.reads.sum(axis=1).max(initial=0))
+    n, rows, slots = problem.n, problem.m + problem.p, problem.slots
     floats = (rows + 1 + slots) * n * n
     if floats > POINT_BUDGET:
         raise ValueError(
@@ -260,9 +302,10 @@ def check_point(problem: Problem, x) -> np.ndarray:
     return x
 
 
-def evaluate_point(problem: Problem, x, tol_active: float = 1e-8) -> PointData:
+def evaluate_point(problem: Problem, x, tol: Tolerances = Tolerances()) -> PointData:
     """Evaluate every problem function with derivatives at ``x``, and admit
-    only point data that every analysis layer can work on.
+    only point data that every analysis layer can work on.  The point data
+    carries ``tol``, and an inequality is active within ``tol.active``.
 
     A domain violation names the failing function (the objective, or the
     first constraint row), and so does each later ``DomainError``: a NaN
@@ -289,8 +332,8 @@ def evaluate_point(problem: Problem, x, tol_active: float = 1e-8) -> PointData:
         c_vals=c_vals,
         c_grads=grads[1:],
         c_hesses=hesses[1:],
-        active=tuple(k + 1 for k in range(m) if abs(c_vals[k]) <= tol_active),
-        tol_active=tol_active,
+        active=tuple(k + 1 for k in range(m) if abs(c_vals[k]) <= tol.active),
+        tol=tol,
     )
     rows = pd.rows
     for k in rows:
@@ -342,36 +385,41 @@ def check_multiplier(
     return mu, lam
 
 
-def lagrangian_hessian(pd: PointData, mu, lam) -> np.ndarray:
-    """Hessian of f + mu @ g + lam @ h at the evaluated point.
+def lagrangian_hessian(pd: PointData, mu, lam, exp: int = 0) -> np.ndarray:
+    """Hessian of f + mu @ g + lam @ h at the evaluated point, times
+    ``2^-exp``: each Hessian is scaled before the sum, which is exact but
+    below the normal range and keeps every sign.
 
     Requires ``mu >= 0`` and zero multipliers on inactive constraints, both
     at 1e-12 (:func:`check_multiplier`).
     """
     mu, lam = check_multiplier(pd, mu, lam, 1e-12)
-    H = pd.f_hess.copy()
+    f, c = pd.f_hess, pd.c_hesses
+    if exp:
+        f, c = np.ldexp(f, -exp), np.ldexp(c, -exp)
+    H = f.copy()
     # an entry past the float range is inf (or NaN), which the cone layer
     # does not minimize
     with np.errstate(over="ignore", invalid="ignore"):
         if pd.m:
-            H = H + np.einsum("i,ijk->jk", mu, pd.c_hesses[: pd.m])
+            H = H + np.einsum("i,ijk->jk", mu, c[: pd.m])
         if pd.p:
-            H = H + np.einsum("j,jkl->kl", lam, pd.c_hesses[pd.m :])
+            H = H + np.einsum("j,jkl->kl", lam, c[pd.m :])
     return H
 
 
 @dataclass
 class FeasibilityReport:
-    """Worst constraint violations at a point, classified at ``tol``."""
+    """Worst constraint violations at a point, and whether both are within
+    the tolerance."""
 
     max_ineq_violation: float
     max_eq_violation: float
-    tol: float
     feasible: bool
 
 
-def feasibility(problem: Problem, x, tol: float = 1e-8) -> FeasibilityReport:
-    """Check ``g(x) <= tol`` and ``|h(x)| <= tol`` componentwise.
+def feasibility(problem: Problem, x, tol: Tolerances = Tolerances()) -> FeasibilityReport:
+    """Check ``g(x) <= tol.active`` and ``|h(x)| <= tol.active`` componentwise.
 
     Only values are computed, at a point :func:`check_point` admits.  A
     domain violation names the first constraint row that fails, and a NaN
@@ -389,6 +437,5 @@ def feasibility(problem: Problem, x, tol: float = 1e-8) -> FeasibilityReport:
     return FeasibilityReport(
         max_ineq_violation=worst_g,
         max_eq_violation=worst_h,
-        tol=tol,
-        feasible=(worst_g <= tol and worst_h <= tol),
+        feasible=(worst_g <= tol.active and worst_h <= tol.active),
     )

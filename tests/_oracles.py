@@ -271,10 +271,10 @@ def rank_scan_oracle(problem, x, sampler, tol_active=1e-8, tol_rank=1e-8, budget
     certificate, evidence), "rcrcq": ...}`` in the library's layout.
     """
     from nlpcheck.expr import DomainError
-    from nlpcheck.model import evaluate_point
+    from nlpcheck.model import Tolerances, evaluate_point
 
     x = np.asarray(x, dtype=float)
-    active = evaluate_point(problem, x, tol_active).active
+    active = evaluate_point(problem, x, Tolerances(active=tol_active)).active
     trees = reference_rows(problem)
     eq = tuple(range(1, problem.p + 1))
 
@@ -374,8 +374,9 @@ def facial_minima_oracle(Hs, cone, tol=1e-8):
     nullspace basis, and for each form its own eigenproblem on that face.
     Returns one ``(min_value, witness)`` per form, or None for a form no
     face yields a feasible eigenvector for.  It reuses the library's
-    nullspace and eigenspace-feasibility helpers, so a correct stacked
-    enumeration must reproduce it bit for bit.
+    nullspace and eigenspace-feasibility helpers, with nullspaces cut at
+    ``cone.tol.rank``, so a correct stacked enumeration must reproduce it
+    bit for bit.
     """
     from nlpcheck.cones import _feasible_in_eigenspace
     from nlpcheck.linalg import nullspace_basis
@@ -386,7 +387,7 @@ def facial_minima_oracle(Hs, cone, tol=1e-8):
     for mask in range(1 << k_in):
         pinned = [i for i in range(k_in) if mask >> i & 1]
         rest = [i for i in range(k_in) if not mask >> i & 1]
-        B = nullspace_basis(np.vstack([cone.a_eq, cone.a_in[pinned]]))
+        B = nullspace_basis(np.vstack([cone.a_eq, cone.a_in[pinned]]), cone.tol.rank)
         if B.shape[1] == 0:
             continue
         for q, H in enumerate(Hs):
@@ -674,19 +675,20 @@ def eigenspace_box_oracle(B, w, V, A_rest, tol):
     return None
 
 
-def multiplier_enumeration_oracle(pd, tol=1e-8):
+def multiplier_enumeration_oracle(pd):
     """The multiplier polyhedron by the one-subset-at-a-time loop.
 
     This is ``kkt.solve_multipliers`` as it ran before the subsets shared
     stacked SVDs: for each zero-mask, in mask order, its own nullspace basis
-    and, with a trivial nullspace, its own least-squares solve.  It reuses
+    and, with a trivial nullspace, its own least-squares solve, every
+    cutoff at ``tol = pd.tol.rank``.  It reuses
     the library's probe, deduplication and result type, so a correct
     stacked enumeration must reproduce it bit for bit.
     """
     from nlpcheck.kkt import _ENUM_LIMIT, MultiplierSet, _dedup_sorted
     from nlpcheck.linalg import nnls, nullspace_basis
 
-    act, rows = pd.active, pd.rows
+    act, rows, tol = pd.active, pd.rows, pd.tol.rank
     a, p = len(act), pd.p
     cols = pd.c_grads[rows].T.copy()
     y_probe, _ = nnls(cols, pd.f_grad, np.array([True] * a + [False] * p, dtype=bool))
@@ -719,13 +721,13 @@ def multiplier_enumeration_oracle(pd, tol=1e-8):
         keep = [k for k in range(a) if not (zero_mask >> k & 1)] + list(range(a, a + p))
         sub = cols[:, keep]
         if not keep:
-            if float(np.abs(rhs).max(initial=0.0)) <= 1e-8:
+            if float(np.abs(rhs).max(initial=0.0)) <= tol:
                 vertex_raw.append(expand(np.zeros(a + p)))
             continue
-        null = nullspace_basis(sub)
+        null = nullspace_basis(sub, tol)
         if null.shape[1] == 0:
             y_sub, *_ = np.linalg.lstsq(sub, rhs, rcond=None)
-            if float(np.abs(sub @ y_sub - rhs).max(initial=0.0)) <= 1e-8:
+            if float(np.abs(sub @ y_sub - rhs).max(initial=0.0)) <= tol:
                 y = np.zeros(a + p)
                 y[keep] = y_sub
                 if not (y[:a] < -1e-12).any():
@@ -1278,20 +1280,19 @@ def sequential_trace_arc(problem, chart, d, delta, samples=41, newton_tol=1e-12)
     )
 
 
-def sequential_arc(problem, pd, d, delta=0.1, samples=41, tol_dir=1e-8, tol_rank=1e-8,
-                   newton_tol=1e-12):
-    """The arc one direction gets, traced alone and retraced at half delta
-    (up to five times) while truncated; None where pinning or charting
-    fails."""
+def sequential_arc(problem, pd, d, delta=0.1, samples=41):
+    """The arc one direction gets at the tolerances ``pd.tol``, traced alone
+    and retraced at half delta (up to five times) while truncated; None
+    where pinning or charting fails."""
     from nlpcheck.arc import DegenerateRankError, build_chart, pinned_constraints
 
     try:
-        chart = build_chart(pd, pinned_constraints(pd, d, tol_dir), tol_rank)
+        chart = build_chart(pd, pinned_constraints(pd, d))
     except (ValueError, DegenerateRankError):
         return None
     cur_delta = float(delta)
     for _ in range(6):
-        arc = sequential_trace_arc(problem, chart, d, cur_delta, samples, newton_tol)
+        arc = sequential_trace_arc(problem, chart, d, cur_delta, samples, pd.tol.newton)
         if not arc.truncated:
             break
         cur_delta *= 0.5

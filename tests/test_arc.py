@@ -87,7 +87,7 @@ class TestPinnedConstraints:
     def test_pin_threshold_scales_with_direction(self):
         _, pd = tangent_disks_setup()
         # derivative -2e-9 is below tol * (1 + ||d||), so the row is pinned
-        pinned = pinned_constraints(pd, np.array([1.0, 1e-9]), tol_dir=1e-8)
+        pinned = pinned_constraints(pd, np.array([1.0, 1e-9]))
         assert pinned.ineq == (1, 2)
 
 
@@ -156,9 +156,9 @@ class TestChartPerPinnedSet:
         built = []
         build = arc_mod.build_chart
 
-        def recording(pd, pinned, tol_rank=1e-8):
+        def recording(pd, pinned):
             built.append(pinned.components)
-            return build(pd, pinned, tol_rank)
+            return build(pd, pinned)
 
         monkeypatch.setattr(arc_mod, "build_chart", recording)
         return built
@@ -505,9 +505,9 @@ class TestArcForDirection:
         verified, systems = [], []
         verify, batch = arc_mod.verify_arc, arc_mod.newton_batch
 
-        def counting_verify(arc, pd, pinned, tol):
+        def counting_verify(arc, pd, pinned):
             verified.append(arc.direction.tobytes())
-            return verify(arc, pd, pinned, tol)
+            return verify(arc, pd, pinned)
 
         def counting_batch(evaluate, start, targets, tol):
             def one_round(rows, X):

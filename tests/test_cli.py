@@ -25,7 +25,7 @@ from nlpcheck.cli import (
     run,
 )
 from nlpcheck.expr import DomainError
-from nlpcheck.model import evaluate_point, feasibility, load_problem
+from nlpcheck.model import Tolerances, evaluate_point, feasibility, load_problem
 from nlpcheck.problems import builtin_names, builtin_problem, builtin_source
 
 BENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "perfbench")
@@ -107,6 +107,16 @@ REQUEST_ROWS = [
     and not message.startswith(("--", "(", "and --"))
 ]
 
+# every value a tolerance flag rejects: NaN, +-inf, negative values, 0
+# where it is rejected, and --tol-rank of 1 or more
+TOLERANCE_ROWS = [
+    (flag, value)
+    for flag in ("--tol-rank", "--tol-dir", "--newton-tol", "--verify-tol")
+    for value in ("nan", "inf", "-inf", "-1e-300", "0")
+] + [("--tol-rank", "1"), ("--tol-rank", "1e308")] + [
+    ("--tol-active", value) for value in ("nan", "inf", "-inf", "-1e-300")
+]
+
 TOP_KEYS = [
     "tool",
     "version",
@@ -185,7 +195,7 @@ class TestRun:
         path = tmp_path / "problem.nlp"
         path.write_text(text)
         kkt = run(RunConfig(str(path)))["kkt"]
-        residual_rule = kkt["stationarity_residual"] <= RunConfig.tol_rank
+        residual_rule = kkt["stationarity_residual"] <= RunConfig.tol.rank
         assert kkt["is_kkt_point"] == bool(kkt["vertices"]) == residual_rule
 
     def test_explicit_arc_directions(self):
@@ -693,6 +703,26 @@ class TestMain:
             with pytest.raises(ValueError) as info:
                 request()
             assert str(info.value) == text
+
+    @pytest.mark.parametrize("flag, value", TOLERANCE_ROWS)
+    def test_tolerance_gate_is_one_text_before_any_sweep(
+        self, flag, value, monkeypatch, capsys
+    ):
+        # model.Tolerances admits the five tolerances: building one raises
+        # the text the CLI prints, and neither path sweeps a tape first
+        name = flag[2:].replace("-", "_")
+        field = {flag: field for field, flag in Tolerances.FLAGS.items()}[name]
+
+        def no_sweep(*args, **kwargs):
+            raise AssertionError("a tape was swept before the tolerance gate")
+
+        monkeypatch.setattr(expr.TapeSet, "_run", no_sweep)
+        assert main(["analyze", "builtin:circle", f"{flag}={value}"]) == 2
+        text = capsys.readouterr().err.removeprefix("error: ").removesuffix("\n")
+        assert text.startswith(f"{name} must be ")
+        with pytest.raises(ValueError) as info:
+            Tolerances(**{field: float(value)})
+        assert str(info.value) == text
 
     def test_feasibility_evaluates_values_only(self, tmp_path, capsys):
         # sqrt(x1) has a value at x1 = 0 but no derivative: an infeasible

@@ -9,6 +9,7 @@ and parabola fixtures.
 import os
 import sys
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -26,7 +27,7 @@ from nlpcheck.cones import (
     strong_critical_cone,
 )
 from nlpcheck.kkt import solve_multipliers
-from nlpcheck.model import evaluate_point, lagrangian_hessian, load_problem
+from nlpcheck.model import Tolerances, evaluate_point, lagrangian_hessian, load_problem
 from nlpcheck.problems import builtin_problem
 
 from _oracles import (
@@ -61,22 +62,22 @@ class TestLinearizedCone:
         cone = linearized_cone(tangent_disks_pd())
         assert cone.a_eq.shape == (0, 2)
         assert_allclose(cone.a_in, [[0.0, -2.0], [0.0, -2.0]])
-        assert membership(cone, np.array([0.0, 1.0]), 1e-8)
-        assert membership(cone, np.array([1.0, 0.0]), 1e-8)
-        assert not membership(cone, np.array([0.0, -1.0]), 1e-8)
+        assert membership(cone, np.array([0.0, 1.0]))
+        assert membership(cone, np.array([1.0, 0.0]))
+        assert not membership(cone, np.array([0.0, -1.0]))
 
     def test_no_active_constraints_whole_space(self):
         prob = load_problem("vars 2\nobjective x1\nineq x1 - 1\npoint 0 0\n")
         cone = linearized_cone(evaluate_point(prob, np.zeros(2)))
         assert cone.a_eq.shape == (0, 2)
         assert cone.a_in.shape == (0, 2)
-        assert membership(cone, np.array([-5.0, 3.0]), 1e-8)
+        assert membership(cone, np.array([-5.0, 3.0]))
 
     def test_circle_equality(self):
         cone = linearized_cone(circle_pd())
         assert_allclose(cone.a_eq, [[2.0, 0.0]])
-        assert membership(cone, np.array([0.0, 1.0]), 1e-8)
-        assert not membership(cone, np.array([1.0, 0.0]), 1e-8)
+        assert membership(cone, np.array([0.0, 1.0]))
+        assert not membership(cone, np.array([1.0, 0.0]))
 
 
 class TestStrongCriticalCone:
@@ -84,22 +85,22 @@ class TestStrongCriticalCone:
         pd = tangent_disks_pd()
         cone = strong_critical_cone(pd)
         assert_array_equal(cone.a_in[-1], pd.f_grad)
-        assert membership(cone, np.array([1.0, 0.0]), 1e-8)
-        assert membership(cone, np.array([-1.0, 0.0]), 1e-8)
-        assert not membership(cone, np.array([0.0, 1.0]), 1e-8)
-        assert not membership(cone, np.array([0.0, -1.0]), 1e-8)
+        assert membership(cone, np.array([1.0, 0.0]))
+        assert membership(cone, np.array([-1.0, 0.0]))
+        assert not membership(cone, np.array([0.0, 1.0]))
+        assert not membership(cone, np.array([0.0, -1.0]))
 
     def test_parabola_pins_d2(self):
         cone = strong_critical_cone(parabola_pd())
-        assert membership(cone, np.array([1.0, 0.0]), 1e-8)
-        assert not membership(cone, np.array([0.3, 0.1]), 1e-8)
+        assert membership(cone, np.array([1.0, 0.0]))
+        assert not membership(cone, np.array([0.3, 0.1]))
 
     def test_unconstrained_zero_gradient_whole_space(self):
         prob = load_problem("vars 2\nobjective x1^2 + x2^2\npoint 0 0\n")
         cone = strong_critical_cone(evaluate_point(prob, np.zeros(2)))
         rng = np.random.default_rng(5)
         for _ in range(10):
-            assert membership(cone, rng.standard_normal(2), 1e-8)
+            assert membership(cone, rng.standard_normal(2))
 
 
 class TestMultiplierFormCone:
@@ -110,13 +111,13 @@ class TestMultiplierFormCone:
         # g1 carries a positive multiplier, so its row becomes an equality
         assert cone.a_eq.shape == (1, 2)
         assert_allclose(cone.a_eq, [[0.0, -2.0]])
-        assert membership(cone, np.array([1.0, 0.0]), 1e-8)
-        assert not membership(cone, np.array([0.0, 1.0]), 1e-8)
+        assert membership(cone, np.array([1.0, 0.0]))
+        assert not membership(cone, np.array([0.0, 1.0]))
 
     def test_parabola_vertex(self):
         cone = critical_cone_multiplier_form(parabola_pd(), np.array([1.0, 0.0]))
-        assert membership(cone, np.array([-1.0, 0.0]), 1e-8)
-        assert not membership(cone, np.array([0.0, 1.0]), 1e-8)
+        assert membership(cone, np.array([-1.0, 0.0]))
+        assert not membership(cone, np.array([0.0, 1.0]))
 
     def test_zero_multiplier_reduces_to_linearized(self):
         # a zero multiplier is only stationary when the objective gradient
@@ -146,21 +147,21 @@ class TestMultiplierFormCone:
             dirs = sample_directions(cone_a, 50, seed=3)
             assert dirs, "expected nonzero members"
             for d in dirs:
-                assert membership(cone_b, d, 1e-7)
+                assert membership(replace(cone_b, tol=Tolerances(direction=1e-7)), d)
 
 
 class TestMembership:
     def test_origin_always_member(self):
         cone = strong_critical_cone(tangent_disks_pd())
-        assert membership(cone, np.zeros(2), 1e-12)
+        assert membership(replace(cone, tol=Tolerances(direction=1e-12)), np.zeros(2))
 
     def test_tolerance_scales_with_norm(self):
-        cone = linearized_cone(circle_pd())
+        cone = replace(linearized_cone(circle_pd()), tol=Tolerances(direction=1e-6))
         # violation 5e-6 exceeds tol * (1 + ||d||) = 2e-6 at unit scale
-        assert not membership(cone, np.array([2.5e-6, 1.0]), 1e-6)
+        assert not membership(cone, np.array([2.5e-6, 1.0]))
         # the same absolute violation is well inside the allowance when
         # the direction itself is large
-        assert membership(cone, np.array([2.5e-6, 1e7]), 1e-6)
+        assert membership(cone, np.array([2.5e-6, 1e7]))
 
 
 class TestSampleDirections:
@@ -196,7 +197,7 @@ class TestSampleDirections:
     def test_members_of_halfspace(self):
         cone = linearized_cone(tangent_disks_pd())
         for d in sample_directions(cone, 20, seed=9):
-            assert membership(cone, d, 1e-8)
+            assert membership(cone, d)
             assert d[1] >= -1e-9
 
 
@@ -313,7 +314,7 @@ class TestMinQuadraticOnCone:
             res = min_quadratic_on_cone(h, cone)
             assert res.certified
             assert abs(res.min_value - oracle) <= 1e-5
-            assert membership(cone, res.witness, 1e-8)
+            assert membership(cone, res.witness)
             done += 1
 
 

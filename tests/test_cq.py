@@ -32,7 +32,7 @@ from nlpcheck.cq import (
 )
 from nlpcheck import linalg
 from nlpcheck.linalg import numerical_rank, stack_chunk, stacked_rank
-from nlpcheck.model import evaluate_point, load_problem
+from nlpcheck.model import Tolerances, evaluate_point, load_problem
 from nlpcheck.problems import builtin_names, builtin_problem, builtin_source
 
 from _oracles import rank_scan_oracle, reference_rows, reference_sweep, sample_points
@@ -800,7 +800,8 @@ class TestSettledPoints:
         # the unsettled path runs at full-rank points, the settled one elsewhere
         assert ((ratio > tol) & (ratio <= 2 * tol + 1e-12)).any()
         assert (ratio > 2 * tol + 1e-12).any()
-        scans = check_rank_constancy(prob, evaluate_point(prob, prob.point), sampler, tol)
+        pd = evaluate_point(prob, prob.point, Tolerances(rank=tol))
+        scans = check_rank_constancy(prob, pd, sampler)
         expected = rank_scan_oracle(prob, prob.point, sampler, tol_rank=tol)
         for key in ("crcq", "rcrcq"):
             assert scans[key].status == status

@@ -19,7 +19,13 @@ from nlpcheck import cli, cones, cq, kkt, linalg
 from nlpcheck.cli import main
 from nlpcheck.cones import strong_critical_cone
 from nlpcheck.kkt import check_ssonc, recheck_ssonc_witness, solve_multipliers
-from nlpcheck.model import PointData, evaluate_point, lagrangian_hessian, load_problem
+from nlpcheck.model import (
+    PointData,
+    Tolerances,
+    evaluate_point,
+    lagrangian_hessian,
+    load_problem,
+)
 from nlpcheck.problems import builtin_names, builtin_problem, builtin_source
 
 from _oracles import (
@@ -219,6 +225,44 @@ class TestSolveMultipliers:
         assert len(ms.vertices) == 1
         assert not ms.bounded  # boundedness is not certified when partial
 
+    def test_vertices_checked_at_the_gate_tolerance(self):
+        # the probe's residual 1e-7 passes the KKT gate at --tol-rank 1e-6,
+        # and each vertex's stationarity is checked at the same tolerance,
+        # so mu = 1 is a vertex and SSONC is certified; at the default
+        # 1e-8 the point is not a KKT point
+        prob = load_problem("vars 2\nobjective x1 + 1e-7*x2\nineq -x1\npoint 0 0\n")
+        pd = evaluate_point(prob, prob.point, Tolerances(rank=1e-6))
+        ms = solve_multipliers(pd)
+        assert ms.residual == 1e-7
+        assert [mu.tolist() for mu, _ in ms.vertices] == [[1.0]]
+        assert (ms.rays, ms.bounded, ms.partial, ms.note) == ([], True, False, "")
+        assert check_ssonc(pd, ms).status == "holds-certified"
+        assert solve_multipliers(evaluate_point(prob, prob.point)).vertices == []
+
+    def test_rank_tolerance_decides_which_subsets_are_independent(self):
+        # gradients (-1, 0), (-1, 1e-7) and (1, 1e-7): each pair's
+        # sigma_min / sigma_max is about 5e-8, between the two cutoffs.  At
+        # 1e-8 every pair is independent, so mu = (1, 0, 0) is the one
+        # vertex.  At 1e-6 the pairs are dependent: the nearly opposite ones
+        # give two rays, and the second row alone solves stationarity
+        # within 1e-6, which gives a second vertex
+        prob = load_problem(
+            "vars 2\nobjective x1\nineq -x1\nineq -x1 + 1e-7*x2\nineq x1 + 1e-7*x2\npoint 0 0\n"
+        )
+        h = 0.5**0.5
+        expected = {
+            1e-8: ([[1.0, 0.0, 0.0]], np.empty((0, 3))),
+            1e-6: ([[0.0, 1.0, 0.0], [1.0, 0.0, 0.0]], [[0.0, h, h], [h, 0.0, h]]),
+        }
+        for rank, (vertices, rays) in expected.items():
+            pd = evaluate_point(prob, prob.point, Tolerances(rank=rank))
+            ms = solve_multipliers(pd)
+            TestStackedSubsets.assert_same(ms, multiplier_enumeration_oracle(pd))
+            assert_allclose([mu for mu, _ in ms.vertices], vertices, atol=1e-12)
+            assert_allclose(np.reshape([mu for mu, _ in ms.rays], (-1, 3)), rays, atol=1e-12)
+            assert ms.bounded == (not len(rays)) and not ms.partial
+            assert check_ssonc(pd, ms).status == "holds-certified"
+
     def test_vertices_deterministic(self):
         a = solve_multipliers(tangent_disks_pd())
         b = solve_multipliers(tangent_disks_pd())
@@ -325,21 +369,43 @@ class TestSsonc:
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize(
-        "text",
+        "text, status, value",
         [
             # mu = 1e10 times the Hessian entry -2e300 is -inf
-            "vars 2\nobjective -x1\nineq 1e-10*x1 - 1e300*x2^2\npoint 0 0\n",
+            ("vars 2\nobjective -x1\nineq 1e-10*x1 - 1e300*x2^2\npoint 0 0\n", "fails", -math.inf),
             # the Lagrangian's sum 1e308 + 1e308 overflows
-            "vars 2\nobjective -x1 + 0.5e308*x2^2\nineq x1 + 0.5e308*x2^2\npoint 0 0\n",
+            (
+                "vars 2\nobjective -x1 + 0.5e308*x2^2\nineq x1 + 0.5e308*x2^2\npoint 0 0\n",
+                "holds-certified",
+                math.inf,
+            ),
+            (
+                "vars 2\nobjective x1 + 0.75e308*x2^2\nineq -x1 + 0.75e308*x2^2\npoint 0 0\n",
+                "holds-certified",
+                math.inf,
+            ),
+            (
+                "vars 2\nobjective x1 - 0.75e308*x2^2\nineq -x1 - 0.75e308*x2^2\npoint 0 0\n",
+                "fails",
+                -math.inf,
+            ),
         ],
-        ids=["inf-multiplier-product", "sum-overflow"],
+        ids=["inf-multiplier-product", "sum-overflow", "sum-overflow-up", "sum-overflow-down"],
     )
-    def test_overflowing_form_is_undetermined(self, text):
+    def test_overflowing_form_is_certified(self, text, status, value):
+        # every Hessian is finite, but a multiplier product or the sum is
+        # not: each term is scaled by one power of two before the sum, and
+        # the minimum on the critical cone {d1 = 0} is scaled back, to
+        # +-inf past the float range
         pd = problem_pd(text)
         assert np.isfinite(pd.f_hess).all() and np.isfinite(pd.c_hesses).all()
         report = check_ssonc(pd, solve_multipliers(pd))
-        assert report.status == "undetermined"
-        assert [(r["method"], r["certified"]) for r in report.results] == [("uncertified", False)]
+        assert report.status == status
+        (entry,) = report.results
+        assert (entry["method"], entry["certified"]) == ("facial-enumeration", True)
+        assert [abs(v) for v in entry["witness_direction"]] == [0.0, 1.0]
+        assert entry["min_value"] == value
+        assert recheck_ssonc_witness(pd, entry) == value
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize(
@@ -491,7 +557,7 @@ def random_multiplier_pd(seed):
         c_grads=grads,
         c_hesses=np.zeros((m + p, n, n)),
         active=tuple(i + 1 for i in labels),
-        tol_active=1e-8,
+        tol=Tolerances(),
     )
 
 

@@ -1,16 +1,19 @@
 """Tests for problem loading and point evaluation."""
 
 import gc
+import inspect
 import tracemalloc
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
+from nlpcheck import arc, cli, cones, cq, kkt, model
 from nlpcheck.expr import DomainError, TapeSet
 from nlpcheck.model import (
     POINT_BUDGET,
     ProblemError,
+    Tolerances,
     check_point_size,
     evaluate_point,
     feasibility,
@@ -159,7 +162,7 @@ class TestEvaluatePoint:
         prob = load_problem(TANGENT_DISKS)
         pd = evaluate_point(prob, np.array([0.0, 1e-10]))
         assert pd.active == (1, 2)
-        pd_tight = evaluate_point(prob, np.array([0.0, 1e-10]), tol_active=1e-12)
+        pd_tight = evaluate_point(prob, np.array([0.0, 1e-10]), Tolerances(active=1e-12))
         assert pd_tight.active == ()
 
     def test_inactive_constraint_excluded(self):
@@ -182,7 +185,9 @@ class TestEvaluatePoint:
         # slots of x1*x2 + x3*x4 + x5*x6 (6 variables, 3 products, 2 sums)
         # fill the budget of 2^26 floats exactly; a fifth row is over it
         objective = "objective x1*x2 + x3*x4 + x5*x6\n"
-        check_point_size(load_problem("vars 2048\n" + objective + "ineq x1\n" * 4))
+        problem = load_problem("vars 2048\n" + objective + "ineq x1\n" * 4)
+        assert problem.slots == 11  # counted once, when the problem is loaded
+        check_point_size(problem)
         with pytest.raises(ValueError, match="the 11 sweep slots of the widest function, would "
                            f"hold {17 << 22} floats, above the budget of {POINT_BUDGET} floats"):
             check_point_size(load_problem("vars 2048\n" + objective + "ineq x1\n" * 5))
@@ -376,5 +381,35 @@ class TestFeasibility:
 
     def test_tolerance_loosens_verdict(self):
         prob = builtin_problem("circle")
-        rep = feasibility(prob, np.array([1.0 + 1e-9, 0.0]), tol=1e-6)
+        rep = feasibility(prob, np.array([1.0 + 1e-9, 0.0]), Tolerances(active=1e-6))
         assert rep.feasible
+
+
+class TestTolerances:
+    def test_defaults(self):
+        tol = Tolerances()
+        assert (tol.rank, tol.active, tol.direction, tol.newton, tol.verify) == (
+            1e-8, 1e-8, 1e-8, 1e-12, 1e-7
+        )
+        assert evaluate_point(builtin_problem("circle"), [1.0, 0.0]).tol == tol
+
+    def test_no_public_callable_takes_a_bare_tolerance(self):
+        # every layer that takes the point data (or a cone built from it)
+        # reads pd.tol, and the pd-free entries take the record, so no
+        # public callable can be handed a tolerance the record would reject
+        found = []
+        for module in (arc, cli, cones, cq, kkt, model):
+            for name in module.__all__:
+                obj = getattr(module, name)
+                members = [obj]
+                if inspect.isclass(obj):
+                    members += [f for f in vars(obj).values() if inspect.isfunction(f)]
+                for member in filter(callable, members):
+                    try:
+                        params = inspect.signature(member).parameters.values()
+                    except ValueError:  # an exception class without a signature of its own
+                        continue
+                    for param in params:
+                        if "tol" in param.name and isinstance(param.default, float):
+                            found.append(f"{module.__name__}.{name}({param.name})")
+        assert found == []
