@@ -273,8 +273,8 @@ def min_quadratics_on_cone(Hs, cone: ConeRep) -> list[QuadOnConeResult]:
     (:func:`~nlpcheck.linalg.grouped_nullspace_bases`).  Each chunk is
     taken in mask order, in runs sized by every form's eigenpairs and
     temporaries on a face of dimension up to n, and one stacked call per
-    SVD group in a run gives every form's eigenpairs on those faces, once
-    per distinct basis: faces whose bases have the same bits read one
+    basis dimension in a run gives every form's eigenpairs on those faces,
+    once per distinct basis: faces whose bases have the same bits read one
     solve, which gives them the same eigenpairs bit for bit.  The dedupe
     stays within the run, so memory stays bounded by the run.  Each
     form then walks the run's faces whose lowest eigenvalue is below its
@@ -353,13 +353,16 @@ def _scan_faces(masks: np.ndarray, cone: ConeRep, Hs: list, best: list) -> None:
     (bit i pins inequality row i), in mask order.
 
     The faces are taken in runs (see :func:`min_quadratics_on_cone`).
-    Within a run, each SVD group's faces are keyed on the bits of their
-    bases, and one stacked call solves every form on the first face of each
-    distinct key, in mask order; a face reads its eigenpairs through that
-    index, so a candidate reads the eigenpairs of the call that made it a
-    candidate.  A face replaces a form's minimum only when its smallest
-    restricted eigenvalue is strictly below it and an eigenvector meets the
-    remaining rows, exactly as a loop over one face at a time would.
+    Within a run, the faces whose bases have one dimension, from every SVD
+    group that gives it, are keyed on the bits of their bases, and one
+    stacked call per dimension solves every form on the first face of each
+    distinct key; a face reads its eigenpairs through that index, so a
+    candidate reads the eigenpairs of the call that made it a candidate.
+    Each slice of that call is its own LAPACK solve, so a face's
+    eigenpairs have the bits a call for that face alone would give.  A
+    face replaces a form's minimum only when its smallest restricted
+    eigenvalue is strictly below it and an eigenvector meets the remaining
+    rows, exactly as a loop over one face at a time would.
     """
     k_in = cone.a_in.shape[0]
     H_stack = np.stack(Hs)
@@ -391,13 +394,19 @@ def _scan_faces(masks: np.ndarray, cone: ConeRep, Hs: list, best: list) -> None:
         calls: list = []
         call_of = np.zeros(len(of), dtype=int)
         row_of = np.zeros(len(of), dtype=int)
+        # the run's faces by basis dimension; a group's faces in the run
+        # are consecutive slots of its stack
+        by_dim: dict = {}
         for g in sorted(set(of.tolist()) - {-1}):
             at = np.flatnonzero(of == g)
-            # a group's faces in the run are consecutive slots of its stack;
-            # faces whose bases have the same bits share one eigenproblem
             lo = slot_of[start + at[0]]
-            firsts, row = _distinct(groups[g][lo : lo + len(at)])
-            bases = groups[g][lo + np.array(firsts)]
+            by_dim.setdefault(groups[g].shape[2], []).append((at, groups[g][lo : lo + len(at)]))
+        for _, parts in sorted(by_dim.items()):
+            at = np.concatenate([at for at, _ in parts])
+            # faces whose bases have the same bits share one eigenproblem
+            stack = np.concatenate([bases for _, bases in parts])
+            firsts, row = _distinct(stack)
+            bases = stack[firsts]
             w, V = _restricted_eigh(bases, H_stack)
             lowest[at] = w[row, :, 0]
             call_of[at], row_of[at] = len(calls), row

@@ -681,9 +681,11 @@ def multiplier_enumeration_oracle(pd):
     This is ``kkt.solve_multipliers`` as it ran before the subsets shared
     stacked SVDs: for each zero-mask, in mask order, its own nullspace basis
     and, with a trivial nullspace, its own least-squares solve, every
-    cutoff at ``tol = pd.tol.rank``.  It reuses
-    the library's probe, deduplication and result type, so a correct
-    stacked enumeration must reproduce it bit for bit.
+    cutoff at ``tol = pd.tol.rank``.  No subset is skipped or screened.  It
+    reuses the library's probe, deduplication and result type, and its KKT
+    rule: the enumeration decides, and the probe only where the enumeration
+    does not run or finds no vertex.  So a correct stacked enumeration must
+    reproduce it bit for bit.
     """
     from nlpcheck.kkt import _ENUM_LIMIT, MultiplierSet, _dedup_sorted
     from nlpcheck.linalg import nnls, nullspace_basis
@@ -703,10 +705,11 @@ def multiplier_enumeration_oracle(pd):
         return full[: pd.m].copy(), full[pd.m :].copy()
 
     ms = MultiplierSet(residual, [], [], True, active=act)
-    if residual > tol:
-        ms.note = "stationarity unsolvable at tolerance; not a KKT point"
-        return ms
+    unsolved = "stationarity unsolvable at tolerance; not a KKT point"
     if a + p > _ENUM_LIMIT:
+        if residual > tol:
+            ms.note = unsolved
+            return ms
         ms.vertices = [split(expand(y_probe))]
         ms.partial = True
         ms.bounded = False
@@ -716,22 +719,25 @@ def multiplier_enumeration_oracle(pd):
         )
         return ms
     rhs = -pd.f_grad
-    vertex_raw, ray_raw = [], []
+    vertex_raw, ray_raw, misses = [], [], []
     for zero_mask in range(1 << a):
         keep = [k for k in range(a) if not (zero_mask >> k & 1)] + list(range(a, a + p))
         sub = cols[:, keep]
         if not keep:
             if float(np.abs(rhs).max(initial=0.0)) <= tol:
                 vertex_raw.append(expand(np.zeros(a + p)))
+                misses.append(float(np.abs(rhs).max(initial=0.0)))
             continue
         null = nullspace_basis(sub, tol)
         if null.shape[1] == 0:
             y_sub, *_ = np.linalg.lstsq(sub, rhs, rcond=None)
-            if float(np.abs(sub @ y_sub - rhs).max(initial=0.0)) <= tol:
+            miss = float(np.abs(sub @ y_sub - rhs).max(initial=0.0))
+            if miss <= tol:
                 y = np.zeros(a + p)
                 y[keep] = y_sub
                 if not (y[:a] < -1e-12).any():
                     vertex_raw.append(expand(y))
+                    misses.append(miss)
         if null.shape[1] == 1:
             w = np.zeros(a + p)
             w[keep] = null[:, 0]
@@ -741,9 +747,14 @@ def multiplier_enumeration_oracle(pd):
                     norm = float(np.linalg.norm(cand))
                     if norm > 1e-12:
                         ray_raw.append(expand(cand / norm))
+    if not vertex_raw and residual > tol:
+        ms.note = unsolved
+        return ms
     ms.vertices = [split(v) for v in _dedup_sorted(vertex_raw)]
     ms.rays = [split(r) for r in _dedup_sorted(ray_raw)]
     ms.bounded = not ms.rays
+    if residual > tol and misses:
+        ms.residual = min(misses)
     if not ms.vertices:
         ms.vertices = [split(expand(y_probe))]
         ms.partial = True

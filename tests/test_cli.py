@@ -186,12 +186,19 @@ class TestRun:
         "text",
         [builtin_source(name) for name in builtin_names()]
         + [text for _, text in BATTERY]
-        + [text for text, _ in SEPARATING.values()],
-        ids=list(builtin_names()) + [name for name, _ in BATTERY] + list(SEPARATING),
+        + [text for text, _ in SEPARATING.values()]
+        # the multiplier probe stops at residual 1e-7; the vertex mu = (2, 1)
+        # solves stationarity
+        + ["vars 2\nobjective x1 - 1e-7*x2\nineq -x1\nineq x1 + 1e-7*x2\npoint 0 0\n"],
+        ids=list(builtin_names())
+        + [name for name, _ in BATTERY]
+        + list(SEPARATING)
+        + ["probe-miss"],
     )
     def test_kkt_point_rule_is_a_vertex(self, text, tmp_path):
         # solve_multipliers lists no vertex exactly when the stationarity
-        # residual exceeds the tolerance, so the report needs no residual test
+        # residual it reports exceeds the tolerance, so the report needs no
+        # residual test
         path = tmp_path / "problem.nlp"
         path.write_text(text)
         kkt = run(RunConfig(str(path)))["kkt"]

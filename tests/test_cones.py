@@ -401,6 +401,36 @@ class TestStackedFaces:
         assert len(forms) >= 25
         self.assert_matches_oracle(forms, cone)
 
+    @pytest.mark.parametrize("chunk", [None, 64, 300, 1 << 11], ids=["default", "64", "300", "one-run"])
+    def test_one_eigensolve_per_run_and_basis_dimension(self, chunk, monkeypatch):
+        # fanfree-10: every distinct basis of a run, whichever SVD group
+        # gave it, is solved in one _restricted_eigh call per dimension.
+        # With stack_chunk patched, a face chunk is one run, so each
+        # _scan_faces call is one run
+        if chunk is not None:
+            monkeypatch.setattr(cones, "stack_chunk", lambda floats: chunk)
+        forms, cone = self.fanfree_instance(10)
+        runs: list = []
+        scan, eigh = cones._scan_faces, cones._restricted_eigh
+
+        def scanning(masks, *args):
+            runs.append([])
+            return scan(masks, *args)
+
+        def solving(Bs, H_stack):
+            runs[-1].append(Bs.shape[2])
+            return eigh(Bs, H_stack)
+
+        monkeypatch.setattr(cones, "_scan_faces", scanning)
+        monkeypatch.setattr(cones, "_restricted_eigh", solving)
+        self.assert_matches_oracle(forms, cone)
+        if chunk is None:
+            # 152 calls with one per SVD group of a run
+            assert sum(map(len, runs)) == 38
+        else:
+            assert len(runs) == -(-(1 << 11) // chunk)
+            assert all(dims == sorted(set(dims)) for dims in runs)
+
     @staticmethod
     def many_forms_instance():
         # the cone and forms of test_many_forms_face_loop_memory_is_bounded
@@ -418,7 +448,8 @@ class TestStackedFaces:
     @pytest.mark.parametrize("instance", ["fanfree-9", "fanfree-10", "many-forms"])
     def test_one_eigensolve_per_distinct_basis_and_form(self, instance, monkeypatch):
         # within a run of faces, faces whose bases have the same bits share
-        # one eigenproblem, and forms with the same bits are walked once
+        # one eigenproblem, also across SVD groups, and forms with the same
+        # bits are walked once
         if instance == "many-forms":
             forms, cone = self.many_forms_instance()
             # independent rows: every face but the one pinning all 12 has
@@ -429,10 +460,11 @@ class TestStackedFaces:
             forms, cone = self.fanfree_instance(int(instance.split("-")[1]))
             # five variables, and pinned rows of rank at most 3: d > 0 on
             # every face, so one eigenproblem per face and form would be
-            # 30,720 and 51,200
+            # 30,720 and 51,200 (2,900 and 4,872 with one per distinct basis
+            # of an SVD group)
             one_per_face = {"fanfree-9": 30720, "fanfree-10": 51200}[instance]
             assert len(forms) << cone.a_in.shape[0] == one_per_face
-            expected = {"fanfree-9": 2900, "fanfree-10": 4872}[instance]
+            expected = {"fanfree-9": 1900, "fanfree-10": 2664}[instance]
         solved = []
         real = cones._restricted_eigh
 

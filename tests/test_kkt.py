@@ -145,6 +145,20 @@ class TestSolveMultipliers:
         assert ms.residual > 0.5
         assert ms.note
 
+    def test_enumeration_decides_the_kkt_point(self):
+        # the probe stops at y = (1, 0) with residual 1e-7, but the
+        # enumeration finds the vertex mu = (2, 1); the residual reported
+        # is that vertex's, so it is within the tolerance
+        pd = problem_pd(PROBE_MISS)
+        probe, _ = linalg.nnls(pd.c_grads.T, pd.f_grad, np.ones(2, dtype=bool))
+        assert float(np.abs(pd.c_grads.T @ probe + pd.f_grad).max()) > pd.tol.rank
+        ms = solve_multipliers(pd)
+        assert ms.residual <= 1e-15
+        assert len(ms.vertices) == 1 and not ms.partial and ms.rays == []
+        assert_allclose(ms.vertices[0][0], [2.0, 1.0], rtol=1e-15)
+        assert check_kkt(pd, *ms.vertices[0])[1]
+        assert check_ssonc(pd, ms).status == "holds-certified"
+
     def test_small_gradient_multiplier_found(self):
         # LICQ holds and mu = 1e10 solves stationarity; the multiplier
         # probe once counted gradients below 1e-10 as zero, so it read
@@ -246,9 +260,7 @@ class TestSolveMultipliers:
         # vertex.  At 1e-6 the pairs are dependent: the nearly opposite ones
         # give two rays, and the second row alone solves stationarity
         # within 1e-6, which gives a second vertex
-        prob = load_problem(
-            "vars 2\nobjective x1\nineq -x1\nineq -x1 + 1e-7*x2\nineq x1 + 1e-7*x2\npoint 0 0\n"
-        )
+        prob = load_problem(STRADDLE)
         h = 0.5**0.5
         expected = {
             1e-8: ([[1.0, 0.0, 0.0]], np.empty((0, 3))),
@@ -498,13 +510,15 @@ class TestSharedFaces:
         self.check_faces(calls, lambda faces: -(-faces // 8))
 
     def check_subsets(self, calls, chunks):
-        # every nonempty column subset passes through the stacked SVD once
-        # (the empty one needs none), and a chunk makes at most one stacked
-        # call per subset size
+        # every nonempty column subset of at most r0 + 1 = 4 columns passes
+        # through the stacked SVD once (the empty one needs none, and a
+        # larger one can be neither a vertex nor a ray: x4 and x5 enter
+        # only squared, so every gradient has r0 = 3 nonzero entries), and
+        # a chunk makes at most one stacked call per subset size
         pd = problem_pd(fan_problem(5, curvature=True))
         a = len(pd.active)
         solve_multipliers(pd)
-        assert sum(calls) == (1 << a) - 1
+        assert sum(calls) == sum(math.comb(a, c) for c in range(1, 5)) == (1 << a) - 2
         assert len(calls) <= (a + 1) * chunks(1 << a)
 
     def test_one_svd_per_multiplier_subset(self, monkeypatch):
@@ -561,14 +575,26 @@ def random_multiplier_pd(seed):
     )
 
 
+# the probe stops at residual 1e-7 here, but mu = (2, 1) solves
+# stationarity: LICQ holds and the enumeration finds the one vertex
+PROBE_MISS = "vars 2\nobjective x1 - 1e-7*x2\nineq -x1\nineq x1 + 1e-7*x2\npoint 0 0\n"
+# gradients (-1, 0), (-1, 1e-7) and (1, 1e-7): each pair's sigma_min /
+# sigma_max is about 5e-8, just above the default cutoff, which makes
+# these the worst-conditioned independent subsets a screen sees here
+STRADDLE = "vars 2\nobjective x1\nineq -x1\nineq -x1 + 1e-7*x2\nineq x1 + 1e-7*x2\npoint 0 0\n"
+
 NAMED = (
     [(name, problem_pd(builtin_source(name))) for name in builtin_names()]
     + [(name, problem_pd(text)) for name, text in BATTERY]
     + [
         ("chain-7", problem_pd(workloads.chain_text(7))),
-        ("fanfree-9", problem_pd(workloads.fanfree_text(9))),
         ("fan-5-curved", problem_pd(fan_problem(5, curvature=True))),
+        ("fan-8", problem_pd(workloads.fan_text(8))),
+        ("fan-12", problem_pd(workloads.fan_text(12))),
+        ("probe-miss", problem_pd(PROBE_MISS)),
+        ("straddle", problem_pd(STRADDLE)),
     ]
+    + [(f"fanfree-{K}", problem_pd(workloads.fanfree_text(K))) for K in range(5, 11)]
 )
 
 
@@ -603,6 +629,68 @@ class TestStackedSubsets:
         monkeypatch.setattr(kkt, "stack_chunk", lambda floats: chunk)
         self.assert_same(solve_multipliers(pd), ref)
 
+    @pytest.mark.parametrize("rank", [1e-6, 1e-13])
+    def test_rank_tolerances(self, rank):
+        # at 1e-13, below kkt._RANK_FLOOR, every subset is ranked
+        assert (rank > kkt._RANK_FLOOR) == (rank == 1e-6)
+        for text in (STRADDLE, PROBE_MISS, workloads.fanfree_text(9)):
+            prob = load_problem(text)
+            pd = evaluate_point(prob, prob.point, Tolerances(rank=rank))
+            self.assert_same(solve_multipliers(pd), multiplier_enumeration_oracle(pd))
+
+    def test_screen_on_every_group(self, monkeypatch):
+        # the screen rules out no subset whose exact solve passes, in the
+        # small groups it is not run on too
+        monkeypatch.setattr(kkt, "_SCREEN_MIN", 1)
+        pds = [pd for _, pd in NAMED] + [random_multiplier_pd(seed) for seed in range(20)]
+        for pd in pds:
+            self.assert_same(solve_multipliers(pd), multiplier_enumeration_oracle(pd))
+
+    @staticmethod
+    def count_calls(monkeypatch):
+        """Count the subsets ranked (the stack sizes of
+        ``linalg._nullspace_factors``), the SVD calls and the
+        ``np.linalg.lstsq`` calls."""
+        counts = {"ranked": 0, "svd": 0, "lstsq": 0}
+        factors, lstsq = linalg._nullspace_factors, np.linalg.lstsq
+
+        def counting_factors(stack, *args, **kwargs):
+            counts["ranked"] += len(stack)
+            counts["svd"] += 1
+            return factors(stack, *args, **kwargs)
+
+        def counting_lstsq(*args, **kwargs):
+            counts["lstsq"] += 1
+            return lstsq(*args, **kwargs)
+
+        monkeypatch.setattr(linalg, "_nullspace_factors", counting_factors)
+        monkeypatch.setattr(np.linalg, "lstsq", counting_lstsq)
+        return counts
+
+    @pytest.mark.parametrize(
+        "K, ranked, lstsq, vertices",
+        # of 511 and 1023 subsets; 132 and 177 solves in 9 and 10 SVD calls
+        # when every subset is ranked and every independent one solved
+        [(9, 255, 33, 30), (10, 385, 67, 25)],
+        ids=["fanfree-9", "fanfree-10"],
+    )
+    def test_fanfree_ranks_and_solves_few_subsets(self, K, ranked, lstsq, vertices, monkeypatch):
+        # x4 and x5 enter only squared, so r0 = 3: subsets of at most four
+        # of the K columns are ranked, one SVD per size
+        pd = problem_pd(workloads.fanfree_text(K))
+        counts = self.count_calls(monkeypatch)
+        ms = solve_multipliers(pd)
+        assert counts == {"ranked": ranked, "svd": 4, "lstsq": lstsq}
+        assert ranked == sum(math.comb(K, c) for c in range(1, 5))
+        assert (len(ms.vertices), len(ms.rays)) == (vertices, 0)
+
+    def test_below_the_floor_every_subset_is_ranked(self, monkeypatch):
+        prob = load_problem(workloads.fanfree_text(9))
+        pd = evaluate_point(prob, prob.point, Tolerances(rank=1e-13))
+        counts = self.count_calls(monkeypatch)
+        solve_multipliers(pd)
+        assert (counts["ranked"], counts["svd"]) == (511, 9)
+
     def test_random_problems_reach_every_branch(self):
         pds = [random_multiplier_pd(seed) for seed in range(20)]
         results = [solve_multipliers(pd) for pd in pds]
@@ -611,6 +699,42 @@ class TestStackedSubsets:
         assert any("not a KKT point" in ms.note for ms in results)
         assert any(ms.rays for ms in results)
         assert sum(len(ms.vertices) > 1 for ms in results) >= 3
+
+
+class TestScreen:
+    """``kkt._screen`` rules out only stacks whose exact solve fails."""
+
+    @staticmethod
+    def near_boundary_stacks():
+        # rhs = a1 + a2, and a0 is within 1e-6 of a1: condition numbers up
+        # to 6e7, under the cutoff's 1e8, and a first multiplier that is 0
+        # exactly, which lstsq and the screen's QR solve each read as a
+        # different number about 1e-9 either side of 0
+        rng = np.random.default_rng(7)
+        rhs = np.zeros(5)
+        rhs[0] = 1.0
+        a1 = rng.standard_normal((200, 5))
+        a0 = a1 + 1e-6 * rng.standard_normal((200, 5))
+        subs = np.stack([a0, a1, rhs - a1], axis=2)
+        s = np.linalg.svd(subs, compute_uv=False)
+        assert (s[:, -1] > 1e-8 * s[:, 0]).all()
+        return subs, rhs
+
+    def test_keeps_every_stack_lstsq_passes(self):
+        subs, rhs = self.near_boundary_stacks()
+        passes = []
+        for sub in subs:
+            y, *_ = np.linalg.lstsq(sub, rhs, rcond=None)
+            passes.append(float(np.abs(sub @ y - rhs).max()) <= 1e-8 and y[0] >= -1e-12)
+        assert 0 < sum(passes) < len(passes)
+        kept = kkt._screen(subs, rhs, 1, 1e-8)
+        assert kept[passes].all()
+
+    def test_rules_out_clear_misses(self):
+        subs, rhs = self.near_boundary_stacks()
+        # multipliers near (0, -1, -1), and a residual near 1
+        assert not kkt._screen(subs, -rhs, 3, 1e-8).any()
+        assert not kkt._screen(subs[:, :, :2], rhs, 0, 1e-8).any()
 
 
 class TestZeroCone:

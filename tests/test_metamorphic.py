@@ -1,21 +1,26 @@
 """Metamorphic tests: verdicts that must not move when a constraint is scaled.
 
 In exact arithmetic, multiplying every constraint by c > 0 changes no
-constraint qualification.  Each problem below is rewritten with every
-``ineq`` and ``eq`` body multiplied by c, for c = 2^-30 and 2^30 (exact
-power-of-two scalings) and c = 1e-9 and 1e9, and evaluated at its own
-point.  Wherever the active set is unchanged, the MFCQ verdict must equal
-the unscaled one.  Where the active set does change, the absolute
-``tol_active`` read an inactive row as active; those cases are counted
-and printed, not judged.
+constraint qualification, divides every KKT multiplier by c, and changes
+neither the strong critical cone nor the multiplier-weighted Lagrangian
+Hessian, so neither the KKT verdict nor SSONC.  Each problem below is
+rewritten with every ``ineq`` and ``eq`` body multiplied by c, for c =
+2^-30 and 2^30 (exact power-of-two scalings) and c = 1e-9 and 1e9, and
+evaluated at its own point.  Wherever the active set is unchanged, the
+MFCQ verdict, the KKT flag, the vertex and ray counts and the SSONC status
+must equal the unscaled ones.  Where the active set does change, the
+absolute ``tol_active`` read an inactive row as active; those cases are
+counted and printed, not judged.
 """
 
+import functools
 import os
 import sys
 
 import pytest
 
 from nlpcheck.cq import check_mfcq
+from nlpcheck.kkt import check_ssonc, solve_multipliers
 from nlpcheck.model import evaluate_point, load_problem
 from nlpcheck.problems import builtin_names, builtin_source
 
@@ -55,20 +60,43 @@ def mfcq_at_point(text: str):
     return pd.active, check_mfcq(pd).status
 
 
+@functools.cache
+def kkt_at_point(text: str):
+    """The active set, and the KKT flag, vertex and ray counts and SSONC
+    status (None off a KKT point)."""
+    problem = load_problem(text)
+    pd = evaluate_point(problem, problem.point)
+    ms = solve_multipliers(pd)
+    ssonc = check_ssonc(pd, ms).status if ms.vertices else None
+    return pd.active, (bool(ms.vertices), len(ms.vertices), len(ms.rays), ssonc)
+
+
 def test_problem_set():
     assert len(PROBLEMS) == 41
 
 
-@pytest.mark.parametrize("c", SCALES, ids=["2^-30", "2^30", "1e-9", "1e9"])
-def test_mfcq_does_not_depend_on_constraint_scale(c):
+def scale_changes(c: float, at_point) -> list:
+    """The problems whose verdicts under ``at_point`` (which returns the
+    active set and the verdicts) move when every constraint is scaled by
+    ``c``, among those whose active set does not; the others are printed."""
     changed = []
     moved = []
     for name, text in PROBLEMS.items():
-        active, status = mfcq_at_point(text)
-        scaled_active, scaled_status = mfcq_at_point(scaled(text, c))
+        active, verdicts = at_point(text)
+        scaled_active, scaled_verdicts = at_point(scaled(text, c))
         if scaled_active != active:
             moved.append(name)
-        elif scaled_status != status:
-            changed.append((name, status, scaled_status))
+        elif scaled_verdicts != verdicts:
+            changed.append((name, verdicts, scaled_verdicts))
     print(f"constraints x {c!r}: active set changed on {len(moved)}: {moved}")
-    assert changed == []
+    return changed
+
+
+@pytest.mark.parametrize("c", SCALES, ids=["2^-30", "2^30", "1e-9", "1e9"])
+def test_mfcq_does_not_depend_on_constraint_scale(c):
+    assert scale_changes(c, mfcq_at_point) == []
+
+
+@pytest.mark.parametrize("c", SCALES, ids=["2^-30", "2^30", "1e-9", "1e9"])
+def test_kkt_layer_does_not_depend_on_constraint_scale(c):
+    assert scale_changes(c, kkt_at_point) == []
