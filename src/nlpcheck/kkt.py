@@ -86,16 +86,19 @@ class MultiplierSet:
 def _dedup_sorted(
     items: list[np.ndarray], tol: float = 1e-9
 ) -> list[np.ndarray]:
-    """Drop near-duplicates and sort lexicographically: a vector is dropped
-    when it lies within ``tol`` times the largest |entry| of all ``items``
-    (infinity norm) of one kept before it, so that scaling every item by
-    one factor drops the same ones."""
-    cut = tol * max((float(np.abs(v).max(initial=0.0)) for v in items), default=0.0)
+    """Drop near-duplicates and sort lexicographically: ``v`` is dropped
+    when some ``u`` kept before it has ``|v - u| <= tol * max(|u|, |v|)``
+    in the infinity norm, so that scaling every item by one factor drops
+    the same ones, and a large item does not merge two small ones."""
     kept: list[np.ndarray] = []
     stack = np.empty((len(items), len(items[0]) if items else 0))  # the kept vectors
+    tops = np.empty(len(items))  # their largest |entry|
     for v in items:
-        if (np.abs(stack[: len(kept)] - v).max(axis=1, initial=0.0) > cut).all():
-            stack[len(kept)] = v
+        top = float(np.abs(v).max(initial=0.0))
+        n = len(kept)
+        cut = tol * np.maximum(tops[:n], top)
+        if (np.abs(stack[:n] - v).max(axis=1, initial=0.0) > cut).all():
+            stack[n], tops[n] = v, top
             kept.append(v)
     kept.sort(key=lambda v: tuple(v))
     return kept
@@ -237,7 +240,7 @@ def solve_multipliers(pd: PointData) -> MultiplierSet:
         # every subset but the empty one gets a nullspace basis
         if (size == 0).any() and rhs_top <= tol:
             vertex_raw.append((int(masks[size == 0][0]), expand(np.zeros(a + p))))
-            best = rhs_top
+            best = min(best, rhs_top)
         live = np.flatnonzero((size > 0) & (size <= most))
         for at, nulls in grouped_nullspace_bases(kept[live], gather, tol):
             ineq = int(size[live[at[0]]]) - p  # the kept inequality columns come first

@@ -172,6 +172,18 @@ class TestSolveMultipliers:
         assert check_kkt(pd, mu, lam)[1]
         assert check_ssonc(pd, ms).status == "holds-certified"
 
+    def test_large_vertex_does_not_merge_small_ones(self):
+        # the vertices are (0, 0, 1e10), (0, 0.5, 0) and (1, 0, 0); one
+        # cut of 1e-9 times the largest multiplier (10) would merge the
+        # last two.  The strong critical cone is {d1 = 0}, and only
+        # (1, 0, 0) gives a form, diag(0, -2), negative on it
+        pd = problem_pd("vars 2\nobjective x1\nineq -x1 - x2^2\nineq -2*x1\nineq -1e-10*x1\npoint 0 0\n")
+        ms = solve_multipliers(pd)
+        assert [mu.tolist() for mu, _ in ms.vertices] == [[0.0, 0.0, 1e10], [0.0, 0.5, 0.0], [1.0, 0.0, 0.0]]
+        report = check_ssonc(pd, ms)
+        assert report.status == "fails"
+        assert report.worst["min_value"] < -1.0
+
     def test_unbounded_multiplier_ray(self):
         # opposing vertical gradients: mu2 = 1 + mu1 for every mu1 >= 0
         prob = load_problem(
@@ -628,6 +640,21 @@ class TestStackedSubsets:
         ref = multiplier_enumeration_oracle(pd)
         monkeypatch.setattr(kkt, "stack_chunk", lambda floats: chunk)
         self.assert_same(solve_multipliers(pd), ref)
+
+    def test_smallest_vertex_residual_across_chunks(self, monkeypatch):
+        # the probe stops at residual 1.03e-8, past the tolerance.  With one
+        # subset a chunk, the empty subset (residual 9.68e-9) comes last,
+        # after the vertex that keeps the first column (residual 9.49e-9),
+        # whose residual is the one reported
+        pd = problem_pd(
+            "vars 2\nobjective 9.68e-09*x1 + 8.16e-09*x2\n"
+            "ineq -0.49*x1 + 0.42*x2\nineq -0.42*x1 + 0.24*x2\npoint 0 0\n"
+        )
+        ref = multiplier_enumeration_oracle(pd)
+        monkeypatch.setattr(kkt, "stack_chunk", lambda floats: 1)
+        ms = solve_multipliers(pd)
+        self.assert_same(ms, ref)
+        assert len(ms.vertices) == 2 and 9.4e-9 < ms.residual < 9.5e-9
 
     @pytest.mark.parametrize("rank", [1e-6, 1e-13])
     def test_rank_tolerances(self, rank):
