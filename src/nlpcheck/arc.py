@@ -20,8 +20,8 @@ of sigma) exactly at its center value while moving with velocity d.  Each
 zeta(t) is computed by a warm-started Newton solve of c(x) = target.
 
 The directions that pin the same constraints share one chart, and all
-the arcs of an analysis are marched together, one ``newton_batch`` per
-sample over both sides of every arc (:func:`trace_arcs`).
+the arcs of an analysis are marched together, both sides of every arc in
+one ``newton_batch`` (:func:`trace_arcs`).
 
 The traced arc is validated against five properties: (arc1) it starts at
 the point with velocity d; (arc2) pinned inequalities stay at zero; (arc3)
@@ -269,10 +269,6 @@ class ArcResult:
         return int(np.argmin(np.abs(self.t)))
 
 
-def _truncation_note(side: int, k: int, tk: float, exc: Exception) -> str:
-    return f"side {side:+d} truncated at sample {k} (t = {tk:.6g}): {exc}"
-
-
 def trace_arcs(
     problem: Problem,
     charts,
@@ -287,14 +283,13 @@ def trace_arcs(
 
     Arc a runs along ``directions[a]`` through ``charts[a]`` with half-width
     ``deltas[a]``, over a grid of ``samples`` points; a request that
-    :func:`check_arc_request` rejects raises its ``ValueError``.
-    Sample k of both sides of every arc is one :func:`newton_batch`, each
-    side starting from its sample k - 1 (the chart center for the first).
-    A Newton failure truncates that side at the last good sample.  The
-    constraint values at every kept sample and every chart center then
-    come from one order-0 sweep, which truncates a side again at a sample
-    where a constraint leaves its domain.  Each arc equals the one traced
-    alone.
+    :func:`check_arc_request` rejects raises its ``ValueError``.  Each side
+    of every arc is one system of a single :func:`newton_batch`, which
+    walks its chart targets from the center out; a Newton failure
+    truncates that side at the last good sample.  The constraint values at
+    every kept sample and every chart center then come from one order-0
+    sweep, which truncates a side again at a sample where a constraint
+    leaves its domain.  Each arc equals the one traced alone.
     """
     directions = check_arc_request(problem.n, directions, deltas, samples)
     half = (samples - 1) // 2
@@ -312,40 +307,26 @@ def trace_arcs(
     gather = problem.sweep.gather(chart_rows, n)
     sign = np.tile([-1, 1], len(charts))
     scale = sign * np.repeat(np.asarray(deltas, dtype=float), 2)
+    # t at sample j + 1 of each side, whose target is c(center) + t * c'(center) d
+    tk = scale[:, None] * np.arange(1, half + 1) / half
     z_center = np.repeat([chart.z_center for chart in charts], 2, axis=0)
     step_z = np.repeat([chart.jac_center @ d for chart, d in zip(charts, directions)], 2, axis=0)
-    state = (np.repeat([chart.center for chart in charts], 2, axis=0), z_center,
+    start = (np.repeat([chart.center for chart in charts], 2, axis=0), z_center,
              np.repeat([chart.jac_center for chart in charts], 2, axis=0))
-
-    # sample k of every live side in one batch
-    points = np.empty((S, half, n))
-    cut = np.zeros(S, dtype=int)  # samples kept per side
+    targets = z_center[:, None] + tk[..., None] * step_z[:, None]
+    points, _, failures = newton_batch(
+        lambda rows, T: gather.evaluate(T, rows // 2), start, targets, tol.newton
+    )
+    cut = np.full(S, half)  # samples kept per side
     notes = [""] * S
-    live = np.arange(S)
-    # the rows of the live sides in every per-side table, taken anew only
-    # when a side fails
-    per_side = (scale, z_center, step_z, np.arange(S) // 2)
-    lanes = per_side
-    for k in range(1, half + 1):
-        if not live.size:
-            break
-        scales, starts, steps, lines = lanes
-        tk = scales * k / half
-        X, F, J, errors = newton_batch(
-            lambda rows, T: gather.evaluate(T, lines[rows]),
-            state,
-            starts + tk[:, None] * steps,
-            tol.newton,
-        )
-        good = np.array([error is None for error in errors])
-        if not good.all():
-            for i in np.flatnonzero(~good).tolist():
-                notes[live[i]] = _truncation_note(int(sign[live[i]]), k, float(tk[i]), errors[i])
-            live, X, F, J = live[good], X[good], F[good], J[good]
-            lanes = tuple(column[live] for column in per_side)
-        state = X, F, J
-        points[live, k - 1] = X
-        cut[live] = k
+
+    def truncate(s: int, j: int, exc: Exception) -> None:  # side s keeps its first j samples
+        notes[s] = f"side {sign[s]:+d} truncated at sample {j + 1} (t = {tk[s, j]:.6g}): {exc}"
+        cut[s] = j
+
+    for s, failure in enumerate(failures):
+        if failure is not None:
+            truncate(s, *failure)
 
     # every constraint value comes from one sweep of the kept samples, then
     # the chart centers.  A side is cut at the first sample where a
@@ -363,10 +344,7 @@ def trace_arcs(
             try:
                 problem.sweep.at(X[r], np.flatnonzero(~ok[r]), order=0)
             except DomainError as exc:
-                side = int(sign[s])
-                tj = side * deltas[s // 2] * (j + 1) / half
-                notes[s] = _truncation_note(side, j + 1, tj, exc)
-                cut[s] = j
+                truncate(s, j, exc)
     row_of = np.empty((S, half), dtype=int)  # the row of X of each kept sample
     row_of[side_of, sample_of] = np.arange(kept)
 

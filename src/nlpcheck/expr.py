@@ -305,10 +305,13 @@ def _symmetric(p: np.ndarray, q: np.ndarray) -> np.ndarray:
 
 
 def _run_of(slots: np.ndarray):
-    """``slots`` as a slice when they run consecutively, else as they are."""
-    lo = int(slots[0])
-    if slots.tolist() == list(range(lo, lo + len(slots))):
-        return slice(lo, lo + len(slots))
+    """``slots`` as a slice when they run consecutively or are all one
+    slot (a view broadcast over the group), else as they are."""
+    lo, listed = int(slots[0]), slots.tolist()
+    if listed == [lo] * len(listed):
+        return slice(lo, lo + 1)
+    if listed == list(range(lo, lo + len(listed))):
+        return slice(lo, lo + len(listed))
     return slots
 
 
@@ -465,8 +468,8 @@ class TapeSet:
         The coordinates ``coords``, which have no slot of their own, get
         slots after the variables in ``need``.  A step (op, destination, a,
         b) applies op to the slots a (and b) and fills a slice; operand
-        slots that run consecutively are a slice too, so that :meth:`_run`
-        reads them as a view.  A variable in ``need`` past the ``n``
+        slots that run consecutively or are all one slot are a slice too
+        (:func:`_run_of`), read as a view.  A variable in ``need`` past the ``n``
         coordinates raises :class:`ExprError`, naming the largest."""
         position = np.cumsum(need) - 1
         c, v = len(self.consts), len(self.consts) + len(self.variables)
@@ -521,8 +524,8 @@ class TapeSet:
         written again, so nothing of an earlier sweep is read.  Each group
         is written straight into its slots of the tables by ``out=``
         operations, reading its operands as views where their slots run
-        consecutively; each entry still takes the operations of the module
-        docstring, in their order.
+        consecutively, or broadcast where they are all one slot; each entry
+        still takes the operations of the module docstring, in their order.
         """
         size, consts, variables, steps, _ = plan
         P, n = X.shape
@@ -603,10 +606,10 @@ class Gather:
     Gather keeps the slot tables of the last two pass widths it swept, with
     the constants and the unit gradients of the variables in place, so a
     pass of a kept width writes only the variable values and the groups.
-    Two, because the rounds of a Newton march alternate between two widths
-    (every pending system, then those a step has not yet solved); a width
-    it no longer meets is dropped, so at most two passes' tables are held.
-    A Gather is for one caller at a time.
+    Two, because a Newton round wider than ``step`` is split into full
+    passes and a last, narrower one, and because a march's rounds narrow
+    only when a side ends; a width it no longer meets is dropped, so at
+    most two passes' tables are held.  A Gather is for one caller at a time.
     """
 
     sweep: TapeSet

@@ -265,49 +265,68 @@ def newton_batch(
     start: tuple[np.ndarray, np.ndarray, np.ndarray],
     targets,
     tol: float = 1e-12,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, list[NewtonError | None]]:
-    """Solve ``F_i(x) = targets[i]`` for k systems of size n by damped Newton.
+) -> tuple[np.ndarray, tuple[np.ndarray, np.ndarray, np.ndarray], list]:
+    """Walk k systems of size n through their targets by damped Newton:
+    system i solves ``F_i(x) = targets[i, j]`` for j = 0, ..., K - 1 in
+    turn, from ``start`` and then from each last solution, and stops at
+    its first failure.
 
     ``start`` holds evaluated points ``(X, F, J)`` of shapes ``(k, n)``,
     ``(k, n)`` and ``(k, n, n)``; ``evaluate(rows, X)`` returns ``(F, J,
     ok)`` at trial points ``X`` of the systems ``rows``, ``ok[i]`` False
     where a point left the domain; the solver may keep (and write into)
-    the arrays it returns.  Each round makes one stacked solve for
-    the systems that need a step and one ``evaluate`` call.  Full steps are
-    halved (up to 30 times) until the max-norm residual decreases, and a
-    point outside the domain counts as an increase, so a solve can step
-    around domain boundaries.  For an affine ``F`` the first full step lands
-    on the solution exactly.  Each system keeps its own step, step size and
-    counts, so its row equals a solve of that system alone.  Returns the
-    evaluated triples at the solutions (at the last accepted iterate where
-    a system failed) and each system's :class:`NewtonError` or None.
+    the arrays it returns.  Each round makes one stacked solve for the
+    systems that need a step and one ``evaluate`` call.  Full steps are
+    halved, at most 30 times, until the max-norm residual decreases (a
+    point outside the domain counts as an increase), and a target gets at
+    most 50 steps; one that the last solution meets gets none.  Each system
+    keeps its own target, step, step size and counts, so its row equals
+    solves of its targets alone, one after another.  Returns the ``(k, K,
+    n)`` solutions (NaN past those reached), the evaluated ``(X, F, J)``
+    at the last solutions (at the last accepted iterate where a system
+    failed), and per system None or ``(j, error)``: the target it failed
+    at and its :class:`NewtonError`.
 
     In the common round every pending system takes a fresh full step and
-    every trial is accepted.  Such a round knows which systems it evaluates
-    (those its predecessor left unsolved) and that none of them is halving,
-    so it does no per-system bookkeeping; any other round finds its systems
-    from the flags.
+    every trial is accepted.  Such a round knows its systems (those its
+    predecessor left pending), so it does no per-system bookkeeping.
     """
     X, F, J = (np.array(a, dtype=float) for a in start)
     targets = np.asarray(targets, dtype=float)
-    k = X.shape[0]
-    res = np.abs(F - targets).max(axis=1, initial=0.0)
-    errors: list[NewtonError | None] = [None] * k
-    # alpha and halvings are 1 and 0 for every system whose step is not
-    # being halved
-    step, alpha = np.zeros_like(X), np.ones(k)
-    halvings, iterations = np.zeros(k, dtype=int), np.zeros(k, dtype=int)
+    k, K, _ = targets.shape
+    points = np.full(targets.shape, np.nan)
+    at_target = np.zeros(k, dtype=int)  # the target each system is solving
+    goal = targets[:, 0].copy()  # that target
+    res = np.abs(F - goal).max(axis=1, initial=0.0)
+    failures: list = [None] * k
+    # alpha is 1 for every system whose step is not being halved, and 2^-h
+    # after h halvings
+    step, alpha, iterations = np.zeros_like(X), np.ones(k), np.zeros(k, dtype=int)
     stepping = np.zeros(k, dtype=bool)  # a step is being halved
-    pending = ~(res <= tol)  # neither solved nor failed
-    rows = np.flatnonzero(pending)  # the systems of the round
-    common = True  # no pending system is halving, and rows lists them all
+    pending = np.ones(k, dtype=bool)  # neither through its targets nor failed
+
+    def reach(done: np.ndarray) -> None:
+        """Keep the solutions of ``done``, which meet their targets, and move
+        each on to its next target, again while it meets that one too."""
+        while done.size:
+            points[done, at_target[done]] = X[done]
+            at_target[done] += 1
+            iterations[done] = 0
+            pending[done] = at_target[done] < K
+            done = done[pending[done]]
+            goal[done] = targets[done, at_target[done]]
+            res[done] = np.abs(F[done] - goal[done]).max(axis=1, initial=0.0)
+            done = done[res[done] <= tol]
 
     def fail(i: int, error: NewtonError) -> None:
         nonlocal common
-        errors[i] = error
+        failures[i] = (int(at_target[i]), error)
         pending[i] = stepping[i] = common = False
 
-    rounds = 0  # no system has taken more steps than there were rounds
+    reach(np.flatnonzero(res <= tol))
+    rows = np.flatnonzero(pending)  # the systems of the round
+    common = True  # no pending system is halving, and rows lists them all
+    rounds = 0  # no system has taken more steps on its target than there were rounds
     while True:
         if rounds >= _NEWTON_MAX_ITER:
             for i in np.flatnonzero(pending & ~stepping & (iterations == _NEWTON_MAX_ITER)):
@@ -318,7 +337,7 @@ def newton_batch(
         if fresh.size:
             at = slice(None) if fresh.size == k else fresh  # views when every system steps
             # explicit columns, so the call means the same on numpy 1 and 2
-            R = (targets[at] - F[at])[..., None]
+            R = (goal[at] - F[at])[..., None]
             try:
                 step[at] = np.linalg.solve(J[at], R)[..., 0]
             except np.linalg.LinAlgError:  # one at a time, to find the singular systems
@@ -336,16 +355,16 @@ def newton_batch(
         if not common:
             rows = np.flatnonzero(pending)
         if not rows.size:
-            return X, F, J, errors
+            return points, (X, F, J), failures
         at = slice(None) if rows.size == k else rows
         trial = X[at] + step[at] if common else X[at] + alpha[at, None] * step[at]
         F_new, J_new, ok = evaluate(rows, trial)
         inside = ok.all()
         if inside:
-            res_new = np.abs(F_new - targets[at]).max(axis=1, initial=0.0)
+            res_new = np.abs(F_new - goal[at]).max(axis=1, initial=0.0)
         else:  # the entries of a point outside the domain are meaningless
             res_new = np.full(rows.size, np.inf)
-            res_new[ok] = np.abs(F_new[ok] - targets[rows[ok]]).max(axis=1, initial=0.0)
+            res_new[ok] = np.abs(F_new[ok] - goal[rows[ok]]).max(axis=1, initial=0.0)
         solved = res_new <= tol
         better = (res_new < res[at]) | solved
         if not inside:
@@ -356,20 +375,19 @@ def newton_batch(
             else:
                 X[rows], F[rows], J[rows], res[rows] = trial, F_new, J_new, res_new
             if not common:
-                stepping[at], alpha[at], halvings[at] = False, 1.0, 0
-            pending[at] = ~solved
-            rows, common = rows[~solved], True
+                stepping[at], alpha[at] = False, 1.0
+            reach(rows[solved])
+            rows, common = rows[pending[rows]], True
             continue
         took = rows[better]
         X[took], F[took], J[took] = trial[better], F_new[better], J_new[better]
         res[took] = res_new[better]
-        stepping[took], alpha[took], halvings[took] = False, 1.0, 0
-        pending[took] = ~solved[better]
+        stepping[took], alpha[took] = False, 1.0
+        reach(rows[solved])
         worse = rows[~better]
         stepping[worse], common = True, False
         alpha[worse] *= 0.5
-        halvings[worse] += 1
-        for i in worse[halvings[worse] == 30]:
+        for i in worse[alpha[worse] == 0.5**30]:
             message = f"no descent after 30 halvings (residual {res[i]:.3e})"
             fail(i, NewtonConvergenceError(message, X[i].copy(), float(res[i])))
 
@@ -380,10 +398,10 @@ def newton_solve(
     target,
     tol: float = 1e-12,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """:func:`newton_batch` for one system: ``fun_jac(x)`` returns
-    ``(F(x), J(x))``, and a :class:`DomainError` it raises marks ``x`` as
-    outside the domain.  Raises the system's :class:`NewtonError`, and
-    returns ``start`` itself when it already solves the system."""
+    """:func:`newton_batch` for one system and one target: ``fun_jac(x)``
+    returns ``(F(x), J(x))``, and a :class:`DomainError` it raises marks
+    ``x`` as outside the domain.  Raises the system's :class:`NewtonError`,
+    and returns ``start`` itself when it already solves the system."""
     from nlpcheck.expr import DomainError  # expr imports this module
 
     evaluated = []
@@ -396,9 +414,9 @@ def newton_solve(
             return np.zeros_like(X), np.zeros(X.shape + X.shape[1:]), np.zeros(1, dtype=bool)
         return F[None], J[None], np.ones(1, dtype=bool)
 
-    X, F, J, errors = newton_batch(evaluate, [a[None] for a in start], [target], tol)
-    if errors[0] is not None:
-        raise errors[0]
+    _, (X, F, J), failures = newton_batch(evaluate, [a[None] for a in start], [[target]], tol)
+    if failures[0] is not None:
+        raise failures[0][1]
     return (X[0], F[0], J[0]) if evaluated else start
 
 

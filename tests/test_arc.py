@@ -609,7 +609,7 @@ class TestLockstepMarch:
         for rep, ref in zip(chunked, whole):
             assert_same_arc(rep.arc, ref.arc)
 
-    def test_mixed_batch_matches_sequential_march(self):
+    def test_mixed_batch_matches_sequential_march(self, monkeypatch):
         prob = load_problem(MIXED)
         pd = evaluate_point(prob, prob.point)
         dirs = [np.array(d) for d in ((0.0, 1.0), (-1.0, 0.0), (-1.0, -1.0), (1.0, 0.0))]
@@ -630,7 +630,11 @@ class TestLockstepMarch:
         charts = [circle, free, free, circle]
         dirs = dirs[:3] + [np.array([-1.0, 0.0])]
         deltas = [1.5, 0.1, 1.5, 20.0]
+        calls = []
+        batch = arc_mod.newton_batch
+        monkeypatch.setattr(arc_mod, "newton_batch", lambda *args: calls.append(1) or batch(*args))
         arcs = trace_arcs(prob, charts, dirs, deltas)
+        assert calls == [1]  # the sides end apart, in one march
         assert "no descent" in arcs[0].note
         assert not arcs[1].truncated
         assert arcs[2].note.startswith("side +1 truncated at sample 16 (t = 1.2): log of")
@@ -665,3 +669,43 @@ class TestLockstepMarch:
         arc = trace_arcs(prob, [chart, chart], [d, -d], [delta, delta], samples)[0]
         assert any(outside)
         assert_same_arc(arc, sequential_trace_arc(prob, chart, d, delta, samples))
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_fan3_benchmark_directions_match_sequential_march(self, seed):
+        # fan-3 is the benchmark instance no pinned report digest guards:
+        # the 8 directions each config seed samples must get the arcs the
+        # sequential march gives them
+        prob = load_problem(workloads.fan_text(3))
+        pd = evaluate_point(prob, prob.point)
+        dirs = sample_directions(linearized_cone(pd), 8, seed=seed)
+        for d, rep in zip(dirs, arcs_for_directions(prob, pd, dirs)):
+            assert_same_arc(rep.arc, sequential_arc(prob, pd, d))
+
+    def test_sides_ending_apart_in_one_march(self, monkeypatch):
+        # two negative sides fail at samples 2 and 5 while trial points with
+        # x1 <= -1 leave the chart row's domain; every other side runs to
+        # the end of the same one Newton march
+        calls, outside = [], []
+        batch = arc_mod.newton_batch
+
+        def recording_batch(evaluate, start, targets, tol):
+            def recording(rows, X):
+                F, J, ok = evaluate(rows, X)
+                outside.extend(~ok)
+                return F, J, ok
+
+            calls.append(targets.shape)
+            return batch(recording, start, targets, tol)
+
+        monkeypatch.setattr(arc_mod, "newton_batch", recording_batch)
+        prob = load_problem(dict(BATTERY)["log sheet"])
+        pd = evaluate_point(prob, prob.point)
+        d = np.array([1.0, 1.0])
+        chart = build_chart(pd, pinned_constraints(pd, d))
+        dirs, deltas = [d, -d, d, -d], [30.0, 6.0, 12.0, 0.5]
+        arcs = trace_arcs(prob, [chart] * 4, dirs, deltas, 11)
+        assert calls == [(8, 5, 2)] and any(outside)
+        kept = [side for arc in arcs for side in ((arc.t < 0).sum(), (arc.t > 0).sum())]
+        assert kept == [1, 5, 5, 5, 4, 5, 5, 5]
+        for d, delta, arc in zip(dirs, deltas, arcs):
+            assert_same_arc(arc, sequential_trace_arc(prob, chart, d, delta, 11))

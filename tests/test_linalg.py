@@ -358,12 +358,12 @@ class TestNewton:
             return x.copy(), 1000.0 * np.eye(2)
 
         systems = [
-            (sphere, [2.0, 0.5], [2.0, 0.0]),
-            (flat, [0.0, 0.0], [1.0, 1.0]),
-            (tiny, [0.0, 0.0], [1e10, 0.0]),
-            (root, [9.0, 0.0], [0.0, 0.0]),
-            (uphill, [1.0, 1.0], [0.0, 0.0]),
-            (creep, [1.0, 1.0], [0.0, 0.0]),
+            (sphere, [2.0, 0.5], [[2.0, 0.0]]),
+            (flat, [0.0, 0.0], [[1.0, 1.0]]),
+            (tiny, [0.0, 0.0], [[1e10, 0.0]]),
+            (root, [9.0, 0.0], [[0.0, 0.0]]),
+            (uphill, [1.0, 1.0], [[0.0, 0.0]]),
+            (creep, [1.0, 1.0], [[0.0, 0.0]]),
         ]
         errors, outside, _ = self.check_batch(systems)
         assert 3 in outside
@@ -386,9 +386,9 @@ class TestNewton:
             return a @ x, a
 
         systems = [
-            (sphere, [2.0, 0.5], [2.0, 0.0]),
-            (affine, [0.0, 0.0], [1.0, 6.0]),
-            (sphere, [0.5, 3.0], [8.0, 0.0]),
+            (sphere, [2.0, 0.5], [[2.0, 0.0]]),
+            (affine, [0.0, 0.0], [[1.0, 6.0]]),
+            (sphere, [0.5, 3.0], [[8.0, 0.0]]),
         ]
         errors, _, calls = self.check_batch(systems)
         assert errors == [None, None, None]
@@ -413,9 +413,9 @@ class TestNewton:
             return x.copy(), (0.0 if x[0] == 0.25 else 2.0) * np.eye(2)
 
         systems = [
-            (sphere, [2.0, 0.5], [2.0, 0.0]),
-            (hole, [1.0, 1.0], [0.0, 0.0]),
-            (kink, [1.0, 1.0], [0.0, 0.0]),
+            (sphere, [2.0, 0.5], [[2.0, 0.0]]),
+            (hole, [1.0, 1.0], [[0.0, 0.0]]),
+            (kink, [1.0, 1.0], [[0.0, 0.0]]),
         ]
         errors, outside, calls = self.check_batch(systems)
         assert outside == [1]
@@ -424,11 +424,84 @@ class TestNewton:
         # leaves the domain, and in the fourth hole takes its halved step
         assert calls[:4] == [[0, 1, 2], [0, 1, 2], [0, 1], [0, 1]]
 
+    def test_target_met_by_the_last_solution_takes_no_round(self):
+        # the affine system's second target is its first, and its third is
+        # met at the start of no round either: its first step solves both
+        def affine(x):
+            a = np.array([[2.0, 1.0], [0.0, 3.0]])
+            return a @ x, a
+
+        def sphere(x):
+            return np.array([x[0] ** 2 + x[1] ** 2, x[0] - x[1]]), np.array(
+                [[2.0 * x[0], 2.0 * x[1]], [1.0, -1.0]]
+            )
+
+        systems = [
+            (affine, [0.0, 0.0], [[1.0, 6.0], [1.0, 6.0], [3.0, 3.0]]),
+            (sphere, [2.0, 0.5], [[2.0, 0.0], [2.0, 0.0], [8.0, 0.0]]),
+        ]
+        errors, _, calls = self.check_batch(systems)
+        assert errors == [None, None]
+        # one round solves the affine system's first two targets, one more
+        # its third
+        assert sum(0 in rows for rows in calls) == 2
+
+    def test_failure_at_a_later_target_stops_only_its_system(self):
+        # square reaches x1 = 1, then no step towards x1^2 = -1 descends
+        # once it is near x1 = 0; the others reach their last targets
+        def square(x):
+            return np.array([x[0] ** 2, x[1]]), np.diag([2.0 * x[0], 1.0])
+
+        def affine(x):
+            a = np.array([[2.0, 1.0], [0.0, 3.0]])
+            return a @ x, a
+
+        systems = [
+            (affine, [0.0, 0.0], [[1.0, 6.0], [3.0, 3.0], [0.0, 1.0]]),
+            (square, [2.0, 0.0], [[1.0, 0.0], [-1.0, 0.0], [4.0, 0.0]]),
+            (square, [2.0, 0.0], [[1.0, 0.0], [4.0, 1.0], [9.0, 2.0]]),
+        ]
+        errors, _, _ = self.check_batch(systems)
+        assert errors[0] is errors[2] is None
+        assert str(errors[1]) == "no descent after 30 halvings (residual 1.000e+00)"
+
+    def test_halving_on_a_later_target(self):
+        # from x1 = 3, the full step towards atan(x1) = 0 overshoots to
+        # x1 = -9.49, where |atan| is larger: the step is halved
+        trials = []
+
+        def atan(x):
+            trials.append(x[0])
+            return np.array([np.arctan(x[0]), x[1]]), np.diag([1.0 / (1.0 + x[0] ** 2), 1.0])
+
+        systems = [(atan, [0.0, 0.0], [[np.arctan(3.0), 0.0], [0.0, 1.0]])]
+        errors, _, _ = self.check_batch(systems)
+        assert errors == [None]
+        assert min(trials) < -9.0
+
+    def test_iteration_cap_counts_per_target(self):
+        # a Jacobian twice too steep halves the residual each step, so each
+        # of the three targets takes 40 steps: 120 in all
+        def steep(x):
+            return x.copy(), 2.0 * np.eye(2)
+
+        def affine(x):
+            return x.copy(), np.eye(2)
+
+        systems = [
+            (steep, [0.0, 0.0], [[1.0, 0.0], [2.0, 0.0], [3.0, 0.0]]),
+            (affine, [0.0, 0.0], [[1.0, 0.0], [2.0, 0.0], [3.0, 0.0]]),
+        ]
+        errors, _, calls = self.check_batch(systems)
+        assert errors == [None, None]
+        assert sum(0 in rows for rows in calls) == 120
+
     def check_batch(self, systems):
-        """Solve ``systems`` (function, start, target) in one batch and
-        check each row against the reference solve of its system alone;
-        returns the errors, the systems whose trials left the domain and
-        the systems evaluated in each round."""
+        """Solve ``systems`` (function, start, K targets) in one batch and
+        check each row against K chained reference solves of its system
+        alone: its solutions, its evaluated triple and its failure; returns
+        the errors, the systems whose trials left the domain and the
+        systems evaluated in each round."""
         starts = [(np.array(x0), *fun_jac(np.array(x0))) for fun_jac, x0, _ in systems]
         outside = []
         calls = []
@@ -445,22 +518,28 @@ class TestNewton:
             return F, J, ok
 
         start = tuple(np.array(part) for part in zip(*starts))
-        targets = np.array([target for _, _, target in systems])
-        X, F, J, errors = newton_batch(evaluate, start, targets)
-        for i, ((fun_jac, _, target), begin) in enumerate(zip(systems, starts)):
-            try:
-                ref = reference_newton(fun_jac, begin, np.array(target))
-            except NewtonError as exc:
-                assert type(errors[i]) is type(exc) and str(errors[i]) == str(exc)
-                if isinstance(exc, NewtonConvergenceError):
-                    assert errors[i].best_x.tobytes() == exc.best_x.tobytes()
-                    assert errors[i].best_residual == exc.best_residual
-                    assert X[i].tobytes() == exc.best_x.tobytes()
-                continue
-            assert errors[i] is None
-            for got, want in zip((X[i], F[i], J[i]), ref):
-                assert got.tobytes() == want.tobytes()
-        return errors, outside, calls
+        targets = np.array([targets for _, _, targets in systems])
+        points, (X, F, J), failures = newton_batch(evaluate, start, targets)
+        assert points.shape == targets.shape
+        for i, ((fun_jac, _, goals), state) in enumerate(zip(systems, starts)):
+            for j, target in enumerate(goals):
+                try:
+                    state = reference_newton(fun_jac, state, np.array(target))
+                except NewtonError as exc:
+                    at, error = failures[i]
+                    assert at == j and type(error) is type(exc) and str(error) == str(exc)
+                    if isinstance(exc, NewtonConvergenceError):
+                        assert error.best_x.tobytes() == exc.best_x.tobytes()
+                        assert error.best_residual == exc.best_residual
+                        assert X[i].tobytes() == exc.best_x.tobytes()
+                    assert np.isnan(points[i, j:]).all()
+                    break
+                assert points[i, j].tobytes() == state[0].tobytes()
+            else:
+                assert failures[i] is None
+                for got, want in zip((X[i], F[i], J[i]), state):
+                    assert got.tobytes() == want.tobytes()
+        return [failure and failure[1] for failure in failures], outside, calls
 
 
 def brute_force_lp(c, a_ub, b_ub, a_eq=None, b_eq=None):

@@ -14,6 +14,8 @@ exactly the entries where it raises, with its message.
 """
 
 import math
+import os
+import sys
 import tracemalloc
 
 import numpy as np
@@ -28,6 +30,7 @@ from _oracles import (
     reference_evaluate,
     reference_grad_hess,
     reference_parse,
+    reference_rows,
     reference_sweep,
     reference_to_source,
     same_bits,
@@ -35,6 +38,8 @@ from _oracles import (
 )
 
 from nlpcheck import expr, linalg
+from nlpcheck.arc import arcs_for_directions
+from nlpcheck.cones import linearized_cone, sample_directions
 from nlpcheck.expr import (
     _DIV,
     _LOG,
@@ -49,6 +54,11 @@ from nlpcheck.expr import (
     parse,
 )
 from nlpcheck.linalg import newton_solve
+from nlpcheck.model import evaluate_point, load_problem
+
+BENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "perfbench")
+sys.path.append(BENCH)
+import workloads  # noqa: E402
 
 N = 3
 UNARY = ("neg", "sin", "cos", "exp", "log", "sqrt")
@@ -614,3 +624,50 @@ class TestCompile:
         sweep = compiler.finish(numbers[::-1])
         assert slot_tables(sweep) == slot_tables(compile_sources(sources[::-1], 2))
         assert slot_tables(sweep) != slot_tables(compile_sources(sources, 2))
+
+
+BENCH_TEXTS = [workloads.fan_text(3), workloads.chain_text(7)]
+
+
+class TestSharedOperands:
+    """An operand slot that every member of a group reads is one slot's
+    slice, read as a view broadcast over the group."""
+
+    @pytest.mark.parametrize("source", BENCH_TEXTS, ids=["fan-3", "chain-7"])
+    def test_gather_plans_gather_no_shared_operand(self, source, monkeypatch):
+        plans = []
+        gather = TapeSet.gather
+
+        def recording(self, outputs, n):
+            table = gather(self, outputs, n)
+            plans.append(table.plan)
+            return table
+
+        monkeypatch.setattr(TapeSet, "gather", recording)
+        prob = load_problem(source)
+        pd = evaluate_point(prob, prob.point)
+        arcs_for_directions(prob, pd, sample_directions(linearized_cone(pd), 8, seed=0))
+        assert plans
+        broadcast = 0
+        for plan in plans:
+            for _, dst, a, b in plan[3]:
+                for operand in (a, b):
+                    if isinstance(operand, slice):
+                        broadcast += operand.stop - operand.start < dst.stop - dst.start
+                    else:
+                        assert len(set(operand.tolist())) > 1
+        assert broadcast
+
+    @pytest.mark.parametrize("source", BENCH_TEXTS, ids=["fan-3", "chain-7"])
+    def test_benchmark_rows_match_the_reference_sweep(self, source):
+        prob = load_problem(source)
+        trees = reference_rows(prob)
+        X = np.vstack([prob.point, np.random.default_rng(8).standard_normal((5, prob.n))])
+        for order in range(3):
+            tables = prob.sweep.evaluate(X, order=order)
+            assert tables[3].all()
+            for i, x in enumerate(X):
+                for r, tree in enumerate(trees):
+                    expect = reference_sweep(tree, x, order)
+                    for k in range(order + 1):
+                        assert same_bits(tables[k][i, r], expect[k])
