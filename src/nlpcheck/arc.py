@@ -58,6 +58,7 @@ __all__ = [
     "arc_for_direction",
     "DEFAULT_ARCS",
     "DEFAULT_POINTS",
+    "DEFAULT_DELTA",
     "check_arc_request",
     "ARC_BUDGET",
     "check_arc_size",
@@ -67,6 +68,7 @@ _MAX_SHRINK = 5  # delta halvings after a truncated trace
 
 DEFAULT_ARCS = 8  # sampled arcs of the default run
 DEFAULT_POINTS = 41  # samples per arc of the default run
+DEFAULT_DELTA = 0.1  # arc half-width of the default run
 ARC_BUDGET = 1 << 22  # floats the samples of an analysis' arcs may keep: 32 MiB
 
 
@@ -508,7 +510,7 @@ def arcs_for_directions(
     problem: Problem,
     pd: PointData,
     directions,
-    delta: float = 0.1,
+    delta: float = DEFAULT_DELTA,
     samples: int = DEFAULT_POINTS,
 ) -> list[DirectionArcReport]:
     """Pin, chart, trace, and verify the arc for each direction, at ``pd.tol``.
@@ -588,7 +590,7 @@ def arc_for_direction(
     problem: Problem,
     pd: PointData,
     d,
-    delta: float = 0.1,
+    delta: float = DEFAULT_DELTA,
     samples: int = DEFAULT_POINTS,
 ) -> DirectionArcReport:
     """The report of :func:`arcs_for_directions` for a single direction."""

@@ -71,7 +71,7 @@ class RunConfig:
     arc_dirs: tuple = ()
     arc_sample: int = arc_mod.DEFAULT_ARCS
     arc_points: int = arc_mod.DEFAULT_POINTS
-    delta: float = 0.1
+    delta: float = arc_mod.DEFAULT_DELTA
 
 
 def _load(config: RunConfig) -> tuple[str, Problem]:

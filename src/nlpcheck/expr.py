@@ -606,10 +606,11 @@ class Gather:
     Gather keeps the slot tables of the last two pass widths it swept, with
     the constants and the unit gradients of the variables in place, so a
     pass of a kept width writes only the variable values and the groups.
-    Two, because a Newton round wider than ``step`` is split into full
-    passes and a last, narrower one, and because a march's rounds narrow
-    only when a side ends; a width it no longer meets is dropped, so at
-    most two passes' tables are held.  A Gather is for one caller at a time.
+    Two, because a Newton call wider than ``step`` is split into full
+    passes and a narrower last one, and because a march's calls narrow
+    when a side ends and when a round's halved trials take a pass of their
+    own; a width it no longer meets is dropped, so at most two passes'
+    tables are held.  A Gather is for one caller at a time.
     """
 
     sweep: TapeSet

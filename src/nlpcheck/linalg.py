@@ -275,21 +275,19 @@ def newton_batch(
     ``(k, n)`` and ``(k, n, n)``; ``evaluate(rows, X)`` returns ``(F, J,
     ok)`` at trial points ``X`` of the systems ``rows``, ``ok[i]`` False
     where a point left the domain; the solver may keep (and write into)
-    the arrays it returns.  Each round makes one stacked solve for the
-    systems that need a step and one ``evaluate`` call.  Full steps are
-    halved, at most 30 times, until the max-norm residual decreases (a
-    point outside the domain counts as an increase), and a target gets at
-    most 50 steps; one that the last solution meets gets none.  Each system
-    keeps its own target, step, step size and counts, so its row equals
-    solves of its targets alone, one after another.  Returns the ``(k, K,
-    n)`` solutions (NaN past those reached), the evaluated ``(X, F, J)``
-    at the last solutions (at the last accepted iterate where a system
-    failed), and per system None or ``(j, error)``: the target it failed
-    at and its :class:`NewtonError`.
-
-    In the common round every pending system takes a fresh full step and
-    every trial is accepted.  Such a round knows its systems (those its
-    predecessor left pending), so it does no per-system bookkeeping.
+    the arrays it returns.  A round fails the systems that took 50 steps
+    on their target, makes one stacked solve for the steps of all pending
+    systems and tries them: the h-th trial of the systems still rejected
+    is ``X + 2^-h step``, one ``evaluate`` call per h, and a system takes
+    the first trial that lowers its max-norm residual (a point outside the
+    domain counts as an increase) or fails after 30 halvings.  A target
+    that the last solution meets takes no round.  Each system keeps its
+    own target, step and counts, so its row equals solves of its targets
+    alone, one after another.  Returns the ``(k, K, n)`` solutions (NaN
+    past those reached), the evaluated ``(X, F, J)`` at the last solutions
+    (at the last accepted iterate where a system failed), and per system
+    None or ``(j, error)``: the target it failed at and its
+    :class:`NewtonError`.
     """
     X, F, J = (np.array(a, dtype=float) for a in start)
     targets = np.asarray(targets, dtype=float)
@@ -299,10 +297,7 @@ def newton_batch(
     goal = targets[:, 0].copy()  # that target
     res = np.abs(F - goal).max(axis=1, initial=0.0)
     failures: list = [None] * k
-    # alpha is 1 for every system whose step is not being halved, and 2^-h
-    # after h halvings
-    step, alpha, iterations = np.zeros_like(X), np.ones(k), np.zeros(k, dtype=int)
-    stepping = np.zeros(k, dtype=bool)  # a step is being halved
+    iterations = np.zeros(k, dtype=int)  # steps taken on that target
     pending = np.ones(k, dtype=bool)  # neither through its targets nor failed
 
     def reach(done: np.ndarray) -> None:
@@ -319,77 +314,77 @@ def newton_batch(
             done = done[res[done] <= tol]
 
     def fail(i: int, error: NewtonError) -> None:
-        nonlocal common
         failures[i] = (int(at_target[i]), error)
-        pending[i] = stepping[i] = common = False
+        pending[i] = False
 
     reach(np.flatnonzero(res <= tol))
     rows = np.flatnonzero(pending)  # the systems of the round
-    common = True  # no pending system is halving, and rows lists them all
     rounds = 0  # no system has taken more steps on its target than there were rounds
-    while True:
+    while rows.size:
         if rounds >= _NEWTON_MAX_ITER:
-            for i in np.flatnonzero(pending & ~stepping & (iterations == _NEWTON_MAX_ITER)):
+            for i in rows[iterations[rows] == _NEWTON_MAX_ITER]:
                 message = f"no convergence in {_NEWTON_MAX_ITER} iterations (residual {res[i]:.3e})"
                 fail(i, NewtonConvergenceError(message, X[i].copy(), float(res[i])))
+            rows = rows[pending[rows]]
+            if not rows.size:
+                break
         rounds += 1
-        fresh = rows if common else np.flatnonzero(pending & ~stepping)
-        if fresh.size:
-            at = slice(None) if fresh.size == k else fresh  # views when every system steps
-            # explicit columns, so the call means the same on numpy 1 and 2
-            R = (goal[at] - F[at])[..., None]
-            try:
-                step[at] = np.linalg.solve(J[at], R)[..., 0]
-            except np.linalg.LinAlgError:  # one at a time, to find the singular systems
-                for i, Ji, Ri in zip(fresh, J[at], R):
-                    try:
-                        step[i] = np.linalg.solve(Ji, Ri)[:, 0]
-                    except np.linalg.LinAlgError:
-                        message = f"singular Jacobian at iterate (residual {res[i]:.3e})"
-                        fail(i, SingularJacobianError(message))
-            if not np.isfinite(step[at]).all():
-                finite = np.isfinite(step[at]).all(axis=1)
-                for i in fresh[pending[at] & ~finite]:
-                    fail(i, SingularJacobianError("non-finite Newton step"))
-            iterations[at] += 1
-        if not common:
-            rows = np.flatnonzero(pending)
-        if not rows.size:
-            return points, (X, F, J), failures
-        at = slice(None) if rows.size == k else rows
-        trial = X[at] + step[at] if common else X[at] + alpha[at, None] * step[at]
-        F_new, J_new, ok = evaluate(rows, trial)
-        inside = ok.all()
-        if inside:
-            res_new = np.abs(F_new - goal[at]).max(axis=1, initial=0.0)
-        else:  # the entries of a point outside the domain are meaningless
-            res_new = np.full(rows.size, np.inf)
-            res_new[ok] = np.abs(F_new[ok] - goal[rows[ok]]).max(axis=1, initial=0.0)
-        solved = res_new <= tol
-        better = (res_new < res[at]) | solved
-        if not inside:
-            better &= ok
-        if better.all():
-            if rows.size == k:
-                X, F, J, res = trial, F_new, J_new, res_new
-            else:
-                X[rows], F[rows], J[rows], res[rows] = trial, F_new, J_new, res_new
-            if not common:
-                stepping[at], alpha[at] = False, 1.0
-            reach(rows[solved])
-            rows, common = rows[pending[rows]], True
-            continue
-        took = rows[better]
-        X[took], F[took], J[took] = trial[better], F_new[better], J_new[better]
-        res[took] = res_new[better]
-        stepping[took], alpha[took] = False, 1.0
-        reach(rows[solved])
-        worse = rows[~better]
-        stepping[worse], common = True, False
-        alpha[worse] *= 0.5
-        for i in worse[alpha[worse] == 0.5**30]:
-            message = f"no descent after 30 halvings (residual {res[i]:.3e})"
-            fail(i, NewtonConvergenceError(message, X[i].copy(), float(res[i])))
+        at = slice(None) if rows.size == k else rows  # views when every system steps
+        # explicit columns, so the call means the same on numpy 1 and 2
+        R = (goal[at] - F[at])[..., None]
+        try:
+            step = np.linalg.solve(J[at], R)[..., 0]
+        except np.linalg.LinAlgError:  # one at a time, to find the singular systems
+            step = np.full(R.shape[:2], np.nan)
+            for s, (i, Ji, Ri) in enumerate(zip(rows, J[at], R)):
+                try:
+                    step[s] = np.linalg.solve(Ji, Ri)[:, 0]
+                except np.linalg.LinAlgError:
+                    message = f"singular Jacobian at iterate (residual {res[i]:.3e})"
+                    fail(i, SingularJacobianError(message))
+        iterations[at] += 1
+        if not np.isfinite(step).all():  # the singular systems' steps are NaN
+            finite = np.isfinite(step).all(axis=1)
+            for i in rows[pending[at] & ~finite]:
+                fail(i, SingularJacobianError("non-finite Newton step"))
+            rows, step = rows[finite], step[finite]
+            if not rows.size:
+                break
+            at = rows
+        # the full steps, then the h-th halving of those still rejected
+        trying, trial = rows, X[at] + step
+        for h in range(1, 31):
+            F_new, J_new, ok = evaluate(trying, trial)
+            inside = ok.all()
+            if inside:
+                res_new = np.abs(F_new - goal[at]).max(axis=1, initial=0.0)
+            else:  # the entries of a point outside the domain are meaningless
+                res_new = np.full(trying.size, np.inf)
+                res_new[ok] = np.abs(F_new[ok] - goal[trying[ok]]).max(axis=1, initial=0.0)
+            solved = res_new <= tol
+            better = (res_new < res[at]) | solved
+            if not inside:
+                better &= ok
+            if better.all():
+                if trying.size == k:
+                    X, F, J, res = trial, F_new, J_new, res_new
+                else:
+                    X[trying], F[trying], J[trying], res[trying] = trial, F_new, J_new, res_new
+                reach(trying[solved])
+                break
+            took = trying[better]
+            X[took], F[took], J[took] = trial[better], F_new[better], J_new[better]
+            res[took] = res_new[better]
+            reach(trying[solved])
+            trying = at = trying[~better]
+            step = step[~better]
+            trial = X[at] + 0.5**h * step
+        else:  # still rejected after 30 halvings
+            for i in trying:
+                message = f"no descent after 30 halvings (residual {res[i]:.3e})"
+                fail(i, NewtonConvergenceError(message, X[i].copy(), float(res[i])))
+        rows = rows[pending[rows]]
+    return points, (X, F, J), failures
 
 
 def newton_solve(

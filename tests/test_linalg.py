@@ -373,9 +373,10 @@ class TestNewton:
         assert "30 halvings" in str(errors[4]) and "50 iterations" in str(errors[5])
 
     def test_accepted_rounds_match_the_reference_solve(self):
-        # every trial is accepted: the affine system is solved by its first
-        # step, so the first round takes every system at once, the next
-        # ones both sphere systems, and the last ones the slower sphere alone
+        # the affine system is solved by its first step, and the second
+        # sphere's first full step is rejected: the first round tries its
+        # halved step in a second call, and the next rounds take both
+        # sphere systems, then the slower sphere alone
         def sphere(x):
             return np.array([x[0] ** 2 + x[1] ** 2, x[0] - x[1]]), np.array(
                 [[2.0 * x[0], 2.0 * x[1]], [1.0, -1.0]]
@@ -392,13 +393,13 @@ class TestNewton:
         ]
         errors, _, calls = self.check_batch(systems)
         assert errors == [None, None, None]
-        assert calls[0] == [0, 1, 2] and calls[1] == [0, 2] and calls[-1] == [2]
+        assert calls == [[0, 1, 2], [2], [0, 2], [0, 2], [0, 2], [0, 2], [2]]
 
-    def test_late_exits_from_the_common_round_match_the_reference_solve(self):
-        # both hole and kink halve their residual each round, so the first
-        # rounds are common ones.  Hole's third trial, (1/8, 1/8), is outside
-        # its domain, so its step is halved there; kink's second accepted
-        # iterate, (1/4, 1/4), has a singular Jacobian, so its next solve fails
+    def test_halved_trial_is_tried_within_its_round(self):
+        # both hole and kink halve their residual each round.  Hole's third
+        # trial, (1/8, 1/8), is outside its domain, so its step is halved;
+        # kink's second accepted iterate, (1/4, 1/4), has a singular
+        # Jacobian, so its next solve fails
         def sphere(x):
             return np.array([x[0] ** 2 + x[1] ** 2, x[0] - x[1]]), np.array(
                 [[2.0 * x[0], 2.0 * x[1]], [1.0, -1.0]]
@@ -420,9 +421,34 @@ class TestNewton:
         errors, outside, calls = self.check_batch(systems)
         assert outside == [1]
         assert errors[:2] == [None, None] and type(errors[2]).__name__ == "SingularJacobianError"
-        # two common rounds; in the third kink's solve fails and hole's trial
-        # leaves the domain, and in the fourth hole takes its halved step
-        assert calls[:4] == [[0, 1, 2], [0, 1, 2], [0, 1], [0, 1]]
+        # two full rounds; in the third kink's solve fails and hole's trial
+        # leaves the domain, so that round's second call tries hole's halved
+        # step before the fourth round's full steps
+        assert calls[:5] == [[0, 1, 2], [0, 1, 2], [0, 1], [1], [0, 1]]
+
+    def test_round_without_halving_makes_one_call(self):
+        # every full step descends: the steep system halves its residual
+        # each step and takes 40, the sphere takes 5 and the affine one 1,
+        # so 40 rounds make 40 calls, each on the systems still pending
+        def steep(x):
+            return x.copy(), 2.0 * np.eye(2)
+
+        def affine(x):
+            return x.copy(), np.eye(2)
+
+        def sphere(x):
+            return np.array([x[0] ** 2 + x[1] ** 2, x[0] - x[1]]), np.array(
+                [[2.0 * x[0], 2.0 * x[1]], [1.0, -1.0]]
+            )
+
+        systems = [
+            (steep, [0.0, 0.0], [[1.0, 0.0]]),
+            (affine, [0.0, 0.0], [[1.0, 0.0]]),
+            (sphere, [2.0, 0.5], [[2.0, 0.0]]),
+        ]
+        errors, _, calls = self.check_batch(systems)
+        assert errors == [None, None, None]
+        assert calls == [[0, 1, 2]] + [[0, 2]] * 4 + [[0]] * 35
 
     def test_target_met_by_the_last_solution_takes_no_round(self):
         # the affine system's second target is its first, and its third is
@@ -501,7 +527,7 @@ class TestNewton:
         check each row against K chained reference solves of its system
         alone: its solutions, its evaluated triple and its failure; returns
         the errors, the systems whose trials left the domain and the
-        systems evaluated in each round."""
+        systems of each ``evaluate`` call."""
         starts = [(np.array(x0), *fun_jac(np.array(x0))) for fun_jac, x0, _ in systems]
         outside = []
         calls = []

@@ -7,8 +7,8 @@ Hessian, so neither the KKT verdict nor SSONC.  Each problem below is
 rewritten with every ``ineq`` and ``eq`` body multiplied by c, for c =
 2^-30 and 2^30 (exact power-of-two scalings) and c = 1e-9 and 1e9, and
 evaluated at its own point.  Wherever the active set is unchanged, the
-MFCQ verdict, the KKT flag, the vertex and ray counts and the SSONC status
-must equal the unscaled ones.  Where the active set does change, the
+LICQ, MFCQ, CRCQ and RCRCQ verdicts, the KKT flag, the vertex and ray
+counts and the SSONC status must equal the unscaled ones.  Where the active set does change, the
 absolute ``tol_active`` read an inactive row as active; those cases are
 counted and printed, not judged.
 """
@@ -19,7 +19,7 @@ import sys
 
 import pytest
 
-from nlpcheck.cq import check_mfcq
+from nlpcheck.cq import NeighborhoodSampler, check_licq, check_mfcq, check_rank_constancy
 from nlpcheck.kkt import check_ssonc, solve_multipliers
 from nlpcheck.model import evaluate_point, load_problem
 from nlpcheck.problems import builtin_names, builtin_source
@@ -60,6 +60,15 @@ def mfcq_at_point(text: str):
     return pd.active, check_mfcq(pd).status
 
 
+def cq_at_point(text: str):
+    """The active set, and the LICQ, CRCQ and RCRCQ statuses (the last two
+    from one rank scan with the default sampler)."""
+    problem = load_problem(text)
+    pd = evaluate_point(problem, problem.point)
+    scans = check_rank_constancy(problem, pd, NeighborhoodSampler())
+    return pd.active, (check_licq(pd).status, scans["crcq"].status, scans["rcrcq"].status)
+
+
 @functools.cache
 def kkt_at_point(text: str):
     """The active set, and the KKT flag, vertex and ray counts and SSONC
@@ -95,6 +104,11 @@ def scale_changes(c: float, at_point) -> list:
 @pytest.mark.parametrize("c", SCALES, ids=["2^-30", "2^30", "1e-9", "1e9"])
 def test_mfcq_does_not_depend_on_constraint_scale(c):
     assert scale_changes(c, mfcq_at_point) == []
+
+
+@pytest.mark.parametrize("c", SCALES, ids=["2^-30", "2^30", "1e-9", "1e9"])
+def test_rank_qualifications_do_not_depend_on_constraint_scale(c):
+    assert scale_changes(c, cq_at_point) == []
 
 
 @pytest.mark.parametrize("c", SCALES, ids=["2^-30", "2^30", "1e-9", "1e9"])
