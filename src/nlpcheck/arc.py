@@ -3,10 +3,10 @@
 Given a feasible point and a direction d in the linearized cone, collect
 the constraints that stay pinned along d: every equality, plus each active
 inequality whose gradient is orthogonal to d.  Stack their values into a
-map sigma.  If sigma has rank r at the point, pick r of its components
-(greedy pivoting) whose gradients span the row space, call them xi, and
-pick r variables J so that the square block of xi-gradients over J is
-nonsingular.  The chart
+map sigma.  Its numerical rank r at the point is decided once; then pick
+r of its components (greedy pivoting) whose gradients span the row space,
+call them xi, and pick r variables J so that the square block of
+xi-gradients over J is nonsingular.  The chart
 
     c(x) = (xi(x), x_K),   K = complement of J,
 
@@ -17,7 +17,9 @@ the straight line x_bar + t*d through the chart linearization,
 
 gives a curve that keeps xi (hence, where ranks are locally constant, all
 of sigma) exactly at its center value while moving with velocity d.  Each
-zeta(t) is computed by a warm-started Newton solve of c(x) = target.
+zeta(t) is computed by a warm-started Newton solve of c(x) = target.  A
+direction that pins nothing has r = 0: its chart is the identity, and its
+arc the straight line.
 
 The directions that pin the same constraints share one chart, and all
 the arcs of an analysis are marched together, both sides of every arc in
@@ -45,7 +47,6 @@ __all__ = [
     "pinned_constraints",
     "LocalChart",
     "build_chart",
-    "identity_chart",
     "DegenerateRankError",
     "ArcResult",
     "trace_arcs",
@@ -114,7 +115,8 @@ def check_arc_size(n: int, rows: int, arcs: int, samples: int) -> None:
 
 
 class DegenerateRankError(Exception):
-    """The pinned-constraint gradients were numerically zero."""
+    """The pinned-constraint gradients were numerically zero, or left a
+    chart pick no residual."""
 
 
 @dataclass
@@ -178,55 +180,36 @@ class LocalChart:
         return self.center.size
 
 
-def identity_chart(pd: PointData) -> LocalChart:
-    """Chart at ``pd.x`` with no pinned constraints: the identity map.
-
-    Arcs through it are straight lines, and its Newton solves converge in a
-    single step.
-    """
-    x = pd.x
-    n = x.size
-    return LocalChart(
-        components=(),
-        xi=(),
-        solve_vars=(),
-        keep_vars=tuple(range(n)),
-        center=x.copy(),
-        z_center=x.copy(),
-        jac_center=np.eye(n),
-        cond_estimate=1.0,
-        rank=0,
-    )
-
-
 def build_chart(pd: PointData, pinned: PinnedSet) -> LocalChart:
     """Select chart rows and variables at ``pd.x`` by greedy pivoting.
 
-    Rows of the pinned-constraint Jacobian (read from ``pd``) are reduced to
-    a spanning subset xi of size equal to the numerical rank at
-    ``pd.tol.rank``; then the
-    variable block J is chosen the same way from the xi rows.  Ties prefer
-    earlier components and earlier variables, so the selection is
-    deterministic.
+    The rank r of the pinned-constraint Jacobian (read from ``pd``) is
+    decided once, by :func:`~nlpcheck.linalg.numerical_rank` at
+    ``pd.tol.rank``.  Its rows are then reduced to a spanning subset xi of
+    r rows, and the variable block J is chosen the same way from the xi
+    rows.  Ties prefer earlier components and earlier variables, so the
+    selection is deterministic.  The empty pinned set has r = 0 and gives
+    the identity chart, whose arcs are straight lines.  Raises
+    :class:`DegenerateRankError` when pinned rows have rank 0 or leave no
+    residual for one of the r picks.
     """
     x = pd.x
     n = x.size
-    if not pinned.components:
-        return identity_chart(pd)
-    comps, tol_rank = list(pinned.components), pd.tol.rank
+    comps = list(pinned.components)
     rows = pd.c_grads[comps]
-    info = numerical_rank(rows, tol_rank)
-    r = info.rank
-    if r == 0:
+    r = numerical_rank(rows, pd.tol.rank).rank
+    if comps and r == 0:
         raise DegenerateRankError(
             "pinned constraint gradients are numerically zero at the point"
         )
-    xi = tuple(pivot_select(rows.T, r, tol_rank))
-    xi_rows = rows[list(xi)]
-    solve_vars = tuple(pivot_select(xi_rows, r, tol_rank))
+    try:
+        xi = tuple(pivot_select(rows.T, r))
+        xi_rows = rows[list(xi)]
+        solve_vars = tuple(pivot_select(xi_rows, r))
+    except ValueError as exc:
+        raise DegenerateRankError(f"pinned constraint gradients: {exc}") from exc
     keep_vars = tuple(sorted(set(range(n)) - set(solve_vars)))
-    block = xi_rows[:, list(solve_vars)]
-    cond = float(np.linalg.cond(block))
+    cond = float(np.linalg.cond(xi_rows[:, list(solve_vars)])) if r else 1.0
     jac = np.zeros((n, n))
     jac[:r] = xi_rows
     for row, k in enumerate(keep_vars):

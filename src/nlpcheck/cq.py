@@ -185,7 +185,8 @@ def check_mfcq(pd: PointData) -> Verdict:
     optimum <= 1e-9, and the rows' largest entry is not in [0.5, 1), it is
     solved once more on the rows scaled by the power of two that puts it
     there, and the evidence names that ``lp_scale``.  A positive scale keeps
-    the cone, so the direction still certifies the original rows.
+    the cone, so the direction still certifies the original rows.  When
+    the LP solves at neither scale, the verdict is "undetermined".
     """
     n, a, tol_rank = pd.n, len(pd.active), pd.tol.rank
     rows = pd.c_grads[pd.rows]  # the active inequalities, then the equalities
@@ -211,7 +212,8 @@ def check_mfcq(pd: PointData) -> Verdict:
         evidence["lp_scale"] = float(scale)
         res = simplex_lp(rows[:a] * scale, rows[a:] * scale)
     if res is None:
-        raise RuntimeError("descent-direction LP did not solve")
+        evidence["note"] = "the direction LP did not solve at either row scale"
+        return Verdict("undetermined", None, evidence)
     d, s_star = res
     evidence["lp_optimum"] = s_star
     if s_star > 1e-9:

@@ -211,22 +211,19 @@ def nullspace_basis(M, tol_rel: float = 1e-8) -> np.ndarray:
     return Vh[0, ranks[0] :].T.copy()
 
 
-def pivot_select(M, r: int, tol_rel: float = 1e-8) -> list[int]:
+def pivot_select(M, r: int) -> list[int]:
     """Select ``r`` well-conditioned columns of ``M`` by greedy pivoting.
 
-    At each step the column with the largest residual norm after
-    orthogonalization against the previous picks is chosen; exact ties go to
-    the smallest column index.  Returns 0-based column indices in selection
-    order.  Raises :class:`ValueError` if ``r`` exceeds the numerical rank.
+    The caller decides ``r``, typically as the :func:`numerical_rank` of
+    ``M``; this function only pivots.  At each step the column with the
+    largest residual norm after orthogonalization against the previous
+    picks is chosen; exact ties go to the smallest column index.  Returns
+    0-based column indices in selection order.  Raises :class:`ValueError`
+    if a pick finds no residual left.
     """
     M = _as_matrix(M)
     if r < 0:
         raise ValueError("r must be non-negative")
-    if r == 0:
-        return []
-    info = numerical_rank(M, tol_rel)
-    if r > info.rank:
-        raise ValueError(f"requested {r} pivot columns but numerical rank is {info.rank}")
     # a power-of-two scale is exact and brings max|M| into [0.5, 1), so the
     # squared norms neither underflow (1e-200 squares to 0) nor overflow
     R = np.ldexp(M, -np.frexp(np.abs(M).max(initial=0.0))[1])
@@ -236,6 +233,8 @@ def pivot_select(M, r: int, tol_rel: float = 1e-8) -> list[int]:
         for j in selected:
             norms[j] = -1.0
         j = int(np.argmax(norms))  # argmax takes the first maximum: smallest index wins ties
+        if not norms[j] > 0:
+            raise ValueError(f"pivot {len(selected) + 1} of {r} finds no residual left")
         selected.append(j)
         q = R[:, j] / norms[j]
         R -= np.outer(q, q @ R)

@@ -19,11 +19,11 @@ from nlpcheck import expr
 from nlpcheck.arc import (
     ARC_BUDGET,
     DegenerateRankError,
+    PinnedSet,
     arc_for_direction,
     arcs_for_directions,
     build_chart,
     check_arc_size,
-    identity_chart,
     pinned_constraints,
     trace_arc,
     trace_arcs,
@@ -31,7 +31,7 @@ from nlpcheck.arc import (
 )
 from nlpcheck.cones import linearized_cone, sample_directions
 from nlpcheck.expr import Gather, TapeSet
-from nlpcheck.model import evaluate_point, load_problem
+from nlpcheck.model import PointData, Tolerances, evaluate_point, load_problem
 from nlpcheck.problems import builtin_names, builtin_problem, builtin_source
 
 from _oracles import sequential_arc, sequential_trace_arc
@@ -40,6 +40,17 @@ from test_acceptance import BATTERY
 BENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "perfbench")
 sys.path.append(BENCH)
 import workloads  # noqa: E402
+
+
+# three equalities whose coefficients agree to about 1e-8: numerical rank 2,
+# where a second rank decision on the same rows once read 1
+PIVOT3 = """vars 3
+objective x1
+eq -0.3808838952875199*x1 + -0.28028534586212794*x2 + -0.09995697872035542*x3
+eq -0.38088389593799915*x1 + -0.28028534600026794*x2 + -0.09995696371422728*x3
+eq -0.38088390104002934*x1 + -0.28028535224686324*x2 + -0.09995697272228461*x3
+point 0 0 0
+"""
 
 
 def circle_setup():
@@ -116,9 +127,10 @@ class TestBuildChart:
         x = np.array([2.0, -1.0])
         prob = load_problem("vars 2\nobjective x1\nineq x1 - 3\neq x2 + 1\npoint 2 -1\n")
         pd = evaluate_point(prob, x)
-        chart = identity_chart(pd)
+        chart = build_chart(pd, PinnedSet((), ()))
         assert chart.components == ()
         assert chart.rank == 0
+        assert chart.cond_estimate == 1.0
         assert_allclose(chart.jac_center, np.eye(2))
         assert_allclose(chart.z_center, x)
         # the traced arc's center row is the point's constraint values
@@ -140,6 +152,33 @@ class TestBuildChart:
         assert (tiny.components, tiny.xi, tiny.solve_vars, tiny.keep_vars, tiny.rank) == (
             unit.components, unit.xi, unit.solve_vars, unit.keep_vars, unit.rank
         ) == ((0,), (0,), (0,), (1,), 1)
+
+    def test_near_parallel_rows_chart_at_their_rank(self):
+        prob = load_problem(PIVOT3)
+        pd = evaluate_point(prob, prob.point)
+        chart = build_chart(pd, PinnedSet((), (0, 1, 2)))
+        assert chart.rank == 2 and len(chart.xi) == len(chart.solve_vars) == 2
+        assert np.isfinite(chart.cond_estimate)
+
+    def test_near_parallel_row_sets_chart_or_degenerate(self):
+        # k >= n rows, about 70% of them perturbed off one base row by
+        # 10^U(-9, -7) * N(0, 1): the rank is decided once, so the pivots
+        # never disagree with it in a ValueError
+        rng = np.random.default_rng(0)
+        for _ in range(2000):
+            n = int(rng.integers(2, 4))
+            k = int(rng.integers(n, n + 4))
+            noise = 10.0 ** rng.uniform(-9, -7, size=(k, 1)) * rng.standard_normal((k, n))
+            rows = rng.standard_normal(n) + noise * (rng.random((k, 1)) < 0.7)
+            pd = PointData(
+                np.zeros(n), 0.0, np.zeros(n), np.zeros((n, n)), 0, np.zeros(k), rows,
+                np.zeros((k, n, n)), (), Tolerances(),
+            )
+            try:
+                chart = build_chart(pd, PinnedSet((), tuple(range(k))))
+            except DegenerateRankError:
+                continue
+            assert len(chart.xi) == len(chart.solve_vars) == chart.rank >= 1
 
     def test_zero_gradient_degenerate(self):
         prob = load_problem("vars 1\nobjective x1\nineq x1^2\npoint 0\n")
@@ -224,7 +263,7 @@ class TestTraceArc:
     def test_identity_chart_straight_line(self):
         prob, pd = tangent_disks_setup()
         d = np.array([0.0, 1.0])
-        chart = identity_chart(pd)
+        chart = build_chart(pd, PinnedSet((), ()))
         arc = trace_arc(prob, chart, d, 0.1, 41)
         expected = np.outer(arc.t, d)
         assert np.abs(arc.points - expected).max() <= 1e-14
@@ -342,7 +381,7 @@ class TestTraceArc:
 
     def test_parameter_validation(self):
         prob, pd = circle_setup()
-        chart = identity_chart(pd)
+        chart = build_chart(pd, PinnedSet((), ()))
         with pytest.raises(ValueError, match="delta"):
             trace_arc(prob, chart, np.array([0.0, 1.0]), -0.1, 41)
         # delta * k / half overflowed at 1e308
@@ -411,7 +450,7 @@ class TestVerifyArc:
         d = np.array([0.6, 0.8])
         pinned = pinned_constraints(pd, d)
         assert pinned.ineq == ()
-        chart = identity_chart(pd)
+        chart = build_chart(pd, PinnedSet((), ()))
         arc = trace_arc(prob, chart, d, 0.1, 41)
         props = verify_arc(arc, pd, pinned)
         assert props.checks["arc4"].passed

@@ -32,6 +32,7 @@ BENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path.append(BENCH)
 import workloads  # noqa: E402
 from test_acceptance import BATTERY  # noqa: E402
+from test_arc import PIVOT3  # noqa: E402
 from test_cq import SEPARATING  # noqa: E402
 
 # the point's Hessians fit, 4000^2 floats, but the objective's sweep holds
@@ -679,7 +680,7 @@ class TestMain:
         flag, value = flags
         problem = builtin_problem("circle")
         pd = evaluate_point(problem, problem.point)
-        chart = arc_mod.identity_chart(pd)
+        chart = arc_mod.build_chart(pd, arc_mod.PinnedSet((), ()))
 
         def no_sweep(*args, **kwargs):
             raise AssertionError("a tape was swept before the request gate")
@@ -933,6 +934,15 @@ class TestMain:
         captured = capsys.readouterr()
         assert captured.out.splitlines()[-1].startswith("analysis time: ")
         assert captured.err.startswith("error: cannot write output: ")
+
+    def test_near_parallel_rows_exit_zero(self, tmp_path, capsys):
+        # the chart of these rows is built at their one numerical rank, 2
+        path = tmp_path / "pivot3.nlp"
+        path.write_text(PIVOT3)
+        out = tmp_path / "pivot3.json"
+        assert main(["analyze", str(path), "--json", str(out)]) == 0
+        entries = json.loads(out.read_text())["arcs"]["entries"]
+        assert entries and all(entry["chart"]["rank"] == 2 for entry in entries)
 
     def test_internal_failure_exit_three(self, monkeypatch, capsys):
         import nlpcheck.cli as cli_mod

@@ -453,6 +453,29 @@ class TestMfcq:
         assert main(["analyze", str(path)]) == 0
         assert "mfcq=holds" in capsys.readouterr().out
 
+    def test_lp_without_solution_is_undetermined(self, tmp_path, capsys):
+        # near-parallel active rows: the direction LP solves at neither row
+        # scale, and the analysis exited 3
+        text = (
+            "vars 3\n"
+            "objective -0.7916695806289007*x1 + -0.8945649475212611*x2"
+            " + -0.6180564353193759*x3 + x1^2\n"
+            "ineq 1.7328385144747338*x1 + -0.38831583505478806*x2 + 1.0433884235953401*x3\n"
+            "ineq 1.7328385381073517*x1 + -0.38831604362661704*x2 + 1.0433885283260251*x3\n"
+            "ineq -0.5292762162227943*x1 + -1.0834577552252005*x2 + 0.9524940914618955*x3\n"
+            "eq 1.7328382958642579*x1 + -0.3883157626897938*x2 + 1.0433886104634336*x3"
+            " - 1.6221149126663992*x3^2\n"
+            "point 0 0 0\n"
+        )
+        problem = load_problem(text)
+        verdict = check_mfcq(evaluate_point(problem, problem.point))
+        assert (verdict.status, verdict.certificate) == ("undetermined", None)
+        assert verdict.evidence["note"] == "the direction LP did not solve at either row scale"
+        path = tmp_path / "mfcq-lp.nlp"
+        path.write_text(text)
+        assert main(["analyze", str(path)]) == 0
+        assert "mfcq=undetermined" in capsys.readouterr().out
+
     def test_unit_scale_rows_run_one_lp(self):
         # the second LP, and its evidence key, only follow an uncertified
         # first one

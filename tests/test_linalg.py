@@ -252,6 +252,14 @@ class TestPivotSelect:
         with pytest.raises(ValueError):
             pivot_select(np.eye(2), 3)
 
+    def test_pick_without_residual_rejected(self):
+        # the caller decides the count; a pick with nothing left to pivot on
+        # raises rather than choosing a zero column
+        with pytest.raises(ValueError, match="no residual left"):
+            pivot_select(np.zeros((2, 2)), 1)
+        with pytest.raises(ValueError, match="pivot 2 of 2"):
+            pivot_select(np.array([[1.0, 0.0], [0.0, 0.0]]), 2)
+
 
 def solve(fun_jac, x0, target):
     """Newton from an unevaluated start; returns the solution point."""
